@@ -472,10 +472,6 @@ class Mat2:
         return self.a.rank
 
 
-def valuation(x) -> Optional[LexValue]:
-    return x.valuation()
-
-
 def bt_translation_length(m: Mat2) -> LexValue:
     """max(0, -2 v(Tr m)); Tr = 0 maps to 0 via the infinity convention."""
     v = m.trace().valuation()
@@ -545,11 +541,11 @@ def certify_free_bt(generators: dict[str, Mat2], ball_radius: int):
     the finite set of trace valuations observed."""
     from .isometry import certify_free_on_ball
 
-    oracle = bt_length_oracle(generators)
+    oracle = MatrixLengthOracle(generators)
     cert = certify_free_on_ball(
         oracle.length, oracle.is_trivial, sorted(generators), ball_radius
     )
-    cert.extra["trace_valuations"] = sorted(oracle.trace_valuations)
+    cert.extra["trace_valuations"] = [[str(c) for c in v] for v in sorted(oracle.trace_valuations)]
     cert.extra["value_group_rank"] = value_group_rank(oracle.trace_valuations)
     return cert
 

@@ -213,7 +213,7 @@ def cmd_bt(args) -> int:
     from .bruhat import (
         FieldError,
         INFINITY,
-        bt_length_oracle,
+        MatrixLengthOracle,
         matrix_group_from_json,
     )
     from .isometry import CertificationAborted
@@ -221,7 +221,7 @@ def cmd_bt(args) -> int:
     doc = _load(args.input)
     try:
         gens = matrix_group_from_json(doc)
-        oracle = bt_length_oracle(gens)
+        oracle = MatrixLengthOracle(gens)
     except (KeyError, ValueError) as exc:
         raise Malformed(str(exc))
     body = {"command": f"bt {args.op}", "input_digest": _digest(doc)}
@@ -243,7 +243,9 @@ def cmd_bt(args) -> int:
     # certify
     from .bruhat import certify_free_bt
 
-    ball = args.ball or doc.get("ball") or 3
+    ball = args.ball if args.ball is not None else doc.get("ball", 3)
+    if not isinstance(ball, int) or ball < 1:
+        raise Malformed(f"ball must be a positive integer, got {ball!r}")
     try:
         cert = certify_free_bt(gens, ball)
     except CertificationAborted as exc:
@@ -403,7 +405,7 @@ def cmd_gog(args) -> int:
             return _report(args, "violation", body)
         return _report(args, "pass" if rep.conclusive else "inconclusive", body)
     if args.op == "acyl":
-        rep = check_acylindricity(G, radius=args.radius or 5, window=args.window or 4)
+        rep = check_acylindricity(G, radius=args.radius, window=args.window)
         body.update({"verdict": rep.verdict, "path": rep.path, "element": rep.element,
                      "inconclusive_at": rep.inconclusive_at})
         print(f"acylindricity: {rep.verdict}" + (f", fixed by {rep.element}" if rep.element else ""))
@@ -443,9 +445,8 @@ def cmd_gog(args) -> int:
 
 
 def cmd_marked(args) -> int:
-    from .groups import WordError
+    from .groups import BudgetExceeded, WordError
     from .markedgroups import (
-        BudgetExceeded,
         convergence_profile,
         marked_group_from_json,
         profile_text,
@@ -519,6 +520,13 @@ def cmd_preset(args) -> int:
 # argument parsing -----------------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lambdaforest")
     sub = p.add_subparsers(dest="command")
@@ -527,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if input_required:
             sp.add_argument("--input", required=True)
         sp.add_argument("--json")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("validate-tree")
     common(sp)
@@ -546,14 +553,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--word")
     sp.add_argument("--base")
-    sp.add_argument("--ball", type=int, default=3)
+    sp.add_argument("--ball", type=_positive, default=3)
     sp.set_defaults(func=cmd_isom)
 
     sp = sub.add_parser("bt")
     sp.add_argument("op", choices=["valuation", "length", "certify"])
     common(sp)
     sp.add_argument("--word")
-    sp.add_argument("--ball", type=int)
+    sp.add_argument("--ball", type=_positive)
     sp.set_defaults(func=cmd_bt)
 
     sp = sub.add_parser("glue")
@@ -571,8 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gog")
     sp.add_argument("op", choices=["structure", "acyl", "betti", "principal"])
     common(sp)
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--window", type=int)
+    sp.add_argument("--radius", type=_positive, default=5)
+    sp.add_argument("--window", type=_positive, default=4)
     sp.set_defaults(func=cmd_gog)
 
     sp = sub.add_parser("marked")
@@ -582,7 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b")
     sp.add_argument("--radius", type=int, default=3)
     sp.add_argument("--json")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_marked)
 
     sp = sub.add_parser("preset")

@@ -90,10 +90,6 @@ def subdivide_at(T: MetricTree, points: list[TreePoint]):
     return T2, mapper
 
 
-def transport_spec(spec: SubtreeSpec, T2: MetricTree, mapper) -> SubtreeSpec:
-    return SubtreeSpec.from_points(T2, [mapper(p) for p in spec.grid_points()])
-
-
 # segment isometries ------------------------------------------------------------------
 
 
@@ -218,16 +214,6 @@ def glue_subtree(phi: SegmentIso):
         edges.append((tu, tv, ln))
     glued = MetricTree(verts, edges, Y1.rank)
 
-    def retag(tagger, submap):
-        def f(p: TreePoint) -> TreePoint:
-            q = submap(p)
-            if isinstance(q, Vertex):
-                return Vertex(tagger(q.id))
-            tu, tv = tagger(q.u), tagger(q.v)
-            return glued.point(tu, tv, q.offset if _ekey(tu, tv) == (tu, tv) else q.offset)
-
-        return f
-
     def map_src(p: TreePoint) -> TreePoint:
         q = map1(p)
         if isinstance(q, Vertex):
@@ -328,7 +314,6 @@ def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
     for path in paths:
         d = LexValue.zero(G.vertex_trees[a.vertex].rank)
         cur_v, cur_p = a.vertex, a.point
-        ok = True
         for (src, dst, phi, _i) in path:
             T = G.vertex_trees[src]
             lam = phi.src_spec
@@ -337,7 +322,7 @@ def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
             cur_p = phi.apply(p)
             cur_v = dst
         d = d + distance(G.vertex_trees[cur_v], cur_p, b.point)
-        if ok and (best is None or d < best):
+        if best is None or d < best:
             best = d
     return best
 
@@ -391,7 +376,6 @@ def fold_glued_tree(G: GraphOfActions, path: list[tuple]):
     (tree, mapper) with mapper(vertex, point) -> point of the glued tree.
     A second independent oracle: path metric in the constructed tree."""
     if not path:
-        v = None
         raise GluingError("empty path")
     maps: dict[object, Callable] = {path[0][0]: lambda p: p}
     current = G.vertex_trees[path[0][0]]

@@ -68,6 +68,37 @@ def power(w: Word, k: int) -> Word:
     return free_reduce(w * k)
 
 
+class BudgetExceeded(RuntimeError):
+    pass
+
+
+def ball_words(letters: Sequence[str], max_len: int, budget: Optional[int] = None):
+    """Every nonempty freely reduced word of length <= max_len, shortest
+    first; within a length, in the order of `letters` with each letter
+    followed by its inverse.  When the words of a length would take the
+    count past `budget`, BudgetExceeded is raised before any of them is
+    yielded."""
+    alphabet = [(l, e) for l in letters for e in (1, -1)]
+    limit = float("inf") if budget is None else budget
+    count = 0
+    frontier: list[Word] = [()]
+    for _ in range(max_len):
+        new = []
+        for w in frontier:
+            for a in alphabet:
+                if w and w[-1][0] == a[0] and w[-1][1] == -a[1]:
+                    continue
+                new.append(w + (a,))
+                count += 1
+                if count > limit:
+                    raise BudgetExceeded(
+                        f"ball enumeration exceeds {budget} words "
+                        f"(n = {len(letters)}, R = {max_len})"
+                    )
+        frontier = new
+        yield from frontier
+
+
 def exponent_vector(w: Word, alphabet: Sequence[str]) -> tuple[int, ...]:
     counts = dict.fromkeys(alphabet, 0)
     for l, e in w:
@@ -242,28 +273,6 @@ class DirectSumCyclicOracle:
     def is_trivial(self, w: Word) -> bool:
         vec = exponent_vector(w, self.letters)
         return vec[0] % self.torsion_order == 0 and all(c == 0 for c in vec[1:])
-
-
-class MatrixGroupOracle:
-    """Exact identity test on products of generator matrices (see bruhat)."""
-
-    def __init__(self, generators: dict):
-        self.generators = dict(generators)
-        self.letters = tuple(sorted(self.generators))
-        some = next(iter(self.generators.values()))
-        self._identity = some.identity_like()
-
-    def product(self, w: Word):
-        m = self._identity
-        for l, e in w:
-            if l not in self.generators:
-                raise WordError(f"unknown generator {l!r}")
-            g = self.generators[l]
-            m = m * (g if e == 1 else g.inverse())
-        return m
-
-    def is_trivial(self, w: Word) -> bool:
-        return self.product(w) == self._identity
 
 
 # abelianization -----------------------------------------------------------------

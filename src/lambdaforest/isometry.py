@@ -26,9 +26,8 @@ from .lambdatree import (
     project_to_closed_subtree,
 )
 
-Letter = tuple[str, int]
 from .ordgroup import LexValue
-from .groups import Word, free_reduce, invert, parse_word, word_str
+from .groups import Word, ball_words, invert, parse_word, power, word_str
 
 
 class IsometryError(ValueError):
@@ -173,8 +172,7 @@ def axis_sample(A: ActionWindow, w: Word, x: TreePoint, k: int):
     m = cls.axis_sample[0]
     pts = []
     for j in range(-k, k + 1):
-        word_j = _power_word(w, j)
-        img = A.apply_word(word_j, m)
+        img = A.apply_word(power(w, j), m)
         if isinstance(img, OutOfWindow):
             return Inconclusive(f"w^{j}.m leaves window")
         pts.append(img)
@@ -183,12 +181,6 @@ def axis_sample(A: ActionWindow, w: Word, x: TreePoint, k: int):
         if distance(T, a, b) + distance(T, b, c) != distance(T, a, c):
             raise IsometryError("axis sample not aligned: generator is not an isometry")
     return (pts[0], pts[-1])
-
-
-def _power_word(w: Word, k: int) -> Word:
-    if k >= 0:
-        return free_reduce(w * k)
-    return free_reduce(invert(w) * (-k))
 
 
 def same_axis_test(A: ActionWindow, w1: Word, w2: Word, x: TreePoint, k: int = 2):
@@ -259,25 +251,6 @@ class CertificationAborted(RuntimeError):
         super().__init__(f"oracle inconclusive on {word_str(word)}: {reason}")
 
 
-def reduced_words(labels: Iterable[str], max_len: int):
-    """All nonempty freely reduced words of length <= max_len, shortest first,
-    lexicographic within a length."""
-    alphabet: list[Letter] = []
-    for l in sorted(labels):
-        alphabet.append((l, 1))
-        alphabet.append((l, -1))
-    frontier: list[Word] = [()]
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for letter in alphabet:
-                if w and w[-1][0] == letter[0] and w[-1][1] == -letter[1]:
-                    continue
-                new.append(w + (letter,))
-        frontier = new
-        yield from frontier
-
-
 def certify_free_on_ball(
     length_oracle: Callable[[Word], LexValue | Inconclusive],
     triviality_oracle: Callable[[Word], bool],
@@ -293,7 +266,7 @@ def certify_free_on_ball(
     relations: list[str] = []
     min_pos: Optional[LexValue] = None
     checked = 0
-    for w in reduced_words(labels, ball_radius):
+    for w in ball_words(sorted(labels), ball_radius):
         checked += 1
         if invert(w) < w:
             continue

@@ -287,11 +287,6 @@ def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
     raise TreeError("arclength beyond geodesic end")
 
 
-def geodesic_start(T: MetricTree, legs: list[Leg]) -> TreePoint:
-    leg = legs[0]
-    return T.point(leg.u, leg.v, leg.a)
-
-
 def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint:
     """The unique point on all three pairwise geodesics (2Λ = Λ over Q^n, so
     the Gromov product is an exact point of the tree)."""

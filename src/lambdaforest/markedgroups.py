@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .groups import Word, WordError, concat, free_reduce, invert, word_str
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
+from .groups import Word, WordError, ball_words, concat, free_reduce, invert, word_str
 
 # enumeration budget: n * (2n-1)^(R-1) words must stay at desk scale
 MAX_WORDS = 300_000
@@ -63,35 +58,10 @@ class RelationBall:
         return free_reduce(w) in self.words
 
 
-def _ball_words(letters: Sequence[str], R: int):
-    count = 0
-    n = len(letters)
-    alphabet = []
-    for l in letters:
-        alphabet.append((l, 1))
-        alphabet.append((l, -1))
-    frontier: list[Word] = [()]
-    for _ in range(R):
-        new = []
-        for w in frontier:
-            for a in alphabet:
-                if w and w[-1][0] == a[0] and w[-1][1] == -a[1]:
-                    continue
-                new.append(w + (a,))
-                count += 1
-                if count > MAX_WORDS:
-                    raise BudgetExceeded(
-                        f"ball enumeration exceeds {MAX_WORDS} words "
-                        f"(n = {n}, R = {R})"
-                    )
-        frontier = new
-        yield from frontier
-
-
 def relations_up_to(M: MarkedGroup, R: int) -> RelationBall:
     if R < 0:
         raise WordError("radius must be nonnegative")
-    rels = [w for w in _ball_words(M.letters, R) if M.is_relation(w)]
+    rels = [w for w in ball_words(M.letters, R, MAX_WORDS) if M.is_relation(w)]
     rels.sort(key=lambda w: (len(w), word_str(w)))
     return RelationBall(R, tuple(rels))
 
@@ -101,7 +71,7 @@ def same_ball(M1: MarkedGroup, M2: MarkedGroup, R: int):
     in the symmetric difference."""
     if M1.n != M2.n or M1.letters != M2.letters:
         raise WordError("markings must share the abstract alphabet")
-    for w in _ball_words(M1.letters, R):
+    for w in ball_words(M1.letters, R, MAX_WORDS):
         if M1.is_relation(w) != M2.is_relation(w):
             return False, w
     return True, None

@@ -8,9 +8,9 @@ from lambdaforest.bruhat import (
     Laurent1,
     Laurent2,
     Mat2,
+    MatrixLengthOracle,
     QpElement,
     RatFunc,
-    bt_length_oracle,
     bt_translation_length,
     certify_free_bt,
     matrix_group_from_json,
@@ -127,7 +127,7 @@ def test_rank2_diagonal_length_law():
 
 def test_z2_preset_lengths():
     gens = matrix_group_from_json(z2_diagonal())
-    oracle = bt_length_oracle(gens)
+    oracle = MatrixLengthOracle(gens)
     assert oracle.length(parse_word("u")) == L(0, 2)
     assert oracle.length(parse_word("v")) == L(2, 0)
     assert oracle.length(parse_word("uv")) == L(2, 2)
@@ -167,7 +167,7 @@ def test_commuting_diagonals_fail_freeness():
 
 def test_schottky_conjugate_has_same_lengths():
     gens = _schottky_generators(1)
-    oracle = bt_length_oracle(gens)
+    oracle = MatrixLengthOracle(gens)
     assert oracle.length(parse_word("a")) == oracle.length(parse_word("b")) == L(2)
     assert oracle.length(parse_word("ab")) == L(4)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,47 @@ def test_bt_certify_pass_and_fail(tmp_path, capsys):
     unipotent = emit(tmp_path, "unipotent-fail")
     assert main(["bt", "certify", "--input", unipotent]) == 2
     assert "counterexample" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "preset_name, rc, status",
+    [("schottky-qt", 0, "free-on-ball"), ("unipotent-fail", 2, "counterexample")],
+)
+def test_bt_certify_json_report(tmp_path, preset_name, rc, status):
+    report = tmp_path / "report.json"
+    path = emit(tmp_path, preset_name)
+    assert main(["bt", "certify", "--input", path, "--ball", "3", "--json", str(report)]) == rc
+    cert = json.loads(report.read_text())["certificate"]
+    assert cert["N"] == 3 and cert["status"] == status
+    assert cert["trace_valuations"] and all(
+        isinstance(c, str) for v in cert["trace_valuations"] for c in v
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bt", "certify", "--ball", "0"],
+        ["bt", "certify", "--ball", "-1"],
+        ["isom", "certify", "--ball", "0"],
+        ["gog", "acyl", "--radius", "0"],
+        ["gog", "acyl", "--window", "0"],
+    ],
+)
+def test_nonpositive_size_is_usage_error(tmp_path, rotation_file, capsys, argv):
+    inputs = {
+        "bt": emit(tmp_path, "schottky-qt"),
+        "isom": rotation_file,
+        "gog": emit(tmp_path, "centralizer-extension-gog"),
+    }
+    assert main(argv + ["--input", inputs[argv[0]]]) == 64
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_bt_certify_document_ball_must_be_positive(tmp_path):
+    doc = presets.emit("schottky-qt")
+    doc["ball"] = 0
+    assert main(["bt", "certify", "--input", write(tmp_path, "b0.json", doc)]) == 65
 
 
 # glue commands --------------------------------------------------------------------------
@@ -324,3 +366,38 @@ def test_json_report_is_deterministic(tmp_path):
     body = json.loads(r1.read_text())
     assert body["status"] == "violation" and body["kind"] == "four-point"
     assert "input_digest" in body
+
+
+# pinned outputs: sha256 of the --json report and of stdout ---------------------------
+
+PINNED = [
+    ("schottky-qt", ["bt", "certify"], 0,
+     "d96060d19b9dae887cea72df242e9c28308bc44d88525a42c348e58f62c9bc45",
+     "a7d7f0b703fd196ceb94c23df91700c62d356b5df9a693247cf3af1dc2af0652"),
+    ("unipotent-fail", ["bt", "certify"], 2,
+     "6e958c1ae56439a21930a6b2c6dd34bf9c4a5d3fa305cf83a29862666a913958",
+     "acb3464da9e421440efbfa4ac415b18e9c26d16e76362a1d39ea10543c155be9"),
+    ("z2-diagonal", ["bt", "certify"], 0,
+     "6f9d7cece116f7fff72ec8bd45db83214016d6b5baf876cb7f8a09a0aa0dc805",
+     "eb568dd33bec8c9845aa3db72628daf54cf2bf3aca17047962bacfb51ce602ac"),
+    ("centralizer-extension-gog", ["gog", "acyl", "--radius", "5", "--window", "4"], 0,
+     "3617bc0322547872e6e3e6c68a85728b58e6477c8b60ec70e2da600437b3376c",
+     "71eba6c7903da3703a015e40ee5fd0556f7b038f296843e2536c9e958bd84ee7"),
+    ("n3-surface-gog", ["gog", "acyl", "--radius", "5", "--window", "4"], 0,
+     "afbda4ff2e628d2bbe0d89bd25cf81fb2b451b699da08b6e54a0692b68cb1b64",
+     "71eba6c7903da3703a015e40ee5fd0556f7b038f296843e2536c9e958bd84ee7"),
+    ("z-to-z2-sequence", ["marked", "profile"], 0,
+     "ebdc4d8fc79754a85e83885c43f8279674671a369690e532461574f9ddfd6df0",
+     "e395317c591ef229bd8d235b267b64b961acad2d24604c29fd74ecacc8f36789"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset_name, argv, rc, report_sha, stdout_sha", PINNED, ids=[c[0] for c in PINNED]
+)
+def test_pinned_outputs(tmp_path, capsys, preset_name, argv, rc, report_sha, stdout_sha):
+    report = tmp_path / "report.json"
+    path = emit(tmp_path, preset_name)
+    assert main(argv + ["--input", path, "--json", str(report)]) == rc
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

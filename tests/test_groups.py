@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaforest.groups import (
+    BudgetExceeded,
     DirectSumCyclicOracle,
     FinitePresentation,
     FreeAbelianOracle,
@@ -11,6 +13,7 @@ from lambdaforest.groups import (
     HNNOracle,
     HNNPreset,
     WordError,
+    ball_words,
     betti1,
     britton_reduce,
     concat,
@@ -251,3 +254,50 @@ def test_cyclic_reduce():
     assert concat(conj, core, invert(conj)) == parse_word("ab'cba'")
     assert core == parse_word("c")
     assert conj == parse_word("ab'")
+
+
+# word balls -----------------------------------------------------------------------
+
+
+def test_ball_words_counts():
+    ws = list(ball_words(["a", "b"], 2))
+    assert len(ws) == 4 + 4 * 3
+    assert all(len(w) <= 2 for w in ws)
+    # shortest first
+    assert [len(w) for w in ws] == sorted(len(w) for w in ws)
+
+
+def _brute_ball(letters, max_len):
+    """Freely reduced words of length 1..max_len by filtering all products,
+    sorted by (length, position of each letter in `letters`, + before -)."""
+    alphabet = [(l, e) for l in letters for e in (1, -1)]
+    words = [
+        w
+        for n in range(1, max_len + 1)
+        for w in itertools.product(alphabet, repeat=n)
+        if free_reduce(w) == w
+    ]
+    return sorted(words, key=lambda w: (len(w), [alphabet.index(a) for a in w]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcxyz"), min_size=1, max_size=3, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_ball_words_order_and_budget(letters, max_len, budget):
+    """Unsorted alphabets keep their order, and the budget stops the walk
+    after the last length whose words all fit, before yielding any word of
+    the next length."""
+    words = _brute_ball(letters, max_len)
+    assert list(ball_words(letters, max_len)) == words
+    fits = max(n for n in range(max_len + 1) if sum(len(w) <= n for w in words) <= budget)
+    got = []
+    if fits < max_len:
+        with pytest.raises(BudgetExceeded):
+            for w in ball_words(letters, max_len, budget):
+                got.append(w)
+    else:
+        got = list(ball_words(letters, max_len, budget))
+    assert got == [w for w in words if len(w) <= fits]

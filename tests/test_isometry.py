@@ -13,7 +13,6 @@ from lambdaforest.isometry import (
     axis_sample,
     certify_free_on_ball,
     classify,
-    reduced_words,
     same_axis_test,
     window_length_oracle,
 )
@@ -153,14 +152,6 @@ def test_same_axis_inconclusive_when_window_tiny():
 
 
 # ball certification -------------------------------------------------------------
-
-
-def test_reduced_words_counts():
-    ws = list(reduced_words(["a", "b"], 2))
-    assert len(ws) == 4 + 4 * 3
-    assert all(len(w) <= 2 for w in ws)
-    # shortest first
-    assert [len(w) for w in ws] == sorted(len(w) for w in ws)
 
 
 def test_certify_free_shift(caterpillar):

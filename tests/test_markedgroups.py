@@ -1,6 +1,7 @@
 import pytest
 
 from lambdaforest.groups import (
+    BudgetExceeded,
     FreeAbelianOracle,
     FreeGroupOracle,
     WordError,
@@ -8,7 +9,6 @@ from lambdaforest.groups import (
     word_str,
 )
 from lambdaforest.markedgroups import (
-    BudgetExceeded,
     MarkedGroup,
     convergence_profile,
     marked_group_from_json,
