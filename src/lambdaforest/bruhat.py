@@ -14,10 +14,9 @@ from numerics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from .ordgroup import LexValue
@@ -36,7 +35,9 @@ def _clean1(c: dict) -> dict:
 
 
 class Laurent1:
-    """Laurent polynomial in t over Q: dict exponent -> Fraction."""
+    """Laurent polynomial in t: dict exponent -> nonzero coefficient.  The
+    constructor coerces to Fraction coefficients; arithmetic keeps the
+    coefficient type of its operands, so int coefficients stay int."""
 
     __slots__ = ("coeffs",)
 
@@ -55,23 +56,21 @@ class Laurent1:
         return not self.coeffs
 
     def __add__(self, o: "Laurent1") -> "Laurent1":
-        c = dict(self.coeffs)
-        for e, v in o.coeffs.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return Laurent1(c)
+        return _laurent(Laurent1, _add(self.coeffs, o.coeffs))
 
     def __neg__(self) -> "Laurent1":
-        return Laurent1({e: -v for e, v in self.coeffs.items()})
+        return _laurent(Laurent1, {e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, o: "Laurent1") -> "Laurent1":
         return self + (-o)
 
     def __mul__(self, o: "Laurent1") -> "Laurent1":
-        c: dict[int, Fraction] = {}
+        c: dict = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in o.coeffs.items():
-                c[e1 + e2] = c.get(e1 + e2, Fraction(0)) + v1 * v2
-        return Laurent1(c)
+                e = e1 + e2
+                c[e] = c.get(e, 0) + v1 * v2
+        return _laurent(Laurent1, {e: v for e, v in c.items() if v})
 
     def __eq__(self, o) -> bool:
         return isinstance(o, Laurent1) and self.coeffs == o.coeffs
@@ -86,7 +85,7 @@ class Laurent1:
         return max(self.coeffs) if self.coeffs else None
 
     def shift(self, k: int) -> "Laurent1":
-        return Laurent1({e + k: v for e, v in self.coeffs.items()})
+        return _laurent(Laurent1, {e + k: v for e, v in self.coeffs.items()})
 
     def leading_coeff(self) -> Fraction:
         return self.coeffs[max(self.coeffs)]
@@ -95,6 +94,25 @@ class Laurent1:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{v}*t^{e}" for e, v in sorted(self.coeffs.items()))
+
+
+def _laurent(cls, coeffs: dict):
+    """A Laurent1 or Laurent2 holding coeffs, which has no zero coefficient,
+    as it is: no coercion."""
+    x = object.__new__(cls)
+    x.coeffs = coeffs
+    return x
+
+
+def _add(c1: dict, c2: dict) -> dict:
+    c = dict(c1)
+    for k, v in c2.items():
+        s = c.get(k, 0) + v
+        if s:
+            c[k] = s
+        else:
+            del c[k]
+    return c
 
 
 def _polydivmod(a: Laurent1, b: Laurent1) -> tuple[Laurent1, Laurent1]:
@@ -130,7 +148,8 @@ def _polygcd(a: Laurent1, b: Laurent1) -> Laurent1:
 
 
 class Laurent2:
-    """Laurent polynomial in s, t over Q: dict (t-exp, s-exp) -> Fraction."""
+    """Laurent polynomial in s, t: dict (t-exp, s-exp) -> nonzero
+    coefficient, coerced and kept like Laurent1's."""
 
     __slots__ = ("coeffs",)
 
@@ -153,24 +172,21 @@ class Laurent2:
         return not self.coeffs
 
     def __add__(self, o: "Laurent2") -> "Laurent2":
-        c = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return Laurent2(c)
+        return _laurent(Laurent2, _add(self.coeffs, o.coeffs))
 
     def __neg__(self) -> "Laurent2":
-        return Laurent2({k: -v for k, v in self.coeffs.items()})
+        return _laurent(Laurent2, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, o: "Laurent2") -> "Laurent2":
         return self + (-o)
 
     def __mul__(self, o: "Laurent2") -> "Laurent2":
-        c: dict[tuple[int, int], Fraction] = {}
+        c: dict = {}
         for (t1, s1), v1 in self.coeffs.items():
             for (t2, s2), v2 in o.coeffs.items():
                 k = (t1 + t2, s1 + s2)
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return Laurent2(c)
+                c[k] = c.get(k, 0) + v1 * v2
+        return _laurent(Laurent2, {k: v for k, v in c.items() if v})
 
     def __eq__(self, o) -> bool:
         return isinstance(o, Laurent2) and self.coeffs == o.coeffs
@@ -243,15 +259,16 @@ class QpElement:
     def valuation(self) -> Optional[LexValue]:
         if self.value == 0:
             return INFINITY
-        n, d = self.value.numerator, self.value.denominator
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        while d % self.p == 0:
-            d //= self.p
-            v -= 1
-        return LexValue([v])
+        return LexValue([_vp(self.value.numerator, self.p) - _vp(self.value.denominator, self.p)])
+
+
+def _vp(n: int, p: int) -> int:
+    """Multiplicity of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 class RatFunc:
@@ -421,7 +438,8 @@ class BiRatFunc:
 
 
 class Mat2:
-    """Determinant-1 matrix over a common field context."""
+    """Determinant-1 matrix over a common field context.  MatrixLengthOracle
+    also builds unchecked ones over the rings it multiplies in."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -474,51 +492,122 @@ class Mat2:
 
 def bt_translation_length(m: Mat2) -> LexValue:
     """max(0, -2 v(Tr m)); Tr = 0 maps to 0 via the infinity convention."""
-    v = m.trace().valuation()
-    zero = LexValue.zero(m.rank)
+    return _translation_length(m.trace().valuation(), m.rank)
+
+
+def _translation_length(v: Optional[LexValue], rank: int) -> LexValue:
+    zero = LexValue.zero(rank)
     if v is INFINITY:
         return zero
     cand = v.scale(-2)
     return cand if cand > zero else zero
 
 
+def _laurent_coeffs(x) -> dict:
+    """The Laurent polynomial a RatFunc or BiRatFunc equals, as exponent ->
+    Fraction; FieldError unless its denominator is a monomial."""
+    if len(x.den.coeffs) != 1:
+        raise FieldError(f"entry is not a Laurent polynomial: {x!r}")
+    ((k, dv),) = x.den.coeffs.items()
+    if isinstance(x, RatFunc):
+        return {e - k: v / dv for e, v in x.num.coeffs.items()}
+    return {(et - k[0], es - k[1]): v / dv for (et, es), v in x.num.coeffs.items()}
+
+
+def _exact(x) -> dict:
+    """A matrix entry as exponent -> Fraction; a Q_p entry is a constant."""
+    if isinstance(x, QpElement):
+        return {0: x.value}
+    if isinstance(x, (RatFunc, BiRatFunc)):
+        return _laurent_coeffs(x)
+    raise FieldError(f"unsupported matrix entry {x!r}")
+
+
 class MatrixLengthOracle:
     """Translation-length and triviality oracles for a labeled generator set;
-    records the trace valuations encountered."""
+    records the trace valuations encountered.
+
+    Products run over a ring with int coefficients, not over the field.  Each
+    generator is multiplied by `scale` = D, the lcm of the denominators of
+    all generator coefficients, into a Mat2 of Laurent1 or Laurent2 entries
+    over Q(t) or Q(s, t), or of ints over Q_p; a letter's inverse is the
+    adjugate of its scaled matrix.  The product of a word w is then D^|w|
+    times its value.  D is a constant: its valuation is 0 over Q(t) and
+    Q(s, t), and v_p(D) over Q_p."""
 
     def __init__(self, generators: dict[str, Mat2]):
         if not generators:
             raise FieldError("empty generator set")
-        ranks = {g.rank for g in generators.values()}
-        if len(ranks) != 1:
+        matrices = {label: (g.a, g.b, g.c, g.d) for label, g in generators.items()}
+        kinds = {type(x) for entries in matrices.values() for x in entries}
+        if len(kinds) != 1:
             raise FieldError("generators over mixed field contexts")
-        self.generators = dict(generators)
-        self.rank = ranks.pop()
-        self.identity = next(iter(generators.values())).identity_like()
+        kind = kinds.pop()
+        exact = {label: [_exact(x) for x in entries] for label, entries in matrices.items()}
+        self._p = None
+        if kind is QpElement:
+            primes = {x.p for entries in matrices.values() for x in entries}
+            if len(primes) != 1:
+                raise FieldError("mixed primes")
+            self._p = primes.pop()
+        self._poly = {RatFunc: Laurent1, BiRatFunc: Laurent2}.get(kind)
+        self._unit = (0, 0) if kind is BiRatFunc else 0
+        self.rank = next(iter(generators.values())).rank
+        self.scale = lcm(*(q.denominator for entries in exact.values()
+                           for e in entries for q in e.values()))
+        self._vp_scale = _vp(self.scale, self._p) if self._p else 0
+        self._letters: dict = {}
+        for label, entries in exact.items():
+            a, b, c, d = (self._ring({k: (q * self.scale).numerator for k, q in e.items()})
+                          for e in entries)
+            m = Mat2(a, b, c, d, check_det=False)
+            self._letters[(label, 1)] = m
+            self._letters[(label, -1)] = m.inverse()
         self.trace_valuations: set[tuple] = set()
-        self._cache: dict[Word, Mat2] = {(): self.identity}
+        self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
+
+    def _ring(self, coeffs: dict):
+        """The ring element with these int coefficients."""
+        if self._poly is None:
+            return coeffs.get(0, 0)
+        return _laurent(self._poly, coeffs)
+
+    def _scalar(self, n: int) -> Mat2:
+        zero, c = self._ring({}), self._ring({self._unit: n})
+        return Mat2(c, zero, zero, c, check_det=False)
 
     def product(self, w: Word) -> Mat2:
+        """D^|w| times the value of w, over the ring."""
         w = tuple(w)
         if w in self._cache:
             return self._cache[w]
-        label, e = w[-1]
-        if label not in self.generators:
-            raise FieldError(f"unknown generator label {label!r}")
-        g = self.generators[label]
-        m = self.product(w[:-1]) * (g if e == 1 else g.inverse())
+        g = self._letters.get(w[-1])
+        if g is None:
+            raise FieldError(f"unknown generator label {w[-1][0]!r}")
+        m = self.product(w[:-1]) * g
         self._cache[w] = m
         return m
 
+    def trace_valuation(self, w: Word) -> Optional[LexValue]:
+        """v(Tr w), INFINITY when the trace is 0."""
+        tr = self.product(w).trace()
+        if self._p is not None:
+            if tr == 0:
+                return INFINITY
+            v = LexValue([_vp(tr, self._p) - len(w) * self._vp_scale])
+        else:
+            if not tr.coeffs:
+                return INFINITY
+            key = min(tr.coeffs)  # the lexicographic least exponent is ord(tr)
+            v = LexValue(key if self.rank == 2 else [key])
+        self.trace_valuations.add(v.coords)
+        return v
+
     def length(self, w: Word) -> LexValue:
-        m = self.product(w)
-        v = m.trace().valuation()
-        if v is not INFINITY:
-            self.trace_valuations.add(tuple(v.coords))
-        return bt_translation_length(m)
+        return _translation_length(self.trace_valuation(w), self.rank)
 
     def is_trivial(self, w: Word) -> bool:
-        return self.product(w) == self.identity
+        return self.product(w) == self._scalar(self.scale ** len(w))
 
 
 def bt_length_oracle(generators: dict[str, Mat2]) -> MatrixLengthOracle:
@@ -629,24 +718,14 @@ def entry_to_json(x) -> dict | str:
     if isinstance(x, QpElement):
         return str(x.value)
     if isinstance(x, RatFunc):
-        if len(x.den.coeffs) != 1:
-            raise FieldError("only Laurent entries serialize")
-        ((de, dv),) = x.den.coeffs.items()
-        num = Laurent1({e - de: v / dv for e, v in x.num.coeffs.items()})
         out = {}
-        for e, v in sorted(num.coeffs.items()):
+        for e, v in sorted(_laurent_coeffs(x).items()):
             key = "1" if e == 0 else f"t^{e}"
             out[key] = str(v)
         return out or {"1": "0"}
     if isinstance(x, BiRatFunc):
-        if len(x.den.coeffs) != 1:
-            raise FieldError("only Laurent entries serialize")
-        ((dk, dv),) = x.den.coeffs.items()
-        num = Laurent2(
-            {(et - dk[0], es - dk[1]): v / dv for (et, es), v in x.num.coeffs.items()}
-        )
         out = {}
-        for (et, es), v in sorted(num.coeffs.items()):
+        for (et, es), v in sorted(_laurent_coeffs(x).items()):
             parts = []
             if es:
                 parts.append(f"s^{es}")

@@ -216,6 +216,7 @@ def cmd_bt(args) -> int:
         MatrixLengthOracle,
         matrix_group_from_json,
     )
+    from .groups import WordError
     from .isometry import CertificationAborted
 
     doc = _load(args.input)
@@ -228,17 +229,18 @@ def cmd_bt(args) -> int:
     if args.op in ("valuation", "length"):
         if not args.word:
             raise Malformed(f"bt {args.op} needs --word")
-        w = parse_word(args.word)
-        m = oracle.product(w)
-        v = m.trace().valuation()
+        try:
+            w = parse_word(args.word)
+            value = oracle.trace_valuation(w) if args.op == "valuation" else oracle.length(w)
+        except (FieldError, WordError) as exc:
+            raise Malformed(str(exc))
         if args.op == "valuation":
-            out = "infinity" if v is INFINITY else v.to_json()
+            out = "infinity" if value is INFINITY else value.to_json()
             print(f"v(Tr {args.word}) = {out}")
             body["valuation"] = out
         else:
-            l = oracle.length(w)
-            print(f"l({args.word}) = {l!r}")
-            body["length"] = l.to_json()
+            print(f"l({args.word}) = {value!r}")
+            body["length"] = value.to_json()
         return _report(args, "pass", body)
     # certify
     from .bruhat import certify_free_bt
@@ -527,6 +529,13 @@ def _positive(text: str) -> int:
     return n
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lambdaforest")
     sub = p.add_subparsers(dest="command")
@@ -587,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input")
     sp.add_argument("--a")
     sp.add_argument("--b")
-    sp.add_argument("--radius", type=int, default=3)
+    sp.add_argument("--radius", type=_nonnegative, default=3)
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_marked)
 

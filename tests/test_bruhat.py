@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdaforest.bruhat import (
     BiRatFunc,
@@ -17,7 +18,7 @@ from lambdaforest.bruhat import (
     matrix_group_to_json,
     value_group_rank,
 )
-from lambdaforest.groups import parse_word
+from lambdaforest.groups import ball_words, parse_word
 from lambdaforest.presets import _schottky_generators, unipotent_fail, z2_diagonal
 
 from conftest import L
@@ -215,3 +216,125 @@ def test_laurent_ord_and_degree():
 def test_laurent2_ord_is_lex():
     x = Laurent2({(1, 0): Fraction(1), (0, 7): Fraction(1)})
     assert x.ord() == (0, 7)
+
+
+# the ring oracle against the field path ---------------------------------------------
+
+
+def field_products(gens, radius):
+    """The field product of every word of the ball, from field Mat2
+    products; the identity is the empty word's."""
+    step = {}
+    for label, g in gens.items():
+        step[(label, 1)], step[(label, -1)] = g, g.inverse()
+    prods = {(): next(iter(gens.values())).identity_like()}
+    for w in ball_words(sorted(gens), radius):
+        prods[w] = prods[w[:-1]] * step[w[-1]]
+    return prods
+
+
+def assert_oracle_matches_field(gens, radius=5):
+    oracle = MatrixLengthOracle(gens)
+    prods = field_products(gens, radius)
+    identity = prods[()]
+    for w, m in prods.items():
+        assert oracle.length(w) == bt_translation_length(m), w
+        assert oracle.is_trivial(w) == (m == identity), w
+        assert oracle.trace_valuation(w) == m.trace().valuation(), w
+    return oracle
+
+
+QP_RATIONAL = {"a": [["3/2", "0"], ["0", "2/3"]], "b": [["7/3", "-5/6"], ["5/3", "-1/6"]]}
+
+
+@pytest.mark.parametrize("make", [lambda: _schottky_generators(1),
+                                  lambda: matrix_group_from_json(unipotent_fail()),
+                                  lambda: matrix_group_from_json(z2_diagonal())],
+                         ids=["schottky-qt", "unipotent-fail", "z2-diagonal"])
+def test_ring_oracle_matches_field_on_presets(make):
+    assert_oracle_matches_field(make())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ring_oracle_matches_field_qp_rational(p):
+    """D = 6: p = 2 and p = 3 divide it, with a prime of D that is not p;
+    p = 5 does not."""
+    gens = matrix_group_from_json({"field": "Qp", "p": p, "generators": QP_RATIONAL})
+    assert assert_oracle_matches_field(gens).scale == 6
+
+
+COEFF = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)).map(Fraction)
+
+
+def sl2(entry, poly, exponent, origin):
+    """SL2 matrices over the field: products of one or two factors
+    [[1, f], [0, 1]], [[1, 0], [f, 1]] or diag(u, 1/u), with f drawn from
+    `poly` and u = c x^k for a nonzero rational c and k drawn from
+    `exponent`.  `entry` turns exponent -> coefficient into a field element;
+    `origin` is the exponent of the constants."""
+    one, zero = entry({origin: 1}), entry({})
+
+    def factor(kind, f, c, k):
+        if kind == "upper":
+            return Mat2(one, entry(f), zero, one)
+        if kind == "lower":
+            return Mat2(one, zero, entry(f), one)
+        u = entry({k: c})
+        return Mat2(u, zero, zero, u.inverse())
+
+    def product(factors):
+        m = factors[0]
+        for g in factors[1:]:
+            m = m * g
+        return m
+
+    factors = st.builds(factor, st.sampled_from(["upper", "lower", "diag"]), poly,
+                        COEFF.filter(bool), exponent)
+    return st.lists(factors, min_size=1, max_size=2).map(product)
+
+
+def _qt(c):
+    return RatFunc(Laurent1(c), Laurent1.const(1))
+
+
+def _qst(c):
+    return BiRatFunc(Laurent2(c), Laurent2.const(1))
+
+
+EXP = st.integers(-1, 1)
+EXP2 = st.tuples(EXP, EXP)
+QT_SL2 = sl2(_qt, st.dictionaries(EXP, COEFF, max_size=2), EXP, 0)
+QST_SL2 = sl2(_qst, st.dictionaries(EXP2, COEFF, max_size=2), EXP2, (0, 0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(QT_SL2, min_size=1, max_size=2))
+def test_ring_oracle_matches_field_qt(mats):
+    assert_oracle_matches_field(dict(zip("ab", mats)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(QST_SL2, min_size=1, max_size=2))
+def test_ring_oracle_matches_field_qst(mats):
+    assert_oracle_matches_field(dict(zip("ab", mats)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_ring_oracle_matches_field_qp(p, data):
+    def entry(c):
+        return QpElement(c.get(0, Fraction(0)), p)
+
+    qp_sl2 = sl2(entry, st.dictionaries(st.just(0), COEFF), st.just(0), 0)
+    mats = data.draw(st.lists(qp_sl2, min_size=1, max_size=2))
+    assert_oracle_matches_field(dict(zip("ab", mats)))
+
+
+def test_ring_oracle_rejects_non_laurent_entries():
+    one = RatFunc.const(1)
+    d = RatFunc(Laurent1({0: 1, 1: 1}), Laurent1.const(1))  # 1 + t
+    with pytest.raises(FieldError):
+        MatrixLengthOracle({"g": Mat2(d.inverse(), RatFunc.const(0), RatFunc.const(0), d)})
+    with pytest.raises(FieldError):
+        MatrixLengthOracle({"g": Mat2(one, one, RatFunc.const(0), one),
+                            "h": Mat2(Q2(1), Q2(1), Q2(0), Q2(1))})

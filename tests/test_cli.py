@@ -181,6 +181,13 @@ def test_nonpositive_size_is_usage_error(tmp_path, rotation_file, capsys, argv):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["length", "valuation"])
+def test_bt_unknown_generator_is_malformed(tmp_path, capsys, op):
+    path = emit(tmp_path, "z2-diagonal")
+    assert main(["bt", op, "--input", path, "--word", "xz"]) == 65
+    assert "unknown generator label 'z'" in capsys.readouterr().err
+
+
 def test_bt_certify_document_ball_must_be_positive(tmp_path):
     doc = presets.emit("schottky-qt")
     doc["ball"] = 0
@@ -335,6 +342,22 @@ def test_marked_profile(tmp_path, capsys):
     assert "least index" in out
 
 
+@pytest.mark.parametrize("op", ["ball", "compare", "profile"])
+def test_marked_negative_radius_is_usage_error(tmp_path, capsys, op):
+    z2 = write(tmp_path, "z2.json", z2_doc())
+    inputs = {"ball": ["--input", z2], "compare": ["--a", z2, "--b", z2],
+              "profile": ["--input", emit(tmp_path, "z-to-z2-sequence")]}
+    assert main(["marked", op, "--radius", "-1"] + inputs[op]) == 64
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_marked_radius_zero(tmp_path, capsys):
+    z2 = write(tmp_path, "z2.json", z2_doc())
+    assert main(["marked", "ball", "--input", z2, "--radius", "0"]) == 0
+    assert main(["marked", "compare", "--a", z2, "--b", z2, "--radius", "0"]) == 0
+    assert capsys.readouterr().out == "0 relations at radius 0\nsame ball at R = 0: True\n"
+
+
 # presets ------------------------------------------------------------------------------
 
 
@@ -399,5 +422,39 @@ def test_pinned_outputs(tmp_path, capsys, preset_name, argv, rc, report_sha, std
     report = tmp_path / "report.json"
     path = emit(tmp_path, preset_name)
     assert main(argv + ["--input", path, "--json", str(report)]) == rc
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+# the bt word commands and a Q_p certificate with rational entries (D = 6, p = 3),
+# pinned like the reports above
+QP_DOC = {"schema": SCHEMA, "kind": "matrix-group", "field": "Qp", "p": 3,
+          "generators": {"a": [["3/2", "0"], ["0", "2/3"]],
+                         "b": [["7/3", "-5/6"], ["5/3", "-1/6"]]}}
+PINNED_BT = [
+    ("z2-diagonal", ["bt", "length", "--word", "uuuv'"],
+     "d2937988cda5602514d6c6f6733b583e7fefa8d26899826a4b3d0874ceded855",
+     "53da278c7a700eed5a6ad3d4eec1fe05c3a09354f2a71468e551c89ca49fa86e"),
+    ("z2-diagonal", ["bt", "valuation", "--word", "uv'"],
+     "6e44835b34ad8cbbe7e77cf12e356b052e1e97b4be1bfa8c5006d709348f02c5",
+     "958c8994144aa04648a66c0fe3726bdee0d8b4e92c7132d5a21c8516d82620ca"),
+    ("schottky-qt", ["bt", "length", "--word", "ab'"],
+     "42a01b8191d272ea170573ddfa8d2499066eacdb39e9b07d338b643ac2428396",
+     "b2abffe99e7af4ef7525b22e00b7fcfaacea51e89c08822d2ed3707b026d8c93"),
+    ("schottky-qt", ["bt", "valuation", "--word", "ab"],
+     "6b896fdc83b9e902dfde8e80fe9789fa627e170c5063cd0194d452e743358ede",
+     "31604a6bf688124c4bfdd13f7caea76a20edbfa74c508412d7153c90088ccff6"),
+    ("qp-rational", ["bt", "certify", "--ball", "5"],
+     "26f3abc5f25a84ca44938cd77bc6a446f7e9346fa0dda3daae2f224b6ce1c5ac",
+     "eed51aa02d159c056d1b52eb963f945b3ea905f32b925c8dac52b205d0f9a4ba"),
+]
+
+
+@pytest.mark.parametrize("name, argv, report_sha, stdout_sha", PINNED_BT,
+                         ids=[f"{c[0]}-{c[1][1]}" for c in PINNED_BT])
+def test_pinned_bt_outputs(tmp_path, capsys, name, argv, report_sha, stdout_sha):
+    report = tmp_path / "report.json"
+    path = write(tmp_path, "qp.json", QP_DOC) if name == "qp-rational" else emit(tmp_path, name)
+    assert main(argv + ["--input", path, "--json", str(report)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

@@ -14,7 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WRAPPED = {
     "bt-ball": ["isometry.words.enumerated", "bruhat.length.calls",
-                "bruhat.is_trivial.calls", "bruhat.product_reuse_ratio"],
+                "bruhat.is_trivial.calls", "bruhat.product_reuse_ratio",
+                "bruhat.mat2_mul.calls"],
     "tree-geometry": ["isometry.words.enumerated", "isometry.classify.calls"],
     "group-words": ["markedgroups.is_relation.calls", "markedgroups.same_ball.calls",
                     "markedgroups.relations_up_to_s"],
