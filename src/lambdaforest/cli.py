@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive,
-64 usage error, 65 malformed input.  With --json PATH the machine-readable
-report is written there as deterministic (sorted, timestamp-free) JSON.
+64 usage error, 65 malformed input (also any ValueError, KeyError or TypeError
+a handler raises).  With --json PATH the machine-readable report is written
+there as deterministic (sorted, timestamp-free) JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .lambdatree import (
     FiniteLambdaMetric,
     MetricTree,
     SubtreeSpec,
-    TreeError,
     Vertex,
     distance,
     median,
@@ -74,7 +74,7 @@ def _parse_point(T: MetricTree, s: str):
         raise Malformed(f"bad offset in {s!r}: {exc}")
     try:
         return T.point(u, v, val)
-    except (KeyError, TreeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise Malformed(f"bad point {s!r}: {exc}")
 
 
@@ -94,11 +94,7 @@ def _report(args, status: str, body: dict) -> int:
 
 def cmd_validate_tree(args) -> int:
     doc = _load(args.input)
-    try:
-        M = FiniteLambdaMetric.from_json(doc)
-        res = validate_tree_metric(M)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    res = validate_tree_metric(FiniteLambdaMetric.from_json(doc))
     body = {
         "command": "validate-tree",
         "input_digest": _digest(doc),
@@ -115,10 +111,7 @@ def cmd_validate_tree(args) -> int:
 
 def cmd_tree(args) -> int:
     doc = _load(args.input)
-    try:
-        T = MetricTree.from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    T = MetricTree.from_json(doc)
     x = _parse_point(T, args.x)
     y = _parse_point(T, args.y)
     body = {"command": f"tree {args.op}", "input_digest": _digest(doc)}
@@ -168,10 +161,7 @@ def cmd_isom(args) -> int:
     )
 
     doc = _load(args.input)
-    try:
-        T, A = _action_window(doc)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    T, A = _action_window(doc)
     base = _parse_point(T, args.base) if args.base else Vertex(sorted(T.vertices)[0])
     body = {"command": f"isom {args.op}", "input_digest": _digest(doc)}
     if args.op == "classify":
@@ -210,30 +200,18 @@ def cmd_isom(args) -> int:
 
 
 def cmd_bt(args) -> int:
-    from .bruhat import (
-        FieldError,
-        INFINITY,
-        MatrixLengthOracle,
-        matrix_group_from_json,
-    )
-    from .groups import WordError
+    from .bruhat import INFINITY, MatrixLengthOracle, matrix_group_from_json
     from .isometry import CertificationAborted
 
     doc = _load(args.input)
-    try:
-        gens = matrix_group_from_json(doc)
-        oracle = MatrixLengthOracle(gens)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    gens = matrix_group_from_json(doc)
+    oracle = MatrixLengthOracle(gens)
     body = {"command": f"bt {args.op}", "input_digest": _digest(doc)}
     if args.op in ("valuation", "length"):
         if not args.word:
             raise Malformed(f"bt {args.op} needs --word")
-        try:
-            w = parse_word(args.word)
-            value = oracle.trace_valuation(w) if args.op == "valuation" else oracle.length(w)
-        except (FieldError, WordError) as exc:
-            raise Malformed(str(exc))
+        w = parse_word(args.word)
+        value = oracle.trace_valuation(w) if args.op == "valuation" else oracle.length(w)
         if args.op == "valuation":
             out = "infinity" if value is INFINITY else value.to_json()
             print(f"v(Tr {args.word}) = {out}")
@@ -280,7 +258,6 @@ def _graph_of_actions(doc: dict):
 def cmd_glue(args) -> int:
     from .gluing import (
         DualPoint,
-        GluingError,
         SegmentIso,
         check_free_criterion,
         dual_distance,
@@ -290,65 +267,58 @@ def cmd_glue(args) -> int:
 
     doc = _load(args.input)
     body = {"command": f"glue {args.op}", "input_digest": _digest(doc)}
-    try:
-        if args.op == "point":
-            Y = MetricTree.from_json(doc["base"])
-            atts = []
-            for ad in doc["attachments"]:
-                atts.append((MetricTree.from_json(ad["tree"]), ad["x"], ad["y"]))
-            glued, _bm, _ams = glue_point(Y, atts)
-            body["tree"] = glued.to_json()
-            print(f"glued tree: {len(glued.vertices)} vertices")
-            return _report(args, "pass", body)
-        if args.op == "subtree":
-            T1 = MetricTree.from_json(doc["tree1"])
-            T2 = MetricTree.from_json(doc["tree2"])
-            e1 = tuple(_parse_point(T1, s) for s in doc["ends1"])
-            e2 = tuple(_parse_point(T2, s) for s in doc["ends2"])
-            glued, _m1, _m2 = glue_subtree(SegmentIso(T1, e1, T2, e2))
-            body["tree"] = glued.to_json()
-            print(f"glued tree: {len(glued.vertices)} vertices")
-            return _report(args, "pass", body)
-        trees, G = _graph_of_actions(doc)
-        if args.op == "dual":
-            if not (args.a and args.b):
-                raise Malformed("glue dual needs --a and --b as 'vertex/point'")
-            av, ap = args.a.split("/", 1)
-            bv, bp = args.b.split("/", 1)
-            a = DualPoint(av, _parse_point(trees[av], ap))
-            b = DualPoint(bv, _parse_point(trees[bv], bp))
-            d = dual_distance(G, a, b)
-            print(f"dual distance: {d!r}")
-            body["distance"] = d.to_json()
-            return _report(args, "pass", body)
-        # check-free
-        attestations = doc.get("attestations", {})
-        samples = []
-        for sd in doc.get("samples", []):
-            v, p = sd["vertex"], sd["point"]
-            samples.append(DualPoint(v, _parse_point(trees[v], p)))
-        rep = check_free_criterion(G, attestations, samples)
-        body.update({"verdict": rep.verdict, "detail": rep.detail})
-        print(f"free criterion: {rep.verdict} ({rep.detail})")
-        status = {"Pass": "pass", "Fail": "violation", "Inconclusive": "inconclusive"}[rep.verdict]
-        return _report(args, status, body)
-    except (KeyError, GluingError, TreeError) as exc:
-        raise Malformed(str(exc))
+    if args.op == "point":
+        Y = MetricTree.from_json(doc["base"])
+        atts = []
+        for ad in doc["attachments"]:
+            atts.append((MetricTree.from_json(ad["tree"]), ad["x"], ad["y"]))
+        glued, _bm, _ams = glue_point(Y, atts)
+        body["tree"] = glued.to_json()
+        print(f"glued tree: {len(glued.vertices)} vertices")
+        return _report(args, "pass", body)
+    if args.op == "subtree":
+        T1 = MetricTree.from_json(doc["tree1"])
+        T2 = MetricTree.from_json(doc["tree2"])
+        e1 = tuple(_parse_point(T1, s) for s in doc["ends1"])
+        e2 = tuple(_parse_point(T2, s) for s in doc["ends2"])
+        glued, _m1, _m2 = glue_subtree(SegmentIso(T1, e1, T2, e2))
+        body["tree"] = glued.to_json()
+        print(f"glued tree: {len(glued.vertices)} vertices")
+        return _report(args, "pass", body)
+    trees, G = _graph_of_actions(doc)
+    if args.op == "dual":
+        if not (args.a and args.b):
+            raise Malformed("glue dual needs --a and --b as 'vertex/point'")
+        av, ap = args.a.split("/", 1)
+        bv, bp = args.b.split("/", 1)
+        a = DualPoint(av, _parse_point(trees[av], ap))
+        b = DualPoint(bv, _parse_point(trees[bv], bp))
+        d = dual_distance(G, a, b)
+        print(f"dual distance: {d!r}")
+        body["distance"] = d.to_json()
+        return _report(args, "pass", body)
+    # check-free
+    attestations = doc.get("attestations", {})
+    samples = []
+    for sd in doc.get("samples", []):
+        v, p = sd["vertex"], sd["point"]
+        samples.append(DualPoint(v, _parse_point(trees[v], p)))
+    rep = check_free_criterion(G, attestations, samples)
+    body.update({"verdict": rep.verdict, "detail": rep.detail})
+    print(f"free criterion: {rep.verdict} ({rep.detail})")
+    status = {"Pass": "pass", "Fail": "violation", "Inconclusive": "inconclusive"}[rep.verdict]
+    return _report(args, status, body)
 
 
 def cmd_cover(args) -> int:
     from .gluing import TransverseCovering, skeleton, transverse_check
 
     doc = _load(args.input)
-    try:
-        T = MetricTree.from_json(doc["tree"])
-        members = [
-            SubtreeSpec.from_points(T, [_parse_point(T, s) for s in pts])
-            for pts in doc["members"]
-        ]
-        C = TransverseCovering(T, members)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    T = MetricTree.from_json(doc["tree"])
+    members = [
+        SubtreeSpec.from_points(T, [_parse_point(T, s) for s in pts]) for pts in doc["members"]
+    ]
+    C = TransverseCovering(T, members)
     body = {"command": f"cover {args.op}", "input_digest": _digest(doc)}
     chk = transverse_check(C)
     if args.op == "check":
@@ -392,10 +362,7 @@ def cmd_gog(args) -> int:
     )
 
     doc = _load(args.input)
-    try:
-        G = GraphOfGroups.from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise Malformed(str(exc))
+    G = GraphOfGroups.from_json(doc)
     body = {"command": f"gog {args.op}", "input_digest": _digest(doc)}
     if args.op == "structure":
         rep = check_structure(G)
@@ -414,11 +381,8 @@ def cmd_gog(args) -> int:
         status = {"Pass": "pass", "Fail": "violation", "Inconclusive": "inconclusive"}[rep.verdict]
         return _report(args, status, body)
     if args.op == "betti":
-        try:
-            ambient = FinitePresentation.from_json(doc["ambient"])
-            decl = MaxAbelianDeclaration(tuple((t, r) for t, r in doc.get("max_abelian", [])))
-        except (KeyError, ValueError) as exc:
-            raise Malformed(str(exc))
+        ambient = FinitePresentation.from_json(doc["ambient"])
+        decl = MaxAbelianDeclaration(tuple((t, r) for t, r in doc.get("max_abelian", [])))
         rep = check_betti_bounds(G, ambient, decl)
         body.update(
             {
@@ -447,7 +411,7 @@ def cmd_gog(args) -> int:
 
 
 def cmd_marked(args) -> int:
-    from .groups import BudgetExceeded, WordError
+    from .groups import BudgetExceeded
     from .markedgroups import (
         convergence_profile,
         marked_group_from_json,
@@ -457,24 +421,25 @@ def cmd_marked(args) -> int:
     )
 
     body = {"command": f"marked {args.op}"}
+    radius = 3 if args.radius is None else args.radius
     try:
         if args.op == "ball":
             doc = _load(args.input)
             M = marked_group_from_json(doc)
-            ball = relations_up_to(M, args.radius)
-            body.update({"input_digest": _digest(doc), "radius": args.radius,
+            ball = relations_up_to(M, radius)
+            body.update({"input_digest": _digest(doc), "radius": radius,
                          "relations": [word_str(w) for w in ball.words]})
-            print(f"{len(ball.words)} relations at radius {args.radius}")
+            print(f"{len(ball.words)} relations at radius {radius}")
             for w in ball.words:
                 print(f"  {word_str(w)}")
             return _report(args, "pass", body)
         if args.op == "compare":
             da, db = _load(args.a), _load(args.b)
             Ma, Mb = marked_group_from_json(da), marked_group_from_json(db)
-            eq, w = same_ball(Ma, Mb, args.radius)
+            eq, w = same_ball(Ma, Mb, radius)
             body.update({"equal": eq, "witness": word_str(w) if w else None,
-                         "radius": args.radius})
-            print(f"same ball at R = {args.radius}: {eq}" + (f", witness {word_str(w)}" if w else ""))
+                         "radius": radius})
+            print(f"same ball at R = {radius}: {eq}" + (f", witness {word_str(w)}" if w else ""))
             return _report(args, "pass" if eq else "violation", body)
         # profile
         doc = _load(args.input)
@@ -495,8 +460,6 @@ def cmd_marked(args) -> int:
         print(profile_text(table))
         return _report(args, "pass", body)
     except BudgetExceeded as exc:
-        raise Malformed(str(exc))
-    except WordError as exc:
         raise Malformed(str(exc))
 
 
@@ -596,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input")
     sp.add_argument("--a")
     sp.add_argument("--b")
-    sp.add_argument("--radius", type=_nonnegative, default=3)
+    sp.add_argument("--radius", type=_nonnegative)  # ball and compare: 3 when absent
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_marked)
 
@@ -625,12 +588,16 @@ def main(argv=None) -> int:
     if args.command == "marked" and args.op == "compare" and not (args.a and args.b):
         print("marked compare needs --a and --b", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "marked" and args.op == "profile" and args.radius is not None:
+        print("marked profile takes no --radius: the document's r_max sets the radii",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "preset" and args.op == "emit" and not args.name:
         print("preset emit needs --name", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)
-    except Malformed as exc:
+    except (Malformed, ValueError, KeyError, TypeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

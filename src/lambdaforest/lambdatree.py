@@ -11,6 +11,7 @@ endpoint.  Everything is immutable; operations return new trees.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -29,6 +30,23 @@ def _ekey(u, v) -> tuple:
 
 class TreeError(ValueError):
     pass
+
+
+def _json_rank(doc: dict) -> int:
+    rank = doc["rank"]
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    return rank
+
+
+def _json_value(data, rank: int, what: str) -> LexValue:
+    """A JSON list of rationals as a LexValue of the given rank."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list of rationals, got {data!r}")
+    v = LexValue.from_json(data)
+    if v.rank != rank:
+        raise ValueError(f"{what} has rank {v.rank}, want {rank}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -174,10 +192,11 @@ class MetricTree:
 
     @staticmethod
     def from_json(doc: dict) -> "MetricTree":
-        rank = doc["rank"]
+        rank = _json_rank(doc)
         return MetricTree(
             doc["vertices"],
-            [(e["u"], e["v"], LexValue.from_json(e["len"])) for e in doc["edges"]],
+            [(e["u"], e["v"], _json_value(e["len"], rank, f"edge {e['u']}-{e['v']}"))
+             for e in doc["edges"]],
             rank,
         )
 
@@ -326,10 +345,19 @@ class FiniteLambdaMetric:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteLambdaMetric":
+        rank = _json_rank(doc)
+        labels, rows = doc["labels"], doc["dist"]
+        if not isinstance(labels, list) or not labels:
+            raise ValueError("labels must be a non-empty list")
+        m = len(labels)
+        if not (isinstance(rows, list) and len(rows) == m
+                and all(isinstance(row, list) and len(row) == m for row in rows)):
+            raise ValueError(f"dist must be {m} rows of {m} entries")
         return FiniteLambdaMetric(
-            doc["labels"],
-            [[LexValue.from_json(d) for d in row] for row in doc["dist"]],
-            doc["rank"],
+            labels,
+            [[_json_value(d, rank, f"dist[{i}][{j}]") for j, d in enumerate(row)]
+             for i, row in enumerate(rows)],
+            rank,
         )
 
 
@@ -347,9 +375,39 @@ class ValidationResult:
 MAX_VALIDATION_POINTS = 32
 
 
+def _packed_table(d: list[list[LexValue]]) -> list[list[int]]:
+    """Each off-diagonal entry of a symmetric table as one int with the same
+    order on the sums the four-point scans compare (the diagonal packs to 0).
+
+    Scaling by D, the lcm of every coordinate denominator, makes the values
+    integer vectors and keeps sums and the lexicographic order.  A scaled
+    vector c packs to P(c) = c_0 K^(n-1) + ... + c_(n-1) with K = 4B + 1,
+    where B bounds every |c_i|.  P is additive, so P(x) - P(y) = P(x - y).
+    The scans compare single values and sums of two, whose coordinates are
+    at most 2B in absolute value, so z = x - y has |z_i| <= 4B = K - 1.  If
+    z_t is its first nonzero coordinate, the later terms of P(z) add up to
+    at most (K - 1)(K^(n-2-t) + ... + 1) = K^(n-1-t) - 1 in absolute value,
+    less than |z_t| K^(n-1-t); so P(z) has the sign of z_t, and comparing
+    packed ints is comparing the values lexicographically."""
+    m = len(d)
+    pairs = list(itertools.combinations(range(m), 2))
+    D = math.lcm(*(c.denominator for i, j in pairs for c in d[i][j].coords))
+    scaled = {(i, j): [c.numerator * (D // c.denominator) for c in d[i][j].coords]
+              for i, j in pairs}
+    K = 4 * max((abs(c) for cs in scaled.values() for c in cs), default=0) + 1
+    p = [[0] * m for _ in range(m)]
+    for (i, j), cs in scaled.items():
+        v = 0
+        for c in cs:
+            v = v * K + c
+        p[i][j] = p[j][i] = v
+    return p
+
+
 def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
-    """Metric axioms, then the four-point 0-hyperbolicity inequality on every
-    quadruple (exhaustive; point count capped)."""
+    """Metric axioms, then the triangle inequality on every triple and the
+    four-point 0-hyperbolicity inequality on every quadruple (exhaustive,
+    over integer-packed distances; point count capped)."""
     m = len(M.labels)
     if m > MAX_VALIDATION_POINTS:
         raise TreeError(f"validator capped at {MAX_VALIDATION_POINTS} points, got {m}")
@@ -363,16 +421,17 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
                 return ValidationResult(False, "asymmetry", (M.labels[i], M.labels[j]))
             if i != j and not d[i][j] > zero:
                 return ValidationResult(False, "non-separation", (M.labels[i], M.labels[j]))
+    p = _packed_table(d)
     for i, j, k in itertools.combinations(range(m), 3):
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            if d[a][c] > d[a][b] + d[b][c]:
+            if p[a][c] > p[a][b] + p[b][c]:
                 return ValidationResult(
                     False, "triangle-inequality", (M.labels[a], M.labels[b], M.labels[c])
                 )
     for i, j, k, l in itertools.combinations(range(m), 4):
-        s1 = d[i][j] + d[k][l]
-        s2 = d[i][k] + d[j][l]
-        s3 = d[i][l] + d[j][k]
+        s1 = p[i][j] + p[k][l]
+        s2 = p[i][k] + p[j][l]
+        s3 = p[i][l] + p[j][k]
         sums = sorted([s1, s2, s3])
         if sums[2] > sums[1]:
             return ValidationResult(

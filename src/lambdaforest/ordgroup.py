@@ -40,13 +40,26 @@ class LexValue:
         if not self.coords:
             raise ValueError("rank must be positive")
 
+    @classmethod
+    def _of(cls, coords: tuple) -> "LexValue":
+        """Wrap a nonempty tuple that already holds only Fractions, without
+        coercion; Fraction arithmetic yields Fractions, so the operations
+        below build their results here."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        return v
+
     @property
     def rank(self) -> int:
         return len(self.coords)
 
     @staticmethod
     def zero(rank: int) -> "LexValue":
-        return LexValue([0] * rank)
+        # values are frozen, so one zero per rank is shared
+        z = _ZEROS.get(rank)
+        if z is None:
+            z = _ZEROS[rank] = LexValue([0] * rank)
+        return z
 
     def _check_rank(self, other: "LexValue") -> None:
         if self.rank != other.rank:
@@ -56,20 +69,20 @@ class LexValue:
 
     def __add__(self, other: "LexValue") -> "LexValue":
         self._check_rank(other)
-        return LexValue(a + b for a, b in zip(self.coords, other.coords))
+        return LexValue._of(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LexValue") -> "LexValue":
         self._check_rank(other)
-        return LexValue(a - b for a, b in zip(self.coords, other.coords))
+        return LexValue._of(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LexValue":
-        return LexValue(-a for a in self.coords)
+        return LexValue._of(tuple(-a for a in self.coords))
 
     def scale(self, q) -> "LexValue":
         """Coordinatewise multiplication by a rational; scale(1/2) is the
         exact half used by midpoints."""
         q = _rat(q)
-        return LexValue(a * q for a in self.coords)
+        return LexValue._of(tuple(a * q for a in self.coords))
 
     def half(self) -> "LexValue":
         return self.scale(Fraction(1, 2))
@@ -118,7 +131,7 @@ class LexValue:
         i.e. the leading k coordinates."""
         if not 1 <= k <= self.rank:
             raise RankMismatchError(f"project_top: k={k} out of range for rank {self.rank}")
-        return LexValue(self.coords[:k])
+        return LexValue._of(self.coords[:k])
 
     # serialization ----------------------------------------------------------
 
@@ -131,6 +144,9 @@ class LexValue:
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+_ZEROS: dict[int, LexValue] = {}
 
 
 def lex_compare(a: LexValue, b: LexValue) -> int:

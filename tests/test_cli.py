@@ -1,10 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from lambdaforest import presets
 from lambdaforest.cli import main
+from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
+from lambdaforest.ordgroup import LexValue
 
 SCHEMA = "lambda-forest/1"
 
@@ -79,6 +82,57 @@ def test_validate_tree_pass_and_violation(tmp_path, tripod_file):
     assert main(["validate-tree", "--input", write(tmp_path, "m.json", metric)]) == 0
     square = emit(tmp_path, "square-cycle")
     assert main(["validate-tree", "--input", square]) == 2
+
+
+
+def _rank1_metric(**edits):
+    doc = {"schema": SCHEMA, "rank": 1, "labels": ["a", "b", "c"],
+           "dist": [[["0"], ["1"], ["2"]], [["1"], ["0"], ["1"]], [["2"], ["1"], ["0"]]]}
+    doc.update(edits)
+    return doc
+
+
+BAD_METRICS = {
+    "short-row": _rank1_metric(dist=[[["0"], ["1"], ["2"]], [["1"], ["0"]],
+                                     [["2"], ["1"], ["0"]]]),
+    "missing-row": _rank1_metric(dist=[[["0"], ["1"], ["2"]], [["1"], ["0"], ["1"]]]),
+    "string-rank": _rank1_metric(rank="1"),
+    "bool-rank": _rank1_metric(rank=True),
+    "zero-rank": _rank1_metric(rank=0),
+    "empty": _rank1_metric(labels=[], dist=[]),
+    "rank-2-zero-on-diagonal": _rank1_metric(dist=[[["0", "0"], ["1"], ["2"]],
+                                                   [["1"], ["0"], ["1"]],
+                                                   [["2"], ["1"], ["0"]]]),
+    "entry-not-a-list": _rank1_metric(dist=[[["0"], "1", ["2"]], [["1"], ["0"], ["1"]],
+                                            [["2"], ["1"], ["0"]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_METRICS))
+def test_validate_tree_badly_shaped_metric_is_malformed(tmp_path, capsys, name):
+    assert main(["validate-tree", "--input", write(tmp_path, "m.json", BAD_METRICS[name])]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed input: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank", ["1", True, 0])
+def test_tree_rank_must_be_a_positive_int(tmp_path, capsys, rank):
+    doc = dict(presets.emit("tripod"), rank=rank)
+    assert main(["tree", "distance", "--input", write(tmp_path, "t.json", doc),
+                 "--x", "p", "--y", "q"]) == 65
+    err = capsys.readouterr().err
+    assert f"rank must be a positive integer, got {rank!r}" in err
+    assert "edge length rank" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "distance", "--x", "p", "--y", "o:q:1/2,0"],  # a rank-2 offset on a rank-1 tree
+    ["marked", "ball", "--radius", "2"],  # not a marked-group document
+])
+def test_library_errors_are_malformed(tripod_file, capsys, argv):
+    assert main(argv + ["--input", tripod_file]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed input: ") and "Traceback" not in err
 
 
 # isometry commands -------------------------------------------------------------------
@@ -351,6 +405,21 @@ def test_marked_negative_radius_is_usage_error(tmp_path, capsys, op):
     assert "must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_marked_default_radius(tmp_path, capsys):
+    z2 = write(tmp_path, "z2.json", z2_doc())
+    assert main(["marked", "ball", "--input", z2]) == 0
+    assert main(["marked", "compare", "--a", z2, "--b", z2]) == 0
+    out = capsys.readouterr().out
+    assert out == "0 relations at radius 3\nsame ball at R = 3: True\n"
+
+
+def test_marked_profile_refuses_radius(tmp_path, capsys):
+    path = emit(tmp_path, "z-to-z2-sequence")
+    assert main(["marked", "profile", "--input", path, "--radius", "5"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "r_max" in err
+
+
 def test_marked_radius_zero(tmp_path, capsys):
     z2 = write(tmp_path, "z2.json", z2_doc())
     assert main(["marked", "ball", "--input", z2, "--radius", "0"]) == 0
@@ -456,5 +525,85 @@ def test_pinned_bt_outputs(tmp_path, capsys, name, argv, report_sha, stdout_sha)
     report = tmp_path / "report.json"
     path = write(tmp_path, "qp.json", QP_DOC) if name == "qp-rational" else emit(tmp_path, name)
     assert main(argv + ["--input", path, "--json", str(report)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+# validate-tree on the square-cycle preset, a 32-point pass (the cap) and one
+# document per violation kind, pinned like the reports above
+def _metric_doc(labels, rows, rank):
+    return {"schema": SCHEMA, "kind": "metric", "rank": rank, "labels": labels,
+            "dist": [[[str(c) for c in d] for d in row] for row in rows]}
+
+
+def _pass_32():
+    """Rank-2 distances between the 32 vertices of a fixed tree, with
+    infinitesimal edges, rational and negative lower coordinates."""
+    names = [f"v{i}" for i in range(32)]
+    edges = []
+    for i in range(1, 32):
+        top = i % 3
+        low = Fraction(i % 4 + 1, 1 + i % 2) if top == 0 else Fraction(-(i % 5), 1 + i % 3)
+        edges.append((names[i], names[(i * i + 3) % i], LexValue([top, low])))
+    T = MetricTree(names, edges, 2)
+    M = FiniteLambdaMetric.from_tree(T, [Vertex(v) for v in names], names)
+    return {"schema": SCHEMA, "kind": "metric", **M.to_json()}
+
+
+def _violation(kind):
+    # a quartet tree ab|cd with leaves at (1, 0) from x (a, b) and y (c, d, e),
+    # x-y of length (1, 0); each kind edits one entry or a symmetric pair
+    labels = ["a", "b", "c", "d", "e"]
+    side = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}
+    rows = [[(0, 0) if p == q else (2, 0) if side[p] == side[q] else (3, 0) for q in labels]
+            for p in labels]
+    if kind == "nonzero-diagonal":
+        rows[2][2] = (0, "1/2")
+    elif kind == "asymmetry":
+        rows[1][3] = (3, "1/3")
+    elif kind == "non-separation":
+        rows[3][4] = rows[4][3] = (0, 0)
+    elif kind == "triangle-inequality":
+        rows[0][4] = rows[4][0] = (5, 1)
+    else:  # four-point: d(b, d) stretched by an infinitesimal
+        rows[1][3] = rows[3][1] = (3, "1/2")
+    return _metric_doc(labels, rows, 2)
+
+
+VALIDATE_KINDS = ["nonzero-diagonal", "asymmetry", "non-separation", "triangle-inequality",
+                  "four-point"]
+PINNED_VALIDATE = [
+    ("square-cycle", 2,
+     "bcb0fc2d1ecb69443bfae7e9d737d74ad01f7307e81d1beb453e443d895345ec",
+     "09c1cc60da225d2cbfb0b22f1c7769d79261f0cbf67e7044489f7cde34919b02"),
+    ("pass-32", 0,
+     "e3e4578b82964cf6ce3fb4a58d90885d3da1b2e7971659a26fdbe749c2037b45",
+     "bd230b0516865fd4ecccd042abda93af5816b533dac3483cd63738381d42a6a2"),
+    ("nonzero-diagonal", 2,
+     "4662635586ee66e8e8bfd1eff72533ff203854dcea5c13a4388f850d242a1509",
+     "bc34f1f9317358b6043a6930dd8bc7adaddd47f2600e4b5f312e92ba4057cf5f"),
+    ("asymmetry", 2,
+     "3855c5532ac77232d73ab6120cff8b9d4677367cb83fcf544a7c35092b121b3d",
+     "b5508259af0ae02ce5d2f2bc723fdc09bf72ccdaddd36a1f7bd1928ec14f3a3f"),
+    ("non-separation", 2,
+     "dd1cd1e0f5841e01b6bfc8f6c116735fcf3293cd3b60895602ec2b3d65d5667f",
+     "c3648160fe8ff32febc79ba625cc444af182684b8fff284580fbdb733d4ff026"),
+    ("triangle-inequality", 2,
+     "ec148b0f2b7cf213d6b08e0361f5a52cb84e9d6f7dda0327663f65f6fd3dbf2e",
+     "27296b59ebfba7de7515836ad052b9cc92527f6afe999e35447d8d57745c04ed"),
+    ("four-point", 2,
+     "d3a1b7af063fcd8e8e92d1774a2a3806cdf6b77eb7d11531e8175fd8eb0c0075",
+     "92edbb0402d303e2ba4e25b9567d8d76a212d50b869b3cea0b6b73f21ad54637"),
+]
+
+
+@pytest.mark.parametrize("name, rc, report_sha, stdout_sha", PINNED_VALIDATE,
+                         ids=[c[0] for c in PINNED_VALIDATE])
+def test_pinned_validate_outputs(tmp_path, capsys, name, rc, report_sha, stdout_sha):
+    docs = {"square-cycle": lambda: presets.emit("square-cycle"), "pass-32": _pass_32}
+    doc = docs[name]() if name in docs else _violation(name)
+    report = tmp_path / "report.json"
+    assert main(["validate-tree", "--input", write(tmp_path, "m.json", doc),
+                 "--json", str(report)]) == rc
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from lambdaforest.lambdatree import (
     FiniteLambdaMetric,
     MetricTree,
     SubtreeSpec,
     TreeError,
+    ValidationResult,
     Vertex,
     distance,
     embed_scalars,
@@ -196,6 +199,150 @@ def test_validator_point_cap():
     d = [[zero if i == j else L(1) for j in range(n)] for i in range(n)]
     with pytest.raises(TreeError):
         validate_tree_metric(FiniteLambdaMetric(list(range(n)), d, 1))
+
+
+# the exhaustive scan over LexValue, kept as the oracle for the integer-packed
+# validator: same axiom pass, then triangle and four-point on Fraction tuples
+
+
+def exhaustive_scan(M: FiniteLambdaMetric) -> ValidationResult:
+    m = len(M.labels)
+    zero = LexValue.zero(M.rank)
+    d = M.dist
+    for i in range(m):
+        if not d[i][i].is_zero():
+            return ValidationResult(False, "nonzero-diagonal", (M.labels[i],))
+        for j in range(m):
+            if d[i][j] != d[j][i]:
+                return ValidationResult(False, "asymmetry", (M.labels[i], M.labels[j]))
+            if i != j and not d[i][j] > zero:
+                return ValidationResult(False, "non-separation", (M.labels[i], M.labels[j]))
+    for i, j, k in itertools.combinations(range(m), 3):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if d[a][c] > d[a][b] + d[b][c]:
+                return ValidationResult(
+                    False, "triangle-inequality", (M.labels[a], M.labels[b], M.labels[c])
+                )
+    for i, j, k, l in itertools.combinations(range(m), 4):
+        s1 = d[i][j] + d[k][l]
+        s2 = d[i][k] + d[j][l]
+        s3 = d[i][l] + d[j][k]
+        sums = sorted([s1, s2, s3])
+        if sums[2] > sums[1]:
+            return ValidationResult(
+                False, "four-point", (M.labels[i], M.labels[j], M.labels[k], M.labels[l])
+            )
+    return ValidationResult(True)
+
+
+def assert_same_verdict(M):
+    got, want = validate_tree_metric(M), exhaustive_scan(M)
+    assert (got.ok, got.kind, got.witness) == (want.ok, want.kind, want.witness)
+    return want.kind or "pass"
+
+
+def rationals(lo, hi, max_den):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, max_den))
+
+
+def small_values(rank):
+    """Any sign, rational coordinates."""
+    return st.lists(rationals(-6, 6, 3), min_size=rank, max_size=rank).map(LexValue)
+
+
+def radix_values(rank):
+    """Top coordinate 0 or 1, lower coordinates up to 1000 in absolute value:
+    sums whose lower coordinates nearly cancel a unit on top, where a radix
+    below 4B + 1 would misorder them."""
+    return st.builds(
+        lambda top, low: LexValue([top] + low),
+        st.integers(0, 1),
+        st.lists(rationals(-1000, 1000, 2), min_size=rank - 1, max_size=rank - 1),
+    )
+
+
+def _positive(v):
+    """v if positive, else v with its top coordinate set to 1."""
+    return v if v.is_positive() else LexValue([1, *v.coords[1:]])
+
+
+@st.composite
+def tables(draw, ranks, values):
+    """Distances between some vertices of a random tree, listed in a random
+    order; then maybe one entry, or a symmetric pair, replaced by or shifted
+    by a random value."""
+    rank = draw(ranks)
+    vals = values(rank)
+    n = draw(st.integers(1, 8))
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(verts[i], verts[draw(st.integers(0, i - 1))], _positive(draw(vals)))
+             for i in range(1, n)]
+    T = MetricTree(verts, edges, rank)
+    order = draw(st.permutations(verts))[: draw(st.integers(1, n))]
+    M = FiniteLambdaMetric.from_tree(T, [Vertex(v) for v in order], order)
+    m = len(order)
+    d = [list(row) for row in M.dist]
+    mode = draw(st.sampled_from(["none", "entry", "pair", "shift"]))
+    if mode == "entry":
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        d[i][j] = draw(vals)
+    elif mode in ("pair", "shift") and m >= 2:
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        v = draw(vals)
+        d[i][j] = d[j][i] = v if mode == "pair" else d[i][j] + v
+    return FiniteLambdaMetric(order, d, rank)
+
+
+@st.composite
+def symmetric_tables(draw, ranks, values):
+    """Symmetric tables with a zero diagonal and positive entries drawn one
+    by one: most break the triangle inequality somewhere."""
+    rank = draw(ranks)
+    m = draw(st.integers(3, 5))
+    d = [[LexValue.zero(rank)] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        d[i][j] = d[j][i] = _positive(draw(values(rank)))
+    return FiniteLambdaMetric([f"p{i}" for i in range(m)], d, rank)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables(st.integers(1, 3), small_values))
+def test_validator_matches_exhaustive_scan(M):
+    assert_same_verdict(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(tables(st.integers(2, 3), radix_values),
+                 symmetric_tables(st.integers(2, 3), radix_values)))
+def test_validator_matches_exhaustive_scan_near_radix_bound(M):
+    assert_same_verdict(M)
+
+
+@pytest.mark.parametrize("kind", ["pass", "nonzero-diagonal", "asymmetry", "non-separation",
+                                  "triangle-inequality", "four-point"])
+def test_differential_tables_reach_every_kind(kind):
+    find(tables(st.integers(1, 3), small_values),
+         lambda M: (exhaustive_scan(M).kind or "pass") == kind,
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+def test_validator_huge_coordinates():
+    big = 10**30
+    rng = random.Random(30)
+    for rank in (1, 2, 3):
+        for _ in range(30):
+            T = random_tree(rng, rng.randint(2, 7), rank)
+            edges = [(u, v, LexValue([c * big + rng.randint(-big, big) if i else c * big + 1
+                                      for i, c in enumerate(ln.coords)]))
+                     for (u, v), ln in T.edges.items()]
+            T = MetricTree(T.vertices, edges, rank)
+            M = FiniteLambdaMetric.from_tree(T)
+            assert assert_same_verdict(M) == "pass"
+            d = [list(row) for row in M.dist]
+            m = len(d)
+            i, j = rng.sample(range(m), 2)
+            d[i][j] = d[j][i] = d[i][j] + LexValue([0] * (rank - 1) + [Fraction(rng.choice((-1, 1)), big)])
+            assert_same_verdict(FiniteLambdaMetric(M.labels, d, rank))
 
 
 # subtrees and projection ----------------------------------------------------------

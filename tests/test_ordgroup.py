@@ -99,3 +99,20 @@ def test_project_top_is_homomorphic(a):
 def test_magnitude_of_sum_bounded(a):
     b = LexValue([0, 1, 0])
     assert magnitude(a + b) <= max(magnitude(a), magnitude(b))
+
+
+@given(lex3(), lex3(), rationals)
+def test_uncoerced_results_match_coerced(a, b, q):
+    # the operations build results without coercion; they must equal, hash
+    # like and hold the same Fraction coordinates as publicly built values
+    for v in (a + b, a - b, -a, a.scale(q), a.half(), a.project_top(2)):
+        w = LexValue(list(v.coords))
+        assert v == w and hash(v) == hash(w)
+        assert all(type(c) is Fraction for c in v.coords)
+
+
+def test_zero_is_shared_per_rank():
+    assert LexValue.zero(2) is LexValue.zero(2)
+    assert LexValue.zero(2) == LexValue([0, 0]) and LexValue.zero(1) != LexValue.zero(2)
+    with pytest.raises(ValueError):
+        LexValue.zero(0)
