@@ -269,13 +269,11 @@ class GraphOfActions:
                         stack.append(e.src)
             if seen != set(self.vertex_trees):
                 raise GluingError("skeleton not connected")
-
-    def directed_edges(self) -> list[tuple[object, object, SegmentIso, int]]:
-        out = []
+        # each edge in both directions, the inverse built once
+        self.directed_edges: list[tuple[object, object, SegmentIso, int]] = []
         for i, e in enumerate(self.edges):
-            out.append((e.src, e.dst, e.phi, i))
-            out.append((e.dst, e.src, e.phi.inverse(), i))
-        return out
+            self.directed_edges.append((e.src, e.dst, e.phi, i))
+            self.directed_edges.append((e.dst, e.src, e.phi.inverse(), i))
 
     def skeleton_paths(self, u, v) -> list[list[tuple]]:
         """Simple paths u -> v as lists of directed edges (no repeated
@@ -283,7 +281,7 @@ class GraphOfActions:
         if u == v:
             return [[]]
         paths = []
-        de = self.directed_edges()
+        de = self.directed_edges
 
         def walk(cur, visited, acc):
             for (a, b, phi, i) in de:
@@ -414,7 +412,7 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
     while queue:
         i = queue.pop(0)
         v, pt = nodes[i]
-        for (src, dst, phi, ei) in G.directed_edges():
+        for (src, dst, phi, ei) in G.directed_edges:
             if src != v or not phi.src_spec.contains(pt):
                 continue
             img = phi.apply(pt)
@@ -474,7 +472,7 @@ def check_free_criterion(
             "Inconclusive", f"missing freeness attestation for vertices {missing}", dict(attestations)
         )
     # period doubling: parallel gluings composing to a positive shift
-    de = G.directed_edges()
+    de = G.directed_edges
     for (s1, d1, phi1, i1), (s2, d2, phi2, i2) in itertools.product(de, repeat=2):
         if i1 == i2 or s1 != s2 or d1 != d2:
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -37,6 +38,13 @@ def _json_rank(doc: dict) -> int:
     if type(rank) is not int or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     return rank
+
+
+def _scaled(values: list[LexValue]) -> tuple[int, list[list[int]]]:
+    """D, the lcm of every coordinate denominator, and each value times D
+    as a list of ints: sums and the lexicographic order are kept."""
+    D = math.lcm(*(c.denominator for v in values for c in v.coords))
+    return D, [[c.numerator * (D // c.denominator) for c in v.coords] for v in values]
 
 
 def _json_value(data, rank: int, what: str) -> LexValue:
@@ -101,59 +109,64 @@ class MetricTree:
             self.adj[k[1]].append(k[0])
         if len(self.edges) != len(self.vertices) - 1:
             raise TreeError("not a tree: wrong edge count")
-        # connectivity
-        seen = set()
-        stack = [next(iter(self.vertices))]
+        # rooting walk: parent and depth per vertex, in discovery order, so a
+        # parent always precedes its children; an unreached vertex means the
+        # graph is not connected
+        root = next(iter(self.vertices))
+        self.parent: dict[object, object] = {root: None}
+        self.depth: dict[object, int] = {root: 0}
+        stack = [root]
         while stack:
             w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(self.adj[w])
-        if seen != self.vertices:
+            for nb in self.adj[w]:
+                if nb not in self.parent:
+                    self.parent[nb] = w
+                    self.depth[nb] = self.depth[w] + 1
+                    stack.append(nb)
+        if len(self.parent) != len(self.vertices):
             raise TreeError("not connected")
-        self._dist_cache: dict[object, dict] = {}
+        self._root_dist: tuple | None = None
 
     # basic queries ----------------------------------------------------------
 
     def edge_length(self, u, v) -> LexValue:
         return self.edges[_ekey(u, v)]
 
-    def has_edge(self, u, v) -> bool:
-        return _ekey(u, v) in self.edges
-
-    def vertex_dists(self, src) -> dict:
-        if src not in self._dist_cache:
-            dists = {src: LexValue.zero(self.rank)}
-            stack = [src]
-            while stack:
-                w = stack.pop()
-                for nb in self.adj[w]:
-                    if nb not in dists:
-                        dists[nb] = dists[w] + self.edge_length(w, nb)
-                        stack.append(nb)
-            self._dist_cache[src] = dists
-        return self._dist_cache[src]
+    def _meet(self, u, v):
+        """The vertex where the root paths of u and v join."""
+        depth, parent = self.depth, self.parent
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return u
 
     def vertex_distance(self, u, v) -> LexValue:
-        return self.vertex_dists(u)[v]
+        """r(u) + r(v) - 2 r(meet), with r the distance from the root.  The
+        first query sums r over the tree and keeps it, scaled by D, the lcm
+        of every coordinate denominator, so that the sums are over ints."""
+        if self._root_dist is None:
+            D, scaled = _scaled(list(self.edges.values()))
+            to_parent = {a if self.parent[a] == b else b: cs
+                         for (a, b), cs in zip(self.edges, scaled)}
+            r: dict[object, list] = {}
+            for w, p in self.parent.items():
+                r[w] = [0] * self.rank if p is None else list(map(operator.add, r[p], to_parent[w]))
+            self._root_dist = (D, r)
+        D, r = self._root_dist
+        m = r[self._meet(u, v)]
+        return LexValue._of(tuple(Fraction(a + b - 2 * c, D) for a, b, c in zip(r[u], r[v], m)))
 
     def vertex_path(self, u, v) -> list:
-        parent = {u: None}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w == v:
-                break
-            for nb in self.adj[w]:
-                if nb not in parent:
-                    parent[nb] = w
-                    stack.append(nb)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        m = self._meet(u, v)
+        up, down = [u], [v]
+        while up[-1] != m:
+            up.append(self.parent[up[-1]])
+        while down[-1] != m:
+            down.append(self.parent[down[-1]])
+        return up + down[-2::-1]
 
     def point(self, u, v, offset: LexValue) -> TreePoint:
         """Point on edge {u, v} at given offset from u, canonicalized."""
@@ -218,12 +231,23 @@ class Leg:
         return abs(self.b - self.a)
 
 
-def _exit_endpoint(T: MetricTree, x: EdgeInterior, target_vertex) -> object:
-    """Endpoint through which the geodesic from x to a vertex leaves x's edge."""
-    ln = T.edge_length(x.u, x.v)
-    du = x.offset + T.vertex_distance(x.u, target_vertex)
-    dv = (ln - x.offset) + T.vertex_distance(x.v, target_vertex)
-    return x.u if du < dv else x.v
+def _exit(T: MetricTree, x: TreePoint, y: TreePoint) -> tuple[object, LexValue]:
+    """The vertex through which the geodesic from x to y (a point off x's
+    edge) leaves that edge, and its distance from x; a vertex is its own
+    exit.  An interior point leaves through the child endpoint of its edge
+    exactly when y lies below that child.  If y is interior to another edge,
+    either endpoint of that edge lies below the child exactly when y does."""
+    if isinstance(x, Vertex):
+        return x.id, LexValue.zero(T.rank)
+    child, up = (x.u, x.v) if T.parent[x.u] == x.v else (x.v, x.u)
+    low = y.id if isinstance(y, Vertex) else y.u
+    ex = child if T._meet(low, child) == child else up
+    return ex, x.offset if ex == x.u else T.edge_length(x.u, x.v) - x.offset
+
+
+def _same_edge(x: TreePoint, y: TreePoint) -> bool:
+    return (isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
+            and _ekey(x.u, x.v) == _ekey(y.u, y.v))
 
 
 def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
@@ -231,59 +255,31 @@ def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
     T.check_point(y)
     if x == y:
         return []
-    if (
-        isinstance(x, EdgeInterior)
-        and isinstance(y, EdgeInterior)
-        and _ekey(x.u, x.v) == _ekey(y.u, y.v)
-    ):
+    if _same_edge(x, y):
         return [Leg(x.u, x.v, x.offset, y.offset)]
+    zero = LexValue.zero(T.rank)
+    ex, entry = _exit(T, x, y)[0], _exit(T, y, x)[0]
     legs: list[Leg] = []
-    # pick entry/exit vertices
     if isinstance(x, EdgeInterior):
-        target = y.id if isinstance(y, Vertex) else y.u
-        ex = _exit_endpoint(T, x, target)
-        if isinstance(y, EdgeInterior):
-            # exit choice must also account for y's two endpoints
-            ln_x = T.edge_length(x.u, x.v)
-            ln_y = T.edge_length(y.u, y.v)
-            best = None
-            for e, de in ((x.u, x.offset), (x.v, ln_x - x.offset)):
-                for f, df in ((y.u, y.offset), (y.v, ln_y - y.offset)):
-                    total = de + T.vertex_distance(e, f) + df
-                    if best is None or total < best[0]:
-                        best = (total, e, f)
-            ex, entry = best[1], best[2]
-        else:
-            entry = y.id
-        sx = ex
-        cu, cv = _ekey(x.u, x.v)
-        legs.append(Leg(cu, cv, x.offset, LexValue.zero(T.rank) if ex == cu else T.edge_length(cu, cv)))
-    else:
-        sx = x.id
-        if isinstance(y, EdgeInterior):
-            entry = _exit_endpoint(T, y, sx)
-        else:
-            entry = y.id
-    path = T.vertex_path(sx, entry)
+        legs.append(Leg(x.u, x.v, x.offset, zero if ex == x.u else T.edge_length(x.u, x.v)))
+    path = T.vertex_path(ex, entry)
     for a, b in zip(path, path[1:]):
         cu, cv = _ekey(a, b)
         ln = T.edge_length(cu, cv)
-        if a == cu:
-            legs.append(Leg(cu, cv, LexValue.zero(T.rank), ln))
-        else:
-            legs.append(Leg(cu, cv, ln, LexValue.zero(T.rank)))
+        legs.append(Leg(cu, cv, zero, ln) if a == cu else Leg(cu, cv, ln, zero))
     if isinstance(y, EdgeInterior):
-        cu, cv = _ekey(y.u, y.v)
-        start = LexValue.zero(T.rank) if entry == cu else T.edge_length(cu, cv)
-        legs.append(Leg(cu, cv, start, y.offset))
-    return [l for l in legs if l.a != l.b]
+        legs.append(Leg(y.u, y.v, zero if entry == y.u else T.edge_length(y.u, y.v), y.offset))
+    return legs
 
 
 def distance(T: MetricTree, x: TreePoint, y: TreePoint) -> LexValue:
-    total = LexValue.zero(T.rank)
-    for leg in geodesic_legs(T, x, y):
-        total = total + leg.length()
-    return total
+    T.check_point(x)
+    T.check_point(y)
+    if _same_edge(x, y):
+        return abs(x.offset - y.offset)
+    ex, dx = _exit(T, x, y)
+    entry, dy = _exit(T, y, x)
+    return dx + T.vertex_distance(ex, entry) + dy
 
 
 def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
@@ -391,12 +387,10 @@ def _packed_table(d: list[list[LexValue]]) -> list[list[int]]:
     packed ints is comparing the values lexicographically."""
     m = len(d)
     pairs = list(itertools.combinations(range(m), 2))
-    D = math.lcm(*(c.denominator for i, j in pairs for c in d[i][j].coords))
-    scaled = {(i, j): [c.numerator * (D // c.denominator) for c in d[i][j].coords]
-              for i, j in pairs}
-    K = 4 * max((abs(c) for cs in scaled.values() for c in cs), default=0) + 1
+    scaled = _scaled([d[i][j] for i, j in pairs])[1]
+    K = 4 * max((abs(c) for cs in scaled for c in cs), default=0) + 1
     p = [[0] * m for _ in range(m)]
-    for (i, j), cs in scaled.items():
+    for (i, j), cs in zip(pairs, scaled):
         v = 0
         for c in cs:
             v = v * K + c
@@ -409,6 +403,8 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     four-point 0-hyperbolicity inequality on every quadruple (exhaustive,
     over integer-packed distances; point count capped)."""
     m = len(M.labels)
+    if m == 0:
+        raise TreeError("metric has no points: nothing to validate")
     if m > MAX_VALIDATION_POINTS:
         raise TreeError(f"validator capped at {MAX_VALIDATION_POINTS} points, got {m}")
     zero = LexValue.zero(M.rank)

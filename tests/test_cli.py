@@ -607,3 +607,174 @@ def test_pinned_validate_outputs(tmp_path, capsys, name, rc, report_sha, stdout_
                  "--json", str(report)]) == rc
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+# tree queries, F2 window jobs, gluings of a 3-tree chain and coverings, pinned
+# like the reports above; the documents are inline, so no preset edit moves them
+def _tree_doc(rank, edges):
+    verts = sorted({v for e in edges for v in e[:2]})
+    return {"schema": SCHEMA, "kind": "tree", "rank": rank, "vertices": verts,
+            "edges": [{"u": u, "v": v, "len": list(ln)} for u, v, ln in edges]}
+
+
+def _tripod():
+    return _tree_doc(1, [("o", "p", ["1"]), ("o", "q", ["1"]), ("o", "r", ["1"])])
+
+
+def _rank2():
+    """A rank-2 tree with infinitesimal edges and negative lower coordinates."""
+    return _tree_doc(2, [("r", "a", ["1", "0"]), ("a", "b", ["0", "1/2"]),
+                         ("a", "c", ["1", "-2"]), ("r", "d", ["0", "3"]),
+                         ("d", "e", ["2", "1/3"]), ("d", "f", ["0", "1"]),
+                         ("f", "g", ["1/2", "0"])])
+
+
+def _f2_window(radius):
+    """Ball about e in the Cayley tree of F(a, b), a and b acting on the left;
+    vertex ids spell reduced words, capitals for inverses."""
+    inv = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    words, edges, frontier = [""], [], [""]
+    for _ in range(radius):
+        nxt = [w + x for w in frontier for x in "aAbB" if not (w and w[-1] == inv[x])]
+        edges += [(w[:-1] or "e", w, ["1"]) for w in nxt]
+        words += nxt
+        frontier = nxt
+    gens = {}
+    for g in "ab":
+        imgs = {w: w[1:] if w and w[0] == inv[g] else g + w for w in words}
+        gens[g] = {w or "e": imgs[w] or "e" for w in words if len(imgs[w]) <= radius}
+    return {"schema": SCHEMA, "kind": "action-window", "tree": _tree_doc(1, edges),
+            "generators": gens}
+
+
+def _chain3():
+    def branched(p):
+        # a path p0 - p1 - p2 - p3 - p4 with a side arm p2 - px
+        return _tree_doc(1, [(f"{p}{i}", f"{p}{i + 1}", ["1"]) for i in range(4)]
+                         + [(f"{p}2", f"{p}x", ["1/2"])])
+
+    trees = {"A": branched("a"), "B": branched("b"), "C": branched("c")}
+    edges = [{"from": "A", "to": "B", "ends_from": ["a2", "a4"], "ends_to": ["b0", "b2"]},
+             {"from": "B", "to": "C", "ends_from": ["b3:b4:1/2", "b4"],
+              "ends_to": ["c0", "c0:c1:1/2"]}]
+    return {"schema": SCHEMA, "vertex_trees": trees, "edges": edges,
+            "attestations": {"A": "free", "B": "free", "C": "free"},
+            "samples": [{"vertex": "A", "point": "a3"}, {"vertex": "B", "point": "b1:b2:1/4"},
+                        {"vertex": "C", "point": "c0"}]}
+
+
+def _glue_pair():
+    chain = _chain3()["vertex_trees"]
+    return {"schema": SCHEMA, "tree1": chain["A"], "tree2": chain["B"],
+            "ends1": ["a1:a2:1/2", "a3"], "ends2": ["b0", "b1:b2:1/2"]}
+
+
+def _wedge():
+    chain = _chain3()["vertex_trees"]
+    return {"schema": SCHEMA, "base": chain["A"],
+            "attachments": [{"tree": chain["B"], "x": "a2", "y": "b4"},
+                            {"tree": chain["C"], "x": "ax", "y": "c1"}]}
+
+
+def _cover(members):
+    return lambda: {"schema": SCHEMA, "tree": _tripod(), "members": members}
+
+
+GEOMETRY_DOCS = {
+    "tripod": _tripod, "rank2": _rank2, "f2-window": lambda: _f2_window(3),
+    "chain3": _chain3, "glue-pair": _glue_pair, "wedge": _wedge,
+    "cover": _cover([["o", "p"], ["o", "q"], ["o", "r"]]),
+    "cover-interior": _cover([["p", "o:q:1/2"], ["o:q:1/2", "q"], ["o", "r"]]),
+}
+PINNED_GEOMETRY = [
+    ("tripod-distance", "tripod", ["tree", "distance", "--x", "o:p:1/2", "--y", "q"], 0,
+     "0c747c942319062c6b6629ce5cf0c02fe1c609767ae069b4ec1177b5d823715c",
+     "3c4f2146abb29d19688bf376dc81caf87fc27d279fb4f76bef7904a6320d7a91"),
+    ("tripod-distance-same-edge", "tripod",
+     ["tree", "distance", "--x", "o:p:1/4", "--y", "p:o:1/4"], 0,
+     "faffc5794a8e352c97e0c4549f34e3011fd05ed3805d0ab0005c7f19d8d0b708",
+     "483ae13d24b6c1436f5acdfd3d8678a3c389667ce6f4a462a99adfff3c0e0ff5"),
+    ("tripod-median", "tripod",
+     ["tree", "median", "--x", "o:p:1/2", "--y", "q", "--z", "r"], 0,
+     "cdc8ea8b6da794913dd7ac573c56a0918078087eb620467dd0fda50e198e2de1",
+     "e6dd39e276f8c20837e514465c2200cb3a2c1cbdcd9bf85219cd098f0ad8d129"),
+    ("tripod-median-interior", "tripod",
+     ["tree", "median", "--x", "q", "--y", "p", "--z", "o:p:1/2"], 0,
+     "c079d633c43483e1dfa03b689b4979f30471e3b8ff71eda346832c341fbb25d9",
+     "c0d96b6294a50ab623d400f16cfb09d8063f24eac439027c0ca7f1dee9b7ac99"),
+    ("tripod-project", "tripod",
+     ["tree", "project", "--x", "p", "--y", "o:q:1/2", "--z", "o:r:1/3"], 0,
+     "b4395284df062f3da292ebed028f991f0f404ffb46f722d48208488d95dc1602",
+     "441be6bda5affacdc3e8c0d2c0592dc0f10822c88c69b006f7a36bf0338a30d0"),
+    ("tripod-project-interior", "tripod",
+     ["tree", "project", "--x", "p", "--y", "o:q:1/2", "--z", "q"], 0,
+     "33e60fd6ed96417060b03eb47be9603535eaff54d24c7d19e74641c0f24ec62c",
+     "7a0dada65a30218c7f81a9067b081f859b8bb31d30b805e9287c7d67788463df"),
+    ("rank2-distance", "rank2", ["tree", "distance", "--x", "a:b:0,1/4", "--y", "d:e:1,0"], 0,
+     "59f52560fa9653c019bc556046facc7b4fe35b7dde6b1d8fed85ddb886945820",
+     "85339d2a64dda2f260925f80c2643e20a8c7a176e1552936829ef0b50a3c2c14"),
+    ("rank2-median", "rank2",
+     ["tree", "median", "--x", "b", "--y", "a:c:1/2,0", "--z", "f:g:1/4,0"], 0,
+     "4e4ec1a14ccbbf943145b609a3b8cfc0816c530f6e6a9f326302ce731b40a13f",
+     "4b16b79d0d03894913ff5018ec12781b979d5a5706db41ffa6f2d77e00a847b3"),
+    ("rank2-median-interior", "rank2",
+     ["tree", "median", "--x", "c", "--y", "f:g:1/4,0", "--z", "a:c:1/2,0"], 0,
+     "5ce6f73caabafbccc72b78961a606bf578eba2a50a4e5541e0eafbc50314c354",
+     "385b56db30b3c313f57f1d32f17e387b8e80b9311d0e4162554312c7c187cb82"),
+    ("rank2-project", "rank2",
+     ["tree", "project", "--x", "c", "--y", "d:f:0,1/2", "--z", "e"], 0,
+     "9f7987ed675d8e4d35b5c8772a3adca9cc370b5873aff162f32443bd9d6d2de4",
+     "397b9e2bb17c686024cfa826a51f8a87234b474e38141adf83d54fe71b28f25b"),
+    ("isom-classify", "f2-window", ["isom", "classify", "--base", "e", "--word", "ab"], 0,
+     "bfac45613c28415eecf31af7eb8d6e750ada85747261e8ca6e4abc4f32235e12",
+     "76d8e7c9903ddcec9c8fcea17f64b6acf68ee15e04866c0002128f05ade22e44"),
+    ("isom-classify-interior", "f2-window",
+     ["isom", "classify", "--base", "e:a:1/2", "--word", "ba'"], 0,
+     "bfac45613c28415eecf31af7eb8d6e750ada85747261e8ca6e4abc4f32235e12",
+     "76d8e7c9903ddcec9c8fcea17f64b6acf68ee15e04866c0002128f05ade22e44"),
+    ("isom-classify-inconclusive", "f2-window",
+     ["isom", "classify", "--base", "e", "--word", "abab"], 3,
+     "f5bd8250ac6ff900da01a88fe38fbc7864a9bc85023b01532d70a7bb7abd06cd",
+     "87e914d4cb08d1ffb51855738a368a0abdab5513088158cb697406eda27baab0"),
+    ("isom-certify", "f2-window", ["isom", "certify", "--base", "e", "--ball", "2"], 0,
+     "a46464f9a50163b9ea587da3a9d337e9988f8c755a44abbd6af7ff0f2c07a41a",
+     "8d1dedaa648898fac0571ced479625d5478d6fdb1c901540c052999ec0bd9d9e"),
+    ("isom-certify-inconclusive", "f2-window",
+     ["isom", "certify", "--base", "e", "--ball", "3"], 3,
+     "76fdfe395eec4f43b989ffa3855647426b09a4627611cebb8f33a415880f95d9",
+     "be7c89dbbd8f7dd2055c3a4c8fdff497f1a73ab6edf90e68f56a83665352ba9e"),
+    ("glue-point", "wedge", ["glue", "point"], 0,
+     "b541e035338566155f7870648c86a8e7c3a1d52eecef37968b6a95bd94d58603",
+     "491387c8a53685d36429a0c5a0512cbbae43f0c5b9dd36a9821dc662fe114d17"),
+    ("glue-subtree", "glue-pair", ["glue", "subtree"], 0,
+     "8267c0269a74f365b6901fcf17a66fb5a353760ee6d06cc234f5e81a0dff3e91",
+     "61525623642ee11b7d863b8af789e6d6fb7cf1f956a411a2ad82f072b2234111"),
+    ("glue-dual", "chain3", ["glue", "dual", "--a", "A/a0", "--b", "C/c3:c4:1/2"], 0,
+     "6bfeec07ae38b40a4e5985756c9068bdeebacad055975c6de980c84a60703b71",
+     "f67cab3f708da518e3e12e3ad4249340d8395c8629f7b89feb38c9edd91897fe"),
+    ("glue-check-free", "chain3", ["glue", "check-free"], 0,
+     "286c67da9309dd4355f4ff55255323779b20ce0a3744294549a99f066a4dd85a",
+     "9a406dcce506be2ea3b01b72846827a31c88f95d787f687160b447f04142810f"),
+    ("cover-check", "cover", ["cover", "check"], 0,
+     "07cb3cacc7811022d3fcf8139ac53d45ff8907eca6f0d2e88e179409544526e4",
+     "fc5ed0197d19a1f8f9e6a616bc6026662477a9195a82eae939ea8c84695cdd6c"),
+    ("cover-skeleton", "cover", ["cover", "skeleton"], 0,
+     "9573bf44dfefb5c025c3f075bc43a83452bf68ffd291af2338e3cc678fa0a674",
+     "f55e3d0b88bea9567e29b7e8ddf0b8eed0e0e7577c73bb1a35eba1efe4b2ee7f"),
+    ("cover-check-interior", "cover-interior", ["cover", "check"], 0,
+     "6faa227de9cf1cce12f6f17502e200cb34a088ea9b772c49513bd7ace21b99fe",
+     "fc5ed0197d19a1f8f9e6a616bc6026662477a9195a82eae939ea8c84695cdd6c"),
+    ("cover-skeleton-interior", "cover-interior", ["cover", "skeleton"], 0,
+     "94b99d9246d4439bcd91ae418096a46df817b525a0a126691bb8bd57e8fa8f31",
+     "944c01ed574d547f13c4dca841501dc4218aafa7b0f0d01d449d5043740b2c7f"),
+]
+
+
+@pytest.mark.parametrize("name, doc, argv, rc, report_sha, stdout_sha", PINNED_GEOMETRY,
+                         ids=[c[0] for c in PINNED_GEOMETRY])
+def test_pinned_geometry_outputs(tmp_path, capsys, name, doc, argv, rc, report_sha, stdout_sha):
+    report = tmp_path / "report.json"
+    path = write(tmp_path, "in.json", GEOMETRY_DOCS[doc]())
+    assert main(argv[:2] + ["--input", path] + argv[2:] + ["--json", str(report)]) == rc
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha

@@ -162,6 +162,20 @@ def test_dual_distance_matches_folded_tree():
             assert d1 == d2, (u, w)
 
 
+def test_directed_edges_built_once():
+    G = make_chain_goa()[0]
+    de = G.directed_edges
+    assert [(a, b, i) for a, b, _phi, i in de] == [
+        ("A", "B", 0), ("B", "A", 0), ("B", "C", 1), ("C", "B", 1)]
+    for k, e in enumerate(G.edges):
+        forward, backward = de[2 * k][2], de[2 * k + 1][2]
+        assert forward is e.phi
+        assert (backward.src_ends, backward.dst_ends) == (e.phi.dst_ends, e.phi.src_ends)
+    # the paths reuse the stored inverses instead of building new ones
+    (path,) = G.skeleton_paths("C", "A")
+    assert len(path) == 2 and path[0][2] is de[3][2] and path[1][2] is de[1][2]
+
+
 def test_goa_rejects_disconnected_skeleton():
     TA = unit_path(["a0", "a1"])
     TB = unit_path(["b0", "b1"])

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from lambdaforest.lambdatree import (
+    EdgeInterior,
     FiniteLambdaMetric,
+    Leg,
     MetricTree,
     SubtreeSpec,
     TreeError,
@@ -22,6 +24,7 @@ from lambdaforest.lambdatree import (
     project_to_closed_subtree,
     subdivide,
     validate_tree_metric,
+    _ekey,
 )
 from lambdaforest.ordgroup import LexValue, project_top
 
@@ -66,6 +69,13 @@ def test_construction_errors():
         MetricTree(
             ["a", "b", "c", "d"],
             [("a", "b", L(1)), ("c", "d", L(1)), ("d", "c", L(2))],
+            1,
+        )
+    with pytest.raises(TreeError, match="not connected"):
+        # right edge count, no duplicate, but a triangle and an isolated vertex
+        MetricTree(
+            ["a", "b", "c", "d"],
+            [("a", "b", L(1)), ("b", "c", L(1)), ("c", "a", L(1))],
             1,
         )
     with pytest.raises(TreeError):
@@ -191,6 +201,9 @@ def test_validator_rejects_degenerate_tables():
     assert not res.ok and res.kind == "asymmetry"
     res = validate_tree_metric(FiniteLambdaMetric(["a"], [[L(1)]], 1))
     assert not res.ok and res.kind == "nonzero-diagonal"
+    # no points means nothing was checked, so the verdict cannot be a pass
+    with pytest.raises(TreeError):
+        validate_tree_metric(FiniteLambdaMetric([], [], 1))
 
 
 def test_validator_point_cap():
@@ -343,6 +356,143 @@ def test_validator_huge_coordinates():
             i, j = rng.sample(range(m), 2)
             d[i][j] = d[j][i] = d[i][j] + LexValue([0] * (rank - 1) + [Fraction(rng.choice((-1, 1)), big)])
             assert_same_verdict(FiniteLambdaMetric(M.labels, d, rank))
+
+
+# geodesics against the search engine the rooted one replaced: a distance dict
+# per source, a DFS per vertex path, and a minimum over exit endpoints
+
+
+def neighbours(T: MetricTree) -> dict:
+    nbrs = {v: [] for v in T.vertices}
+    for u, v in T.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def search_dists(T: MetricTree, src) -> dict:
+    nbrs = neighbours(T)
+    dists = {src: LexValue.zero(T.rank)}
+    stack = [src]
+    while stack:
+        w = stack.pop()
+        for nb in nbrs[w]:
+            if nb not in dists:
+                dists[nb] = dists[w] + T.edge_length(w, nb)
+                stack.append(nb)
+    return dists
+
+
+def search_path(T: MetricTree, u, v) -> list:
+    nbrs = neighbours(T)
+    parent = {u: None}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        if w == v:
+            break
+        for nb in nbrs[w]:
+            if nb not in parent:
+                parent[nb] = w
+                stack.append(nb)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def search_exit(T: MetricTree, x: EdgeInterior, target):
+    ln = T.edge_length(x.u, x.v)
+    du = x.offset + search_dists(T, x.u)[target]
+    dv = (ln - x.offset) + search_dists(T, x.v)[target]
+    return x.u if du < dv else x.v
+
+
+def search_legs(T: MetricTree, x, y) -> list[Leg]:
+    zero = LexValue.zero(T.rank)
+    if x == y:
+        return []
+    if (isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
+            and _ekey(x.u, x.v) == _ekey(y.u, y.v)):
+        return [Leg(x.u, x.v, x.offset, y.offset)]
+    legs = []
+    if isinstance(x, EdgeInterior):
+        ex = search_exit(T, x, y.id if isinstance(y, Vertex) else y.u)
+        entry = y.id if isinstance(y, Vertex) else None
+        if isinstance(y, EdgeInterior):
+            best = None
+            for e, de in ((x.u, x.offset), (x.v, T.edge_length(x.u, x.v) - x.offset)):
+                for f, df in ((y.u, y.offset), (y.v, T.edge_length(y.u, y.v) - y.offset)):
+                    total = de + search_dists(T, e)[f] + df
+                    if best is None or total < best[0]:
+                        best = (total, e, f)
+            ex, entry = best[1], best[2]
+        legs.append(Leg(x.u, x.v, x.offset, zero if ex == x.u else T.edge_length(x.u, x.v)))
+        start = ex
+    else:
+        start = x.id
+        entry = search_exit(T, y, start) if isinstance(y, EdgeInterior) else y.id
+    path = search_path(T, start, entry)
+    for a, b in zip(path, path[1:]):
+        cu, cv = _ekey(a, b)
+        ln = T.edge_length(cu, cv)
+        legs.append(Leg(cu, cv, zero, ln) if a == cu else Leg(cu, cv, ln, zero))
+    if isinstance(y, EdgeInterior):
+        legs.append(Leg(y.u, y.v, zero if entry == y.u else T.edge_length(y.u, y.v), y.offset))
+    return [leg for leg in legs if leg.a != leg.b]
+
+
+@st.composite
+def tree_point_pairs(draw):
+    """A random tree of rank 1-3 and two points on it, vertices or interior
+    points, drawn anywhere, on one edge, on two edges at a common vertex, or
+    with one on an edge at the root."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 9))
+    verts = [f"v{i}" for i in range(n)]
+    T = MetricTree(verts, [(verts[i], verts[draw(st.integers(0, i - 1))],
+                            _positive(draw(small_values(rank)))) for i in range(1, n)], rank)
+    edges = sorted(T.edges)
+
+    def interior(u, v):
+        k = draw(st.integers(1, 5))
+        return T.point(u, v, T.edge_length(u, v).scale(Fraction(k, 6)))
+
+    def anywhere():
+        if not edges or draw(st.booleans()):
+            return Vertex(draw(st.sampled_from(verts)))
+        return interior(*draw(st.sampled_from(edges)))
+
+    kind = draw(st.sampled_from(["anywhere", "same-edge", "adjacent", "root"]))
+    if kind == "same-edge" and edges:
+        e = draw(st.sampled_from(edges))
+        return T, interior(*e), interior(*e)
+    hubs = [w for w in verts if len(T.adj[w]) >= 2]
+    if kind == "adjacent" and hubs:
+        w = draw(st.sampled_from(hubs))
+        a, b = draw(st.lists(st.sampled_from(T.adj[w]), min_size=2, max_size=2, unique=True))
+        return T, interior(w, a), interior(w, b)
+    root = next(v for v, p in T.parent.items() if p is None)
+    if kind == "root" and T.adj[root]:
+        x, y = interior(root, draw(st.sampled_from(T.adj[root]))), anywhere()
+        return (T, x, y) if draw(st.booleans()) else (T, y, x)
+    return T, anywhere(), anywhere()
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_point_pairs())
+def test_geodesics_match_search_engine(case):
+    T, x, y = case
+    legs = search_legs(T, x, y)
+    assert geodesic_legs(T, x, y) == legs
+    total = LexValue.zero(T.rank)
+    for leg in legs:
+        total = total + leg.length()
+    assert distance(T, x, y) == total
+    for u in T.vertices:
+        dists = search_dists(T, u)
+        for v in T.vertices:
+            assert T.vertex_distance(u, v) == dists[v]
 
 
 # subtrees and projection ----------------------------------------------------------
