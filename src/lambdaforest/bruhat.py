@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional
 
 from .ordgroup import LexValue
-from .groups import Word, word_str
+from .groups import Word
 
 
 class FieldError(ValueError):
@@ -253,9 +253,6 @@ class QpElement:
     def one_like(self):
         return QpElement(Fraction(1), self.p)
 
-    def zero_like(self):
-        return QpElement(Fraction(0), self.p)
-
     def valuation(self) -> Optional[LexValue]:
         if self.value == 0:
             return INFINITY
@@ -332,9 +329,6 @@ class RatFunc:
     def one_like(self):
         return RatFunc.const(1)
 
-    def zero_like(self):
-        return RatFunc.const(0)
-
     @property
     def rank(self) -> int:
         return 1
@@ -410,9 +404,6 @@ class BiRatFunc:
     def one_like(self):
         return BiRatFunc.const(1)
 
-    def zero_like(self):
-        return BiRatFunc.const(0)
-
     @property
     def rank(self) -> int:
         return 2
@@ -464,11 +455,6 @@ class Mat2:
 
     def trace(self):
         return self.a + self.d
-
-    def identity_like(self) -> "Mat2":
-        one = self.a.one_like()
-        zero = self.a.zero_like()
-        return Mat2(one, zero, zero, one, check_det=False)
 
     def __eq__(self, o) -> bool:
         return (

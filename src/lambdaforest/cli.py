@@ -53,6 +53,13 @@ def _load(path: str) -> dict:
     return doc
 
 
+def _positive_field(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise Malformed(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def _digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -223,9 +230,7 @@ def cmd_bt(args) -> int:
     # certify
     from .bruhat import certify_free_bt
 
-    ball = args.ball if args.ball is not None else doc.get("ball", 3)
-    if not isinstance(ball, int) or ball < 1:
-        raise Malformed(f"ball must be a positive integer, got {ball!r}")
+    ball = args.ball if args.ball is not None else _positive_field(doc, "ball", 3)
     try:
         cert = certify_free_bt(gens, ball)
     except CertificationAborted as exc:
@@ -452,9 +457,9 @@ def cmd_marked(args) -> int:
 
             return marked_group_from_json(z_marked(i))
 
-        table = convergence_profile(
-            family, target, doc.get("r_max", 5), doc.get("index_budget", 8)
-        )
+        r_max = _positive_field(doc, "r_max", 5)
+        budget = _positive_field(doc, "index_budget", 8)
+        table = convergence_profile(family, target, r_max, budget)
         body.update({"input_digest": _digest(doc),
                      "profile": [[R, i] for R, i in table]})
         print(profile_text(table))

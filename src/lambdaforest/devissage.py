@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
@@ -226,28 +225,6 @@ class GraphOfGroups:
             )
         return GraphOfGroups(verts, edges)
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": [
-                {
-                    "id": v.id,
-                    "type": v.vtype,
-                    "group": descriptor_to_json(v.desc),
-                    **({"attestation": v.attestation} if v.attestation else {}),
-                }
-                for v in self.vertices.values()
-            ],
-            "edges": [
-                {
-                    "u": e.u,
-                    "v": e.v,
-                    "image_u": word_str(e.image_u),
-                    "image_v": word_str(e.image_v),
-                }
-                for e in self.edges
-            ],
-        }
-
 
 def descriptor_from_json(doc: dict) -> Descriptor:
     kind = doc["kind"]
@@ -265,29 +242,6 @@ def descriptor_from_json(doc: dict) -> Descriptor:
             letters, bnd, parse_word(rel, letters) if rel else None
         )
     raise DevissageError(f"unknown descriptor kind {kind!r}")
-
-
-def descriptor_to_json(desc: Descriptor) -> dict:
-    if isinstance(desc, FreeGroup):
-        return {"kind": "free", "letters": list(desc.letters)}
-    if isinstance(desc, FreeAbelian):
-        return {"kind": "free-abelian", "letters": list(desc.letters)}
-    if isinstance(desc, CyclicBySum):
-        return {
-            "kind": "cyclic-by-sum",
-            "n_letter": desc.n_letter,
-            "extra_letters": list(desc.extra_letters),
-        }
-    if isinstance(desc, SurfaceWithBoundary):
-        doc = {
-            "kind": "surface-with-boundary",
-            "letters": list(desc.letters),
-            "boundaries": [word_str(b) for b in desc.boundaries],
-        }
-        if desc.closed_relator is not None:
-            doc["closed_relator"] = word_str(desc.closed_relator)
-        return doc
-    raise DevissageError("preset descriptors have no JSON form")
 
 
 # structure check ----------------------------------------------------------------------
@@ -627,19 +581,17 @@ class BettiReport:
     lower_slack: int
     abelian_sum: int
     abelian_slack: int
-    noncyclic_floor_ok: Optional[bool]
+    noncyclic_floor_ok: bool
 
     @property
     def ok(self) -> bool:
-        floor = self.noncyclic_floor_ok in (None, True)
-        return self.lower_slack >= 0 and self.abelian_slack >= 0 and floor
+        return self.lower_slack >= 0 and self.abelian_slack >= 0 and self.noncyclic_floor_ok
 
 
 def check_betti_bounds(
     G: GraphOfGroups,
     ambient: FinitePresentation,
     decl: MaxAbelianDeclaration,
-    noncyclic: bool = True,
 ) -> BettiReport:
     b1g = betti1(ambient)
     per_vertex = {vid: v.desc.b1 for vid, v in G.vertices.items()}
@@ -654,7 +606,7 @@ def check_betti_bounds(
         lower_slack=b1g - lower,
         abelian_sum=ab_sum,
         abelian_slack=(b1g - 1) - ab_sum,
-        noncyclic_floor_ok=(b1g >= 2) if noncyclic else None,
+        noncyclic_floor_ok=b1g >= 2,
     )
 
 

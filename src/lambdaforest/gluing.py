@@ -1,7 +1,6 @@
 """Gluing trees along points and closed subtrees, graphs of actions with the
 projection-folded dual distance, equivalence classes of the glue relation,
-the free-gluing criterion, transverse coverings and their skeletons, and a
-validator for candidate actions given as raw metric data.
+the free-gluing criterion, and transverse coverings and their skeletons.
 
 Edge subtrees are points or segments (window truncations of lines); gluing
 isometries between segments are determined by the images of the two
@@ -16,23 +15,18 @@ from typing import Callable, Optional
 
 from .lambdatree import (
     EdgeInterior,
-    FiniteLambdaMetric,
     MetricTree,
     SubtreeSpec,
-    TreeError,
     TreePoint,
-    ValidationResult,
     Vertex,
     distance,
     geodesic_legs,
     intersect_specs,
     point_at,
     project_to_closed_subtree,
-    validate_tree_metric,
     _ekey,
 )
 from .ordgroup import LexValue
-from .groups import Word, word_str
 
 
 class GluingError(ValueError):
@@ -613,66 +607,3 @@ def skeleton(C: TransverseCovering) -> SkeletonGraph:
     terminal_members = [r for r in reps if len(adj[("mem", r)]) <= 1]
     terminal_points = [i for i in range(len(points)) if len(adj[("pt", i)]) <= 1]
     return SkeletonGraph(reps, points, edges, connected, acyclic, terminal_members, terminal_points)
-
-
-# candidate-action validator --------------------------------------------------------------
-
-
-@dataclass
-class CandidateReport:
-    metric_ok: bool
-    metric_witness: tuple
-    isometry_failures: list
-    certificate: Optional[object]
-    ok: bool
-
-
-def validate_candidate_action(
-    M: FiniteLambdaMetric,
-    generator_maps: dict[str, dict],
-    triviality_oracle: Callable[[Word], bool],
-    ball_radius: int,
-) -> CandidateReport:
-    """Bundle: tree-metric validation of M, per-generator isometry check on
-    all pairs, and free-on-ball certification via min-displacement lengths
-    on the point labels."""
-    from .isometry import Certificate, certify_free_on_ball, CertificationAborted
-
-    res = validate_tree_metric(M)
-    idx = {l: i for i, l in enumerate(M.labels)}
-    failures = []
-    perms: dict[str, dict] = {}
-    for g, mapping in generator_maps.items():
-        if set(mapping) != set(M.labels) or set(mapping.values()) != set(M.labels):
-            failures.append((g, "not a bijection on labels"))
-            continue
-        for a, b in itertools.combinations(M.labels, 2):
-            if M.dist[idx[a]][idx[b]] != M.dist[idx[mapping[a]]][idx[mapping[b]]]:
-                failures.append((g, (a, b)))
-                break
-        else:
-            perms[g] = mapping
-    cert = None
-    if res.ok and not failures:
-        inverses = {g: {v: k for k, v in m.items()} for g, m in perms.items()}
-
-        def act(w: Word, label):
-            for l, e in w:
-                label = perms[l][label] if e == 1 else inverses[l][label]
-            return label
-
-        def length(w: Word):
-            # min displacement over all labels: zero iff some fixed point
-            best = None
-            for l in M.labels:
-                d = M.dist[idx[l]][idx[act(w, l)]]
-                if best is None or d < best:
-                    best = d
-            return best
-
-        try:
-            cert = certify_free_on_ball(length, triviality_oracle, sorted(perms), ball_radius)
-        except CertificationAborted as exc:
-            failures.append(("certification", str(exc)))
-    ok = res.ok and not failures and (cert is None or cert.status == "free-on-ball")
-    return CandidateReport(res.ok, res.witness, failures, cert, ok)

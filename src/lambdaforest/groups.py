@@ -1,6 +1,5 @@
-"""Words over generator alphabets, free-group utilities, Britton reduction
-for HNN presets, word-problem oracles, and Betti numbers via Smith normal
-form.
+"""Words over generator alphabets, free-group utilities, word-problem
+oracles, and Betti numbers via Smith normal form.
 
 A word is a tuple of (label, exponent) letters with exponent +1 or -1.  The
 string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
@@ -9,7 +8,7 @@ string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
@@ -134,18 +133,6 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
-def roots_agree(a: Word, b: Word) -> Optional[int]:
-    """If <a> and <b> share a cyclic overgroup in a free group, return +1
-    when root(a) = root(b), -1 when root(a) = root(b)^-1, else None."""
-    ra, _ = primitive_root(a)
-    rb, _ = primitive_root(b)
-    if ra == rb:
-        return 1
-    if ra == invert(rb):
-        return -1
-    return None
-
-
 def cyclic_word(w: Word) -> Word:
     core, _ = cyclic_reduce(w)
     return core
@@ -178,60 +165,6 @@ def power_of(w: Word, base: Word) -> Optional[int]:
     return None
 
 
-# HNN presets and Britton reduction ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HNNPreset:
-    """HNN extension of a free group with one stable letter and relation
-    t u t^-1 = v."""
-
-    base_letters: tuple[str, ...]
-    stable: str
-    u: Word
-    v: Word
-
-    def __post_init__(self):
-        for w, name in ((self.u, "u"), (self.v, "v")):
-            if not free_reduce(w):
-                raise WordError(f"{name} must be nontrivial")
-            if primitive_root(w)[1] != 1:
-                raise WordError(f"{name} must not be a proper power")
-        if self.stable in self.base_letters:
-            raise WordError("stable letter clashes with base alphabet")
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return self.base_letters + (self.stable,)
-
-
-def britton_reduce(h: HNNPreset, w: Word) -> Word:
-    """Repeatedly replace pinches t x t^-1 (x in <u>) by v^k and
-    t^-1 x t (x in <v>) by u^k; empty result iff w = 1 (Britton's lemma)."""
-    w = free_reduce(w)
-    t = h.stable
-    while True:
-        positions = [i for i, (l, _) in enumerate(w) if l == t]
-        done = True
-        for a, b in zip(positions, positions[1:]):
-            ea, eb = w[a][1], w[b][1]
-            if ea != -eb:
-                continue
-            mid = free_reduce(w[a + 1 : b])
-            if any(l == t for l, _ in mid):
-                continue
-            sub = h.u if ea == 1 else h.v
-            rep = h.v if ea == 1 else h.u
-            k = power_of(mid, sub)
-            if k is None:
-                continue
-            w = free_reduce(w[:a] + power(rep, k) + w[b + 1 :])
-            done = False
-            break
-        if done:
-            return w
-
-
 # word-problem oracles --------------------------------------------------------------
 
 
@@ -249,30 +182,6 @@ class FreeAbelianOracle:
 
     def is_trivial(self, w: Word) -> bool:
         return all(c == 0 for c in exponent_vector(w, self.letters))
-
-
-@dataclass(frozen=True)
-class HNNOracle:
-    preset: HNNPreset
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return self.preset.alphabet
-
-    def is_trivial(self, w: Word) -> bool:
-        return not britton_reduce(self.preset, w)
-
-
-@dataclass(frozen=True)
-class DirectSumCyclicOracle:
-    """Z/N (first letter) plus a free-abelian part (remaining letters)."""
-
-    torsion_order: int
-    letters: tuple[str, ...]
-
-    def is_trivial(self, w: Word) -> bool:
-        vec = exponent_vector(w, self.letters)
-        return vec[0] % self.torsion_order == 0 and all(c == 0 for c in vec[1:])
 
 
 # abelianization -----------------------------------------------------------------

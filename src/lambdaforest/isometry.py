@@ -1,6 +1,5 @@
 """Partial isometries of tree windows, isometry classification via the
-midpoint method, axis samples, and exhaustive free-action certification on
-word balls.
+midpoint method, and exhaustive free-action certification on word balls.
 
 Windows make everything partial: any operation that would need points
 outside the window returns an explicit OutOfWindow / Inconclusive value
@@ -13,21 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .lambdatree import (
-    MetricTree,
-    SubtreeSpec,
-    TreePoint,
-    Vertex,
-    EdgeInterior,
-    distance,
-    geodesic_legs,
-    intersect_specs,
-    point_at,
-    project_to_closed_subtree,
-)
+from .lambdatree import MetricTree, TreePoint, Vertex, distance, geodesic_legs, point_at
 
 from .ordgroup import LexValue
-from .groups import Word, ball_words, invert, parse_word, power, word_str
+from .groups import Word, ball_words, invert, word_str
 
 
 class IsometryError(ValueError):
@@ -74,6 +62,8 @@ class PartialIsometry:
         return point_at(self.window, legs, x.offset)
 
     def inverse(self) -> "PartialIsometry":
+        """The inverse of a checked map preserves distances too, so it is
+        built without the all-pairs check of __init__."""
         inv = {}
         for v, img in self.vertex_map.items():
             if not isinstance(img, Vertex):
@@ -81,7 +71,10 @@ class PartialIsometry:
                     "inverse needs vertex images; subdivide the window first"
                 )
             inv[img.id] = Vertex(v)
-        return PartialIsometry(self.window, inv)
+        g = object.__new__(PartialIsometry)
+        g.window = self.window
+        g.vertex_map = inv
+        return g
 
 
 class ActionWindow:
@@ -129,7 +122,6 @@ class Elliptic:
 @dataclass(frozen=True)
 class Hyperbolic:
     length: LexValue
-    axis_sample: tuple[TreePoint, TreePoint]
 
 
 @dataclass(frozen=True)
@@ -161,59 +153,7 @@ def classify(A: ActionWindow, w: Word, x: TreePoint):
     l = distance(T, m, wm)
     if l.is_zero():
         return Elliptic(m)
-    return Hyperbolic(l, (m, wm))
-
-
-def axis_sample(A: ActionWindow, w: Word, x: TreePoint, k: int):
-    """Segment [w^-k.m, w^k.m] through the midpoint m, verified linear."""
-    cls = classify(A, w, x)
-    if not isinstance(cls, Hyperbolic):
-        return Inconclusive("not classified hyperbolic")
-    m = cls.axis_sample[0]
-    pts = []
-    for j in range(-k, k + 1):
-        img = A.apply_word(power(w, j), m)
-        if isinstance(img, OutOfWindow):
-            return Inconclusive(f"w^{j}.m leaves window")
-        pts.append(img)
-    T = A.window
-    for a, b, c in zip(pts, pts[1:], pts[2:]):
-        if distance(T, a, b) + distance(T, b, c) != distance(T, a, c):
-            raise IsometryError("axis sample not aligned: generator is not an isometry")
-    return (pts[0], pts[-1])
-
-
-def same_axis_test(A: ActionWindow, w1: Word, w2: Word, x: TreePoint, k: int = 2):
-    """Compare axis samples on their overlap.  SameOnOverlap is necessary
-    evidence for commutation; DifferentAxes (branching samples) is conclusive
-    non-commutation under a free action."""
-    s1 = s2 = None
-    for kk in range(k, 0, -1):
-        s1 = axis_sample(A, w1, x, kk)
-        s2 = axis_sample(A, w2, x, kk)
-        if not isinstance(s1, Inconclusive) and not isinstance(s2, Inconclusive):
-            break
-    if isinstance(s1, Inconclusive) or isinstance(s2, Inconclusive):
-        return "Inconclusive"
-    T = A.window
-    endpoints = [s1[0], s1[1], s2[0], s2[1]]
-    # the samples lie on one line iff some endpoint pair dominates all others
-    aligned = False
-    for p, q in itertools.combinations(endpoints, 2):
-        dpq = distance(T, p, q)
-        if all(distance(T, p, r) + distance(T, r, q) == dpq for r in endpoints):
-            aligned = True
-            break
-    if not aligned:
-        return "DifferentAxes"
-    seg1 = SubtreeSpec.from_points(T, list(s1))
-    seg2 = SubtreeSpec.from_points(T, list(s2))
-    inter = intersect_specs(seg1, seg2)
-    if inter.more_than_one_point():
-        return "SameOnOverlap"
-    # collinear but (nearly) disjoint samples: the window is too small to see
-    # whether the axes coincide
-    return "Inconclusive"
+    return Hyperbolic(l)
 
 
 # ball certification -------------------------------------------------------------

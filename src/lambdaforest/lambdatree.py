@@ -1,6 +1,6 @@
 """Finite trees with lexicographic edge lengths: metric, geodesics, medians,
-closed-subtree projection, axiom validation, subdivision, and the
-kill-infinitesimals base change.
+closed-subtree projection, axiom validation, and the kill-infinitesimals
+base change.
 
 A tree is a finite connected acyclic graph whose edges carry strictly
 positive LexValue lengths of a common rank.  Points are either vertices or
@@ -532,9 +532,6 @@ class SpecIntersection:
     points: list  # isolated intersection points
     intervals: dict  # shared non-degenerate edge intervals
 
-    def is_empty(self) -> bool:
-        return not self.points and not self.intervals
-
     def more_than_one_point(self) -> bool:
         return bool(self.intervals) or len(self.points) > 1
 
@@ -598,23 +595,6 @@ def project_to_closed_subtree(T: MetricTree, Y: SubtreeSpec, x: TreePoint) -> Tr
 # tree surgery -------------------------------------------------------------------
 
 
-def subdivide(T: MetricTree, x: TreePoint, new_id=None):
-    """Make x a vertex; returns (tree, vertex id).  Identity on vertices."""
-    if isinstance(x, Vertex):
-        return T, x.id
-    T.check_point(x)
-    if new_id is None:
-        new_id = ("sub", x.u, x.v, tuple(str(c) for c in x.offset.coords))
-    if new_id in T.vertices:
-        raise TreeError(f"subdivision id {new_id!r} already present")
-    k = _ekey(x.u, x.v)
-    ln = T.edges[k]
-    edges = [(u, v, l) for (u, v), l in T.edges.items() if (u, v) != k]
-    edges.append((k[0], new_id, x.offset))
-    edges.append((new_id, k[1], ln - x.offset))
-    return MetricTree(T.vertices | {new_id}, edges, T.rank), new_id
-
-
 def kill_infinitesimals(T: MetricTree):
     """Contract every infinitesimal edge, project lengths to the leading
     coordinate; returns (rank-1 tree, vertex -> class representative map)."""
@@ -641,14 +621,3 @@ def kill_infinitesimals(T: MetricTree):
         if not ln.is_infinitesimal():
             new_edges.append((vmap[u], vmap[v], ln.project_top(1)))
     return MetricTree(new_vertices, new_edges, 1), vmap
-
-
-def embed_scalars(T: MetricTree) -> MetricTree:
-    """Re-type a tree with integral lengths into the divisible context Q^n.
-    Identity on data: lengths are already stored as exact rationals, so all
-    midpoints exist after the (formal) base change."""
-    for ln in T.edges.values():
-        for c in ln.coords:
-            if not isinstance(c, Fraction) or c.denominator != 1:
-                raise TreeError("embed_scalars expects integral edge lengths")
-    return T

@@ -8,11 +8,10 @@ supplied by the caller).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .groups import Word, WordError, ball_words, concat, free_reduce, invert, word_str
+from .groups import Word, WordError, ball_words, free_reduce, invert, word_str
 
 # enumeration budget: n * (2n-1)^(R-1) words must stay at desk scale
 MAX_WORDS = 300_000
@@ -81,7 +80,7 @@ def convergence_profile(
     family: Callable[[int], MarkedGroup],
     target: MarkedGroup,
     r_max: int,
-    index_budget: int = 32,
+    index_budget: int,
 ) -> list[tuple[int, Optional[int]]]:
     """For each radius R <= r_max, the least index i with
     same_ball(family(i), target, R); None marks no agreement in budget."""
@@ -109,22 +108,6 @@ def marked_group_from_json(doc: dict) -> MarkedGroup:
         raise WordError(f"unsupported marked-group oracle {gdoc['kind']!r}")
     marking = tuple(parse_word(w, oracle.letters) for w in doc["marking"])
     return MarkedGroup(oracle, marking, tuple(doc["letters"]))
-
-
-def marked_group_to_json(M: MarkedGroup) -> dict:
-    from .groups import FreeAbelianOracle, FreeGroupOracle
-
-    if isinstance(M.oracle, FreeGroupOracle):
-        kind = "free"
-    elif isinstance(M.oracle, FreeAbelianOracle):
-        kind = "free-abelian"
-    else:
-        raise WordError("only free and free-abelian oracles serialize")
-    return {
-        "group": {"kind": kind, "letters": list(M.oracle.letters)},
-        "marking": [word_str(w) for w in M.marking],
-        "letters": list(M.letters),
-    }
 
 
 def profile_text(table: list[tuple[int, Optional[int]]]) -> str:

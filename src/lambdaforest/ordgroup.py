@@ -163,13 +163,5 @@ def magnitude(a: LexValue) -> int:
     return a.magnitude()
 
 
-def is_infinitesimal(a: LexValue) -> bool:
-    return a.is_infinitesimal()
-
-
-def scale(a: LexValue, q) -> LexValue:
-    return a.scale(q)
-
-
 def project_top(a: LexValue, k: int) -> LexValue:
     return a.project_top(k)

@@ -6,16 +6,7 @@ subcommand, and a provenance block explaining how the data was produced.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .bruhat import (
-    Laurent1,
-    Laurent2,
-    Mat2,
-    BiRatFunc,
-    RatFunc,
-    matrix_group_to_json,
-)
+from .bruhat import BiRatFunc, Mat2, RatFunc, matrix_group_to_json
 
 SCHEMA = "lambda-forest/1"
 

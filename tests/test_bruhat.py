@@ -223,11 +223,12 @@ def test_laurent2_ord_is_lex():
 
 def field_products(gens, radius):
     """The field product of every word of the ball, from field Mat2
-    products; the identity is the empty word's."""
+    products; the identity, g g^-1, is the empty word's."""
     step = {}
     for label, g in gens.items():
         step[(label, 1)], step[(label, -1)] = g, g.inverse()
-    prods = {(): next(iter(gens.values())).identity_like()}
+    g = next(iter(gens.values()))
+    prods = {(): g * g.inverse()}
     for w in ball_words(sorted(gens), radius):
         prods[w] = prods[w[:-1]] * step[w[-1]]
     return prods

@@ -242,10 +242,13 @@ def test_bt_unknown_generator_is_malformed(tmp_path, capsys, op):
     assert "unknown generator label 'z'" in capsys.readouterr().err
 
 
-def test_bt_certify_document_ball_must_be_positive(tmp_path):
+def test_bt_certify_document_ball_must_be_positive(tmp_path, capsys):
     doc = presets.emit("schottky-qt")
-    doc["ball"] = 0
-    assert main(["bt", "certify", "--input", write(tmp_path, "b0.json", doc)]) == 65
+    for ball in (0, True):  # a bool is an int to isinstance
+        doc["ball"] = ball
+        assert main(["bt", "certify", "--input", write(tmp_path, "b.json", doc)]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and f"ball must be a positive integer, got {ball!r}" in err
 
 
 # glue commands --------------------------------------------------------------------------
@@ -411,6 +414,17 @@ def test_marked_default_radius(tmp_path, capsys):
     assert main(["marked", "compare", "--a", z2, "--b", z2]) == 0
     out = capsys.readouterr().out
     assert out == "0 relations at radius 3\nsame ball at R = 3: True\n"
+
+
+@pytest.mark.parametrize("key,value", [("r_max", 0), ("r_max", -2), ("r_max", True),
+                                       ("index_budget", 0), ("index_budget", False),
+                                       ("index_budget", "8")])
+def test_marked_profile_needs_positive_int(tmp_path, capsys, key, value):
+    doc = presets.emit("z-to-z2-sequence")
+    doc[key] = value
+    assert main(["marked", "profile", "--input", write(tmp_path, "p.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and f"{key} must be a positive integer, got {value!r}" in err
 
 
 def test_marked_profile_refuses_radius(tmp_path, capsys):

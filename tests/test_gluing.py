@@ -21,16 +21,8 @@ from lambdaforest.gluing import (
     skeleton,
     subdivide_at,
     transverse_check,
-    validate_candidate_action,
 )
-from lambdaforest.groups import DirectSumCyclicOracle, FreeGroupOracle
-from lambdaforest.lambdatree import (
-    FiniteLambdaMetric,
-    MetricTree,
-    SubtreeSpec,
-    Vertex,
-    distance,
-)
+from lambdaforest.lambdatree import MetricTree, SubtreeSpec, Vertex, distance
 
 from conftest import L, random_lex_positive, random_tree
 
@@ -323,64 +315,3 @@ def test_transverse_check_gap(tripod):
     assert not rep.ok and rep.kind == "coverage-gap"
     with pytest.raises(GluingError):
         skeleton(TransverseCovering(tripod, members))
-
-
-# candidate-action validator ----------------------------------------------------------
-
-
-def _two_point_metric():
-    zero, two = L(0), L(2)
-    return FiniteLambdaMetric(["A", "B"], [[zero, two], [two, zero]], 1)
-
-
-def test_validate_candidate_action_pass():
-    M = _two_point_metric()
-    maps = {"f": {"A": "B", "B": "A"}}
-    rep = validate_candidate_action(
-        M, maps, DirectSumCyclicOracle(2, ("f",)).is_trivial, 2
-    )
-    assert rep.ok
-    assert rep.certificate.status == "free-on-ball"
-    assert "ff" in rep.certificate.relations or "f'f'" in rep.certificate.relations
-
-
-def test_validate_candidate_action_fixed_point_counterexample():
-    zero, one, two = L(0), L(1), L(2)
-    M = FiniteLambdaMetric(
-        ["x", "y", "z"],
-        [[zero, two, one], [two, zero, one], [one, one, zero]],
-        1,
-    )
-    maps = {"g": {"x": "y", "y": "x", "z": "z"}}
-    rep = validate_candidate_action(M, maps, FreeGroupOracle(("g",)).is_trivial, 2)
-    assert not rep.ok
-    assert rep.certificate.status == "counterexample"
-
-
-def test_validate_candidate_action_non_isometry():
-    zero, one, two = L(0), L(1), L(2)
-    M = FiniteLambdaMetric(
-        ["x", "y", "z"],
-        [[zero, two, one], [two, zero, one], [one, one, zero]],
-        1,
-    )
-    maps = {"g": {"x": "z", "z": "x", "y": "y"}}  # d(x,y)=2 but d(z,y)=1
-    rep = validate_candidate_action(M, maps, FreeGroupOracle(("g",)).is_trivial, 2)
-    assert not rep.ok and rep.isometry_failures
-
-
-def test_validate_candidate_action_bad_metric():
-    zero = L(0)
-    M = FiniteLambdaMetric(["A", "B"], [[zero, zero], [zero, zero]], 1)
-    rep = validate_candidate_action(M, {}, FreeGroupOracle(()).is_trivial, 1)
-    assert not rep.metric_ok and not rep.ok
-
-
-def test_validate_candidate_action_not_bijection():
-    M = _two_point_metric()
-    maps = {"f": {"A": "A", "B": "A"}}
-    rep = validate_candidate_action(
-        M, maps, DirectSumCyclicOracle(2, ("f",)).is_trivial, 1
-    )
-    assert not rep.ok
-    assert any("bijection" in str(f) for f in rep.isometry_failures)

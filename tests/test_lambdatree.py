@@ -15,14 +15,12 @@ from lambdaforest.lambdatree import (
     ValidationResult,
     Vertex,
     distance,
-    embed_scalars,
     geodesic_legs,
     intersect_specs,
     kill_infinitesimals,
     median,
     point_at,
     project_to_closed_subtree,
-    subdivide,
     validate_tree_metric,
     _ekey,
 )
@@ -570,7 +568,8 @@ def test_intersect_specs(tripod):
     # disjoint
     x = SubtreeSpec.from_points(tripod, [tripod.point("o", "p", L(Fraction(1, 4)))])
     y = SubtreeSpec.from_points(tripod, [Vertex("r")])
-    assert intersect_specs(x, y).is_empty()
+    disjoint = intersect_specs(x, y)
+    assert not disjoint.points and not disjoint.intervals
 
 
 def test_intersect_single_point_on_edge(tripod):
@@ -579,23 +578,6 @@ def test_intersect_single_point_on_edge(tripod):
     b = SubtreeSpec.from_points(tripod, [m, Vertex("p")])
     inter = intersect_specs(a, b)
     assert inter.single_point() == m
-
-
-def test_subdivide(tripod):
-    x = tripod.point("o", "p", L(Fraction(1, 3)))
-    T2, vid = subdivide(tripod, x)
-    assert vid in T2.vertices
-    assert distance(T2, Vertex(vid), Vertex("o")) == L(Fraction(1, 3))
-    assert distance(T2, Vertex(vid), Vertex("p")) == L(Fraction(2, 3))
-    # distances between the old vertices survive
-    for u in ("o", "p", "q", "r"):
-        for v in ("o", "p", "q", "r"):
-            assert distance(T2, Vertex(u), Vertex(v)) == distance(
-                tripod, Vertex(u), Vertex(v)
-            )
-    # subdividing at a vertex is a no-op
-    T3, vid3 = subdivide(tripod, Vertex("q"))
-    assert T3 is tripod and vid3 == "q"
 
 
 # base change ----------------------------------------------------------------------
@@ -628,13 +610,6 @@ def test_kill_infinitesimals_all_infinitesimal():
     T1, vmap = kill_infinitesimals(T)
     assert len(T1.vertices) == 1
     assert vmap["a"] == vmap["b"]
-
-
-def test_embed_scalars(tripod):
-    assert embed_scalars(tripod) is tripod
-    frac = MetricTree(["a", "b"], [("a", "b", L(Fraction(1, 2)))], 1)
-    with pytest.raises(TreeError):
-        embed_scalars(frac)
 
 
 # serialization --------------------------------------------------------------------

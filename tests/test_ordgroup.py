@@ -9,7 +9,6 @@ from lambdaforest.ordgroup import (
     LT,
     LexValue,
     RankMismatchError,
-    is_infinitesimal,
     lex_compare,
     magnitude,
     project_top,
@@ -52,9 +51,9 @@ def test_magnitude_and_infinitesimal():
     assert magnitude(LexValue([0, 0, 5])) == 1
     assert magnitude(LexValue([0, 1, 0])) == 2
     assert magnitude(LexValue([3, 0, 0])) == 3
-    assert is_infinitesimal(LexValue([0, 7]))
-    assert not is_infinitesimal(LexValue([1, 0]))
-    assert not is_infinitesimal(LexValue([-1, 0]))
+    assert LexValue([0, 7]).is_infinitesimal()
+    assert not LexValue([1, 0]).is_infinitesimal()
+    assert not LexValue([-1, 0]).is_infinitesimal()
 
 
 def test_project_top():
