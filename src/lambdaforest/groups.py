@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 from typing import Optional, Sequence
 
 Letter = tuple[str, int]
@@ -71,31 +72,34 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def ball_words(letters: Sequence[str], max_len: int, budget: Optional[int] = None):
+def ball_words(letters: Sequence[str], max_len: int, budget: Optional[int] = None,
+               step=None, start=None):
     """Every nonempty freely reduced word of length <= max_len, shortest
     first; within a length, in the order of `letters` with each letter
     followed by its inverse.  When the words of a length would take the
     count past `budget`, BudgetExceeded is raised before any of them is
-    yielded."""
+    yielded.  With `step`, (word, value) pairs are yielded instead: the
+    empty word has value `start`, and w a has value step(value of w, a)."""
     alphabet = [(l, e) for l in letters for e in (1, -1)]
-    limit = float("inf") if budget is None else budget
+    after = {a: [b for b in alphabet if b != (a[0], -a[1])] for a in alphabet}
     count = 0
     frontier: list[Word] = [()]
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for a in alphabet:
-                if w and w[-1][0] == a[0] and w[-1][1] == -a[1]:
-                    continue
-                new.append(w + (a,))
-                count += 1
-                if count > limit:
-                    raise BudgetExceeded(
-                        f"ball enumeration exceeds {budget} words "
-                        f"(n = {len(letters)}, R = {max_len})"
-                    )
-        frontier = new
-        yield from frontier
+    values = [start]
+    for k in range(max_len):
+        count += len(frontier) * (len(alphabet) - 1) if k else len(alphabet)
+        if budget is not None and count > budget:
+            raise BudgetExceeded(
+                f"ball enumeration exceeds {budget} words "
+                f"(n = {len(letters)}, R = {max_len})"
+            )
+        nexts = [after[w[-1]] if w else alphabet for w in frontier]
+        last = k + 1 == max_len  # the last length is yielded as it is built, never stored
+        words = (w + (a,) for w, s in zip(frontier, nexts) for a in s)
+        frontier = words if last else list(words)
+        if step is not None:
+            new_values = (step(v, a) for v, s in zip(values, nexts) for a in s)
+            values = new_values if last else list(new_values)
+        yield from zip(frontier, values) if step is not None else frontier
 
 
 def exponent_vector(w: Word, alphabet: Sequence[str]) -> tuple[int, ...]:
@@ -170,18 +174,42 @@ def power_of(w: Word, base: Word) -> Optional[int]:
 
 @dataclass(frozen=True)
 class FreeGroupOracle:
+    """Images are reduced words."""
+
     letters: tuple[str, ...]
 
     def is_trivial(self, w: Word) -> bool:
         return not free_reduce(w)
 
+    image = staticmethod(free_reduce)
+
+    def product(self, u: Word, v: Word) -> Word:
+        k = 0
+        while k < len(u) and k < len(v) and u[-1 - k] == (v[k][0], -v[k][1]):
+            k += 1
+        return u[:len(u) - k] + v[k:]
+
+    def is_identity(self, u: Word) -> bool:
+        return not u
+
 
 @dataclass(frozen=True)
 class FreeAbelianOracle:
+    """Images are exponent vectors over `letters`."""
+
     letters: tuple[str, ...]
 
     def is_trivial(self, w: Word) -> bool:
         return all(c == 0 for c in exponent_vector(w, self.letters))
+
+    def image(self, w: Word) -> tuple[int, ...]:
+        return exponent_vector(w, self.letters)
+
+    def product(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, u, v))
+
+    def is_identity(self, u: tuple[int, ...]) -> bool:
+        return not any(u)
 
 
 # abelianization -----------------------------------------------------------------
@@ -202,9 +230,6 @@ class FinitePresentation:
         gens = tuple(doc["generators"])
         rels = tuple(free_reduce(parse_word(r, gens)) for r in doc["relators"])
         return FinitePresentation(gens, rels)
-
-    def to_json(self) -> dict:
-        return {"generators": list(self.generators), "relators": [word_str(r) for r in self.relators]}
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:

@@ -441,6 +441,76 @@ def test_marked_radius_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "0 relations at radius 0\nsame ball at R = 0: True\n"
 
 
+def test_marked_duplicate_letters_are_malformed(tmp_path, capsys):
+    # two marking words under one abstract letter leave its image ambiguous
+    doc = {"schema": SCHEMA, "kind": "marked-group", "group": {"kind": "free", "letters": ["p"]},
+           "marking": ["p", ""], "letters": ["a", "a"]}
+    assert main(["marked", "ball", "--input", write(tmp_path, "dup.json", doc),
+                 "--radius", "1"]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and "abstract marking letters must be distinct" in err
+
+
+# marked ball, compare and profile on inline documents, pinned like the reports below:
+# exit code and the sha256 of stdout, of stderr and of the --json report (None: none
+# written)
+def _marked_doc(kind, letters, marking, abstract):
+    return {"schema": SCHEMA, "kind": "marked-group", "group": {"kind": kind, "letters": letters},
+            "marking": marking, "letters": abstract}
+
+
+def _profile_doc(r_max, budget):
+    return {"schema": SCHEMA, "kind": "marked-profile", "family": {"kind": "z-marked"},
+            "r_max": r_max, "index_budget": budget,
+            "marked_target": {"group": {"kind": "free-abelian", "letters": ["p", "q"]},
+                              "marking": ["p", "q"], "letters": ["a", "b"]}}
+
+
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_MARKED = [
+    ("ball-free-5", ["ball", "--input", "@in", "--radius", "5"],
+     {"in": _marked_doc("free", ["x", "y"], ["x", "y'x", "xy'x'"], ["a", "c", "b"])}, 0,
+     "492b255519c33b3386b32c986a9a3e892744bb7735c7d6ebd7428ac9de1a11e5", EMPTY_SHA,
+     "cb3c65fa6195ef3eb9ab87a274c5c17043b3b5678c76a2a9f4209078e7d83f1e"),
+    ("ball-abelian-7", ["ball", "--input", "@in", "--radius", "7"],
+     {"in": _marked_doc("free-abelian", ["p", "q"], ["pp", "q'p"], ["b", "a"])}, 0,
+     "53fffa1cd7db9a8c4e04621bbec14f0955849491c2e3e19a222da62601b1a9a3", EMPTY_SHA,
+     "b18d623ed5abe5a19be0f0981e8900578448a5335aa458ed9c0a66b2b1aeb440"),
+    ("compare-equal-7", ["compare", "--a", "@a", "--b", "@b", "--radius", "7"],
+     {"a": z2_doc(), "b": _marked_doc("free-abelian", ["p", "q"], ["pq", "q"], ["a", "b"])}, 0,
+     "317820e0123b3762557095bf5330ca7ce4059da98fcc5ab71bb1d5c24a37a8d4", EMPTY_SHA,
+     "c10f0dd7e520a73fa46db1a7f3c3016c1ecdbfe3f9b6d80ab520d6d25cd06c13"),
+    ("compare-diverge-7", ["compare", "--a", "@a", "--b", "@b", "--radius", "7"],
+     {"a": z2_doc(), "b": _marked_doc("free-abelian", ["g"], ["g", "ggggg"], ["a", "b"])}, 2,
+     "7fc3a164c2aef8bf17e9bb5492edce9325cefa760942d30d10a309d78b3aa974", EMPTY_SHA,
+     "d44b77f6dfae47a073fd280a75721219234be34e2715a6c2c1c7d24884efe53c"),
+    ("profile-8-7", ["profile", "--input", "@in"], {"in": _profile_doc(8, 7)}, 0,
+     "2d661a09bba96b4f4949fc3da426071893e0aa2cfa427d8c97df6746346d4241", EMPTY_SHA,
+     "ac0001980571bfd405706ea25b10b171001bb6a3aad7a55041849746228d6815"),
+    ("profile-8-9", ["profile", "--input", "@in"], {"in": _profile_doc(8, 9)}, 0,
+     "4f82a6aeee7fdc03ff907ee3373786be9b2306960326197ed85edf2c8a54e278", EMPTY_SHA,
+     "832f1d5c2457c6dfba2d2158dbe199547b30e6505b358b0392b09703acd7de07"),
+    # family member 10 first diverges at length 11, where the ball passes MAX_WORDS
+    ("profile-budget-exceeded", ["profile", "--input", "@in"], {"in": _profile_doc(11, 10)}, 65,
+     EMPTY_SHA, "dfcd3c338c5e875a6f87a5e1d443ea5f39c48ed2867719861fca8ee205a7b71a", None),
+]
+
+
+@pytest.mark.parametrize("name, argv, docs, rc, stdout_sha, stderr_sha, report_sha",
+                         PINNED_MARKED, ids=[c[0] for c in PINNED_MARKED])
+def test_pinned_marked_outputs(tmp_path, capsys, name, argv, docs, rc, stdout_sha, stderr_sha,
+                               report_sha):
+    argv = [write(tmp_path, a[1:] + ".json", docs[a[1:]]) if a.startswith("@") else a
+            for a in argv]
+    report = tmp_path / "report.json"
+    assert main(["marked"] + argv + ["--json", str(report)]) == rc
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == stderr_sha
+    got = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
+    assert got == report_sha
+
+
 # presets ------------------------------------------------------------------------------
 
 

@@ -1,10 +1,16 @@
-import pytest
+import contextlib
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lambdaforest import markedgroups
 from lambdaforest.groups import (
     BudgetExceeded,
     FreeAbelianOracle,
     FreeGroupOracle,
     WordError,
+    ball_words,
     parse_word,
     word_str,
 )
@@ -147,3 +153,166 @@ def test_profile_preset_document(z2_std):
         z_marked_group, target, doc["r_max"], doc["index_budget"]
     )
     assert [i for _R, i in table] == list(range(1, doc["r_max"] + 1))
+
+
+# the carried images against substitute + oracle.is_trivial ---------------------------
+
+
+def _slow_flag(M: MarkedGroup, w) -> bool:
+    return M.oracle.is_trivial(M.substitute(w))
+
+
+def _slow_relations(M: MarkedGroup, R: int):
+    rels = [w for w in ball_words(M.letters, R) if _slow_flag(M, w)]
+    return tuple(sorted(rels, key=lambda w: (len(w), word_str(w))))
+
+
+def _slow_same_ball(M1: MarkedGroup, M2: MarkedGroup, R: int):
+    for w in ball_words(M1.letters, R, markedgroups.MAX_WORDS):
+        if _slow_flag(M1, w) != _slow_flag(M2, w):
+            return False, w
+    return True, None
+
+
+oracle_letters = st.lists(st.sampled_from("pqrs"), min_size=1, max_size=3, unique=True)
+abstract_letters = st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def marked_groups(draw, letters=None):
+    """Free or free-abelian markings of rank 1-3 with marking words of length
+    0-4, not necessarily reduced, over unsorted alphabets."""
+    group = draw(oracle_letters)
+    oracle = draw(st.sampled_from([FreeGroupOracle, FreeAbelianOracle]))(tuple(group))
+    letters = draw(abstract_letters) if letters is None else letters
+    word = st.lists(st.tuples(st.sampled_from(group), st.sampled_from([1, -1])), max_size=4)
+    marking = tuple(tuple(draw(word)) for _ in letters)
+    return MarkedGroup(oracle, marking, tuple(letters))
+
+
+@settings(max_examples=80, deadline=None)
+@given(marked_groups(), st.integers(min_value=0, max_value=4))
+def test_relation_ball_matches_substitution(M, R):
+    assert relations_up_to(M, R).words == _slow_relations(M, R)
+
+
+def _renamed(M: MarkedGroup, kind):
+    """The same marking read in a group of `kind` on fresh letters: for the
+    same kind the relations are the same, so the balls agree."""
+    fresh = {l: l.upper() for l in M.oracle.letters}
+    marking = tuple(tuple((fresh[l], e) for l, e in w) for w in M.marking)
+    return MarkedGroup(kind(tuple(fresh[l] for l in reversed(M.oracle.letters))), marking,
+                       M.letters)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=4))
+def test_same_ball_matches_substitution(data, R):
+    M1 = data.draw(marked_groups())
+    other = data.draw(st.sampled_from(["random", "free", "free-abelian"]))
+    if other == "random":
+        M2 = data.draw(marked_groups(letters=list(M1.letters)))
+    else:
+        M2 = _renamed(M1, FreeGroupOracle if other == "free" else FreeAbelianOracle)
+    assert same_ball(M1, M2, R) == _slow_same_ball(M1, M2, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abstract_letters, st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=500))
+def test_ball_words_carries_the_fold(letters, max_len, budget):
+    """With a step, the walk yields the same words, raises at the same
+    point, and pairs each word with the fold of the step over its letters."""
+    def step(v, a):
+        return v * 5 + 2 * letters.index(a[0]) + (a[1] < 0) + 1
+
+    plain, carried = [], []
+    with contextlib.suppress(BudgetExceeded):
+        plain.extend(ball_words(letters, max_len, budget))
+    with contextlib.suppress(BudgetExceeded):
+        carried.extend(ball_words(letters, max_len, budget, step, 7))
+    assert [w for w, _v in carried] == plain
+    assert all(v == functools.reduce(step, w, 7) for w, v in carried)
+
+
+# convergence_profile against the per-(R, i) same_ball loop it replaced ----------------
+
+
+def _loop_profile(family, target, r_max, index_budget):
+    table = []
+    for R in range(1, r_max + 1):
+        found = None
+        for i in range(1, index_budget + 1):
+            eq, _w = same_ball(family(i), target, R)
+            if eq:
+                found = i
+                break
+        table.append((R, found))
+    return table
+
+
+SHUFFLED = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+FREE2 = MarkedGroup(FreeGroupOracle(("x", "y")), (parse_word("x"), parse_word("y")),
+                    ("a", "b"))
+FAMILIES = {
+    "z-marked": (z_marked_group, None),
+    "shuffled": (lambda i: z_marked_group(SHUFFLED[i - 1]), None),
+    "free-target": (lambda i: z_marked_group(SHUFFLED[i - 1]), FREE2),
+}
+
+
+class CountingFamily:
+    def __init__(self, family):
+        self.family, self.built = family, []
+
+    def __call__(self, i):
+        assert i not in self.built, f"family({i}) built twice"
+        self.built.append(i)
+        return self.family(i)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_profile_matches_per_row_loop(z2_std, name):
+    family, target = FAMILIES[name]
+    target = target or z2_std
+    for budget in range(1, 11):
+        # rows of the loop do not depend on r_max, so one run gives every prefix
+        rows = _loop_profile(family, target, 9, budget)
+        for r_max in range(1, 10):
+            counting = CountingFamily(family)
+            assert convergence_profile(counting, target, r_max, budget) == rows[:r_max]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_profile_budget_exceeded_as_per_row_loop(monkeypatch, z2_std, name):
+    """With MAX_WORDS = 200 the ball of radius 5 on two letters passes the
+    budget (4 + 12 + 36 + 108 + 324 words).  The loop raises, naming R = 5,
+    exactly when some index it tries agrees with the target up to length 4,
+    so large r_max with small budgets still give a table.  Against the free
+    target every index diverges by length 4, at a commutator."""
+    monkeypatch.setattr(markedgroups, "MAX_WORDS", 200)
+    family, target = FAMILIES[name]
+    target = target or z2_std
+    raised = set()
+    for r_max in range(1, 9):
+        for budget in range(1, 11):
+            want = _outcome(lambda: _loop_profile(family, target, r_max, budget))
+            got = _outcome(lambda: convergence_profile(CountingFamily(family), target, r_max,
+                                                       budget))
+            assert got == want, (r_max, budget)
+            if isinstance(want, tuple):
+                assert want[1].endswith("(n = 2, R = 5)")
+                raised.add((r_max, budget))
+    assert len(raised) < 8 * 10 and bool(raised) == (name != "free-target")
+
+
+def test_duplicate_abstract_letters_rejected():
+    with pytest.raises(WordError, match="distinct"):
+        MarkedGroup(FreeGroupOracle(("p",)), (parse_word("p"), ()), ("a", "a"))
