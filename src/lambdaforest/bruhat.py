@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional
 
 from .ordgroup import LexValue
-from .groups import Word
+from .groups import Word, rational_rank
 
 
 class FieldError(ValueError):
@@ -603,8 +603,6 @@ def bt_length_oracle(generators: dict[str, Mat2]) -> MatrixLengthOracle:
 def value_group_rank(valuations: set[tuple]) -> int:
     """Q-rank of the subgroup of the value group generated by the given
     vectors (rational row rank)."""
-    from .groups import rational_rank
-
     vecs = [list(v) for v in valuations if any(c != 0 for c in v)]
     if not vecs:
         return 0
@@ -665,8 +663,10 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         return QpElement(Fraction(str(data)), p)
     if isinstance(data, (str, int)):
         coeffs = {"1": str(data)}
-    else:
+    elif isinstance(data, dict):
         coeffs = data
+    else:
+        raise FieldError(f"entry must be a rational string or a coefficient map, got {data!r}")
     if field == "Qt":
         c = {}
         for key, val in coeffs.items():
@@ -688,6 +688,8 @@ def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
     p = doc.get("p")
     if field == "Qp" and not p:
         raise FieldError("Qp context needs a prime p")
+    if not isinstance(doc["generators"], dict):
+        raise FieldError("generators must be an object of label -> matrix")
     gens = {}
     for label, rows in doc["generators"].items():
         (a, b), (c, d) = rows

@@ -4,28 +4,16 @@ Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive,
 64 usage error, 65 malformed input (also any ValueError, KeyError or TypeError
 a handler raises).  With --json PATH the machine-readable report is written
 there as deterministic (sorted, timestamp-free) JSON.
+
+Each handler imports the library modules it runs, so that a process loads
+(and, without bytecode caches, compiles) only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-
-from . import presets
-from .groups import FinitePresentation, FreeGroupOracle, parse_word, word_str
-from .lambdatree import (
-    FiniteLambdaMetric,
-    MetricTree,
-    SubtreeSpec,
-    Vertex,
-    distance,
-    median,
-    project_to_closed_subtree,
-    validate_tree_metric,
-)
-from .ordgroup import LexValue
 
 SCHEMA = "lambda-forest/1"
 
@@ -61,12 +49,18 @@ def _positive_field(doc: dict, key: str, default: int) -> int:
 
 
 def _digest(doc: dict) -> str:
+    import hashlib
+
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _parse_point(T: MetricTree, s: str):
-    """'v' names a vertex; 'u:v:1/2' or 'u:v:1/2,0' an edge-interior offset."""
+def _parse_point(T, s: str):
+    """A point of the MetricTree T: 'v' names a vertex; 'u:v:1/2' or
+    'u:v:1/2,0' an edge-interior offset."""
+    from .lambdatree import Vertex
+    from .ordgroup import LexValue
+
     if ":" not in s:
         if s not in T.vertices:
             raise Malformed(f"unknown vertex {s!r}")
@@ -100,6 +94,8 @@ def _report(args, status: str, body: dict) -> int:
 
 
 def cmd_validate_tree(args) -> int:
+    from .lambdatree import FiniteLambdaMetric, validate_tree_metric
+
     doc = _load(args.input)
     res = validate_tree_metric(FiniteLambdaMetric.from_json(doc))
     body = {
@@ -117,6 +113,8 @@ def cmd_validate_tree(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from .lambdatree import MetricTree, SubtreeSpec, distance, median, project_to_closed_subtree
+
     doc = _load(args.input)
     T = MetricTree.from_json(doc)
     x = _parse_point(T, args.x)
@@ -146,16 +144,22 @@ def cmd_tree(args) -> int:
 
 def _action_window(doc: dict):
     from .isometry import ActionWindow, PartialIsometry
+    from .lambdatree import MetricTree
 
     T = MetricTree.from_json(doc["tree"])
+    if not isinstance(doc["generators"], dict):
+        raise Malformed("generators must be an object of label -> vertex map")
     gens = {}
     for label, table in doc["generators"].items():
+        if not isinstance(table, dict):
+            raise Malformed(f"generator {label!r} must map vertices to points")
         vmap = {v: _parse_point(T, img) for v, img in table.items()}
         gens[label] = PartialIsometry(T, vmap)
     return T, ActionWindow(T, gens)
 
 
 def cmd_isom(args) -> int:
+    from .groups import FreeGroupOracle, parse_word, word_str
     from .isometry import (
         CertificationAborted,
         Elliptic,
@@ -166,6 +170,7 @@ def cmd_isom(args) -> int:
         classify,
         window_length_oracle,
     )
+    from .lambdatree import Vertex
 
     doc = _load(args.input)
     T, A = _action_window(doc)
@@ -208,7 +213,7 @@ def cmd_isom(args) -> int:
 
 def cmd_bt(args) -> int:
     from .bruhat import INFINITY, MatrixLengthOracle, matrix_group_from_json
-    from .isometry import CertificationAborted
+    from .groups import parse_word
 
     doc = _load(args.input)
     gens = matrix_group_from_json(doc)
@@ -229,6 +234,7 @@ def cmd_bt(args) -> int:
         return _report(args, "pass", body)
     # certify
     from .bruhat import certify_free_bt
+    from .isometry import CertificationAborted
 
     ball = args.ball if args.ball is not None else _positive_field(doc, "ball", 3)
     try:
@@ -248,6 +254,7 @@ def cmd_bt(args) -> int:
 
 def _graph_of_actions(doc: dict):
     from .gluing import GluedEdge, GraphOfActions, SegmentIso
+    from .lambdatree import MetricTree
 
     trees = {vid: MetricTree.from_json(td) for vid, td in doc["vertex_trees"].items()}
     edges = []
@@ -269,6 +276,7 @@ def cmd_glue(args) -> int:
         glue_point,
         glue_subtree,
     )
+    from .lambdatree import MetricTree
 
     doc = _load(args.input)
     body = {"command": f"glue {args.op}", "input_digest": _digest(doc)}
@@ -317,6 +325,7 @@ def cmd_glue(args) -> int:
 
 def cmd_cover(args) -> int:
     from .gluing import TransverseCovering, skeleton, transverse_check
+    from .lambdatree import MetricTree, SubtreeSpec
 
     doc = _load(args.input)
     T = MetricTree.from_json(doc["tree"])
@@ -365,6 +374,7 @@ def cmd_gog(args) -> int:
         check_structure,
         principal_splitting_case,
     )
+    from .groups import FinitePresentation
 
     doc = _load(args.input)
     G = GraphOfGroups.from_json(doc)
@@ -416,7 +426,7 @@ def cmd_gog(args) -> int:
 
 
 def cmd_marked(args) -> int:
-    from .groups import BudgetExceeded
+    from .groups import BudgetExceeded, word_str
     from .markedgroups import (
         convergence_profile,
         marked_group_from_json,
@@ -448,7 +458,8 @@ def cmd_marked(args) -> int:
             return _report(args, "pass" if eq else "violation", body)
         # profile
         doc = _load(args.input)
-        if doc.get("family", {}).get("kind") != "z-marked":
+        family_doc = doc.get("family", {})
+        if not isinstance(family_doc, dict) or family_doc.get("kind") != "z-marked":
             raise Malformed("only the z-marked family is shipped")
         target = marked_group_from_json({"schema": SCHEMA, **doc["marked_target"]})
 
@@ -469,6 +480,8 @@ def cmd_marked(args) -> int:
 
 
 def cmd_preset(args) -> int:
+    from . import presets
+
     if args.op == "list":
         for n in presets.names():
             print(n)

@@ -25,6 +25,7 @@ from .groups import (
     free_reduce,
     invert,
     parse_word,
+    power,
     power_of,
     primitive_root,
     word_str,
@@ -487,8 +488,6 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
     if states:
         (i, src, dst, M), path = next(iter(sorted(states.items(), key=lambda kv: repr(kv[0]))))
         img = next(d[4] for d in directed if d[0] == i and d[2] == dst)
-        from .groups import power
-
         elem = word_str(power(img, M))
         desc_path = [
             {"edge": de[0], "from": de[1], "to": de[2], "turn": word_str(h) if h else ""}

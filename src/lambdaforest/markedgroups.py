@@ -3,7 +3,7 @@ divergent witness, and convergence profiles for parameterized families.
 
 A marking is an ordered tuple of words in the oracle's alphabet; relation
 words are written in abstract marking letters x1..xn (single characters
-supplied by the caller).
+supplied by the caller, none of them ', space or .).
 """
 
 from __future__ import annotations
@@ -11,7 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .groups import Word, WordError, ball_words, free_reduce, invert, word_str
+from .groups import (
+    FreeAbelianOracle,
+    FreeGroupOracle,
+    Word,
+    WordError,
+    ball_words,
+    free_reduce,
+    invert,
+    parse_word,
+    word_str,
+)
 
 # enumeration budget: n * (2n-1)^(R-1) words must stay at desk scale
 MAX_WORDS = 300_000
@@ -30,6 +40,12 @@ class MarkedGroup:
             raise WordError("one abstract letter per marking word")
         if len(set(self.letters)) != len(self.letters):
             raise WordError("abstract marking letters must be distinct")
+        for l in self.letters:
+            # parse_word reads one character per letter and skips or
+            # consumes these three, so a relation could not be read back
+            if not isinstance(l, str) or len(l) != 1 or l in "' .":
+                raise WordError(f"abstract marking letter {l!r} must be one character, "
+                                "not ', space or .")
         for w in self.marking:
             for l, _e in w:
                 if l not in self.oracle.letters:
@@ -152,8 +168,6 @@ def convergence_profile(
 
 
 def marked_group_from_json(doc: dict) -> MarkedGroup:
-    from .groups import FreeAbelianOracle, FreeGroupOracle, parse_word
-
     gdoc = doc["group"]
     if gdoc["kind"] == "free":
         oracle = FreeGroupOracle(tuple(gdoc["letters"]))

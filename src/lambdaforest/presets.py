@@ -6,8 +6,6 @@ subcommand, and a provenance block explaining how the data was produced.
 
 from __future__ import annotations
 
-from .bruhat import BiRatFunc, Mat2, RatFunc, matrix_group_to_json
-
 SCHEMA = "lambda-forest/1"
 
 # exponent for the diagonal Schottky generator; locked by running the ball
@@ -15,7 +13,10 @@ SCHEMA = "lambda-forest/1"
 SCHOTTKY_K = 1
 
 
-def _schottky_generators(k: int = SCHOTTKY_K) -> dict[str, Mat2]:
+def _schottky_generators(k: int = SCHOTTKY_K) -> dict:
+    """Generators a, b as bruhat.Mat2 over Q(t)."""
+    from .bruhat import Mat2, RatFunc
+
     one = RatFunc.const(1)
     zero = RatFunc.const(0)
     a = Mat2(RatFunc.t(k), zero, zero, RatFunc.t(-k))
@@ -25,6 +26,8 @@ def _schottky_generators(k: int = SCHOTTKY_K) -> dict[str, Mat2]:
 
 
 def schottky_qt() -> dict:
+    from .bruhat import matrix_group_to_json
+
     doc = matrix_group_to_json("Qt", _schottky_generators())
     doc.update(
         {
@@ -43,7 +46,8 @@ def schottky_qt() -> dict:
 
 
 def z2_diagonal() -> dict:
-    one = BiRatFunc.const(1)
+    from .bruhat import BiRatFunc, Mat2, matrix_group_to_json
+
     zero = BiRatFunc.const(0)
     u = Mat2(BiRatFunc.monomial(0, 1), zero, zero, BiRatFunc.monomial(0, -1))
     v = Mat2(BiRatFunc.monomial(1, 0), zero, zero, BiRatFunc.monomial(-1, 0))
@@ -63,6 +67,8 @@ def z2_diagonal() -> dict:
 
 
 def unipotent_fail() -> dict:
+    from .bruhat import Mat2, RatFunc, matrix_group_to_json
+
     one = RatFunc.const(1)
     zero = RatFunc.const(0)
     u = Mat2(one, one, zero, one)

@@ -138,14 +138,14 @@ def test_library_errors_are_malformed(tripod_file, capsys, argv):
 # isometry commands -------------------------------------------------------------------
 
 
+def _rotation_doc(**edits):
+    return {"schema": SCHEMA, "tree": presets.emit("tripod"),
+            "generators": {"r": {"o": "o", "p": "q", "q": "r", "r": "p"}}, **edits}
+
+
 @pytest.fixture
 def rotation_file(tmp_path, tripod_file):
-    doc = {
-        "schema": SCHEMA,
-        "tree": presets.emit("tripod"),
-        "generators": {"r": {"o": "o", "p": "q", "q": "r", "r": "p"}},
-    }
-    return write(tmp_path, "rot.json", doc)
+    return write(tmp_path, "rot.json", _rotation_doc())
 
 
 def test_isom_classify_elliptic(rotation_file, capsys):
@@ -240,6 +240,31 @@ def test_bt_unknown_generator_is_malformed(tmp_path, capsys, op):
     path = emit(tmp_path, "z2-diagonal")
     assert main(["bt", op, "--input", path, "--word", "xz"]) == 65
     assert "unknown generator label 'z'" in capsys.readouterr().err
+
+
+def _preset_with(name, **edits):
+    return {**presets.emit(name), **edits}
+
+
+def _schottky_empty_entry():
+    doc = presets.emit("schottky-qt")
+    doc["generators"]["a"][0][1] = []
+    return doc
+
+
+# main's boundary catches no AttributeError, so a wrong type must be caught where it is parsed
+@pytest.mark.parametrize("argv, doc, message", [
+    (["bt", "certify"], _preset_with("schottky-qt", generators=7), "generators must be an object"),
+    (["bt", "certify"], _schottky_empty_entry(), "entry must be a rational string or a"),
+    (["isom", "certify"], _rotation_doc(generators=7), "generators must be an object"),
+    (["isom", "classify", "--word", "r"], _rotation_doc(generators={"r": []}),
+     "generator 'r' must map vertices to points"),
+    (["marked", "profile"], _preset_with("z-to-z2-sequence", family=7), "only the z-marked family"),
+], ids=["bt-generators", "bt-entry", "isom-certify", "isom-classify", "marked-family"])
+def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
+    assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed input: ") and message in err
 
 
 def test_bt_certify_document_ball_must_be_positive(tmp_path, capsys):
@@ -449,6 +474,17 @@ def test_marked_duplicate_letters_are_malformed(tmp_path, capsys):
                  "--radius", "1"]) == 65
     out, err = capsys.readouterr()
     assert out == "" and "abstract marking letters must be distinct" in err
+
+
+@pytest.mark.parametrize("letters", [["ab", "c"], ["a", "'"], ["a", " "], ["a", "."]])
+def test_marked_letters_that_cannot_be_read_back_are_malformed(tmp_path, capsys, letters):
+    # with letters ab and c, the relation ab'c would be read back as a b' c
+    doc = {"schema": SCHEMA, "kind": "marked-group", "group": {"kind": "free", "letters": ["p"]},
+           "marking": ["p", "p"], "letters": letters}
+    assert main(["marked", "ball", "--input", write(tmp_path, "long.json", doc),
+                 "--radius", "2"]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and "must be one character" in err
 
 
 # marked ball, compare and profile on inline documents, pinned like the reports below:
