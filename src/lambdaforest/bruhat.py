@@ -14,12 +14,11 @@ from numerics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .ordgroup import LexValue
+from .ordgroup import LexValue, _frozen, _rat
 from .groups import Word, rational_rank
 
 
@@ -214,12 +213,27 @@ class Laurent2:
 INFINITY = None  # valuation of zero
 
 
-@dataclass(frozen=True)
 class QpElement:
     """Rational number under the p-adic valuation."""
 
-    value: Fraction
-    p: int
+    __slots__ = ("value", "p")
+    __setattr__ = _frozen
+
+    def __init__(self, value: Fraction, p: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.p) == (other.value, other.p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __repr__(self):
+        # a determinant error quotes entries in this form
+        return f"QpElement(value={self.value!r}, p={self.p!r})"
 
     def _check(self, o: "QpElement"):
         if self.p != o.p:
@@ -660,7 +674,7 @@ def parse_entry(data, field: str, p: Optional[int] = None):
     if field == "Qp":
         if isinstance(data, dict):
             raise FieldError("Qp entries are rational strings")
-        return QpElement(Fraction(str(data)), p)
+        return QpElement(_rat(str(data)), p)
     if isinstance(data, (str, int)):
         coeffs = {"1": str(data)}
     elif isinstance(data, dict):
@@ -673,12 +687,12 @@ def parse_entry(data, field: str, p: Optional[int] = None):
             t_exp, s_exp = _parse_monomial_key(key)
             if s_exp:
                 raise FieldError("s appears in a Qt entry")
-            c[t_exp] = Fraction(str(val))
+            c[t_exp] = _rat(str(val))
         return RatFunc(Laurent1(c), Laurent1.const(1))
     if field == "Qst":
         c2 = {}
         for key, val in coeffs.items():
-            c2[_parse_monomial_key(key)] = Fraction(str(val))
+            c2[_parse_monomial_key(key)] = _rat(str(val))
         return BiRatFunc(Laurent2(c2), Laurent2.const(1))
     raise FieldError(f"unknown field context {field!r}")
 

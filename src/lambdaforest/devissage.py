@@ -7,7 +7,6 @@ principal-splitting case analysis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Union
 
@@ -17,6 +16,7 @@ from .groups import (
     FreeGroupOracle,
     Word,
     WordError,
+    _frozen,
     ball_words,
     betti1,
     conjugate_in_free,
@@ -39,30 +39,63 @@ class DevissageError(ValueError):
 # vertex group descriptors -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FreeGroup:
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+    __setattr__ = _frozen
+
+    def __init__(self, letters: tuple[str, ...]):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     @property
     def b1(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
 class FreeAbelian:
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+    __setattr__ = _frozen
+
+    def __init__(self, letters: tuple[str, ...]):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     @property
     def b1(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
 class CyclicBySum:
     """N + Z^k with a marked cyclic summand generated by `n_letter`."""
 
-    n_letter: str
-    extra_letters: tuple[str, ...]
+    __slots__ = ("n_letter", "extra_letters")
+    __setattr__ = _frozen
+
+    def __init__(self, n_letter: str, extra_letters: tuple[str, ...]):
+        object.__setattr__(self, "n_letter", n_letter)
+        object.__setattr__(self, "extra_letters", extra_letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n_letter, self.extra_letters) == (other.n_letter, other.extra_letters)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n_letter, self.extra_letters))
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -73,19 +106,21 @@ class CyclicBySum:
         return 1 + len(self.extra_letters)
 
 
-@dataclass(frozen=True)
 class SurfaceWithBoundary:
     """Surface with boundary: free fundamental group plus designated boundary
     words; an optional closed-case relator covers edgeless closed-surface
     vertices."""
 
-    letters: tuple[str, ...]
-    boundaries: tuple[Word, ...]
-    closed_relator: Optional[Word] = None
+    __slots__ = ("letters", "boundaries", "closed_relator")
+    __setattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[str, ...], boundaries: tuple[Word, ...],
+                 closed_relator: Optional[Word] = None):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "closed_relator", closed_relator)
         seen = []
-        for b in self.boundaries:
+        for b in boundaries:
             r = free_reduce(b)
             if not r:
                 raise DevissageError("trivial boundary word")
@@ -96,6 +131,15 @@ class SurfaceWithBoundary:
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.letters, self.boundaries, self.closed_relator)
+                    == (other.letters, other.boundaries, other.closed_relator))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters, self.boundaries, self.closed_relator))
+
     @property
     def b1(self) -> int:
         if self.closed_relator is None:
@@ -104,14 +148,27 @@ class SurfaceWithBoundary:
         return betti1(pres)
 
 
-@dataclass(frozen=True)
 class Preset:
     """Vertex group given by an external oracle plus a freeness certificate
     reference; only triviality queries are available."""
 
-    oracle: object
-    certificate: Optional[str] = None
-    b1_declared: Optional[int] = None
+    __slots__ = ("oracle", "certificate", "b1_declared")
+    __setattr__ = _frozen
+
+    def __init__(self, oracle, certificate: Optional[str] = None,
+                 b1_declared: Optional[int] = None):
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "b1_declared", b1_declared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.oracle, self.certificate, self.b1_declared)
+                    == (other.oracle, other.certificate, other.b1_declared))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.oracle, self.certificate, self.b1_declared))
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -142,20 +199,44 @@ def _oracle(desc: Descriptor):
 # the graph ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GGVertex:
-    id: str
-    vtype: str  # abelian | surface | infinitesimal
-    desc: Descriptor
-    attestation: Optional[str] = None
+    __slots__ = ("id", "vtype", "desc", "attestation")
+    __setattr__ = _frozen
+
+    def __init__(self, id: str, vtype: str, desc: Descriptor, attestation: Optional[str] = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "vtype", vtype)  # abelian | surface | infinitesimal
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "attestation", attestation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.id, self.vtype, self.desc, self.attestation)
+                    == (other.id, other.vtype, other.desc, other.attestation))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.vtype, self.desc, self.attestation))
 
 
-@dataclass(frozen=True)
 class GGEdge:
-    u: str
-    v: str
-    image_u: Word
-    image_v: Word
+    __slots__ = ("u", "v", "image_u", "image_v")
+    __setattr__ = _frozen
+
+    def __init__(self, u: str, v: str, image_u: Word, image_v: Word):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "image_u", image_u)
+        object.__setattr__(self, "image_v", image_v)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.u, self.v, self.image_u, self.image_v)
+                    == (other.u, other.v, other.image_u, other.image_v))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.image_u, self.image_v))
 
 
 class GraphOfGroups:
@@ -248,16 +329,16 @@ def descriptor_from_json(doc: dict) -> Descriptor:
 # structure check ----------------------------------------------------------------------
 
 
-@dataclass
 class ClauseVerdict:
-    verdict: str  # Pass | Fail | Unchecked
-    detail: str = ""
+    def __init__(self, verdict: str, detail: str = ""):
+        self.verdict = verdict  # Pass | Fail | Unchecked
+        self.detail = detail
 
 
-@dataclass
 class StructureReport:
-    clauses: dict[str, ClauseVerdict]
-    remarks: list[str] = field(default_factory=list)
+    def __init__(self, clauses: dict[str, ClauseVerdict], remarks: Optional[list[str]] = None):
+        self.clauses = clauses
+        self.remarks = [] if remarks is None else remarks
 
     @property
     def ok(self) -> bool:
@@ -420,12 +501,13 @@ def _boundary_matching(images: list[Word], boundaries: list[Word]) -> Optional[l
 # acylindricity ------------------------------------------------------------------------
 
 
-@dataclass
 class AcylReport:
-    verdict: str  # Pass | Fail | Inconclusive
-    path: list = field(default_factory=list)
-    element: Optional[str] = None
-    inconclusive_at: list = field(default_factory=list)
+    def __init__(self, verdict: str, path: Optional[list] = None, element: Optional[str] = None,
+                 inconclusive_at: Optional[list] = None):
+        self.verdict = verdict  # Pass | Fail | Inconclusive
+        self.path = [] if path is None else path
+        self.element = element
+        self.inconclusive_at = [] if inconclusive_at is None else inconclusive_at
 
 
 def _primitive_vector(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -561,26 +643,29 @@ def _nonmember_turn(letters, vb, required: bool):
 # Betti bounds -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MaxAbelianDeclaration:
-    ranks: tuple[tuple[str, int], ...]  # (vertex or subgroup tag, rank >= 2)
+    __slots__ = ("ranks",)
+    __setattr__ = _frozen
 
-    def __post_init__(self):
-        for tag, r in self.ranks:
+    def __init__(self, ranks: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "ranks", ranks)  # (vertex or subgroup tag, rank >= 2)
+        for tag, r in ranks:
             if r < 2:
                 raise DevissageError(f"declared maximal abelian {tag!r} has rank {r} < 2")
 
 
-@dataclass
 class BettiReport:
-    b1_ambient: int
-    b1_vertices: dict[str, int]
-    b1_graph: int
-    lower_bound: int
-    lower_slack: int
-    abelian_sum: int
-    abelian_slack: int
-    noncyclic_floor_ok: bool
+    def __init__(self, b1_ambient: int, b1_vertices: dict[str, int], b1_graph: int,
+                 lower_bound: int, lower_slack: int, abelian_sum: int, abelian_slack: int,
+                 noncyclic_floor_ok: bool):
+        self.b1_ambient = b1_ambient
+        self.b1_vertices = b1_vertices
+        self.b1_graph = b1_graph
+        self.lower_bound = lower_bound
+        self.lower_slack = lower_slack
+        self.abelian_sum = abelian_sum
+        self.abelian_slack = abelian_slack
+        self.noncyclic_floor_ok = noncyclic_floor_ok
 
     @property
     def ok(self) -> bool:
@@ -612,10 +697,10 @@ def check_betti_bounds(
 # principal splitting ------------------------------------------------------------------
 
 
-@dataclass
 class SplittingCase:
-    case: str
-    detail: str
+    def __init__(self, case: str, detail: str):
+        self.case = case
+        self.detail = detail
 
 
 def principal_splitting_case(G: GraphOfGroups) -> SplittingCase:

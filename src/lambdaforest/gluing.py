@@ -10,7 +10,6 @@ endpoints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .lambdatree import (
@@ -26,7 +25,7 @@ from .lambdatree import (
     project_to_closed_subtree,
     _ekey,
 )
-from .ordgroup import LexValue
+from .ordgroup import LexValue, _frozen
 
 
 class GluingError(ValueError):
@@ -87,17 +86,16 @@ def subdivide_at(T: MetricTree, points: list[TreePoint]):
 # segment isometries ------------------------------------------------------------------
 
 
-@dataclass
 class SegmentIso:
     """Isometry between closed segments (or points) of two trees, given by
     the images of the ordered endpoints."""
 
-    src_tree: MetricTree
-    src_ends: tuple[TreePoint, TreePoint]
-    dst_tree: MetricTree
-    dst_ends: tuple[TreePoint, TreePoint]
-
-    def __post_init__(self):
+    def __init__(self, src_tree: MetricTree, src_ends: tuple[TreePoint, TreePoint],
+                 dst_tree: MetricTree, dst_ends: tuple[TreePoint, TreePoint]):
+        self.src_tree = src_tree
+        self.src_ends = src_ends
+        self.dst_tree = dst_tree
+        self.dst_ends = dst_ends
         d_src = distance(self.src_tree, *self.src_ends)
         d_dst = distance(self.dst_tree, *self.dst_ends)
         if d_src != d_dst:
@@ -226,14 +224,14 @@ def glue_subtree(phi: SegmentIso):
 # graphs of actions ---------------------------------------------------------------------
 
 
-@dataclass
 class GluedEdge:
     """Directed gluing datum: lam on the `src` side maps to the `dst` side."""
 
-    src: object
-    dst: object
-    phi: SegmentIso
-    label: str = ""
+    def __init__(self, src, dst, phi: SegmentIso, label: str = ""):
+        self.src = src
+        self.dst = dst
+        self.phi = phi
+        self.label = label
 
 
 class GraphOfActions:
@@ -290,10 +288,25 @@ class GraphOfActions:
         return paths
 
 
-@dataclass(frozen=True)
 class DualPoint:
-    vertex: object
-    point: TreePoint
+    __slots__ = ("vertex", "point")
+    __setattr__ = _frozen
+
+    def __init__(self, vertex, point: TreePoint):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "point", point)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex, self.point) == (other.vertex, other.point)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex, self.point))
+
+    def __repr__(self):
+        # free-criterion reports quote sample points in this form
+        return f"DualPoint(vertex={self.vertex!r}, point={self.point!r})"
 
 
 def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
@@ -386,13 +399,14 @@ def fold_glued_tree(G: GraphOfActions, path: list[tuple]):
 # equivalence classes of the glue relation ----------------------------------------------
 
 
-@dataclass
 class EquivClass:
-    nodes: list[tuple[object, TreePoint]]
-    links: list[tuple[int, int, int]]  # (node index, node index, edge index)
-    acyclic: bool
-    diameter: int
-    inconclusive: Optional[str] = None
+    def __init__(self, nodes: list[tuple[object, TreePoint]], links: list[tuple[int, int, int]],
+                 acyclic: bool, diameter: int, inconclusive: Optional[str] = None):
+        self.nodes = nodes
+        self.links = links  # (node index, node index, edge index)
+        self.acyclic = acyclic
+        self.diameter = diameter
+        self.inconclusive = inconclusive
 
 
 CLASS_CAP = 64
@@ -445,11 +459,11 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
 # free-gluing criterion (period-doubling witness) ---------------------------------------
 
 
-@dataclass
 class FreeCriterionReport:
-    verdict: str  # Pass | Fail | Inconclusive
-    detail: str = ""
-    attestations: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, detail: str = "", attestations: Optional[dict] = None):
+        self.verdict = verdict  # Pass | Fail | Inconclusive
+        self.detail = detail
+        self.attestations = {} if attestations is None else attestations
 
 
 def check_free_criterion(
@@ -508,12 +522,10 @@ def check_free_criterion(
 # transverse coverings -------------------------------------------------------------------
 
 
-@dataclass
 class TransverseCovering:
-    ambient: MetricTree
-    members: list[SubtreeSpec]
-
-    def __post_init__(self):
+    def __init__(self, ambient: MetricTree, members: list[SubtreeSpec]):
+        self.ambient = ambient
+        self.members = members
         if self.ambient.rank != 1:
             raise GluingError("transverse coverings live in rank-1 trees")
         for m in self.members:
@@ -521,11 +533,11 @@ class TransverseCovering:
                 raise GluingError("member of a different tree")
 
 
-@dataclass
 class TransverseReport:
-    ok: bool
-    kind: str = ""
-    witness: tuple = ()
+    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
+        self.ok = ok
+        self.kind = kind
+        self.witness = witness
 
 
 def transverse_check(C: TransverseCovering) -> TransverseReport:
@@ -555,15 +567,17 @@ def transverse_check(C: TransverseCovering) -> TransverseReport:
     return TransverseReport(True)
 
 
-@dataclass
 class SkeletonGraph:
-    member_vertices: list[int]  # indices into members (V1)
-    point_vertices: list[TreePoint]  # V0
-    edges: list[tuple[object, object]]  # ("pt", i) -- ("mem", j)
-    connected: bool
-    acyclic: bool
-    terminal_members: list[int]
-    terminal_points: list[int]
+    def __init__(self, member_vertices: list[int], point_vertices: list[TreePoint],
+                 edges: list[tuple[object, object]], connected: bool, acyclic: bool,
+                 terminal_members: list[int], terminal_points: list[int]):
+        self.member_vertices = member_vertices  # indices into members (V1)
+        self.point_vertices = point_vertices  # V0
+        self.edges = edges  # ("pt", i) -- ("mem", j)
+        self.connected = connected
+        self.acyclic = acyclic
+        self.terminal_members = terminal_members
+        self.terminal_points = terminal_points
 
 
 def skeleton(C: TransverseCovering) -> SkeletonGraph:

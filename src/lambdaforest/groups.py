@@ -8,13 +8,19 @@ string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import add
 from typing import Optional, Sequence
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+
+
+def _frozen(self, name, value):
+    """__setattr__ of the frozen classes, whose constructors set their
+    fields through object.__setattr__.  The same as ordgroup._frozen, which
+    the word-only commands do not load."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class WordError(ValueError):
@@ -172,11 +178,22 @@ def power_of(w: Word, base: Word) -> Optional[int]:
 # word-problem oracles --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FreeGroupOracle:
     """Images are reduced words."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+    __setattr__ = _frozen
+
+    def __init__(self, letters: tuple[str, ...]):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def is_trivial(self, w: Word) -> bool:
         return not free_reduce(w)
@@ -193,11 +210,22 @@ class FreeGroupOracle:
         return not u
 
 
-@dataclass(frozen=True)
 class FreeAbelianOracle:
     """Images are exponent vectors over `letters`."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+    __setattr__ = _frozen
+
+    def __init__(self, letters: tuple[str, ...]):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def is_trivial(self, w: Word) -> bool:
         return all(c == 0 for c in exponent_vector(w, self.letters))
@@ -215,13 +243,14 @@ class FreeAbelianOracle:
 # abelianization -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FinitePresentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
+    __setattr__ = _frozen
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        for r in relators:
             if free_reduce(r) != r:
                 raise WordError("relators must be freely reduced")
 

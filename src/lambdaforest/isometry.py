@@ -9,12 +9,11 @@ instead of silently extending the tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .lambdatree import MetricTree, TreePoint, Vertex, distance, geodesic_legs, point_at
 
-from .ordgroup import LexValue
+from .ordgroup import LexValue, _frozen
 from .groups import Word, ball_words, invert, word_str
 
 
@@ -22,9 +21,12 @@ class IsometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class OutOfWindow:
-    prefix: Word
+    __slots__ = ("prefix",)
+    __setattr__ = _frozen
+
+    def __init__(self, prefix: Word):
+        object.__setattr__(self, "prefix", prefix)
 
     def __bool__(self):
         return False
@@ -114,19 +116,28 @@ class ActionWindow:
         return cur
 
 
-@dataclass(frozen=True)
 class Elliptic:
-    fixed_point: TreePoint
+    __slots__ = ("fixed_point",)
+    __setattr__ = _frozen
+
+    def __init__(self, fixed_point: TreePoint):
+        object.__setattr__(self, "fixed_point", fixed_point)
 
 
-@dataclass(frozen=True)
 class Hyperbolic:
-    length: LexValue
+    __slots__ = ("length",)
+    __setattr__ = _frozen
+
+    def __init__(self, length: LexValue):
+        object.__setattr__(self, "length", length)
 
 
-@dataclass(frozen=True)
 class Inconclusive:
-    reason: str
+    __slots__ = ("reason",)
+    __setattr__ = _frozen
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self):
         return False
@@ -159,15 +170,17 @@ def classify(A: ActionWindow, w: Word, x: TreePoint):
 # ball certification -------------------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    ball_radius: int
-    words_checked: int
-    relations: list[str]
-    min_positive_length: Optional[LexValue]
-    status: str = "free-on-ball"
-    counterexample: Optional[str] = None
-    extra: dict = field(default_factory=dict)
+    def __init__(self, ball_radius: int, words_checked: int, relations: list[str],
+                 min_positive_length: Optional[LexValue], status: str = "free-on-ball",
+                 counterexample: Optional[str] = None, extra: Optional[dict] = None):
+        self.ball_radius = ball_radius
+        self.words_checked = words_checked
+        self.relations = relations
+        self.min_positive_length = min_positive_length
+        self.status = status
+        self.counterexample = counterexample
+        self.extra = {} if extra is None else extra
 
     def to_json(self) -> dict:
         doc = {

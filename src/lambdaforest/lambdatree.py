@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .ordgroup import LexValue
+from .ordgroup import LexValue, _frozen
 
 
 def _id_key(v):
@@ -57,22 +56,44 @@ def _json_value(data, rank: int, what: str) -> LexValue:
     return v
 
 
-@dataclass(frozen=True)
 class Vertex:
-    id: object
+    __slots__ = ("id",)
+    __setattr__ = _frozen
+
+    def __init__(self, id):
+        object.__setattr__(self, "id", id)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id,) == (other.id,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id,))
 
     def __repr__(self):
         return f"Vertex({self.id!r})"
 
 
-@dataclass(frozen=True)
 class EdgeInterior:
     """Interior point of edge {u, v}; offset measured from u, the canonical
     (smaller id) anchor, with 0 < offset < length."""
 
-    u: object
-    v: object
-    offset: LexValue
+    __slots__ = ("u", "v", "offset")
+    __setattr__ = _frozen
+
+    def __init__(self, u, v, offset: LexValue):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "offset", offset)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.v, self.offset) == (other.u, other.v, other.offset)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.offset))
 
     def __repr__(self):
         return f"EdgeInterior({self.u!r}-{self.v!r} @ {self.offset!r})"
@@ -217,15 +238,26 @@ class MetricTree:
 # geodesics -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Leg:
     """Directed portion of an edge: walk edge {u, v} (canonical order) from
     offset `a` to offset `b`, offsets measured from u."""
 
-    u: object
-    v: object
-    a: LexValue
-    b: LexValue
+    __slots__ = ("u", "v", "a", "b")
+    __setattr__ = _frozen
+
+    def __init__(self, u, v, a: LexValue, b: LexValue):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.v, self.a, self.b) == (other.u, other.v, other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.a, self.b))
 
     def length(self) -> LexValue:
         return abs(self.b - self.a)
@@ -317,11 +349,11 @@ def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint
 # metric-table validation -------------------------------------------------------
 
 
-@dataclass
 class FiniteLambdaMetric:
-    labels: list
-    dist: list[list[LexValue]]
-    rank: int
+    def __init__(self, labels: list, dist: list[list[LexValue]], rank: int):
+        self.labels = labels
+        self.dist = dist
+        self.rank = rank
 
     @staticmethod
     def from_tree(T: MetricTree, points: Optional[list[TreePoint]] = None, labels=None) -> "FiniteLambdaMetric":
@@ -357,12 +389,13 @@ class FiniteLambdaMetric:
         )
 
 
-@dataclass
 class ValidationResult:
-    ok: bool
-    kind: str = ""
-    witness: tuple = ()
-    note: str = "2L condition vacuous over Q^n (2L = L)"
+    def __init__(self, ok: bool, kind: str = "", witness: tuple = (),
+                 note: str = "2L condition vacuous over Q^n (2L = L)"):
+        self.ok = ok
+        self.kind = kind
+        self.witness = witness
+        self.note = note
 
     def __bool__(self):
         return self.ok
@@ -527,10 +560,10 @@ class SubtreeSpec:
         return SubtreeSpec(T, verts, ivals)
 
 
-@dataclass
 class SpecIntersection:
-    points: list  # isolated intersection points
-    intervals: dict  # shared non-degenerate edge intervals
+    def __init__(self, points: list, intervals: dict):
+        self.points = points  # isolated intersection points
+        self.intervals = intervals  # shared non-degenerate edge intervals
 
     def more_than_one_point(self) -> bool:
         return bool(self.intervals) or len(self.points) > 1

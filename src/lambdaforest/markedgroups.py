@@ -8,7 +8,6 @@ supplied by the caller, none of them ', space or .).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .groups import (
@@ -16,6 +15,7 @@ from .groups import (
     FreeGroupOracle,
     Word,
     WordError,
+    _frozen,
     ball_words,
     free_reduce,
     invert,
@@ -27,15 +27,15 @@ from .groups import (
 MAX_WORDS = 300_000
 
 
-@dataclass(frozen=True)
 class MarkedGroup:
-    oracle: object
-    marking: tuple[Word, ...]
-    letters: tuple[str, ...]  # abstract marking letters, one per marking word
-    # oracle image of each abstract letter and its inverse, set from the marking
-    images: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("oracle", "marking", "letters", "images")
+    __setattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, oracle, marking: tuple[Word, ...], letters: tuple[str, ...]):
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "marking", marking)
+        # abstract marking letters, one per marking word
+        object.__setattr__(self, "letters", letters)
         if len(self.marking) != len(self.letters):
             raise WordError("one abstract letter per marking word")
         if len(set(self.letters)) != len(self.letters):
@@ -50,11 +50,22 @@ class MarkedGroup:
             for l, _e in w:
                 if l not in self.oracle.letters:
                     raise WordError(f"marking word uses {l!r} outside the oracle alphabet")
+        # oracle image of each abstract letter and its inverse; not a field
+        # that equality or hashing reads
         images = {}
         for l, w in zip(self.letters, self.marking):
             images[(l, 1)] = self.oracle.image(w)
             images[(l, -1)] = self.oracle.image(invert(w))
         object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.oracle, self.marking, self.letters)
+                    == (other.oracle, other.marking, other.letters))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.oracle, self.marking, self.letters))
 
     @property
     def n(self) -> int:
@@ -87,10 +98,13 @@ def _walk(M: MarkedGroup, R: int):
                       M.oracle.image(()))
 
 
-@dataclass(frozen=True)
 class RelationBall:
-    radius: int
-    words: tuple[Word, ...]  # sorted length-lexicographically
+    __slots__ = ("radius", "words")
+    __setattr__ = _frozen
+
+    def __init__(self, radius: int, words: tuple[Word, ...]):
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "words", words)  # sorted length-lexicographically
 
     def __contains__(self, w: Word) -> bool:
         return free_reduce(w) in self.words

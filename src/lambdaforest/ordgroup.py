@@ -8,7 +8,6 @@ source of wrong verdicts in the downstream tree checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,15 +24,24 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value):
+    """__setattr__ of the frozen classes, whose constructors set their
+    fields through object.__setattr__."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class LexValue:
     """Element of Q^n, leftmost coordinate dominant."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+    __setattr__ = _frozen
 
     def __init__(self, coords: Iterable) -> None:
         object.__setattr__(self, "coords", tuple(_rat(c) for c in coords))
@@ -48,6 +56,15 @@ class LexValue:
         v = object.__new__(cls)
         object.__setattr__(v, "coords", coords)
         return v
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        # the frozen dataclass's hash, so set and dict order stay as they were
+        return hash((self.coords,))
 
     @property
     def rank(self) -> int:
@@ -106,11 +123,19 @@ class LexValue:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    # the sign of a value is the sign of its first nonzero coordinate, and a
+    # Fraction's numerator carries its sign
     def is_positive(self) -> bool:
-        return self > LexValue.zero(self.rank)
+        for c in self.coords:
+            if c.numerator:
+                return c.numerator > 0
+        return False
 
     def __abs__(self) -> "LexValue":
-        return self if self >= LexValue.zero(self.rank) else -self
+        for c in self.coords:
+            if c.numerator:
+                return self if c.numerator > 0 else -self
+        return self
 
     # magnitude / quotients --------------------------------------------------
 

@@ -267,6 +267,35 @@ def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
     assert out == "" and err.startswith("malformed input: ") and message in err
 
 
+def _tripod_with_length(length):
+    doc = presets.emit("tripod")
+    doc["edges"][0]["len"] = length
+    return doc
+
+
+def _schottky_coefficient(value):
+    doc = presets.emit("schottky-qt")
+    doc["generators"]["a"][0][0] = {"t^1": value}
+    return doc
+
+
+# Fraction("1/0") raises ZeroDivisionError, which main's boundary does not
+# catch (that would hide arithmetic bugs), so the parsers turn it into a ValueError
+@pytest.mark.parametrize("argv, doc", [
+    (["tree", "distance", "--x", "o:p:1/0", "--y", "q"], presets.emit("tripod")),
+    (["validate-tree"], {"schema": SCHEMA, "rank": 2, "labels": ["a", "b"],
+                         "dist": [[["0", "0"], ["1/0", "0"]], [["1", "0"], ["0", "0"]]]}),
+    (["tree", "distance", "--x", "p", "--y", "q"], _tripod_with_length(["1/0"])),
+    (["bt", "certify"], {"schema": SCHEMA, "kind": "matrix-group", "field": "Qp", "p": 3,
+                         "generators": {"a": [["1/0", "0"], ["0", "1"]]}}),
+    (["bt", "certify"], _schottky_coefficient("1/0")),
+], ids=["point-offset", "metric-entry", "edge-length", "qp-entry", "qt-coefficient"])
+def test_zero_denominator_is_malformed(tmp_path, capsys, argv, doc):
+    assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed input: ") and "zero denominator" in err
+
+
 def test_bt_certify_document_ball_must_be_positive(tmp_path, capsys):
     doc = presets.emit("schottky-qt")
     for ball in (0, True):  # a bool is an int to isinstance
@@ -313,6 +342,21 @@ def test_glue_dual(chain_goa_file, capsys):
 def test_glue_check_free_pass(chain_goa_file, capsys):
     assert main(["glue", "check-free", "--input", chain_goa_file]) == 0
     assert "Pass" in capsys.readouterr().out
+
+
+def test_glue_check_free_fail_quotes_the_sample(tmp_path, capsys):
+    # the same gluing twice closes a cycle through the class of a0
+    edge = {"from": "A", "to": "B", "ends_from": ["a0", "a1"], "ends_to": ["b0", "b1"]}
+    doc = {"schema": SCHEMA, "vertex_trees": {"A": _path_tree(["a0", "a1"]),
+                                              "B": _path_tree(["b0", "b1"])},
+           "edges": [edge, edge], "attestations": {"A": "free", "B": "free"},
+           "samples": [{"vertex": "A", "point": "a0"}]}
+    report = tmp_path / "r.json"
+    assert main(["glue", "check-free", "--input", write(tmp_path, "cyc.json", doc),
+                 "--json", str(report)]) == 2
+    detail = "class of DualPoint(vertex='A', point=Vertex('a0')) is not a tree"
+    assert capsys.readouterr().out == f"free criterion: Fail ({detail})\n"
+    assert json.loads(report.read_text())["detail"] == detail
 
 
 def test_glue_check_free_inconclusive(tmp_path, chain_goa_file):

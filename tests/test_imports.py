@@ -1,6 +1,8 @@
-"""Each command loads only the library modules it runs, and importing the
-package loads none.  Every case runs in a fresh interpreter, because the
-test process has imported the whole library already."""
+"""Each command loads only the library modules it runs, importing the
+package loads none, and no command loads `dataclasses` (or the `inspect`
+it imports), whose import alone costs a short job about 10 ms.  Every case
+runs in a fresh interpreter, because the test process has imported the
+whole library already."""
 
 import json
 import os
@@ -13,13 +15,14 @@ from lambdaforest import presets
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# run main on argv, then print its exit code and the loaded lambdaforest modules
+# run main on argv, then print its exit code, the loaded lambdaforest modules
+# and which of dataclasses and inspect are loaded
 RUN_MAIN = """
 import json, sys
 from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
-print(json.dumps([rc, mods]))
+print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -35,8 +38,28 @@ MARKED = {"schema": "lambda-forest/1", "kind": "marked-group",
           "group": {"kind": "free", "letters": ["p", "q"]}, "marking": ["p", "pq"],
           "letters": ["a", "b"]}
 
-# argv (an @name is replaced by the path of that preset, or of MARKED), exit
-# code, and the modules that must not be loaded (None: only cli and presets)
+
+def _path_tree(ids):
+    return {"rank": 1, "vertices": ids,
+            "edges": [{"u": u, "v": v, "len": ["1"]} for u, v in zip(ids, ids[1:])]}
+
+
+# the radius-1 ball of the Cayley tree of F2 = <a, b> (A, B the inverses), with
+# a and b acting by left multiplication where the image stays in the ball
+F2_WINDOW = {"schema": "lambda-forest/1",
+             "tree": {"rank": 1, "vertices": ["e", "a", "A", "b", "B"],
+                      "edges": [{"u": "e", "v": x, "len": ["1"]} for x in "aAbB"]},
+             "generators": {"a": {"e": "a", "A": "e"}, "b": {"e": "b", "B": "e"}}}
+TWO_TREES = {"schema": "lambda-forest/1", "base": _path_tree(["a", "b"]),
+             "attachments": [{"tree": _path_tree(["p", "q"]), "x": "b", "y": "p"}]}
+TRIPOD_COVER = {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
+                "members": [["o", "p"], ["o", "q"], ["o", "r"]]}
+INLINE = {"marked": MARKED, "f2-window": F2_WINDOW, "two-trees": TWO_TREES,
+          "tripod-cover": TRIPOD_COVER}
+
+# argv (an @name is replaced by the path of that preset, or of that INLINE
+# document), exit code, and the modules that must not be loaded (None: only
+# cli and presets)
 CASES = {
     "marked ball": (["marked", "ball", "--input", "@marked", "--radius", "2"], 0,
                     {"bruhat", "lambdatree", "presets", "ordgroup"}),
@@ -44,6 +67,14 @@ CASES = {
                        {"bruhat", "lambdatree", "ordgroup"}),
     "gog structure": (["gog", "structure", "--input", "@centralizer-extension-gog"], 0,
                       {"bruhat", "lambdatree", "presets", "ordgroup"}),
+    "gog betti": (["gog", "betti", "--input", "@centralizer-extension-gog"], 0,
+                  {"bruhat", "lambdatree", "presets", "ordgroup"}),
+    "isom certify": (["isom", "certify", "--input", "@f2-window", "--ball", "1"], 3,
+                     {"bruhat", "presets", "gluing", "devissage", "markedgroups"}),
+    "glue point": (["glue", "point", "--input", "@two-trees"], 0,
+                   {"bruhat", "presets", "groups", "isometry"}),
+    "cover skeleton": (["cover", "skeleton", "--input", "@tripod-cover"], 0,
+                       {"bruhat", "presets", "groups", "isometry"}),
     "validate-tree": (["validate-tree", "--input", "@square-cycle"], 2,
                       {"bruhat", "presets", "groups"}),
     "tree distance": (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0,
@@ -61,13 +92,14 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
     paths = []
     for a in argv:
         if a.startswith("@"):
-            doc = MARKED if a == "@marked" else presets.emit(a[1:])
+            doc = INLINE[a[1:]] if a[1:] in INLINE else presets.emit(a[1:])
             path = tmp_path / f"{a[1:]}.json"
             path.write_text(json.dumps(doc))
             a = str(path)
         paths.append(a)
-    got_rc, loaded = fresh(RUN_MAIN, *paths)
+    got_rc, loaded, stdlib = fresh(RUN_MAIN, *paths)
     assert got_rc == rc
+    assert stdlib == []
     if absent is None:
         assert loaded == ["cli", "presets"]
     else:

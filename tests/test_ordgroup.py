@@ -88,6 +88,22 @@ def test_abs_and_sign(a):
     assert (a + (-a)).is_zero()
 
 
+mostly_zero = st.one_of(st.just(Fraction(0)), rationals,
+                        st.fractions(min_value=-10**30, max_value=10**30))
+any_rank = st.integers(1, 3).flatmap(
+    lambda n: st.lists(mostly_zero, min_size=n, max_size=n)).map(LexValue)
+
+
+@given(any_rank)
+def test_sign_predicates_match_the_order(a):
+    # is_positive and abs read the first nonzero coordinate; the reference is
+    # the comparison with zero they used to make
+    zero = LexValue.zero(a.rank)
+    assert a.is_positive() == (a > zero)
+    assert abs(a) == (a if a >= zero else -a)
+    assert (abs(a) is a) == (a >= zero)
+
+
 @given(lex3())
 def test_project_top_is_homomorphic(a):
     b = LexValue([1, -2, Fraction(5, 3)])
