@@ -523,6 +523,26 @@ def _exact(x) -> dict:
     raise FieldError(f"unsupported matrix entry {x!r}")
 
 
+def _rotations(core: Word, inverse: dict) -> list[Word]:
+    """Every rotation of a word and of its inverse, which is spelled with
+    the letter objects of `inverse`, a map letter -> inverse letter."""
+    inv = tuple(map(inverse.__getitem__, reversed(core)))
+    return [w[i:] + w[:i] for w in (core, inv) for i in range(len(w))]
+
+
+class _ConjugacyClass:
+    """A conjugacy class up to inversion: `word`, its least member among the
+    rotations of the cyclic core and of its inverse, is the one evaluated;
+    `trivial` and `value` (v(Tr), length) are filled in on first use."""
+
+    __slots__ = ("word", "trivial", "value")
+
+    def __init__(self, word: Word):
+        self.word = word
+        self.trivial = None
+        self.value = None
+
+
 class MatrixLengthOracle:
     """Translation-length and triviality oracles for a labeled generator set;
     records the trace valuations encountered.
@@ -533,7 +553,14 @@ class MatrixLengthOracle:
     over Q(t) or Q(s, t), or of ints over Q_p; a letter's inverse is the
     adjugate of its scaled matrix.  The product of a word w is then D^|w|
     times its value.  D is a constant: its valuation is 0 over Q(t) and
-    Q(s, t), and v_p(D) over Q_p."""
+    Q(s, t), and v_p(D) over Q_p.
+
+    Triviality and the trace (so the valuation and the length) are class
+    functions, and w and w^-1 have the same trace in SL2, so both are
+    computed once per conjugacy class up to inversion, on one representative
+    (Lyndon & Schupp, I.2).  A word is looked up by its cyclic core, under
+    which every rotation of each evaluated core and of its inverse is
+    registered."""
 
     def __init__(self, generators: dict[str, Mat2]):
         if not generators:
@@ -557,14 +584,20 @@ class MatrixLengthOracle:
                            for e in entries for q in e.values()))
         self._vp_scale = _vp(self.scale, self._p) if self._p else 0
         self._letters: dict = {}
+        self._inverse: dict = {}
         for label, entries in exact.items():
             a, b, c, d = (self._ring({k: (q * self.scale).numerator for k, q in e.items()})
                           for e in entries)
             m = Mat2(a, b, c, d, check_det=False)
             self._letters[(label, 1)] = m
             self._letters[(label, -1)] = m.inverse()
+            self._inverse[(label, 1)] = (label, -1)
+            self._inverse[(label, -1)] = (label, 1)
         self.trace_valuations: set[tuple] = set()
         self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
+        self._classes: dict[Word, _ConjugacyClass] = {}  # each rotation of a core or its inverse
+        self._values: dict = {}  # int valuation (None for a zero trace) -> (v(Tr), length)
+        self._last: tuple = (None, None)  # the last word looked up, and its class
 
     def _ring(self, coeffs: dict):
         """The ring element with these int coefficients."""
@@ -588,26 +621,57 @@ class MatrixLengthOracle:
         self._cache[w] = m
         return m
 
+    def _class(self, w: Word) -> _ConjugacyClass:
+        """The class of w.  Certification asks is_trivial and then length
+        about the same word, so the last lookup is remembered."""
+        if w is self._last[0]:
+            return self._last[1]
+        core = w = tuple(w)
+        # an unknown letter has no inverse here, so it is never stripped
+        while len(core) > 1 and core[-1] == self._inverse.get(core[0]):
+            core = core[1:-1]
+        cls = self._classes.get(core)
+        if cls is None:
+            for letter in reversed(core):
+                if letter not in self._letters:
+                    raise FieldError(f"unknown generator label {letter[0]!r}")
+            rotations = _rotations(core, self._inverse) or [core]  # () is a class of its own
+            cls = _ConjugacyClass(min(rotations))
+            self._classes.update(dict.fromkeys(rotations, cls))
+        self._last = (w, cls)
+        return cls
+
+    def _value(self, w: Word) -> tuple:
+        """(v(Tr w), l(w)); v is INFINITY when the trace is 0.  One LexValue
+        pair is built per distinct valuation."""
+        cls = self._class(w)
+        if cls.value is None:
+            tr = self.product(cls.word).trace()
+            if self._p is not None:
+                n = None if tr == 0 else _vp(tr, self._p) - len(cls.word) * self._vp_scale
+            else:
+                n = min(tr.coeffs) if tr.coeffs else None  # the lexicographic least exponent
+            cls.value = self._values.get(n)
+            if cls.value is None:
+                v = INFINITY
+                if n is not None:
+                    v = LexValue([n] if self.rank == 1 else n)
+                    self.trace_valuations.add(v.coords)
+                cls.value = self._values[n] = (v, _translation_length(v, self.rank))
+        return cls.value
+
     def trace_valuation(self, w: Word) -> Optional[LexValue]:
         """v(Tr w), INFINITY when the trace is 0."""
-        tr = self.product(w).trace()
-        if self._p is not None:
-            if tr == 0:
-                return INFINITY
-            v = LexValue([_vp(tr, self._p) - len(w) * self._vp_scale])
-        else:
-            if not tr.coeffs:
-                return INFINITY
-            key = min(tr.coeffs)  # the lexicographic least exponent is ord(tr)
-            v = LexValue(key if self.rank == 2 else [key])
-        self.trace_valuations.add(v.coords)
-        return v
+        return self._value(w)[0]
 
     def length(self, w: Word) -> LexValue:
-        return _translation_length(self.trace_valuation(w), self.rank)
+        return self._value(w)[1]
 
     def is_trivial(self, w: Word) -> bool:
-        return self.product(w) == self._scalar(self.scale ** len(w))
+        cls = self._class(w)
+        if cls.trivial is None:
+            cls.trivial = self.product(cls.word) == self._scalar(self.scale ** len(cls.word))
+        return cls.trivial
 
 
 def bt_length_oracle(generators: dict[str, Mat2]) -> MatrixLengthOracle:

@@ -200,7 +200,7 @@ def glue_subtree(phi: SegmentIso):
         tu, tv = tag2(u), tag2(v)
         if tu[0] == "Y1" and tv[0] == "Y1":
             # edge inside the identified segment: already present from Y1
-            if _ekey(tu, tv) not in {_ekey(a, b) for a, b, _ in edges}:
+            if _ekey(tu[1], tv[1]) not in Y1s.edges:
                 raise GluingError("interface edge missing on the other side")
             continue
         edges.append((tu, tv, ln))

@@ -215,13 +215,17 @@ def certify_free_on_ball(
     length.  A nontrivial word with zero length is a counterexample.
 
     Inverse pruning: l(w) = l(w^-1), so only the length-lex smaller of each
-    inverse pair is evaluated."""
+    inverse pair is evaluated.  The first letter of w^-1 is the inverse of
+    the last letter of w, so unless that equals the first letter of w it
+    decides the comparison without building w^-1."""
     relations: list[str] = []
     min_pos: Optional[LexValue] = None
     checked = 0
     for w in ball_words(sorted(labels), ball_radius):
         checked += 1
-        if invert(w) < w:
+        last = w[-1]
+        first_of_inverse = (last[0], -last[1])
+        if first_of_inverse < w[0] or (first_of_inverse == w[0] and invert(w) < w):
             continue
         if triviality_oracle(w):
             relations.append(word_str(w))

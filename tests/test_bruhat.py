@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,18 @@ from lambdaforest.bruhat import (
     certify_free_bt,
     matrix_group_from_json,
     matrix_group_to_json,
+    _vp,
     value_group_rank,
 )
-from lambdaforest.groups import ball_words, parse_word
+from lambdaforest.groups import (
+    ball_words,
+    cyclic_word,
+    free_reduce,
+    invert,
+    parse_word,
+    word_str,
+)
+from lambdaforest.ordgroup import LexValue
 from lambdaforest.presets import _schottky_generators, unipotent_fail, z2_diagonal
 
 from conftest import L
@@ -264,6 +274,25 @@ def test_ring_oracle_matches_field_qp_rational(p):
     assert assert_oracle_matches_field(gens).scale == 6
 
 
+QP_COMMUTING = {"a": [["3/2", "0"], ["0", "2/3"]], "b": [["2", "0"], ["0", "1/2"]]}
+
+
+@pytest.mark.parametrize("generators, p, radius", [(QP_RATIONAL, 2, 4), (QP_RATIONAL, 3, 4),
+                                                   (QP_COMMUTING, 3, 6)],
+                         ids=["rational-2", "rational-3", "commuting-3"])
+def test_class_value_does_not_depend_on_the_member_evaluated(generators, p, radius):
+    """Longest words first, so a class is first evaluated on a conjugate that
+    is longer than its representative, and D = 6 makes the scaled product of
+    a word depend on its length; the commuting pair has relations."""
+    gens = matrix_group_from_json({"field": "Qp", "p": p, "generators": generators})
+    oracle = MatrixLengthOracle(gens)
+    prods = field_products(gens, radius)
+    identity = prods[()]
+    for w, m in reversed(prods.items()):
+        assert oracle.trace_valuation(w) == m.trace().valuation(), w
+        assert oracle.is_trivial(w) == (m == identity), w
+
+
 COEFF = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)).map(Fraction)
 
 
@@ -339,3 +368,228 @@ def test_ring_oracle_rejects_non_laurent_entries():
     with pytest.raises(FieldError):
         MatrixLengthOracle({"g": Mat2(one, one, RatFunc.const(0), one),
                             "h": Mat2(Q2(1), Q2(1), Q2(0), Q2(1))})
+
+
+# one evaluation per conjugacy class against per-word evaluation -------------------------
+
+
+class PerWordOracle:
+    """Per-word evaluation, the slow reference for the class memo: every call
+    builds a fresh MatrixLengthOracle and evaluates the word it is given, and
+    every trace valuation is recorded."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.trace_valuations = set()
+
+    def trace_valuation(self, w):
+        oracle = MatrixLengthOracle(self.gens)
+        tr = oracle.product(w).trace()
+        if oracle._p is not None:
+            if tr == 0:
+                return None
+            v = L(_vp(tr, oracle._p) - len(w) * oracle._vp_scale)
+        else:
+            if not tr.coeffs:
+                return None
+            n = min(tr.coeffs)
+            v = L(*n) if oracle.rank == 2 else L(n)
+        self.trace_valuations.add(v.coords)
+        return v
+
+    def length(self, w):
+        v = self.trace_valuation(w)
+        zero = LexValue.zero(MatrixLengthOracle(self.gens).rank)
+        if v is None:
+            return zero
+        cand = v.scale(-2)
+        return cand if cand > zero else zero
+
+    def is_trivial(self, w):
+        oracle = MatrixLengthOracle(self.gens)
+        return oracle.product(w) == oracle._scalar(oracle.scale ** len(w))
+
+
+def per_word_certificate(gens, radius):
+    """certify_free_bt's report without the class memo or the first-letter
+    shortcut: w is skipped when invert(w) < w, and every other word is
+    evaluated on its own."""
+    oracle = PerWordOracle(gens)
+    relations, min_pos, checked = [], None, 0
+    status, counterexample = "free-on-ball", None
+    for w in ball_words(sorted(gens), radius):
+        checked += 1
+        if invert(w) < w:
+            continue
+        if oracle.is_trivial(w):
+            relations.append(word_str(w))
+            continue
+        l = oracle.length(w)
+        if l.is_zero():
+            status, counterexample = "counterexample", word_str(w)
+            break
+        if min_pos is None or l < min_pos:
+            min_pos = l
+    return {"N": radius, "words_checked": checked, "relations": relations,
+            "min_positive_length": min_pos.to_json() if min_pos is not None else None,
+            "status": status, "counterexample": counterexample,
+            "trace_valuations": [[str(c) for c in v] for v in sorted(oracle.trace_valuations)],
+            "value_group_rank": value_group_rank(oracle.trace_valuations)}
+
+
+def _diagonal(entry, k, c):
+    u = entry({k: c})
+    zero = entry({})
+    return Mat2(u, zero, zero, u.inverse())
+
+
+def _upper(entry, k, c, f):
+    """An upper triangular matrix: it fixes the end at infinity, as the
+    diagonal ones do."""
+    u = entry({k: c})
+    return Mat2(u, entry(f), entry({}), u.inverse())
+
+
+def _qp_entry(p):
+    return lambda c: QpElement(c.get(0, Fraction(0)), p)
+
+
+UNIT = COEFF.filter(bool)
+# per field: entry maker, exponents, nonzero exponents, exponent of the constants
+FIELDS = {"Qt": (_qt, EXP, EXP.filter(bool), 0),
+          "Qst": (_qst, EXP2, EXP2.filter(any), (0, 0))}
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two generators over Q(t), Q(s, t) or Q_p: random SL2 pairs,
+    Schottky-like pairs (two hyperbolic diagonal matrices, one conjugated by
+    a product of unipotents), commuting diagonal pairs (they have relations)
+    and pairs that share an end (their commutators are unipotent, so a
+    counterexample is found)."""
+    field = draw(st.sampled_from(["Qt", "Qst", "Qp"]))
+    shape = draw(st.sampled_from(["random", "schottky", "diagonal", "shared-end"]))
+    if field == "Qp":
+        p = draw(st.sampled_from([2, 3, 5]))
+        entry, exp, hyperbolic_exp, origin = _qp_entry(p), st.just(0), st.just(0), 0
+        # diag(c, 1/c) is hyperbolic when v_p(c) is not 0
+        diag_coeff = st.sampled_from([Fraction(p), Fraction(1, p), Fraction(p * p, 3)])
+    else:
+        entry, exp, hyperbolic_exp, origin = FIELDS[field]
+        diag_coeff = UNIT
+    poly = st.dictionaries(exp, COEFF, max_size=2)
+    if shape == "random":
+        a, b = (draw(sl2(entry, poly, exp, origin)) for _ in "ab")
+    elif shape == "schottky":
+        a, b = (_diagonal(entry, draw(hyperbolic_exp), draw(diag_coeff)) for _ in "ab")
+        one, zero = entry({origin: 1}), entry({})
+        m = (Mat2(one, entry({origin: draw(UNIT)}), zero, one)
+             * Mat2(one, zero, entry({origin: draw(UNIT)}), one))
+        b = m * b * m.inverse()
+    elif shape == "diagonal":
+        a, b = (_diagonal(entry, draw(exp), draw(diag_coeff)) for _ in "ab")
+    else:
+        a = _diagonal(entry, draw(exp), draw(diag_coeff))
+        b = _upper(entry, draw(exp), draw(diag_coeff), draw(poly))
+    return {"a": a, "b": b}
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_pairs(), st.integers(1, 5))
+def test_class_memo_matches_per_word_certificate(gens, radius):
+    got = certify_free_bt(gens, radius).to_json()
+    assert json.dumps(got) == json.dumps(per_word_certificate(gens, radius))
+
+
+@pytest.mark.parametrize("make", [lambda: _schottky_generators(1),
+                                  lambda: matrix_group_from_json(z2_diagonal()),
+                                  lambda: matrix_group_from_json(unipotent_fail()),
+                                  lambda: matrix_group_from_json(
+                                      {"field": "Qp", "p": 3, "generators": QP_RATIONAL})],
+                         ids=["schottky-qt", "z2-diagonal", "unipotent-fail", "qp-rational"])
+def test_class_memo_matches_per_word_certificate_on_presets(make):
+    gens = make()
+    got = certify_free_bt(gens, 5).to_json()
+    assert json.dumps(got) == json.dumps(per_word_certificate(gens, 5))
+
+
+def test_class_memo_matches_per_word_certificate_on_both_exits():
+    """A commuting diagonal pair has its commutator among the relations, and
+    a pair sharing an end has a counterexample."""
+    t = RatFunc.t
+    zero = RatFunc.const(0)
+    diagonal = {"a": Mat2(t(1), zero, zero, t(-1)), "b": Mat2(t(2), zero, zero, t(-2))}
+    cert = per_word_certificate(diagonal, 4)
+    assert cert["relations"] and cert["status"] == "free-on-ball"
+    one = RatFunc.const(1)
+    shared = {"a": diagonal["a"], "b": Mat2(one, t(1), zero, one)}
+    assert per_word_certificate(shared, 2)["status"] == "counterexample"
+    for gens, radius in ((diagonal, 4), (shared, 2)):
+        assert certify_free_bt(gens, radius).to_json() == per_word_certificate(gens, radius)
+
+
+# class keys ---------------------------------------------------------------------------
+
+
+F2 = _schottky_generators(1)
+
+
+def key(oracle, w):
+    return oracle._class(w).word
+
+
+def rotate(w, i):
+    return w[i:] + w[:i]
+
+
+def conjugate_up_to_inversion(u, w):
+    """Independent of the oracle: the cyclic cores have one length and one
+    is a substring of the other's core doubled, or of its inverse's."""
+    cu, cw = cyclic_word(u), cyclic_word(w)
+    n = len(cu)
+    return n == len(cw) and any(
+        d[i:i + n] == cu for d in (cw + cw, invert(cw) * 2) for i in range(max(n, 1)))
+
+
+LETTERS = st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)])
+REDUCED = st.lists(LETTERS, min_size=1, max_size=12).map(
+    lambda w: free_reduce(tuple(w))).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REDUCED, st.integers(0, 11), LETTERS)
+def test_class_key_is_a_class_invariant(w, i, letter):
+    oracle = MatrixLengthOracle(F2)
+    k = key(oracle, w)
+    core = cyclic_word(w)
+    assert key(MatrixLengthOracle(F2), rotate(core, i % len(core))) == k
+    assert key(MatrixLengthOracle(F2), invert(w)) == k
+    conj = free_reduce((letter,) + w + invert((letter,)))
+    assert key(MatrixLengthOracle(F2), conj) == k
+    assert key(oracle, conj) == k
+    assert conjugate_up_to_inversion(k, w)
+
+
+def test_equal_class_keys_mean_conjugate_up_to_inversion():
+    oracle = MatrixLengthOracle(F2)
+    by_key = {}
+    for w in ball_words(["a", "b"], 5):
+        by_key.setdefault(key(oracle, w), []).append(w)
+    for k, words in by_key.items():
+        assert all(conjugate_up_to_inversion(w, words[0]) for w in words), k
+    # and distinct keys are distinct classes
+    reps = [words[0] for words in by_key.values()]
+    assert not any(conjugate_up_to_inversion(u, w) for i, u in enumerate(reps)
+                   for w in reps[i + 1:])
+
+
+def test_f2_ball_of_radius_8_has_693_classes():
+    oracle = MatrixLengthOracle(F2)
+    assert len({key(oracle, w) for w in ball_words(["a", "b"], 8)}) == 693
+
+
+def test_empty_word_is_its_own_class():
+    oracle = MatrixLengthOracle(F2)
+    assert key(oracle, ()) == () and oracle.is_trivial(())
+    assert oracle.is_trivial(parse_word("aa'")) and key(oracle, parse_word("aa'")) == ()
+    assert oracle.trace_valuation(()) == L(0) and oracle.length(()) == L(0)

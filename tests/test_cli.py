@@ -242,6 +242,17 @@ def test_bt_unknown_generator_is_malformed(tmp_path, capsys, op):
     assert "unknown generator label 'z'" in capsys.readouterr().err
 
 
+# xax' is conjugate to a by a letter the group does not have: it must not
+# cancel away into l(a)
+@pytest.mark.parametrize("word", ["xax'", "x"])
+@pytest.mark.parametrize("op", ["length", "valuation"])
+def test_bt_unknown_letter_is_malformed_even_where_it_cancels(tmp_path, capsys, op, word):
+    path = emit(tmp_path, "schottky-qt")
+    assert main(["bt", op, "--input", path, "--word", word]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == "malformed input: unknown generator label 'x'\n"
+
+
 def _preset_with(name, **edits):
     return {**presets.emit(name), **edits}
 
@@ -942,3 +953,24 @@ def test_pinned_geometry_outputs(tmp_path, capsys, name, doc, argv, rc, report_s
     assert main(argv[:2] + ["--input", path] + argv[2:] + ["--json", str(report)]) == rc
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+# isom certify walks the ball through the same inverse filter as bt certify:
+# its verdict lines on F2 windows, passes and aborts, spelled out
+F2_WINDOW_CERTIFY = [
+    (3, "e", 2, 0, "free on ball N = 2 (16 words)"),
+    (3, "e:a:1/2", 2, 0, "free on ball N = 2 (16 words)"),
+    (2, "e", 1, 0, "free on ball N = 1 (4 words)"),
+    (3, "e", 3, 3,
+     "inconclusive: oracle inconclusive on aab: midpoint image leaves window at prefix aa"),
+    (2, "e", 2, 3,
+     "inconclusive: oracle inconclusive on ab: midpoint image leaves window at prefix ab"),
+    (2, "a", 2, 3, "inconclusive: oracle inconclusive on ab: word leaves window at prefix ab"),
+]
+
+
+@pytest.mark.parametrize("radius, base, ball, rc, line", F2_WINDOW_CERTIFY)
+def test_isom_certify_lines_on_f2_windows(tmp_path, capsys, radius, base, ball, rc, line):
+    path = write(tmp_path, "f2.json", _f2_window(radius))
+    assert main(["isom", "certify", "--input", path, "--base", base, "--ball", str(ball)]) == rc
+    assert capsys.readouterr().out == line + "\n"
