@@ -238,6 +238,8 @@ class GraphOfActions:
     def __init__(self, vertex_trees: dict, edges: list[GluedEdge]):
         self.vertex_trees = dict(vertex_trees)
         self.edges = list(edges)
+        if not self.vertex_trees:  # nothing to check: no verdict may come of it
+            raise GluingError("a graph of actions needs at least one vertex tree")
         for e in self.edges:
             if e.src not in self.vertex_trees or e.dst not in self.vertex_trees:
                 raise GluingError("edge endpoint is not a skeleton vertex")
@@ -246,21 +248,20 @@ class GraphOfActions:
             if e.phi.dst_tree is not self.vertex_trees[e.dst]:
                 raise GluingError("gluing map target tree mismatch")
         # connectivity of the skeleton
-        if self.vertex_trees:
-            seen = set()
-            stack = [next(iter(self.vertex_trees))]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                for e in self.edges:
-                    if e.src == v:
-                        stack.append(e.dst)
-                    if e.dst == v:
-                        stack.append(e.src)
-            if seen != set(self.vertex_trees):
-                raise GluingError("skeleton not connected")
+        seen = set()
+        stack = [next(iter(self.vertex_trees))]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            for e in self.edges:
+                if e.src == v:
+                    stack.append(e.dst)
+                if e.dst == v:
+                    stack.append(e.src)
+        if seen != set(self.vertex_trees):
+            raise GluingError("skeleton not connected")
         # each edge in both directions, the inverse built once
         self.directed_edges: list[tuple[object, object, SegmentIso, int]] = []
         for i, e in enumerate(self.edges):

@@ -7,7 +7,6 @@ string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from operator import add
 from typing import Optional, Sequence
@@ -62,10 +61,6 @@ def free_reduce(w: Word) -> Word:
 
 def invert(w: Word) -> Word:
     return tuple((l, -e) for l, e in reversed(w))
-
-
-def concat(*ws: Word) -> Word:
-    return free_reduce(tuple(itertools.chain.from_iterable(ws)))
 
 
 def power(w: Word, k: int) -> Word:
@@ -138,20 +133,15 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     n = len(core)
     for p in range(1, n + 1):
         if n % p == 0 and core == core[:p] * (n // p):
-            root = concat(conj, core[:p], invert(conj))
+            root = free_reduce(conj + core[:p] + invert(conj))
             return root, n // p
     raise AssertionError("unreachable")
 
 
-def cyclic_word(w: Word) -> Word:
-    core, _ = cyclic_reduce(w)
-    return core
-
-
 def conjugate_in_free(u: Word, w: Word) -> bool:
     """Conjugacy in a free group: equal cyclic reductions up to rotation."""
-    cu = cyclic_word(u)
-    cw = cyclic_word(w)
+    cu, _ = cyclic_reduce(u)
+    cw, _ = cyclic_reduce(w)
     if len(cu) != len(cw):
         return False
     if not cu:

@@ -4,14 +4,15 @@ midpoint method, and exhaustive free-action certification on word balls.
 Windows make everything partial: any operation that would need points
 outside the window returns an explicit OutOfWindow / Inconclusive value
 instead of silently extending the tree.
+
+The window code imports the tree code it runs, so that ball certification
+alone (`bt certify`) loads no `lambdatree`.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Iterable, Optional
-
-from .lambdatree import MetricTree, TreePoint, Vertex, distance, geodesic_legs, point_at
 
 from .ordgroup import LexValue, _frozen
 from .groups import Word, ball_words, invert, word_str
@@ -37,6 +38,8 @@ class PartialIsometry:
     map affinely along the geodesic between endpoint images."""
 
     def __init__(self, window: MetricTree, vertex_map: dict):
+        from .lambdatree import Vertex, distance
+
         self.window = window
         self.vertex_map = dict(vertex_map)
         for v in self.vertex_map:
@@ -51,11 +54,15 @@ class PartialIsometry:
                 raise IsometryError(f"not distance-preserving on pair ({a!r}, {b!r})")
 
     def defined_at(self, x: TreePoint) -> bool:
+        from .lambdatree import Vertex
+
         if isinstance(x, Vertex):
             return x.id in self.vertex_map
         return x.u in self.vertex_map and x.v in self.vertex_map
 
     def apply(self, x: TreePoint) -> TreePoint:
+        from .lambdatree import Vertex, geodesic_legs, point_at
+
         if isinstance(x, Vertex):
             return self.vertex_map[x.id]
         fu = self.vertex_map[x.u]
@@ -66,6 +73,8 @@ class PartialIsometry:
     def inverse(self) -> "PartialIsometry":
         """The inverse of a checked map preserves distances too, so it is
         built without the all-pairs check of __init__."""
+        from .lambdatree import Vertex
+
         inv = {}
         for v, img in self.vertex_map.items():
             if not isinstance(img, Vertex):
@@ -84,6 +93,8 @@ class ActionWindow:
     inverses (label' acts by the inverse map)."""
 
     def __init__(self, window: MetricTree, generators: dict[str, PartialIsometry]):
+        from .lambdatree import Vertex
+
         self.window = window
         self.generators: dict[tuple[str, int], PartialIsometry] = {}
         for label, g in generators.items():
@@ -150,6 +161,8 @@ def classify(A: ActionWindow, w: Word, x: TreePoint):
     """Single midpoint step: m = midpoint of [x, w.x] lies in the
     characteristic set, so d(m, w.m) is exactly 0 (elliptic) or the
     translation length (hyperbolic).  No inversion branch exists over Q^n."""
+    from .lambdatree import distance, geodesic_legs, point_at
+
     wx = A.apply_word(w, x)
     if isinstance(wx, OutOfWindow):
         return wx

@@ -22,7 +22,7 @@ from lambdaforest.bruhat import (
 )
 from lambdaforest.groups import (
     ball_words,
-    cyclic_word,
+    cyclic_reduce,
     free_reduce,
     invert,
     parse_word,
@@ -540,6 +540,11 @@ def key(oracle, w):
 
 def rotate(w, i):
     return w[i:] + w[:i]
+
+
+def cyclic_word(w):
+    core, _ = cyclic_reduce(w)
+    return core
 
 
 def conjugate_up_to_inversion(u, w):

@@ -271,7 +271,15 @@ def _schottky_empty_entry():
     (["isom", "classify", "--word", "r"], _rotation_doc(generators={"r": []}),
      "generator 'r' must map vertices to points"),
     (["marked", "profile"], _preset_with("z-to-z2-sequence", family=7), "only the z-marked family"),
-], ids=["bt-generators", "bt-entry", "isom-certify", "isom-classify", "marked-family"])
+    (["glue", "dual", "--a", "A/a0", "--b", "A/a0"], {"schema": SCHEMA, "vertex_trees": [],
+                                                      "edges": []}, "vertex_trees must be an object"),
+    (["glue", "check-free"], {"schema": SCHEMA, "vertex_trees": [], "edges": []},
+     "vertex_trees must be an object"),
+    # an empty graph of actions would pass check-free having checked nothing
+    (["glue", "check-free"], {"schema": SCHEMA, "vertex_trees": {}, "edges": []},
+     "needs at least one vertex tree"),
+], ids=["bt-generators", "bt-entry", "isom-certify", "isom-classify", "marked-family",
+        "glue-dual-vertex-trees", "glue-check-free-vertex-trees", "glue-check-free-empty"])
 def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
     assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
     out, err = capsys.readouterr()

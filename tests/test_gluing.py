@@ -175,6 +175,12 @@ def test_goa_rejects_disconnected_skeleton():
         GraphOfActions({"A": TA, "B": TB}, [])
 
 
+def test_goa_rejects_empty_skeleton():
+    """An empty graph of actions would pass every check vacuously."""
+    with pytest.raises(GluingError, match="at least one vertex tree"):
+        GraphOfActions({}, [])
+
+
 def _random_goa(rng):
     T1 = random_tree(rng, rng.randint(2, 5), rank=1, prefix="s")
     vs1 = sorted(T1.vertices)

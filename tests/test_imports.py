@@ -1,8 +1,8 @@
-"""Each command loads only the library modules it runs, importing the
-package loads none, and no command loads `dataclasses` (or the `inspect`
-it imports), whose import alone costs a short job about 10 ms.  Every case
-runs in a fresh interpreter, because the test process has imported the
-whole library already."""
+"""Each command loads exactly the library modules it runs and the handler
+module of its own family, importing the package loads none, and no command
+loads `dataclasses` (or the `inspect` it imports), whose import alone costs a
+short job about 10 ms.  Every case runs in a fresh interpreter, because the
+test process has imported the whole library already."""
 
 import json
 import os
@@ -26,10 +26,13 @@ print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect") if m in sys.m
 """
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+
+
 def fresh(code, *argv):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -52,58 +55,101 @@ F2_WINDOW = {"schema": "lambda-forest/1",
              "generators": {"a": {"e": "a", "A": "e"}, "b": {"e": "b", "B": "e"}}}
 TWO_TREES = {"schema": "lambda-forest/1", "base": _path_tree(["a", "b"]),
              "attachments": [{"tree": _path_tree(["p", "q"]), "x": "b", "y": "p"}]}
+TREE_PAIR = {"schema": "lambda-forest/1", "tree1": _path_tree(["a", "b", "c"]),
+             "tree2": _path_tree(["p", "q"]), "ends1": ["b", "c"], "ends2": ["p", "q"]}
+CHAIN = {"schema": "lambda-forest/1",
+         "vertex_trees": {"A": _path_tree(["a0", "a1", "a2"]), "B": _path_tree(["b0", "b1"])},
+         "edges": [{"from": "A", "to": "B", "ends_from": ["a1", "a2"], "ends_to": ["b0", "b1"]}],
+         "attestations": {"A": "free", "B": "free"}, "samples": [{"vertex": "A", "point": "a0"}]}
 TRIPOD_COVER = {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
                 "members": [["o", "p"], ["o", "q"], ["o", "r"]]}
 INLINE = {"marked": MARKED, "f2-window": F2_WINDOW, "two-trees": TWO_TREES,
-          "tripod-cover": TRIPOD_COVER}
+          "tree-pair": TREE_PAIR, "chain": CHAIN, "tripod-cover": TRIPOD_COVER}
+
+TREE = {"cli", "cli_trees", "lambdatree", "ordgroup"}
+BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
+GOG = {"cli", "cli_gog", "devissage", "groups"}
+MARKED_BALL = {"cli", "cli_marked", "groups", "markedgroups"}
+PRESET = {"cli", "presets"}
 
 # argv (an @name is replaced by the path of that preset, or of that INLINE
-# document), exit code, and the modules that must not be loaded (None: only
-# cli and presets)
+# document), exit code, and the lambdaforest modules the command loads
 CASES = {
-    "marked ball": (["marked", "ball", "--input", "@marked", "--radius", "2"], 0,
-                    {"bruhat", "lambdatree", "presets", "ordgroup"}),
-    "marked profile": (["marked", "profile", "--input", "@z-to-z2-sequence"], 0,
-                       {"bruhat", "lambdatree", "ordgroup"}),
-    "gog structure": (["gog", "structure", "--input", "@centralizer-extension-gog"], 0,
-                      {"bruhat", "lambdatree", "presets", "ordgroup"}),
-    "gog betti": (["gog", "betti", "--input", "@centralizer-extension-gog"], 0,
-                  {"bruhat", "lambdatree", "presets", "ordgroup"}),
-    "isom certify": (["isom", "certify", "--input", "@f2-window", "--ball", "1"], 3,
-                     {"bruhat", "presets", "gluing", "devissage", "markedgroups"}),
-    "glue point": (["glue", "point", "--input", "@two-trees"], 0,
-                   {"bruhat", "presets", "groups", "isometry"}),
-    "cover skeleton": (["cover", "skeleton", "--input", "@tripod-cover"], 0,
-                       {"bruhat", "presets", "groups", "isometry"}),
-    "validate-tree": (["validate-tree", "--input", "@square-cycle"], 2,
-                      {"bruhat", "presets", "groups"}),
+    "validate-tree": (["validate-tree", "--input", "@square-cycle"], 2, TREE),
     "tree distance": (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0,
-                      {"bruhat", "presets", "groups"}),
-    "bt certify": (["bt", "certify", "--input", "@unipotent-fail"], 2, {"presets"}),
-    "bt length": (["bt", "length", "--input", "@z2-diagonal", "--word", "uv"], 0,
-                  {"presets", "isometry", "lambdatree"}),
-    "preset list": (["preset", "list"], 0, None),
+                      TREE),
+    "tree median": (["tree", "median", "--input", "@tripod", "--x", "p", "--y", "q",
+                     "--z", "r"], 0, TREE),
+    "tree project": (["tree", "project", "--input", "@tripod", "--x", "p", "--y", "q",
+                      "--z", "r"], 0, TREE),
+    "isom classify": (["isom", "classify", "--input", "@f2-window", "--base", "e",
+                       "--word", "a"], 3, TREE | {"groups", "isometry"}),
+    "isom certify": (["isom", "certify", "--input", "@f2-window", "--ball", "1"], 3,
+                     TREE | {"groups", "isometry"}),
+    "glue point": (["glue", "point", "--input", "@two-trees"], 0, TREE | {"gluing"}),
+    "glue subtree": (["glue", "subtree", "--input", "@tree-pair"], 0, TREE | {"gluing"}),
+    "glue dual": (["glue", "dual", "--input", "@chain", "--a", "A/a0", "--b", "B/b1"], 0,
+                  TREE | {"gluing"}),
+    "glue check-free": (["glue", "check-free", "--input", "@chain"], 0, TREE | {"gluing"}),
+    "cover check": (["cover", "check", "--input", "@tripod-cover"], 0, TREE | {"gluing"}),
+    "cover skeleton": (["cover", "skeleton", "--input", "@tripod-cover"], 0,
+                       TREE | {"gluing"}),
+    "bt valuation": (["bt", "valuation", "--input", "@z2-diagonal", "--word", "uv"], 0, BT),
+    "bt length": (["bt", "length", "--input", "@z2-diagonal", "--word", "uv"], 0, BT),
+    # ball certification needs isometry, but none of its tree code
+    "bt certify": (["bt", "certify", "--input", "@unipotent-fail"], 2, BT | {"isometry"}),
+    "gog structure": (["gog", "structure", "--input", "@centralizer-extension-gog"], 0, GOG),
+    "gog acyl": (["gog", "acyl", "--input", "@centralizer-extension-gog"], 0, GOG),
+    "gog betti": (["gog", "betti", "--input", "@centralizer-extension-gog"], 0, GOG),
+    "gog principal": (["gog", "principal", "--input", "@n3-surface-gog"], 0, GOG),
+    "marked ball": (["marked", "ball", "--input", "@marked", "--radius", "2"], 0, MARKED_BALL),
+    "marked compare": (["marked", "compare", "--a", "@marked", "--b", "@marked"], 0,
+                       MARKED_BALL),
+    "marked profile": (["marked", "profile", "--input", "@z-to-z2-sequence"], 0,
+                       MARKED_BALL | {"presets"}),
+    "preset list": (["preset", "list"], 0, PRESET),
+    "preset emit": (["preset", "emit", "--name", "tripod"], 0, PRESET),
 }
+HANDLERS = {"cli_trees", "cli_bt", "cli_gog", "cli_marked"}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_command_loads_only_what_it_runs(tmp_path, case):
-    argv, rc, absent = CASES[case]
-    paths = []
+def _paths(tmp_path, argv):
+    out = []
     for a in argv:
         if a.startswith("@"):
             doc = INLINE[a[1:]] if a[1:] in INLINE else presets.emit(a[1:])
             path = tmp_path / f"{a[1:]}.json"
             path.write_text(json.dumps(doc))
             a = str(path)
-        paths.append(a)
-    got_rc, loaded, stdlib = fresh(RUN_MAIN, *paths)
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_command_loads_only_what_it_runs(tmp_path, case):
+    argv, rc, expected = CASES[case]
+    got_rc, loaded, stdlib = fresh(RUN_MAIN, *_paths(tmp_path, argv))
     assert got_rc == rc
     assert stdlib == []
-    if absent is None:
-        assert loaded == ["cli", "presets"]
-    else:
-        assert "cli" in loaded and not absent & set(loaded)
+    assert set(loaded) == expected
+    assert len(HANDLERS & set(loaded)) <= 1  # never another family's handler module
+
+
+def test_module_entry_point_reports_malformed_input(tmp_path):
+    """Under `python -m lambdaforest.cli` the handler modules import
+    lambdaforest.cli by name; the Malformed they raise must still be the one
+    main catches (exit 65, no traceback)."""
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps({"schema": "lambda-forest/1", "vertex_trees": [], "edges": []}))
+    bt = tmp_path / "bt.json"
+    bt.write_text(json.dumps({**presets.emit("schottky-qt"), "ball": 0}))
+    for argv in (["glue", "check-free", "--input", str(glue)],
+                 ["bt", "certify", "--input", str(bt)]):
+        proc = subprocess.run([sys.executable, "-m", "lambdaforest.cli", *argv],
+                              capture_output=True, text=True, env=_env(), timeout=60)
+        assert proc.returncode == 65, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("malformed input: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_package_resolves_names_on_first_access():
