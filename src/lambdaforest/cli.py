@@ -53,10 +53,14 @@ def _positive_field(doc: dict, key: str, default: int) -> int:
 
 
 def _digest(doc: dict) -> str:
-    import hashlib
-
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    try:  # a built-in module, as random does: hashlib loads OpenSSL, about 2 ms a job
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _report(args, status: str, body: dict) -> int:

@@ -23,7 +23,7 @@ from .lambdatree import (
     intersect_specs,
     point_at,
     project_to_closed_subtree,
-    _ekey,
+    _Rows,
 )
 from .ordgroup import LexValue, _frozen
 
@@ -42,33 +42,33 @@ def subdivide_at(T: MetricTree, points: list[TreePoint]):
     for p in points:
         T.check_point(p)
         if isinstance(p, EdgeInterior):
-            k = _ekey(p.u, p.v)
+            k = T._key(p.u, p.v)
             offs = per_edge.setdefault(k, [])
             if p.offset not in offs:
                 offs.append(p.offset)
     new_vertices = set(T.vertices)
-    new_edges = []
+    rows = _Rows.common([T], (off for offs in per_edge.values() for off in offs))
     cuts: dict[tuple, list[tuple[LexValue, object]]] = {}
-    for k, ln in T.edges.items():
+    for k, row in rows.of(T):
         offs = sorted(per_edge.get(k, []))
         if not offs:
-            new_edges.append((k[0], k[1], ln))
+            rows.append((k[0], k[1], row))
             continue
         chain = [(LexValue.zero(T.rank), k[0])]
         for i, off in enumerate(offs):
             vid = ("cut", k[0], k[1], i)
             new_vertices.add(vid)
             chain.append((off, vid))
-        chain.append((ln, k[1]))
+        chain.append((T.edge_length(*k), k[1]))
         cuts[k] = chain[1:-1]
         for (o1, a), (o2, b) in zip(chain, chain[1:]):
-            new_edges.append((a, b, o2 - o1))
-    T2 = MetricTree(new_vertices, new_edges, T.rank)
+            rows.add(a, b, o2 - o1)
+    T2 = MetricTree(new_vertices, rows, T.rank)
 
     def mapper(p: TreePoint) -> TreePoint:
         if isinstance(p, Vertex):
             return p
-        k = _ekey(p.u, p.v)
+        k = T._key(p.u, p.v)
         if k not in cuts:
             return p
         prev_off, prev_v = LexValue.zero(T.rank), k[0]
@@ -129,7 +129,8 @@ def glue_point(Y: MetricTree, attachments: list[tuple[MetricTree, object, object
     result."""
     base_map = {v: ("base", v) for v in Y.vertices}
     verts = set(base_map.values())
-    edges = [(base_map[u], base_map[v], ln) for (u, v), ln in Y.edges.items()]
+    rows = _Rows.common([Y] + [Yi for Yi, _x, _y in attachments])
+    rows.extend((base_map[u], base_map[v], row) for (u, v), row in rows.of(Y))
     att_maps = []
     for i, (Yi, xi, yi) in enumerate(attachments):
         if xi not in Y.vertices:
@@ -142,9 +143,9 @@ def glue_point(Y: MetricTree, attachments: list[tuple[MetricTree, object, object
             v: (base_map[xi] if v == yi else ("att", i, v)) for v in Yi.vertices
         }
         verts.update(m.values())
-        edges.extend((m[u], m[v], ln) for (u, v), ln in Yi.edges.items())
+        rows.extend((m[u], m[v], row) for (u, v), row in rows.of(Yi))
         att_maps.append(m)
-    return MetricTree(verts, edges, Y.rank), base_map, att_maps
+    return MetricTree(verts, rows, Y.rank), base_map, att_maps
 
 
 # subtree gluing along identified segments ---------------------------------------------
@@ -195,16 +196,17 @@ def glue_subtree(phi: SegmentIso):
         return tag1(glue_to_src[v]) if v in glue_to_src else ("Y2", v)
 
     verts = {tag1(v) for v in Y1s.vertices} | {tag2(v) for v in Y2s.vertices}
-    edges = [(tag1(u), tag1(v), ln) for (u, v), ln in Y1s.edges.items()]
-    for (u, v), ln in Y2s.edges.items():
+    rows = _Rows.common([Y1s, Y2s])
+    rows.extend((tag1(u), tag1(v), row) for (u, v), row in rows.of(Y1s))
+    for (u, v), row in rows.of(Y2s):
         tu, tv = tag2(u), tag2(v)
         if tu[0] == "Y1" and tv[0] == "Y1":
             # edge inside the identified segment: already present from Y1
-            if _ekey(tu[1], tv[1]) not in Y1s.edges:
+            if not Y1s.has_edge(tu[1], tv[1]):
                 raise GluingError("interface edge missing on the other side")
             continue
-        edges.append((tu, tv, ln))
-    glued = MetricTree(verts, edges, Y1.rank)
+        rows.append((tu, tv, row))
+    glued = MetricTree(verts, rows, Y1.rank)
 
     def map_src(p: TreePoint) -> TreePoint:
         q = map1(p)
@@ -474,7 +476,7 @@ def check_free_criterion(
 ) -> FreeCriterionReport:
     """Pass if vertex actions are attested free and every sampled glue class
     has finite diameter; Fail on a period-doubling composite translation or
-    a class that outgrows the window."""
+    a class that outgrows the window; Inconclusive with no sample point."""
     missing = [v for v in G.vertex_trees if v not in attestations]
     if missing:
         return FreeCriterionReport(
@@ -509,6 +511,8 @@ def check_free_criterion(
                             f"composite of gluings {i1} and {i2} translates by {delta!r}",
                             dict(attestations),
                         )
+    if not sample_points:  # no class sampled, so nothing may pass
+        return FreeCriterionReport("Inconclusive", "no sample point given", dict(attestations))
     for p in sample_points:
         cls = glue_equiv_class(G, p)
         if cls.inconclusive:

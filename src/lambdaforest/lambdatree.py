@@ -16,16 +16,12 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .ordgroup import LexValue, _frozen
+from .ordgroup import LexValue, _frozen, _ratio
 
 
 def _id_key(v):
     # deterministic order across heterogeneous id types
     return (type(v).__name__, repr(v))
-
-
-def _ekey(u, v) -> tuple:
-    return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
 
 
 class TreeError(ValueError):
@@ -39,21 +35,51 @@ def _json_rank(doc: dict) -> int:
     return rank
 
 
-def _scaled(values: list[LexValue]) -> tuple[int, list[list[int]]]:
-    """D, the lcm of every coordinate denominator, and each value times D
-    as a list of ints: sums and the lexicographic order are kept."""
-    D = math.lcm(*(c.denominator for v in values for c in v.coords))
-    return D, [[c.numerator * (D // c.denominator) for c in v.coords] for v in values]
+def _scaled(rows: list) -> tuple[int, Iterable[list[int]]]:
+    """D, the lcm of the denominators in rows of (numerator, denominator) pairs,
+    and each row in turn times D as ints: sums and the lexicographic order hold."""
+    D = math.lcm(*(d for row in rows for _, d in row))
+    return D, ([n * (D // d) for n, d in row] for row in rows)
 
 
-def _json_value(data, rank: int, what: str) -> LexValue:
-    """A JSON list of rationals as a LexValue of the given rank."""
+class _Rows(list):
+    """Edges (u, v, row), each row a length times D as ints: the form a tree
+    keeps its lengths in.  MetricTree takes one in place of a list of
+    (u, v, LexValue), so a parsed or glued tree is built without LexValues."""
+
+    def __init__(self, D: int, edges=()):
+        super().__init__(edges)
+        self.D = D
+
+    @staticmethod
+    def common(trees: list, values: Iterable[LexValue] = ()) -> "_Rows":
+        """No edges yet, over one D for all the trees and the given values."""
+        return _Rows(math.lcm(*(T._D for T in trees), *(c.denominator for x in values for c in x.coords)))
+
+    def add(self, u, v, length: LexValue):
+        """Edge (u, v) of a length whose denominators divide D."""
+        self.append((u, v, [c.numerator * (self.D // c.denominator) for c in length.coords]))
+
+    def of(self, T: "MetricTree"):
+        """T's ((u, v), row) pairs in input order, each row scaled to D."""
+        s = self.D // T._D
+        return T._rows.items() if s == 1 else [(k, [c * s for c in row]) for k, row in T._rows.items()]
+
+
+def _lex(row, D: int) -> LexValue:
+    """The value of an int row scaled by D."""
+    return LexValue._of(tuple([Fraction(c, D) for c in row]))
+
+
+def _json_row(data, rank: int, what: str, *names) -> list:
+    """A JSON list of `rank` rationals as (numerator, denominator) pairs."""
     if not isinstance(data, list):
-        raise ValueError(f"{what} must be a list of rationals, got {data!r}")
-    v = LexValue.from_json(data)
-    if v.rank != rank:
-        raise ValueError(f"{what} has rank {v.rank}, want {rank}")
-    return v
+        raise ValueError(f"{what.format(*names)} must be a list of rationals, got {data!r}")
+    row = [_ratio(c) for c in data]
+    if len(row) != rank:
+        raise ValueError(f"{what.format(*names)} has rank {len(row)}, want {rank}" if row
+                         else "rank must be positive")
+    return row
 
 
 class Vertex:
@@ -103,55 +129,86 @@ TreePoint = Vertex | EdgeInterior
 
 
 class MetricTree:
-    def __init__(self, vertices: Iterable, edges: Iterable[tuple], rank: int):
-        """edges: iterable of (u, v, length) with length a LexValue."""
+    def __init__(self, vertices: Iterable, edges: Iterable[tuple] | _Rows, rank: int):
+        """edges: iterable of (u, v, length) with length a LexValue, kept as
+        int rows (see _Rows).  Vertex ids are numbered in _id_key order, so
+        edge keys compare ints."""
         self.rank = rank
         self.vertices = frozenset(vertices)
         if not self.vertices:
             raise TreeError("tree must have at least one vertex")
-        self.edges: dict[tuple, LexValue] = {}
-        self.adj: dict[object, list] = {v: [] for v in self.vertices}
-        for u, v, ln in edges:
-            if u not in self.vertices or v not in self.vertices:
+        if isinstance(edges, _Rows):
+            D = edges.D
+        else:
+            edges = list(edges)
+            if not all(isinstance(ln, LexValue) for _u, _v, ln in edges):
+                raise TreeError("edge length must be a LexValue")
+            D, rows = _scaled([[_ratio(c) for c in ln.coords] for _u, _v, ln in edges])
+            edges = [(u, v, row) for (u, v, _), row in zip(edges, rows)]
+        ids = sorted(self.vertices, key=_id_key)
+        self._index = index = {v: i for i, v in enumerate(ids)}
+        self._D, self._rows = D, {}
+        self.adj = adj = {v: [] for v in ids}
+        rows, zero = self._rows, [0] * rank
+        for u, v, row in edges:
+            if u not in index or v not in index:
                 raise TreeError(f"edge endpoint not a vertex: {u!r}-{v!r}")
             if u == v:
                 raise TreeError("loop edge")
-            if not isinstance(ln, LexValue):
-                raise TreeError("edge length must be a LexValue")
-            if ln.rank != rank:
-                raise TreeError(f"edge length rank {ln.rank} != tree rank {rank}")
-            if not ln.is_positive():
-                raise TreeError(f"edge length must be positive, got {ln!r}")
-            k = _ekey(u, v)
-            if k in self.edges:
+            if len(row) != rank:
+                raise TreeError(f"edge length rank {len(row)} != tree rank {rank}")
+            if not row > zero:  # int lists compare lexicographically
+                raise TreeError(f"edge length must be positive, got {_lex(row, D)!r}")
+            k = (u, v) if index[u] < index[v] else (v, u)
+            if k in rows:
                 raise TreeError(f"duplicate edge {k!r}")
-            self.edges[k] = ln
-            self.adj[k[0]].append(k[1])
-            self.adj[k[1]].append(k[0])
-        if len(self.edges) != len(self.vertices) - 1:
+            rows[k] = row
+            adj[u].append(v)
+            adj[v].append(u)
+        if len(rows) != len(self.vertices) - 1:
             raise TreeError("not a tree: wrong edge count")
-        # rooting walk: parent and depth per vertex, in discovery order, so a
-        # parent always precedes its children; an unreached vertex means the
-        # graph is not connected
-        root = next(iter(self.vertices))
-        self.parent: dict[object, object] = {root: None}
-        self.depth: dict[object, int] = {root: 0}
-        stack = [root]
+        # rooting walk: parent, depth and r, the distance from the root times
+        # D, per vertex, in discovery order, so a parent always precedes its
+        # children; an unreached vertex means the graph is not connected
+        self.parent = parent = {ids[0]: None}
+        self.depth = depth = {ids[0]: 0}
+        self._r = r = {ids[0]: zero}
+        stack = [ids[0]]
         while stack:
             w = stack.pop()
-            for nb in self.adj[w]:
-                if nb not in self.parent:
-                    self.parent[nb] = w
-                    self.depth[nb] = self.depth[w] + 1
+            for nb in adj[w]:
+                if nb not in parent:
+                    parent[nb] = w
+                    depth[nb] = depth[w] + 1
+                    k = (w, nb) if index[w] < index[nb] else (nb, w)
+                    r[nb] = list(map(operator.add, r[w], rows[k]))
                     stack.append(nb)
         if len(self.parent) != len(self.vertices):
             raise TreeError("not connected")
-        self._root_dist: tuple | None = None
 
     # basic queries ----------------------------------------------------------
 
+    def _key(self, u, v) -> tuple:
+        """The key of edge {u, v}: its ends in _id_key order."""
+        i = self._index
+        try:
+            return (u, v) if i[u] < i[v] else (v, u)
+        except KeyError:  # not two vertices, so no edge
+            return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
+
+    def _length(self, k) -> LexValue:
+        return _lex(self._rows[k], self._D)
+
+    @property
+    def edges(self) -> dict:
+        """Each edge's length as a LexValue, keyed as _key orders its ends."""
+        return {k: self._length(k) for k in self._rows}
+
     def edge_length(self, u, v) -> LexValue:
-        return self.edges[_ekey(u, v)]
+        return self._length(self._key(u, v))
+
+    def has_edge(self, u, v) -> bool:
+        return self._key(u, v) in self._rows
 
     def _meet(self, u, v):
         """The vertex where the root paths of u and v join."""
@@ -165,20 +222,9 @@ class MetricTree:
         return u
 
     def vertex_distance(self, u, v) -> LexValue:
-        """r(u) + r(v) - 2 r(meet), with r the distance from the root.  The
-        first query sums r over the tree and keeps it, scaled by D, the lcm
-        of every coordinate denominator, so that the sums are over ints."""
-        if self._root_dist is None:
-            D, scaled = _scaled(list(self.edges.values()))
-            to_parent = {a if self.parent[a] == b else b: cs
-                         for (a, b), cs in zip(self.edges, scaled)}
-            r: dict[object, list] = {}
-            for w, p in self.parent.items():
-                r[w] = [0] * self.rank if p is None else list(map(operator.add, r[p], to_parent[w]))
-            self._root_dist = (D, r)
-        D, r = self._root_dist
-        m = r[self._meet(u, v)]
-        return LexValue._of(tuple(Fraction(a + b - 2 * c, D) for a, b, c in zip(r[u], r[v], m)))
+        """r(u) + r(v) - 2 r(meet), with r the distance from the root."""
+        r = self._r
+        return _lex([a + b - 2 * c for a, b, c in zip(r[u], r[v], r[self._meet(u, v)])], self._D)
 
     def vertex_path(self, u, v) -> list:
         m = self._meet(u, v)
@@ -191,7 +237,8 @@ class MetricTree:
 
     def point(self, u, v, offset: LexValue) -> TreePoint:
         """Point on edge {u, v} at given offset from u, canonicalized."""
-        ln = self.edge_length(u, v)
+        k = self._key(u, v)
+        ln = self._length(k)
         zero = LexValue.zero(self.rank)
         if offset == zero:
             return Vertex(u)
@@ -199,7 +246,7 @@ class MetricTree:
             return Vertex(v)
         if not (zero < offset < ln):
             raise TreeError(f"offset {offset!r} outside edge of length {ln!r}")
-        cu, cv = _ekey(u, v)
+        cu, cv = k
         return EdgeInterior(cu, cv, offset if cu == u else ln - offset)
 
     def check_point(self, x: TreePoint) -> None:
@@ -207,32 +254,33 @@ class MetricTree:
             if x.id not in self.vertices:
                 raise TreeError(f"vertex {x.id!r} not in tree")
         else:
-            if _ekey(x.u, x.v) not in self.edges:
+            k = self._key(x.u, x.v)
+            if k not in self._rows:
                 raise TreeError(f"edge {x.u!r}-{x.v!r} not in tree")
-            ln = self.edge_length(x.u, x.v)
-            zero = LexValue.zero(self.rank)
-            if not (zero < x.offset < ln):
+            if not (LexValue.zero(self.rank) < x.offset < self._length(k)):
                 raise TreeError(f"interior offset {x.offset!r} out of range")
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
             "vertices": sorted((str(v) for v in self.vertices)),
-            "edges": [
-                {"u": str(u), "v": str(v), "len": ln.to_json()}
-                for (u, v), ln in sorted(self.edges.items(), key=lambda kv: _id_key(kv[0]))
+            "edges": [  # keys are tuples, so repr alone sorts them in _id_key order
+                {"u": str(u), "v": str(v),
+                 "len": [str(c) if self._D == 1 else str(Fraction(c, self._D)) for c in row]}
+                for (u, v), row in sorted(self._rows.items(), key=lambda kv: repr(kv[0]))
             ],
         }
 
     @staticmethod
     def from_json(doc: dict) -> "MetricTree":
         rank = _json_rank(doc)
-        return MetricTree(
-            doc["vertices"],
-            [(e["u"], e["v"], _json_value(e["len"], rank, f"edge {e['u']}-{e['v']}"))
-             for e in doc["edges"]],
-            rank,
-        )
+        vertices = doc["vertices"]
+        if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
+            raise ValueError("vertices must be a list of distinct ids")
+        edges = [(e["u"], e["v"], _json_row(e["len"], rank, "edge {}-{}", e["u"], e["v"]))
+                 for e in doc["edges"]]
+        D, rows = _scaled([ln for _u, _v, ln in edges])
+        return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v, _), row in zip(edges, rows)]), rank)
 
 
 # geodesics -------------------------------------------------------------------
@@ -277,9 +325,9 @@ def _exit(T: MetricTree, x: TreePoint, y: TreePoint) -> tuple[object, LexValue]:
     return ex, x.offset if ex == x.u else T.edge_length(x.u, x.v) - x.offset
 
 
-def _same_edge(x: TreePoint, y: TreePoint) -> bool:
+def _same_edge(T: MetricTree, x: TreePoint, y: TreePoint) -> bool:
     return (isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
-            and _ekey(x.u, x.v) == _ekey(y.u, y.v))
+            and T._key(x.u, x.v) == T._key(y.u, y.v))
 
 
 def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
@@ -287,7 +335,7 @@ def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
     T.check_point(y)
     if x == y:
         return []
-    if _same_edge(x, y):
+    if _same_edge(T, x, y):
         return [Leg(x.u, x.v, x.offset, y.offset)]
     zero = LexValue.zero(T.rank)
     ex, entry = _exit(T, x, y)[0], _exit(T, y, x)[0]
@@ -296,8 +344,8 @@ def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
         legs.append(Leg(x.u, x.v, x.offset, zero if ex == x.u else T.edge_length(x.u, x.v)))
     path = T.vertex_path(ex, entry)
     for a, b in zip(path, path[1:]):
-        cu, cv = _ekey(a, b)
-        ln = T.edge_length(cu, cv)
+        cu, cv = k = T._key(a, b)
+        ln = T._length(k)
         legs.append(Leg(cu, cv, zero, ln) if a == cu else Leg(cu, cv, ln, zero))
     if isinstance(y, EdgeInterior):
         legs.append(Leg(y.u, y.v, zero if entry == y.u else T.edge_length(y.u, y.v), y.offset))
@@ -307,7 +355,9 @@ def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
 def distance(T: MetricTree, x: TreePoint, y: TreePoint) -> LexValue:
     T.check_point(x)
     T.check_point(y)
-    if _same_edge(x, y):
+    if isinstance(x, Vertex) and isinstance(y, Vertex):  # no offsets to add
+        return T.vertex_distance(x.id, y.id)
+    if _same_edge(T, x, y):
         return abs(x.offset - y.offset)
     ex, dx = _exit(T, x, y)
     entry, dy = _exit(T, y, x)
@@ -350,10 +400,23 @@ def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint
 
 
 class FiniteLambdaMetric:
-    def __init__(self, labels: list, dist: list[list[LexValue]], rank: int):
-        self.labels = labels
-        self.dist = dist
-        self.rank = rank
+    def __init__(self, labels: list, dist: list[list], rank: int):
+        """dist: rows of LexValues of the given rank."""
+        if any(d.rank != rank for row in dist for d in row):
+            raise TreeError(f"every distance must have rank {rank}")
+        D, flat = _scaled([[_ratio(c) for c in d.coords] for row in dist for d in row])
+        self.labels, self.rank, self._D, self._rows = labels, rank, D, [[next(flat) for _ in row] for row in dist]
+
+    @staticmethod
+    def _from_rows(labels: list, rows: list[list], rank: int, D: int) -> "FiniteLambdaMetric":
+        """rows: each distance times D as `rank` ints, the form the validator reads."""
+        M = object.__new__(FiniteLambdaMetric)
+        M.labels, M.rank, M._D, M._rows = labels, rank, D, rows
+        return M
+
+    @property
+    def dist(self) -> list[list[LexValue]]:
+        return [[_lex(d, self._D) for d in row] for row in self._rows]
 
     @staticmethod
     def from_tree(T: MetricTree, points: Optional[list[TreePoint]] = None, labels=None) -> "FiniteLambdaMetric":
@@ -381,12 +444,9 @@ class FiniteLambdaMetric:
         if not (isinstance(rows, list) and len(rows) == m
                 and all(isinstance(row, list) and len(row) == m for row in rows)):
             raise ValueError(f"dist must be {m} rows of {m} entries")
-        return FiniteLambdaMetric(
-            labels,
-            [[_json_value(d, rank, f"dist[{i}][{j}]") for j, d in enumerate(row)]
-             for i, row in enumerate(rows)],
-            rank,
-        )
+        D, flat = _scaled([_json_row(d, rank, "dist[{}][{}]", i, j)
+                           for i, row in enumerate(rows) for j, d in enumerate(row)])
+        return FiniteLambdaMetric._from_rows(labels, [[next(flat) for _ in row] for row in rows], rank, D)
 
 
 class ValidationResult:
@@ -404,53 +464,39 @@ class ValidationResult:
 MAX_VALIDATION_POINTS = 32
 
 
-def _packed_table(d: list[list[LexValue]]) -> list[list[int]]:
-    """Each off-diagonal entry of a symmetric table as one int with the same
-    order on the sums the four-point scans compare (the diagonal packs to 0).
-
-    Scaling by D, the lcm of every coordinate denominator, makes the values
-    integer vectors and keeps sums and the lexicographic order.  A scaled
-    vector c packs to P(c) = c_0 K^(n-1) + ... + c_(n-1) with K = 4B + 1,
-    where B bounds every |c_i|.  P is additive, so P(x) - P(y) = P(x - y).
-    The scans compare single values and sums of two, whose coordinates are
-    at most 2B in absolute value, so z = x - y has |z_i| <= 4B = K - 1.  If
-    z_t is its first nonzero coordinate, the later terms of P(z) add up to
-    at most (K - 1)(K^(n-2-t) + ... + 1) = K^(n-1-t) - 1 in absolute value,
-    less than |z_t| K^(n-1-t); so P(z) has the sign of z_t, and comparing
-    packed ints is comparing the values lexicographically."""
-    m = len(d)
-    pairs = list(itertools.combinations(range(m), 2))
-    scaled = _scaled([d[i][j] for i, j in pairs])[1]
-    K = 4 * max((abs(c) for cs in scaled for c in cs), default=0) + 1
-    p = [[0] * m for _ in range(m)]
-    for (i, j), cs in zip(pairs, scaled):
-        v = 0
-        for c in cs:
-            v = v * K + c
-        p[i][j] = p[j][i] = v
-    return p
-
-
 def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     """Metric axioms, then the triangle inequality on every triple and the
     four-point 0-hyperbolicity inequality on every quadruple (exhaustive,
-    over integer-packed distances; point count capped)."""
+    over integer-packed distances; point count capped).
+
+    The table holds each distance times D, the lcm of every coordinate
+    denominator, as integer vectors, which keeps sums and the lexicographic
+    order.  A vector c packs to P(c) = c_0 K^(n-1) + ... + c_(n-1) with
+    K = 4B + 1, where B bounds every |c_i|.  P is additive, so
+    P(x) - P(y) = P(x - y).  The scans compare single values and sums of
+    two, whose coordinates are at most 2B in absolute value, so z = x - y
+    has |z_i| <= 4B = K - 1.  If z_t is its first nonzero coordinate, the
+    later terms of P(z) add up to at most (K - 1)(K^(n-2-t) + ... + 1) =
+    K^(n-1-t) - 1 in absolute value, less than |z_t| K^(n-1-t); so P(z) has
+    the sign of z_t, and comparing packed ints is comparing the values
+    lexicographically."""
     m = len(M.labels)
     if m == 0:
         raise TreeError("metric has no points: nothing to validate")
     if m > MAX_VALIDATION_POINTS:
         raise TreeError(f"validator capped at {MAX_VALIDATION_POINTS} points, got {m}")
-    zero = LexValue.zero(M.rank)
-    d = M.dist
+    d, zero = M._rows, [0] * M.rank
     for i in range(m):
-        if not d[i][i].is_zero():
+        if d[i][i] != zero:
             return ValidationResult(False, "nonzero-diagonal", (M.labels[i],))
         for j in range(m):
             if d[i][j] != d[j][i]:
                 return ValidationResult(False, "asymmetry", (M.labels[i], M.labels[j]))
-            if i != j and not d[i][j] > zero:
+            if i != j and not d[i][j] > zero:  # int lists compare lexicographically
                 return ValidationResult(False, "non-separation", (M.labels[i], M.labels[j]))
-    p = _packed_table(d)
+    K = 4 * max(abs(c) for row in d for cs in row for c in cs) + 1
+    powers = [K ** t for t in range(M.rank - 1, -1, -1)]
+    p = [[sum(map(operator.mul, cs, powers)) for cs in row] for row in d]
     for i, j, k in itertools.combinations(range(m), 3):
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             if p[a][c] > p[a][b] + p[b][c]:
@@ -482,8 +528,8 @@ class SubtreeSpec:
         verts = set(vertices)
         ivals: dict[tuple, tuple[LexValue, LexValue]] = {}
         for (u, v), (lo, hi) in (intervals or {}).items():
-            k = _ekey(u, v)
-            ln = T.edges[k]
+            k = T._key(u, v)
+            ln = T._length(k)
             if (u, v) != k:
                 lo, hi = ln - hi, ln - lo
             zero = LexValue.zero(T.rank)
@@ -495,9 +541,9 @@ class SubtreeSpec:
             if hi == ln:
                 verts.add(k[1])
         # a fully contained edge is an interval over its whole length
-        for (u, v), ln in T.edges.items():
+        for u, v in T._rows:
             if u in verts and v in verts and (u, v) not in ivals:
-                ivals[(u, v)] = (LexValue.zero(T.rank), ln)
+                ivals[(u, v)] = (LexValue.zero(T.rank), T._length((u, v)))
         for v in verts:
             if v not in T.vertices:
                 raise TreeError(f"subtree vertex {v!r} not in tree")
@@ -509,7 +555,7 @@ class SubtreeSpec:
     def contains(self, x: TreePoint) -> bool:
         if isinstance(x, Vertex):
             return x.id in self.vertices
-        k = _ekey(x.u, x.v)
+        k = self.tree._key(x.u, x.v)
         if k not in self.intervals:
             return False
         lo, hi = self.intervals[k]
@@ -593,10 +639,10 @@ def intersect_specs(Y1: SubtreeSpec, Y2: SubtreeSpec) -> SpecIntersection:
     for p in sorted(pts, key=repr):
         absorbed = False
         for (u, v), (lo, hi) in ivals.items():
-            if isinstance(p, EdgeInterior) and _ekey(p.u, p.v) == (u, v) and lo <= p.offset <= hi:
+            if isinstance(p, EdgeInterior) and T._key(p.u, p.v) == (u, v) and lo <= p.offset <= hi:
                 absorbed = True
             if isinstance(p, Vertex) and (
-                (p.id == u and lo.is_zero()) or (p.id == v and hi == T.edges[(u, v)])
+                (p.id == u and lo.is_zero()) or (p.id == v and hi == T._length((u, v)))
             ):
                 absorbed = True
         if not absorbed:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lambdaforest import presets
-from lambdaforest.cli import main
+from lambdaforest.cli import _digest, main
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
 from lambdaforest.ordgroup import LexValue
 
@@ -286,6 +286,34 @@ def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
     assert out == "" and err.startswith("malformed input: ") and message in err
 
 
+def _two_vertex_tree(**edits):
+    doc = {"schema": SCHEMA, "rank": 1, "vertices": ["a", "b"],
+           "edges": [{"u": "a", "v": "b", "len": ["1"]}]}
+    doc.update(edits)
+    return doc
+
+
+# each of these once read as the tree a - b and printed "distance: (1)"
+@pytest.mark.parametrize("doc, message", [
+    (_two_vertex_tree(vertices="ab"), "vertices must be a list of distinct ids"),
+    (_two_vertex_tree(vertices=["a", "a", "b"]), "vertices must be a list of distinct ids"),
+    (_two_vertex_tree(edges=[{"u": "a", "v": "b", "len": [True]}]),
+     "cannot coerce True to a rational"),
+], ids=["string-vertices", "duplicate-vertex", "bool-length"])
+def test_malformed_tree_document_is_refused(tmp_path, capsys, doc, message):
+    argv = ["tree", "distance", "--input", write(tmp_path, "t.json", doc), "--x", "a", "--y", "b"]
+    assert main(argv) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: {message}\n"
+
+
+@pytest.mark.parametrize("doc", [{}, {"b": [1, "2/3"], "a": {"x": None}}, presets.emit("tripod"),
+                                 {"s": "\u00e9\\\"", "n": -10**30}])
+def test_digest_is_the_sha256_prefix(doc):
+    want = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    assert _digest(doc) == want
+
+
 def _tripod_with_length(length):
     doc = presets.emit("tripod")
     doc["edges"][0]["len"] = length
@@ -383,6 +411,18 @@ def test_glue_check_free_inconclusive(tmp_path, chain_goa_file):
     del doc["attestations"]["B"]
     path = write(tmp_path, "goa2.json", doc)
     assert main(["glue", "check-free", "--input", path]) == 3
+
+
+def test_glue_check_free_without_samples_is_inconclusive(tmp_path, capsys):
+    # no glue class sampled: the period-doubling scan alone may not pass
+    tree = {"rank": 1, "vertices": ["A"], "edges": []}
+    doc = {"schema": SCHEMA, "vertex_trees": {"A": tree}, "edges": [],
+           "attestations": {"A": "free"}, "samples": []}
+    report = tmp_path / "r.json"
+    assert main(["glue", "check-free", "--input", write(tmp_path, "one.json", doc),
+                 "--json", str(report)]) == 3
+    assert capsys.readouterr().out == "free criterion: Inconclusive (no sample point given)\n"
+    assert json.loads(report.read_text())["status"] == "inconclusive"
 
 
 def test_glue_subtree(tmp_path, capsys):

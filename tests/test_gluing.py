@@ -45,6 +45,24 @@ def test_subdivide_at_transports_points():
     assert distance(T2, Vertex("a"), Vertex("b")) == L(2)
 
 
+def test_subdivide_at_offsets_with_new_denominators():
+    """The cut lengths have denominators (7, 9) that no edge of T has, so the
+    subdivided tree is kept over a larger common denominator."""
+    T = MetricTree(["a", "b", "c"], [("a", "b", L(2, "1/2")), ("c", "b", L(1, 0))], 2)
+    cuts = [T.point("a", "b", L("1/7", 3)), T.point("a", "b", L("1/7", "-2/9")),
+            T.point("b", "c", L("1/3", 5))]
+    T2, mapper = subdivide_at(T, cuts)
+    assert len(T2.vertices) == 6
+    assert sorted(T2.edges.values()) == sorted([
+        L("1/7", "-2/9"), L(0, "29/9"), L("13/7", -3 + Fraction(1, 2)),
+        L("2/3", -5), L("1/3", 5)])
+    for p in cuts:
+        assert isinstance(mapper(p), Vertex)
+    for x in (Vertex("a"), Vertex("c"), *cuts):
+        for y in (Vertex("a"), Vertex("c"), *cuts):
+            assert distance(T2, mapper(x), mapper(y)) == distance(T, x, y)
+
+
 # segment isometries --------------------------------------------------------------
 
 

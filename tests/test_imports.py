@@ -1,9 +1,13 @@
 """Each command loads exactly the library modules it runs and the handler
 module of its own family, importing the package loads none, and no command
 loads `dataclasses` (or the `inspect` it imports), whose import alone costs a
-short job about 10 ms.  Every case runs in a fresh interpreter, because the
-test process has imported the whole library already."""
+short job about 10 ms, nor `_hashlib`, which loads OpenSSL for the input
+digest, about 2 ms.  Every case runs in a fresh interpreter, because the
+test process has imported the whole library already.  Without bytecode
+caches every job compiles the source it loads, so the lines each command
+family loads are held to their figure here."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,14 +20,18 @@ from lambdaforest import presets
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # run main on argv, then print its exit code, the loaded lambdaforest modules
-# and which of dataclasses and inspect are loaded
+# and which of dataclasses, inspect and _hashlib are loaded
 RUN_MAIN = """
 import json, sys
 from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
-print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect", "_hashlib")
+                             if m in sys.modules]]))
 """
+# the digest takes sha256 from hashlib, and so loads _hashlib, only where the
+# interpreter has neither built-in module: _sha2 (3.12 on) or _sha256
+BUILTIN_SHA = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
 def _env():
@@ -130,9 +138,34 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
     argv, rc, expected = CASES[case]
     got_rc, loaded, stdlib = fresh(RUN_MAIN, *_paths(tmp_path, argv))
     assert got_rc == rc
-    assert stdlib == []
+    assert stdlib == ([] if BUILTIN_SHA else ["_hashlib"])
     assert set(loaded) == expected
     assert len(HANDLERS & set(loaded)) <= 1  # never another family's handler module
+
+
+# lines of lambdaforest source (package __init__ included) that the commands of
+# each family load between them, at the change that parsed trees to int rows
+FAMILY_LINES = {"tree": 2655, "bt": 1919, "gog": 1387, "marked": 1075, "preset": 482}
+TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
+
+
+def test_compiled_source_per_family_stays_put():
+    """A family may grow by 20 lines; beyond that, move code out of what its
+    commands load, or raise the figure with the reason in CHANGES.md."""
+    loaded = {}
+    for argv, _rc, modules in CASES.values():
+        family = "tree" if argv[0] in TREE_COMMANDS else argv[0]
+        loaded.setdefault(family, {"__init__"}).update(modules)
+    pkg = os.path.join(ROOT, "src", "lambdaforest")
+    lines = {}
+    for family, modules in loaded.items():
+        lines[family] = 0
+        for m in modules:
+            with open(os.path.join(pkg, m + ".py"), encoding="utf-8") as fh:
+                lines[family] += len(fh.readlines())
+    assert lines.keys() == FAMILY_LINES.keys()
+    for family, n in lines.items():
+        assert n <= FAMILY_LINES[family] + 20, (family, n, FAMILY_LINES[family])
 
 
 def test_module_entry_point_reports_malformed_input(tmp_path):

@@ -22,9 +22,8 @@ from lambdaforest.lambdatree import (
     point_at,
     project_to_closed_subtree,
     validate_tree_metric,
-    _ekey,
 )
-from lambdaforest.ordgroup import LexValue, project_top
+from lambdaforest.ordgroup import LexValue, _rat, _ratio, project_top
 
 from conftest import L, random_tree
 
@@ -199,6 +198,8 @@ def test_validator_rejects_degenerate_tables():
     assert not res.ok and res.kind == "asymmetry"
     res = validate_tree_metric(FiniteLambdaMetric(["a"], [[L(1)]], 1))
     assert not res.ok and res.kind == "nonzero-diagonal"
+    with pytest.raises(TreeError):  # a rank-2 distance in a rank-1 table
+        FiniteLambdaMetric(["a", "b"], [[zero, L(1, 0)], [L(1, 0), zero]], 1)
     # no points means nothing was checked, so the verdict cannot be a pass
     with pytest.raises(TreeError):
         validate_tree_metric(FiniteLambdaMetric([], [], 1))
@@ -411,7 +412,7 @@ def search_legs(T: MetricTree, x, y) -> list[Leg]:
     if x == y:
         return []
     if (isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
-            and _ekey(x.u, x.v) == _ekey(y.u, y.v)):
+            and T._key(x.u, x.v) == T._key(y.u, y.v)):
         return [Leg(x.u, x.v, x.offset, y.offset)]
     legs = []
     if isinstance(x, EdgeInterior):
@@ -432,7 +433,7 @@ def search_legs(T: MetricTree, x, y) -> list[Leg]:
         entry = search_exit(T, y, start) if isinstance(y, EdgeInterior) else y.id
     path = search_path(T, start, entry)
     for a, b in zip(path, path[1:]):
-        cu, cv = _ekey(a, b)
+        cu, cv = T._key(a, b)
         ln = T.edge_length(cu, cv)
         legs.append(Leg(cu, cv, zero, ln) if a == cu else Leg(cu, cv, ln, zero))
     if isinstance(y, EdgeInterior):
@@ -626,3 +627,208 @@ def test_metric_json_roundtrip(tripod):
     table = FiniteLambdaMetric.from_tree(tripod)
     back = FiniteLambdaMetric.from_json(table.to_json())
     assert validate_tree_metric(back).ok
+
+
+# the int-row build against LexValues ------------------------------------------------
+#
+# from_json reads every coordinate to ints under one denominator per tree or
+# table.  The reference below knows nothing of that: it builds each value
+# through the public LexValue constructor and sums, orders and prints
+# LexValues, on mixed and huge denominators, huge coordinates and vertex ids
+# of mixed type (ints and strings whose repr order is not their own order).
+
+
+def id_key(v):
+    return (type(v).__name__, repr(v))
+
+
+def ordered(u, v):
+    return (u, v) if id_key(u) <= id_key(v) else (v, u)
+
+
+def spellings(q: Fraction):
+    """Strings and JSON ints that read as q, strict and not."""
+    out = [str(q), f"{q.numerator * 3}/{q.denominator * 3}", f" {q} ", f"+{q}" if q >= 0 else str(q)]
+    if q.denominator == 1:
+        out += [q.numerator, f"{q.numerator}.0", f"{q.numerator}e0"]
+    return st.sampled_from(out)
+
+
+mixed_coords = st.one_of(
+    rationals(-6, 6, 4),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.sampled_from([1, 3, 10**20 + 39])),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 10**25)),
+)
+vertex_ids = st.one_of(st.integers(-10**12, 10**12), st.text("ab'\"\\ !", max_size=3))
+
+
+@st.composite
+def tree_docs(draw):
+    """A JSON tree with mixed spellings, and its vertices, rank and edges
+    with LexValue lengths, in input order and input orientation."""
+    rank = draw(st.integers(1, 3))
+    verts = draw(st.lists(vertex_ids, min_size=1, max_size=9, unique=True))
+    edges = []
+    for i in range(1, len(verts)):
+        coords = draw(st.lists(mixed_coords, min_size=rank, max_size=rank))
+        ln = _positive(LexValue(coords))
+        pair = (verts[i], verts[draw(st.integers(0, i - 1))])
+        u, v = pair if draw(st.booleans()) else pair[::-1]
+        edges.append((u, v, ln))
+    edges = draw(st.permutations(edges))
+    doc = {"rank": rank, "vertices": list(verts),
+           "edges": [{"u": u, "v": v, "len": [draw(spellings(c)) for c in ln.coords]}
+                     for u, v, ln in edges]}
+    return doc, verts, rank, edges
+
+
+def reference_points(verts, edges, rank):
+    """Vertices and a few interior points as (u, v, offset from u, length)."""
+    pts = list(verts)
+    for u, v, ln in edges[:4]:
+        pts.append((u, v, ln.scale(Fraction(1, 3)), ln))
+    return pts
+
+
+def reference_distance(dists, x, y, rank):
+    zero = LexValue.zero(rank)
+
+    def ends(p):
+        if isinstance(p, tuple):
+            u, v, off, ln = p
+            return [(u, off), (v, ln - off)]
+        return [(p, zero)]
+
+    if isinstance(x, tuple) and isinstance(y, tuple) and {x[0], x[1]} == {y[0], y[1]}:
+        off = y[2] if y[0] == x[0] else y[3] - y[2]
+        return abs(x[2] - off)
+    return min(da + dists[a][b] + db for a, da in ends(x) for b, db in ends(y))
+
+
+def as_point(T, p):
+    return T.point(p[0], p[1], p[2]) if isinstance(p, tuple) else Vertex(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_docs())
+def test_int_tree_matches_lexvalue_reference(case):
+    doc, verts, rank, edges = case
+    T = MetricTree.from_json(doc)
+    S = MetricTree(verts, edges, rank)  # the public constructor
+    want = {ordered(u, v): ln for u, v, ln in edges}
+    for tree in (T, S):
+        assert list(tree.edges.items()) == list(want.items())  # input order
+        for u, v, ln in edges:
+            assert tree.edge_length(u, v) == ln == tree.edge_length(v, u)
+        assert tree.to_json() == {
+            "rank": rank, "vertices": sorted(str(v) for v in verts),
+            "edges": [{"u": str(u), "v": str(v), "len": [str(c) for c in ln.coords]}
+                      for (u, v), ln in sorted(want.items(), key=lambda kv: id_key(kv[0]))]}
+    nbrs = {v: [] for v in verts}
+    for u, v, ln in edges:
+        nbrs[u].append((v, ln))
+        nbrs[v].append((u, ln))
+    dists = {}
+    for s in verts:
+        dists[s] = {s: LexValue.zero(rank)}
+        stack = [s]
+        while stack:
+            w = stack.pop()
+            for nb, ln in nbrs[w]:
+                if nb not in dists[s]:
+                    dists[s][nb] = dists[s][w] + ln
+                    stack.append(nb)
+    for a in verts:
+        for b in verts:
+            assert T.vertex_distance(a, b) == dists[a][b] == S.vertex_distance(a, b)
+    pts = reference_points(verts, edges, rank)
+    for x in pts:
+        for y in pts:
+            want_d = reference_distance(dists, x, y, rank)
+            assert distance(T, as_point(T, x), as_point(T, y)) == want_d
+            assert distance(S, as_point(S, x), as_point(S, y)) == want_d
+
+
+class RefTable:
+    """A LexValue table as exhaustive_scan reads it, built without the
+    int rows of FiniteLambdaMetric."""
+
+    def __init__(self, labels, dist, rank):
+        self.labels, self.dist, self.rank = labels, dist, rank
+
+
+@st.composite
+def table_docs(draw):
+    rank = draw(st.integers(1, 3))
+    values = st.lists(mixed_coords, min_size=rank, max_size=rank).map(LexValue)
+    changes = st.one_of(st.just(LexValue.zero(rank)), small_values(rank), values)
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(vertex_ids, min_size=n, max_size=n, unique=True))
+    edges = [(labels[i], labels[draw(st.integers(0, i - 1))], _positive(draw(values)))
+             for i in range(1, n)]
+    T = MetricTree(labels, edges, rank)
+    d = [[distance(T, Vertex(a), Vertex(b)) for b in labels] for a in labels]
+    mode = draw(st.sampled_from(["none", "entry", "pair", "shift"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if mode == "entry":
+        d[i][j] = draw(changes)
+    elif mode in ("pair", "shift") and i != j:
+        v = draw(changes)
+        d[i][j] = d[j][i] = v if mode == "pair" else d[i][j] + v
+    doc = {"rank": rank, "labels": labels,
+           "dist": [[[draw(spellings(c)) for c in e.coords] for e in row] for row in d]}
+    return doc, RefTable(labels, d, rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_docs())
+def test_int_table_matches_lexvalue_reference(case):
+    doc, ref = case
+    want = exhaustive_scan(ref)
+    for M in (FiniteLambdaMetric.from_json(doc), FiniteLambdaMetric(ref.labels, ref.dist, ref.rank)):
+        assert M.dist == ref.dist
+        got = validate_tree_metric(M)
+        assert (got.ok, got.kind, got.witness) == (want.ok, want.kind, want.witness)
+
+
+def reference_rat(x):
+    """The coercion before strict strings took the int path: Fraction for
+    every string, a ValueError for a zero denominator."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
+def outcome(f, x):
+    try:
+        q = f(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(q), q
+
+
+NON_STRICT = [" 3", "+3", "1.5", "1e2", "1_0", "1/0", "-0", "3/-4", "1/", "/2", "--1", "",
+              "0/0", "-7/00", "٣/٤", "1" * 4301, "1/" + "2" * 4301, 3, -10**40, 0,
+              1.5, True, False, None, [1]]
+
+
+@pytest.mark.parametrize("x", NON_STRICT, ids=[repr(x)[:12] for x in NON_STRICT])
+def test_rat_spellings_match_fraction(x):
+    want = outcome(reference_rat, x)
+    assert outcome(_rat, x) == want
+    if want[0] is Fraction:
+        assert Fraction(*_ratio(x)) == want[1]
+    else:
+        assert outcome(_ratio, x) == want
+
+
+@given(st.text("-+/0123456789._e ", max_size=8))
+def test_rat_matches_fraction_on_any_spelling(s):
+    assert outcome(_rat, s) == outcome(reference_rat, s)

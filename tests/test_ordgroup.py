@@ -66,7 +66,7 @@ def test_project_top():
 
 def test_json_roundtrip():
     v = LexValue([Fraction(3, 7), -2])
-    assert LexValue.from_json(v.to_json()) == v
+    assert LexValue(v.to_json()) == v
     assert v.to_json() == ["3/7", "-2"]
 
 
