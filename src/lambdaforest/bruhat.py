@@ -282,6 +282,25 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# the strong probable-prime test to these bases decides primality exactly
+# below PRIME_BOUND, the least composite that passes it (OEIS A014233)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        xs = [pow(a, d << i, n) for i in range(s)]
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
+
+
 class RatFunc:
     """Element of Q(t): coprime numerator/denominator polynomial pair with
     monic denominator; Laurent input is normalized by shifting."""
@@ -527,20 +546,21 @@ def _rotations(core: Word, inverse: dict) -> list[Word]:
     """Every rotation of a word and of its inverse, which is spelled with
     the letter objects of `inverse`, a map letter -> inverse letter."""
     inv = tuple(map(inverse.__getitem__, reversed(core)))
-    return [w[i:] + w[:i] for w in (core, inv) for i in range(len(w))]
+    n = len(core)
+    return [d[i:i + n] for d in (core * 2, inv * 2) for i in range(n)]
 
 
 class _ConjugacyClass:
     """A conjugacy class up to inversion: `word`, its least member among the
     rotations of the cyclic core and of its inverse, is the one evaluated;
-    `trivial` and `value` (v(Tr), length) are filled in on first use."""
+    `trace` (D^|word| Tr word), `trivial` and `value` (v(Tr), length) are
+    filled in on first use."""
 
-    __slots__ = ("word", "trivial", "value")
+    __slots__ = ("word", "trace", "trivial", "value")
 
     def __init__(self, word: Word):
         self.word = word
-        self.trivial = None
-        self.value = None
+        self.trace = self.trivial = self.value = None
 
 
 class MatrixLengthOracle:
@@ -558,9 +578,12 @@ class MatrixLengthOracle:
     Triviality and the trace (so the valuation and the length) are class
     functions, and w and w^-1 have the same trace in SL2, so both are
     computed once per conjugacy class up to inversion, on one representative
-    (Lyndon & Schupp, I.2).  A word is looked up by its cyclic core, under
-    which every rotation of each evaluated core and of its inverse is
-    registered."""
+    (Lyndon & Schupp, I.2), so `certify_free_on_ball` may evaluate one word
+    per class.  A word is looked up by its cyclic core.  A class is filed
+    under its representative and the first core met; when a second core
+    is met, under every rotation of the core and of its inverse."""
+
+    class_function = True
 
     def __init__(self, generators: dict[str, Mat2]):
         if not generators:
@@ -595,7 +618,7 @@ class MatrixLengthOracle:
             self._inverse[(label, -1)] = (label, 1)
         self.trace_valuations: set[tuple] = set()
         self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
-        self._classes: dict[Word, _ConjugacyClass] = {}  # each rotation of a core or its inverse
+        self._classes: dict[Word, _ConjugacyClass] = {}  # by least rotation and cores met
         self._values: dict = {}  # int valuation (None for a zero trace) -> (v(Tr), length)
         self._last: tuple = (None, None)  # the last word looked up, and its class
 
@@ -636,17 +659,34 @@ class MatrixLengthOracle:
                 if letter not in self._letters:
                     raise FieldError(f"unknown generator label {letter[0]!r}")
             rotations = _rotations(core, self._inverse) or [core]  # () is a class of its own
-            cls = _ConjugacyClass(min(rotations))
-            self._classes.update(dict.fromkeys(rotations, cls))
+            word = min(rotations)
+            cls = self._classes.get(word)
+            if cls is None:
+                cls = self._classes[word] = _ConjugacyClass(word)
+            else:
+                self._classes.update(dict.fromkeys(rotations, cls))
+            self._classes[core] = cls
         self._last = (w, cls)
         return cls
+
+    def _trace(self, cls: _ConjugacyClass):
+        """D^|w| Tr w for the class word w.  Unless the product of w is
+        cached, only the diagonal of its last factor is formed."""
+        if cls.trace is None:
+            m = self._cache.get(cls.word)
+            if m is not None:
+                cls.trace = m.trace()
+            else:
+                p, g = self.product(cls.word[:-1]), self._letters[cls.word[-1]]
+                cls.trace = p.a * g.a + p.b * g.c + p.c * g.b + p.d * g.d
+        return cls.trace
 
     def _value(self, w: Word) -> tuple:
         """(v(Tr w), l(w)); v is INFINITY when the trace is 0.  One LexValue
         pair is built per distinct valuation."""
         cls = self._class(w)
         if cls.value is None:
-            tr = self.product(cls.word).trace()
+            tr = self._trace(cls)
             if self._p is not None:
                 n = None if tr == 0 else _vp(tr, self._p) - len(cls.word) * self._vp_scale
             else:
@@ -669,8 +709,10 @@ class MatrixLengthOracle:
 
     def is_trivial(self, w: Word) -> bool:
         cls = self._class(w)
-        if cls.trivial is None:
-            cls.trivial = self.product(cls.word) == self._scalar(self.scale ** len(cls.word))
+        if cls.trivial is None:  # a trivial word has trace 2
+            one = self.scale ** len(cls.word)
+            cls.trivial = (self._trace(cls) == self._ring({self._unit: 2 * one})
+                           and self.product(cls.word) == self._scalar(one))
         return cls.trivial
 
 
@@ -764,8 +806,11 @@ def parse_entry(data, field: str, p: Optional[int] = None):
 def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
     field = doc["field"]
     p = doc.get("p")
-    if field == "Qp" and not p:
-        raise FieldError("Qp context needs a prime p")
+    if field == "Qp":
+        if type(p) is int and p >= PRIME_BOUND:
+            raise FieldError(f"p = {p} is too large: primality is decided below {PRIME_BOUND}")
+        if type(p) is not int or not _is_prime(p):
+            raise FieldError(f"Qp context needs a prime p, got {p!r}")
     if not isinstance(doc["generators"], dict):
         raise FieldError("generators must be an object of label -> matrix")
     gens = {}

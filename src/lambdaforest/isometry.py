@@ -217,6 +217,51 @@ class CertificationAborted(RuntimeError):
         super().__init__(f"oracle inconclusive on {word_str(word)}: {reason}")
 
 
+def _classes(labels: list[str], max_len: int):
+    """The first word that the walk of `certify_free_on_ball` evaluates in
+    each conjugacy class, up to inversion, of cyclic length 1..max_len in
+    the free group on `labels`, in the walk's order.
+
+    Letter i is (labels[i // 2], 1) for even i; i ^ 1 is its inverse.  The
+    walk skips a cyclically reduced word whose last letter is at most the
+    inverse of its first, so it meets a class at its least rotation over
+    both orientations, N, led by the least letter c of the class, unless N
+    is c^m, which it skips for (c + 1)^m.  The N are the necklaces with no
+    letter beside its inverse, across the wrap too: the FKM prenecklace
+    tree pruned at inverse pairs (Ruskey & Sawada, COCOON 2000)."""
+    k = 2 * len(labels)
+    found: list[list[bytes]] = [[] for _ in range(max_len + 1)]
+    a = [0] * (max_len + 1)  # a[1..t] is a prenecklace of period p
+
+    def grow(t: int, p: int):
+        if t % p == 0 and a[t] != a[1] ^ 1:
+            found[t].append(bytes(a[1:t + 1]))
+        if t < max_len:
+            for j in range(a[t + 1 - p], k):
+                if j != a[t] ^ 1:
+                    a[t + 1] = j
+                    grow(t + 1, p if j == a[t + 1 - p] else t + 1)
+
+    for c in range(0, k if max_len > 0 else 0, 2):  # an odd letter never leads an N
+        a[1] = c
+        grow(1, 1)
+    swap = bytes(i ^ 1 for i in range(256))
+    letters = [(label, e) for label in labels for e in (1, -1)]
+    for m, necklaces in enumerate(found):
+        words = []
+        for s in necklaces:
+            c = s[0]
+            if c + 1 in s:  # N may be a rotation of the other orientation
+                d = s[::-1].translate(swap) * 2
+                if any(d[i:i + m] < s for i in range(m) if d[i] == c):
+                    continue
+            elif s.count(c) == m:
+                s = bytes([c + 1]) * m
+            words.append(s)
+        for s in sorted(words):  # (c + 1)^m after the rest led by c
+            yield tuple(map(letters.__getitem__, s))
+
+
 def certify_free_on_ball(
     length_oracle: Callable[[Word], LexValue | Inconclusive],
     triviality_oracle: Callable[[Word], bool],
@@ -227,14 +272,40 @@ def certify_free_on_ball(
     either a relation (trivial per oracle) or has positive translation
     length.  A nontrivial word with zero length is a counterexample.
 
-    Inverse pruning: l(w) = l(w^-1), so only the length-lex smaller of each
-    inverse pair is evaluated.  The first letter of w^-1 is the inverse of
-    the last letter of w, so unless that equals the first letter of w it
-    decides the comparison without building w^-1."""
-    relations: list[str] = []
+    A length oracle bound to an object whose `class_function` is true makes
+    both oracles class functions up to inversion: each class is evaluated
+    once (see `_classes`), and if all pass, so do all (2n)(2n - 1)^(k - 1)
+    words of each length k <= N.  Otherwise the walk below runs, keeping
+    the minimum so far: the class pass stopped at the first failure in the
+    walk's order, so it evaluated no class that the walk does not.
+
+    The walk prunes inverses: l(w) = l(w^-1), so only the length-lex
+    smaller of each inverse pair is evaluated.  The first letter of w^-1 is
+    the inverse of the last letter of w, so unless that equals the first
+    letter of w it decides the comparison without building w^-1.  A length
+    object already judged positive is not judged again."""
+    labels = sorted(labels)
     min_pos: Optional[LexValue] = None
+    judged: dict[int, LexValue] = {}  # by id; each kept, so no id is reused
+    exact = getattr(getattr(length_oracle, "__self__", None), "class_function", False)
+    if exact and len(labels) <= 128:  # _classes spells words as bytes
+        for w in _classes(labels, ball_radius):
+            if triviality_oracle(w):
+                break
+            l = length_oracle(w)
+            if id(l) not in judged:
+                if isinstance(l, Inconclusive) or l.is_zero():
+                    break
+                judged[id(l)] = l
+                if min_pos is None or l < min_pos:
+                    min_pos = l
+        else:
+            n = 2 * len(labels)
+            checked = sum(n * (n - 1) ** (k - 1) for k in range(1, ball_radius + 1))
+            return Certificate(ball_radius, checked, [], min_pos)
+    relations: list[str] = []
     checked = 0
-    for w in ball_words(sorted(labels), ball_radius):
+    for w in ball_words(labels, ball_radius):
         checked += 1
         last = w[-1]
         first_of_inverse = (last[0], -last[1])
@@ -244,17 +315,14 @@ def certify_free_on_ball(
             relations.append(word_str(w))
             continue
         l = length_oracle(w)
+        if id(l) in judged:
+            continue
         if isinstance(l, Inconclusive):
             raise CertificationAborted(w, l.reason)
         if l.is_zero():
-            return Certificate(
-                ball_radius,
-                checked,
-                relations,
-                min_pos,
-                status="counterexample",
-                counterexample=word_str(w),
-            )
+            return Certificate(ball_radius, checked, relations, min_pos,
+                               status="counterexample", counterexample=word_str(w))
+        judged[id(l)] = l
         if min_pos is None or l < min_pos:
             min_pos = l
     return Certificate(ball_radius, checked, relations, min_pos)

@@ -11,8 +11,10 @@ from lambdaforest.bruhat import (
     Laurent2,
     Mat2,
     MatrixLengthOracle,
+    PRIME_BOUND,
     QpElement,
     RatFunc,
+    _is_prime,
     bt_translation_length,
     certify_free_bt,
     matrix_group_from_json,
@@ -28,6 +30,7 @@ from lambdaforest.groups import (
     parse_word,
     word_str,
 )
+from lambdaforest.isometry import _classes, certify_free_on_ball
 from lambdaforest.ordgroup import LexValue
 from lambdaforest.presets import _schottky_generators, unipotent_fail, z2_diagonal
 
@@ -495,8 +498,10 @@ def generator_pairs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(generator_pairs(), st.integers(1, 5))
+@given(generator_pairs(), st.integers(1, 6))
 def test_class_memo_matches_per_word_certificate(gens, radius):
+    """The class pass on free pairs, and the walk after it on pairs with
+    relations or a counterexample."""
     got = certify_free_bt(gens, radius).to_json()
     assert json.dumps(got) == json.dumps(per_word_certificate(gens, radius))
 
@@ -598,3 +603,111 @@ def test_empty_word_is_its_own_class():
     assert key(oracle, ()) == () and oracle.is_trivial(())
     assert oracle.is_trivial(parse_word("aa'")) and key(oracle, parse_word("aa'")) == ()
     assert oracle.trace_valuation(()) == L(0) and oracle.length(()) == L(0)
+
+
+# the class pass of ball certification -------------------------------------------------
+
+
+def _labelled(labels):
+    """Generators over Q_3 named by `labels`; class keys depend on the labels only."""
+    x = [QpElement(Fraction(q), 3) for q in (3, 0, 0, Fraction(1, 3))]
+    return {label: Mat2(*x) for label in labels}
+
+
+def walk_first_words(labels, radius, oracle):
+    """Brute force: the first word of each class that the walk evaluates
+    (it skips w when invert(w) < w), in the walk's order."""
+    first = {}
+    for w in ball_words(labels, radius):
+        if not invert(w) < w:
+            first.setdefault(key(oracle, w), w)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("labels, radius", [("a", 8), ("ab", 8), ("abc", 5)])
+def test_class_enumerator_meets_each_class_once_in_walk_order(labels, radius):
+    labels = list(labels)
+    oracle = MatrixLengthOracle(_labelled(labels))
+    words = list(_classes(labels, radius))
+    reps = [key(oracle, w) for w in words]
+    assert len(set(reps)) == len(reps)
+    assert set(reps) == {key(oracle, w) for w in ball_words(labels, radius)}
+    assert words == walk_first_words(labels, radius, oracle)
+    assert len(words) == {"a": 8, "ab": 693, "abc": 434}["".join(labels)]
+
+
+class AllPositive:
+    """Class-function oracles under which every word is nontrivial with
+    length 1, a new LexValue each time."""
+
+    class_function = True
+
+    def length(self, w):
+        return L(1)
+
+    def is_trivial(self, w):
+        return False
+
+
+@pytest.mark.parametrize("labels, radius", [("a", 7), ("ab", 6), ("abc", 4), ("ab", 0)])
+def test_class_pass_counts_every_word_of_the_ball(labels, radius):
+    oracle = AllPositive()
+    cert = certify_free_on_ball(oracle.length, oracle.is_trivial, list(labels), radius)
+    assert cert.status == "free-on-ball" and cert.relations == []
+    assert cert.words_checked == len(list(ball_words(list(labels), radius)))
+    assert cert.min_positive_length == (L(1) if radius else None)
+
+
+def test_class_pass_asks_once_per_class_through_a_wrapped_oracle():
+    """perfbench's tracer hands certification a closure around is_trivial;
+    the object of the length oracle still selects the class pass.  A plain
+    function as length oracle walks the ball."""
+    oracle = MatrixLengthOracle(F2)
+    asked = []
+
+    def trivial(w):
+        asked.append(w)
+        return oracle.is_trivial(w)
+
+    cert = certify_free_on_ball(oracle.length, trivial, ["a", "b"], 8)
+    assert len(asked) == 693
+    assert cert.status == "free-on-ball"
+    assert cert.words_checked == len(list(ball_words(["a", "b"], 8))) == 13120
+    asked.clear()
+    walked = certify_free_on_ball(lambda w: oracle.length(w), trivial, ["a", "b"], 8)
+    assert len(asked) == 6560
+    assert walked.to_json() == cert.to_json()
+
+
+# the prime of a Q_p context -------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n) != by_division(n)] == []
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # a Carmichael number, and composites that pass the strong test to every
+    # prime base up to 2, 7, 17, 23 and 37 (OEIS A014233); base 41 catches the last
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not any(map(_is_prime, (561, 2047, 3215031751, 341550071728321, 3825123056546413051)))
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+
+
+@pytest.mark.parametrize("p", [1, -1, True, 0, 4, -3, 2.5, "3", None, PRIME_BOUND])
+def test_qp_context_needs_a_prime_int(p):
+    doc = {"field": "Qp", "p": p, "generators": {"a": [["2", "0"], ["0", "1/2"]]}}
+    with pytest.raises(FieldError, match="Qp context needs a prime p|p = .* is too large"):
+        matrix_group_from_json(doc)
+
+
+def test_qp_context_takes_a_large_prime():
+    p = 2 ** 61 - 1
+    gens = matrix_group_from_json({"field": "Qp", "p": p,
+                                   "generators": {"a": [[str(p), "0"], ["0", f"1/{p}"]]}})
+    assert MatrixLengthOracle(gens).length(parse_word("a")) == L(2)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -251,6 +254,41 @@ def test_bt_unknown_letter_is_malformed_even_where_it_cancels(tmp_path, capsys, 
     assert main(["bt", op, "--input", path, "--word", word]) == 65
     out, err = capsys.readouterr()
     assert out == "" and err == "malformed input: unknown generator label 'x'\n"
+
+
+# A Q_p document's p must be a prime int.  Before that was checked, p = 1,
+# -1 or true made the p-adic valuation loop forever, so each case runs in a
+# process of its own under a timeout: a regression fails instead of hanging.
+QP_COMMANDS = """
+import sys
+from lambdaforest.cli import main
+print([main(["bt", op, "--input", sys.argv[1], *extra]) for op, extra in
+       (("length", ["--word", "a"]), ("valuation", ["--word", "a"]), ("certify", ["--ball", "2"]))])
+"""
+
+
+@pytest.mark.parametrize("p", [1, -1, True, 0, 4, -3, 2.5, "3", 3317044064679887385961981])
+def test_bt_qp_prime_must_be_a_prime_int(tmp_path, p):
+    doc = {"schema": SCHEMA, "kind": "matrix-group", "field": "Qp", "p": p,
+           "generators": {"a": [["2", "0"], ["0", "1/2"]], "b": [["1", "2"], ["0", "1"]]}}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", QP_COMMANDS, write(tmp_path, "qp.json", doc)],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "[65, 65, 65]\n"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3 and len(set(lines)) == 1
+    assert lines[0] in (f"malformed input: Qp context needs a prime p, got {p!r}",
+                        f"malformed input: p = {p} is too large: primality is decided "
+                        f"below {p}")
+
+
+def test_bt_qp_prime_is_used_as_given(tmp_path, capsys):
+    p = 2 ** 61 - 1
+    doc = {"schema": SCHEMA, "kind": "matrix-group", "field": "Qp", "p": p,
+           "generators": {"a": [[str(p), "0"], ["0", f"1/{p}"]]}}
+    assert main(["bt", "length", "--input", write(tmp_path, "qp.json", doc), "--word", "a"]) == 0
+    assert capsys.readouterr().out == "l(a) = (2)\n"
 
 
 def _preset_with(name, **edits):

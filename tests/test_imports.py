@@ -144,8 +144,10 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
 
 
 # lines of lambdaforest source (package __init__ included) that the commands of
-# each family load between them, at the change that parsed trees to int rows
-FAMILY_LINES = {"tree": 2655, "bt": 1919, "gog": 1387, "marked": 1075, "preset": 482}
+# each family load between them, at the change that certified bt balls by
+# conjugacy class (its class pass, which `isom` loads too, and the prime check
+# of Q_p documents)
+FAMILY_LINES = {"tree": 2723, "bt": 2032, "gog": 1387, "marked": 1075, "preset": 482}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 

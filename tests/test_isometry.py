@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lambdaforest.groups import FreeGroupOracle, parse_word
+from lambdaforest.groups import FreeGroupOracle, ball_words, invert, parse_word
 from lambdaforest.isometry import (
     ActionWindow,
     CertificationAborted,
@@ -170,3 +170,16 @@ def test_certify_aborts_when_window_too_small(caterpillar):
     oracle = window_length_oracle(caterpillar, Vertex("n6"))
     with pytest.raises(CertificationAborted):
         certify_free_on_ball(oracle, FreeGroupOracle(("a",)).is_trivial, ["a"], 7)
+
+
+def test_window_certify_aborts_at_the_walks_first_word_outside(caterpillar):
+    """A window oracle is no class function (whether a word leaves the
+    window depends on the word), so certification walks the ball and aborts
+    at the first word it evaluates whose oracle is inconclusive."""
+    oracle = window_length_oracle(caterpillar, Vertex("n6"))
+    trivial = FreeGroupOracle(("a",)).is_trivial
+    first = next(w for w in ball_words(["a"], 7)
+                 if not invert(w) < w and isinstance(oracle(w), Inconclusive))
+    with pytest.raises(CertificationAborted) as info:
+        certify_free_on_ball(oracle, trivial, ["a"], 7)
+    assert info.value.word == first

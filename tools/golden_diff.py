@@ -1,0 +1,132 @@
+"""Check that a change leaves every benchmark job's output byte for byte.
+
+Run from anywhere inside a checkout of the repository:
+
+    python3 tools/golden_diff.py --base HEAD~1 --seeds 7 11
+
+For each seed it builds every job of the three perfbench workloads with
+perfbench/jobs.py, as many batches as a 30-second benchmark run draws
+(round(30 / jobs.BATCH_SECONDS), at least one).  Each job runs as a fresh
+`python3 -c "...main()"` process twice on the same input files: once on the
+src/ of the working tree and once on the src/ of a `git archive` export of
+the --base revision.  The exit code and the sha256 of stdout, stderr and the
+--json report are compared.  The script prints each job that differs and
+exits 1 if any does, 0 if none does.  It uses the standard library only and
+writes nothing inside the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.dont_write_bytecode = True
+
+import jobs as joblib  # noqa: E402
+
+ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
+JOB_TIMEOUT_S = 120
+RUN_SECONDS = 30  # the run length of BENCHMARK.json, which sets the batch count
+WORKERS = 2  # jobs run at once
+
+
+def export(rev: str, dest: str) -> None:
+    """Unpack the tree of `rev` into dest."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def materialize(job, inputs: str) -> list[str]:
+    """Write the job's documents; return its argv with their paths."""
+    argv = []
+    for a in job.argv:
+        if a.startswith("@"):
+            path = os.path.join(inputs, f"{job.id}.{a[1:]}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(job.files[a[1:]], fh)
+            a = path
+        argv.append(a)
+    return argv
+
+
+def run(src: str, argv: list[str], report: str) -> tuple:
+    """(exit code or "timeout", sha256 of stdout, stderr and the report)."""
+    if os.path.exists(report):
+        os.remove(report)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv, "--json", report],
+                              capture_output=True, env=env, timeout=JOB_TIMEOUT_S,
+                              stdin=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return ("timeout", None, None, None)
+    digest = None
+    if os.path.exists(report):
+        with open(report, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest(), digest)
+
+
+FIELDS = ("exit", "stdout", "stderr", "report")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--seeds", required=True, type=int, nargs="+")
+    args = p.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="golden_diff.") as tmp:
+        base = os.path.join(tmp, "base")
+        try:
+            export(args.base, base)
+        except subprocess.CalledProcessError as exc:
+            print(f"golden_diff: cannot export {args.base!r}: "
+                  f"{exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+            return 2
+        sides = {"base": os.path.join(base, "src"), "tree": os.path.join(ROOT, "src")}
+        inputs = os.path.join(tmp, "inputs")
+        work = []
+        for workload in joblib.WORKLOADS:
+            batches = max(1, round(RUN_SECONDS / joblib.BATCH_SECONDS[workload]))
+            for seed in args.seeds:
+                where = os.path.join(inputs, f"{workload}-{seed}")  # job ids repeat across seeds
+                os.makedirs(where)
+                for b in range(batches):
+                    for job in joblib.build(workload, seed, "full", b):
+                        name = f"{workload}/{seed}/{job.id}"
+                        work.append((name, job.kind, materialize(job, where)))
+
+        def compare(i: int, item: tuple):
+            name, kind, job_argv = item
+            report = os.path.join(tmp, f"report-{i}.json")  # one path for both sides
+            got = {side: run(src, job_argv, report) for side, src in sides.items()}
+            differ = [f for f, a, b in zip(FIELDS, got["base"], got["tree"]) if a != b]
+            return name, kind, differ, got
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(compare, range(len(work)), work))
+
+    bad = [r for r in results if r[2]]
+    for name, kind, differ, got in bad:
+        print(f"DIFF {name} ({kind}): {', '.join(differ)} "
+              f"(exit {got['base'][0]} -> {got['tree'][0]})")
+    print(f"{len(results)} jobs compared against {args.base}, {len(bad)} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
