@@ -26,77 +26,14 @@ class FieldError(ValueError):
     pass
 
 
-# univariate Laurent polynomials over Q ---------------------------------------------
+# field elements ------------------------------------------------------------------
 
 
-def _clean1(c: dict) -> dict:
-    return {e: v for e, v in c.items() if v != 0}
-
-
-class Laurent1:
-    """Laurent polynomial in t: dict exponent -> nonzero coefficient.  The
-    constructor coerces to Fraction coefficients; arithmetic keeps the
-    coefficient type of its operands, so int coefficients stay int."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = _clean1({int(e): Fraction(v) for e, v in coeffs.items()})
-
-    @staticmethod
-    def const(q) -> "Laurent1":
-        return Laurent1({0: Fraction(q)})
-
-    @staticmethod
-    def t(power: int = 1) -> "Laurent1":
-        return Laurent1({power: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, o: "Laurent1") -> "Laurent1":
-        return _laurent(Laurent1, _add(self.coeffs, o.coeffs))
-
-    def __neg__(self) -> "Laurent1":
-        return _laurent(Laurent1, {e: -v for e, v in self.coeffs.items()})
-
-    def __sub__(self, o: "Laurent1") -> "Laurent1":
-        return self + (-o)
-
-    def __mul__(self, o: "Laurent1") -> "Laurent1":
-        c: dict = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in o.coeffs.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return _laurent(Laurent1, {e: v for e, v in c.items() if v})
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, Laurent1) and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def ord(self) -> Optional[int]:
-        return min(self.coeffs) if self.coeffs else None
-
-    def degree(self) -> Optional[int]:
-        return max(self.coeffs) if self.coeffs else None
-
-    def shift(self, k: int) -> "Laurent1":
-        return _laurent(Laurent1, {e + k: v for e, v in self.coeffs.items()})
-
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[max(self.coeffs)]
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*t^{e}" for e, v in sorted(self.coeffs.items()))
+INFINITY = None  # valuation of zero
 
 
 def _laurent(cls, coeffs: dict):
-    """A Laurent1 or Laurent2 holding coeffs, which has no zero coefficient,
+    """A RatFunc or BiRatFunc holding coeffs, which has no zero coefficient,
     as it is: no coercion."""
     x = object.__new__(cls)
     x.coeffs = coeffs
@@ -114,103 +51,127 @@ def _add(c1: dict, c2: dict) -> dict:
     return c
 
 
-def _polydivmod(a: Laurent1, b: Laurent1) -> tuple[Laurent1, Laurent1]:
-    """Division of ordinary (non-negative exponent) polynomials."""
-    r = dict(a.coeffs)
-    q: dict[int, Fraction] = {}
-    db = b.degree()
-    lb = b.leading_coeff()
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        f = r[dr] / lb
-        q[dr - db] = f
-        for e, v in b.coeffs.items():
-            e2 = e + dr - db
-            r[e2] = r.get(e2, Fraction(0)) - f * v
-            if r[e2] == 0:
-                del r[e2]
-    return Laurent1(q), Laurent1(r)
-
-
-def _polygcd(a: Laurent1, b: Laurent1) -> Laurent1:
-    while not b.is_zero():
-        _, r = _polydivmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return Laurent1({e: v / a.leading_coeff() for e, v in a.coeffs.items()})
-
-
-# bivariate Laurent polynomials over Q (s inner, t outer) ----------------------------
-
-
-class Laurent2:
-    """Laurent polynomial in s, t: dict (t-exp, s-exp) -> nonzero
-    coefficient, coerced and kept like Laurent1's."""
+class _Laurent:
+    """The ring arithmetic RatFunc and BiRatFunc share: `coeffs` is a dict
+    exponent -> nonzero coefficient.  Arithmetic keeps the coefficient type of
+    its operands, so the int coefficients MatrixLengthOracle multiplies stay
+    int."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict):
-        self.coeffs = {
-            (int(et), int(es)): Fraction(v)
-            for (et, es), v in coeffs.items()
-            if Fraction(v) != 0
-        }
+    def __add__(self, o):
+        return _laurent(self.__class__, _add(self.coeffs, o.coeffs))
 
-    @staticmethod
-    def const(q) -> "Laurent2":
-        return Laurent2({(0, 0): Fraction(q)})
+    def __neg__(self):
+        return _laurent(self.__class__, {k: -v for k, v in self.coeffs.items()})
 
-    @staticmethod
-    def monomial(t_exp: int, s_exp: int, coeff=1) -> "Laurent2":
-        return Laurent2({(t_exp, s_exp): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, o: "Laurent2") -> "Laurent2":
-        return _laurent(Laurent2, _add(self.coeffs, o.coeffs))
-
-    def __neg__(self) -> "Laurent2":
-        return _laurent(Laurent2, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, o: "Laurent2") -> "Laurent2":
+    def __sub__(self, o):
         return self + (-o)
 
-    def __mul__(self, o: "Laurent2") -> "Laurent2":
+    def __eq__(self, o) -> bool:
+        return o.__class__ is self.__class__ and self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+
+class RatFunc(_Laurent):
+    """Element of Q(t) that is a Laurent polynomial in t: exponent ->
+    coefficient, coerced to Fraction.  Document entries are Laurent
+    polynomials, and so are sums and products of them and the adjugate
+    inverse of a determinant-1 matrix, so no denominator is ever needed."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {int(e): q for e, v in coeffs.items() if (q := Fraction(v))}
+
+    @staticmethod
+    def const(q) -> "RatFunc":
+        return RatFunc({0: q})
+
+    @staticmethod
+    def t(power: int = 1) -> "RatFunc":
+        return RatFunc({power: 1})
+
+    def __mul__(self, o: "RatFunc") -> "RatFunc":
+        c: dict = {}
+        for e1, v1 in self.coeffs.items():
+            for e2, v2 in o.coeffs.items():
+                e = e1 + e2
+                c[e] = c.get(e, 0) + v1 * v2
+        return _laurent(RatFunc, {e: v for e, v in c.items() if v})
+
+    def one_like(self):
+        return RatFunc.const(1)
+
+    @property
+    def rank(self) -> int:
+        return 1
+
+    def valuation(self) -> Optional[LexValue]:
+        if not self.coeffs:
+            return INFINITY
+        return LexValue([min(self.coeffs)])
+
+    def __repr__(self):
+        # a determinant error quotes entries in this form: x t^k over 1*t^k,
+        # for the least k >= 0 that leaves no negative power of t
+        k = max(0, -min(self.coeffs, default=0))
+        num = " + ".join(f"{v}*t^{e + k}" for e, v in sorted(self.coeffs.items()))
+        return f"({num or 0})/(1*t^{k})"
+
+
+class BiRatFunc(_Laurent):
+    """Element of Q(s, t) that is a Laurent polynomial in s, t, under the
+    rank-2 monomial valuation: (t-exp, s-exp) -> coefficient, coerced to
+    Fraction, as RatFunc's."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {(int(et), int(es)): q for (et, es), v in coeffs.items()
+                       if (q := Fraction(v))}
+
+    @staticmethod
+    def const(q) -> "BiRatFunc":
+        return BiRatFunc({(0, 0): q})
+
+    @staticmethod
+    def monomial(t_exp: int, s_exp: int, coeff=1) -> "BiRatFunc":
+        return BiRatFunc({(t_exp, s_exp): coeff})
+
+    def __mul__(self, o: "BiRatFunc") -> "BiRatFunc":
         c: dict = {}
         for (t1, s1), v1 in self.coeffs.items():
             for (t2, s2), v2 in o.coeffs.items():
                 k = (t1 + t2, s1 + s2)
                 c[k] = c.get(k, 0) + v1 * v2
-        return _laurent(Laurent2, {k: v for k, v in c.items() if v})
+        return _laurent(BiRatFunc, {k: v for k, v in c.items() if v})
 
-    def __eq__(self, o) -> bool:
-        return isinstance(o, Laurent2) and self.coeffs == o.coeffs
+    def one_like(self):
+        return BiRatFunc.const(1)
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    @property
+    def rank(self) -> int:
+        return 2
 
-    def ord(self) -> Optional[tuple[int, int]]:
-        """(t-order, s-order of the lowest-t part), the rank-2 value."""
+    def valuation(self) -> Optional[LexValue]:
+        """(t-order, s-order of the lowest-t part): the lexicographic least
+        exponent."""
         if not self.coeffs:
-            return None
-        tmin = min(et for et, _ in self.coeffs)
-        smin = min(es for et, es in self.coeffs if et == tmin)
-        return (tmin, smin)
+            return INFINITY
+        return LexValue(min(self.coeffs))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*t^{et}*s^{es}" for (et, es), v in sorted(self.coeffs.items()))
-
-
-# field elements ------------------------------------------------------------------
-
-
-INFINITY = None  # valuation of zero
+        # as RatFunc's, x t^kt s^ks over 1*t^kt*s^ks, where (vt, vs) is the
+        # valuation, kt = max(0, -vt) and ks = max(0, -vs); an s^-1 outside
+        # the lowest-t part can stay in the numerator
+        vt, vs = min(self.coeffs, default=(0, 0))
+        kt, ks = max(0, -vt), max(0, -vs)
+        num = " + ".join(f"{v}*t^{et + kt}*s^{es + ks}"
+                         for (et, es), v in sorted(self.coeffs.items()))
+        return f"({num or 0})/(1*t^{kt}*s^{ks})"
 
 
 class QpElement:
@@ -254,12 +215,6 @@ class QpElement:
     def __neg__(self):
         return QpElement(-self.value, self.p)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def inverse(self) -> "QpElement":
-        return QpElement(1 / self.value, self.p)
-
     @property
     def rank(self) -> int:
         return 1
@@ -301,169 +256,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class RatFunc:
-    """Element of Q(t): coprime numerator/denominator polynomial pair with
-    monic denominator; Laurent input is normalized by shifting."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Laurent1, den: Laurent1):
-        if den.is_zero():
-            raise FieldError("zero denominator")
-        if num.is_zero():
-            self.num = Laurent1({})
-            self.den = Laurent1.const(1)
-            return
-        # shift both to ordinary polynomials, keep the exact t-power balance
-        shift = min(num.ord(), den.ord(), 0)
-        n = num.shift(-shift)
-        d = den.shift(-shift)
-        # monomial denominators (the common case in matrix products) divide
-        # out exactly; the polynomial gcd is only needed for true fractions
-        if len(d.coeffs) > 1 and len(n.coeffs) > 1:
-            g = _polygcd(n, d)
-            n, _ = _polydivmod(n, g)
-            d, _ = _polydivmod(d, g)
-        # strip any remaining common t-power
-        k = min(n.ord(), d.ord())
-        n, d = n.shift(-k), d.shift(-k)
-        lc = d.leading_coeff()
-        self.num = Laurent1({e: v / lc for e, v in n.coeffs.items()})
-        self.den = Laurent1({e: v / lc for e, v in d.coeffs.items()})
-
-    @staticmethod
-    def const(q) -> "RatFunc":
-        return RatFunc(Laurent1.const(q), Laurent1.const(1))
-
-    @staticmethod
-    def t(power: int = 1) -> "RatFunc":
-        return RatFunc(Laurent1.t(power), Laurent1.const(1))
-
-    def __add__(self, o: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise FieldError("inverse of zero")
-        return RatFunc(self.den, self.num)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def one_like(self):
-        return RatFunc.const(1)
-
-    @property
-    def rank(self) -> int:
-        return 1
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, RatFunc) and self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def valuation(self) -> Optional[LexValue]:
-        if self.num.is_zero():
-            return INFINITY
-        return LexValue([self.num.ord() - self.den.ord()])
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
-
-
-class BiRatFunc:
-    """Element of Q(s, t) under the rank-2 monomial valuation.  Canonical up
-    to common monomial factors and scalar content (full bivariate gcds are
-    not attempted; equality cross-multiplies, valuations are exact)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Laurent2, den: Laurent2):
-        if den.is_zero():
-            raise FieldError("zero denominator")
-        if num.is_zero():
-            self.num = Laurent2({})
-            self.den = Laurent2.const(1)
-            return
-        nt, ns = num.ord()
-        dt, ds = den.ord()
-        kt, ks = min(nt, dt), min(ns, ds)
-        scale = den.coeffs[den.ord()]
-        self.num = Laurent2(
-            {(et - kt, es - ks): v / scale for (et, es), v in num.coeffs.items()}
-        )
-        self.den = Laurent2(
-            {(et - kt, es - ks): v / scale for (et, es), v in den.coeffs.items()}
-        )
-
-    @staticmethod
-    def const(q) -> "BiRatFunc":
-        return BiRatFunc(Laurent2.const(q), Laurent2.const(1))
-
-    @staticmethod
-    def monomial(t_exp: int, s_exp: int, coeff=1) -> "BiRatFunc":
-        return BiRatFunc(Laurent2.monomial(t_exp, s_exp, coeff), Laurent2.const(1))
-
-    def __add__(self, o):
-        return BiRatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return BiRatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return BiRatFunc(self.num * o.num, self.den * o.den)
-
-    def __neg__(self):
-        return BiRatFunc(-self.num, self.den)
-
-    def inverse(self) -> "BiRatFunc":
-        if self.num.is_zero():
-            raise FieldError("inverse of zero")
-        return BiRatFunc(self.den, self.num)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def one_like(self):
-        return BiRatFunc.const(1)
-
-    @property
-    def rank(self) -> int:
-        return 2
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, BiRatFunc) and self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def valuation(self) -> Optional[LexValue]:
-        if self.num.is_zero():
-            return INFINITY
-        nt, ns = self.num.ord()
-        dt, ds = self.den.ord()
-        return LexValue([nt - dt, ns - ds])
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
-
-
 # 2x2 matrices ----------------------------------------------------------------------
 
 
 class Mat2:
     """Determinant-1 matrix over a common field context.  MatrixLengthOracle
-    also builds unchecked ones over the rings it multiplies in."""
+    also builds unchecked ones of its scaled, int-coefficient entries."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -522,26 +320,6 @@ def _translation_length(v: Optional[LexValue], rank: int) -> LexValue:
     return cand if cand > zero else zero
 
 
-def _laurent_coeffs(x) -> dict:
-    """The Laurent polynomial a RatFunc or BiRatFunc equals, as exponent ->
-    Fraction; FieldError unless its denominator is a monomial."""
-    if len(x.den.coeffs) != 1:
-        raise FieldError(f"entry is not a Laurent polynomial: {x!r}")
-    ((k, dv),) = x.den.coeffs.items()
-    if isinstance(x, RatFunc):
-        return {e - k: v / dv for e, v in x.num.coeffs.items()}
-    return {(et - k[0], es - k[1]): v / dv for (et, es), v in x.num.coeffs.items()}
-
-
-def _exact(x) -> dict:
-    """A matrix entry as exponent -> Fraction; a Q_p entry is a constant."""
-    if isinstance(x, QpElement):
-        return {0: x.value}
-    if isinstance(x, (RatFunc, BiRatFunc)):
-        return _laurent_coeffs(x)
-    raise FieldError(f"unsupported matrix entry {x!r}")
-
-
 def _rotations(core: Word, inverse: dict) -> list[Word]:
     """Every rotation of a word and of its inverse, which is spelled with
     the letter objects of `inverse`, a map letter -> inverse letter."""
@@ -567,13 +345,13 @@ class MatrixLengthOracle:
     """Translation-length and triviality oracles for a labeled generator set;
     records the trace valuations encountered.
 
-    Products run over a ring with int coefficients, not over the field.  Each
-    generator is multiplied by `scale` = D, the lcm of the denominators of
-    all generator coefficients, into a Mat2 of Laurent1 or Laurent2 entries
-    over Q(t) or Q(s, t), or of ints over Q_p; a letter's inverse is the
-    adjugate of its scaled matrix.  The product of a word w is then D^|w|
-    times its value.  D is a constant: its valuation is 0 over Q(t) and
-    Q(s, t), and v_p(D) over Q_p.
+    Products run over a ring with int coefficients.  Each generator is
+    multiplied by `scale` = D, the lcm of the denominators of all generator
+    coefficients, into a Mat2 of RatFunc or BiRatFunc entries with int
+    coefficients over Q(t) or Q(s, t), or of ints over Q_p; a letter's
+    inverse is the adjugate of its scaled matrix.  The product of a word w
+    is then D^|w| times its value.  D is a constant: its valuation is 0 over
+    Q(t) and Q(s, t), and v_p(D) over Q_p.
 
     Triviality and the trace (so the valuation and the length) are class
     functions, and w and w^-1 have the same trace in SL2, so both are
@@ -593,14 +371,16 @@ class MatrixLengthOracle:
         if len(kinds) != 1:
             raise FieldError("generators over mixed field contexts")
         kind = kinds.pop()
-        exact = {label: [_exact(x) for x in entries] for label, entries in matrices.items()}
-        self._p = None
+        self._p = self._poly = None
         if kind is QpElement:
             primes = {x.p for entries in matrices.values() for x in entries}
             if len(primes) != 1:
                 raise FieldError("mixed primes")
             self._p = primes.pop()
-        self._poly = {RatFunc: Laurent1, BiRatFunc: Laurent2}.get(kind)
+        else:
+            self._poly = kind
+        exact = {label: [x.coeffs if self._poly else {0: x.value} for x in entries]
+                 for label, entries in matrices.items()}
         self._unit = (0, 0) if kind is BiRatFunc else 0
         self.rank = next(iter(generators.values())).rank
         self.scale = lcm(*(q.denominator for entries in exact.values()
@@ -787,20 +567,19 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         coeffs = data
     else:
         raise FieldError(f"entry must be a rational string or a coefficient map, got {data!r}")
-    if field == "Qt":
-        c = {}
-        for key, val in coeffs.items():
-            t_exp, s_exp = _parse_monomial_key(key)
-            if s_exp:
-                raise FieldError("s appears in a Qt entry")
-            c[t_exp] = _rat(str(val))
-        return RatFunc(Laurent1(c), Laurent1.const(1))
-    if field == "Qst":
-        c2 = {}
-        for key, val in coeffs.items():
-            c2[_parse_monomial_key(key)] = _rat(str(val))
-        return BiRatFunc(Laurent2(c2), Laurent2.const(1))
-    raise FieldError(f"unknown field context {field!r}")
+    if field not in ("Qt", "Qst"):
+        raise FieldError(f"unknown field context {field!r}")
+    c = {}
+    for key, val in coeffs.items():
+        t_exp, s_exp = _parse_monomial_key(key)
+        if field == "Qt" and s_exp:
+            raise FieldError("s appears in a Qt entry")
+        q = _rat(str(val))
+        e = t_exp if field == "Qt" else (t_exp, s_exp)
+        if e in c:  # "t" and "t^1", or "st" and "ts"
+            raise FieldError(f"two keys of one entry name the monomial {key!r}")
+        c[e] = q
+    return RatFunc(c) if field == "Qt" else BiRatFunc(c)
 
 
 def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
@@ -815,6 +594,11 @@ def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
         raise FieldError("generators must be an object of label -> matrix")
     gens = {}
     for label, rows in doc["generators"].items():
+        # parse_word reads one character per letter and skips or consumes
+        # these three, so a witness word could not be read back
+        if len(label) != 1 or label in "' .":
+            raise FieldError(f"generator label {label!r} must be one character, "
+                             "not ', space or .")
         (a, b), (c, d) = rows
         gens[label] = Mat2(
             parse_entry(a, field, p),
@@ -830,13 +614,13 @@ def entry_to_json(x) -> dict | str:
         return str(x.value)
     if isinstance(x, RatFunc):
         out = {}
-        for e, v in sorted(_laurent_coeffs(x).items()):
+        for e, v in sorted(x.coeffs.items()):
             key = "1" if e == 0 else f"t^{e}"
             out[key] = str(v)
         return out or {"1": "0"}
     if isinstance(x, BiRatFunc):
         out = {}
-        for (et, es), v in sorted(_laurent_coeffs(x).items()):
+        for (et, es), v in sorted(x.coeffs.items()):
             parts = []
             if es:
                 parts.append(f"s^{es}")

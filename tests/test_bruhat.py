@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from lambdaforest.bruhat import (
     BiRatFunc,
     FieldError,
-    Laurent1,
-    Laurent2,
     Mat2,
     MatrixLengthOracle,
     PRIME_BOUND,
@@ -64,11 +62,7 @@ def test_ratfunc_arithmetic_is_exact():
     one = RatFunc.const(1)
     x = (t + one) * (t - one)
     assert x == t * t - one
-    assert (x * x.inverse()) == one
-    y = one + t.inverse()  # (t + 1)/t
-    assert y.valuation() == L(-1)
-    with pytest.raises(FieldError):
-        RatFunc.const(0).inverse()
+    assert (one + RatFunc.t(-1)).valuation() == L(-1)
 
 
 def test_rank2_valuation_lex():
@@ -79,15 +73,6 @@ def test_rank2_valuation_lex():
     assert (m(1, 0) + m(0, 5)).valuation() == L(0, 5)
     assert (m(2, -1) + m(2, 3)).valuation() == L(2, -1)
     assert (m(0, 1) * m(1, -1)).valuation() == L(1, 0)
-
-
-def test_biratfunc_equality_cross_multiplies():
-    m = BiRatFunc.monomial
-    one = BiRatFunc.const(1)
-    x = m(1, 1) * (m(1, 0) + m(0, 1)).inverse()
-    y = (m(1, 0).inverse() + m(0, 1).inverse()).inverse()
-    assert x == y  # ts/(t+s) in two spellings
-    assert x * x.inverse() == one
 
 
 # translation length ----------------------------------------------------------------
@@ -217,20 +202,6 @@ def test_matrix_json_rejects_unknown_field():
         matrix_group_from_json({"field": "Qp", "generators": {}})  # missing p
 
 
-# polynomial internals --------------------------------------------------------------
-
-
-def test_laurent_ord_and_degree():
-    x = Laurent1({-2: Fraction(1), 3: Fraction(5)})
-    assert x.ord() == -2 and x.degree() == 3
-    assert Laurent1({}).ord() is None
-
-
-def test_laurent2_ord_is_lex():
-    x = Laurent2({(1, 0): Fraction(1), (0, 7): Fraction(1)})
-    assert x.ord() == (0, 7)
-
-
 # the ring oracle against the field path ---------------------------------------------
 
 
@@ -299,6 +270,12 @@ def test_class_value_does_not_depend_on_the_member_evaluated(generators, p, radi
 COEFF = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)).map(Fraction)
 
 
+def unit(entry, k, c):
+    """u = c x^k and 1/u, the monomial (1/c) x^-k."""
+    minus_k = tuple(-e for e in k) if isinstance(k, tuple) else -k
+    return entry({k: c}), entry({minus_k: 1 / c})
+
+
 def sl2(entry, poly, exponent, origin):
     """SL2 matrices over the field: products of one or two factors
     [[1, f], [0, 1]], [[1, 0], [f, 1]] or diag(u, 1/u), with f drawn from
@@ -312,8 +289,8 @@ def sl2(entry, poly, exponent, origin):
             return Mat2(one, entry(f), zero, one)
         if kind == "lower":
             return Mat2(one, zero, entry(f), one)
-        u = entry({k: c})
-        return Mat2(u, zero, zero, u.inverse())
+        u, u_inv = unit(entry, k, c)
+        return Mat2(u, zero, zero, u_inv)
 
     def product(factors):
         m = factors[0]
@@ -326,18 +303,10 @@ def sl2(entry, poly, exponent, origin):
     return st.lists(factors, min_size=1, max_size=2).map(product)
 
 
-def _qt(c):
-    return RatFunc(Laurent1(c), Laurent1.const(1))
-
-
-def _qst(c):
-    return BiRatFunc(Laurent2(c), Laurent2.const(1))
-
-
 EXP = st.integers(-1, 1)
 EXP2 = st.tuples(EXP, EXP)
-QT_SL2 = sl2(_qt, st.dictionaries(EXP, COEFF, max_size=2), EXP, 0)
-QST_SL2 = sl2(_qst, st.dictionaries(EXP2, COEFF, max_size=2), EXP2, (0, 0))
+QT_SL2 = sl2(RatFunc, st.dictionaries(EXP, COEFF, max_size=2), EXP, 0)
+QST_SL2 = sl2(BiRatFunc, st.dictionaries(EXP2, COEFF, max_size=2), EXP2, (0, 0))
 
 
 @settings(max_examples=12, deadline=None)
@@ -363,11 +332,8 @@ def test_ring_oracle_matches_field_qp(p, data):
     assert_oracle_matches_field(dict(zip("ab", mats)))
 
 
-def test_ring_oracle_rejects_non_laurent_entries():
+def test_ring_oracle_rejects_mixed_field_contexts():
     one = RatFunc.const(1)
-    d = RatFunc(Laurent1({0: 1, 1: 1}), Laurent1.const(1))  # 1 + t
-    with pytest.raises(FieldError):
-        MatrixLengthOracle({"g": Mat2(d.inverse(), RatFunc.const(0), RatFunc.const(0), d)})
     with pytest.raises(FieldError):
         MatrixLengthOracle({"g": Mat2(one, one, RatFunc.const(0), one),
                             "h": Mat2(Q2(1), Q2(1), Q2(0), Q2(1))})
@@ -441,16 +407,16 @@ def per_word_certificate(gens, radius):
 
 
 def _diagonal(entry, k, c):
-    u = entry({k: c})
+    u, u_inv = unit(entry, k, c)
     zero = entry({})
-    return Mat2(u, zero, zero, u.inverse())
+    return Mat2(u, zero, zero, u_inv)
 
 
 def _upper(entry, k, c, f):
     """An upper triangular matrix: it fixes the end at infinity, as the
     diagonal ones do."""
-    u = entry({k: c})
-    return Mat2(u, entry(f), entry({}), u.inverse())
+    u, u_inv = unit(entry, k, c)
+    return Mat2(u, entry(f), entry({}), u_inv)
 
 
 def _qp_entry(p):
@@ -459,8 +425,8 @@ def _qp_entry(p):
 
 UNIT = COEFF.filter(bool)
 # per field: entry maker, exponents, nonzero exponents, exponent of the constants
-FIELDS = {"Qt": (_qt, EXP, EXP.filter(bool), 0),
-          "Qst": (_qst, EXP2, EXP2.filter(any), (0, 0))}
+FIELDS = {"Qt": (RatFunc, EXP, EXP.filter(bool), 0),
+          "Qst": (BiRatFunc, EXP2, EXP2.filter(any), (0, 0))}
 
 
 @st.composite

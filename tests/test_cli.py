@@ -245,6 +245,52 @@ def test_bt_unknown_generator_is_malformed(tmp_path, capsys, op):
     assert "unknown generator label 'z'" in capsys.readouterr().err
 
 
+def _matrix_doc(field, generators, **extra):
+    return {"schema": SCHEMA, "kind": "matrix-group", "field": field,
+            "generators": generators, **extra}
+
+
+@pytest.mark.parametrize("doc, det", [
+    (_matrix_doc("Qt", {"g": [[{"t^-1": "1", "1": "2"}, "0"], ["0", {"t": "1"}]]}),
+     "(1*t^0 + 2*t^1)/(1*t^0)"),
+    (_matrix_doc("Qst", {"g": [[{"s^-1t": "1", "s^2": "3"}, "0"], ["0", {"t^-1": "1/2"}]]}),
+     "(3/2*t^0*s^2 + 1/2*t^1*s^-1)/(1*t^1*s^0)"),
+    (_matrix_doc("Qt", {"g": [[{"t": "1"}, {"t^2": "1"}], ["1", {"t": "1"}]]}), "(0)/(1*t^0)"),
+    (_matrix_doc("Qst", {"g": [["0", "1"], ["0", "1"]]}), "(0)/(1*t^0*s^0)"),
+    (_matrix_doc("Qp", {"g": [["2", "0"], ["0", "1"]]}, p=3),
+     "QpElement(value=Fraction(2, 1), p=3)"),
+], ids=["qt", "qst", "qt-zero", "qst-zero", "qp"])
+def test_bt_determinant_error_quotes_the_determinant(tmp_path, capsys, doc, det):
+    assert main(["bt", "certify", "--input", write(tmp_path, "det.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: determinant is not 1: {det}\n"
+
+
+# with the label ab, certification printed the witness ab', which bt length
+# read back as the letters a and b'
+@pytest.mark.parametrize("label", ["ab", "a'", "", " ", "."])
+def test_bt_labels_that_cannot_be_read_back_are_malformed(tmp_path, capsys, label):
+    doc = _matrix_doc("Qt", {label: [["1", "1"], ["0", "1"]]})
+    assert main(["bt", "certify", "--ball", "1", "--input", write(tmp_path, "l.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"malformed input: generator label {label!r} must be one "
+                                 "character, not ', space or .\n")
+
+
+@pytest.mark.parametrize("field, entry, key", [
+    ("Qt", {"t": "1", "t^1": "-1", "1": "1"}, "t^1"),
+    ("Qt", {"1": "1", "": "2"}, ""),
+    ("Qt", {"t^0": "1", "1": "2"}, "1"),
+    ("Qst", {"st": "1", "ts": "2"}, "ts"),
+], ids=["t-t^1", "1-empty", "t^0-1", "st-ts"])
+def test_bt_monomial_spelled_twice_is_malformed(tmp_path, capsys, field, entry, key):
+    # the upper right entry: the determinant is 1 whatever it is read as
+    doc = _matrix_doc(field, {"a": [["1", entry], ["0", "1"]]})
+    assert main(["bt", "valuation", "--word", "a", "--input", write(tmp_path, "m.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: two keys of one entry name the monomial {key!r}\n"
+
+
 # xax' is conjugate to a by a letter the group does not have: it must not
 # cancel away into l(a)
 @pytest.mark.parametrize("word", ["xax'", "x"])

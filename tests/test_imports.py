@@ -144,10 +144,10 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
 
 
 # lines of lambdaforest source (package __init__ included) that the commands of
-# each family load between them, at the change that certified bt balls by
-# conjugacy class (its class pass, which `isom` loads too, and the prime check
-# of Q_p documents)
-FAMILY_LINES = {"tree": 2723, "bt": 2032, "gog": 1387, "marked": 1075, "preset": 482}
+# each family load between them: tree at the change that certified bt balls by
+# conjugacy class (its class pass, which `isom` loads too), bt at the change
+# that made RatFunc and BiRatFunc the Laurent polynomials of bruhat
+FAMILY_LINES = {"tree": 2723, "bt": 1816, "gog": 1387, "marked": 1075, "preset": 482}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 

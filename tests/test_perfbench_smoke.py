@@ -16,7 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WRAPPED = {
     "bt-ball": ["isometry.words.enumerated", "bruhat.length.calls",
                 "bruhat.is_trivial.calls", "bruhat.product_reuse_ratio",
-                "bruhat.mat2_mul.calls"],
+                "bruhat.mat2_mul.calls", "bruhat.degree_max", "bruhat.coeff_bits_max"],
     "tree-geometry": ["isometry.words.enumerated", "isometry.classify.calls",
                       "lambdatree.validate.calls", "lambdatree.distance.calls",
                       "gluing.dual_distance.calls"],
