@@ -541,11 +541,11 @@ def _parse_monomial_key(key: str) -> tuple[int, int]:
         exp = 1
         if i < len(key) and key[i] == "^":
             i += 1
-            j = i
-            if j < len(key) and key[j] == "-":
+            first = j = i + 1 if key.startswith("-", i) else i  # the first digit
+            while j < len(key) and key[j].isdecimal():  # '²'.isdigit(), but int('²') fails
                 j += 1
-            while j < len(key) and key[j].isdigit():
-                j += 1
+            if j == first:
+                raise FieldError(f"bad monomial key {key!r}")
             exp = int(key[i:j])
             i = j
         if var == "t":

@@ -5,19 +5,19 @@ Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive,
 a handler raises).  With --json PATH the machine-readable report is written
 there as deterministic (sorted, timestamp-free) JSON.
 
-The handlers of each command family live in their own module (`cli_trees`,
-`cli_bt`, `cli_gog`, `cli_marked`), which `main` imports for the chosen
-command only, and each handler imports the library modules it runs.  So a
-process loads (and, without bytecode caches, compiles) only what its command
-needs.
+`main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
+parser only for --help, usage errors and spellings only argparse reads.  Each
+family's handlers live in a module of their own (`cli_trees`, `cli_bt`,
+`cli_gog`, `cli_marked`), imported for the chosen command only, and import the
+library modules they run: a process compiles only what its command needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import sys
+from types import SimpleNamespace
 
 SCHEMA = "lambda-forest/1"
 
@@ -32,11 +32,19 @@ class Malformed(Exception):
     pass
 
 
+def _object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json.load alone would keep the last of two equal keys
+        keys = [k for k, _ in pairs]
+        raise Malformed(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, object_pairs_hook=_object)
+    except (OSError, json.JSONDecodeError, Malformed) as exc:
         raise Malformed(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise Malformed(f"{path}: top level must be an object")
@@ -64,9 +72,7 @@ def _digest(doc: dict) -> str:
 
 
 def _report(args, status: str, body: dict) -> int:
-    body = dict(body)
-    body["status"] = status
-    body["schema"] = SCHEMA
+    body = {**body, "status": status, "schema": SCHEMA}
     if getattr(args, "json", None):
         text = json.dumps(body, sort_keys=True, indent=2)
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -98,12 +104,10 @@ def cmd_preset(args) -> int:
     return EXIT_PASS
 
 
-# argument parsing -----------------------------------------------------------------
-
-
 def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
     return n
 
@@ -111,92 +115,87 @@ def _positive(text: str) -> int:
 def _nonnegative(text: str) -> int:
     n = int(text)
     if n < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {n}")
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command -> (family, ops, options in their --help order); an option maps its
+# name to (converter, default, required).  `preset` has no family.
+_REQ, _OPT = (None, None, True), (None, None, False)
+_IO = {"input": _REQ, "json": _OPT}  # the first options of every checker but `marked`
+_COMMANDS = {
+    "validate-tree": ("trees", (), _IO),
+    "tree": ("trees", ("distance", "median", "project"), {**_IO, "x": _REQ, "y": _REQ, "z": _OPT}),
+    "isom": ("trees", ("classify", "certify"),
+             {**_IO, "word": _OPT, "base": _OPT, "ball": (_positive, 3, False)}),
+    "bt": ("bt", ("valuation", "length", "certify"),
+           {**_IO, "word": _OPT, "ball": (_positive, None, False)}),
+    "glue": ("trees", ("point", "subtree", "dual", "check-free"), {**_IO, "a": _OPT, "b": _OPT}),
+    "cover": ("trees", ("check", "skeleton"), _IO),
+    "gog": ("gog", ("structure", "acyl", "betti", "principal"),
+            {**_IO, "radius": (_positive, 5, False), "window": (_positive, 4, False)}),
+    "marked": ("marked", ("ball", "compare", "profile"), {
+        "input": _OPT, "a": _OPT, "b": _OPT, "radius": (_nonnegative, None, False), "json": _OPT}),
+    "preset": (None, ("list", "emit"), {"name": _OPT, "out": _OPT, "json": _OPT}),
+}
+
+
+def _build_parser():
+    """The argparse parser of `_COMMANDS`: it words --help and every usage error."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="lambdaforest")
     sub = p.add_subparsers(dest="command")
-
-    def common(sp, input_required=True):
-        if input_required:
-            sp.add_argument("--input", required=True)
-        sp.add_argument("--json")
-
-    sp = sub.add_parser("validate-tree")
-    common(sp)
-    sp.set_defaults(family="trees")
-
-    sp = sub.add_parser("tree")
-    sp.add_argument("op", choices=["distance", "median", "project"])
-    common(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--z")
-    sp.set_defaults(family="trees")
-
-    sp = sub.add_parser("isom")
-    sp.add_argument("op", choices=["classify", "certify"])
-    common(sp)
-    sp.add_argument("--word")
-    sp.add_argument("--base")
-    sp.add_argument("--ball", type=_positive, default=3)
-    sp.set_defaults(family="trees")
-
-    sp = sub.add_parser("bt")
-    sp.add_argument("op", choices=["valuation", "length", "certify"])
-    common(sp)
-    sp.add_argument("--word")
-    sp.add_argument("--ball", type=_positive)
-    sp.set_defaults(family="bt")
-
-    sp = sub.add_parser("glue")
-    sp.add_argument("op", choices=["point", "subtree", "dual", "check-free"])
-    common(sp)
-    sp.add_argument("--a")
-    sp.add_argument("--b")
-    sp.set_defaults(family="trees")
-
-    sp = sub.add_parser("cover")
-    sp.add_argument("op", choices=["check", "skeleton"])
-    common(sp)
-    sp.set_defaults(family="trees")
-
-    sp = sub.add_parser("gog")
-    sp.add_argument("op", choices=["structure", "acyl", "betti", "principal"])
-    common(sp)
-    sp.add_argument("--radius", type=_positive, default=5)
-    sp.add_argument("--window", type=_positive, default=4)
-    sp.set_defaults(family="gog")
-
-    sp = sub.add_parser("marked")
-    sp.add_argument("op", choices=["ball", "compare", "profile"])
-    sp.add_argument("--input")
-    sp.add_argument("--a")
-    sp.add_argument("--b")
-    sp.add_argument("--radius", type=_nonnegative)  # ball and compare: 3 when absent
-    sp.add_argument("--json")
-    sp.set_defaults(family="marked")
-
-    sp = sub.add_parser("preset")
-    sp.add_argument("op", choices=["list", "emit"])
-    sp.add_argument("--name")
-    sp.add_argument("--out")
-    sp.add_argument("--json")
-
+    for command, (family, ops, options) in _COMMANDS.items():
+        sp = sub.add_parser(command)
+        if ops:
+            sp.add_argument("op", choices=ops)
+        for name, (convert, default, required) in options.items():
+            sp.add_argument("--" + name, type=convert, default=default, required=required)
+        if family:
+            sp.set_defaults(family=family)
     return p
 
 
+def _read(argv):
+    """argparse's namespace for `command [op] (--name value)*` with full names, no
+    value starting '-', good values and the required options; None otherwise."""
+    command, *rest = argv or [None]
+    if command not in _COMMANDS:
+        return None
+    family, ops, options = _COMMANDS[command]
+    args = {"command": command, "family": family} if family else {"command": command}
+    if ops:
+        if not rest or rest[0] not in ops:
+            return None
+        args["op"] = rest.pop(0)
+    args.update((name, default) for name, (_c, default, _r) in options.items())
+    for flag, value in zip(rest[::2], rest[1::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in options or value[:1] == "-":
+            return None
+        convert = options[name][0]
+        try:
+            args[name] = convert(value) if convert else value
+        except Exception:  # int's ValueError, or an ArgumentTypeError: argparse words it
+            return None
+    if len(rest) % 2 or any(spec[2] and args[name] is None for name, spec in options.items()):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
     if args.command == "marked" and args.op in ("ball", "profile") and not args.input:
         print("marked ball/profile need --input", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from lambdaforest import presets
 from lambdaforest.lambdatree import MetricTree
 from lambdaforest.ordgroup import LexValue
 
@@ -26,3 +27,32 @@ def random_tree(rng: random.Random, n_vertices: int, rank: int = 1, prefix: str 
         j = rng.randrange(i)
         edges.append((verts[i], verts[j], random_lex_positive(rng, rank)))
     return MetricTree(verts, edges, rank)
+
+
+# documents for the commands no preset serves (isom, glue, cover), shared by the
+# import-set and fuzz tests
+
+
+def _path_tree(ids):
+    return {"rank": 1, "vertices": ids,
+            "edges": [{"u": u, "v": v, "len": ["1"]} for u, v in zip(ids, ids[1:])]}
+
+
+# the radius-1 ball of the Cayley tree of F2 = <a, b> (A, B the inverses), with
+# a and b acting by left multiplication where the image stays in the ball
+F2_WINDOW = {"schema": "lambda-forest/1",
+             "tree": {"rank": 1, "vertices": ["e", "a", "A", "b", "B"],
+                      "edges": [{"u": "e", "v": x, "len": ["1"]} for x in "aAbB"]},
+             "generators": {"a": {"e": "a", "A": "e"}, "b": {"e": "b", "B": "e"}}}
+TWO_TREES = {"schema": "lambda-forest/1", "base": _path_tree(["a", "b"]),
+             "attachments": [{"tree": _path_tree(["p", "q"]), "x": "b", "y": "p"}]}
+TREE_PAIR = {"schema": "lambda-forest/1", "tree1": _path_tree(["a", "b", "c"]),
+             "tree2": _path_tree(["p", "q"]), "ends1": ["b", "c"], "ends2": ["p", "q"]}
+CHAIN = {"schema": "lambda-forest/1",
+         "vertex_trees": {"A": _path_tree(["a0", "a1", "a2"]), "B": _path_tree(["b0", "b1"])},
+         "edges": [{"from": "A", "to": "B", "ends_from": ["a1", "a2"], "ends_to": ["b0", "b1"]}],
+         "attestations": {"A": "free", "B": "free"}, "samples": [{"vertex": "A", "point": "a0"}]}
+TRIPOD_COVER = {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
+                "members": [["o", "p"], ["o", "q"], ["o", "r"]]}
+DOCUMENTS = {"f2-window": F2_WINDOW, "two-trees": TWO_TREES, "tree-pair": TREE_PAIR,
+             "chain": CHAIN, "tripod-cover": TRIPOD_COVER}

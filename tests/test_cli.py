@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lambdaforest import presets
-from lambdaforest.cli import _digest, main
+from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _read, main
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
 from lambdaforest.ordgroup import LexValue
 
@@ -49,6 +52,69 @@ def test_usage_errors():
     assert main(["preset", "emit"]) == 64
     assert main(["preset", "emit", "--name", "no-such-preset"]) == 64
     assert main(["marked", "compare"]) == 64
+
+
+# the command-line reader ---------------------------------------------------------
+
+OPS = sorted({op for _family, ops, _options in _COMMANDS.values() for op in ops})
+FLAGS = sorted({f"--{n}" for _family, _ops, options in _COMMANDS.values() for n in options})
+VALUES = ["0", "1", "3", "-1", "", "a b", " 2", "+2", "x", "p", "A/a0"]
+# what argparse reads, or refuses, other than `command [op] (--name value)*`:
+# abbreviations (--b and --ba are ambiguous on isom), --name=value, help, --
+ODD = sorted({f[:k] for f in FLAGS for k in (3, 4)} - set(FLAGS)) + [
+    "--input=x", "--ball=2", "--x=p", "-h", "--help", "--", "-x", "frob"]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed line of one command with up to two tokens replaced,
+    inserted or deleted."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    _family, ops, options = _COMMANDS[command]
+    line = [command] + ([draw(st.sampled_from(ops))] if ops else [])
+    names = [n for n, (_c, _d, required) in options.items() if required]
+    names += draw(st.lists(st.sampled_from(list(options)), max_size=3))
+    for name in draw(st.permutations(names)):
+        line += [f"--{name}", draw(st.sampled_from(VALUES))]
+    tokens = st.sampled_from(sorted(_COMMANDS) + OPS + FLAGS + VALUES + ODD)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            line.insert(i, draw(tokens))
+        elif i < len(line):
+            line[i:i + 1] = [draw(tokens)] if edit == "replace" else []
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@example(["validate-tree", "--inp", "x"])
+@example(["isom", "certify", "--input", "x", "--ba", "2"])
+@example(["validate-tree", "--input", "-h"])
+@example(["tree", "distance", "--input", "--", "--x", "p", "--y", "q"])
+@given(command_lines())
+def test_reader_agrees_with_argparse(line):
+    """The reader returns None or argparse's namespace, and None wherever
+    argparse exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(_build_parser().parse_args(line))
+        except SystemExit:
+            expected = None
+    got = _read(line)
+    assert got is None or vars(got) == expected
+
+
+@pytest.mark.parametrize("line", [
+    ["validate-tree", "--input", "t.json", "--json", "r.json"],
+    ["tree", "median", "--input", "t.json", "--x", "p", "--y", "", "--z", "a b"],
+    ["isom", "certify", "--input", "w.json", "--ball", "1", "--ball", "2"],
+    ["gog", "acyl", "--radius", "3", "--window", "+4", "--input", "g.json"],
+    ["marked", "compare", "--a", "m.json", "--b", "m.json", "--radius", "0"],
+    ["preset", "list"],
+])
+def test_reader_reads_well_formed_lines(line):
+    assert vars(_read(line)) == vars(_build_parser().parse_args(line))
 
 
 # tree commands ---------------------------------------------------------------------
@@ -289,6 +355,36 @@ def test_bt_monomial_spelled_twice_is_malformed(tmp_path, capsys, field, entry, 
     assert main(["bt", "valuation", "--word", "a", "--input", write(tmp_path, "m.json", doc)]) == 65
     out, err = capsys.readouterr()
     assert out == "" and err == f"malformed input: two keys of one entry name the monomial {key!r}\n"
+
+
+# an exponent needs a decimal digit after an optional '-': each of these once
+# reached int() and exited with "invalid literal for int()", naming no key
+@pytest.mark.parametrize("field, key", [("Qt", "t^"), ("Qt", "t^-"), ("Qt", "t^\u00b2"),
+                                        ("Qt", "t^+1"), ("Qst", "s^t")])
+def test_bt_monomial_exponent_needs_digits(tmp_path, capsys, field, key):
+    doc = _matrix_doc(field, {"a": [["1", {key: "1"}], ["0", "1"]]})
+    assert main(["bt", "valuation", "--word", "a", "--input", write(tmp_path, "m.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: bad monomial key {key!r}\n"
+
+
+# json.load keeps the last of two equal keys, so {"t": "1", "t": "5"} once read
+# as 5t and the tree below as the edge a - c
+@pytest.mark.parametrize("argv, text", [
+    (["bt", "valuation", "--word", "a"],
+     '{"schema": "lambda-forest/1", "field": "Qt", '
+     '"generators": {"a": [["1", {"t": "1", "t": "5"}], ["0", "1"]]}}'),
+    (["tree", "distance", "--x", "a", "--y", "c"],
+     '{"schema": "lambda-forest/1", "rank": 1, "vertices": ["a", "b", "c"], '
+     '"edges": [{"u": "a", "v": "b", "len": ["1"]}, {"u": "a", "v": "b", "v": "c", "len": ["1"]}]}'),
+], ids=["qt-monomial", "tree-edge"])
+def test_duplicate_json_key_is_malformed(tmp_path, capsys, argv, text):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    assert main(argv[:2] + ["--input", str(path)] + argv[2:]) == 65
+    out, err = capsys.readouterr()
+    key = "t" if argv[0] == "bt" else "v"
+    assert out == "" and err == f"malformed input: {path}: duplicate key {key!r}\n"
 
 
 # xax' is conjugate to a by a letter the group does not have: it must not

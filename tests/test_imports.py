@@ -2,7 +2,8 @@
 module of its own family, importing the package loads none, and no command
 loads `dataclasses` (or the `inspect` it imports), whose import alone costs a
 short job about 10 ms, nor `_hashlib`, which loads OpenSSL for the input
-digest, about 2 ms.  Every case runs in a fresh interpreter, because the
+digest, about 2 ms, nor `argparse` (and the `gettext` and `locale` it pulls
+in), which only --help and usage errors need.  Every case runs in a fresh interpreter, because the
 test process has imported the whole library already.  Without bytecode
 caches every job compiles the source it loads, so the lines each command
 family loads are held to their figure here."""
@@ -15,19 +16,22 @@ import sys
 
 import pytest
 
+from conftest import DOCUMENTS
 from lambdaforest import presets
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # run main on argv, then print its exit code, the loaded lambdaforest modules
-# and which of dataclasses, inspect and _hashlib are loaded
+# and which of the stdlib modules named here the import of cli and main loaded
 RUN_MAIN = """
 import json, sys
+before = set(sys.modules)
 from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
-print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect", "_hashlib")
-                             if m in sys.modules]]))
+print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect", "_hashlib", "argparse",
+                                         "gettext", "locale")
+                             if m in sys.modules and m not in before]]))
 """
 # the digest takes sha256 from hashlib, and so loads _hashlib, only where the
 # interpreter has neither built-in module: _sha2 (3.12 on) or _sha256
@@ -50,29 +54,7 @@ MARKED = {"schema": "lambda-forest/1", "kind": "marked-group",
           "letters": ["a", "b"]}
 
 
-def _path_tree(ids):
-    return {"rank": 1, "vertices": ids,
-            "edges": [{"u": u, "v": v, "len": ["1"]} for u, v in zip(ids, ids[1:])]}
-
-
-# the radius-1 ball of the Cayley tree of F2 = <a, b> (A, B the inverses), with
-# a and b acting by left multiplication where the image stays in the ball
-F2_WINDOW = {"schema": "lambda-forest/1",
-             "tree": {"rank": 1, "vertices": ["e", "a", "A", "b", "B"],
-                      "edges": [{"u": "e", "v": x, "len": ["1"]} for x in "aAbB"]},
-             "generators": {"a": {"e": "a", "A": "e"}, "b": {"e": "b", "B": "e"}}}
-TWO_TREES = {"schema": "lambda-forest/1", "base": _path_tree(["a", "b"]),
-             "attachments": [{"tree": _path_tree(["p", "q"]), "x": "b", "y": "p"}]}
-TREE_PAIR = {"schema": "lambda-forest/1", "tree1": _path_tree(["a", "b", "c"]),
-             "tree2": _path_tree(["p", "q"]), "ends1": ["b", "c"], "ends2": ["p", "q"]}
-CHAIN = {"schema": "lambda-forest/1",
-         "vertex_trees": {"A": _path_tree(["a0", "a1", "a2"]), "B": _path_tree(["b0", "b1"])},
-         "edges": [{"from": "A", "to": "B", "ends_from": ["a1", "a2"], "ends_to": ["b0", "b1"]}],
-         "attestations": {"A": "free", "B": "free"}, "samples": [{"vertex": "A", "point": "a0"}]}
-TRIPOD_COVER = {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
-                "members": [["o", "p"], ["o", "q"], ["o", "r"]]}
-INLINE = {"marked": MARKED, "f2-window": F2_WINDOW, "two-trees": TWO_TREES,
-          "tree-pair": TREE_PAIR, "chain": CHAIN, "tripod-cover": TRIPOD_COVER}
+INLINE = {"marked": MARKED, **DOCUMENTS}
 
 TREE = {"cli", "cli_trees", "lambdatree", "ordgroup"}
 BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
@@ -143,11 +125,20 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
     assert len(HANDLERS & set(loaded)) <= 1  # never another family's handler module
 
 
+# argparse words --help and usage errors, so those alone load it
+@pytest.mark.parametrize("argv, rc", [(["--help"], 0), (["tree", "--help"], 0), ([], 64),
+                                      (["validate-tree", "--inp", "x", "--json"], 64),
+                                      (["gog", "acyl", "--input", "x", "--radius", "0"], 64)])
+def test_only_help_and_usage_errors_load_argparse(argv, rc):
+    got_rc, loaded, stdlib = fresh(RUN_MAIN, *argv)
+    assert got_rc == rc
+    assert "argparse" in stdlib and set(loaded) == {"cli"}
+
+
 # lines of lambdaforest source (package __init__ included) that the commands of
-# each family load between them: tree at the change that certified bt balls by
-# conjugacy class (its class pass, which `isom` loads too), bt at the change
-# that made RatFunc and BiRatFunc the Laurent polynomials of bruhat
-FAMILY_LINES = {"tree": 2723, "bt": 1816, "gog": 1387, "marked": 1075, "preset": 482}
+# each family load between them, measured at the change that read well-formed
+# command lines without argparse
+FAMILY_LINES = {"tree": 2722, "bt": 1815, "gog": 1386, "marked": 1074, "preset": 481}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 

@@ -10,8 +10,11 @@ perfbench/jobs.py, as many batches as a 30-second benchmark run draws
 `python3 -c "...main()"` process twice on the same input files: once on the
 src/ of the working tree and once on the src/ of a `git archive` export of
 the --base revision.  The exit code and the sha256 of stdout, stderr and the
---json report are compared.  The script prints each job that differs and
-exits 1 if any does, 0 if none does.  It uses the standard library only and
+--json report are compared.  A fixed list of command lines that no job sends
+(help, usage errors and the spellings only argparse reads: COMMAND_LINES)
+runs the same way without --json, comparing the exit code and the sha256 of
+stdout and stderr.  The script prints each job or command line that differs
+and exits 1 if any does, 0 if none does.  It uses the standard library only and
 writes nothing inside the checkout.
 """
 
@@ -29,10 +32,12 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 sys.dont_write_bytecode = True
 
 import jobs as joblib  # noqa: E402
+from lambdaforest import presets  # noqa: E402
+from lambdaforest.cli import _COMMANDS  # noqa: E402
 
 ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
 JOB_TIMEOUT_S = 120
@@ -61,19 +66,21 @@ def materialize(job, inputs: str) -> list[str]:
     return argv
 
 
-def run(src: str, argv: list[str], report: str) -> tuple:
-    """(exit code or "timeout", sha256 of stdout, stderr and the report)."""
-    if os.path.exists(report):
+def run(src: str, argv: list[str], report: str | None) -> tuple:
+    """(exit code or "timeout", sha256 of stdout, stderr and the report);
+    with no report path, no --json is passed."""
+    if report and os.path.exists(report):
         os.remove(report)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv, "--json", report],
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv,
+                               *(["--json", report] if report else [])],
                               capture_output=True, env=env, timeout=JOB_TIMEOUT_S,
                               stdin=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return ("timeout", None, None, None)
     digest = None
-    if os.path.exists(report):
+    if report and os.path.exists(report):
         with open(report, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
     return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
@@ -81,6 +88,33 @@ def run(src: str, argv: list[str], report: str) -> tuple:
 
 
 FIELDS = ("exit", "stdout", "stderr", "report")
+# no job sends these; @name is the path of that preset's document
+COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
+    ["frobnicate"],
+    ["tree", "frobnicate", "--input", "@tripod", "--x", "p", "--y", "q"],
+    ["validate-tree"],
+    ["validate-tree", "--inp", "@square-cycle"],
+    ["validate-tree", "--input=@square-cycle"],
+    ["validate-tree", "--input", "@tripod", "--input", "@square-cycle"],
+    ["isom", "certify", "--input", "@tripod", "--ball", "0"],
+    ["gog", "acyl", "--input", "@centralizer-extension-gog", "--radius", "x"],
+    ["marked", "ball", "--input", "@z-to-z2-sequence", "--radius", "-1"],
+]
+
+
+def preset_paths(line: list[str], inputs: str) -> list[str]:
+    """line with each @name replaced by the path of that preset, written once."""
+    out = []
+    for a in line:
+        if "@" in a:
+            head, name = a.split("@", 1)
+            path = os.path.join(inputs, f"preset.{name}.json")
+            if not os.path.exists(path):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(presets.emit(name), fh)
+            a = head + path
+        out.append(a)
+    return out
 
 
 def main(argv=None) -> int:
@@ -109,22 +143,27 @@ def main(argv=None) -> int:
                     for job in joblib.build(workload, seed, "full", b):
                         name = f"{workload}/{seed}/{job.id}"
                         work.append((name, job.kind, materialize(job, where)))
+        lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
+                 for line in COMMAND_LINES]
 
         def compare(i: int, item: tuple):
             name, kind, job_argv = item
-            report = os.path.join(tmp, f"report-{i}.json")  # one path for both sides
+            # one report path for both sides; none for a command line
+            report = os.path.join(tmp, f"report-{i}.json") if i < len(work) else None
             got = {side: run(src, job_argv, report) for side, src in sides.items()}
             differ = [f for f, a, b in zip(FIELDS, got["base"], got["tree"]) if a != b]
             return name, kind, differ, got
 
         with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(compare, range(len(work)), work))
+            results = list(pool.map(compare, range(len(work) + len(lines)), work + lines))
 
     bad = [r for r in results if r[2]]
     for name, kind, differ, got in bad:
         print(f"DIFF {name} ({kind}): {', '.join(differ)} "
               f"(exit {got['base'][0]} -> {got['tree'][0]})")
-    print(f"{len(results)} jobs compared against {args.base}, {len(bad)} differ")
+    bad_lines = sum(kind == "command line" for _name, kind, _d, _g in bad)
+    print(f"{len(work)} jobs and {len(lines)} command lines compared against {args.base}: "
+          f"{len(bad) - bad_lines} jobs and {bad_lines} command lines differ")
     return 1 if bad else 0
 
 
