@@ -71,9 +71,6 @@ class _Laurent:
     def __eq__(self, o) -> bool:
         return o.__class__ is self.__class__ and self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
 
 class RatFunc(_Laurent):
     """Element of Q(t) that is a Laurent polynomial in t: exponent ->
@@ -189,9 +186,6 @@ class QpElement:
             return (self.value, self.p) == (other.value, other.p)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.value, self.p))
-
     def __repr__(self):
         # a determinant error quotes entries in this form
         return f"QpElement(value={self.value!r}, p={self.p!r})"
@@ -295,9 +289,6 @@ class Mat2:
             and self.c == o.c
             and self.d == o.d
         )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"

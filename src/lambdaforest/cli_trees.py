@@ -163,7 +163,7 @@ def _graph_of_actions(doc: dict):
         e_from = tuple(_parse_point(trees[src], s) for s in ed["ends_from"])
         e_to = tuple(_parse_point(trees[dst], s) for s in ed["ends_to"])
         phi = SegmentIso(trees[src], e_from, trees[dst], e_to)
-        edges.append(GluedEdge(src, dst, phi, ed.get("label", "")))
+        edges.append(GluedEdge(src, dst, phi))
     return trees, GraphOfActions(trees, edges)
 
 
@@ -212,6 +212,8 @@ def cmd_glue(args) -> int:
         return _report(args, "pass", body)
     # check-free
     attestations = doc.get("attestations", {})
+    if not isinstance(attestations, dict):
+        raise Malformed("attestations must be an object of vertex -> \"free\"")
     samples = []
     for sd in doc.get("samples", []):
         v, p = sd["vertex"], sd["point"]

@@ -46,14 +46,6 @@ class FreeGroup:
     def __init__(self, letters: tuple[str, ...]):
         object.__setattr__(self, "letters", letters)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters,) == (other.letters,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
-
     @property
     def b1(self) -> int:
         return len(self.letters)
@@ -65,14 +57,6 @@ class FreeAbelian:
 
     def __init__(self, letters: tuple[str, ...]):
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters,) == (other.letters,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
 
     @property
     def b1(self) -> int:
@@ -88,14 +72,6 @@ class CyclicBySum:
     def __init__(self, n_letter: str, extra_letters: tuple[str, ...]):
         object.__setattr__(self, "n_letter", n_letter)
         object.__setattr__(self, "extra_letters", extra_letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n_letter, self.extra_letters) == (other.n_letter, other.extra_letters)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n_letter, self.extra_letters))
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -131,15 +107,6 @@ class SurfaceWithBoundary:
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.letters, self.boundaries, self.closed_relator)
-                    == (other.letters, other.boundaries, other.closed_relator))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters, self.boundaries, self.closed_relator))
-
     @property
     def b1(self) -> int:
         if self.closed_relator is None:
@@ -160,15 +127,6 @@ class Preset:
         object.__setattr__(self, "oracle", oracle)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "b1_declared", b1_declared)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.oracle, self.certificate, self.b1_declared)
-                    == (other.oracle, other.certificate, other.b1_declared))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.oracle, self.certificate, self.b1_declared))
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -209,15 +167,6 @@ class GGVertex:
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "attestation", attestation)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.id, self.vtype, self.desc, self.attestation)
-                    == (other.id, other.vtype, other.desc, other.attestation))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.vtype, self.desc, self.attestation))
-
 
 class GGEdge:
     __slots__ = ("u", "v", "image_u", "image_v")
@@ -229,18 +178,11 @@ class GGEdge:
         object.__setattr__(self, "image_u", image_u)
         object.__setattr__(self, "image_v", image_v)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.u, self.v, self.image_u, self.image_v)
-                    == (other.u, other.v, other.image_u, other.image_v))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.image_u, self.image_v))
-
 
 class GraphOfGroups:
     def __init__(self, vertices: list[GGVertex], edges: list[GGEdge]):
+        if not vertices:
+            raise DevissageError("graph of groups has no vertices")
         self.vertices = {v.id: v for v in vertices}
         if len(self.vertices) != len(vertices):
             raise DevissageError("duplicate vertex id")
@@ -266,8 +208,6 @@ class GraphOfGroups:
         return out
 
     def connected(self) -> bool:
-        if not self.vertices:
-            return True
         seen = set()
         stack = [next(iter(self.vertices))]
         while stack:
@@ -467,7 +407,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
         if v.vtype != "infinitesimal":
             continue
         attested = (
-            v.attestation is not None
+            (isinstance(v.attestation, str) and v.attestation != "")
             or isinstance(v.desc, FreeGroup)
             or (isinstance(v.desc, Preset) and v.desc.certificate is not None)
         )

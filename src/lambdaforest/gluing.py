@@ -229,11 +229,10 @@ def glue_subtree(phi: SegmentIso):
 class GluedEdge:
     """Directed gluing datum: lam on the `src` side maps to the `dst` side."""
 
-    def __init__(self, src, dst, phi: SegmentIso, label: str = ""):
+    def __init__(self, src, dst, phi: SegmentIso):
         self.src = src
         self.dst = dst
         self.phi = phi
-        self.label = label
 
 
 class GraphOfActions:
@@ -298,14 +297,6 @@ class DualPoint:
     def __init__(self, vertex, point: TreePoint):
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "point", point)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertex, self.point) == (other.vertex, other.point)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex, self.point))
 
     def __repr__(self):
         # free-criterion reports quote sample points in this form
@@ -403,12 +394,10 @@ def fold_glued_tree(G: GraphOfActions, path: list[tuple]):
 
 
 class EquivClass:
-    def __init__(self, nodes: list[tuple[object, TreePoint]], links: list[tuple[int, int, int]],
-                 acyclic: bool, diameter: int, inconclusive: Optional[str] = None):
+    def __init__(self, nodes: list[tuple[object, TreePoint]], acyclic: bool,
+                 inconclusive: Optional[str] = None):
         self.nodes = nodes
-        self.links = links  # (node index, node index, edge index)
         self.acyclic = acyclic
-        self.diameter = diameter
         self.inconclusive = inconclusive
 
 
@@ -430,7 +419,7 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
             key = (dst, repr(img))
             if key not in index:
                 if len(nodes) >= cap:
-                    return EquivClass(nodes, links, False, -1, "class exceeds window cap")
+                    return EquivClass(nodes, False, "class exceeds window cap")
                 index[key] = len(nodes)
                 nodes.append((dst, img))
                 queue.append(index[key])
@@ -438,35 +427,18 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
             if i < j or (i == j):
                 links.append((i, j, ei))
     # dedupe symmetric links per underlying gluing edge
-    uniq = sorted({(min(i, j), max(i, j), e) for i, j, e in links})
+    uniq = {(min(i, j), max(i, j), e) for i, j, e in links}
     acyclic = len(uniq) <= len(nodes) - 1 or len(nodes) == 1 and not uniq
-    # hop diameter by BFS from every node
-    diam = 0
-    adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
-    for i, j, _e in uniq:
-        adj[i].add(j)
-        adj[j].add(i)
-    for s in range(len(nodes)):
-        dist = {s: 0}
-        q = [s]
-        while q:
-            w = q.pop(0)
-            for nb in adj[w]:
-                if nb not in dist:
-                    dist[nb] = dist[w] + 1
-                    q.append(nb)
-        diam = max(diam, max(dist.values()))
-    return EquivClass(nodes, uniq, acyclic, diam)
+    return EquivClass(nodes, acyclic)
 
 
 # free-gluing criterion (period-doubling witness) ---------------------------------------
 
 
 class FreeCriterionReport:
-    def __init__(self, verdict: str, detail: str = "", attestations: Optional[dict] = None):
+    def __init__(self, verdict: str, detail: str = ""):
         self.verdict = verdict  # Pass | Fail | Inconclusive
         self.detail = detail
-        self.attestations = {} if attestations is None else attestations
 
 
 def check_free_criterion(
@@ -474,13 +446,14 @@ def check_free_criterion(
     attestations: dict,
     sample_points: list[DualPoint],
 ) -> FreeCriterionReport:
-    """Pass if vertex actions are attested free and every sampled glue class
-    has finite diameter; Fail on a period-doubling composite translation or
-    a class that outgrows the window; Inconclusive with no sample point."""
-    missing = [v for v in G.vertex_trees if v not in attestations]
+    """Pass if every vertex action is attested "free" and every sampled glue
+    class has finite diameter; Fail on a period-doubling composite translation
+    or a class that outgrows the window; Inconclusive with no sample point or
+    an attestation other than "free"."""
+    missing = [v for v in G.vertex_trees if attestations.get(v) != "free"]
     if missing:
         return FreeCriterionReport(
-            "Inconclusive", f"missing freeness attestation for vertices {missing}", dict(attestations)
+            "Inconclusive", f"missing freeness attestation for vertices {missing}"
         )
     # period doubling: parallel gluings composing to a positive shift
     de = G.directed_edges
@@ -507,21 +480,19 @@ def check_free_criterion(
                     z2 = inv2.apply(w2)
                     if distance(T, z, z2) == delta + delta:
                         return FreeCriterionReport(
-                            "Fail",
-                            f"composite of gluings {i1} and {i2} translates by {delta!r}",
-                            dict(attestations),
+                            "Fail", f"composite of gluings {i1} and {i2} translates by {delta!r}"
                         )
     if not sample_points:  # no class sampled, so nothing may pass
-        return FreeCriterionReport("Inconclusive", "no sample point given", dict(attestations))
+        return FreeCriterionReport("Inconclusive", "no sample point given")
     for p in sample_points:
         cls = glue_equiv_class(G, p)
         if cls.inconclusive:
             return FreeCriterionReport(
-                "Fail", f"class of {p!r} grows beyond the window: {cls.inconclusive}", dict(attestations)
+                "Fail", f"class of {p!r} grows beyond the window: {cls.inconclusive}"
             )
         if not cls.acyclic:
-            return FreeCriterionReport("Fail", f"class of {p!r} is not a tree", dict(attestations))
-    return FreeCriterionReport("Pass", "all sampled classes have finite diameter", dict(attestations))
+            return FreeCriterionReport("Fail", f"class of {p!r} is not a tree")
+    return FreeCriterionReport("Pass", "all sampled classes have finite diameter")
 
 
 # transverse coverings -------------------------------------------------------------------
@@ -575,14 +546,13 @@ def transverse_check(C: TransverseCovering) -> TransverseReport:
 class SkeletonGraph:
     def __init__(self, member_vertices: list[int], point_vertices: list[TreePoint],
                  edges: list[tuple[object, object]], connected: bool, acyclic: bool,
-                 terminal_members: list[int], terminal_points: list[int]):
+                 terminal_members: list[int]):
         self.member_vertices = member_vertices  # indices into members (V1)
         self.point_vertices = point_vertices  # V0
         self.edges = edges  # ("pt", i) -- ("mem", j)
         self.connected = connected
         self.acyclic = acyclic
         self.terminal_members = terminal_members
-        self.terminal_points = terminal_points
 
 
 def skeleton(C: TransverseCovering) -> SkeletonGraph:
@@ -624,5 +594,4 @@ def skeleton(C: TransverseCovering) -> SkeletonGraph:
     connected = seen == set(nodes)
     acyclic = len(edges) == len(nodes) - 1 if nodes else True
     terminal_members = [r for r in reps if len(adj[("mem", r)]) <= 1]
-    terminal_points = [i for i in range(len(points)) if len(adj[("pt", i)]) <= 1]
-    return SkeletonGraph(reps, points, edges, connected, acyclic, terminal_members, terminal_points)
+    return SkeletonGraph(reps, points, edges, connected, acyclic, terminal_members)

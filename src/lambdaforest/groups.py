@@ -177,14 +177,6 @@ class FreeGroupOracle:
     def __init__(self, letters: tuple[str, ...]):
         object.__setattr__(self, "letters", letters)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters,) == (other.letters,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
-
     def is_trivial(self, w: Word) -> bool:
         return not free_reduce(w)
 
@@ -208,14 +200,6 @@ class FreeAbelianOracle:
 
     def __init__(self, letters: tuple[str, ...]):
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters,) == (other.letters,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
 
     def is_trivial(self, w: Word) -> bool:
         return all(c == 0 for c in exponent_vector(w, self.letters))

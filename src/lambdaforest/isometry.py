@@ -95,6 +95,8 @@ class ActionWindow:
     def __init__(self, window: MetricTree, generators: dict[str, PartialIsometry]):
         from .lambdatree import Vertex
 
+        if not generators:
+            raise IsometryError("empty generator set")
         self.window = window
         self.generators: dict[tuple[str, int], PartialIsometry] = {}
         for label, g in generators.items():
@@ -152,9 +154,6 @@ class Inconclusive:
 
     def __bool__(self):
         return False
-
-
-IsomClass = Elliptic | Hyperbolic | Inconclusive
 
 
 def classify(A: ActionWindow, w: Word, x: TreePoint):

@@ -299,14 +299,6 @@ class Leg:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.u, self.v, self.a, self.b) == (other.u, other.v, other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.a, self.b))
-
     def length(self) -> LexValue:
         return abs(self.b - self.a)
 

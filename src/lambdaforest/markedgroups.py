@@ -50,22 +50,12 @@ class MarkedGroup:
             for l, _e in w:
                 if l not in self.oracle.letters:
                     raise WordError(f"marking word uses {l!r} outside the oracle alphabet")
-        # oracle image of each abstract letter and its inverse; not a field
-        # that equality or hashing reads
+        # oracle image of each abstract letter and its inverse
         images = {}
         for l, w in zip(self.letters, self.marking):
             images[(l, 1)] = self.oracle.image(w)
             images[(l, -1)] = self.oracle.image(invert(w))
         object.__setattr__(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.oracle, self.marking, self.letters)
-                    == (other.oracle, other.marking, other.letters))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.oracle, self.marking, self.letters))
 
     @property
     def n(self) -> int:
@@ -105,9 +95,6 @@ class RelationBall:
     def __init__(self, radius: int, words: tuple[Word, ...]):
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "words", words)  # sorted length-lexicographically
-
-    def __contains__(self, w: Word) -> bool:
-        return free_reduce(w) in self.words
 
 
 def relations_up_to(M: MarkedGroup, R: int) -> RelationBall:

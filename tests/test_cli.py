@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import CHAIN
 from lambdaforest import presets
 from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _read, main
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
@@ -443,6 +444,9 @@ def _schottky_empty_entry():
     return doc
 
 
+EMPTY_GOG = {"schema": SCHEMA, "kind": "graph-of-groups", "vertices": [], "edges": []}
+
+
 # main's boundary catches no AttributeError, so a wrong type must be caught where it is parsed
 @pytest.mark.parametrize("argv, doc, message", [
     (["bt", "certify"], _preset_with("schottky-qt", generators=7), "generators must be an object"),
@@ -458,8 +462,23 @@ def _schottky_empty_entry():
     # an empty graph of actions would pass check-free having checked nothing
     (["glue", "check-free"], {"schema": SCHEMA, "vertex_trees": {}, "edges": []},
      "needs at least one vertex tree"),
+    (["glue", "check-free"], {**CHAIN, "attestations": "AB"}, "attestations must be an object"),
+    (["glue", "check-free"], {**CHAIN, "attestations": ["A", "B"]},
+     "attestations must be an object"),
+    # no generator: a ball of words would pass having walked nothing
+    (["isom", "certify"], _rotation_doc(generators={}), "empty generator set"),
+    (["isom", "classify", "--word", "r"], _rotation_doc(generators={}), "empty generator set"),
+    # no vertex: every clause, acylindricity and the case analysis would pass vacuously
+    (["gog", "structure"], EMPTY_GOG, "graph of groups has no vertices"),
+    (["gog", "acyl"], EMPTY_GOG, "graph of groups has no vertices"),
+    (["gog", "principal"], EMPTY_GOG, "graph of groups has no vertices"),
+    (["gog", "betti"], {**EMPTY_GOG, "ambient": {"generators": ["x"], "relators": []}},
+     "graph of groups has no vertices"),
 ], ids=["bt-generators", "bt-entry", "isom-certify", "isom-classify", "marked-family",
-        "glue-dual-vertex-trees", "glue-check-free-vertex-trees", "glue-check-free-empty"])
+        "glue-dual-vertex-trees", "glue-check-free-vertex-trees", "glue-check-free-empty",
+        "glue-attestations-string", "glue-attestations-list", "isom-certify-empty",
+        "isom-classify-empty", "gog-structure-empty", "gog-acyl-empty", "gog-principal-empty",
+        "gog-betti-empty"])
 def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
     assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
     out, err = capsys.readouterr()
@@ -593,6 +612,17 @@ def test_glue_check_free_inconclusive(tmp_path, chain_goa_file):
     assert main(["glue", "check-free", "--input", path]) == 3
 
 
+# only the string "free" attests a vertex; any other value leaves it unattested
+def test_glue_check_free_attestation_must_say_free(tmp_path, capsys):
+    doc = {**CHAIN, "attestations": {"A": False, "B": "not free"}}
+    assert main(["glue", "check-free", "--input", write(tmp_path, "att.json", doc)]) == 3
+    assert capsys.readouterr().out == (
+        "free criterion: Inconclusive (missing freeness attestation for vertices ['A', 'B'])\n")
+    for value in (7, [], None, {}, "", "Free"):
+        doc = {**CHAIN, "attestations": {"A": "free", "B": value}}
+        assert main(["glue", "check-free", "--input", write(tmp_path, "att.json", doc)]) == 3
+
+
 def test_glue_check_free_without_samples_is_inconclusive(tmp_path, capsys):
     # no glue class sampled: the period-doubling scan alone may not pass
     tree = {"rank": 1, "vertices": ["A"], "edges": []}
@@ -663,6 +693,19 @@ def test_gog_structure_violation(tmp_path):
     path = write(tmp_path, "badgog.json", doc)
     assert main(["gog", "structure", "--input", path]) == 2
     assert main(["gog", "principal", "--input", path]) == 2
+
+
+# an infinitesimal vertex whose group is not free needs an attestation, and
+# only a nonempty string is one
+@pytest.mark.parametrize("attestation, rc", [("window-certified", 0), (False, 2), ("", 2), (7, 2),
+                                             ([], 2), (None, 2)])
+def test_gog_attestation_must_be_a_nonempty_string(tmp_path, capsys, attestation, rc):
+    doc = presets.emit("centralizer-extension-gog")
+    doc["vertices"][0]["group"] = {"kind": "free-abelian", "letters": ["x", "y"]}
+    doc["vertices"][0]["attestation"] = attestation
+    assert main(["gog", "structure", "--input", write(tmp_path, "att.json", doc)]) == rc
+    verdict = "Pass" if rc == 0 else "Fail"
+    assert f"infinitesimal: {verdict} (" in capsys.readouterr().out
 
 
 def test_gog_surface_case(tmp_path, capsys):

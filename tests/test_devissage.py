@@ -248,7 +248,9 @@ def test_descriptor_from_json():
          SurfaceWithBoundary(("a", "b", "c"), (), parse_word("aabbcc"))),
     ]
     for doc, d in docs:
-        assert descriptor_from_json(doc) == d
+        got = descriptor_from_json(doc)
+        assert type(got) is type(d)
+        assert [getattr(got, f) for f in d.__slots__] == [getattr(d, f) for f in d.__slots__]
     with pytest.raises(DevissageError):
         descriptor_from_json({"kind": "preset"})
 

@@ -1,8 +1,10 @@
-"""The library's value classes compare, hash and print as the frozen
-dataclasses they replace did.  Fields are compared only against an instance
-of exactly the same class, the hash is the hash of the field tuple (so set
-and dict iteration order stays the same), assignment raises AttributeError,
-and every repr that a report, message or stdout line can show is unchanged."""
+"""The library's classes keep the frozen fields and the repr of the
+dataclasses they replace: assignment raises AttributeError, and every repr
+that a report, message or stdout line can show is unchanged.  The value
+classes that the code compares compare by fields, only against an instance of
+exactly the same class; those that it hashes hash as the field tuple (so set
+and dict iteration order stays the same).  A class that nothing compares
+keeps object's identity equality and hash."""
 
 from fractions import Fraction
 
@@ -26,65 +28,71 @@ from lambdaforest.lambdatree import EdgeInterior, Leg, Vertex
 from lambdaforest.markedgroups import MarkedGroup, RelationBall
 from lambdaforest.ordgroup import LexValue
 
-# class, field values, and the repr the dataclass printed where one can reach
-# output (None: the class keeps no repr)
-VALUES = {
-    "LexValue": (LexValue, ((Fraction(1), Fraction(-1, 2)),), "(1, -1/2)"),
-    "Vertex": (Vertex, ("a",), "Vertex('a')"),
-    "Vertex-tuple-id": (Vertex, (("x", 1),), "Vertex(('x', 1))"),
+# class, field values, the repr a report, message or stdout line can show
+# (None: the class keeps no repr), and its equality: "hash" compares and
+# hashes by fields, "eq" compares by fields and is unhashable, None is
+# object's identity, since nothing compares the class
+CLASSES = {
+    "LexValue": (LexValue, ((Fraction(1), Fraction(-1, 2)),), "(1, -1/2)", "hash"),
+    "Vertex": (Vertex, ("a",), "Vertex('a')", "hash"),
+    "Vertex-tuple-id": (Vertex, (("x", 1),), "Vertex(('x', 1))", "hash"),
     "EdgeInterior": (EdgeInterior, ("a", "b", LexValue([Fraction(1, 3), 2])),
-                     "EdgeInterior('a'-'b' @ (1/3, 2))"),
-    "Leg": (Leg, ("a", "b", LexValue([0]), LexValue([1])), None),
-    "DualPoint": (DualPoint, ("A", Vertex("a0")), "DualPoint(vertex='A', point=Vertex('a0'))"),
+                     "EdgeInterior('a'-'b' @ (1/3, 2))", "hash"),
+    "QpElement": (QpElement, (Fraction(2, 9), 3), "QpElement(value=Fraction(2, 9), p=3)", "eq"),
+    "DualPoint": (DualPoint, ("A", Vertex("a0")), "DualPoint(vertex='A', point=Vertex('a0'))",
+                  None),
     "DualPoint-interior": (DualPoint, ("B", EdgeInterior("b0", "b1", LexValue(["1/2"]))),
-                           "DualPoint(vertex='B', point=EdgeInterior('b0'-'b1' @ (1/2)))"),
-    "QpElement": (QpElement, (Fraction(2, 9), 3), "QpElement(value=Fraction(2, 9), p=3)"),
-    "FreeGroupOracle": (FreeGroupOracle, (("p", "q"),), None),
-    "FreeAbelianOracle": (FreeAbelianOracle, (("p", "q"),), None),
-    "FreeGroup": (FreeGroup, (("x", "y"),), None),
-    "FreeAbelian": (FreeAbelian, (("x", "y"),), None),
-    "CyclicBySum": (CyclicBySum, ("n", ("x",)), None),
+                           "DualPoint(vertex='B', point=EdgeInterior('b0'-'b1' @ (1/2)))", None),
+    "Leg": (Leg, ("a", "b", LexValue([0]), LexValue([1])), None, None),
+    "FreeGroupOracle": (FreeGroupOracle, (("p", "q"),), None, None),
+    "FreeAbelianOracle": (FreeAbelianOracle, (("p", "q"),), None, None),
+    "FreeGroup": (FreeGroup, (("x", "y"),), None, None),
+    "FreeAbelian": (FreeAbelian, (("x", "y"),), None, None),
+    "CyclicBySum": (CyclicBySum, ("n", ("x",)), None, None),
     "SurfaceWithBoundary": (SurfaceWithBoundary, (("a", "b"), (parse_word("aba'b'"),), None),
-                            None),
-    "Preset": (Preset, (FreeGroupOracle(("p",)), "cert", 1), None),
-    "GGVertex": (GGVertex, ("v", "abelian", CyclicBySum("n", ()), None), None),
-    "GGEdge": (GGEdge, ("u", "v", parse_word("n"), parse_word("xy'")), None),
+                            None, None),
+    "Preset": (Preset, (FreeGroupOracle(("p",)), "cert", 1), None, None),
+    "GGVertex": (GGVertex, ("v", "abelian", CyclicBySum("n", ()), None), None, None),
+    "GGEdge": (GGEdge, ("u", "v", parse_word("n"), parse_word("xy'")), None, None),
     "MarkedGroup": (MarkedGroup, (FreeGroupOracle(("p", "q")), (parse_word("p"), parse_word("pq")),
-                                  ("a", "b")), None),
-}
-
-# frozen classes that nothing compares or hashes
-RECORDS = {
-    "FinitePresentation": (FinitePresentation, (("a",), ())),
-    "RelationBall": (RelationBall, (1, ())),
-    "MaxAbelianDeclaration": (MaxAbelianDeclaration, ((("A", 2),),)),
-    "OutOfWindow": (OutOfWindow, (parse_word("a"),)),
-    "Elliptic": (Elliptic, (Vertex("a"),)),
-    "Hyperbolic": (Hyperbolic, (LexValue([1]),)),
-    "Inconclusive": (Inconclusive, ("midpoint leaves the window",)),
+                                  ("a", "b")), None, None),
+    "FinitePresentation": (FinitePresentation, (("a",), ()), None, None),
+    "RelationBall": (RelationBall, (1, ()), None, None),
+    "MaxAbelianDeclaration": (MaxAbelianDeclaration, ((("A", 2),),), None, None),
+    "OutOfWindow": (OutOfWindow, (parse_word("a"),), None, None),
+    "Elliptic": (Elliptic, (Vertex("a"),), None, None),
+    "Hyperbolic": (Hyperbolic, (LexValue([1]),), None, None),
+    "Inconclusive": (Inconclusive, ("midpoint leaves the window",), None, None),
 }
 
 
-@pytest.mark.parametrize("name", sorted(VALUES))
+@pytest.mark.parametrize("name", sorted(CLASSES))
 def test_value_class_contract(name):
-    cls, fields, text = VALUES[name]
+    cls, fields, _text, equality = CLASSES[name]
     x, y = cls(*fields), cls(*fields)
+    if equality is None:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert x == x and x != y
+        return
     assert x == y and not x != y
-    assert hash(x) == hash(y) == hash(fields)
+    if equality == "hash":
+        assert hash(x) == hash(y) == hash(fields)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
     twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
     assert x != twin and twin != x and x != fields
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_frozen_record_rejects_assignment(name):
+    cls, fields, text, _equality = CLASSES[name]
+    x = cls(*fields)
+    # the constructor's fields lead the slots; a slot after them is derived
+    # (MarkedGroup's letter images)
+    assert tuple(getattr(x, f) for f in cls.__slots__[:len(fields)]) == fields
     first = cls.__slots__[0]
     with pytest.raises(AttributeError):
         setattr(x, first, fields[0])
     if text is not None:
         assert repr(x) == text
-
-
-@pytest.mark.parametrize("name", sorted(RECORDS))
-def test_frozen_record_rejects_assignment(name):
-    cls, fields = RECORDS[name]
-    x = cls(*fields)
-    assert tuple(getattr(x, f) for f in cls.__slots__) == fields
-    first = cls.__slots__[0]
-    with pytest.raises(AttributeError):
-        setattr(x, first, fields[0])
