@@ -30,10 +30,9 @@ def cmd_gog(args) -> int:
     if args.op == "acyl":
         rep = check_acylindricity(G, radius=args.radius, window=args.window)
         body.update({"verdict": rep.verdict, "path": rep.path, "element": rep.element,
-                     "inconclusive_at": rep.inconclusive_at})
+                     "inconclusive_at": []})
         print(f"acylindricity: {rep.verdict}" + (f", fixed by {rep.element}" if rep.element else ""))
-        status = {"Pass": "pass", "Fail": "violation", "Inconclusive": "inconclusive"}[rep.verdict]
-        return _report(args, status, body)
+        return _report(args, "pass" if rep.verdict == "Pass" else "violation", body)
     if args.op == "betti":
         ambient = FinitePresentation.from_json(doc["ambient"])
         decl = MaxAbelianDeclaration(tuple((t, r) for t, r in doc.get("max_abelian", [])))

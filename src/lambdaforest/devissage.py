@@ -15,7 +15,6 @@ from .groups import (
     FreeAbelianOracle,
     FreeGroupOracle,
     Word,
-    WordError,
     _frozen,
     ball_words,
     betti1,
@@ -115,43 +114,15 @@ class SurfaceWithBoundary:
         return betti1(pres)
 
 
-class Preset:
-    """Vertex group given by an external oracle plus a freeness certificate
-    reference; only triviality queries are available."""
-
-    __slots__ = ("oracle", "certificate", "b1_declared")
-    __setattr__ = _frozen
-
-    def __init__(self, oracle, certificate: Optional[str] = None,
-                 b1_declared: Optional[int] = None):
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "b1_declared", b1_declared)
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return tuple(self.oracle.letters)
-
-    @property
-    def b1(self) -> int:
-        if self.b1_declared is None:
-            raise DevissageError("preset vertex group without a declared Betti number")
-        return self.b1_declared
-
-
-Descriptor = Union[FreeGroup, FreeAbelian, CyclicBySum, SurfaceWithBoundary, Preset]
+Descriptor = Union[FreeGroup, FreeAbelian, CyclicBySum, SurfaceWithBoundary]
 
 
 def _oracle(desc: Descriptor):
-    if isinstance(desc, FreeGroup):
-        return FreeGroupOracle(desc.letters)
     if isinstance(desc, (FreeAbelian, CyclicBySum)):
         return FreeAbelianOracle(desc.letters)
-    if isinstance(desc, SurfaceWithBoundary):
-        # boundary words live in the free group; the closed relator only
-        # affects b1, never the nontriviality checks used here
-        return FreeGroupOracle(desc.letters)
-    return desc.oracle
+    # free and surface vertices: boundary words live in the free group; the
+    # closed relator only affects b1, never the nontriviality checks used here
+    return FreeGroupOracle(desc.letters)
 
 
 # the graph ---------------------------------------------------------------------------
@@ -187,7 +158,11 @@ class GraphOfGroups:
         if len(self.vertices) != len(vertices):
             raise DevissageError("duplicate vertex id")
         self.edges = list(edges)
-        for e in self.edges:
+        # half-edges (edge, src, dst, image at src, image at dst): edge i
+        # gives 2i from u and 2i + 1 from v, so the reverse of j is j ^ 1 and
+        # a loop is two half-edges
+        self.half_edges = []
+        for i, e in enumerate(self.edges):
             for end, img in ((e.u, e.image_u), (e.v, e.image_v)):
                 if end not in self.vertices:
                     raise DevissageError(f"edge endpoint {end!r} missing")
@@ -196,16 +171,8 @@ class GraphOfGroups:
                     raise DevissageError(
                         f"edge image {word_str(img)} trivial in vertex {end!r}"
                     )
-
-    def incident(self, vid: str) -> list[tuple[GGEdge, Word]]:
-        """(edge, image word at this vertex); loops contribute twice."""
-        out = []
-        for e in self.edges:
-            if e.u == vid:
-                out.append((e, e.image_u))
-            if e.v == vid:
-                out.append((e, e.image_v))
-        return out
+            self.half_edges += [(i, e.u, e.v, e.image_u, e.image_v),
+                                (i, e.v, e.u, e.image_v, e.image_u)]
 
     def connected(self) -> bool:
         seen = set()
@@ -215,11 +182,7 @@ class GraphOfGroups:
             if v in seen:
                 continue
             seen.add(v)
-            for e in self.edges:
-                if e.u == v:
-                    stack.append(e.v)
-                if e.v == v:
-                    stack.append(e.u)
+            stack += [dst for _i, src, dst, _a, _b in self.half_edges if src == v]
         return seen == set(self.vertices)
 
     @staticmethod
@@ -321,7 +284,9 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
             verdict = ClauseVerdict("Fail", f"abelian vertex {vid!r} is not cyclic-by-sum")
             break
         ngen = ((v.desc.n_letter, 1),)
-        for e, img in G.incident(vid):
+        for _i, src, other_end, img, other_img in G.half_edges:
+            if src != vid:
+                continue
             if free_reduce(img) not in (ngen, invert(ngen)):
                 verdict = ClauseVerdict(
                     "Fail",
@@ -329,7 +294,6 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
                 )
                 break
             # maximal cyclic: the other end must not be a proper power there
-            other_end, other_img = (e.v, e.image_v) if e.u == vid else (e.u, e.image_u)
             od = G.vertices[other_end].desc
             if isinstance(od, (FreeGroup, SurfaceWithBoundary)):
                 _, k = primitive_root(other_img)
@@ -349,11 +313,9 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
     pairs = ClauseVerdict("Pass", "no commuting abelian pair detected")
     unchecked = []
     ab_edges: dict[str, list[tuple[str, Word]]] = {}
-    for e in G.edges:
-        for ab, inf in ((e.u, e.v), (e.v, e.u)):
-            if G.vertices[ab].vtype == "abelian" and G.vertices[inf].vtype == "infinitesimal":
-                img = e.image_v if inf == e.v else e.image_u
-                ab_edges.setdefault(inf, []).append((ab, img))
+    for _i, ab, inf, _a, img in G.half_edges:
+        if G.vertices[ab].vtype == "abelian" and G.vertices[inf].vtype == "infinitesimal":
+            ab_edges.setdefault(inf, []).append((ab, img))
     for inf, hung in ab_edges.items():
         if not isinstance(G.vertices[inf].desc, FreeGroup):
             if len({a for a, _ in hung}) > 1:
@@ -383,7 +345,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
         if not isinstance(v.desc, SurfaceWithBoundary):
             verdict = ClauseVerdict("Fail", f"surface vertex {vid!r} lacks boundary data")
             break
-        inc = [img for _e, img in G.incident(vid)]
+        inc = [img for _i, src, _d, img, _b in G.half_edges if src == vid]
         if not inc and not v.desc.boundaries:
             remarks.append(
                 f"surface vertex {vid!r} has no edges: closed-surface case"
@@ -406,12 +368,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
     for vid, v in G.vertices.items():
         if v.vtype != "infinitesimal":
             continue
-        attested = (
-            (isinstance(v.attestation, str) and v.attestation != "")
-            or isinstance(v.desc, FreeGroup)
-            or (isinstance(v.desc, Preset) and v.desc.certificate is not None)
-        )
-        if not attested:
+        if not (isinstance(v.desc, FreeGroup) or (isinstance(v.attestation, str) and v.attestation)):
             missing.append(vid)
     clauses["infinitesimal"] = (
         ClauseVerdict("Pass", "all infinitesimal vertices attested free")
@@ -442,20 +399,17 @@ def _boundary_matching(images: list[Word], boundaries: list[Word]) -> Optional[l
 
 
 class AcylReport:
-    def __init__(self, verdict: str, path: Optional[list] = None, element: Optional[str] = None,
-                 inconclusive_at: Optional[list] = None):
-        self.verdict = verdict  # Pass | Fail | Inconclusive
+    def __init__(self, verdict: str, path: Optional[list] = None, element: Optional[str] = None):
+        self.verdict = verdict  # Pass | Fail
         self.path = [] if path is None else path
         self.element = element
-        self.inconclusive_at = [] if inconclusive_at is None else inconclusive_at
 
 
 def _primitive_vector(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """vec is nonzero: GraphOfGroups refuses trivial edge images."""
     g = 0
     for c in vec:
         g = gcd(g, abs(c))
-    if g == 0:
-        raise WordError("zero vector has no primitive direction")
     prim = tuple(c // g for c in vec)
     # sign-normalize by first nonzero
     lead = next(c for c in prim if c != 0)
@@ -470,59 +424,42 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
     `radius` edges.  The pointwise stabilizer is tracked as a power of the
     current edge group; turn elements range over vertex-group words of length
     at most `window`."""
-    inconclusive: list[str] = []
-    for vid, v in G.vertices.items():
-        if isinstance(v.desc, (Preset,)):
-            inconclusive.append(vid)
-
-    # directed edges: (index, src, dst, image at src, image at dst)
-    directed = []
-    for i, e in enumerate(G.edges):
-        directed.append((i, e.u, e.v, e.image_u, e.image_v))
-        directed.append((i, e.v, e.u, e.image_v, e.image_u))
-
-    # state: (directed edge, multiplier M) meaning the stabilizer so far is
-    # the M-th powers of the edge group, read at the edge's dst vertex
-    states: dict[tuple[int, str, str, int], list] = {}
-    for de in directed:
-        i, src, dst, img_s, img_d = de
-        states[(i, src, dst, 1)] = [(de, None)]
+    # state: (half-edge j, multiplier M) meaning the stabilizer so far is the
+    # M-th powers of the edge group, read at the half-edge's dst vertex
+    hes = G.half_edges
+    states: dict[tuple[int, int], list] = {(j, 1): [(he, None)] for j, he in enumerate(hes)}
 
     depth = 1
     while depth < radius and states:
         nxt: dict = {}
-        for (i, src, dst, M), path in states.items():
-            v = G.vertices[dst]
-            if isinstance(v.desc, Preset):
-                continue
-            arrival_img = next(d[4] for d in directed if d[0] == i and d[2] == dst)
-            for de2 in directed:
-                i2, src2, dst2, img_s2, img_d2 = de2
-                if src2 != dst:
+        for (j, M), path in states.items():
+            dst, arrival_img = hes[j][2], hes[j][4]
+            desc = G.vertices[dst].desc
+            for j2, he2 in enumerate(hes):
+                if he2[1] != dst:
                     continue
-                for M2, h in _turns(v.desc, arrival_img, M, img_s2, i == i2, window):
-                    key = (i2, src2, dst2, M2)
-                    if key not in nxt:
-                        nxt[key] = path + [(de2, h)]
+                for M2, h in _turns(desc, arrival_img, M, he2[3], j2 == j ^ 1, window):
+                    if (j2, M2) not in nxt:
+                        nxt[(j2, M2)] = path + [(he2, h)]
         states = nxt
         depth += 1
 
-    if states:
-        (i, src, dst, M), path = next(iter(sorted(states.items(), key=lambda kv: repr(kv[0]))))
-        img = next(d[4] for d in directed if d[0] == i and d[2] == dst)
-        elem = word_str(power(img, M))
-        desc_path = [
-            {"edge": de[0], "from": de[1], "to": de[2], "turn": word_str(h) if h else ""}
-            for de, h in path
-        ]
-        return AcylReport("Fail", desc_path, elem, inconclusive)
-    verdict = "Inconclusive" if inconclusive else "Pass"
-    return AcylReport(verdict, inconclusive_at=inconclusive)
+    if not states:
+        return AcylReport("Pass")
+    # the least state by repr((edge, src, dst, M)); a tie goes to the earlier half-edge
+    j, M = min(states, key=lambda s: (repr(hes[s[0]][:3] + (s[1],)), s[0]))
+    desc_path = [
+        {"edge": he[0], "from": he[1], "to": he[2], "turn": word_str(h) if h else ""}
+        for he, h in states[(j, M)]
+    ]
+    return AcylReport("Fail", desc_path, word_str(power(hes[j][4], M)))
 
 
-def _turns(desc: Descriptor, a: Word, M: int, b: Word, same_edge: bool, window: int):
+def _turns(desc: Descriptor, a: Word, M: int, b: Word, backtrack: bool, window: int):
     """Yield (new multiplier, turn witness) for continuations whose pointwise
-    stabilizer stays nontrivial: <a^M> meet h<b>h^-1 in the vertex group."""
+    stabilizer stays nontrivial: <a^M> meet h<b>h^-1 in the vertex group.  On
+    a backtrack (leaving by the reverse of the arrival half-edge) the turn h
+    must leave the edge group for the tree path to be reduced."""
     if isinstance(desc, (FreeAbelian, CyclicBySum)):
         letters = desc.letters
         va = exponent_vector(a, letters)
@@ -531,51 +468,36 @@ def _turns(desc: Descriptor, a: Word, M: int, b: Word, same_edge: bool, window: 
         db, pb = _primitive_vector(vb)
         if pa != pb:
             return
-        # need a turn h; when continuing across the same graph edge, h must
-        # leave the edge group for the tree path to be reduced
-        h = _nonmember_turn(letters, vb, same_edge)
-        if same_edge and h is None:
+        h = _nonmember_turn(letters, vb, backtrack)
+        if backtrack and h is None:
             return
         aM = abs(da) * M
         j = aM // gcd(aM, abs(db))
         yield j, h
         return
-    if isinstance(desc, (FreeGroup, SurfaceWithBoundary)):
-        letters = desc.letters
-        ra, ea = primitive_root(a)
-        rb, eb = primitive_root(b)
-        seen = set()
-        for h in itertools.chain([()], ball_words(sorted(letters), window)):
-            if same_edge:
-                k = power_of(h, b)
-                if k is not None:
-                    continue
-            conj = free_reduce(h + rb + invert(h))
-            if conj == ra:
-                sign = 1
-            elif conj == invert(ra):
-                sign = -1
-            else:
-                continue
-            aM = ea * M
-            j = abs(aM) // gcd(abs(aM), abs(eb))
-            if j not in seen:
-                seen.add(j)
-                yield j, h
-        return
-    raise WordError("no intersection oracle for this vertex group")
+    # free and surface vertices
+    ra, ea = primitive_root(a)
+    rb, eb = primitive_root(b)
+    seen = set()
+    for h in itertools.chain([()], ball_words(sorted(desc.letters), window)):
+        if backtrack and power_of(h, b) is not None:
+            continue
+        conj = free_reduce(h + rb + invert(h))
+        if conj != ra and conj != invert(ra):
+            continue
+        aM = ea * M
+        j = abs(aM) // gcd(abs(aM), abs(eb))
+        if j not in seen:
+            seen.add(j)
+            yield j, h
 
 
 def _nonmember_turn(letters, vb, required: bool):
-    """Some single letter outside the cyclic subgroup generated by exponent
-    vector vb, or None."""
+    """Some single letter outside the cyclic subgroup generated by the
+    exponent vector vb (that is, whose unit vector is not +-vb), or None."""
     for i, l in enumerate(letters):
         e = tuple(1 if j == i else 0 for j in range(len(letters)))
-        try:
-            _, pb = _primitive_vector(vb)
-        except WordError:
-            return ((l, 1),)
-        if e != pb and tuple(-c for c in e) != pb:
+        if e != vb and tuple(-c for c in e) != vb:
             return ((l, 1),)
     return None if required else ()
 

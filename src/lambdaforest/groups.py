@@ -1,5 +1,5 @@
 """Words over generator alphabets, free-group utilities, word-problem
-oracles, and Betti numbers via Smith normal form.
+oracles, and first Betti numbers by rank over Q.
 
 A word is a tuple of (label, exponent) letters with exponent +1 or -1.  The
 string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
@@ -7,7 +7,6 @@ string form uses a trailing apostrophe for inverses: "ab'a" = a b^-1 a.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add
 from typing import Optional, Sequence
 
@@ -235,76 +234,17 @@ class FinitePresentation:
         return FinitePresentation(gens, rels)
 
 
-def smith_normal_form(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors of an integer matrix (exact, no modular shortcuts)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    factors = []
-    r = 0
-    while r < min(rows, cols):
-        # find a pivot
-        pivot = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if m[i][j] != 0:
-                    if pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[r], m[i] = m[i], m[r]
-        for row in m:
-            row[r], row[j] = row[j], row[r]
-        again = False
-        for i in range(r + 1, rows):
-            q = m[i][r] // m[r][r]
-            if q:
-                for j in range(r, cols):
-                    m[i][j] -= q * m[r][j]
-            if m[i][r] != 0:
-                again = True
-        for j in range(r + 1, cols):
-            q = m[r][j] // m[r][r]
-            if q:
-                for i in range(r, rows):
-                    m[i][j] -= q * m[i][r]
-            if m[r][j] != 0:
-                again = True
-        if again:
-            continue
-        factors.append(abs(m[r][r]))
-        r += 1
-    # enforce successive divisibility
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                factors[i], factors[i + 1] = g, a * b // g
-                changed = True
-        factors.sort()
-    return factors
-
-
 def betti1(p: FinitePresentation) -> int:
     """Free rank of the abelianization: #generators - rank of the relation
-    exponent matrix over Z."""
-    if not p.relators:
-        return len(p.generators)
-    matrix = [list(exponent_vector(r, p.generators)) for r in p.relators]
-    factors = smith_normal_form(matrix)
-    rank = sum(1 for f in factors if f != 0)
-    return len(p.generators) - rank
+    exponent matrix (its rank over Z is its rank over Q)."""
+    return len(p.generators) - rational_rank(
+        [list(exponent_vector(r, p.generators)) for r in p.relators])
 
 
 def rational_rank(matrix: list[list]) -> int:
-    """Row rank over Q by Gaussian elimination (independent oracle for betti1)."""
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in matrix]
+    """Row rank over Q by Gaussian elimination without division: row_i <-
+    a row_i - b row_r keeps ints ints and Fractions Fractions."""
+    m = [list(row) for row in matrix]
     rank = 0
     cols = len(m[0]) if m else 0
     for j in range(cols):
@@ -312,9 +252,10 @@ def rational_rank(matrix: list[list]) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j] != 0:
-                f = m[i][j] / m[rank][j]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        a = m[rank][j]
+        for i in range(rank + 1, len(m)):
+            b = m[i][j]
+            if b != 0:
+                m[i] = [a * x - b * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank

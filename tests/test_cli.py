@@ -708,6 +708,21 @@ def test_gog_attestation_must_be_a_nonempty_string(tmp_path, capsys, attestation
     assert f"infinitesimal: {verdict} (" in capsys.readouterr().out
 
 
+def test_gog_acyl_reads_both_ends_of_a_loop(tmp_path, capsys):
+    # F(x, y) with a loop t x t^-1 = x: x fixes a line of the Bass-Serre tree
+    doc = {**EMPTY_GOG,
+           "vertices": [{"id": "F", "type": "infinitesimal",
+                         "group": {"kind": "free", "letters": ["x", "y"]}}],
+           "edges": [{"u": "F", "v": "F", "image_u": "x", "image_v": "x"}]}
+    report = tmp_path / "acyl.json"
+    argv = ["gog", "acyl", "--input", write(tmp_path, "loop.json", doc), "--json", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith("acylindricity: Fail, fixed by x\n")
+    body = json.loads(report.read_text())
+    assert body["status"] == "violation" and body["inconclusive_at"] == []
+    assert len(body["path"]) == 5
+
+
 def test_gog_surface_case(tmp_path, capsys):
     path = emit(tmp_path, "n3-surface-gog")
     assert main(["gog", "principal", "--input", path]) == 0

@@ -1,6 +1,7 @@
 import copy
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lambdaforest.devissage import (
     AcylReport,
@@ -12,7 +13,6 @@ from lambdaforest.devissage import (
     GGVertex,
     GraphOfGroups,
     MaxAbelianDeclaration,
-    Preset,
     SurfaceWithBoundary,
     check_acylindricity,
     check_betti_bounds,
@@ -20,7 +20,7 @@ from lambdaforest.devissage import (
     descriptor_from_json,
     principal_splitting_case,
 )
-from lambdaforest.groups import FinitePresentation, FreeGroupOracle, parse_word
+from lambdaforest.groups import FinitePresentation, parse_word
 from lambdaforest.presets import centralizer_extension_gog, n3_surface_gog
 
 CLAUSES = {"graph", "incidence", "abelian", "abelian-pairs", "surface", "infinitesimal"}
@@ -49,7 +49,6 @@ def test_centralizer_extension_acylindricity():
     G, _, _ = load(centralizer_extension_gog())
     rep = check_acylindricity(G, radius=5, window=4)
     assert rep.verdict == "Pass"
-    assert not rep.inconclusive_at
 
 
 def test_centralizer_extension_betti():
@@ -197,16 +196,77 @@ def test_acylindricity_fails_on_two_abelian_vertices():
     assert rep.verdict == "Fail"
 
 
-def test_acylindricity_inconclusive_on_preset_vertex():
-    P = GGVertex(
-        "P",
-        "infinitesimal",
-        Preset(FreeGroupOracle(("x",)), certificate="ball-cert", b1_declared=1),
-    )
-    G = GraphOfGroups([P], [])
-    rep = check_acylindricity(G)
-    assert rep.verdict == "Inconclusive"
-    assert rep.inconclusive_at == ["P"]
+def _loop(desc, image_u, image_v):
+    V = GGVertex("V", "infinitesimal", desc)
+    return GraphOfGroups([V], [GGEdge("V", "V", parse_word(image_u), parse_word(image_v))])
+
+
+# a loop is an HNN extension, and its two ends are two half-edges: going round
+# it twice the same way is a reduced path, however the turn is chosen
+@pytest.mark.parametrize("desc, image_u, image_v, element", [
+    (FreeGroup(("x", "y")), "x", "x", "x"),  # t commutes with x: x fixes a line
+    (FreeAbelian(("a",)), "a", "aa", "a"),  # BS(1, 2): a, read at the far end
+])
+def test_acylindricity_fails_on_hnn_loops(desc, image_u, image_v, element):
+    rep = check_acylindricity(_loop(desc, image_u, image_v), radius=5, window=4)
+    assert rep.verdict == "Fail"
+    assert rep.element == element
+    assert len(rep.path) == 5
+    assert all(step["from"] == step["to"] == "V" for step in rep.path)
+
+
+def test_acylindricity_passes_free_hnn_loop():
+    # t x t^-1 = y: the group is free on x and t
+    rep = check_acylindricity(_loop(FreeGroup(("x", "y")), "x", "y"), radius=5, window=4)
+    assert rep.verdict == "Pass"
+
+
+# at an abelian vertex a turn leaves the edge group <b> when its letter is not
+# +-b itself: n lies outside <n^2>
+@pytest.mark.parametrize("k", [2, 3])
+def test_acylindricity_fails_when_a_proper_power_is_glued(k):
+    # <n, m | n^k = m^2>: the central n^k fixes the whole tree
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    B = GGVertex("B", "abelian", FreeAbelian(("m",)))
+    G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n" * k), parse_word("mm"))])
+    rep = check_acylindricity(G, radius=5, window=4)
+    assert rep.verdict == "Fail"
+    assert rep.path[1]["turn"] in ("m", "n")
+
+
+def test_acylindricity_passes_when_the_letter_itself_is_glued():
+    # <n> *_{n = m} <m> is Z: its tree has no reduced path of two edges
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    B = GGVertex("B", "abelian", FreeAbelian(("m",)))
+    G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n"), parse_word("m'"))])
+    assert check_acylindricity(G, radius=2, window=4).verdict == "Pass"
+
+
+DESCRIPTORS = [FreeGroup(("x",)), FreeGroup(("x", "y")), FreeAbelian(("a",)),
+               FreeAbelian(("a", "b")), CyclicBySum("n", ()), CyclicBySum("n", ("z",))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_acylindricity_verdict_ignores_edge_orientation(data):
+    """Reversing every edge (swapping its ends and their images) names the
+    same graph of groups, so the verdict stays."""
+    descs = data.draw(st.lists(st.sampled_from(DESCRIPTORS), min_size=1, max_size=3))
+    verts = [GGVertex(f"V{k}", "infinitesimal", d) for k, d in enumerate(descs)]
+
+    def end():
+        k = data.draw(st.integers(0, len(verts) - 1))
+        word = st.tuples(st.sampled_from(descs[k].letters), st.sampled_from([1, -1]))
+        return f"V{k}", tuple(data.draw(st.lists(word, min_size=1, max_size=2)))
+
+    ends = [(end(), end()) for _ in range(data.draw(st.integers(1, 3)))]
+    try:
+        G = GraphOfGroups(verts, [GGEdge(u, v, iu, iv) for (u, iu), (v, iv) in ends])
+    except DevissageError:  # a trivial edge image
+        assume(False)
+    R = GraphOfGroups(verts, [GGEdge(v, u, iv, iu) for (u, iu), (v, iv) in ends])
+    verdict = check_acylindricity(G, radius=3, window=2).verdict
+    assert check_acylindricity(R, radius=3, window=2).verdict == verdict
 
 
 # Betti bounds -------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from lambdaforest.groups import (
     power_of,
     primitive_root,
     rational_rank,
-    smith_normal_form,
     word_str,
 )
 
@@ -102,14 +102,36 @@ def test_exponent_vector():
         exponent_vector(parse_word("c"), ("a", "b"))
 
 
-# Smith form and Betti numbers -------------------------------------------------------
+# rank and Betti numbers -------------------------------------------------------------
 
 
-def test_smith_normal_form_divisibility():
-    f = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert f == sorted(f)
-    for a, b in zip(f, f[1:]):
-        assert b % a == 0
+def _det(m):
+    """Leibniz formula: the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def brute_rank(matrix):
+    """The largest order of a nonzero minor."""
+    rows, cols = len(matrix), len(matrix[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if _det([[matrix[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def test_rank_examples():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for matrix, rank in [([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3), ([[1, 2], [2, 4], [0, 0]], 1),
+                         ([[0, 0]], 0), ([[half, third], [3 * half, 1]], 1)]:
+        assert brute_rank(matrix) == rational_rank(matrix) == rank
 
 
 def test_betti1_examples():
@@ -126,19 +148,30 @@ def test_hnn_abelianization_matches():
     assert betti1(pres) == betti1(target) == 2
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
+def matrices(entries):
+    """1-4 rows of 1-4 entries each; small entries make dependent rows common."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                              min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.integers(min_value=-3, max_value=3)))
 def test_betti1_matches_rational_rank(matrix):
-    """Smith-form rank agrees with plain Gaussian elimination over Q."""
-    factors = smith_normal_form([row[:] for row in matrix])
-    snf_rank = sum(1 for f in factors if f != 0)
-    assert snf_rank == rational_rank(matrix)
+    """On integer matrices the elimination rank is the brute-force rank, and
+    betti1 of the presentation whose relators have these exponent rows is
+    the number of generators less that rank."""
+    assert rational_rank(matrix) == brute_rank(matrix)
+    gens = "abcd"[:len(matrix[0])]
+    relators = tuple(tuple((g, -1 if c < 0 else 1) for g, c in zip(gens, row)
+                           for _ in range(abs(c))) for row in matrix)
+    assert betti1(FinitePresentation(tuple(gens), relators)) == len(gens) - brute_rank(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+def test_rational_rank_on_fractions(matrix):
+    assert rational_rank(matrix) == brute_rank(matrix)
 
 
 def test_cyclic_reduce():

@@ -135,10 +135,21 @@ def test_only_help_and_usage_errors_load_argparse(argv, rc):
     assert "argparse" in stdlib and set(loaded) == {"cli"}
 
 
+# the rank behind gog betti eliminates without dividing, so no gog command
+# pays for importing fractions (about 2.6 ms)
+@pytest.mark.parametrize("op", ["structure", "acyl", "betti", "principal"])
+def test_gog_commands_do_not_load_fractions(tmp_path, op):
+    code = RUN_MAIN.replace('("dataclasses",', '("fractions", "dataclasses",')
+    assert code != RUN_MAIN
+    argv = ["gog", op, "--input", "@centralizer-extension-gog"]
+    got_rc, _loaded, stdlib = fresh(code, *_paths(tmp_path, argv))
+    assert got_rc == 0 and "fractions" not in stdlib
+
+
 # lines of lambdaforest source (package __init__ included) that the commands of
-# each family load between them, measured at the change that deleted the
-# equality, hashing and report fields no caller used
-FAMILY_LINES = {"tree": 2668, "bt": 1789, "gog": 1310, "marked": 1045, "preset": 481}
+# each family load between them, measured at the change that gave graphs of
+# groups one half-edge table and groups one rank routine
+FAMILY_LINES = {"tree": 2609, "bt": 1730, "gog": 1172, "marked": 986, "preset": 481}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 

@@ -18,7 +18,6 @@ from lambdaforest.devissage import (
     GGEdge,
     GGVertex,
     MaxAbelianDeclaration,
-    Preset,
     SurfaceWithBoundary,
 )
 from lambdaforest.gluing import DualPoint
@@ -51,7 +50,6 @@ CLASSES = {
     "CyclicBySum": (CyclicBySum, ("n", ("x",)), None, None),
     "SurfaceWithBoundary": (SurfaceWithBoundary, (("a", "b"), (parse_word("aba'b'"),), None),
                             None, None),
-    "Preset": (Preset, (FreeGroupOracle(("p",)), "cert", 1), None, None),
     "GGVertex": (GGVertex, ("v", "abelian", CyclicBySum("n", ()), None), None, None),
     "GGEdge": (GGEdge, ("u", "v", parse_word("n"), parse_word("xy'")), None, None),
     "MarkedGroup": (MarkedGroup, (FreeGroupOracle(("p", "q")), (parse_word("p"), parse_word("pq")),
