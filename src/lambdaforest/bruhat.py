@@ -19,7 +19,7 @@ from math import lcm
 from typing import Optional
 
 from .ordgroup import LexValue, _frozen, _rat
-from .groups import Word, rational_rank
+from .groups import Word, check_alphabet, rational_rank
 
 
 class FieldError(ValueError):
@@ -583,13 +583,9 @@ def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
             raise FieldError(f"Qp context needs a prime p, got {p!r}")
     if not isinstance(doc["generators"], dict):
         raise FieldError("generators must be an object of label -> matrix")
+    check_alphabet(tuple(doc["generators"]), "generator label")
     gens = {}
     for label, rows in doc["generators"].items():
-        # parse_word reads one character per letter and skips or consumes
-        # these three, so a witness word could not be read back
-        if len(label) != 1 or label in "' .":
-            raise FieldError(f"generator label {label!r} must be one character, "
-                             "not ', space or .")
         (a, b), (c, d) = rows
         gens[label] = Mat2(
             parse_entry(a, field, p),

@@ -61,13 +61,13 @@ def _positive_field(doc: dict, key: str, default: int) -> int:
 
 
 def _digest(doc: dict) -> str:
-    try:  # a built-in module, as random does: hashlib loads OpenSSL, about 2 ms a job
-        from _sha2 import sha256  # Python 3.12 and later
-    except ImportError:
-        try:
+    try:  # built-in, as random's; hashlib loads OpenSSL (2 ms). A failed import is redone per call
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
             from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
+    except ImportError:
+        from hashlib import sha256
     return sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 

@@ -16,16 +16,15 @@ from .groups import (
     FreeGroupOracle,
     Word,
     _frozen,
-    ball_words,
     betti1,
-    conjugate_in_free,
+    check_alphabet,
+    conjugator,
     cyclic_reduce,
     exponent_vector,
     free_reduce,
     invert,
     parse_word,
     power,
-    power_of,
     primitive_root,
     word_str,
 )
@@ -110,7 +109,7 @@ class SurfaceWithBoundary:
     def b1(self) -> int:
         if self.closed_relator is None:
             return len(self.letters)
-        pres = FinitePresentation(self.letters, (free_reduce(self.closed_relator),))
+        pres = FinitePresentation(self.letters, (self.closed_relator,))
         return betti1(pres)
 
 
@@ -213,20 +212,22 @@ class GraphOfGroups:
 
 def descriptor_from_json(doc: dict) -> Descriptor:
     kind = doc["kind"]
-    if kind == "free":
-        return FreeGroup(tuple(doc["letters"]))
-    if kind == "free-abelian":
-        return FreeAbelian(tuple(doc["letters"]))
     if kind == "cyclic-by-sum":
-        return CyclicBySum(doc["n_letter"], tuple(doc["extra_letters"]))
-    if kind == "surface-with-boundary":
+        letters = (doc["n_letter"],) + tuple(doc["extra_letters"])
+    elif kind in ("free", "free-abelian", "surface-with-boundary"):
         letters = tuple(doc["letters"])
-        bnd = tuple(parse_word(b, letters) for b in doc["boundaries"])
-        rel = doc.get("closed_relator")
-        return SurfaceWithBoundary(
-            letters, bnd, parse_word(rel, letters) if rel else None
-        )
-    raise DevissageError(f"unknown descriptor kind {kind!r}")
+    else:
+        raise DevissageError(f"unknown descriptor kind {kind!r}")
+    check_alphabet(letters, "vertex letter")
+    if kind == "free":
+        return FreeGroup(letters)
+    if kind == "free-abelian":
+        return FreeAbelian(letters)
+    if kind == "cyclic-by-sum":
+        return CyclicBySum(letters[0], letters[1:])
+    bnd = tuple(parse_word(b, letters) for b in doc["boundaries"])
+    rel = doc.get("closed_relator")
+    return SurfaceWithBoundary(letters, bnd, parse_word(rel, letters) if rel else None)
 
 
 # structure check ----------------------------------------------------------------------
@@ -326,7 +327,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
                 continue
             r1, _ = primitive_root(w1)
             r2, _ = primitive_root(w2)
-            if conjugate_in_free(r1, r2) or conjugate_in_free(r1, invert(r2)):
+            if _conjugator_pm(r1, r2) is not None:
                 pairs = ClauseVerdict(
                     "Fail", f"abelian vertices {a1!r}, {a2!r} share a root at {inf!r}"
                 )
@@ -351,8 +352,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
                 f"surface vertex {vid!r} has no edges: closed-surface case"
             )
             continue
-        match = _boundary_matching(inc, list(v.desc.boundaries))
-        if match is None:
+        if not _boundary_matching(inc, list(v.desc.boundaries)):
             verdict = ClauseVerdict(
                 "Fail",
                 f"no edge-boundary bijection at {vid!r} "
@@ -379,20 +379,23 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
     return StructureReport(clauses, remarks)
 
 
-def _boundary_matching(images: list[Word], boundaries: list[Word]) -> Optional[list[int]]:
-    """Perfect matching of edge images to boundary words under free-group
-    conjugacy up to inversion; inputs are tiny, brute force."""
-    if len(images) != len(boundaries):
-        return None
-    n = len(images)
-    for perm in itertools.permutations(range(n)):
-        if all(
-            conjugate_in_free(images[i], boundaries[perm[i]])
-            or conjugate_in_free(images[i], invert(boundaries[perm[i]]))
-            for i in range(n)
-        ):
-            return list(perm)
-    return None
+def _boundary_matching(images: list[Word], boundaries: list[Word]) -> bool:
+    """Whether edge images and boundary words match one to one under
+    free-group conjugacy up to inversion.  That is an equivalence relation,
+    so matching each image to any unmatched equivalent boundary decides it."""
+    left = list(boundaries)
+    for img in images:
+        match = [b for b in left if _conjugator_pm(img, b) is not None]
+        if not match:
+            return False
+        left.remove(match[0])
+    return not left
+
+
+def _conjugator_pm(u: Word, w: Word) -> Optional[Word]:
+    """Some h with h w h^-1 = u or u^-1 in the free group, or None."""
+    h = conjugator(u, w)
+    return conjugator(invert(u), w) if h is None else h
 
 
 # acylindricity ------------------------------------------------------------------------
@@ -407,9 +410,7 @@ class AcylReport:
 
 def _primitive_vector(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """vec is nonzero: GraphOfGroups refuses trivial edge images."""
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
+    g = gcd(*vec)
     prim = tuple(c // g for c in vec)
     # sign-normalize by first nonzero
     lead = next(c for c in prim if c != 0)
@@ -422,8 +423,9 @@ def _primitive_vector(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> AcylReport:
     """Search for a nontrivial element fixing a reduced Bass-Serre path of
     `radius` edges.  The pointwise stabilizer is tracked as a power of the
-    current edge group; turn elements range over vertex-group words of length
-    at most `window`."""
+    current edge group, and each turn is computed exactly, so `window` bounds
+    nothing: it is kept because `gog acyl --window` and the acceptance tests
+    still pass it."""
     # state: (half-edge j, multiplier M) meaning the stabilizer so far is the
     # M-th powers of the edge group, read at the half-edge's dst vertex
     hes = G.half_edges
@@ -438,7 +440,7 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
             for j2, he2 in enumerate(hes):
                 if he2[1] != dst:
                     continue
-                for M2, h in _turns(desc, arrival_img, M, he2[3], j2 == j ^ 1, window):
+                for M2, h in _turns(desc, arrival_img, M, he2[3], j2 == j ^ 1):
                     if (j2, M2) not in nxt:
                         nxt[(j2, M2)] = path + [(he2, h)]
         states = nxt
@@ -455,7 +457,7 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
     return AcylReport("Fail", desc_path, word_str(power(hes[j][4], M)))
 
 
-def _turns(desc: Descriptor, a: Word, M: int, b: Word, backtrack: bool, window: int):
+def _turns(desc: Descriptor, a: Word, M: int, b: Word, backtrack: bool):
     """Yield (new multiplier, turn witness) for continuations whose pointwise
     stabilizer stays nontrivial: <a^M> meet h<b>h^-1 in the vertex group.  On
     a backtrack (leaving by the reverse of the arrival half-edge) the turn h
@@ -472,24 +474,23 @@ def _turns(desc: Descriptor, a: Word, M: int, b: Word, backtrack: bool, window: 
         if backtrack and h is None:
             return
         aM = abs(da) * M
-        j = aM // gcd(aM, abs(db))
-        yield j, h
+        yield aM // gcd(aM, abs(db)), h
         return
-    # free and surface vertices
+    # free and surface vertices: the turns are the coset <ra> h0 (<ra> is
+    # ra's centralizer), and |ra^m h0| >= |m| |core of ra| - |h0| bounds m for
+    # a turn no longer than h0.  On a backtrack a = b, so h0 = () and the
+    # turns inside <b> = <ra^eb> are the m = 0 mod eb.
     ra, ea = primitive_root(a)
     rb, eb = primitive_root(b)
-    seen = set()
-    for h in itertools.chain([()], ball_words(sorted(desc.letters), window)):
-        if backtrack and power_of(h, b) is not None:
-            continue
-        conj = free_reduce(h + rb + invert(h))
-        if conj != ra and conj != invert(ra):
-            continue
-        aM = ea * M
-        j = abs(aM) // gcd(abs(aM), abs(eb))
-        if j not in seen:
-            seen.add(j)
-            yield j, h
+    h0 = _conjugator_pm(ra, rb)
+    if h0 is None:
+        return
+    k = 2 * len(h0) // len(cyclic_reduce(ra)[0]) + 1
+    turns = [free_reduce(power(ra, m) + h0) for m in range(-k, k + 1)
+             if not (backtrack and m % eb == 0)]
+    if turns:
+        # the least in ball_words order: shortest, then by sorted letter, + first
+        yield ea * M // gcd(ea * M, eb), min(turns, key=lambda h: (len(h), [(l, -e) for l, e in h]))
 
 
 def _nonmember_turn(letters, vb, required: bool):
@@ -512,8 +513,9 @@ class MaxAbelianDeclaration:
     def __init__(self, ranks: tuple[tuple[str, int], ...]):
         object.__setattr__(self, "ranks", ranks)  # (vertex or subgroup tag, rank >= 2)
         for tag, r in ranks:
-            if r < 2:
-                raise DevissageError(f"declared maximal abelian {tag!r} has rank {r} < 2")
+            if isinstance(r, bool) or not isinstance(r, int) or r < 2:
+                raise DevissageError(f"declared maximal abelian {tag!r} has rank {r!r}, "
+                                     "not an integer >= 2")
 
 
 class BettiReport:
@@ -539,6 +541,8 @@ def check_betti_bounds(
     ambient: FinitePresentation,
     decl: MaxAbelianDeclaration,
 ) -> BettiReport:
+    if not G.connected():  # b1_graph = E - V + 1 counts a connected graph only
+        raise DevissageError("graph of groups is not connected")
     b1g = betti1(ambient)
     per_vertex = {vid: v.desc.b1 for vid, v in G.vertices.items()}
     b1_graph = len(G.edges) - len(G.vertices) + 1

@@ -44,6 +44,16 @@ def parse_word(s: str, alphabet: Optional[Sequence[str]] = None) -> Word:
     return tuple(letters)
 
 
+def check_alphabet(letters: Sequence[str], what: str) -> None:
+    """Refuse an alphabet that parse_word could not read back: a letter given
+    twice, or one that is not a single character or is ', space or a dot."""
+    if len(set(letters)) != len(letters):
+        raise WordError(f"{what}s must be distinct")
+    for l in letters:
+        if not isinstance(l, str) or len(l) != 1 or l in "' .":
+            raise WordError(f"{what} {l!r} must be one character, not ', space or .")
+
+
 def word_str(w: Word) -> str:
     return "".join(l + ("'" if e < 0 else "") for l, e in w)
 
@@ -137,30 +147,16 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
-def conjugate_in_free(u: Word, w: Word) -> bool:
-    """Conjugacy in a free group: equal cyclic reductions up to rotation."""
-    cu, _ = cyclic_reduce(u)
-    cw, _ = cyclic_reduce(w)
-    if len(cu) != len(cw):
-        return False
-    if not cu:
-        return True
-    return any(cw[i:] + cw[:i] == cu for i in range(len(cw)))
-
-
-def power_of(w: Word, base: Word) -> Optional[int]:
-    """Return k with w = base^k in the free group, or None. base nontrivial."""
-    w = free_reduce(w)
-    if not w:
-        return 0
-    rb, eb = primitive_root(base)
-    rw, ew = primitive_root(w)
-    if rw == rb:
-        k, rem = divmod(ew, eb)
-        return k if rem == 0 else None
-    if rw == invert(rb):
-        k, rem = divmod(ew, eb)
-        return -k if rem == 0 else None
+def conjugator(u: Word, w: Word) -> Optional[Word]:
+    """Some reduced h with h w h^-1 = u in the free group, or None.  Words are
+    conjugate exactly when their cyclic cores are rotations of each other:
+    with u = g c g^-1, w = f d f^-1 and c = p^-1 d p for the prefix p of d,
+    h = g p^-1 f^-1, which is () when u = w."""
+    cu, gu = cyclic_reduce(u)
+    cw, gw = cyclic_reduce(w)
+    for i in range(len(cw) or 1):
+        if cw[i:] + cw[:i] == cu:
+            return free_reduce(gu + invert(cw[:i]) + invert(gw))
     return None
 
 
@@ -223,14 +219,12 @@ class FinitePresentation:
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", relators)
-        for r in relators:
-            if free_reduce(r) != r:
-                raise WordError("relators must be freely reduced")
 
     @staticmethod
     def from_json(doc: dict) -> "FinitePresentation":
         gens = tuple(doc["generators"])
-        rels = tuple(free_reduce(parse_word(r, gens)) for r in doc["relators"])
+        check_alphabet(gens, "generator")
+        rels = tuple(parse_word(r, gens) for r in doc["relators"])
         return FinitePresentation(gens, rels)
 
 

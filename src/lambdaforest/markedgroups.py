@@ -17,6 +17,7 @@ from .groups import (
     WordError,
     _frozen,
     ball_words,
+    check_alphabet,
     free_reduce,
     invert,
     parse_word,
@@ -38,14 +39,7 @@ class MarkedGroup:
         object.__setattr__(self, "letters", letters)
         if len(self.marking) != len(self.letters):
             raise WordError("one abstract letter per marking word")
-        if len(set(self.letters)) != len(self.letters):
-            raise WordError("abstract marking letters must be distinct")
-        for l in self.letters:
-            # parse_word reads one character per letter and skips or
-            # consumes these three, so a relation could not be read back
-            if not isinstance(l, str) or len(l) != 1 or l in "' .":
-                raise WordError(f"abstract marking letter {l!r} must be one character, "
-                                "not ', space or .")
+        check_alphabet(self.letters, "abstract marking letter")
         for w in self.marking:
             for l, _e in w:
                 if l not in self.oracle.letters:
@@ -176,6 +170,7 @@ def marked_group_from_json(doc: dict) -> MarkedGroup:
         oracle = FreeAbelianOracle(tuple(gdoc["letters"]))
     else:
         raise WordError(f"unsupported marked-group oracle {gdoc['kind']!r}")
+    check_alphabet(oracle.letters, "group letter")
     marking = tuple(parse_word(w, oracle.letters) for w in doc["marking"])
     return MarkedGroup(oracle, marking, tuple(doc["letters"]))
 

@@ -723,6 +723,66 @@ def test_gog_acyl_reads_both_ends_of_a_loop(tmp_path, capsys):
     assert len(body["path"]) == 5
 
 
+def test_gog_acyl_finds_a_turn_longer_than_the_window(tmp_path, capsys):
+    # F(x, y) with a loop t x t^-1 = y^5 x y^-5: the turn y^5 is longer than
+    # --window, and the path it turns on is still found
+    doc = {**EMPTY_GOG,
+           "vertices": [{"id": "F", "type": "infinitesimal",
+                         "group": {"kind": "free", "letters": ["x", "y"]}}],
+           "edges": [{"u": "F", "v": "F", "image_u": "x", "image_v": "yyyyyxy'y'y'y'y'"}]}
+    argv = ["gog", "acyl", "--input", write(tmp_path, "loop.json", doc),
+            "--radius", "5", "--window", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == "acylindricity: Fail, fixed by yyyyyxy'y'y'y'y'\n"
+
+
+def _gog_with(edit):
+    doc = presets.emit("centralizer-extension-gog")
+    edit(doc)
+    return doc
+
+
+def _marked_group_letters(letters):
+    return {"schema": SCHEMA, "kind": "marked-group",
+            "group": {"kind": "free", "letters": letters}, "marking": ["p", "p"],
+            "letters": ["a", "b"]}
+
+
+# every alphabet a document names is one of distinct one-character letters,
+# none of them ', space or .: a repeated generator once counted twice in b1
+@pytest.mark.parametrize("argv, doc, message", [
+    (["gog", "betti"], _gog_with(lambda d: d["ambient"].update(generators=["x", "y", "z", "z"])),
+     "generators must be distinct"),
+    (["gog", "structure"], _gog_with(lambda d: d["vertices"][0]["group"].update(
+        letters=["x", "x"])), "vertex letters must be distinct"),
+    (["gog", "acyl"], _gog_with(lambda d: d["vertices"][1]["group"].update(
+        extra_letters=["n"])), "vertex letters must be distinct"),
+    (["gog", "structure"], _gog_with(lambda d: d["vertices"][1]["group"].update(
+        n_letter="nn")), "vertex letter 'nn' must be one character"),
+    (["gog", "structure"], {**presets.emit("n3-surface-gog"), "vertices": [
+        {"id": "S", "type": "surface", "group": {"kind": "surface-with-boundary",
+                                                 "letters": ["a", "."], "boundaries": []}}]},
+     "vertex letter '.' must be one character"),
+    (["marked", "ball"], _marked_group_letters(["p", "p"]), "group letters must be distinct"),
+    (["marked", "ball"], _marked_group_letters(["p", "'"]),
+     "group letter \"'\" must be one character"),
+], ids=["ambient-repeat", "free-repeat", "extra-repeats-n", "n-letter-long", "surface-dot",
+        "marked-group-repeat", "marked-group-quote"])
+def test_unreadable_alphabets_are_malformed(tmp_path, capsys, argv, doc, message):
+    assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed input: ") and message in err
+
+
+@pytest.mark.parametrize("rank", [2.5, "3", True, None, 1])
+def test_gog_betti_max_abelian_rank_must_be_an_int(tmp_path, capsys, rank):
+    doc = {**presets.emit("centralizer-extension-gog"), "max_abelian": [["A", rank]]}
+    assert main(["gog", "betti", "--input", write(tmp_path, "doc.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"malformed input: declared maximal abelian 'A' has rank "
+                                 f"{rank!r}, not an integer >= 2\n")
+
+
 def test_gog_surface_case(tmp_path, capsys):
     path = emit(tmp_path, "n3-surface-gog")
     assert main(["gog", "principal", "--input", path]) == 0

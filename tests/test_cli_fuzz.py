@@ -1,11 +1,15 @@
-"""Every preset, run through its target command with each top-level key
-dropped and with each top-level value replaced by 7 and by [], ends in an
-exit code and never in an exception out of `main`; so does every preset and
-every document of the commands no preset serves (`isom`, `glue`, `cover`)
-with the key or item at any nested path dropped or its value replaced.  A
-nested mutation that empties a nonempty list or object never passes (exit
-0) unless ALLOW_EMPTY names that path with the reason an empty value is
-well-formed there."""
+"""Every preset, run through its target commands (each `gog` preset through
+all four `gog` ops) with each top-level key dropped and with each top-level
+value replaced by 7 and by [], ends in an exit code and never in an
+exception out of `main`; so does every preset and every document of the
+commands no preset serves (`isom`, `glue`, `cover`) under each nested
+mutation: the key or item at any path dropped or its value replaced, a list
+item repeated in place, a name replaced by a label the document does not
+define, a vector of rationals made one coordinate too long, and `rank`
+raised by one.  A mutation that empties a nonempty list or object, repeats
+an item or names an unknown label never passes (exit 0) unless ALLOW_EMPTY,
+ALLOW_REPEAT or ALLOW_UNKNOWN names that path with the reason it is
+well-formed there; a wrong rank never passes."""
 
 import json
 from fnmatch import fnmatchcase
@@ -18,17 +22,19 @@ from lambdaforest.cli import main
 
 EXIT_CODES = {0, 2, 3, 64, 65}
 
-# argv around the --input of each preset's target command, with the smallest
-# --ball: the fuzz tests parsing, not walking
+# argv around the --input of each preset's target commands, with the smallest
+# --ball, --radius and --window: the fuzz tests parsing, not walking
+GOG = [["gog", "structure"], ["gog", "acyl", "--radius", "1", "--window", "1"],
+       ["gog", "betti"], ["gog", "principal"]]
 TARGETS = {
-    "schottky-qt": ["bt", "certify", "--ball", "1"],
-    "z2-diagonal": ["bt", "length", "--word", "uv'"],
-    "unipotent-fail": ["bt", "certify", "--ball", "1"],
-    "centralizer-extension-gog": ["gog", "structure"],
-    "n3-surface-gog": ["gog", "structure"],
-    "z-to-z2-sequence": ["marked", "profile"],
-    "square-cycle": ["validate-tree"],
-    "tripod": ["tree", "distance", "--x", "p", "--y", "q"],
+    "schottky-qt": [["bt", "certify", "--ball", "1"]],
+    "z2-diagonal": [["bt", "length", "--word", "uv'"]],
+    "unipotent-fail": [["bt", "certify", "--ball", "1"]],
+    "centralizer-extension-gog": GOG,
+    "n3-surface-gog": GOG,
+    "z-to-z2-sequence": [["marked", "profile"]],
+    "square-cycle": [["validate-tree"]],
+    "tripod": [["tree", "distance", "--x", "p", "--y", "q"]],
 }
 
 
@@ -43,8 +49,10 @@ def test_every_preset_has_a_target():
     assert sorted(TARGETS) == presets.names()
 
 
-def run(path, argv, doc):
-    path.write_text(json.dumps(doc))
+def run(path, argv, doc=None):
+    """main's exit code on argv with --input path, after writing doc there."""
+    if doc is not None:
+        path.write_text(json.dumps(doc))
     try:
         return main(argv[:2] + ["--input", str(path)] + argv[2:])
     except Exception as exc:  # an escaped exception is the fault these tests look for
@@ -53,12 +61,12 @@ def run(path, argv, doc):
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
 def test_top_level_mutations_end_in_an_exit_code(tmp_path, capsys, name):
-    argv = TARGETS[name]
     bad = []
-    for label, doc in mutations(presets.emit(name)):
-        rc = run(tmp_path / "doc.json", argv, doc)
-        if rc not in EXIT_CODES:
-            bad.append((label, rc))
+    for argv in TARGETS[name]:
+        for label, doc in mutations(presets.emit(name)):
+            rc = run(tmp_path / "doc.json", argv, doc)
+            if rc not in EXIT_CODES:
+                bad.append((argv[:2], label, rc))
     capsys.readouterr()
     assert bad == []
 
@@ -76,17 +84,44 @@ DOCUMENT_TARGETS = {
 }
 DROP = object()
 
-# (command, glob over the path joined by "/"): why an empty list or object
-# there is well-formed, so that the command may still pass
-ALLOW_EMPTY = {
+# (command, glob over the path joined by "/"): why a mutation there may pass.
+# UNREAD names what a command never reads, and joins each list below.
+UNREAD = {
     ("*", "*provenance"): "a record of where a document came from; no command reads it",
-    ("gog structure", "ambient*"): "read only by gog betti",
-    ("gog structure", "max_abelian*"): "read only by gog betti",
+    ("gog [!b]*", "ambient*"): "read only by gog betti",
+    ("gog [!b]*", "max_abelian*"): "read only by gog betti",
     ("glue dual", "attestations*"): "read only by glue check-free",
     ("glue dual", "samples*"): "read only by glue check-free",
+    ("cover *", "tree/kind"): "cover reads a tree's rank, vertices and edges",
+    ("cover *", "tree/target"): "cover reads a tree's rank, vertices and edges",
+}
+# why an empty list or object there is well-formed
+ALLOW_EMPTY = {
+    **UNREAD,
     ("glue point", "attachments"): "a wedge with nothing attached is the base tree",
     ("*", "*/extra_letters"): "a cyclic-by-sum vertex with no extra summand is cyclic",
     ("bt *", "generators/*/*/*"): "a Q(t) or Q(s,t) coefficient map with no monomial is 0",
+    ("gog acyl", "edges"): "with no edge no tree path is fixed; gog structure judges connectedness",
+    ("gog betti", "ambient/relators"): "a presentation with no relator presents a free group",
+    ("gog betti", "max_abelian"): "declaring no maximal abelian subgroup makes the sum 0",
+}
+# why a list item given twice is well-formed
+ALLOW_REPEAT = {
+    **UNREAD,
+    ("gog *", "edges/?"): "parallel edges are a graph of groups; acyl fails two with one image",
+    ("gog betti", "ambient/relators/?"): "a relator given twice presents the same group",
+    ("gog betti", "max_abelian/?"): "a repeated entry only raises the abelian sum it bounds",
+    ("glue *", "edges/?"): "an edge given twice glues the same ends by the same map again",
+    ("glue point", "attachments/?"): "a tree attached twice at one point is a wedge of both",
+    ("glue check-free", "samples/?"): "a point sampled twice is checked twice",
+    ("cover *", "members/*"): "a point given twice spans the same member, and equal members "
+                               "collapse to one skeleton vertex",
+}
+# why a label no document defines is well-formed there
+ALLOW_UNKNOWN = {
+    **UNREAD,
+    ("gog *", "vertices/?/id"): "a vertex no edge names may have any id",
+    ("gog betti", "max_abelian/?/0"): "a tag names a vertex or a subgroup: any string is one",
 }
 
 
@@ -103,40 +138,88 @@ def paths(node, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
+# a label no document defines
+UNKNOWN = "Q9"
+
+
+def labels(node):
+    """The strings node defines as names: its keys, its ids and the string
+    items of its lists (vertices, letters, generators, labels)."""
+    found = set()
+    for path in paths(node):
+        parent = node
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if isinstance(path[-1], str):
+            found.add(path[-1])
+        if isinstance(value, str) and (isinstance(path[-1], int) or path[-1] == "id"):
+            found.add(value)
+    return found
+
+
+def replacements(old, names):
+    """(label, new value, rule) for each mutation of a value; a mutation
+    under a rule must not pass unless that rule's allowlist names its path."""
+    for bad in (DROP, 7, [], {}, "x", None, True):
+        emptied = isinstance(old, (list, dict)) and bool(old) and type(bad) is type(old)
+        yield "drop" if bad is DROP else repr(bad), bad, ALLOW_EMPTY if emptied else None
+    if isinstance(old, str) and old in names:
+        yield "unknown label", UNKNOWN, ALLOW_UNKNOWN
+    if isinstance(old, list) and old and all(isinstance(c, str) for c in old) \
+            and all(c.lstrip("-").replace("/", "").isdigit() for c in old):
+        yield "wrong rank", old + ["0"], {}  # a vector of rationals one too long
+
+
 def nested_mutations(doc):
-    """(label, path, mutated copy, whether the mutation empties a nonempty
-    list or object) for every path and replacement."""
+    """(label, path, mutated copy, rule) for every path and replacement, and
+    for every list item repeated in place."""
+    names = labels(doc)
     for path in paths(doc):
-        for bad in (DROP, 7, [], {}, "x", None, True):
-            copy = json.loads(json.dumps(doc))
-            parent = copy
-            for key in path[:-1]:
-                parent = parent[key]
-            old = parent[path[-1]]
-            if bad is DROP:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = bad
-            emptied = isinstance(old, (list, dict)) and bool(old) and type(bad) is type(old)
-            yield f"{'drop' if bad is DROP else repr(bad)} at {list(path)}", path, copy, emptied
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        if path[-1] == "rank" and type(old) is int:
+            yield f"rank {old + 1} at {list(path)}", path, rebuilt(doc, path, old + 1), {}
+        for label, bad, rule in replacements(old, names):
+            yield f"{label} at {list(path)}", path, rebuilt(doc, path, bad), rule
+        if isinstance(path[-1], int):
+            copy = rebuilt(doc, path[:-1], parent[:path[-1] + 1] + parent[path[-1]:])
+            yield f"repeat at {list(path)}", path, copy, ALLOW_REPEAT
 
 
-def allowed_empty(command, path):
+def rebuilt(doc, path, value):
+    """A copy of doc with the value at path replaced, or dropped for DROP."""
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copy
+
+
+def allowed(rule, command, path):
     where = "/".join(map(str, path))
-    return any(fnmatchcase(command, c) and fnmatchcase(where, p) for c, p in ALLOW_EMPTY)
+    return any(fnmatchcase(command, c) and fnmatchcase(where, p) for c, p in rule)
 
 
-def fuzz_nested(tmp_path, argv, doc):
-    """The nested mutations of doc that end in no exit code, or that empty a
-    collection and still pass where ALLOW_EMPTY does not allow it."""
-    command = " ".join(argv[:2])
+def fuzz_nested(tmp_path, argvs, doc):
+    """The nested mutations of doc that end in no exit code under one of
+    argvs, or that pass under a rule whose allowlist does not name their path."""
     bad = []
-    for label, path, copy, emptied in nested_mutations(doc):
-        rc = run(tmp_path / "doc.json", argv, copy)
-        if rc not in EXIT_CODES:
-            bad.append((label, rc))
-        elif emptied and rc == 0 and not allowed_empty(command, path):
-            bad.append((label, "passed on an emptied collection"))
+    for label, path, copy, rule in nested_mutations(doc):
+        (tmp_path / "doc.json").write_text(json.dumps(copy))
+        for argv in argvs:
+            command = " ".join(argv[:2])
+            rc = run(tmp_path / "doc.json", argv)
+            if rc not in EXIT_CODES:
+                bad.append((command, label, rc))
+            elif rule is not None and rc == 0 and not allowed(rule, command, path):
+                bad.append((command, label, "passed"))
     return bad
 
 
@@ -147,7 +230,7 @@ def test_every_document_command_has_a_target():
 @pytest.mark.parametrize("command", sorted(DOCUMENT_TARGETS))
 def test_nested_mutations_end_in_an_exit_code(tmp_path, capsys, command):
     name, argv = DOCUMENT_TARGETS[command]
-    bad = fuzz_nested(tmp_path, argv, DOCUMENTS[name])
+    bad = fuzz_nested(tmp_path, [argv], DOCUMENTS[name])
     capsys.readouterr()
     assert bad == []
 

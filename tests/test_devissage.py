@@ -1,4 +1,6 @@
 import copy
+import itertools
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,13 +16,26 @@ from lambdaforest.devissage import (
     GraphOfGroups,
     MaxAbelianDeclaration,
     SurfaceWithBoundary,
+    _boundary_matching,
+    _turns,
     check_acylindricity,
     check_betti_bounds,
     check_structure,
     descriptor_from_json,
     principal_splitting_case,
 )
-from lambdaforest.groups import FinitePresentation, parse_word
+from lambdaforest.groups import (
+    FinitePresentation,
+    WordError,
+    ball_words,
+    conjugator,
+    free_reduce,
+    invert,
+    parse_word,
+    power,
+    primitive_root,
+    word_str,
+)
 from lambdaforest.presets import centralizer_extension_gog, n3_surface_gog
 
 CLAUSES = {"graph", "incidence", "abelian", "abelian-pairs", "surface", "infinitesimal"}
@@ -97,6 +112,29 @@ def test_surface_boundary_matching():
     G2 = GraphOfGroups([F, S], [edge, GGEdge("F", "S", parse_word("x"), parse_word("a"))])
     rep2 = check_structure(G2)
     assert rep2.clauses["surface"].verdict == "Fail"
+
+
+cores = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from([1, -1])), min_size=1,
+                 max_size=3).map(lambda w: free_reduce(tuple(w))).filter(
+                     lambda w: w and w[0] != (w[-1][0], -w[-1][1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(cores, min_size=1, max_size=4), st.data())
+def test_greedy_boundary_matching_agrees_with_every_permutation(boundaries, data):
+    """Conjugacy up to inversion is an equivalence relation, so the greedy
+    match finds a bijection exactly when some permutation is one."""
+    def image():  # a conjugate of a boundary, its inverse or a fresh word
+        w = data.draw(st.sampled_from(boundaries * 3 + [data.draw(cores)]))
+        h = data.draw(cores)
+        return free_reduce(h + (invert(w) if data.draw(st.booleans()) else w) + invert(h))
+
+    n = len(boundaries) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    images = [image() for _ in range(n)]
+    want = len(images) == len(boundaries) and any(
+        all(conjugator(i, b) is not None or conjugator(i, invert(b)) is not None
+            for i, b in zip(images, perm)) for perm in itertools.permutations(boundaries))
+    assert _boundary_matching(images, boundaries) == want
 
 
 # mutation tests: each mutation flips at least one clause -----------------------------
@@ -242,6 +280,70 @@ def test_acylindricity_passes_when_the_letter_itself_is_glued():
     assert check_acylindricity(G, radius=2, window=4).verdict == "Pass"
 
 
+# a turn at a free vertex is computed, not searched for within --window
+def test_acylindricity_finds_a_turn_longer_than_the_window():
+    # t x t^-1 = y^5 x y^-5: y^-5 t commutes with x, so x fixes a line
+    G = _loop(FreeGroup(("x", "y")), "x", "yyyyyxy'y'y'y'y'")
+    rep = check_acylindricity(G, radius=5, window=4)
+    assert rep.verdict == "Fail"
+    assert rep.element == "yyyyyxy'y'y'y'y'"
+    assert [step["turn"] for step in rep.path] == [""] + ["yyyyy"] * 4
+
+
+def test_acylindricity_finds_a_root_turn_longer_than_the_window():
+    # (xyxyy)^2 glued to n: the root xyxyy commutes with n's image and lies
+    # outside the edge group, so n fixes a reduced path of two edges
+    F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    G = GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xyxyy" * 2), parse_word("n"))])
+    rep = check_acylindricity(G, radius=2, window=4)
+    assert rep.verdict == "Fail"
+    assert rep.element == "n"
+    assert [step["turn"] for step in rep.path] == ["", "xyxyy"]
+
+
+def _walk_turns(letters, a, M, b, backtrack, window):
+    """The reference: the turn search at a free vertex before turns were
+    computed.  It walks every word h of length at most `window`, shortest
+    first, and takes the first with h rb h^-1 = ra^+-1 that, on a backtrack,
+    lies outside <b>."""
+    ra, ea = primitive_root(a)
+    rb, eb = primitive_root(b)
+    for h in [(), *ball_words(sorted(letters), window)]:
+        # |b^k| >= |k|, so h = b^k needs |k| <= |h|
+        if backtrack and any(power(b, k) == h for k in range(-len(h), len(h) + 1)):
+            continue
+        if free_reduce(h + rb + invert(h)) in (ra, invert(ra)):
+            return [(ea * M // gcd(ea * M, eb), h)]
+    return []
+
+
+reduced = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from([1, -1])),
+                   max_size=4).map(lambda w: free_reduce(tuple(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced, reduced, reduced, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["conjugate", "inverse", "other", "backtrack"]), reduced,
+       st.integers(0, 4))
+def test_turns_agree_with_the_window_walk(root, g1, g2, ea, eb, M, how, other, window):
+    """Whenever the walk finds a turn within the window, _turns yields the
+    same (multiplier, turn); and a turn _turns yields within the window, the
+    walk finds too."""
+    assume(root)
+    a = free_reduce(g1 + power(root, ea) + invert(g1))
+    b = {"conjugate": free_reduce(g2 + power(root, eb) + invert(g2)),
+         "inverse": free_reduce(g2 + power(root, -eb) + invert(g2)),
+         "other": other, "backtrack": a}[how]
+    assume(b)
+    backtrack = how == "backtrack"
+    got = list(_turns(FreeGroup(("x", "y")), a, M, b, backtrack))
+    want = _walk_turns(("x", "y"), a, M, b, backtrack, window)
+    assert len(got) <= 1
+    if want or (got and len(got[0][1]) <= window):
+        assert got == want, (word_str(a), word_str(b))
+
+
 DESCRIPTORS = [FreeGroup(("x",)), FreeGroup(("x", "y")), FreeAbelian(("a",)),
                FreeAbelian(("a", "b")), CyclicBySum("n", ()), CyclicBySum("n", ("z",))]
 
@@ -313,6 +415,18 @@ def test_descriptor_from_json():
         assert [getattr(got, f) for f in d.__slots__] == [getattr(d, f) for f in d.__slots__]
     with pytest.raises(DevissageError):
         descriptor_from_json({"kind": "preset"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "free", "letters": ["x", "x"]},
+    {"kind": "free-abelian", "letters": ["ab"]},
+    {"kind": "cyclic-by-sum", "n_letter": "n", "extra_letters": ["n"]},
+    {"kind": "cyclic-by-sum", "n_letter": "'", "extra_letters": []},
+    {"kind": "surface-with-boundary", "letters": ["a", " "], "boundaries": []},
+])
+def test_descriptor_letters_must_read_back(doc):
+    with pytest.raises(WordError):
+        descriptor_from_json(doc)
 
 
 def test_surface_rejects_bad_boundary_words():

@@ -12,14 +12,13 @@ from lambdaforest.groups import (
     WordError,
     ball_words,
     betti1,
-    conjugate_in_free,
+    conjugator,
     cyclic_reduce,
     exponent_vector,
     free_reduce,
     invert,
     parse_word,
     power,
-    power_of,
     primitive_root,
     rational_rank,
     word_str,
@@ -72,18 +71,34 @@ def test_primitive_root_reconstructs(w, k):
     assert primitive_root(root)[1] == 1
 
 
-def test_roots_agree_and_power_of():
-    assert power_of(parse_word("aaaa"), parse_word("aa")) == 2
-    assert power_of(parse_word("aaa"), parse_word("aa")) is None
-    assert power_of((), parse_word("ab")) == 0
-    assert power_of(parse_word("a'a'"), parse_word("a")) == -2
-
-
 def test_conjugacy():
-    assert conjugate_in_free(parse_word("ab"), parse_word("ba"))
-    assert not conjugate_in_free(parse_word("a"), parse_word("b"))
-    assert conjugate_in_free(parse_word("aba'"), parse_word("b"))
-    assert not conjugate_in_free(parse_word("ab"), parse_word("ab'"))
+    assert conjugator(parse_word("ab"), parse_word("ba")) == parse_word("b'")
+    assert conjugator(parse_word("a"), parse_word("b")) is None
+    assert conjugator(parse_word("aba'"), parse_word("b")) == parse_word("a")
+    assert conjugator(parse_word("ab"), parse_word("ab'")) is None
+    assert conjugator(parse_word("ab"), parse_word("ab")) == ()
+    assert conjugator((), ()) == ()
+    assert conjugator((), parse_word("a")) is None
+
+
+short2 = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from([1, -1])),
+                  max_size=6).map(lambda w: free_reduce(tuple(w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(short2, short2, short2)
+def test_conjugator_against_a_ball_search(u, w, h):
+    """conjugator solves h w h^-1 = u exactly when some word of the ball of
+    radius (|u| + |w|) / 2 does, which bounds the shortest solution; w is
+    also tried as a conjugate of u, so both answers occur."""
+    for w in (w, free_reduce(invert(h) + u + h)):
+        got = conjugator(u, w)
+        radius = (len(u) + len(w)) // 2
+        found = any(free_reduce(g + w + invert(g)) == u
+                    for g in [(), *ball_words(["a", "b"], radius)])
+        assert (got is not None) == found
+        if got is not None:
+            assert free_reduce(got) == got and free_reduce(got + w + invert(got)) == u
 
 
 # oracles --------------------------------------------------------------------------

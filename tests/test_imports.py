@@ -147,9 +147,9 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 
 
 # lines of lambdaforest source (package __init__ included) that the commands of
-# each family load between them, measured at the change that gave graphs of
-# groups one half-edge table and groups one rank routine
-FAMILY_LINES = {"tree": 2609, "bt": 1730, "gog": 1172, "marked": 986, "preset": 481}
+# each family load between them, measured at the change that computed turns
+# exactly with one conjugator routine and gave alphabets one check
+FAMILY_LINES = {"tree": 2603, "bt": 1720, "gog": 1170, "marked": 975, "preset": 481}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 
