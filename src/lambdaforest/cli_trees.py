@@ -32,6 +32,14 @@ def _parse_point(T, s: str):
         raise Malformed(f"bad point {s!r}: {exc}")
 
 
+def _parse_points(T, points, what: str) -> list:
+    """The points a document lists under `what`.  A string is refused: read
+    as the list, each of its characters would name a point."""
+    if not isinstance(points, list):
+        raise Malformed(f"{what} must be a list of points, got {points!r}")
+    return [_parse_point(T, s) for s in points]
+
+
 def cmd_validate_tree(args) -> int:
     from .lambdatree import FiniteLambdaMetric, validate_tree_metric
 
@@ -192,9 +200,9 @@ def cmd_glue(args) -> int:
     if args.op == "subtree":
         T1 = MetricTree.from_json(doc["tree1"])
         T2 = MetricTree.from_json(doc["tree2"])
-        e1 = tuple(_parse_point(T1, s) for s in doc["ends1"])
-        e2 = tuple(_parse_point(T2, s) for s in doc["ends2"])
-        glued, _m1, _m2 = glue_subtree(SegmentIso(T1, e1, T2, e2))
+        e1 = _parse_points(T1, doc["ends1"], "ends1")
+        e2 = _parse_points(T2, doc["ends2"], "ends2")
+        glued, _m1, _m2 = glue_subtree(SegmentIso(T1, tuple(e1), T2, tuple(e2)))
         body["tree"] = glued.to_json()
         print(f"glued tree: {len(glued.vertices)} vertices")
         return _report(args, "pass", body)
@@ -231,9 +239,8 @@ def cmd_cover(args) -> int:
 
     doc = _load(args.input)
     T = MetricTree.from_json(doc["tree"])
-    members = [
-        SubtreeSpec.from_points(T, [_parse_point(T, s) for s in pts]) for pts in doc["members"]
-    ]
+    members = [SubtreeSpec.from_points(T, _parse_points(T, pts, "a member"))
+               for pts in doc["members"]]
     C = TransverseCovering(T, members)
     body = {"command": f"cover {args.op}", "input_digest": _digest(doc)}
     chk = transverse_check(C)

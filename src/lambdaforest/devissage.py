@@ -24,6 +24,7 @@ from .groups import (
     free_reduce,
     invert,
     parse_word,
+    parse_words,
     power,
     primitive_root,
     word_str,
@@ -101,7 +102,7 @@ class SurfaceWithBoundary:
             core, conj = cyclic_reduce(r)
             if core != r or conj:
                 raise DevissageError(f"boundary word {word_str(b)} not cyclically reduced")
-            if r in seen or invert(r) in seen:
+            if any(_conjugator_pm(r, s) is not None for s in seen):
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
 
@@ -213,19 +214,19 @@ class GraphOfGroups:
 def descriptor_from_json(doc: dict) -> Descriptor:
     kind = doc["kind"]
     if kind == "cyclic-by-sum":
-        letters = (doc["n_letter"],) + tuple(doc["extra_letters"])
+        letters = (doc["n_letter"],) + check_alphabet(doc["extra_letters"], "vertex letter")
     elif kind in ("free", "free-abelian", "surface-with-boundary"):
-        letters = tuple(doc["letters"])
+        letters = doc["letters"]
     else:
         raise DevissageError(f"unknown descriptor kind {kind!r}")
-    check_alphabet(letters, "vertex letter")
+    letters = check_alphabet(letters, "vertex letter")
     if kind == "free":
         return FreeGroup(letters)
     if kind == "free-abelian":
         return FreeAbelian(letters)
     if kind == "cyclic-by-sum":
         return CyclicBySum(letters[0], letters[1:])
-    bnd = tuple(parse_word(b, letters) for b in doc["boundaries"])
+    bnd = parse_words(doc["boundaries"], letters, "boundaries")
     rel = doc.get("closed_relator")
     return SurfaceWithBoundary(letters, bnd, parse_word(rel, letters) if rel else None)
 

@@ -44,14 +44,25 @@ def parse_word(s: str, alphabet: Optional[Sequence[str]] = None) -> Word:
     return tuple(letters)
 
 
-def check_alphabet(letters: Sequence[str], what: str) -> None:
-    """Refuse an alphabet that parse_word could not read back: a letter given
+def check_alphabet(letters: Sequence[str], what: str) -> tuple[str, ...]:
+    """letters as a tuple.  Refuse an alphabet that parse_word could not read
+    back: a string for the list (read as its characters), a letter given
     twice, or one that is not a single character or is ', space or a dot."""
+    if not isinstance(letters, (list, tuple)):
+        raise WordError(f"{what}s must be a list, got {letters!r}")
     if len(set(letters)) != len(letters):
         raise WordError(f"{what}s must be distinct")
     for l in letters:
         if not isinstance(l, str) or len(l) != 1 or l in "' .":
             raise WordError(f"{what} {l!r} must be one character, not ', space or .")
+    return tuple(letters)
+
+
+def parse_words(words, alphabet: Sequence[str], what: str) -> tuple[Word, ...]:
+    """A document's list of words; a string, read as its characters, is refused."""
+    if not isinstance(words, list):
+        raise WordError(f"{what} must be a list of words, got {words!r}")
+    return tuple(parse_word(w, alphabet) for w in words)
 
 
 def word_str(w: Word) -> str:
@@ -222,10 +233,8 @@ class FinitePresentation:
 
     @staticmethod
     def from_json(doc: dict) -> "FinitePresentation":
-        gens = tuple(doc["generators"])
-        check_alphabet(gens, "generator")
-        rels = tuple(parse_word(r, gens) for r in doc["relators"])
-        return FinitePresentation(gens, rels)
+        gens = check_alphabet(doc["generators"], "generator")
+        return FinitePresentation(gens, parse_words(doc["relators"], gens, "relators"))
 
 
 def betti1(p: FinitePresentation) -> int:

@@ -8,9 +8,13 @@ supplied by the caller, none of them ', space or .).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional
 
 from .groups import (
+    BudgetExceeded,
     FreeAbelianOracle,
     FreeGroupOracle,
     Word,
@@ -20,7 +24,7 @@ from .groups import (
     check_alphabet,
     free_reduce,
     invert,
-    parse_word,
+    parse_words,
     word_str,
 )
 
@@ -36,20 +40,17 @@ class MarkedGroup:
         object.__setattr__(self, "oracle", oracle)
         object.__setattr__(self, "marking", marking)
         # abstract marking letters, one per marking word
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", check_alphabet(letters, "abstract marking letter"))
         if len(self.marking) != len(self.letters):
             raise WordError("one abstract letter per marking word")
-        check_alphabet(self.letters, "abstract marking letter")
         for w in self.marking:
             for l, _e in w:
                 if l not in self.oracle.letters:
                     raise WordError(f"marking word uses {l!r} outside the oracle alphabet")
         # oracle image of each abstract letter and its inverse
-        images = {}
-        for l, w in zip(self.letters, self.marking):
-            images[(l, 1)] = self.oracle.image(w)
-            images[(l, -1)] = self.oracle.image(invert(w))
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", {(l, e): self.oracle.image(w if e == 1 else invert(w))
+                                            for l, w in zip(self.letters, self.marking)
+                                            for e in (1, -1)})
 
     @property
     def n(self) -> int:
@@ -104,45 +105,67 @@ def _check_alphabets(M1: MarkedGroup, M2: MarkedGroup) -> None:
         raise WordError("markings must share the abstract alphabet")
 
 
+def _cut(n: int, R: int) -> Optional[int]:
+    """The least length <= R whose ball on n letters passes MAX_WORDS, where a walk
+    of radius R, as the first same_ball call to get there, raises naming R; else None."""
+    sizes = accumulate(2 * n * (2 * n - 1) ** (r - 1) for r in range(1, R + 1))
+    return next((r for r, size in enumerate(sizes, 1) if size > MAX_WORDS), None)
+
+
+@lru_cache(maxsize=64)
+def _shell(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Every e in Z^n with |e|_1 = r."""
+    if n == 0:
+        return ((),) if r == 0 else ()
+    return tuple((c,) + e for c in range(-r, r + 1) for e in _shell(n - 1, r - abs(c)))
+
+
+def _flags(M: MarkedGroup, R: int, vectors: bool):
+    """(word, whether a relation of M) through the ball of radius R: each word in
+    walk order or, for free-abelian M, a^e1 b^e2 ... for each e != 0 by |e|_1.
+    Such M maps w to A e(w) (A's columns the letter images), and a^e1 b^e2 ...
+    is a shortest word of vector e: two such groups first diverge at length
+    min |e|_1 over e in ker A xor ker B.  Both raise BudgetExceeded as the walk does."""
+    if not vectors:
+        yield from ((w, M.is_relation(w, image)) for w, image in _walk(M, R))
+        return
+    cut = _cut(M.n, R)
+    rows = list(zip(*(M.images[(l, 1)] for l in M.letters)))
+    for r in range(1, cut or R + 1):
+        for e in _shell(M.n, r):
+            w = tuple((l, 1 if c > 0 else -1) for l, c in zip(M.letters, e) for _ in range(abs(c)))
+            yield w, M.is_relation(w, tuple(sum(map(mul, row, e)) for row in rows))
+    if cut:
+        raise BudgetExceeded(f"ball enumeration exceeds {MAX_WORDS} words (n = {M.n}, R = {R})")
+
+
 def same_ball(M1: MarkedGroup, M2: MarkedGroup, R: int):
     """(equal?, first divergent relation or None), witness length-lex first
     in the symmetric difference."""
     _check_alphabets(M1, M2)
+    if all(isinstance(M.oracle, FreeAbelianOracle) for M in (M1, M2)):
+        # decided by vector: walk for the witness up to the divergence length, or not at all
+        pairs = zip(_flags(M1, R, True), _flags(M2, R, True))
+        R = next((len(w) for (w, f1), (_w, f2) in pairs if f1 != f2), 0)
     for (w, image1), (_w, image2) in zip(_walk(M1, R), _walk(M2, R)):
         if M1.is_relation(w, image1) != M2.is_relation(w, image2):
             return False, w
     return True, None
 
 
-def _walk_radius(n: int, r_max: int) -> int:
-    """The least R <= r_max whose ball on n letters passes MAX_WORDS, else
-    r_max.  A walk to it raises BudgetExceeded naming that R, as the first
-    same_ball call to reach it would."""
-    size = 0
-    for R in range(1, r_max + 1):
-        size += 2 * n * (2 * n - 1) ** (R - 1)
-        if size > MAX_WORDS:
-            return R
-    return r_max
-
-
-def convergence_profile(
-    family: Callable[[int], MarkedGroup],
-    target: MarkedGroup,
-    r_max: int,
-    index_budget: int,
-) -> list[tuple[int, Optional[int]]]:
+def convergence_profile(family: Callable[[int], MarkedGroup], target: MarkedGroup, r_max: int,
+                        index_budget: int) -> list[tuple[int, Optional[int]]]:
     """For each radius R <= r_max, the least index i <= index_budget with
     same_ball(family(i), target, R); None marks no agreement in budget.
 
     Balls that agree at radius R agree at every smaller radius, so row R is
     the least i whose first divergence from the target is longer than R.
-    Each family(i) is built at most once and walked once, up to its first
-    divergent word; the target's flags are evaluated once, as far as some
-    walk needs them."""
-    radius = _walk_radius(len(target.letters), r_max)
-    target_walk = _walk(target, radius)
-    target_flags: list[bool] = []
+    Each family(i) is built at most once and read once, up to its first
+    divergence: by exponent vector when it and the target are free-abelian,
+    else by walking words.  The target's flags in each order are evaluated
+    once, as far as some family member needs them."""
+    radius = _cut(target.n, r_max) or r_max
+    targets = {}  # per order: the target's flag source and the flags read from it
     table = []
     i, diverges_at = 0, 0  # length of family(i)'s first divergent word
     for R in range(1, r_max + 1):
@@ -150,12 +173,13 @@ def convergence_profile(
             i += 1
             M = family(i)
             _check_alphabets(M, target)
+            vectors = all(isinstance(G.oracle, FreeAbelianOracle) for G in (M, target))
+            src, target_flags = targets.setdefault(vectors, (_flags(target, radius, vectors), []))
             diverges_at = r_max + 1
-            for k, (w, image) in enumerate(_walk(M, radius)):
+            for k, (w, flag) in enumerate(_flags(M, radius, vectors)):
                 if k == len(target_flags):
-                    tw, timage = next(target_walk)
-                    target_flags.append(target.is_relation(tw, timage))
-                if M.is_relation(w, image) != target_flags[k]:
+                    target_flags.append(next(src)[1])
+                if flag != target_flags[k]:
                     diverges_at = len(w)
                     break
         table.append((R, i if diverges_at > R else None))
@@ -164,15 +188,12 @@ def convergence_profile(
 
 def marked_group_from_json(doc: dict) -> MarkedGroup:
     gdoc = doc["group"]
-    if gdoc["kind"] == "free":
-        oracle = FreeGroupOracle(tuple(gdoc["letters"]))
-    elif gdoc["kind"] == "free-abelian":
-        oracle = FreeAbelianOracle(tuple(gdoc["letters"]))
-    else:
+    kinds = {"free": FreeGroupOracle, "free-abelian": FreeAbelianOracle}
+    if gdoc["kind"] not in kinds:
         raise WordError(f"unsupported marked-group oracle {gdoc['kind']!r}")
-    check_alphabet(oracle.letters, "group letter")
-    marking = tuple(parse_word(w, oracle.letters) for w in doc["marking"])
-    return MarkedGroup(oracle, marking, tuple(doc["letters"]))
+    oracle = kinds[gdoc["kind"]](check_alphabet(gdoc["letters"], "group letter"))
+    return MarkedGroup(oracle, parse_words(doc["marking"], oracle.letters, "marking"),
+                       doc["letters"])
 
 
 def profile_text(table: list[tuple[int, Optional[int]]]) -> str:

@@ -29,8 +29,8 @@ def random_tree(rng: random.Random, n_vertices: int, rank: int = 1, prefix: str 
     return MetricTree(verts, edges, rank)
 
 
-# documents for the commands no preset serves (isom, glue, cover), shared by the
-# import-set and fuzz tests
+# documents for the commands no preset serves (isom, glue, cover, marked ball and
+# compare), shared by the import-set and fuzz tests
 
 
 def _path_tree(ids):
@@ -54,5 +54,8 @@ CHAIN = {"schema": "lambda-forest/1",
          "attestations": {"A": "free", "B": "free"}, "samples": [{"vertex": "A", "point": "a0"}]}
 TRIPOD_COVER = {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
                 "members": [["o", "p"], ["o", "q"], ["o", "r"]]}
+Z2_MARKING = {"schema": "lambda-forest/1", "kind": "marked-group",
+              "group": {"kind": "free-abelian", "letters": ["p", "q"]}, "marking": ["p", "q"],
+              "letters": ["a", "b"]}
 DOCUMENTS = {"f2-window": F2_WINDOW, "two-trees": TWO_TREES, "tree-pair": TREE_PAIR,
-             "chain": CHAIN, "tripod-cover": TRIPOD_COVER}
+             "chain": CHAIN, "tripod-cover": TRIPOD_COVER, "z2-marking": Z2_MARKING}

@@ -774,6 +774,17 @@ def test_unreadable_alphabets_are_malformed(tmp_path, capsys, argv, doc, message
     assert out == "" and err.startswith("malformed input: ") and message in err
 
 
+def test_conjugate_surface_boundaries_are_malformed(tmp_path, capsys):
+    # ba'b'a is a rotation of aba'b', so the two name one boundary
+    doc = {**presets.emit("n3-surface-gog"), "vertices": [
+        {"id": "S", "type": "surface", "group": {"kind": "surface-with-boundary",
+                                                 "letters": ["a", "b"],
+                                                 "boundaries": ["aba'b'", "ba'b'a"]}}]}
+    assert main(["gog", "structure", "--input", write(tmp_path, "doc.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and "boundary words must be independent" in err
+
+
 @pytest.mark.parametrize("rank", [2.5, "3", True, None, 1])
 def test_gog_betti_max_abelian_rank_must_be_an_int(tmp_path, capsys, rank):
     doc = {**presets.emit("centralizer-extension-gog"), "max_abelian": [["A", rank]]}
@@ -858,6 +869,30 @@ def test_marked_profile_refuses_radius(tmp_path, capsys):
     assert main(["marked", "profile", "--input", path, "--radius", "5"]) == 64
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "r_max" in err
+
+
+def test_marked_profile_budget_cut_off(tmp_path, capsys):
+    """The ball of radius 11 on two letters holds 354,292 words, past
+    MAX_WORDS.  With 12 indices, index 10 agrees with the target up to
+    length 10, so the profile reaches length 11 and is refused; with 9 no
+    index gets there, and rows 10 and 11 find no agreeing index."""
+    doc = presets.emit("z-to-z2-sequence")
+    path = write(tmp_path, "p.json", {**doc, "r_max": 12, "index_budget": 12})
+    assert main(["marked", "profile", "--input", path]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "malformed input: ball enumeration exceeds 300000 words (n = 2, R = 11)\n"
+    path = write(tmp_path, "p.json", {**doc, "r_max": 11, "index_budget": 9})
+    assert main(["marked", "profile", "--input", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"{R:<3} {R}" for R in range(1, 10)] + ["10  inf", "11  inf"]
+
+
+def test_marked_compare_equal_abelian_pair(tmp_path, capsys):
+    a = write(tmp_path, "a.json", z2_doc())
+    b = write(tmp_path, "b.json", {**z2_doc(), "marking": ["pq", "pqq"]})  # another basis
+    assert main(["marked", "compare", "--a", a, "--b", b, "--radius", "7"]) == 0
+    assert capsys.readouterr().out == "same ball at R = 7: True\n"
 
 
 def test_marked_radius_zero(tmp_path, capsys):

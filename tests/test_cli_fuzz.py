@@ -2,14 +2,16 @@
 all four `gog` ops) with each top-level key dropped and with each top-level
 value replaced by 7 and by [], ends in an exit code and never in an
 exception out of `main`; so does every preset and every document of the
-commands no preset serves (`isom`, `glue`, `cover`) under each nested
-mutation: the key or item at any path dropped or its value replaced, a list
-item repeated in place, a name replaced by a label the document does not
-define, a vector of rationals made one coordinate too long, and `rank`
-raised by one.  A mutation that empties a nonempty list or object, repeats
-an item or names an unknown label never passes (exit 0) unless ALLOW_EMPTY,
-ALLOW_REPEAT or ALLOW_UNKNOWN names that path with the reason it is
-well-formed there; a wrong rank never passes."""
+commands no preset serves (`isom`, `glue`, `cover`, `marked ball` and
+`marked compare`) under each nested mutation: the key or item at any path
+dropped or its value replaced, a list item repeated in place, a name
+replaced by a label the document does not define, a vector of rationals
+made one coordinate too long, a list of one-character strings joined into
+one string, and `rank` raised by one.  A mutation that empties a nonempty
+list or object, repeats an item or names an unknown label never passes
+(exit 0) unless ALLOW_EMPTY, ALLOW_REPEAT or ALLOW_UNKNOWN names that path
+with the reason it is well-formed there; a wrong rank never passes, and a
+joined list passes only where UNREAD names it."""
 
 import json
 from fnmatch import fnmatchcase
@@ -50,11 +52,16 @@ def test_every_preset_has_a_target():
 
 
 def run(path, argv, doc=None):
-    """main's exit code on argv with --input path, after writing doc there."""
+    """main's exit code on argv with each "@" replaced by path, or with
+    --input path if argv has no "@", after writing doc there."""
     if doc is not None:
         path.write_text(json.dumps(doc))
+    if "@" in argv:
+        argv = [str(path) if a == "@" else a for a in argv]
+    else:
+        argv = argv[:2] + ["--input", str(path)] + argv[2:]
     try:
-        return main(argv[:2] + ["--input", str(path)] + argv[2:])
+        return main(argv)
     except Exception as exc:  # an escaped exception is the fault these tests look for
         return f"{type(exc).__name__}: {exc}"
 
@@ -71,7 +78,8 @@ def test_top_level_mutations_end_in_an_exit_code(tmp_path, capsys, name):
     assert bad == []
 
 
-# argv around the --input of each command no preset serves, with the smallest --ball
+# argv around the --input of each command no preset serves (or with the document at
+# each "@"), with the smallest --ball and --radius
 DOCUMENT_TARGETS = {
     "isom classify": ("f2-window", ["isom", "classify", "--base", "e", "--word", "a"]),
     "isom certify": ("f2-window", ["isom", "certify", "--ball", "1"]),
@@ -81,6 +89,9 @@ DOCUMENT_TARGETS = {
     "glue check-free": ("chain", ["glue", "check-free"]),
     "cover check": ("tripod-cover", ["cover", "check"]),
     "cover skeleton": ("tripod-cover", ["cover", "skeleton"]),
+    "marked ball": ("z2-marking", ["marked", "ball", "--radius", "1"]),
+    "marked compare": ("z2-marking", ["marked", "compare", "--a", "@", "--b", "@",
+                                      "--radius", "1"]),
 }
 DROP = object()
 
@@ -169,6 +180,8 @@ def replacements(old, names):
     if isinstance(old, list) and old and all(isinstance(c, str) for c in old) \
             and all(c.lstrip("-").replace("/", "").isdigit() for c in old):
         yield "wrong rank", old + ["0"], {}  # a vector of rationals one too long
+    if isinstance(old, list) and old and all(isinstance(c, str) and len(c) == 1 for c in old):
+        yield "joined", "".join(old), UNREAD  # read as a list, a string is its characters
 
 
 def nested_mutations(doc):

@@ -436,6 +436,15 @@ def test_surface_rejects_bad_boundary_words():
         SurfaceWithBoundary(("a", "b"), (parse_word("ba'b'"),))  # not cyclically reduced
 
 
+@pytest.mark.parametrize("second", ["ba'b'a", "a'b'ab", "bab'a'", "b'a'ba", "aba'b'"])
+def test_surface_rejects_conjugate_boundaries(second):
+    """Two boundaries conjugate up to inversion are one boundary twice: each
+    rotation of aba'b' and of its inverse is refused beside it."""
+    with pytest.raises(DevissageError, match="independent"):
+        SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"), parse_word(second)))
+    SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"), parse_word("ab")))
+
+
 def test_principal_case_amalgam_and_recurse():
     F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))

@@ -179,11 +179,11 @@ abstract_letters = st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, uni
 
 
 @st.composite
-def marked_groups(draw, letters=None):
+def marked_groups(draw, letters=None, kinds=(FreeGroupOracle, FreeAbelianOracle)):
     """Free or free-abelian markings of rank 1-3 with marking words of length
     0-4, not necessarily reduced, over unsorted alphabets."""
     group = draw(oracle_letters)
-    oracle = draw(st.sampled_from([FreeGroupOracle, FreeAbelianOracle]))(tuple(group))
+    oracle = draw(st.sampled_from(kinds))(tuple(group))
     letters = draw(abstract_letters) if letters is None else letters
     word = st.lists(st.tuples(st.sampled_from(group), st.sampled_from([1, -1])), max_size=4)
     marking = tuple(tuple(draw(word)) for _ in letters)
@@ -235,7 +235,7 @@ def test_ball_words_carries_the_fold(letters, max_len, budget):
     assert all(v == functools.reduce(step, w, 7) for w, v in carried)
 
 
-# convergence_profile against the per-(R, i) same_ball loop it replaced ----------------
+# convergence_profile against a per-(R, i) loop of the substitution walk --------------
 
 
 def _loop_profile(family, target, r_max, index_budget):
@@ -243,7 +243,7 @@ def _loop_profile(family, target, r_max, index_budget):
     for R in range(1, r_max + 1):
         found = None
         for i in range(1, index_budget + 1):
-            eq, _w = same_ball(family(i), target, R)
+            eq, _w = _slow_same_ball(family(i), target, R)
             if eq:
                 found = i
                 break
@@ -275,9 +275,11 @@ class CountingFamily:
 def test_profile_matches_per_row_loop(z2_std, name):
     family, target = FAMILIES[name]
     target = target or z2_std
+    # rows of the loop do not depend on r_max, so one run gives every prefix; and
+    # a smaller budget finds the same least index, or none when that is past it
+    least = _loop_profile(family, target, 9, 10)
     for budget in range(1, 11):
-        # rows of the loop do not depend on r_max, so one run gives every prefix
-        rows = _loop_profile(family, target, 9, budget)
+        rows = [(R, i if i is not None and i <= budget else None) for R, i in least]
         for r_max in range(1, 10):
             counting = CountingFamily(family)
             assert convergence_profile(counting, target, r_max, budget) == rows[:r_max]
@@ -316,3 +318,39 @@ def test_profile_budget_exceeded_as_per_row_loop(monkeypatch, z2_std, name):
 def test_duplicate_abstract_letters_rejected():
     with pytest.raises(WordError, match="distinct"):
         MarkedGroup(FreeGroupOracle(("p",)), (parse_word("p"), ()), ("a", "a"))
+
+
+# free-abelian pairs, decided by exponent vector, against the substitution walk --------
+
+# budgets from 1 word up: every ball on 2 or 3 letters of radius 5 or 6 passes
+# some of them, and then the vector pass must raise where the walk raises
+tripping_budgets = st.integers(min_value=1, max_value=2000)
+abelian_groups = functools.partial(marked_groups, kinds=(FreeAbelianOracle,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), tripping_budgets)
+def test_abelian_same_ball_matches_substitution(data, budget):
+    M1 = data.draw(abelian_groups())
+    M2 = data.draw(abelian_groups(letters=list(M1.letters)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markedgroups, "MAX_WORDS", budget)
+        for R in range(7):
+            want = _outcome(lambda: _slow_same_ball(M1, M2, R))
+            assert _outcome(lambda: same_ball(M1, M2, R)) == want, R
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=6), tripping_budgets)
+def test_abelian_profile_matches_substitution(data, r_max, budget):
+    target = data.draw(abelian_groups())
+    members = data.draw(st.lists(abelian_groups(letters=list(target.letters)), min_size=1,
+                                 max_size=4))
+    index_budget = data.draw(st.integers(min_value=1, max_value=len(members)))
+    family = lambda i: members[i - 1]  # noqa: E731
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markedgroups, "MAX_WORDS", budget)
+        want = _outcome(lambda: _loop_profile(family, target, r_max, index_budget))
+        got = _outcome(lambda: convergence_profile(CountingFamily(family), target, r_max,
+                                                   index_budget))
+        assert got == want
