@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 SCHEMA = "lambda-forest/1"
@@ -68,13 +69,29 @@ def _digest(doc: dict) -> str:
             from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
-    return sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+    # a loaded document holds no cycle, so json need not look for one
+    return sha256(json.dumps(doc, sort_keys=True, check_circular=False).encode()).hexdigest()[:16]
+
+
+def _dumps(x, pad: str = "\n") -> str:
+    """json.dumps(x, sort_keys=True, indent=2) in the same bytes, about twice as fast:
+    with an indent json writes through its pure-Python encoder."""
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        items, ends = [_quote(k if isinstance(k, str) else json.dumps(k)) + ": "
+                       + (_quote(v) if v.__class__ is str else _dumps(v, inner))
+                       for k, v in sorted(x.items())], "{}"
+    elif isinstance(x, (list, tuple)) and x:
+        items, ends = [_quote(v) if v.__class__ is str else _dumps(v, inner) for v in x], "[]"
+    else:  # a scalar or an empty container
+        return _quote(x) if isinstance(x, str) else json.dumps(x)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 def _report(args, status: str, body: dict) -> int:
     body = {**body, "status": status, "schema": SCHEMA}
     if getattr(args, "json", None):
-        text = json.dumps(body, sort_keys=True, indent=2)
+        text = _dumps(body)
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "inconclusive": EXIT_INCONCLUSIVE}[status]
@@ -95,7 +112,7 @@ def cmd_preset(args) -> int:
     except KeyError:
         print(f"unknown preset {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _dumps(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

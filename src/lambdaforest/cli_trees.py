@@ -190,19 +190,15 @@ def cmd_glue(args) -> int:
     body = {"command": f"glue {args.op}", "input_digest": _digest(doc)}
     if args.op == "point":
         Y = MetricTree.from_json(doc["base"])
-        atts = []
-        for ad in doc["attachments"]:
-            atts.append((MetricTree.from_json(ad["tree"]), ad["x"], ad["y"]))
-        glued, _bm, _ams = glue_point(Y, atts)
-        body["tree"] = glued.to_json()
-        print(f"glued tree: {len(glued.vertices)} vertices")
-        return _report(args, "pass", body)
-    if args.op == "subtree":
+        atts = [(MetricTree.from_json(ad["tree"]), ad["x"], ad["y"]) for ad in doc["attachments"]]
+        glued = glue_point(Y, atts)[0]
+    elif args.op == "subtree":
         T1 = MetricTree.from_json(doc["tree1"])
         T2 = MetricTree.from_json(doc["tree2"])
         e1 = _parse_points(T1, doc["ends1"], "ends1")
         e2 = _parse_points(T2, doc["ends2"], "ends2")
-        glued, _m1, _m2 = glue_subtree(SegmentIso(T1, tuple(e1), T2, tuple(e2)))
+        glued = glue_subtree(SegmentIso(T1, tuple(e1), T2, tuple(e2)))[0]
+    if args.op in ("point", "subtree"):  # both report the glued tree
         body["tree"] = glued.to_json()
         print(f"glued tree: {len(glued.vertices)} vertices")
         return _report(args, "pass", body)

@@ -10,6 +10,7 @@ endpoints.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Optional
 
 from .lambdatree import (
@@ -36,8 +37,8 @@ class GluingError(ValueError):
 
 
 def subdivide_at(T: MetricTree, points: list[TreePoint]):
-    """Subdivide T at every interior point in `points`; returns
-    (tree, mapper) where mapper transports any point of T."""
+    """Subdivide T at every interior point in `points`; returns (tree, mapper)
+    where mapper transports any point of T: T and the identity if none is."""
     per_edge: dict[tuple, list[LexValue]] = {}
     for p in points:
         T.check_point(p)
@@ -46,6 +47,8 @@ def subdivide_at(T: MetricTree, points: list[TreePoint]):
             offs = per_edge.setdefault(k, [])
             if p.offset not in offs:
                 offs.append(p.offset)
+    if not per_edge:
+        return T, lambda p: p
     new_vertices = set(T.vertices)
     rows = _Rows.common([T], (off for offs in per_edge.values() for off in offs))
     cuts: dict[tuple, list[tuple[LexValue, object]]] = {}
@@ -96,25 +99,26 @@ class SegmentIso:
         self.src_ends = src_ends
         self.dst_tree = dst_tree
         self.dst_ends = dst_ends
-        d_src = distance(self.src_tree, *self.src_ends)
-        d_dst = distance(self.dst_tree, *self.dst_ends)
-        if d_src != d_dst:
+        if distance(src_tree, *src_ends) != distance(dst_tree, *dst_ends):
             raise GluingError("gluing map is not an isometry: endpoint spans differ")
 
-    @property
+    @cached_property
     def src_spec(self) -> SubtreeSpec:
         return SubtreeSpec.from_points(self.src_tree, list(self.src_ends))
 
-    @property
+    @cached_property
     def dst_spec(self) -> SubtreeSpec:
         return SubtreeSpec.from_points(self.dst_tree, list(self.dst_ends))
+
+    @cached_property
+    def _dst_legs(self) -> list:
+        return geodesic_legs(self.dst_tree, *self.dst_ends)
 
     def apply(self, x: TreePoint) -> TreePoint:
         d = distance(self.src_tree, self.src_ends[0], x)
         if d.is_zero():
             return self.dst_ends[0]
-        legs = geodesic_legs(self.dst_tree, *self.dst_ends)
-        return point_at(self.dst_tree, legs, d)
+        return point_at(self.dst_tree, self._dst_legs, d)
 
     def inverse(self) -> "SegmentIso":
         return SegmentIso(self.dst_tree, self.dst_ends, self.src_tree, self.src_ends)
@@ -162,21 +166,17 @@ def glue_subtree(phi: SegmentIso):
     Y1, Y2 = phi.src_tree, phi.dst_tree
     if Y1.rank != Y2.rank:
         raise GluingError("rank mismatch")
-    lam1 = phi.src_spec
-    lam2 = phi.dst_spec
+    grid1, grid2 = phi.src_spec.grid_points(), phi.dst_spec.grid_points()
     inv = phi.inverse()
     # common cut positions, expressed in both trees
-    cut_pts1 = list(lam1.grid_points()) + [inv.apply(q) for q in lam2.grid_points()]
+    cut_pts1 = grid1 + [inv.apply(q) for q in grid2]
     Y1s, map1 = subdivide_at(Y1, cut_pts1)
-    cut_pts2 = [phi.apply(p) for p in lam1.grid_points()] + list(lam2.grid_points())
+    cut_pts2 = [phi.apply(p) for p in grid1] + grid2
     Y2s, map2 = subdivide_at(Y2, cut_pts2)
 
     # ordered cut vertices along the segment, matched across phi
     a1 = phi.src_ends[0]
-    order = sorted(
-        {p for p in cut_pts1},
-        key=lambda p: distance(Y1, a1, p).coords,
-    )
+    order = sorted(set(cut_pts1), key=lambda p: distance(Y1, a1, p).coords)
     ids1 = []
     ids2 = []
     for p in order:
@@ -315,8 +315,7 @@ def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
         cur_v, cur_p = a.vertex, a.point
         for (src, dst, phi, _i) in path:
             T = G.vertex_trees[src]
-            lam = phi.src_spec
-            p = project_to_closed_subtree(T, lam, cur_p)
+            p = project_to_closed_subtree(T, phi.src_spec, cur_p)
             d = d + distance(T, cur_p, p)
             cur_p = phi.apply(p)
             cur_v = dst

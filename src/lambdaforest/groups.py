@@ -26,6 +26,8 @@ class WordError(ValueError):
 
 
 def parse_word(s: str, alphabet: Optional[Sequence[str]] = None) -> Word:
+    if not isinstance(s, str):  # a list of letters would be read as its items
+        raise WordError(f"a word must be a string, got {s!r}")
     letters: list[Letter] = []
     i = 0
     while i < len(s):

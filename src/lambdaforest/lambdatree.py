@@ -145,7 +145,8 @@ class MetricTree:
                 raise TreeError("edge length must be a LexValue")
             D, rows = _scaled([[_ratio(c) for c in ln.coords] for _u, _v, ln in edges])
             edges = [(u, v, row) for (u, v, _), row in zip(edges, rows)]
-        ids = sorted(self.vertices, key=_id_key)
+        # with one class of id, repr alone gives the _id_key order
+        ids = sorted(self.vertices, key=repr if len(set(map(type, self.vertices))) == 1 else _id_key)
         self._index = index = {v: i for i, v in enumerate(ids)}
         self._D, self._rows = D, {}
         self.adj = adj = {v: [] for v in ids}
@@ -261,14 +262,15 @@ class MetricTree:
                 raise TreeError(f"interior offset {x.offset!r} out of range")
 
     def to_json(self) -> dict:
+        s, r = {v: str(v) for v in self.vertices}, {v: repr(v) for v in self.vertices}
         return {
             "rank": self.rank,
-            "vertices": sorted((str(v) for v in self.vertices)),
-            "edges": [  # keys are tuples, so repr alone sorts them in _id_key order
-                {"u": str(u), "v": str(v),
-                 "len": [str(c) if self._D == 1 else str(Fraction(c, self._D)) for c in row]}
-                for (u, v), row in sorted(self._rows.items(), key=lambda kv: repr(kv[0]))
-            ],
+            "vertices": sorted(s.values()),
+            # keys are tuples: their repr, built from each id's once, sorts in _id_key order
+            "edges": [{"u": s[u], "v": s[v],
+                       "len": [str(c) if self._D == 1 else str(Fraction(c, self._D)) for c in row]}
+                      for (u, v), row in sorted(self._rows.items(),
+                                                key=lambda kv: f"({r[kv[0][0]]}, {r[kv[0][1]]})")],
         }
 
     @staticmethod
@@ -532,13 +534,14 @@ class SubtreeSpec:
                 verts.add(k[0])
             if hi == ln:
                 verts.add(k[1])
-        # a fully contained edge is an interval over its whole length
-        for u, v in T._rows:
-            if u in verts and v in verts and (u, v) not in ivals:
-                ivals[(u, v)] = (LexValue.zero(T.rank), T._length((u, v)))
         for v in verts:
             if v not in T.vertices:
                 raise TreeError(f"subtree vertex {v!r} not in tree")
+        # a fully contained edge is an interval over its whole length
+        for u in verts:
+            for v in T.adj[u]:
+                if v in verts and (k := T._key(u, v)) not in ivals:
+                    ivals[k] = (LexValue.zero(T.rank), T._length(k))
         self.vertices = frozenset(verts)
         self.intervals = ivals
         if not self.vertices and not self.intervals:

@@ -143,12 +143,13 @@ def same_ball(M1: MarkedGroup, M2: MarkedGroup, R: int):
     """(equal?, first divergent relation or None), witness length-lex first
     in the symmetric difference."""
     _check_alphabets(M1, M2)
+    L = 0  # no shorter word can diverge
     if all(isinstance(M.oracle, FreeAbelianOracle) for M in (M1, M2)):
-        # decided by vector: walk for the witness up to the divergence length, or not at all
+        # decided by vector: walk for the witness at the divergence length, or not at all
         pairs = zip(_flags(M1, R, True), _flags(M2, R, True))
-        R = next((len(w) for (w, f1), (_w, f2) in pairs if f1 != f2), 0)
+        R = L = next((len(w) for (w, f1), (_w, f2) in pairs if f1 != f2), 0)
     for (w, image1), (_w, image2) in zip(_walk(M1, R), _walk(M2, R)):
-        if M1.is_relation(w, image1) != M2.is_relation(w, image2):
+        if len(w) >= L and M1.is_relation(w, image1) != M2.is_relation(w, image2):
             return False, w
     return True, None
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN
 from lambdaforest import presets
-from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _read, main
+from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _dumps, _read, main
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
 from lambdaforest.ordgroup import LexValue
 
@@ -513,6 +513,41 @@ def test_digest_is_the_sha256_prefix(doc):
     assert _digest(doc) == want
 
 
+# what a document or a report holds, and tuples, which json writes as lists; text
+# and keys reach past ASCII, integers past 64 bits
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+def _nested(depth):
+    x = []
+    for i in range(depth):
+        x = {"k": x, "t": ("\u2603", i)} if i % 2 else [x, {}, ()]
+    return x
+
+
+@given(JSON_VALUES)
+@example({})
+@example([[], {}, ()])
+@example({"\u00e9": [10 ** 40, -2 ** 70, True, False, None, 0.1], "": "\ud834\n\"'"})
+@example({2: "two", True: "one", -1.5: None})  # json writes these keys as strings
+@example(_nested(60))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(x):
+    assert _dumps(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in ({"a": Fraction(1, 2)}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(bad)
+
+
 def _tripod_with_length(length):
     doc = presets.emit("tripod")
     doc["edges"][0]["len"] = length
@@ -921,6 +956,17 @@ def test_marked_letters_that_cannot_be_read_back_are_malformed(tmp_path, capsys,
                  "--radius", "2"]) == 65
     out, err = capsys.readouterr()
     assert out == "" and "must be one character" in err
+
+
+# a word is a string: a list of letters was once read as that word (exit 0), and an
+# object failed with the bare message "malformed input: 0"
+@pytest.mark.parametrize("word", [["p", "q"], {"p": 1}], ids=["list", "object"])
+def test_marked_word_that_is_not_a_string_is_malformed(tmp_path, capsys, word):
+    doc = {**z2_doc(), "marking": [word, "q"]}
+    assert main(["marked", "ball", "--input", write(tmp_path, "w.json", doc),
+                 "--radius", "2"]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: a word must be a string, got {word!r}\n"
 
 
 # marked ball, compare and profile on inline documents, pinned like the reports below:

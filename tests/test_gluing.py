@@ -63,7 +63,46 @@ def test_subdivide_at_offsets_with_new_denominators():
             assert distance(T2, mapper(x), mapper(y)) == distance(T, x, y)
 
 
+def test_subdivide_at_no_interior_point_is_the_identity():
+    rng = random.Random(5)
+    T = random_tree(rng, 12, rank=2)
+    vertices = [Vertex(v) for v in rng.sample(sorted(T.vertices), 4)]
+    for points in ([], vertices):
+        T2, mapper = subdivide_at(T, points)
+        assert T2 is T
+        (u, v), ln = next(iter(T.edges.items()))
+        for p in (*vertices, T.point(u, v, ln.scale(Fraction(1, 2)))):
+            assert mapper(p) is p
+
+
 # segment isometries --------------------------------------------------------------
+
+
+def test_segment_iso_caches_what_a_fresh_one_builds():
+    """phi builds its specs and its target legs once; every apply, in any
+    order, equals that of a new SegmentIso, which builds them again."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        n, rank = rng.randint(2, 12), rng.randint(1, 2)
+        T1 = random_tree(random.Random(seed), n, rank, prefix="v")
+        T2 = random_tree(random.Random(seed), n, rank, prefix="w")  # the same tree, renamed
+        i, j = rng.sample(range(n), 2)
+        src, dst = (Vertex(f"v{i}"), Vertex(f"v{j}")), (Vertex(f"w{i}"), Vertex(f"w{j}"))
+        if rng.random() < 0.5:
+            dst = dst[::-1]
+        phi = SegmentIso(T1, src, T2, dst)
+        assert phi.src_spec is phi.src_spec and phi.dst_spec is phi.dst_spec
+        assert phi.src_spec.same_set(SubtreeSpec.from_points(T1, list(src)))
+        assert phi.dst_spec.same_set(SubtreeSpec.from_points(T2, list(dst)))
+        path = T1.vertex_path(f"v{i}", f"v{j}")
+        points = [Vertex(v) for v in path] + [
+            T1.point(a, b, T1.edge_length(a, b).scale(Fraction(k, 3))) for a, b in zip(path, path[1:])
+            for k in (1, 2)]
+        rng.shuffle(points)
+        for x in points + points[::-1]:
+            assert phi.apply(x) == SegmentIso(T1, src, T2, dst).apply(x)
+
+
 
 
 def test_segment_iso_apply_and_inverse():

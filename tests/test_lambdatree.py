@@ -22,6 +22,7 @@ from lambdaforest.lambdatree import (
     point_at,
     project_to_closed_subtree,
     validate_tree_metric,
+    _id_key,
 )
 from lambdaforest.ordgroup import LexValue, _rat, _ratio, project_top
 
@@ -546,6 +547,40 @@ def test_projection_bridge_property():
             y = Vertex(v)
             if spec.contains(y):
                 assert distance(T, x, y) == distance(T, x, p) + distance(T, p, y)
+
+
+def _row_scan(T, verts, ivals):
+    """The reference: a spec's whole edges as found by scanning every edge of T."""
+    out = dict(ivals)
+    for u, v in T._rows:
+        if u in verts and v in verts and (u, v) not in out:
+            out[(u, v)] = (LexValue.zero(T.rank), T._length((u, v)))
+    return out
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 30), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_spec_whole_edges_by_adjacency_match_the_row_scan(rng, n, rank):
+    T = random_tree(rng, n, rank)
+    verts = rng.sample(sorted(T.vertices), rng.randint(0, n))
+    ivals = {}  # clipped intervals on some edges, in their key order
+    for k, ln in rng.sample(sorted(T.edges.items()), rng.randint(0, n - 1)):
+        lo, hi = sorted(ln.scale(Fraction(rng.randint(0, 4), 4)) for _ in range(2))
+        ivals[k] = (lo, hi)
+    if not verts and not ivals:
+        verts = [rng.choice(sorted(T.vertices))]
+    spec = SubtreeSpec(T, verts, ivals)
+    assert spec.intervals == _row_scan(T, spec.vertices, ivals)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.text(max_size=3),
+                          st.tuples(st.sampled_from("ab"), st.integers(0, 20))),
+                min_size=1, max_size=12, unique=True))
+def test_vertices_are_numbered_in_id_key_order(ids):
+    """With one class of id the tree sorts by repr alone: the same order."""
+    for vs in (ids, [v for v in ids if type(v) is type(ids[0])]):
+        T = MetricTree(vs, [(u, v, L(1)) for u, v in zip(vs, vs[1:])], 1)
+        assert sorted(T._index, key=T._index.get) == sorted(vs, key=_id_key)
 
 
 def test_intersect_specs(tripod):

@@ -79,6 +79,23 @@ def test_same_ball_witness(z2_std):
     assert z_marked_group(3).is_relation(w4) and not z2_std.is_relation(w4)
 
 
+def test_diverging_abelian_pair_walks_words_of_the_divergence_length_only(z2_std, monkeypatch):
+    """The vector pass finds the divergence length L; no shorter word can
+    differ, so the witness walk tests words of length L and no others."""
+    lengths = []
+    is_relation = MarkedGroup.is_relation
+    monkeypatch.setattr(MarkedGroup, "is_relation",
+                        lambda M, w, image=None: lengths.append(len(w)) or is_relation(M, w, image))
+    for n in (1, 3, 5):
+        lengths.clear()
+        eq, w = same_ball(z_marked_group(n), z2_std, 7)
+        L = n + 1
+        assert not eq and len(w) == L
+        # shorter words: only the vector pass's, 4r vectors of |e|_1 = r in each group
+        assert sum(k < L for k in lengths) == 2 * sum(4 * r for r in range(1, L))
+        assert max(lengths) == L
+
+
 def test_ball_agreement_law(z2_std):
     """(Z, (1, n)) and (Z^2, standard) share the radius-R relation ball
     exactly when n + 1 > R: the shortest divergent relation a^n b^-1 has

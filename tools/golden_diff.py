@@ -11,7 +11,8 @@ perfbench/jobs.py, as many batches as a 30-second benchmark run draws
 src/ of the working tree and once on the src/ of a `git archive` export of
 the --base revision.  The exit code and the sha256 of stdout, stderr and the
 --json report are compared.  A fixed list of command lines that no job sends
-(help, usage errors and the spellings only argparse reads: COMMAND_LINES)
+(help, usage errors, the spellings only argparse reads and `preset emit` of
+every preset: COMMAND_LINES)
 runs the same way without --json, comparing the exit code and the sha256 of
 stdout and stderr.  The script prints each job or command line that differs
 and exits 1 if any does, 0 if none does.  It uses the standard library only and
@@ -88,7 +89,8 @@ def run(src: str, argv: list[str], report: str | None) -> tuple:
 
 
 FIELDS = ("exit", "stdout", "stderr", "report")
-# no job sends these; @name is the path of that preset's document
+# no job sends these; @name is the path of that preset's document.  `preset emit`
+# writes with the --json report writer, so every preset's output is held too
 COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     ["frobnicate"],
     ["tree", "frobnicate", "--input", "@tripod", "--x", "p", "--y", "q"],
@@ -99,7 +101,7 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     ["isom", "certify", "--input", "@tripod", "--ball", "0"],
     ["gog", "acyl", "--input", "@centralizer-extension-gog", "--radius", "x"],
     ["marked", "ball", "--input", "@z-to-z2-sequence", "--radius", "-1"],
-]
+] + [["preset", "emit", "--name", name] for name in presets.names()]
 
 
 def preset_paths(line: list[str], inputs: str) -> list[str]:
