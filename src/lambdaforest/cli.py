@@ -8,12 +8,19 @@ there as deterministic (sorted, timestamp-free) JSON.
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
 parser only for --help, usage errors and spellings only argparse reads.  Each
 family's handlers live in a module of their own (`cli_trees`, `cli_bt`,
-`cli_gog`, `cli_marked`), imported for the chosen command only, and import the
-library modules they run: a process compiles only what its command needs.
+`cli_gog`, `cli_marked`, `cli_preset`), imported for the chosen command only,
+and import the library modules they run: a process compiles only what its
+command needs.
+
+`main()` with no argv reads the process's own command line: such a process
+handles one document and exits, so the cycle collector is off while it runs
+and its heap is frozen before exit, where shutdown would walk it all again.
+`main(argv)` from Python leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import sys
@@ -97,30 +104,6 @@ def _report(args, status: str, body: dict) -> int:
     return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "inconclusive": EXIT_INCONCLUSIVE}[status]
 
 
-# subcommand handlers: `preset` here, every other family in its module ------------
-
-
-def cmd_preset(args) -> int:
-    from . import presets
-
-    if args.op == "list":
-        for n in presets.names():
-            print(n)
-        return _report(args, "pass", {"command": "preset list", "names": presets.names()})
-    try:
-        doc = presets.emit(args.name)
-    except KeyError:
-        print(f"unknown preset {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    text = _dumps(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_PASS
-
-
 def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -138,7 +121,7 @@ def _nonnegative(text: str) -> int:
 
 
 # command -> (family, ops, options in their --help order); an option maps its
-# name to (converter, default, required).  `preset` has no family.
+# name to (converter, default, required).
 _REQ, _OPT = (None, None, True), (None, None, False)
 _IO = {"input": _REQ, "json": _OPT}  # the first options of every checker but `marked`
 _COMMANDS = {
@@ -154,7 +137,7 @@ _COMMANDS = {
             {**_IO, "radius": (_positive, 5, False), "window": (_positive, 4, False)}),
     "marked": ("marked", ("ball", "compare", "profile"), {
         "input": _OPT, "a": _OPT, "b": _OPT, "radius": (_nonnegative, None, False), "json": _OPT}),
-    "preset": (None, ("list", "emit"), {"name": _OPT, "out": _OPT, "json": _OPT}),
+    "preset": ("preset", ("list", "emit"), {"name": _OPT, "out": _OPT, "json": _OPT}),
 }
 
 
@@ -170,8 +153,7 @@ def _build_parser():
             sp.add_argument("op", choices=ops)
         for name, (convert, default, required) in options.items():
             sp.add_argument("--" + name, type=convert, default=default, required=required)
-        if family:
-            sp.set_defaults(family=family)
+        sp.set_defaults(family=family)
     return p
 
 
@@ -182,7 +164,7 @@ def _read(argv):
     if command not in _COMMANDS:
         return None
     family, ops, options = _COMMANDS[command]
-    args = {"command": command, "family": family} if family else {"command": command}
+    args = {"command": command, "family": family}
     if ops:
         if not rest or rest[0] not in ops:
             return None
@@ -203,7 +185,13 @@ def _read(argv):
 
 
 def main(argv=None) -> int:
-    args = _read(sys.argv[1:] if argv is None else argv)
+    if argv is None:  # the process's own command line: one document, then exit
+        gc.disable()
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()  # shutdown's collections then walk nothing
+    args = _read(argv)
     if args is None:
         parser = _build_parser()
         try:
@@ -226,11 +214,8 @@ def main(argv=None) -> int:
     if args.command == "preset" and args.op == "emit" and not args.name:
         print("preset emit needs --name", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "preset":
-        handler = cmd_preset
-    else:
-        module = importlib.import_module(f"lambdaforest.cli_{args.family}")
-        handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
+    module = importlib.import_module(f"lambdaforest.cli_{args.family}")
+    handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
         return handler(args)
     except (Malformed, ValueError, KeyError, TypeError) as exc:

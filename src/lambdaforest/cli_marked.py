@@ -3,6 +3,18 @@
 from .cli import SCHEMA, Malformed, _digest, _load, _positive_field, _report
 
 
+def z_marked(n: int) -> dict:
+    """Marked group (Z, (1, n)) over abstract letters a, b: member n of the
+    z-marked family that `marked profile` runs."""
+    return {
+        "schema": SCHEMA,
+        "kind": "marked-group",
+        "group": {"kind": "free-abelian", "letters": ["g"]},
+        "marking": ["g", "g" * n],
+        "letters": ["a", "b"],
+    }
+
+
 def cmd_marked(args) -> int:
     from .groups import BudgetExceeded, word_str
     from .markedgroups import (
@@ -42,8 +54,6 @@ def cmd_marked(args) -> int:
         target = marked_group_from_json({"schema": SCHEMA, **doc["marked_target"]})
 
         def family(i: int):
-            from .presets import z_marked
-
             return marked_group_from_json(z_marked(i))
 
         r_max = _positive_field(doc, "r_max", 5)

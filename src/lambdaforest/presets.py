@@ -157,17 +157,6 @@ def z_to_z2_sequence() -> dict:
     }
 
 
-def z_marked(n: int) -> dict:
-    """Marked group (Z, (1, n)) over abstract letters a, b."""
-    return {
-        "schema": SCHEMA,
-        "kind": "marked-group",
-        "group": {"kind": "free-abelian", "letters": ["g"]},
-        "marking": ["g", "g" * n],
-        "letters": ["a", "b"],
-    }
-
-
 def square_cycle() -> dict:
     one = ["1"]
     two = ["2"]

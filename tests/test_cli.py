@@ -855,7 +855,7 @@ def test_marked_ball(tmp_path, capsys):
 
 
 def test_marked_compare(tmp_path, capsys):
-    from lambdaforest.presets import z_marked
+    from lambdaforest.cli_marked import z_marked
 
     a = write(tmp_path, "z1.json", z_marked(1))
     b = write(tmp_path, "z2t.json", z2_doc())

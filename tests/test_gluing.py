@@ -328,6 +328,23 @@ def test_free_criterion_period_doubling_fails():
     assert "translates" in rep.detail
 
 
+def test_free_criterion_period_doubling_needs_twice_the_shift():
+    """[x, y] and [w, x] of a unit tripod Y glued onto one segment S of length 2:
+    the composite turns y -> x -> w, so it moves y by delta = 2 and y twice
+    also by 2, not 2 delta.  That is no period doubling; the glue class of the
+    center holds a cycle instead."""
+    Y = MetricTree(["p", "x", "y", "w"], [("p", q, L(1)) for q in ("x", "y", "w")], 1)
+    S = MetricTree(["c", "d"], [("c", "d", L(2))], 1)
+    cd = (Vertex("c"), Vertex("d"))
+    G = GraphOfActions({"Y": Y, "S": S}, [
+        GluedEdge("Y", "S", SegmentIso(Y, (Vertex("x"), Vertex("y")), S, cd)),
+        GluedEdge("Y", "S", SegmentIso(Y, (Vertex("w"), Vertex("x")), S, cd)),
+    ])
+    rep = check_free_criterion(G, {"Y": "free", "S": "free"}, [DualPoint("Y", Vertex("p"))])
+    assert (rep.verdict, rep.detail) == (
+        "Fail", "class of DualPoint(vertex='Y', point=Vertex('p')) is not a tree")
+
+
 # transverse coverings ---------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ test process has imported the whole library already.  Without bytecode
 caches every job compiles the source it loads, so the lines each command
 family loads are held to their figure here."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -60,7 +61,7 @@ TREE = {"cli", "cli_trees", "lambdatree", "ordgroup"}
 BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
 GOG = {"cli", "cli_gog", "devissage", "groups"}
 MARKED_BALL = {"cli", "cli_marked", "groups", "markedgroups"}
-PRESET = {"cli", "presets"}
+PRESET = {"cli", "cli_preset", "presets"}
 
 # argv (an @name is replaced by the path of that preset, or of that INLINE
 # document), exit code, and the lambdaforest modules the command loads
@@ -95,12 +96,11 @@ CASES = {
     "marked ball": (["marked", "ball", "--input", "@marked", "--radius", "2"], 0, MARKED_BALL),
     "marked compare": (["marked", "compare", "--a", "@marked", "--b", "@marked"], 0,
                        MARKED_BALL),
-    "marked profile": (["marked", "profile", "--input", "@z-to-z2-sequence"], 0,
-                       MARKED_BALL | {"presets"}),
+    "marked profile": (["marked", "profile", "--input", "@z-to-z2-sequence"], 0, MARKED_BALL),
     "preset list": (["preset", "list"], 0, PRESET),
     "preset emit": (["preset", "emit", "--name", "tripod"], 0, PRESET),
 }
-HANDLERS = {"cli_trees", "cli_bt", "cli_gog", "cli_marked"}
+HANDLERS = {"cli_trees", "cli_bt", "cli_gog", "cli_marked", "cli_preset"}
 
 
 def _paths(tmp_path, argv):
@@ -148,8 +148,9 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 
 # lines of lambdaforest source (package __init__ included) that the commands of
 # each family load between them, measured at the change that computed turns
-# exactly with one conjugator routine and gave alphabets one check
-FAMILY_LINES = {"tree": 2619, "bt": 1729, "gog": 1180, "marked": 1005, "preset": 481}
+# exactly with one conjugator routine and gave alphabets one check; marked's
+# at the change that moved z_marked out of presets into cli_marked
+FAMILY_LINES = {"tree": 2619, "bt": 1729, "gog": 1180, "marked": 791, "preset": 481}
 TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
 
 
@@ -187,6 +188,46 @@ def test_module_entry_point_reports_malformed_input(tmp_path):
         assert proc.returncode == 65, proc.stderr
         assert proc.stdout == "" and proc.stderr.startswith("malformed input: ")
         assert "Traceback" not in proc.stderr
+
+
+# the console script's path: main() reads the process's own command line; the
+# hook reports the collector's state once main has returned
+ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
+GC_AT_EXIT = ("import atexit, gc; atexit.register(lambda: print(gc.isenabled(), "
+              "gc.get_freeze_count() > 0)); ")
+MAIN_ARGV = "import sys; from lambdaforest.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0),
+    (["tree", "distance", "--input", "BAD", "--x", "p", "--y", "q"], 65),
+    (["tree", "distance", "--input", "@tripod"], 64),
+], ids=["pass", "malformed", "usage"])
+def test_process_entry_runs_without_collector_and_exits_frozen(tmp_path, argv, rc):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    argv = [str(bad) if a == "BAD" else a for a in _paths(tmp_path, argv)]
+    entry, listed = [subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                    text=True, env=_env(), timeout=60)
+                     for code in (GC_AT_EXIT + ENTRY, MAIN_ARGV)]
+    assert entry.returncode == listed.returncode == rc, entry.stderr
+    *out, state = entry.stdout.splitlines(keepends=True)
+    assert state == "False True\n"  # collector off, heap frozen, at exit
+    assert "".join(out) == listed.stdout and entry.stderr == listed.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_with_argv_leaves_the_collector_alone(tmp_path, capsys, enabled):
+    from lambdaforest.cli import main
+
+    argv = _paths(tmp_path, ["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"])
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == 0
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
 
 
 def test_package_resolves_names_on_first_access():

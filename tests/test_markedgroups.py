@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaforest import markedgroups
+from lambdaforest.cli_marked import z_marked
 from lambdaforest.groups import (
     BudgetExceeded,
     FreeAbelianOracle,
@@ -22,7 +23,7 @@ from lambdaforest.markedgroups import (
     relations_up_to,
     same_ball,
 )
-from lambdaforest.presets import z_marked, z_to_z2_sequence
+from lambdaforest.presets import z_to_z2_sequence
 
 
 def z_marked_group(n: int) -> MarkedGroup:
