@@ -12,7 +12,7 @@ import importlib
 __all__ = ["LexValue", "lex_compare"]
 __version__ = "0.1.0"
 
-_SUBMODULES = frozenset({"bruhat", "cli", "devissage", "gluing", "groups", "isometry",
+_SUBMODULES = frozenset({"bruhat", "cli", "cover", "devissage", "gluing", "groups", "isometry",
                          "lambdatree", "markedgroups", "ordgroup", "presets"})
 
 

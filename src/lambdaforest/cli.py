@@ -7,10 +7,10 @@ there as deterministic (sorted, timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
 parser only for --help, usage errors and spellings only argparse reads.  Each
-family's handlers live in a module of their own (`cli_trees`, `cli_bt`,
-`cli_gog`, `cli_marked`, `cli_preset`), imported for the chosen command only,
-and import the library modules they run: a process compiles only what its
-command needs.
+command's handlers live in a module of their own (`cli_validate`, `cli_tree`,
+`cli_isom`, `cli_glue`, `cli_cover`, `cli_bt`, `cli_gog`, `cli_marked`,
+`cli_preset`), imported for it only, and import the library modules they run
+(`cover` only for `cover`): a process compiles only what its command needs.
 
 `main()` with no argv reads the process's own command line: such a process
 handles one document and exits, so the cycle collector is off while it runs
@@ -125,14 +125,14 @@ def _nonnegative(text: str) -> int:
 _REQ, _OPT = (None, None, True), (None, None, False)
 _IO = {"input": _REQ, "json": _OPT}  # the first options of every checker but `marked`
 _COMMANDS = {
-    "validate-tree": ("trees", (), _IO),
-    "tree": ("trees", ("distance", "median", "project"), {**_IO, "x": _REQ, "y": _REQ, "z": _OPT}),
-    "isom": ("trees", ("classify", "certify"),
+    "validate-tree": ("validate", (), _IO),
+    "tree": ("tree", ("distance", "median", "project"), {**_IO, "x": _REQ, "y": _REQ, "z": _OPT}),
+    "isom": ("isom", ("classify", "certify"),
              {**_IO, "word": _OPT, "base": _OPT, "ball": (_positive, 3, False)}),
     "bt": ("bt", ("valuation", "length", "certify"),
            {**_IO, "word": _OPT, "ball": (_positive, None, False)}),
-    "glue": ("trees", ("point", "subtree", "dual", "check-free"), {**_IO, "a": _OPT, "b": _OPT}),
-    "cover": ("trees", ("check", "skeleton"), _IO),
+    "glue": ("glue", ("point", "subtree", "dual", "check-free"), {**_IO, "a": _OPT, "b": _OPT}),
+    "cover": ("cover", ("check", "skeleton"), _IO),
     "gog": ("gog", ("structure", "acyl", "betti", "principal"),
             {**_IO, "radius": (_positive, 5, False), "window": (_positive, 4, False)}),
     "marked": ("marked", ("ball", "compare", "profile"), {

@@ -1,0 +1,165 @@
+"""Transverse coverings of rank-1 trees by closed subtrees, and their
+bipartite skeletons.  Only the `cover` commands load this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .lambdatree import EdgeInterior, MetricTree, SubtreeSpec, TreeError, TreePoint, Vertex
+from .ordgroup import LexValue
+
+
+class CoverError(ValueError):
+    pass
+
+
+def is_degenerate(Y: SubtreeSpec) -> bool:
+    return len(Y.grid_points()) <= 1
+
+
+def same_set(Y1: SubtreeSpec, Y2: SubtreeSpec) -> bool:
+    return Y1.vertices == Y2.vertices and Y1.intervals == Y2.intervals
+
+
+class SpecIntersection:
+    def __init__(self, points: list, intervals: dict):
+        self.points = points  # isolated intersection points
+        self.intervals = intervals  # shared non-degenerate edge intervals
+
+    def more_than_one_point(self) -> bool:
+        return bool(self.intervals) or len(self.points) > 1
+
+    def single_point(self):
+        if not self.intervals and len(self.points) == 1:
+            return self.points[0]
+        return None
+
+
+def intersect_specs(Y1: SubtreeSpec, Y2: SubtreeSpec) -> SpecIntersection:
+    """Intersection of two closed subtrees of a common tree."""
+    if Y1.tree is not Y2.tree:
+        raise TreeError("subtrees of different trees")
+    T = Y1.tree
+    pts = {Vertex(v) for v in Y1.vertices & Y2.vertices}
+    ivals = {}
+    for k in set(Y1.intervals) & set(Y2.intervals):
+        lo = max(Y1.intervals[k][0], Y2.intervals[k][0])
+        hi = min(Y1.intervals[k][1], Y2.intervals[k][1])
+        if lo < hi:
+            ivals[k] = (lo, hi)
+        elif lo == hi:
+            pts.add(T.point(k[0], k[1], lo))
+    # drop isolated points absorbed by an interval
+    keep = []
+    for p in sorted(pts, key=repr):
+        absorbed = False
+        for (u, v), (lo, hi) in ivals.items():
+            if isinstance(p, EdgeInterior) and T._key(p.u, p.v) == (u, v) and lo <= p.offset <= hi:
+                absorbed = True
+            if isinstance(p, Vertex) and (
+                (p.id == u and lo.is_zero()) or (p.id == v and hi == T.edge_length(u, v))
+            ):
+                absorbed = True
+        if not absorbed:
+            keep.append(p)
+    return SpecIntersection(keep, ivals)
+
+
+class TransverseCovering:
+    def __init__(self, ambient: MetricTree, members: list[SubtreeSpec]):
+        self.ambient = ambient
+        self.members = members
+        if self.ambient.rank != 1:
+            raise CoverError("transverse coverings live in rank-1 trees")
+        for m in self.members:
+            if m.tree is not self.ambient:
+                raise CoverError("member of a different tree")
+
+
+class TransverseReport:
+    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
+        self.ok = ok
+        self.kind = kind
+        self.witness = witness
+
+
+def transverse_check(C: TransverseCovering) -> TransverseReport:
+    for m in C.members:
+        if is_degenerate(m):
+            return TransverseReport(False, "degenerate-member", (C.members.index(m),))
+    for i, j in itertools.combinations(range(len(C.members)), 2):
+        a, b = C.members[i], C.members[j]
+        if same_set(a, b):
+            continue
+        inter = intersect_specs(a, b)
+        if inter.more_than_one_point():
+            return TransverseReport(False, "transverse-intersection", (i, j))
+    # coverage: every edge fully covered by member intervals
+    for k, ln in C.ambient.edges.items():
+        intervals = sorted(
+            (m.intervals[k] for m in C.members if k in m.intervals),
+            key=lambda iv: iv[0].coords,
+        )
+        reach = LexValue.zero(1)
+        for lo, hi in intervals:
+            if lo > reach:
+                return TransverseReport(False, "coverage-gap", (k,))
+            reach = max(reach, hi)
+        if reach < ln:
+            return TransverseReport(False, "coverage-gap", (k,))
+    return TransverseReport(True)
+
+
+class SkeletonGraph:
+    def __init__(self, member_vertices: list[int], point_vertices: list[TreePoint],
+                 edges: list[tuple[object, object]], connected: bool, acyclic: bool,
+                 terminal_members: list[int]):
+        self.member_vertices = member_vertices  # indices into members (V1)
+        self.point_vertices = point_vertices  # V0
+        self.edges = edges  # ("pt", i) -- ("mem", j)
+        self.connected = connected
+        self.acyclic = acyclic
+        self.terminal_members = terminal_members
+
+
+def skeleton(C: TransverseCovering) -> SkeletonGraph:
+    """Bipartite skeleton: members on one side, multi-membership points on
+    the other; terminal member vertices flag non-minimality."""
+    chk = transverse_check(C)
+    if not chk.ok:
+        raise CoverError(f"not a transverse covering: {chk.kind}")
+    # distinct members (equal members collapse to one skeleton vertex)
+    reps: list[int] = []
+    for i, m in enumerate(C.members):
+        if not any(same_set(m, C.members[r]) for r in reps):
+            reps.append(i)
+    points: list[TreePoint] = []
+    for i, j in itertools.combinations(reps, 2):
+        inter = intersect_specs(C.members[i], C.members[j])
+        pt = inter.single_point()
+        if pt is not None and pt not in points:
+            points.append(pt)
+    edges = []
+    for pi, pt in enumerate(points):
+        for r in reps:
+            if C.members[r].contains(pt):
+                edges.append((("pt", pi), ("mem", r)))
+    # connectivity / acyclicity of the bipartite graph
+    nodes = [("mem", r) for r in reps] + [("pt", i) for i in range(len(points))]
+    adj = {n: set() for n in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = set()
+    stack = [nodes[0]] if nodes else []
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        stack.extend(adj[n])
+    connected = seen == set(nodes)
+    acyclic = len(edges) == len(nodes) - 1 if nodes else True
+    terminal_members = [r for r in reps if len(adj[("mem", r)]) <= 1]
+    return SkeletonGraph(reps, points, edges, connected, acyclic, terminal_members)

@@ -1,6 +1,6 @@
 """Gluing trees along points and closed subtrees, graphs of actions with the
-projection-folded dual distance, equivalence classes of the glue relation,
-the free-gluing criterion, and transverse coverings and their skeletons.
+projection-folded dual distance, equivalence classes of the glue relation
+and the free-gluing criterion (transverse coverings live in `cover`).
 
 Edge subtrees are points or segments (window truncations of lines); gluing
 isometries between segments are determined by the images of the two
@@ -9,9 +9,11 @@ endpoints.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .lambdatree import (
     EdgeInterior,
@@ -21,9 +23,9 @@ from .lambdatree import (
     Vertex,
     distance,
     geodesic_legs,
-    intersect_specs,
     point_at,
     project_to_closed_subtree,
+    _id_key,
     _Rows,
 )
 from .ordgroup import LexValue, _frozen
@@ -34,6 +36,42 @@ class GluingError(ValueError):
 
 
 # subdivision with point transport ----------------------------------------------------
+
+
+def _keeps_order(ids) -> bool:
+    """Whether tag + (v,) for v in ids (in _id_key order) is in _id_key order:
+    so when the ids are str and tuple, or all int, whose reprs no closing ")"
+    reorders and where every str sorts before every tuple either way."""
+    kinds = set(map(type, ids))
+    return kinds <= {str, tuple} or kinds == {int}
+
+
+def _union(parts: list) -> tuple[list, list]:
+    """parts: (tag, ids) pairs, the ids of each in _id_key order.  Returns
+    the ids tag + (v,) of all parts in _id_key order, and per part each one's
+    number.  A part's tagged ids keep its order (_keeps_order) and follow one
+    another in the order of their tags; otherwise all are sorted afresh."""
+    blocks = [[(*tag, v) for v in ids] for tag, ids in parts]
+    if not all(_keeps_order(ids) for _tag, ids in parts):
+        ids = sorted((t for b in blocks for t in b), key=repr)
+        index = {t: n for n, t in enumerate(ids)}
+        return ids, [[index[t] for t in b] for b in blocks]
+    ids, nums = [], [None] * len(blocks)
+    for p in sorted(range(len(blocks)), key=lambda p: repr(blocks[p][:1])):
+        nums[p] = range(len(ids), len(ids) + len(blocks[p]))
+        ids += blocks[p]
+    return ids, nums
+
+
+def _common(trees: list, values: Iterable[LexValue] = ()) -> _Rows:
+    """No edges yet, over one D for all the trees and the given values."""
+    return _Rows(math.lcm(*(T._D for T in trees), *(c.denominator for x in values for c in x.coords)))
+
+
+def _edges_of(rows: _Rows, T: MetricTree) -> list:
+    """T's edges (a, b, row) in input order, each row scaled to rows.D."""
+    s = rows.D // T._D
+    return T._edges if s == 1 else [(a, b, [c * s for c in row]) for a, b, row in T._edges]
 
 
 def subdivide_at(T: MetricTree, points: list[TreePoint]):
@@ -49,24 +87,30 @@ def subdivide_at(T: MetricTree, points: list[TreePoint]):
                 offs.append(p.offset)
     if not per_edge:
         return T, lambda p: p
-    new_vertices = set(T.vertices)
-    rows = _Rows.common([T], (off for offs in per_edge.values() for off in offs))
-    cuts: dict[tuple, list[tuple[LexValue, object]]] = {}
-    for k, row in rows.of(T):
-        offs = sorted(per_edge.get(k, []))
-        if not offs:
-            rows.append((k[0], k[1], row))
+    cuts = {k: [(off, ("cut", k[0], k[1], j)) for j, off in enumerate(sorted(offs))]
+            for k, offs in per_edge.items()}
+    # the cut ids, few, go into T's order by bisection: each one's place
+    # counts the cut ids before it, and each of T's numbers those placed before
+    new = sorted((c for chain in cuts.values() for _off, c in chain), key=_id_key)
+    at = [bisect.bisect(T._ids, _id_key(c), key=_id_key) for c in new]
+    place = {c: at[j] + j for j, c in enumerate(new)}
+    ids = list(T._ids)
+    for j in reversed(range(len(new))):  # the last first, so each at[j] still holds
+        ids.insert(at[j], new[j])
+    num = [i + bisect.bisect(at, i) for i in range(len(T._ids))]
+    n, i = len(T._ids), T._index
+    split = {i[k[0]] * n + i[k[1]]: k for k in per_edge}
+    rows = _common([T], (off for offs in per_edge.values() for off in offs))
+    for a, b, row in _edges_of(rows, T):
+        k = split.get(a * n + b)
+        if k is None:
+            rows.append((num[a], num[b], row))
             continue
-        chain = [(LexValue.zero(T.rank), k[0])]
-        for i, off in enumerate(offs):
-            vid = ("cut", k[0], k[1], i)
-            new_vertices.add(vid)
-            chain.append((off, vid))
-        chain.append((T.edge_length(*k), k[1]))
-        cuts[k] = chain[1:-1]
-        for (o1, a), (o2, b) in zip(chain, chain[1:]):
-            rows.add(a, b, o2 - o1)
-    T2 = MetricTree(new_vertices, rows, T.rank)
+        chain = [(LexValue.zero(T.rank), num[a]), *((off, place[c]) for off, c in cuts[k]),
+                 (T.edge_length(*k), num[b])]
+        for (o1, x), (o2, y) in zip(chain, chain[1:]):
+            rows.append((x, y, [c.numerator * (rows.D // c.denominator) for c in (o2 - o1).coords]))
+    T2 = MetricTree(ids, rows, T.rank)
 
     def mapper(p: TreePoint) -> TreePoint:
         if isinstance(p, Vertex):
@@ -131,11 +175,7 @@ def glue_point(Y: MetricTree, attachments: list[tuple[MetricTree, object, object
     """Wedge trees Y_i onto Y, identifying vertex y_i of Y_i with vertex x_i
     of Y.  Returns (tree, base_map, attachment_maps): vertex-id maps into the
     result."""
-    base_map = {v: ("base", v) for v in Y.vertices}
-    verts = set(base_map.values())
-    rows = _Rows.common([Y] + [Yi for Yi, _x, _y in attachments])
-    rows.extend((base_map[u], base_map[v], row) for (u, v), row in rows.of(Y))
-    att_maps = []
+    parts = [(("base",), Y._ids)]
     for i, (Yi, xi, yi) in enumerate(attachments):
         if xi not in Y.vertices:
             raise GluingError(f"attachment point {xi!r} is not a vertex of the base")
@@ -143,13 +183,19 @@ def glue_point(Y: MetricTree, attachments: list[tuple[MetricTree, object, object
             raise GluingError(f"attachment point {yi!r} is not a vertex of tree {i}")
         if Yi.rank != Y.rank:
             raise GluingError("rank mismatch")
-        m = {
-            v: (base_map[xi] if v == yi else ("att", i, v)) for v in Yi.vertices
-        }
-        verts.update(m.values())
-        rows.extend((m[u], m[v], row) for (u, v), row in rows.of(Yi))
-        att_maps.append(m)
-    return MetricTree(verts, rows, Y.rank), base_map, att_maps
+        j = Yi._index[yi]
+        parts.append((("att", i), Yi._ids[:j] + Yi._ids[j + 1:]))
+    ids, nums = _union(parts)
+    base_map = {v: ids[n] for v, n in zip(Y._ids, nums[0])}
+    rows = _common([Y] + [Yi for Yi, _x, _y in attachments])
+    rows.extend((nums[0][a], nums[0][b], row) for a, b, row in _edges_of(rows, Y))
+    att_maps = []
+    for (Yi, xi, yi), num in zip(attachments, nums[1:]):
+        num = list(num)
+        num.insert(Yi._index[yi], nums[0][Y._index[xi]])
+        rows.extend((num[a], num[b], row) for a, b, row in _edges_of(rows, Yi))
+        att_maps.append({v: ids[n] for v, n in zip(Yi._ids, num)})
+    return MetricTree(ids, rows, Y.rank), base_map, att_maps
 
 
 # subtree gluing along identified segments ---------------------------------------------
@@ -195,18 +241,21 @@ def glue_subtree(phi: SegmentIso):
     def tag2(v):
         return tag1(glue_to_src[v]) if v in glue_to_src else ("Y2", v)
 
-    verts = {tag1(v) for v in Y1s.vertices} | {tag2(v) for v in Y2s.vertices}
-    rows = _Rows.common([Y1s, Y2s])
-    rows.extend((tag1(u), tag1(v), row) for (u, v), row in rows.of(Y1s))
-    for (u, v), row in rows.of(Y2s):
-        tu, tv = tag2(u), tag2(v)
-        if tu[0] == "Y1" and tv[0] == "Y1":
+    partner = {Y2s._index[v2]: Y1s._index[v1] for v2, v1 in glue_to_src.items()}
+    ids, (num1, own2) = _union([(("Y1",), Y1s._ids),
+                                (("Y2",), [v for j, v in enumerate(Y2s._ids) if j not in partner])])
+    own2 = iter(own2)
+    num2 = [num1[partner[j]] if j in partner else next(own2) for j in range(len(Y2s._ids))]
+    rows = _common([Y1s, Y2s])
+    rows.extend((num1[a], num1[b], row) for a, b, row in _edges_of(rows, Y1s))
+    for a, b, row in _edges_of(rows, Y2s):
+        if a in partner and b in partner:
             # edge inside the identified segment: already present from Y1
-            if not Y1s.has_edge(tu[1], tv[1]):
+            if Y1s._row(partner[a], partner[b]) is None:
                 raise GluingError("interface edge missing on the other side")
             continue
-        rows.append((tu, tv, row))
-    glued = MetricTree(verts, rows, Y1.rank)
+        rows.append((num2[a], num2[b], row))
+    glued = MetricTree(ids, rows, Y1.rank)
 
     def map_src(p: TreePoint) -> TreePoint:
         q = map1(p)
@@ -492,105 +541,3 @@ def check_free_criterion(
         if not cls.acyclic:
             return FreeCriterionReport("Fail", f"class of {p!r} is not a tree")
     return FreeCriterionReport("Pass", "all sampled classes have finite diameter")
-
-
-# transverse coverings -------------------------------------------------------------------
-
-
-class TransverseCovering:
-    def __init__(self, ambient: MetricTree, members: list[SubtreeSpec]):
-        self.ambient = ambient
-        self.members = members
-        if self.ambient.rank != 1:
-            raise GluingError("transverse coverings live in rank-1 trees")
-        for m in self.members:
-            if m.tree is not self.ambient:
-                raise GluingError("member of a different tree")
-
-
-class TransverseReport:
-    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
-        self.ok = ok
-        self.kind = kind
-        self.witness = witness
-
-
-def transverse_check(C: TransverseCovering) -> TransverseReport:
-    for m in C.members:
-        if m.is_degenerate():
-            return TransverseReport(False, "degenerate-member", (C.members.index(m),))
-    for i, j in itertools.combinations(range(len(C.members)), 2):
-        a, b = C.members[i], C.members[j]
-        if a.same_set(b):
-            continue
-        inter = intersect_specs(a, b)
-        if inter.more_than_one_point():
-            return TransverseReport(False, "transverse-intersection", (i, j))
-    # coverage: every edge fully covered by member intervals
-    for k, ln in C.ambient.edges.items():
-        intervals = sorted(
-            (m.intervals[k] for m in C.members if k in m.intervals),
-            key=lambda iv: iv[0].coords,
-        )
-        reach = LexValue.zero(1)
-        for lo, hi in intervals:
-            if lo > reach:
-                return TransverseReport(False, "coverage-gap", (k,))
-            reach = max(reach, hi)
-        if reach < ln:
-            return TransverseReport(False, "coverage-gap", (k,))
-    return TransverseReport(True)
-
-
-class SkeletonGraph:
-    def __init__(self, member_vertices: list[int], point_vertices: list[TreePoint],
-                 edges: list[tuple[object, object]], connected: bool, acyclic: bool,
-                 terminal_members: list[int]):
-        self.member_vertices = member_vertices  # indices into members (V1)
-        self.point_vertices = point_vertices  # V0
-        self.edges = edges  # ("pt", i) -- ("mem", j)
-        self.connected = connected
-        self.acyclic = acyclic
-        self.terminal_members = terminal_members
-
-
-def skeleton(C: TransverseCovering) -> SkeletonGraph:
-    """Bipartite skeleton: members on one side, multi-membership points on
-    the other; terminal member vertices flag non-minimality."""
-    chk = transverse_check(C)
-    if not chk.ok:
-        raise GluingError(f"not a transverse covering: {chk.kind}")
-    # distinct members (equal members collapse to one skeleton vertex)
-    reps: list[int] = []
-    for i, m in enumerate(C.members):
-        if not any(m.same_set(C.members[r]) for r in reps):
-            reps.append(i)
-    points: list[TreePoint] = []
-    for i, j in itertools.combinations(reps, 2):
-        inter = intersect_specs(C.members[i], C.members[j])
-        pt = inter.single_point()
-        if pt is not None and pt not in points:
-            points.append(pt)
-    edges = []
-    for pi, pt in enumerate(points):
-        for r in reps:
-            if C.members[r].contains(pt):
-                edges.append((("pt", pi), ("mem", r)))
-    # connectivity / acyclicity of the bipartite graph
-    nodes = [("mem", r) for r in reps] + [("pt", i) for i in range(len(points))]
-    adj = {n: set() for n in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = set()
-    stack = [nodes[0]] if nodes else []
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adj[n])
-    connected = seen == set(nodes)
-    acyclic = len(edges) == len(nodes) - 1 if nodes else True
-    terminal_members = [r for r in reps if len(adj[("mem", r)]) <= 1]
-    return SkeletonGraph(reps, points, edges, connected, acyclic, terminal_members)

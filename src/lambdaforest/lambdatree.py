@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .ordgroup import LexValue, _frozen, _ratio
@@ -43,27 +44,14 @@ def _scaled(rows: list) -> tuple[int, Iterable[list[int]]]:
 
 
 class _Rows(list):
-    """Edges (u, v, row), each row a length times D as ints: the form a tree
-    keeps its lengths in.  MetricTree takes one in place of a list of
-    (u, v, LexValue), so a parsed or glued tree is built without LexValues."""
+    """Edges (a, b, row), each row a length times D as ints: the form a tree
+    keeps its lengths in, so a parsed or glued tree is built without
+    LexValues.  A `numbered` one names its ends by number in the vertex list
+    given with it, which is in _id_key order; otherwise by id."""
 
-    def __init__(self, D: int, edges=()):
+    def __init__(self, D: int, edges=(), numbered: bool = True):
         super().__init__(edges)
-        self.D = D
-
-    @staticmethod
-    def common(trees: list, values: Iterable[LexValue] = ()) -> "_Rows":
-        """No edges yet, over one D for all the trees and the given values."""
-        return _Rows(math.lcm(*(T._D for T in trees), *(c.denominator for x in values for c in x.coords)))
-
-    def add(self, u, v, length: LexValue):
-        """Edge (u, v) of a length whose denominators divide D."""
-        self.append((u, v, [c.numerator * (self.D // c.denominator) for c in length.coords]))
-
-    def of(self, T: "MetricTree"):
-        """T's ((u, v), row) pairs in input order, each row scaled to D."""
-        s = self.D // T._D
-        return T._rows.items() if s == 1 else [(k, [c * s for c in row]) for k, row in T._rows.items()]
+        self.D, self.numbered = D, numbered
 
 
 def _lex(row, D: int) -> LexValue:
@@ -130,9 +118,9 @@ TreePoint = Vertex | EdgeInterior
 
 class MetricTree:
     def __init__(self, vertices: Iterable, edges: Iterable[tuple] | _Rows, rank: int):
-        """edges: iterable of (u, v, length) with length a LexValue, kept as
-        int rows (see _Rows).  Vertex ids are numbered in _id_key order, so
-        edge keys compare ints."""
+        """edges: (u, v, length) with length a LexValue, or a _Rows.  Vertices
+        are numbered in _id_key order; adjacency, parent, depth and the row of
+        each vertex's edge to its parent are lists by number."""
         self.rank = rank
         self.vertices = frozenset(vertices)
         if not self.vertices:
@@ -145,47 +133,54 @@ class MetricTree:
                 raise TreeError("edge length must be a LexValue")
             D, rows = _scaled([[_ratio(c) for c in ln.coords] for _u, _v, ln in edges])
             edges = [(u, v, row) for (u, v, _), row in zip(edges, rows)]
+        numbered = isinstance(edges, _Rows) and edges.numbered
         # with one class of id, repr alone gives the _id_key order
-        ids = sorted(self.vertices, key=repr if len(set(map(type, self.vertices))) == 1 else _id_key)
+        ids = vertices if numbered else sorted(self.vertices, key=repr if len(
+            set(map(type, self.vertices))) == 1 else _id_key)
         self._index = index = {v: i for i, v in enumerate(ids)}
-        self._D, self._rows = D, {}
-        self.adj = adj = {v: [] for v in ids}
-        rows, zero = self._rows, [0] * rank
+        n, zero = len(ids), [0] * rank
+        self._ids, self._D, self._edges, seen = ids, D, [], set()
+        self._adj = adj = [[] for _ in ids]  # (neighbour, edge row) pairs
         for u, v, row in edges:
-            if u not in index or v not in index:
+            a, b = (u, v) if numbered else (index.get(u), index.get(v))
+            if a is None or b is None:
                 raise TreeError(f"edge endpoint not a vertex: {u!r}-{v!r}")
-            if u == v:
+            if a == b:
                 raise TreeError("loop edge")
             if len(row) != rank:
                 raise TreeError(f"edge length rank {len(row)} != tree rank {rank}")
             if not row > zero:  # int lists compare lexicographically
                 raise TreeError(f"edge length must be positive, got {_lex(row, D)!r}")
-            k = (u, v) if index[u] < index[v] else (v, u)
-            if k in rows:
-                raise TreeError(f"duplicate edge {k!r}")
-            rows[k] = row
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(rows) != len(self.vertices) - 1:
+            if a > b:
+                a, b = b, a
+            if a * n + b in seen:
+                raise TreeError(f"duplicate edge {(ids[a], ids[b])!r}")
+            seen.add(a * n + b)
+            self._edges.append((a, b, row))
+            adj[a].append((b, row))
+            adj[b].append((a, row))
+        if len(self._edges) != n - 1:
             raise TreeError("not a tree: wrong edge count")
-        # rooting walk: parent, depth and r, the distance from the root times
-        # D, per vertex, in discovery order, so a parent always precedes its
-        # children; an unreached vertex means the graph is not connected
-        self.parent = parent = {ids[0]: None}
-        self.depth = depth = {ids[0]: 0}
-        self._r = r = {ids[0]: zero}
-        stack = [ids[0]]
-        while stack:
-            w = stack.pop()
-            for nb in adj[w]:
-                if nb not in parent:
-                    parent[nb] = w
-                    depth[nb] = depth[w] + 1
-                    k = (w, nb) if index[w] < index[nb] else (nb, w)
-                    r[nb] = list(map(operator.add, r[w], rows[k]))
-                    stack.append(nb)
-        if len(self.parent) != len(self.vertices):
+        # rooting walk, breadth first from vertex 0, so a parent precedes its
+        # children in _order; an unreached vertex means a disconnected graph
+        self._parent, self._depth, self._up = parent, depth, up = [-1] * n, [-1] * n, [None] * n
+        depth[0], self._order = 0, [0]
+        for w in self._order:
+            for x, row in adj[w]:
+                if depth[x] < 0:
+                    parent[x], depth[x], up[x] = w, depth[w] + 1, row
+                    self._order.append(x)
+        if len(self._order) != n:
             raise TreeError("not connected")
+
+    @cached_property
+    def _r(self) -> list:
+        """Each vertex's distance from the root times D, by number."""
+        r, parent, up = [None] * len(self._ids), self._parent, self._up
+        r[0] = [0] * self.rank
+        for c in itertools.islice(self._order, 1, None):
+            r[c] = list(map(operator.add, r[parent[c]], up[c]))
+        return r
 
     # basic queries ----------------------------------------------------------
 
@@ -197,49 +192,57 @@ class MetricTree:
         except KeyError:  # not two vertices, so no edge
             return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
 
-    def _length(self, k) -> LexValue:
-        return _lex(self._rows[k], self._D)
+    def _row(self, a: int, b: int) -> Optional[list]:
+        """The row of edge {a, b}, by number; None if they share no edge."""
+        p = self._parent
+        return self._up[a] if p[a] == b else self._up[b] if p[b] == a else None
 
     @property
     def edges(self) -> dict:
         """Each edge's length as a LexValue, keyed as _key orders its ends."""
-        return {k: self._length(k) for k in self._rows}
+        ids = self._ids
+        return {(ids[a], ids[b]): _lex(row, self._D) for a, b, row in self._edges}
 
     def edge_length(self, u, v) -> LexValue:
-        return self._length(self._key(u, v))
+        i = self._index
+        if u in i and v in i and (row := self._row(i[u], i[v])) is not None:
+            return _lex(row, self._D)
+        raise TreeError(f"edge {u!r}-{v!r} not in tree")
 
-    def has_edge(self, u, v) -> bool:
-        return self._key(u, v) in self._rows
+    def _meet(self, a: int, b: int) -> int:
+        """The vertex where the root paths of a and b join, by number."""
+        depth, parent = self._depth, self._parent
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b:
+            a, b = parent[a], parent[b]
+        return a
 
-    def _meet(self, u, v):
-        """The vertex where the root paths of u and v join."""
-        depth, parent = self.depth, self.parent
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return u
+    def _distance(self, a: int, b: int) -> LexValue:
+        """r(a) + r(b) - 2 r(meet), with r the distance from the root."""
+        r = self._r
+        return _lex([x + y - 2 * z for x, y, z in zip(r[a], r[b], r[self._meet(a, b)])], self._D)
 
     def vertex_distance(self, u, v) -> LexValue:
-        """r(u) + r(v) - 2 r(meet), with r the distance from the root."""
-        r = self._r
-        return _lex([a + b - 2 * c for a, b, c in zip(r[u], r[v], r[self._meet(u, v)])], self._D)
+        return self._distance(self._index[u], self._index[v])
+
+    def _path(self, a: int, b: int) -> list:
+        m, parent = self._meet(a, b), self._parent
+        up, down = [a], [b]
+        while up[-1] != m:
+            up.append(parent[up[-1]])
+        while down[-1] != m:
+            down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def vertex_path(self, u, v) -> list:
-        m = self._meet(u, v)
-        up, down = [u], [v]
-        while up[-1] != m:
-            up.append(self.parent[up[-1]])
-        while down[-1] != m:
-            down.append(self.parent[down[-1]])
-        return up + down[-2::-1]
+        return [self._ids[c] for c in self._path(self._index[u], self._index[v])]
 
     def point(self, u, v, offset: LexValue) -> TreePoint:
         """Point on edge {u, v} at given offset from u, canonicalized."""
-        k = self._key(u, v)
-        ln = self._length(k)
+        ln = self.edge_length(u, v)
         zero = LexValue.zero(self.rank)
         if offset == zero:
             return Vertex(u)
@@ -247,30 +250,32 @@ class MetricTree:
             return Vertex(v)
         if not (zero < offset < ln):
             raise TreeError(f"offset {offset!r} outside edge of length {ln!r}")
-        cu, cv = k
+        cu, cv = self._key(u, v)
         return EdgeInterior(cu, cv, offset if cu == u else ln - offset)
 
     def check_point(self, x: TreePoint) -> None:
         if isinstance(x, Vertex):
-            if x.id not in self.vertices:
+            if x.id not in self._index:
                 raise TreeError(f"vertex {x.id!r} not in tree")
-        else:
-            k = self._key(x.u, x.v)
-            if k not in self._rows:
-                raise TreeError(f"edge {x.u!r}-{x.v!r} not in tree")
-            if not (LexValue.zero(self.rank) < x.offset < self._length(k)):
-                raise TreeError(f"interior offset {x.offset!r} out of range")
+        elif not (LexValue.zero(self.rank) < x.offset < self.edge_length(x.u, x.v)):
+            raise TreeError(f"interior offset {x.offset!r} out of range")
 
     def to_json(self) -> dict:
-        s, r = {v: str(v) for v in self.vertices}, {v: repr(v) for v in self.vertices}
+        ids, D = self._ids, self._D
+        s = [str(v) for v in ids]
+        kinds = set(map(type, ids))
+        if len(kinds) == 1 and kinds <= {str, int, tuple}:
+            # reprs that no ", " reorders: number order is the edges' repr order
+            edges = sorted(self._edges)
+        else:
+            r = [repr(v) for v in ids]
+            edges = sorted(self._edges, key=lambda e: f"({r[e[0]]}, {r[e[1]]})")
         return {
             "rank": self.rank,
-            "vertices": sorted(s.values()),
-            # keys are tuples: their repr, built from each id's once, sorts in _id_key order
-            "edges": [{"u": s[u], "v": s[v],
-                       "len": [str(c) if self._D == 1 else str(Fraction(c, self._D)) for c in row]}
-                      for (u, v), row in sorted(self._rows.items(),
-                                                key=lambda kv: f"({r[kv[0][0]]}, {r[kv[0][1]]})")],
+            "vertices": sorted(s),
+            "edges": [{"u": s[a], "v": s[b],
+                       "len": [str(c) if D == 1 else str(Fraction(c, D)) for c in row]}
+                      for a, b, row in edges],
         }
 
     @staticmethod
@@ -282,7 +287,37 @@ class MetricTree:
         edges = [(e["u"], e["v"], _json_row(e["len"], rank, "edge {}-{}", e["u"], e["v"]))
                  for e in doc["edges"]]
         D, rows = _scaled([ln for _u, _v, ln in edges])
-        return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v, _), row in zip(edges, rows)]), rank)
+        return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v, _), row in zip(edges, rows)],
+                                          numbered=False), rank)
+
+
+def _parse_point(T: MetricTree, s: str) -> TreePoint:
+    """A point of T: 'v' names a vertex; 'u:v:1/2' or 'u:v:1/2,0' an
+    edge-interior offset."""
+    if ":" not in s:
+        if s not in T.vertices:
+            raise TreeError(f"unknown vertex {s!r}")
+        return Vertex(s)
+    parts = s.split(":")
+    if len(parts) != 3:
+        raise TreeError(f"bad point syntax {s!r}")
+    u, v, off = parts
+    try:
+        val = LexValue(off.split(","))
+    except ValueError as exc:
+        raise TreeError(f"bad offset in {s!r}: {exc}")
+    try:
+        return T.point(u, v, val)
+    except ValueError as exc:
+        raise TreeError(f"bad point {s!r}: {exc}")
+
+
+def _parse_points(T: MetricTree, points, what: str) -> list:
+    """The points a document lists under `what`.  A string is refused: read
+    as the list, each of its characters would name a point."""
+    if not isinstance(points, list):
+        raise TreeError(f"{what} must be a list of points, got {points!r}")
+    return [_parse_point(T, s) for s in points]
 
 
 # geodesics -------------------------------------------------------------------
@@ -305,18 +340,17 @@ class Leg:
         return abs(self.b - self.a)
 
 
-def _exit(T: MetricTree, x: TreePoint, y: TreePoint) -> tuple[object, LexValue]:
-    """The vertex through which the geodesic from x to y (a point off x's
-    edge) leaves that edge, and its distance from x; a vertex is its own
-    exit.  An interior point leaves through the child endpoint of its edge
-    exactly when y lies below that child.  If y is interior to another edge,
-    either endpoint of that edge lies below the child exactly when y does."""
+def _exit_vertex(T: MetricTree, x: TreePoint, y: TreePoint) -> int:
+    """The number of the vertex through which the geodesic from x to y (a
+    point off x's edge) leaves that edge; a vertex is its own exit.  It is
+    the child endpoint of x's edge exactly when y, or either end of y's
+    edge, lies below that child."""
+    i = T._index
     if isinstance(x, Vertex):
-        return x.id, LexValue.zero(T.rank)
-    child, up = (x.u, x.v) if T.parent[x.u] == x.v else (x.v, x.u)
-    low = y.id if isinstance(y, Vertex) else y.u
-    ex = child if T._meet(low, child) == child else up
-    return ex, x.offset if ex == x.u else T.edge_length(x.u, x.v) - x.offset
+        return i[x.id]
+    a, b = i[x.u], i[x.v]
+    child, up = (a, b) if T._parent[a] == b else (b, a)
+    return child if T._meet(i[y.id if isinstance(y, Vertex) else y.u], child) == child else up
 
 
 def _same_edge(T: MetricTree, x: TreePoint, y: TreePoint) -> bool:
@@ -332,17 +366,16 @@ def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
     if _same_edge(T, x, y):
         return [Leg(x.u, x.v, x.offset, y.offset)]
     zero = LexValue.zero(T.rank)
-    ex, entry = _exit(T, x, y)[0], _exit(T, y, x)[0]
-    legs: list[Leg] = []
+    ex, entry = _exit_vertex(T, x, y), _exit_vertex(T, y, x)
+    ids, legs = T._ids, []
     if isinstance(x, EdgeInterior):
-        legs.append(Leg(x.u, x.v, x.offset, zero if ex == x.u else T.edge_length(x.u, x.v)))
-    path = T.vertex_path(ex, entry)
+        legs.append(Leg(x.u, x.v, x.offset, zero if ids[ex] == x.u else T.edge_length(x.u, x.v)))
+    path = T._path(ex, entry)
     for a, b in zip(path, path[1:]):
-        cu, cv = k = T._key(a, b)
-        ln = T._length(k)
-        legs.append(Leg(cu, cv, zero, ln) if a == cu else Leg(cu, cv, ln, zero))
+        ln = _lex(T._row(a, b), T._D)
+        legs.append(Leg(ids[a], ids[b], zero, ln) if a < b else Leg(ids[b], ids[a], ln, zero))
     if isinstance(y, EdgeInterior):
-        legs.append(Leg(y.u, y.v, zero if entry == y.u else T.edge_length(y.u, y.v), y.offset))
+        legs.append(Leg(y.u, y.v, zero if ids[entry] == y.u else T.edge_length(y.u, y.v), y.offset))
     return legs
 
 
@@ -353,9 +386,12 @@ def distance(T: MetricTree, x: TreePoint, y: TreePoint) -> LexValue:
         return T.vertex_distance(x.id, y.id)
     if _same_edge(T, x, y):
         return abs(x.offset - y.offset)
-    ex, dx = _exit(T, x, y)
-    entry, dy = _exit(T, y, x)
-    return dx + T.vertex_distance(ex, entry) + dy
+    ex, entry = _exit_vertex(T, x, y), _exit_vertex(T, y, x)
+    d = T._distance(ex, entry)
+    for p, e in ((x, ex), (y, entry)):  # and each interior end's way to its exit
+        if isinstance(p, EdgeInterior):
+            d = d + (p.offset if e == T._index[p.u] else T.edge_length(p.u, p.v) - p.offset)
+    return d
 
 
 def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
@@ -523,7 +559,7 @@ class SubtreeSpec:
         ivals: dict[tuple, tuple[LexValue, LexValue]] = {}
         for (u, v), (lo, hi) in (intervals or {}).items():
             k = T._key(u, v)
-            ln = T._length(k)
+            ln = T.edge_length(*k)
             if (u, v) != k:
                 lo, hi = ln - hi, ln - lo
             zero = LexValue.zero(T.rank)
@@ -538,10 +574,11 @@ class SubtreeSpec:
             if v not in T.vertices:
                 raise TreeError(f"subtree vertex {v!r} not in tree")
         # a fully contained edge is an interval over its whole length
+        ids = T._ids
         for u in verts:
-            for v in T.adj[u]:
-                if v in verts and (k := T._key(u, v)) not in ivals:
-                    ivals[k] = (LexValue.zero(T.rank), T._length(k))
+            for b, _row in T._adj[T._index[u]]:
+                if (v := ids[b]) in verts and (k := T._key(u, v)) not in ivals:
+                    ivals[k] = (LexValue.zero(T.rank), T.edge_length(*k))
         self.vertices = frozenset(verts)
         self.intervals = ivals
         if not self.vertices and not self.intervals:
@@ -567,13 +604,10 @@ class SubtreeSpec:
         return pts
 
     def base_point(self) -> TreePoint:
+        """The first grid point: the least vertex, if any."""
+        if self.vertices:
+            return Vertex(min(self.vertices, key=self.tree._index.__getitem__))
         return self.grid_points()[0]
-
-    def is_degenerate(self) -> bool:
-        return len(self.grid_points()) <= 1
-
-    def same_set(self, other: "SubtreeSpec") -> bool:
-        return self.vertices == other.vertices and self.intervals == other.intervals
 
     @staticmethod
     def from_points(T: MetricTree, points: list[TreePoint]) -> "SubtreeSpec":
@@ -601,69 +635,33 @@ class SubtreeSpec:
         return SubtreeSpec(T, verts, ivals)
 
 
-class SpecIntersection:
-    def __init__(self, points: list, intervals: dict):
-        self.points = points  # isolated intersection points
-        self.intervals = intervals  # shared non-degenerate edge intervals
-
-    def more_than_one_point(self) -> bool:
-        return bool(self.intervals) or len(self.points) > 1
-
-    def single_point(self):
-        if not self.intervals and len(self.points) == 1:
-            return self.points[0]
-        return None
-
-
-def intersect_specs(Y1: SubtreeSpec, Y2: SubtreeSpec) -> SpecIntersection:
-    """Intersection of two closed subtrees of a common tree."""
-    if Y1.tree is not Y2.tree:
-        raise TreeError("subtrees of different trees")
-    T = Y1.tree
-    pts = {Vertex(v) for v in Y1.vertices & Y2.vertices}
-    ivals = {}
-    for k in set(Y1.intervals) & set(Y2.intervals):
-        lo = max(Y1.intervals[k][0], Y2.intervals[k][0])
-        hi = min(Y1.intervals[k][1], Y2.intervals[k][1])
-        if lo < hi:
-            ivals[k] = (lo, hi)
-        elif lo == hi:
-            pts.add(T.point(k[0], k[1], lo))
-    # drop isolated points absorbed by an interval
-    keep = []
-    for p in sorted(pts, key=repr):
-        absorbed = False
-        for (u, v), (lo, hi) in ivals.items():
-            if isinstance(p, EdgeInterior) and T._key(p.u, p.v) == (u, v) and lo <= p.offset <= hi:
-                absorbed = True
-            if isinstance(p, Vertex) and (
-                (p.id == u and lo.is_zero()) or (p.id == v and hi == T._length((u, v)))
-            ):
-                absorbed = True
-        if not absorbed:
-            keep.append(p)
-    return SpecIntersection(keep, ivals)
-
-
 def project_to_closed_subtree(T: MetricTree, Y: SubtreeSpec, x: TreePoint) -> TreePoint:
-    """The unique p in Y with [y0, x] ∩ Y = [y0, p]; independent of y0."""
+    """The unique p in Y with [y0, x] ∩ Y = [y0, p]; independent of y0.  The
+    walk from y0 goes by vertex number and stops at the first vertex outside
+    Y; only the answer is built as a point."""
     if Y.contains(x):
         return x
-    y0 = Y.base_point()
-    legs = geodesic_legs(T, y0, x)
-    cur = y0
-    for leg in legs:
-        end = T.point(leg.u, leg.v, leg.b)
-        if Y.contains(end):
-            cur = end
-            continue
-        k = (leg.u, leg.v)
-        if k not in Y.intervals:
-            return cur
-        lo, hi = Y.intervals[k]
-        cut = min(leg.b, hi) if leg.b > leg.a else max(leg.b, lo)
-        return T.point(leg.u, leg.v, cut)
-    return cur
+    y0, ids, zero = Y.base_point(), T._ids, LexValue.zero(T.rank)
+
+    def cut(u, v, forward: bool, b: LexValue) -> Optional[TreePoint]:
+        # where a walk along edge {u, v} to offset b leaves Y; None off Y
+        if (u, v) in Y.intervals:
+            lo, hi = Y.intervals[(u, v)]
+            return T.point(u, v, min(b, hi) if forward else max(b, lo))
+
+    if _same_edge(T, y0, x):
+        return cut(x.u, x.v, x.offset > y0.offset, x.offset) or y0
+    ex, entry = _exit_vertex(T, y0, x), _exit_vertex(T, x, y0)
+    if isinstance(y0, EdgeInterior) and ids[ex] not in Y.vertices:
+        forward = ids[ex] != y0.u
+        return cut(y0.u, y0.v, forward, T.edge_length(y0.u, y0.v) if forward else zero) or y0
+    path = T._path(ex, entry)
+    for a, b in zip(path, path[1:]):
+        if ids[b] not in Y.vertices:
+            u, v = (ids[a], ids[b]) if a < b else (ids[b], ids[a])
+            return cut(u, v, a < b, _lex(T._row(a, b), T._D) if a < b else zero) or Vertex(ids[a])
+    # x is interior to an edge at entry, the last vertex of Y on the way
+    return cut(x.u, x.v, ids[entry] == x.u, x.offset) or Vertex(ids[entry])
 
 
 # tree surgery -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CHAIN
+from conftest import CHAIN, F2_WINDOW
 from lambdaforest import presets
 from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _dumps, _read, main
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
@@ -483,6 +483,31 @@ def test_wrongly_typed_input_is_malformed(tmp_path, capsys, argv, doc, message):
     assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("malformed input: ") and message in err
+
+
+# each of these once printed a bare Python error that named nothing
+@pytest.mark.parametrize("argv, doc, message", [
+    (["glue", "dual", "--a", "A", "--b", "B/b0"], CHAIN, "--a must be 'vertex/point', got 'A'"),
+    (["glue", "dual", "--a", "A/a0", "--b", "Z/b0"], CHAIN, "--b names no vertex tree: 'Z'"),
+    (["glue", "check-free"], {**CHAIN, "samples": [{"vertex": "Z", "point": "a0"}]},
+     "sample 'vertex' names no vertex tree: 'Z'"),
+    (["glue", "check-free"], {**CHAIN, "edges": [{**CHAIN["edges"][0], "from": "Z"}]},
+     "edge 'from' names no vertex tree: 'Z'"),
+    (["glue", "dual", "--a", "A/a0", "--b", "B/b0"],
+     {**CHAIN, "edges": [{**CHAIN["edges"][0], "to": "Z"}]}, "edge 'to' names no vertex tree: 'Z'"),
+    (["glue", "dual", "--a", "A/a0:a2:1/2", "--b", "B/b0"], CHAIN,
+     "bad point 'a0:a2:1/2': edge 'a0'-'a2' not in tree"),
+    (["tree", "distance", "--x", "o", "--y", "p:q:1/2"], presets.emit("tripod"),
+     "bad point 'p:q:1/2': edge 'p'-'q' not in tree"),
+    (["isom", "classify", "--word", "a", "--base", "a:A:1/2"], F2_WINDOW,
+     "bad point 'a:A:1/2': edge 'a'-'A' not in tree"),
+], ids=["no-slash", "no-tree", "sample", "edge-from", "edge-to", "glue-point", "tree-point",
+        "isom-point"])
+def test_errors_name_what_is_missing(tmp_path, capsys, argv, doc, message):
+    path = write(tmp_path, "doc.json", doc)
+    assert main(argv[:2] + ["--input", path] + argv[2:]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: {message}\n"
 
 
 def _two_vertex_tree(**edits):
@@ -1282,11 +1307,38 @@ def _cover(members):
     return lambda: {"schema": SCHEMA, "tree": _tripod(), "members": members}
 
 
+def _mixed_wedge():
+    """A base with int and string ids (10 and "10" both), an attachment of
+    ints at int 10 and one of strings, some spelled as in the base, at "a"."""
+    def tree(ids, edges):
+        return {"rank": 1, "vertices": ids,
+                "edges": [{"u": u, "v": v, "len": [ln]} for u, v, ln in edges]}
+
+    base = tree([2, 10, 1, "a", "b", "10"], [(1, 2, "1"), (2, 10, "1/2"), (10, "a", "2"),
+                                             ("a", "b", "1"), (1, "10", "3/2")])
+    ints = tree([0, 1, 2, 11], [(0, 1, "1"), (1, 2, "1/3"), (1, 11, "2")])
+    strs = tree(["a", "b", "c"], [("a", "b", "1"), ("b", "c", "1/2")])
+    return {"schema": SCHEMA, "base": base,
+            "attachments": [{"tree": ints, "x": 10, "y": 1}, {"tree": strs, "x": "a", "y": "c"}]}
+
+
+def _rank2_pair(ends1, ends2):
+    """The rank-2 tree and a copy with every id prefixed z, glued along
+    segments with interior ends."""
+    t1 = _rank2()
+    t2 = {**t1, "vertices": ["z" + v for v in t1["vertices"]],
+          "edges": [{**e, "u": "z" + e["u"], "v": "z" + e["v"]} for e in t1["edges"]]}
+    return lambda: {"schema": SCHEMA, "tree1": t1, "tree2": t2, "ends1": ends1, "ends2": ends2}
+
+
 GEOMETRY_DOCS = {
     "tripod": _tripod, "rank2": _rank2, "f2-window": lambda: _f2_window(3),
     "chain3": _chain3, "glue-pair": _glue_pair, "wedge": _wedge,
     "cover": _cover([["o", "p"], ["o", "q"], ["o", "r"]]),
     "cover-interior": _cover([["p", "o:q:1/2"], ["o:q:1/2", "q"], ["o", "r"]]),
+    "mixed-wedge": _mixed_wedge,
+    "rank2-pair": _rank2_pair(["a:b:0,1/4", "d:e:1,0"], ["zd:ze:1,0", "za:zb:0,1/4"]),
+    "rank2-pair-skew": _rank2_pair(["a:b:0,1/4", "r:d:0,1"], ["zd:zf:0,1/4", "zd:ze:1,1"]),
 }
 PINNED_GEOMETRY = [
     ("tripod-distance", "tripod", ["tree", "distance", "--x", "o:p:1/2", "--y", "q"], 0,
@@ -1357,6 +1409,15 @@ PINNED_GEOMETRY = [
     ("glue-check-free", "chain3", ["glue", "check-free"], 0,
      "286c67da9309dd4355f4ff55255323779b20ce0a3744294549a99f066a4dd85a",
      "9a406dcce506be2ea3b01b72846827a31c88f95d787f687160b447f04142810f"),
+    ("glue-point-mixed-ids", "mixed-wedge", ["glue", "point"], 0,
+     "a4f4660d6e1c3d527e4d9183234a0abfcca6ff2b4f6d9919d606a62c802133ca",
+     "a5f020615f7360e1b20e3dd89d1da4e586a3596bc769b6b8720fd327906152dc"),
+    ("glue-subtree-rank2", "rank2-pair", ["glue", "subtree"], 0,
+     "a576a9e4df88ec9bf7cbca2420905736f1ac46383d8f25980e7ae95da666f64a",
+     "484a9ff0906702a8ff2dbc3ff356a6ab9a5d681ee265f0f09da20d6296fd4df8"),
+    ("glue-subtree-rank2-skew", "rank2-pair-skew", ["glue", "subtree"], 0,
+     "7b5db15e6f11495ad62dd9def0748750650ef3d00638c16578bdce1960c78f51",
+     "3a7a85af5dc85b4c7207a059d746f515f4fc3eebcc0a1487624563bc69845a58"),
     ("cover-check", "cover", ["cover", "check"], 0,
      "07cb3cacc7811022d3fcf8139ac53d45ff8907eca6f0d2e88e179409544526e4",
      "fc5ed0197d19a1f8f9e6a616bc6026662477a9195a82eae939ea8c84695cdd6c"),

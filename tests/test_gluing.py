@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdaforest.gluing import (
     CLASS_CAP,
@@ -10,7 +11,6 @@ from lambdaforest.gluing import (
     GluingError,
     GraphOfActions,
     SegmentIso,
-    TransverseCovering,
     check_free_criterion,
     dual_distance,
     dual_distance_bruteforce,
@@ -18,11 +18,10 @@ from lambdaforest.gluing import (
     glue_equiv_class,
     glue_point,
     glue_subtree,
-    skeleton,
     subdivide_at,
-    transverse_check,
 )
-from lambdaforest.lambdatree import MetricTree, SubtreeSpec, Vertex, distance
+from lambdaforest.cover import CoverError, TransverseCovering, same_set, skeleton, transverse_check
+from lambdaforest.lambdatree import MetricTree, SubtreeSpec, Vertex, distance, _id_key
 
 from conftest import L, random_lex_positive, random_tree
 
@@ -75,6 +74,77 @@ def test_subdivide_at_no_interior_point_is_the_identity():
             assert mapper(p) is p
 
 
+# glued and subdivided trees take their numbering from their parts; checked
+# against the slow path they replace: sorting every id by _id_key, the repr
+# sort of the edges that to_json used, and distances summed breadth first
+
+IDS = {"str": st.text("ab'\"(), 1", min_size=1, max_size=3), "int": st.integers(-30, 30),
+       "tuple": st.tuples(st.sampled_from(["x", "y'"]), st.integers(0, 12))}
+IDS["mixed"] = st.one_of(IDS["str"], IDS["int"])
+IDS["str-tuple"] = st.one_of(IDS["str"], IDS["tuple"])
+
+
+def _shaped(ids, shape, rank):
+    """The tree on ids with vertex i + 1 hung from vertex shape[i] by length i + 1."""
+    return MetricTree(ids, [(ids[i + 1], ids[p], L(*[i + 1] * rank)) for i, p in enumerate(shape)],
+                      rank)
+
+
+def _assert_numbered_as_sorted(T):
+    assert T._ids == sorted(T.vertices, key=_id_key)
+    assert T._index == {v: i for i, v in enumerate(T._ids)}
+    doc, r = T.to_json(), {v: repr(v) for v in T.vertices}
+    assert doc["vertices"] == sorted(str(v) for v in T.vertices)
+    want = sorted(T.edges, key=lambda k: f"({r[k[0]]}, {r[k[1]]})")
+    assert [(e["u"], e["v"]) for e in doc["edges"]] == [(str(u), str(v)) for u, v in want]
+    nbrs = {v: [] for v in T.vertices}
+    for (u, v), ln in T.edges.items():
+        nbrs[u].append((v, ln))
+        nbrs[v].append((u, ln))
+    src = T._ids[-1]
+    dists, stack = {src: L(*[0] * T.rank)}, [src]
+    while stack:
+        w = stack.pop()
+        for x, ln in nbrs[w]:
+            if x not in dists:
+                dists[x] = dists[w] + ln
+                stack.append(x)
+    assert {v: T.vertex_distance(src, v) for v in T.vertices} == dists
+
+
+@given(st.sampled_from(sorted(IDS)), st.integers(1, 2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_glued_trees_are_numbered_as_a_sort_would(kind, rank, data):
+    def tree(n_min=1):
+        ids = data.draw(st.lists(IDS[kind], min_size=n_min, max_size=6, unique=True))
+        return _shaped(ids, [data.draw(st.integers(0, i)) for i in range(len(ids) - 1)], rank)
+
+    def anywhere(T):
+        (u, v), ln = data.draw(st.sampled_from(sorted(T.edges.items(), key=repr)))
+        return T.point(u, v, ln.scale(Fraction(data.draw(st.integers(1, 3)), 4)))
+
+    base, arms = tree(), [tree() for _ in range(data.draw(st.integers(1, 3)))]
+    glued, _, _ = glue_point(base, [(Y, data.draw(st.sampled_from(base._ids)),
+                                     data.draw(st.sampled_from(Y._ids))) for Y in arms])
+    assert "_r" not in vars(glued)  # no distance asked for yet
+    _assert_numbered_as_sorted(glued)
+    T1 = tree(n_min=2)
+    _assert_numbered_as_sorted(subdivide_at(T1, [anywhere(T1) for _ in range(3)])[0])
+    # the same shape on other ids, glued along a segment with interior ends
+    ids2 = data.draw(st.lists(IDS[kind], min_size=len(T1._ids), max_size=len(T1._ids), unique=True))
+    T2 = MetricTree(ids2, [(ids2[T1._index[u]], ids2[T1._index[v]], ln)
+                           for (u, v), ln in T1.edges.items()], rank)
+    ends = [anywhere(T1), Vertex(data.draw(st.sampled_from(T1._ids)))]
+    images = [Vertex(ids2[T1._index[p.id]]) if isinstance(p, Vertex) else
+              T2.point(ids2[T1._index[p.u]], ids2[T1._index[p.v]], p.offset) for p in ends]
+    if ends[0] != ends[1]:
+        twice, _, _ = glue_subtree(SegmentIso(T1, tuple(ends), T2, tuple(images)))
+        _assert_numbered_as_sorted(twice)
+        # a glue of a glued tree: nested tuple ids, and cut ids inside them
+        _assert_numbered_as_sorted(glue_point(twice, [(glued, twice._ids[0], glued._ids[-1])])[0])
+        _assert_numbered_as_sorted(subdivide_at(twice, [anywhere(twice)])[0])
+
+
 # segment isometries --------------------------------------------------------------
 
 
@@ -92,8 +162,8 @@ def test_segment_iso_caches_what_a_fresh_one_builds():
             dst = dst[::-1]
         phi = SegmentIso(T1, src, T2, dst)
         assert phi.src_spec is phi.src_spec and phi.dst_spec is phi.dst_spec
-        assert phi.src_spec.same_set(SubtreeSpec.from_points(T1, list(src)))
-        assert phi.dst_spec.same_set(SubtreeSpec.from_points(T2, list(dst)))
+        assert same_set(phi.src_spec, SubtreeSpec.from_points(T1, list(src)))
+        assert same_set(phi.dst_spec, SubtreeSpec.from_points(T2, list(dst)))
         path = T1.vertex_path(f"v{i}", f"v{j}")
         points = [Vertex(v) for v in path] + [
             T1.point(a, b, T1.edge_length(a, b).scale(Fraction(k, 3))) for a, b in zip(path, path[1:])
@@ -393,5 +463,5 @@ def test_transverse_check_gap(tripod):
     ]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert not rep.ok and rep.kind == "coverage-gap"
-    with pytest.raises(GluingError):
+    with pytest.raises(CoverError):
         skeleton(TransverseCovering(tripod, members))

@@ -57,7 +57,10 @@ MARKED = {"schema": "lambda-forest/1", "kind": "marked-group",
 
 INLINE = {"marked": MARKED, **DOCUMENTS}
 
-TREE = {"cli", "cli_trees", "lambdatree", "ordgroup"}
+TREE = {"cli", "lambdatree", "ordgroup"}
+VALIDATE, QUERY = TREE | {"cli_validate"}, TREE | {"cli_tree"}
+ISOM = TREE | {"cli_isom", "groups", "isometry"}
+GLUE, COVER = TREE | {"cli_glue", "gluing"}, TREE | {"cli_cover", "cover"}
 BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
 GOG = {"cli", "cli_gog", "devissage", "groups"}
 MARKED_BALL = {"cli", "cli_marked", "groups", "markedgroups"}
@@ -66,25 +69,24 @@ PRESET = {"cli", "cli_preset", "presets"}
 # argv (an @name is replaced by the path of that preset, or of that INLINE
 # document), exit code, and the lambdaforest modules the command loads
 CASES = {
-    "validate-tree": (["validate-tree", "--input", "@square-cycle"], 2, TREE),
+    "validate-tree": (["validate-tree", "--input", "@square-cycle"], 2, VALIDATE),
     "tree distance": (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0,
-                      TREE),
+                      QUERY),
     "tree median": (["tree", "median", "--input", "@tripod", "--x", "p", "--y", "q",
-                     "--z", "r"], 0, TREE),
+                     "--z", "r"], 0, QUERY),
     "tree project": (["tree", "project", "--input", "@tripod", "--x", "p", "--y", "q",
-                      "--z", "r"], 0, TREE),
+                      "--z", "r"], 0, QUERY),
     "isom classify": (["isom", "classify", "--input", "@f2-window", "--base", "e",
-                       "--word", "a"], 3, TREE | {"groups", "isometry"}),
-    "isom certify": (["isom", "certify", "--input", "@f2-window", "--ball", "1"], 3,
-                     TREE | {"groups", "isometry"}),
-    "glue point": (["glue", "point", "--input", "@two-trees"], 0, TREE | {"gluing"}),
-    "glue subtree": (["glue", "subtree", "--input", "@tree-pair"], 0, TREE | {"gluing"}),
+                       "--word", "a"], 3, ISOM),
+    "isom certify": (["isom", "certify", "--input", "@f2-window", "--ball", "1"], 3, ISOM),
+    "glue point": (["glue", "point", "--input", "@two-trees"], 0, GLUE),
+    "glue subtree": (["glue", "subtree", "--input", "@tree-pair"], 0, GLUE),
     "glue dual": (["glue", "dual", "--input", "@chain", "--a", "A/a0", "--b", "B/b1"], 0,
-                  TREE | {"gluing"}),
-    "glue check-free": (["glue", "check-free", "--input", "@chain"], 0, TREE | {"gluing"}),
-    "cover check": (["cover", "check", "--input", "@tripod-cover"], 0, TREE | {"gluing"}),
+                  GLUE),
+    "glue check-free": (["glue", "check-free", "--input", "@chain"], 0, GLUE),
+    "cover check": (["cover", "check", "--input", "@tripod-cover"], 0, COVER),
     "cover skeleton": (["cover", "skeleton", "--input", "@tripod-cover"], 0,
-                       TREE | {"gluing"}),
+                       COVER),
     "bt valuation": (["bt", "valuation", "--input", "@z2-diagonal", "--word", "uv"], 0, BT),
     "bt length": (["bt", "length", "--input", "@z2-diagonal", "--word", "uv"], 0, BT),
     # ball certification needs isometry, but none of its tree code
@@ -100,7 +102,8 @@ CASES = {
     "preset list": (["preset", "list"], 0, PRESET),
     "preset emit": (["preset", "emit", "--name", "tripod"], 0, PRESET),
 }
-HANDLERS = {"cli_trees", "cli_bt", "cli_gog", "cli_marked", "cli_preset"}
+HANDLERS = {"cli_validate", "cli_tree", "cli_isom", "cli_glue", "cli_cover", "cli_bt", "cli_gog",
+            "cli_marked", "cli_preset"}
 
 
 def _paths(tmp_path, argv):
@@ -149,9 +152,11 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 # lines of lambdaforest source (package __init__ included) that the commands of
 # each family load between them, measured at the change that computed turns
 # exactly with one conjugator routine and gave alphabets one check; marked's
-# at the change that moved z_marked out of presets into cli_marked
-FAMILY_LINES = {"tree": 2619, "bt": 1729, "gog": 1180, "marked": 791, "preset": 481}
-TREE_COMMANDS = {"validate-tree", "tree", "isom", "glue", "cover"}
+# at the change that moved z_marked out of presets into cli_marked; the tree
+# commands', one handler module each, at the change that split them (all five
+# were one "tree" family of 2,619 lines)
+FAMILY_LINES = {"validate-tree": 1173, "tree": 1180, "isom": 1826, "glue": 1776, "cover": 1354,
+                "bt": 1729, "gog": 1180, "marked": 791, "preset": 481}
 
 
 def test_compiled_source_per_family_stays_put():
@@ -159,7 +164,7 @@ def test_compiled_source_per_family_stays_put():
     commands load, or raise the figure with the reason in CHANGES.md."""
     loaded = {}
     for argv, _rc, modules in CASES.values():
-        family = "tree" if argv[0] in TREE_COMMANDS else argv[0]
+        family = argv[0]
         loaded.setdefault(family, {"__init__"}).update(modules)
     pkg = os.path.join(ROOT, "src", "lambdaforest")
     lines = {}

@@ -16,7 +16,6 @@ from lambdaforest.lambdatree import (
     Vertex,
     distance,
     geodesic_legs,
-    intersect_specs,
     kill_infinitesimals,
     median,
     point_at,
@@ -24,6 +23,7 @@ from lambdaforest.lambdatree import (
     validate_tree_metric,
     _id_key,
 )
+from lambdaforest.cover import intersect_specs, is_degenerate
 from lambdaforest.ordgroup import LexValue, _rat, _ratio, project_top
 
 from conftest import L, random_tree
@@ -467,14 +467,18 @@ def tree_point_pairs(draw):
     if kind == "same-edge" and edges:
         e = draw(st.sampled_from(edges))
         return T, interior(*e), interior(*e)
-    hubs = [w for w in verts if len(T.adj[w]) >= 2]
+
+    def nbrs(w):
+        return [T._ids[c] for c, _row in T._adj[T._index[w]]]
+
+    hubs = [w for w in verts if len(nbrs(w)) >= 2]
     if kind == "adjacent" and hubs:
         w = draw(st.sampled_from(hubs))
-        a, b = draw(st.lists(st.sampled_from(T.adj[w]), min_size=2, max_size=2, unique=True))
+        a, b = draw(st.lists(st.sampled_from(nbrs(w)), min_size=2, max_size=2, unique=True))
         return T, interior(w, a), interior(w, b)
-    root = next(v for v, p in T.parent.items() if p is None)
-    if kind == "root" and T.adj[root]:
-        x, y = interior(root, draw(st.sampled_from(T.adj[root]))), anywhere()
+    root = T._ids[0]  # the rooting walk starts at vertex 0
+    if kind == "root" and nbrs(root):
+        x, y = interior(root, draw(st.sampled_from(nbrs(root)))), anywhere()
         return (T, x, y) if draw(st.booleans()) else (T, y, x)
     return T, anywhere(), anywhere()
 
@@ -503,7 +507,7 @@ def test_subtree_spec_contains(tripod):
     assert spec.contains(Vertex("o"))
     assert spec.contains(tripod.point("o", "p", L(Fraction(1, 2))))
     assert not spec.contains(Vertex("r"))
-    assert not spec.is_degenerate()
+    assert not is_degenerate(spec)
     assert len(spec.grid_points()) >= 3
 
 
@@ -532,6 +536,39 @@ def test_projection_examples(tripod):
     )
 
 
+def _leg_walk_projection(T, Y, x):
+    """The reference: walk the legs of [y0, x] from y0, the first grid point,
+    building a point for every leg end, until one leaves Y."""
+    if Y.contains(x):
+        return x
+    y0 = Y.grid_points()[0]
+    cur = y0
+    for leg in geodesic_legs(T, y0, x):
+        end = T.point(leg.u, leg.v, leg.b)
+        if Y.contains(end):
+            cur = end
+            continue
+        k = (leg.u, leg.v)
+        if k not in Y.intervals:
+            return cur
+        lo, hi = Y.intervals[k]
+        return T.point(leg.u, leg.v, min(leg.b, hi) if leg.b > leg.a else max(leg.b, lo))
+    return cur
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_point_pairs(), st.booleans())
+def test_projection_by_number_matches_the_leg_walk(case, hull):
+    """Onto the hull of two points (or one, maybe interior: a spec with no
+    vertex), from every vertex and from points a third along every edge."""
+    T, x, y = case
+    Y = SubtreeSpec.from_points(T, [x, y] if hull else [x])
+    targets = [Vertex(v) for v in T.vertices] + [
+        T.point(u, v, ln.scale(Fraction(k, 3))) for (u, v), ln in T.edges.items() for k in (1, 2)]
+    for z in targets:
+        assert project_to_closed_subtree(T, Y, z) == _leg_walk_projection(T, Y, z)
+
+
 def test_projection_bridge_property():
     """d(x, y) = d(x, proj(x)) + d(proj(x), y) for every y in the subtree."""
     rng = random.Random(13)
@@ -552,9 +589,9 @@ def test_projection_bridge_property():
 def _row_scan(T, verts, ivals):
     """The reference: a spec's whole edges as found by scanning every edge of T."""
     out = dict(ivals)
-    for u, v in T._rows:
+    for u, v in T.edges:
         if u in verts and v in verts and (u, v) not in out:
-            out[(u, v)] = (LexValue.zero(T.rank), T._length((u, v)))
+            out[(u, v)] = (LexValue.zero(T.rank), T.edge_length(u, v))
     return out
 
 
@@ -580,7 +617,26 @@ def test_vertices_are_numbered_in_id_key_order(ids):
     """With one class of id the tree sorts by repr alone: the same order."""
     for vs in (ids, [v for v in ids if type(v) is type(ids[0])]):
         T = MetricTree(vs, [(u, v, L(1)) for u, v in zip(vs, vs[1:])], 1)
-        assert sorted(T._index, key=T._index.get) == sorted(vs, key=_id_key)
+        assert T._ids == sorted(vs, key=_id_key)
+
+
+class _Spelled:
+    """An id whose repr is its spelling."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __repr__(self):
+        return self.s
+
+
+def test_to_json_sorts_edges_by_repr_where_number_order_differs():
+    """"a" sorts before "a!", yet "(a!, z)" before "(a, z)": "!" < ",".  So
+    to_json lists edges in number order only for ids of str, int or tuple."""
+    a, b, z = (_Spelled(s) for s in ("a", "a!", "z"))
+    T = MetricTree([a, b, z], [(a, z, L(1)), (b, z, L(1))], 1)
+    assert T._ids == [a, b, z]
+    assert [e["u"] for e in T.to_json()["edges"]] == ["a!", "a"]
 
 
 def test_intersect_specs(tripod):
