@@ -38,7 +38,7 @@ class PartialIsometry:
     map affinely along the geodesic between endpoint images."""
 
     def __init__(self, window: MetricTree, vertex_map: dict):
-        from .lambdatree import Vertex, distance
+        from .lambdatree import Vertex, _lex, distance
 
         self.window = window
         self.vertex_map = dict(vertex_map)
@@ -47,10 +47,11 @@ class PartialIsometry:
                 raise IsometryError(f"domain vertex {v!r} not in window")
         for v, img in self.vertex_map.items():
             window.check_point(img)
+        T, i = window, window._index  # vertex images compare as int rows
         for a, b in itertools.combinations(sorted(self.vertex_map, key=repr), 2):
-            if distance(window, Vertex(a), Vertex(b)) != distance(
-                window, self.vertex_map[a], self.vertex_map[b]
-            ):
+            d, fa, fb = T._drow(i[a], i[b]), self.vertex_map[a], self.vertex_map[b]
+            if (d != T._drow(i[fa.id], i[fb.id]) if fa.__class__ is fb.__class__ is Vertex
+                    else _lex(d, T._D) != distance(T, fa, fb)):
                 raise IsometryError(f"not distance-preserving on pair ({a!r}, {b!r})")
 
     def defined_at(self, x: TreePoint) -> bool:

@@ -59,15 +59,44 @@ def _lex(row, D: int) -> LexValue:
     return LexValue._of(tuple([Fraction(c, D) for c in row]))
 
 
-def _json_row(data, rank: int, what: str, *names) -> list:
-    """A JSON list of `rank` rationals as (numerator, denominator) pairs."""
-    if not isinstance(data, list):
-        raise ValueError(f"{what.format(*names)} must be a list of rationals, got {data!r}")
-    row = [_ratio(c) for c in data]
-    if len(row) != rank:
-        raise ValueError(f"{what.format(*names)} has rank {len(row)}, want {rank}" if row
-                         else "rank must be positive")
-    return row
+def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
+    """D, and each item of data, a JSON list of `rank` rationals, times D as
+    ints; name(k) names item k in an error.  Plain -?digits(/digits)? strings
+    in ASCII are read as one text, by int as _ratio reads them; any other
+    spelling sends the items through _ratio in turn."""
+    if set(map(type, data)) == {list} and set(map(len, data)) == {rank}:
+        try:
+            text = "\n".join(map(",".join, data))
+        except TypeError:  # a coordinate that is not a string
+            text = "?"
+        # only plain characters, and no separator but the join's
+        if not text.encode().translate(None, b"-/0123456789,\n") and \
+                text.count(",") + text.count("\n") == rank * len(data) - 1:
+            flat, dens = text.replace("\n", ",").split(","), [1]
+            try:  # int refuses a sign or a slash out of place
+                if "/" in text:
+                    flat = [c.partition("/") for c in flat]
+                    dens = [int(d) if s else 1 for _n, s, d in flat]
+                    flat = [int(n) for n, _s, _d in flat]
+                else:
+                    flat = list(map(int, flat))
+            except ValueError:
+                dens = [0]
+            if min(dens) > 0:  # and no zero or signed denominator
+                D = math.lcm(*set(dens))
+                if D > 1:
+                    flat = [n * (D // d) for n, d in zip(flat, dens)]
+                return D, [flat[k:k + rank] for k in range(0, len(flat), rank)]
+    rows = []
+    for k, row in enumerate(data):
+        if not isinstance(row, list):
+            raise ValueError(f"{name(k)} must be a list of rationals, got {row!r}")
+        rows.append(list(map(_ratio, row)))
+        if len(row) != rank:
+            raise ValueError(f"{name(k)} has rank {len(row)}, want {rank}" if row
+                             else "rank must be positive")
+    D, scaled = _scaled(rows)
+    return D, list(scaled)
 
 
 class Vertex:
@@ -220,10 +249,14 @@ class MetricTree:
             a, b = parent[a], parent[b]
         return a
 
-    def _distance(self, a: int, b: int) -> LexValue:
-        """r(a) + r(b) - 2 r(meet), with r the distance from the root."""
+    def _drow(self, a: int, b: int) -> list:
+        """The distance of a and b times D: r(a) + r(b) - 2 r(meet), with r
+        the distance from the root."""
         r = self._r
-        return _lex([x + y - 2 * z for x, y, z in zip(r[a], r[b], r[self._meet(a, b)])], self._D)
+        return [x + y - 2 * z for x, y, z in zip(r[a], r[b], r[self._meet(a, b)])]
+
+    def _distance(self, a: int, b: int) -> LexValue:
+        return _lex(self._drow(a, b), self._D)
 
     def vertex_distance(self, u, v) -> LexValue:
         return self._distance(self._index[u], self._index[v])
@@ -284,10 +317,11 @@ class MetricTree:
         vertices = doc["vertices"]
         if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be a list of distinct ids")
-        edges = [(e["u"], e["v"], _json_row(e["len"], rank, "edge {}-{}", e["u"], e["v"]))
-                 for e in doc["edges"]]
-        D, rows = _scaled([ln for _u, _v, ln in edges])
-        return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v, _), row in zip(edges, rows)],
+        edges = doc["edges"]
+        ends = [(e["u"], e["v"]) for e in edges]
+        D, rows = _json_rows([e["len"] for e in edges], rank,
+                             lambda k: "edge {}-{}".format(*ends[k]))
+        return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v), row in zip(ends, rows)],
                                           numbered=False), rank)
 
 
@@ -474,9 +508,12 @@ class FiniteLambdaMetric:
         if not (isinstance(rows, list) and len(rows) == m
                 and all(isinstance(row, list) and len(row) == m for row in rows)):
             raise ValueError(f"dist must be {m} rows of {m} entries")
-        D, flat = _scaled([_json_row(d, rank, "dist[{}][{}]", i, j)
-                           for i, row in enumerate(rows) for j, d in enumerate(row)])
-        return FiniteLambdaMetric._from_rows(labels, [[next(flat) for _ in row] for row in rows], rank, D)
+        if len(set(map(repr, labels))) != m:
+            raise ValueError("labels must be distinct")
+        D, flat = _json_rows([d for row in rows for d in row], rank,
+                             lambda k: f"dist[{k // m}][{k % m}]")
+        return FiniteLambdaMetric._from_rows(labels, [flat[k:k + m] for k in range(0, m * m, m)],
+                                             rank, D)
 
 
 class ValidationResult:
@@ -491,30 +528,65 @@ class ValidationResult:
         return self.ok
 
 
-MAX_VALIDATION_POINTS = 32
+_SCAN_POINTS = 32  # the most points whose witness the exhaustive scan finds
+
+
+def _insertion_failure(p: list) -> Optional[tuple]:
+    """The first failure of the insertion check on packed distances, as (kind,
+    point numbers), or None.  With g(x, y) = d(0, x) + d(0, y) - d(x, y), twice
+    a Gromov product, the table embeds in a tree iff every pair has
+    0 <= g(x, y) <= 2 min(d(0, x), d(0, y)) and, in order, each x and earlier
+    z have g(x, z) = min(g(x, y), g(y, z)), y the first earlier point of
+    largest g(x, y): the ultrametric inequality of g on every triple, that is
+    0-hyperbolicity (Chiswell, Introduction to Lambda-trees, ch. 2).  A failure
+    is a triangle through 0, or {0, y, z, x}: its pair sums are k less three g."""
+    d0 = p[0]
+    g = [[d0[x] + d0[y] - px[y] for y in range(len(p))] for x, px in enumerate(p)]
+    for x, gx in enumerate(g):
+        for y in range(1, x):
+            if gx[y] < 0:
+                return "triangle-inequality", (x, 0, y)
+            if gx[y] > 2 * min(d0[x], d0[y]):
+                return "triangle-inequality", (0, x, y) if gx[y] > 2 * d0[x] else (0, y, x)
+        y = max(range(x), key=gx.__getitem__, default=0)
+        for z in range(1, x):
+            if gx[z] != min(gx[y], g[y][z]):
+                return "four-point", tuple(sorted((0, y, z, x)))
+    return None
+
+
+def _scan(p: list) -> Optional[tuple]:
+    """The first triangle, then four-point, violation on packed distances."""
+    for i, j, k in itertools.combinations(range(len(p)), 3):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if p[a][c] > p[a][b] + p[b][c]:
+                return "triangle-inequality", (a, b, c)
+    for i, j, k, l in itertools.combinations(range(len(p)), 4):
+        sums = sorted([p[i][j] + p[k][l], p[i][k] + p[j][l], p[i][l] + p[j][k]])
+        if sums[2] > sums[1]:
+            return "four-point", (i, j, k, l)
+    return None
 
 
 def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
-    """Metric axioms, then the triangle inequality on every triple and the
-    four-point 0-hyperbolicity inequality on every quadruple (exhaustive,
-    over integer-packed distances; point count capped).
+    """Metric axioms, then whether the table embeds in a Lambda-tree, by
+    inserting the points in turn (_insertion_failure, O(m^2)).  A failure's
+    witness is the exhaustive scan's first violation among at most
+    _SCAN_POINTS points, or the insertion check's among more.
 
-    The table holds each distance times D, the lcm of every coordinate
-    denominator, as integer vectors, which keeps sums and the lexicographic
-    order.  A vector c packs to P(c) = c_0 K^(n-1) + ... + c_(n-1) with
-    K = 4B + 1, where B bounds every |c_i|.  P is additive, so
-    P(x) - P(y) = P(x - y).  The scans compare single values and sums of
-    two, whose coordinates are at most 2B in absolute value, so z = x - y
-    has |z_i| <= 4B = K - 1.  If z_t is its first nonzero coordinate, the
-    later terms of P(z) add up to at most (K - 1)(K^(n-2-t) + ... + 1) =
-    K^(n-1-t) - 1 in absolute value, less than |z_t| K^(n-1-t); so P(z) has
-    the sign of z_t, and comparing packed ints is comparing the values
-    lexicographically."""
+    Both read each distance times D, the lcm of every denominator, as an int
+    vector c packed to P(c) = c_0 K^(n-1) + ... + c_(n-1), with K = 4B + 1
+    and B the largest |c_i|.  P(x) - P(y) = P(x - y).  The scan compares an
+    entry with a sum of two, or two such sums; the insertion check compares
+    a g with 0 or twice an entry, or two g that share a point, whose d(0, .)
+    of that point cancels.  So every difference z compared sums at most four
+    entries, |z_i| <= 4B = K - 1.  If z_t is its first nonzero coordinate,
+    the later terms of P(z) add up to at most (K - 1)(K^(n-2-t) + ... + 1) =
+    K^(n-1-t) - 1 < |z_t| K^(n-1-t) in absolute value: P(z) has the sign of
+    z_t, so packed ints compare as the values do lexicographically."""
     m = len(M.labels)
     if m == 0:
         raise TreeError("metric has no points: nothing to validate")
-    if m > MAX_VALIDATION_POINTS:
-        raise TreeError(f"validator capped at {MAX_VALIDATION_POINTS} points, got {m}")
     d, zero = M._rows, [0] * M.rank
     for i in range(m):
         if d[i][i] != zero:
@@ -527,22 +599,11 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     K = 4 * max(abs(c) for row in d for cs in row for c in cs) + 1
     powers = [K ** t for t in range(M.rank - 1, -1, -1)]
     p = [[sum(map(operator.mul, cs, powers)) for cs in row] for row in d]
-    for i, j, k in itertools.combinations(range(m), 3):
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            if p[a][c] > p[a][b] + p[b][c]:
-                return ValidationResult(
-                    False, "triangle-inequality", (M.labels[a], M.labels[b], M.labels[c])
-                )
-    for i, j, k, l in itertools.combinations(range(m), 4):
-        s1 = p[i][j] + p[k][l]
-        s2 = p[i][k] + p[j][l]
-        s3 = p[i][l] + p[j][k]
-        sums = sorted([s1, s2, s3])
-        if sums[2] > sums[1]:
-            return ValidationResult(
-                False, "four-point", (M.labels[i], M.labels[j], M.labels[k], M.labels[l])
-            )
-    return ValidationResult(True)
+    failure = _insertion_failure(p)
+    if failure is None:
+        return ValidationResult(True)
+    kind, witness = _scan(p) if m <= _SCAN_POINTS else failure
+    return ValidationResult(False, kind, tuple(M.labels[i] for i in witness))
 
 
 # closed subtrees ----------------------------------------------------------------

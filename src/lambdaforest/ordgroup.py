@@ -24,7 +24,7 @@ def _ratio(x) -> tuple[int, int]:
     `Fraction`, which reads every other spelling and reports its errors."""
     if isinstance(x, str):
         n, slash, d = x.partition("/")
-        if n.removeprefix("-").isdecimal() and (not slash or d.isdecimal() and d.strip("0")):
+        if n.removeprefix("-").isdecimal() and (not slash or d.isdecimal() and int(d)):
             return int(n), int(d) if slash else 1
         try:
             x = Fraction(x)

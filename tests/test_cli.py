@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import CHAIN, F2_WINDOW
 from lambdaforest import presets
 from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _dumps, _read, main
-from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex
+from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex, distance
 from lambdaforest.ordgroup import LexValue
 
 SCHEMA = "lambda-forest/1"
@@ -153,6 +153,16 @@ def test_validate_tree_pass_and_violation(tmp_path, tripod_file):
     square = emit(tmp_path, "square-cycle")
     assert main(["validate-tree", "--input", square]) == 2
 
+
+
+def test_validate_tree_refuses_repeated_labels(tmp_path, capsys):
+    """A table that is a tree metric, but names two points "a": its witness
+    could not say which point it means."""
+    doc = {"schema": SCHEMA, "rank": 1, "labels": ["a", "a"],
+           "dist": [[["0"], ["1"]], [["1"], ["0"]]]}
+    assert main(["validate-tree", "--input", write(tmp_path, "m.json", doc)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == "malformed input: labels must be distinct\n"
 
 
 def _rank1_metric(**edits):
@@ -592,10 +602,14 @@ def _schottky_coefficient(value):
     (["validate-tree"], {"schema": SCHEMA, "rank": 2, "labels": ["a", "b"],
                          "dist": [[["0", "0"], ["1/0", "0"]], [["1", "0"], ["0", "0"]]]}),
     (["tree", "distance", "--x", "p", "--y", "q"], _tripod_with_length(["1/0"])),
+    (["tree", "distance", "--x", "p", "--y", "q"], _tripod_with_length(["1/\u0660"])),
+    (["validate-tree"], {"schema": SCHEMA, "rank": 1, "labels": ["a", "b"],
+                         "dist": [[["0"], ["1/\u0660"]], [["1/\u0660"], ["0"]]]}),
     (["bt", "certify"], {"schema": SCHEMA, "kind": "matrix-group", "field": "Qp", "p": 3,
                          "generators": {"a": [["1/0", "0"], ["0", "1"]]}}),
     (["bt", "certify"], _schottky_coefficient("1/0")),
-], ids=["point-offset", "metric-entry", "edge-length", "qp-entry", "qt-coefficient"])
+], ids=["point-offset", "metric-entry", "edge-length", "edge-length-arabic-zero",
+        "metric-entry-arabic-zero", "qp-entry", "qt-coefficient"])
 def test_zero_denominator_is_malformed(tmp_path, capsys, argv, doc):
     assert main(argv + ["--input", write(tmp_path, "doc.json", doc)]) == 65
     out, err = capsys.readouterr()
@@ -1156,25 +1170,29 @@ def test_pinned_bt_outputs(tmp_path, capsys, name, argv, report_sha, stdout_sha)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
 
 
-# validate-tree on the square-cycle preset, a 32-point pass (the cap) and one
-# document per violation kind, pinned like the reports above
+# validate-tree on the square-cycle preset, a 32-point pass (the most points
+# whose violations the exhaustive scan reports), a pass and a violation on 40
+# points, and one document per violation kind, pinned like the reports above
 def _metric_doc(labels, rows, rank):
     return {"schema": SCHEMA, "kind": "metric", "rank": rank, "labels": labels,
             "dist": [[[str(c) for c in d] for d in row] for row in rows]}
 
 
-def _pass_32():
-    """Rank-2 distances between the 32 vertices of a fixed tree, with
-    infinitesimal edges, rational and negative lower coordinates."""
-    names = [f"v{i}" for i in range(32)]
+def _tree_metric(n, stretch=()):
+    """Rank-2 distances between the n vertices of a fixed tree, with
+    infinitesimal edges, rational and negative lower coordinates; the
+    distance of each pair of vertex numbers in `stretch` grows by (0, 1/2)."""
+    names = [f"v{i}" for i in range(n)]
     edges = []
-    for i in range(1, 32):
+    for i in range(1, n):
         top = i % 3
         low = Fraction(i % 4 + 1, 1 + i % 2) if top == 0 else Fraction(-(i % 5), 1 + i % 3)
         edges.append((names[i], names[(i * i + 3) % i], LexValue([top, low])))
     T = MetricTree(names, edges, 2)
-    M = FiniteLambdaMetric.from_tree(T, [Vertex(v) for v in names], names)
-    return {"schema": SCHEMA, "kind": "metric", **M.to_json()}
+    d = [[distance(T, Vertex(a), Vertex(b)) for b in names] for a in names]
+    for i, j in stretch:
+        d[i][j] = d[j][i] = d[i][j] + LexValue([0, Fraction(1, 2)])
+    return {"schema": SCHEMA, "kind": "metric", **FiniteLambdaMetric(names, d, 2).to_json()}
 
 
 def _violation(kind):
@@ -1206,6 +1224,12 @@ PINNED_VALIDATE = [
     ("pass-32", 0,
      "e3e4578b82964cf6ce3fb4a58d90885d3da1b2e7971659a26fdbe749c2037b45",
      "bd230b0516865fd4ecccd042abda93af5816b533dac3483cd63738381d42a6a2"),
+    ("pass-40", 0,
+     "b6c1371e4862cb9f09e0ee2d73843e2adf390502da8619f7f6c8be11d36f5f85",
+     "bd230b0516865fd4ecccd042abda93af5816b533dac3483cd63738381d42a6a2"),
+    ("violation-40", 2,
+     "b1e079806c7875737bb59d70eea2d0be7d32d4eb3a9a1d365cc1759ad63e97d1",
+     "f4cac91ee59cfdd3c0cb180c44cef2b0e5ecb8100101c25e3b8eace3cd0c5884"),
     ("nonzero-diagonal", 2,
      "4662635586ee66e8e8bfd1eff72533ff203854dcea5c13a4388f850d242a1509",
      "bc34f1f9317358b6043a6930dd8bc7adaddd47f2600e4b5f312e92ba4057cf5f"),
@@ -1227,7 +1251,9 @@ PINNED_VALIDATE = [
 @pytest.mark.parametrize("name, rc, report_sha, stdout_sha", PINNED_VALIDATE,
                          ids=[c[0] for c in PINNED_VALIDATE])
 def test_pinned_validate_outputs(tmp_path, capsys, name, rc, report_sha, stdout_sha):
-    docs = {"square-cycle": lambda: presets.emit("square-cycle"), "pass-32": _pass_32}
+    docs = {"square-cycle": lambda: presets.emit("square-cycle"), "pass-32": lambda: _tree_metric(32),
+            "pass-40": lambda: _tree_metric(40),
+            "violation-40": lambda: _tree_metric(40, [(17, 36)])}
     doc = docs[name]() if name in docs else _violation(name)
     report = tmp_path / "report.json"
     assert main(["validate-tree", "--input", write(tmp_path, "m.json", doc),

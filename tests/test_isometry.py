@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,7 @@ from lambdaforest.isometry import (
     classify,
     window_length_oracle,
 )
-from lambdaforest.lambdatree import MetricTree, Vertex, distance
+from lambdaforest.lambdatree import MetricTree, Vertex, distance, geodesic_legs, point_at
 
 from conftest import L, random_lex_positive, random_tree
 
@@ -74,6 +76,58 @@ def test_inverse_matches_checked_construction():
         ginv = g.inverse()
         assert ginv.window is T
         assert ginv.vertex_map == PartialIsometry(T, inv_map).vertex_map
+
+
+def distance_check(T, vmap):
+    """The error of the pair check done through distance, or None."""
+    for a, b in itertools.combinations(sorted(vmap, key=repr), 2):
+        if distance(T, Vertex(a), Vertex(b)) != distance(T, vmap[a], vmap[b]):
+            return f"not distance-preserving on pair ({a!r}, {b!r})"
+    return None
+
+
+def test_int_row_check_matches_the_distance_check():
+    """On two copies of a random tree: the shift of a copy onto the other,
+    two points sent to the ends of a geodesic as long (often edge-interior
+    points), and random images, vertex or interior."""
+    rng, seen = random.Random(11), set()
+    for _ in range(300):
+        rank = rng.randint(1, 2)
+        S = random_tree(rng, rng.randint(2, 7), rank)
+        ids = sorted(S.vertices)
+        edges = [(c + u, c + v, ln) for c in "xy" for (u, v), ln in S.edges.items()]
+        edges.append(("x" + rng.choice(ids), "y" + rng.choice(ids), random_lex_positive(rng, rank)))
+        T = MetricTree([c + v for c in "xy" for v in ids], edges, rank)
+        verts, lengths = sorted(T.vertices), list(T.edges.items())
+
+        def anywhere():
+            if rng.random() < 0.5:
+                return Vertex(rng.choice(verts))
+            (u, v), ln = rng.choice(lengths)
+            return T.point(u, v, ln.scale(Fraction(1, rng.randint(2, 4))))
+
+        domain = rng.sample(ids, rng.randint(1, len(ids)))
+        vmap = {"x" + v: Vertex("y" + v) for v in domain}
+        kind = rng.randrange(3)
+        if kind == 1:
+            a, b = rng.sample(verts, 2)
+            c = rng.choice(verts)
+            far = max(verts, key=lambda f: distance(T, Vertex(c), Vertex(f)))
+            d = distance(T, Vertex(a), Vertex(b))
+            if distance(T, Vertex(c), Vertex(far)) < d:
+                continue
+            vmap = {a: Vertex(c), b: point_at(T, geodesic_legs(T, Vertex(c), Vertex(far)), d)}
+        elif kind == 2:
+            vmap[rng.choice(sorted(vmap))] = anywhere()
+            vmap.update({v: anywhere() for v in rng.sample(verts, rng.randint(0, 3))})
+        try:
+            PartialIsometry(T, vmap)
+            got = None
+        except IsometryError as exc:
+            got = str(exc)
+        assert got == distance_check(T, vmap)
+        seen.add((got is None, all(isinstance(p, Vertex) for p in vmap.values())))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_inverse_refuses_edge_interior_images():

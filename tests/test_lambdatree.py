@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from lambdaforest import lambdatree
 from lambdaforest.lambdatree import (
     EdgeInterior,
     FiniteLambdaMetric,
@@ -22,6 +24,7 @@ from lambdaforest.lambdatree import (
     project_to_closed_subtree,
     validate_tree_metric,
     _id_key,
+    _scaled,
 )
 from lambdaforest.cover import intersect_specs, is_degenerate
 from lambdaforest.ordgroup import LexValue, _rat, _ratio, project_top
@@ -206,14 +209,6 @@ def test_validator_rejects_degenerate_tables():
         validate_tree_metric(FiniteLambdaMetric([], [], 1))
 
 
-def test_validator_point_cap():
-    zero = L(0)
-    n = 33
-    d = [[zero if i == j else L(1) for j in range(n)] for i in range(n)]
-    with pytest.raises(TreeError):
-        validate_tree_metric(FiniteLambdaMetric(list(range(n)), d, 1))
-
-
 # the exhaustive scan over LexValue, kept as the oracle for the integer-packed
 # validator: same axiom pass, then triangle and four-point on Fraction tuples
 
@@ -337,6 +332,91 @@ def test_differential_tables_reach_every_kind(kind):
     find(tables(st.integers(1, 3), small_values),
          lambda M: (exhaustive_scan(M).kind or "pass") == kind,
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+def genuine(M, res) -> bool:
+    """Whether the witness of a triangle or four-point verdict breaks that
+    inequality, recomputed in LexValue on its own points."""
+    d, at = M.dist, {label: k for k, label in enumerate(M.labels)}
+    w = [at[label] for label in res.witness]
+    if res.kind == "triangle-inequality":
+        a, b, c = w
+        return d[a][c] > d[a][b] + d[b][c]
+    i, j, k, l = w
+    sums = sorted([d[i][j] + d[k][l], d[i][k] + d[j][l], d[i][l] + d[j][k]])
+    return res.kind == "four-point" and len(set(w)) == 4 and sums[2] > sums[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(tables(st.integers(1, 3), small_values),
+                 symmetric_tables(st.integers(2, 3), radix_values)))
+def test_insertion_check_matches_exhaustive_scan_with_genuine_witnesses(M):
+    """With no scan for the witness, the verdict is the scan's and every
+    triangle or four-point witness is a violation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lambdatree, "_SCAN_POINTS", 0)
+        got = validate_tree_metric(M)
+    want = exhaustive_scan(M)
+    assert got.ok == want.ok
+    if got.kind in ("triangle-inequality", "four-point"):
+        assert genuine(M, got)
+    else:
+        assert (got.kind, got.witness) == (want.kind, want.witness)
+
+
+def test_insertion_check_needs_the_full_radix():
+    """A tree metric where g(x, y) - g(x, y') = (1, -8) with B = 2: packed
+    with K = 3B + 1 that difference reads negative, the check picks y' as
+    the earlier point nearest x and reports a four-point failure; 4B + 1
+    orders it right.  (Points 0, y, y', x; 0-m, m-y', m-n, n-y, n-x.)"""
+    rows = {(0, 1): (1, -2), (0, 2): (1, 2), (0, 3): (1, -2),
+            (1, 2): (1, -2), (1, 3): (0, 2), (2, 3): (1, -2)}
+    d = [[L(*rows[min(i, j), max(i, j)]) if i != j else L(0, 0) for j in range(4)]
+         for i in range(4)]
+    M = FiniteLambdaMetric(["0", "y", "y'", "x"], d, 2)
+    assert exhaustive_scan(M).ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lambdatree, "_SCAN_POINTS", 0)
+        assert validate_tree_metric(M).ok
+
+
+def tree_table(rng, m, rank):
+    """Distances between m vertices of a random tree of 2m vertices, in a
+    random order."""
+    T = random_tree(rng, 2 * m, rank)
+    points = rng.sample(sorted(T.vertices), m)
+    return FiniteLambdaMetric.from_tree(T, [Vertex(v) for v in points], points)
+
+
+def test_validator_has_no_point_cap():
+    """Tables of 33-40 points from trees pass; perturbed, they agree with
+    the exhaustive scan, and each witness is a violation."""
+    rng, kinds = random.Random(33), set()
+    for m in range(33, 41):
+        rank = rng.randint(1, 3)
+        M = tree_table(rng, m, rank)
+        assert validate_tree_metric(M).ok
+        d = [list(row) for row in M.dist]
+        i, j = rng.sample(range(m), 2)
+        step = LexValue([0] * (rank - 1) + [Fraction(rng.choice((-1, 1)), rng.randint(1, 3))])
+        d[i][j] = d[j][i] = d[i][j] + step if m % 2 else d[i][j].scale(rng.randint(3, 5))
+        P = FiniteLambdaMetric(M.labels, d, rank)
+        got = validate_tree_metric(P)
+        assert got.ok == exhaustive_scan(P).ok
+        if not got.ok:
+            assert genuine(P, got)
+            kinds.add(got.kind)
+    assert kinds == {"triangle-inequality", "four-point"}
+
+
+def test_validator_passes_200_points_in_under_a_second():
+    T = random_tree(random.Random(200), 400, 3)
+    nums = random.Random(2).sample(range(400), 200)
+    M = FiniteLambdaMetric._from_rows([T._ids[a] for a in nums],
+                                      [[T._drow(a, b) for b in nums] for a in nums], 3, T._D)
+    start = time.perf_counter()
+    assert validate_tree_metric(M).ok
+    assert time.perf_counter() - start < 1
 
 
 def test_validator_huge_coordinates():
@@ -906,7 +986,7 @@ def outcome(f, x):
 
 
 NON_STRICT = [" 3", "+3", "1.5", "1e2", "1_0", "1/0", "-0", "3/-4", "1/", "/2", "--1", "",
-              "0/0", "-7/00", "٣/٤", "1" * 4301, "1/" + "2" * 4301, 3, -10**40, 0,
+              "0/0", "-7/00", "٣/٤", "3/٠", "1" * 4301, "1/" + "2" * 4301, 3, -10**40, 0,
               1.5, True, False, None, [1]]
 
 
@@ -918,6 +998,49 @@ def test_rat_spellings_match_fraction(x):
         assert Fraction(*_ratio(x)) == want[1]
     else:
         assert outcome(_ratio, x) == want
+
+
+# the one-pass reader takes plain strings; every other spelling, and a string
+# that would split into two coordinates, goes through _ratio
+READER_SPELLINGS = ["-0", "007", "6/4", "-7/002", "3/0", "3/-2", "+3", " 3", "1_0", "\u0663",
+                    "3/\u0660", "1,2", "1\n2", "", "2-1", "--1", "1/2/3", "1" * 4301, 3, -10**40,
+                    True, 1.5, None, [1]]
+
+
+@pytest.mark.parametrize("x", READER_SPELLINGS, ids=[repr(x)[:12] for x in READER_SPELLINGS])
+def test_reader_matches_ratio(x):
+    """A tree or table document reads a coordinate as _ratio does: the same
+    D and rows, or the same error."""
+    def want(rows):
+        D, scaled = _scaled([[_ratio(c) for c in row] for row in rows])
+        return D, list(scaled)
+
+    def tree(rows):
+        T = MetricTree.from_json({"rank": 2, "vertices": ["a", "b", "c"], "edges": [
+            {"u": "a", "v": "b", "len": rows[0]}, {"u": "c", "v": "b", "len": rows[1]}]})
+        return T._D, [row for _a, _b, row in T._edges]
+
+    def table(rows):
+        M = FiniteLambdaMetric.from_json({"rank": 2, "labels": ["a", "b"],
+                                          "dist": [rows[:2], rows[2:]]})
+        return M._D, [cs for row in M._rows for cs in row]
+
+    edges = [["1", x], ["2", "1/3"]]
+    assert outcome(tree, edges) == outcome(want, edges)
+    cells = [["0", "0"], [x, "5"], [x, "5"], ["0", "0"]]
+    assert outcome(table, cells) == outcome(want, cells)
+
+
+@pytest.mark.parametrize("row, message", [
+    (["1,2"], "Invalid literal for Fraction: '1,2'"),
+    (["1", "2", "3"], "edge c-b has rank 3, want 2"),
+    ("12", "edge c-b must be a list of rationals, got '12'"), ([], "rank must be positive")])
+def test_reader_refuses_a_row_of_the_wrong_shape(row, message):
+    doc = {"rank": 2, "vertices": ["a", "b", "c"],
+           "edges": [{"u": "a", "v": "b", "len": ["1", "2"]}, {"u": "c", "v": "b", "len": row}]}
+    with pytest.raises(ValueError) as err:
+        MetricTree.from_json(doc)
+    assert str(err.value) == message
 
 
 @given(st.text("-+/0123456789._e ", max_size=8))
