@@ -55,6 +55,30 @@ def test_usage_errors():
     assert main(["marked", "compare"]) == 64
 
 
+# a flag an op needs but the grammar leaves optional: the handler refuses the
+# line (exit 65) and prints no verdict
+@pytest.mark.parametrize("doc, argv, message", [
+    ("tripod", ["tree", "median", "--x", "p", "--y", "q"], "median needs --z"),
+    ("tripod", ["tree", "project", "--x", "p", "--y", "q"],
+     "project needs --z (the point to project)"),
+    (F2_WINDOW, ["isom", "classify"], "classify needs --word"),
+    ("z2-diagonal", ["bt", "valuation"], "bt valuation needs --word"),
+    ("z2-diagonal", ["bt", "length"], "bt length needs --word"),
+    (CHAIN, ["glue", "dual"], "glue dual needs --a and --b as 'vertex/point'"),
+    (CHAIN, ["glue", "dual", "--a", "A/a0"], "glue dual needs --a and --b as 'vertex/point'"),
+], ids=["median", "project", "classify", "valuation", "length", "dual", "dual-a"])
+def test_handler_refuses_a_missing_flag(tmp_path, capsys, doc, argv, message):
+    path = emit(tmp_path, doc) if isinstance(doc, str) else write(tmp_path, "in.json", doc)
+    assert main(argv + ["--input", path]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+
+
+@pytest.mark.parametrize("op", ["ball", "profile"])
+def test_marked_needs_input(capsys, op):
+    assert main(["marked", op, "--radius", "2"] if op == "ball" else ["marked", op]) == 64
+    assert capsys.readouterr() == ("", "marked ball/profile need --input\n")
+
+
 # the command-line reader ---------------------------------------------------------
 
 OPS = sorted({op for _family, ops, _options in _COMMANDS.values() for op in ops})

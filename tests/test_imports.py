@@ -118,6 +118,29 @@ def _paths(tmp_path, argv):
     return out
 
 
+# every --json report opens with one header: the command and op, the digest
+# of the --input document exactly where there is one, and the exit code's status
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_header(tmp_path, capsys, case):
+    from lambdaforest.cli import _digest, main
+
+    argv, rc, _modules = CASES[case]
+    argv = _paths(tmp_path, argv)
+    report = tmp_path / "report.json"
+    assert main(argv + ["--json", str(report)]) == rc
+    if case == "preset emit":  # it writes a document, not a report
+        assert not report.exists()
+        return
+    body = json.loads(report.read_text())
+    assert body["command"] == case and body["schema"] == "lambda-forest/1"
+    assert body["status"] == {0: "pass", 2: "violation", 3: "inconclusive"}[rc]
+    if "--input" in argv:
+        with open(argv[argv.index("--input") + 1], encoding="utf-8") as fh:
+            assert body["input_digest"] == _digest(json.load(fh))
+    else:
+        assert "input_digest" not in body
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_command_loads_only_what_it_runs(tmp_path, case):
     argv, rc, expected = CASES[case]
