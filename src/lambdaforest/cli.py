@@ -7,10 +7,12 @@ there as deterministic (sorted, timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
 parser only for --help, usage errors and spellings only argparse reads.  Each
-command's handlers live in a module of their own (`cli_validate`, `cli_tree`,
-`cli_isom`, `cli_glue`, `cli_cover`, `cli_bt`, `cli_gog`, `cli_marked`,
-`cli_preset`), imported for it only, and import the library modules they run
-(`cover` only for `cover`): a process compiles only what its command needs.
+command's handler lives in a module of its own (`cli_validate` for
+`validate-tree`, `cli_tree` for `tree`, ...), imported for it only, which
+imports the library modules it runs: a process compiles only what its command
+needs.  A handler `cmd_x(args, doc)` gets the --input document `main` read
+(None if none) and returns (status, body, text) for `_report` to print, write
+and map to the exit code; `preset emit` writes a document and returns its code.
 
 `main()` with no argv reads the process's own command line: such a process
 handles one document and exits, so the cycle collector is off while it runs
@@ -95,12 +97,16 @@ def _dumps(x, pad: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
-def _report(args, status: str, body: dict) -> int:
-    body = {**body, "status": status, "schema": SCHEMA}
-    if getattr(args, "json", None):
-        text = _dumps(body)
+def _report(args, digest, status: str, body: dict, text: str) -> int:
+    """Print text, write body under the header of every --json report, map status."""
+    print(text)
+    if args.json:
+        command = f"{args.command} {args.op}" if _COMMANDS[args.command][1] else args.command
+        body = {**body, "command": command, "status": status, "schema": SCHEMA}
+        if digest is not None:
+            body["input_digest"] = digest
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(_dumps(body) + "\n")
     return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "inconclusive": EXIT_INCONCLUSIVE}[status]
 
 
@@ -211,13 +217,19 @@ def main(argv=None) -> int:
         print("marked profile takes no --radius: the document's r_max sets the radii",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "marked" and args.op == "compare" and args.input is not None:
+        print("marked compare takes no --input: --a and --b name its documents", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "preset" and args.op == "emit" and not args.name:
         print("preset emit needs --name", file=sys.stderr)
         return EXIT_USAGE
     module = importlib.import_module(f"lambdaforest.cli_{args.family}")
     handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
-        return handler(args)
+        doc = _load(args.input) if getattr(args, "input", None) is not None else None
+        digest = None if doc is None else _digest(doc)
+        verdict = handler(args, doc)
+        return verdict if isinstance(verdict, int) else _report(args, digest, *verdict)
     except (Malformed, ValueError, KeyError, TypeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -1,6 +1,6 @@
 """Handler of the `glue` commands: point, subtree, dual and check-free."""
 
-from .cli import Malformed, _digest, _load, _report
+from .cli import Malformed
 
 
 def _tree_of(trees: dict, v, what: str):
@@ -34,7 +34,7 @@ def _graph_of_actions(doc: dict):
     return trees, GraphOfActions(trees, edges)
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args, doc):
     from .gluing import (
         DualPoint,
         SegmentIso,
@@ -45,8 +45,6 @@ def cmd_glue(args) -> int:
     )
     from .lambdatree import MetricTree, _parse_point, _parse_points
 
-    doc = _load(args.input)
-    body = {"command": f"glue {args.op}", "input_digest": _digest(doc)}
     if args.op == "point":
         Y = MetricTree.from_json(doc["base"])
         atts = [(MetricTree.from_json(ad["tree"]), ad["x"], ad["y"]) for ad in doc["attachments"]]
@@ -58,9 +56,7 @@ def cmd_glue(args) -> int:
         e2 = _parse_points(T2, doc["ends2"], "ends2")
         glued = glue_subtree(SegmentIso(T1, tuple(e1), T2, tuple(e2)))[0]
     if args.op in ("point", "subtree"):  # both report the glued tree
-        body["tree"] = glued.to_json()
-        print(f"glued tree: {len(glued.vertices)} vertices")
-        return _report(args, "pass", body)
+        return "pass", {"tree": glued.to_json()}, f"glued tree: {len(glued.vertices)} vertices"
     trees, G = _graph_of_actions(doc)
     if args.op == "dual":
         if not (args.a and args.b):
@@ -69,9 +65,7 @@ def cmd_glue(args) -> int:
         a = DualPoint(av, _parse_point(_tree_of(trees, av, "--a"), ap))
         b = DualPoint(bv, _parse_point(_tree_of(trees, bv, "--b"), bp))
         d = dual_distance(G, a, b)
-        print(f"dual distance: {d!r}")
-        body["distance"] = d.to_json()
-        return _report(args, "pass", body)
+        return "pass", {"distance": d.to_json()}, f"dual distance: {d!r}"
     # check-free
     attestations = doc.get("attestations", {})
     if not isinstance(attestations, dict):
@@ -81,7 +75,6 @@ def cmd_glue(args) -> int:
         v, p = sd["vertex"], sd["point"]
         samples.append(DualPoint(v, _parse_point(_tree_of(trees, v, "sample 'vertex'"), p)))
     rep = check_free_criterion(G, attestations, samples)
-    body.update({"verdict": rep.verdict, "detail": rep.detail})
-    print(f"free criterion: {rep.verdict} ({rep.detail})")
     status = {"Pass": "pass", "Fail": "violation", "Inconclusive": "inconclusive"}[rep.verdict]
-    return _report(args, status, body)
+    return (status, {"verdict": rep.verdict, "detail": rep.detail},
+            f"free criterion: {rep.verdict} ({rep.detail})")

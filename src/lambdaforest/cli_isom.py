@@ -1,6 +1,6 @@
 """Handler of the `isom` commands: classify and certify."""
 
-from .cli import Malformed, _digest, _load, _report
+from .cli import Malformed
 
 
 def _action_window(doc: dict):
@@ -19,7 +19,7 @@ def _action_window(doc: dict):
     return T, ActionWindow(T, gens)
 
 
-def cmd_isom(args) -> int:
+def cmd_isom(args, doc):
     from .groups import FreeGroupOracle, parse_word, word_str
     from .isometry import (
         CertificationAborted,
@@ -32,27 +32,20 @@ def cmd_isom(args) -> int:
     )
     from .lambdatree import Vertex, _parse_point
 
-    doc = _load(args.input)
     T, A = _action_window(doc)
     base = _parse_point(T, args.base) if args.base else Vertex(sorted(T.vertices)[0])
-    body = {"command": f"isom {args.op}", "input_digest": _digest(doc)}
     if args.op == "classify":
         if not args.word:
             raise Malformed("classify needs --word")
-        w = parse_word(args.word)
-        cls = classify(A, w, base)
+        cls = classify(A, parse_word(args.word), base)
         if isinstance(cls, Hyperbolic):
-            print(f"hyperbolic, translation length {cls.length!r}")
-            body.update({"class": "hyperbolic", "length": cls.length.to_json()})
-            return _report(args, "pass", body)
+            return ("pass", {"class": "hyperbolic", "length": cls.length.to_json()},
+                    f"hyperbolic, translation length {cls.length!r}")
         if isinstance(cls, Elliptic):
-            print(f"elliptic, fixed point {cls.fixed_point!r}")
-            body.update({"class": "elliptic", "fixed_point": repr(cls.fixed_point)})
-            return _report(args, "pass", body)
+            return ("pass", {"class": "elliptic", "fixed_point": repr(cls.fixed_point)},
+                    f"elliptic, fixed point {cls.fixed_point!r}")
         reason = cls.reason if isinstance(cls, Inconclusive) else f"leaves window at {word_str(cls.prefix)}"
-        print(f"inconclusive: {reason}")
-        body.update({"class": "inconclusive", "reason": reason})
-        return _report(args, "inconclusive", body)
+        return "inconclusive", {"class": "inconclusive", "reason": reason}, f"inconclusive: {reason}"
     # certify
     oracle = FreeGroupOracle(tuple(sorted(A.labels)))
     try:
@@ -60,12 +53,8 @@ def cmd_isom(args) -> int:
             window_length_oracle(A, base), oracle.is_trivial, A.labels, args.ball
         )
     except CertificationAborted as exc:
-        print(f"inconclusive: {exc}")
-        body["reason"] = str(exc)
-        return _report(args, "inconclusive", body)
-    body["certificate"] = cert.to_json()
+        return "inconclusive", {"reason": str(exc)}, f"inconclusive: {exc}"
+    body = {"certificate": cert.to_json()}
     if cert.status == "free-on-ball":
-        print(f"free on ball N = {cert.ball_radius} ({cert.words_checked} words)")
-        return _report(args, "pass", body)
-    print(f"counterexample: {cert.counterexample}")
-    return _report(args, "violation", body)
+        return "pass", body, f"free on ball N = {cert.ball_radius} ({cert.words_checked} words)"
+    return "violation", body, f"counterexample: {cert.counterexample}"

@@ -2,22 +2,21 @@
 
 import sys
 
-from .cli import EXIT_PASS, EXIT_USAGE, _dumps, _report
+from .cli import EXIT_PASS, EXIT_USAGE, _dumps
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args, doc):
+    """The verdict of `list`; `emit` writes a document, not a report, and
+    returns its exit code."""
     from . import presets
 
     if args.op == "list":
-        for n in presets.names():
-            print(n)
-        return _report(args, "pass", {"command": "preset list", "names": presets.names()})
+        return "pass", {"names": presets.names()}, "\n".join(presets.names())
     try:
-        doc = presets.emit(args.name)
+        text = _dumps(presets.emit(args.name))
     except KeyError:
         print(f"unknown preset {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
-    text = _dumps(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

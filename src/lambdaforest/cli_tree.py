@@ -1,34 +1,25 @@
 """Handler of the `tree` commands: distance, median and project."""
 
-from .cli import Malformed, _digest, _load, _report
+from .cli import Malformed
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args, doc):
     from .lambdatree import (MetricTree, SubtreeSpec, _parse_point, distance, median,
                              project_to_closed_subtree)
 
-    doc = _load(args.input)
     T = MetricTree.from_json(doc)
     x = _parse_point(T, args.x)
     y = _parse_point(T, args.y)
-    body = {"command": f"tree {args.op}", "input_digest": _digest(doc)}
     if args.op == "distance":
         d = distance(T, x, y)
-        print(f"distance: {d!r}")
-        body["distance"] = d.to_json()
-    elif args.op == "median":
+        return "pass", {"distance": d.to_json()}, f"distance: {d!r}"
+    if args.op == "median":
         if not args.z:
             raise Malformed("median needs --z")
-        z = _parse_point(T, args.z)
-        m = median(T, x, y, z)
-        print(f"median: {m!r}")
-        body["median"] = repr(m)
-    else:  # project
-        spec = SubtreeSpec.from_points(T, [x, y])
-        if not args.z:
-            raise Malformed("project needs --z (the point to project)")
-        z = _parse_point(T, args.z)
-        p = project_to_closed_subtree(T, spec, z)
-        print(f"projection: {p!r}")
-        body["projection"] = repr(p)
-    return _report(args, "pass", body)
+        m = median(T, x, y, _parse_point(T, args.z))
+        return "pass", {"median": repr(m)}, f"median: {m!r}"
+    spec = SubtreeSpec.from_points(T, [x, y])
+    if not args.z:
+        raise Malformed("project needs --z (the point to project)")
+    p = project_to_closed_subtree(T, spec, _parse_point(T, args.z))
+    return "pass", {"projection": repr(p)}, f"projection: {p!r}"

@@ -91,8 +91,8 @@ def power(w: Word, k: int) -> Word:
     return free_reduce(w * k)
 
 
-class BudgetExceeded(RuntimeError):
-    pass
+class BudgetExceeded(ValueError):
+    """A ball too large to walk: the command line reports it as malformed input."""
 
 
 def ball_words(letters: Sequence[str], max_len: int, budget: Optional[int] = None,

@@ -20,12 +20,9 @@ class RankMismatchError(ValueError):
 
 def _ratio(x) -> tuple[int, int]:
     """A Fraction, an int (no bool) or a string as (numerator, denominator).
-    `int` reads a strict `-?digits(/digits)?` string, 3-4x faster than
-    `Fraction`, which reads every other spelling and reports its errors."""
+    `Fraction` reads every string and reports its errors; documents of trees
+    and tables read their plain coordinates faster (lambdatree._json_rows)."""
     if isinstance(x, str):
-        n, slash, d = x.partition("/")
-        if n.removeprefix("-").isdecimal() and (not slash or d.isdecimal() and int(d)):
-            return int(n), int(d) if slash else 1
         try:
             x = Fraction(x)
         except ZeroDivisionError:

@@ -79,6 +79,14 @@ def test_marked_needs_input(capsys, op):
     assert capsys.readouterr() == ("", "marked ball/profile need --input\n")
 
 
+# marked compare reads --a and --b; an --input beside them was once ignored
+def test_marked_compare_takes_no_input(tmp_path, capsys):
+    path = write(tmp_path, "m.json", z2_doc())
+    assert main(["marked", "compare", "--a", path, "--b", path, "--input", path]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "takes no --input" in err
+
+
 # the command-line reader ---------------------------------------------------------
 
 OPS = sorted({op for _family, ops, _options in _COMMANDS.values() for op in ops})
