@@ -6,13 +6,11 @@ a handler raises).  With --json PATH the machine-readable report is written
 there as deterministic (sorted, timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
-parser only for --help, usage errors and spellings only argparse reads.  Each
-command's handler lives in a module of its own (`cli_validate` for
-`validate-tree`, `cli_tree` for `tree`, ...), imported for it only, which
-imports the library modules it runs: a process compiles only what its command
-needs.  A handler `cmd_x(args, doc)` gets the --input document `main` read
-(None if none) and returns (status, body, text) for `_report` to print, write
-and map to the exit code; `preset emit` writes a document and returns its code.
+parser only for --help, usage errors and spellings only argparse reads.  A
+command's handler `cmd_x(args, doc)` lives in a module imported for it alone
+(`cli_tree`, ...), which imports only what it runs; it gets the --input document
+(None if none) and returns (status, body, text): `_report` prints text, writes
+--json and maps status to the exit code.  `preset emit` returns its exit code.
 
 `main()` with no argv reads the process's own command line: such a process
 handles one document and exits, so the cycle collector is off while it runs
@@ -98,13 +96,11 @@ def _dumps(x, pad: str = "\n") -> str:
 
 
 def _report(args, digest, status: str, body: dict, text: str) -> int:
-    """Print text, write body under the header of every --json report, map status."""
     print(text)
     if args.json:
         command = f"{args.command} {args.op}" if _COMMANDS[args.command][1] else args.command
-        body = {**body, "command": command, "status": status, "schema": SCHEMA}
-        if digest is not None:
-            body["input_digest"] = digest
+        body = {**body, "command": command, "status": status, "schema": SCHEMA,
+                **({} if digest is None else {"input_digest": digest})}
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(_dumps(body) + "\n")
     return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "inconclusive": EXIT_INCONCLUSIVE}[status]
@@ -210,15 +206,12 @@ def main(argv=None) -> int:
     if args.command == "marked" and args.op in ("ball", "profile") and not args.input:
         print("marked ball/profile need --input", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "marked" and args.op == "compare" and not (args.a and args.b):
-        print("marked compare needs --a and --b", file=sys.stderr)
+    if args.command == "marked" and args.op == "compare" and (args.input or not (args.a and args.b)):
+        print("marked compare needs --a and --b, and takes no --input", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "marked" and args.op == "profile" and args.radius is not None:
         print("marked profile takes no --radius: the document's r_max sets the radii",
               file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "marked" and args.op == "compare" and args.input is not None:
-        print("marked compare takes no --input: --a and --b name its documents", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "preset" and args.op == "emit" and not args.name:
         print("preset emit needs --name", file=sys.stderr)

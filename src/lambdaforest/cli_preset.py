@@ -6,8 +6,7 @@ from .cli import EXIT_PASS, EXIT_USAGE, _dumps
 
 
 def cmd_preset(args, doc):
-    """The verdict of `list`; `emit` writes a document, not a report, and
-    returns its exit code."""
+    """The verdict of `list`; `emit` writes a document and returns its exit code."""
     from . import presets
 
     if args.op == "list":

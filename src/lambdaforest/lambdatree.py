@@ -60,10 +60,10 @@ def _lex(row, D: int) -> LexValue:
 
 
 def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
-    """D, and each item of data, a JSON list of `rank` rationals, times D as
-    ints; name(k) names item k in an error.  Plain -?digits(/digits)? strings
-    in ASCII, fractions in lowest terms, are read as one text, by int; any other
-    spelling sends the items through _ratio, which reads them by Fraction."""
+    """D, the lcm of the values' denominators in lowest terms (not of their
+    spelling), and each item of data, a JSON list of `rank` rationals, times D
+    as ints; name(k) names item k in an error.  Plain -?digits(/digits)? ASCII
+    strings in lowest terms are read as one text, by int; the rest by _ratio."""
     if set(map(type, data)) == {list} and set(map(len, data)) == {rank}:
         try:
             text = "\n".join(map(",".join, data))
@@ -78,7 +78,7 @@ def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
                     flat = [c.partition("/") for c in flat]
                     dens = [int(d) if s else 1 for _n, s, d in flat]
                     flat = [int(n) for n, _s, _d in flat]
-                    if max(map(math.gcd, flat, dens)) > 1:  # Fraction would reduce it
+                    if max(map(math.gcd, flat, dens)) > 1:  # not in lowest terms: D would hang on the spelling
                         dens = [0]
                 else:
                     flat = list(map(int, flat))

@@ -180,9 +180,9 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 # were one "tree" family of 2,619 lines), and raised by 60-61 where the
 # validator gained the insertion check and coordinates a one-pass reader; at
 # the change where cli took over the report path of every handler, lowered
-# where a family fell, and preset's raised: its handler had nothing to shed
-FAMILY_LINES = {"validate-tree": 1233, "tree": 1240, "isom": 1887, "glue": 1836, "cover": 1413,
-                "bt": 1729, "gog": 1180, "marked": 787, "preset": 509}
+# where a family fell (all but preset, whose handler had nothing to shed)
+FAMILY_LINES = {"validate-tree": 1227, "tree": 1235, "isom": 1880, "glue": 1833, "cover": 1406,
+                "bt": 1722, "gog": 1178, "marked": 780, "preset": 481}
 
 
 def test_compiled_source_per_family_stays_put():
