@@ -2,15 +2,18 @@
 
 Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive,
 64 usage error, 65 malformed input (also any ValueError, KeyError or TypeError
-a handler raises).  With --json PATH the machine-readable report is written
-there as deterministic (sorted, timestamp-free) JSON.
+a handler raises, and a document nested too deeply to read), 73 an output
+that cannot be written (after the verdict is printed).  With --json PATH the
+machine-readable report is written there as deterministic (sorted,
+timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
 parser only for --help, usage errors and spellings only argparse reads.  A
 command's handler `cmd_x(args, doc)` lives in a module imported for it alone
 (`cli_tree`, ...), which imports only what it runs; it gets the --input document
 (None if none) and returns (status, body, text): `_report` prints text, writes
---json and maps status to the exit code.  `preset emit` returns its exit code.
+--json and maps status to the exit code.  A handler that refuses a line the
+grammar lets through (exit 64), and `preset emit`, return an exit code.
 
 `main()` with no argv reads the process's own command line: such a process
 handles one document and exits, so the cycle collector is off while it runs
@@ -34,6 +37,7 @@ EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_MALFORMED = 65
+EXIT_CANTCREAT = 73
 
 
 class Malformed(Exception):
@@ -54,6 +58,8 @@ def _load(path: str) -> dict:
             doc = json.load(fh, object_pairs_hook=_object)
     except (OSError, json.JSONDecodeError, Malformed) as exc:
         raise Malformed(f"{path}: {exc}")
+    except RecursionError:
+        raise Malformed(f"{path}: nested too deeply")
     if not isinstance(doc, dict):
         raise Malformed(f"{path}: top level must be an object")
     if doc.get("schema") != SCHEMA:
@@ -203,19 +209,6 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-    if args.command == "marked" and args.op in ("ball", "profile") and not args.input:
-        print("marked ball/profile need --input", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "marked" and args.op == "compare" and (args.input or not (args.a and args.b)):
-        print("marked compare needs --a and --b, and takes no --input", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "marked" and args.op == "profile" and args.radius is not None:
-        print("marked profile takes no --radius: the document's r_max sets the radii",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "preset" and args.op == "emit" and not args.name:
-        print("preset emit needs --name", file=sys.stderr)
-        return EXIT_USAGE
     module = importlib.import_module(f"lambdaforest.cli_{args.family}")
     handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
@@ -226,6 +219,9 @@ def main(argv=None) -> int:
     except (Malformed, ValueError, KeyError, TypeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except OSError as exc:  # the --json report, or preset emit's --out
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

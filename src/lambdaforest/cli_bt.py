@@ -8,7 +8,6 @@ def cmd_bt(args, doc):
     from .groups import parse_word
 
     gens = matrix_group_from_json(doc)
-    oracle = MatrixLengthOracle(gens)
     if args.op == "certify":
         from .bruhat import certify_free_bt
 
@@ -19,6 +18,7 @@ def cmd_bt(args, doc):
             return "pass", body, (f"free on ball N = {ball} ({cert.words_checked} words, "
                                   f"min positive length {cert.min_positive_length!r})")
         return "violation", body, f"counterexample at N = {ball}: {cert.counterexample}"
+    oracle = MatrixLengthOracle(gens)
     if not args.word:
         raise Malformed(f"bt {args.op} needs --word")
     w = parse_word(args.word)

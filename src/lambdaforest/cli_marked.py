@@ -1,6 +1,8 @@
 """Handler of the `marked` commands: ball, compare and profile."""
 
-from .cli import SCHEMA, Malformed, _load, _positive_field
+import sys
+
+from .cli import EXIT_USAGE, SCHEMA, Malformed, _load, _positive_field
 
 
 def z_marked(n: int) -> dict:
@@ -15,7 +17,21 @@ def z_marked(n: int) -> dict:
     }
 
 
+def _usage(args):
+    """The usage error of a line the grammar lets through, or None."""
+    if args.op != "compare" and not args.input:
+        return "marked ball/profile need --input"
+    if args.op == "compare" and (args.input or not (args.a and args.b)):
+        return "marked compare needs --a and --b, and takes no --input"
+    if args.op == "profile" and args.radius is not None:
+        return "marked profile takes no --radius: the document's r_max sets the radii"
+    return None
+
+
 def cmd_marked(args, doc):
+    if usage := _usage(args):
+        print(usage, file=sys.stderr)
+        return EXIT_USAGE
     from .groups import word_str
     from .markedgroups import (
         convergence_profile,

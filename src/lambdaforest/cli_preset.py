@@ -11,11 +11,13 @@ def cmd_preset(args, doc):
 
     if args.op == "list":
         return "pass", {"names": presets.names()}, "\n".join(presets.names())
-    try:
-        text = _dumps(presets.emit(args.name))
-    except KeyError:
-        print(f"unknown preset {args.name!r}", file=sys.stderr)
+    usage = ("preset emit needs --name" if not args.name else
+             "preset emit takes no --json: it writes a document" if args.json else
+             None if args.name in presets.names() else f"unknown preset {args.name!r}")
+    if usage:
+        print(usage, file=sys.stderr)
         return EXIT_USAGE
+    text = _dumps(presets.emit(args.name))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

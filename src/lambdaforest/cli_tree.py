@@ -1,11 +1,11 @@
-"""Handler of the `tree` commands: distance, median and project."""
+"""Handler of the `tree` commands: distance, median and project (the median
+of x, y and z is the projection of z onto [x, y])."""
 
 from .cli import Malformed
 
 
 def cmd_tree(args, doc):
-    from .lambdatree import (MetricTree, SubtreeSpec, _parse_point, distance, median,
-                             project_to_closed_subtree)
+    from .lambdatree import MetricTree, _parse_point, distance, median
 
     T = MetricTree.from_json(doc)
     x = _parse_point(T, args.x)
@@ -13,13 +13,9 @@ def cmd_tree(args, doc):
     if args.op == "distance":
         d = distance(T, x, y)
         return "pass", {"distance": d.to_json()}, f"distance: {d!r}"
-    if args.op == "median":
-        if not args.z:
-            raise Malformed("median needs --z")
-        m = median(T, x, y, _parse_point(T, args.z))
-        return "pass", {"median": repr(m)}, f"median: {m!r}"
-    spec = SubtreeSpec.from_points(T, [x, y])
+    key, missing = (("median", "median needs --z") if args.op == "median"
+                    else ("projection", "project needs --z (the point to project)"))
     if not args.z:
-        raise Malformed("project needs --z (the point to project)")
-    p = project_to_closed_subtree(T, spec, _parse_point(T, args.z))
-    return "pass", {"projection": repr(p)}, f"projection: {p!r}"
+        raise Malformed(missing)
+    m = median(T, x, y, _parse_point(T, args.z))
+    return "pass", {key: repr(m)}, f"{key}: {m!r}"

@@ -5,8 +5,9 @@ bipartite skeletons.  Only the `cover` commands load this module.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
-from .lambdatree import EdgeInterior, MetricTree, SubtreeSpec, TreeError, TreePoint, Vertex
+from .lambdatree import MetricTree, SubtreeSpec, TreeError, TreePoint, Vertex
 from .ordgroup import LexValue
 
 
@@ -22,48 +23,21 @@ def same_set(Y1: SubtreeSpec, Y2: SubtreeSpec) -> bool:
     return Y1.vertices == Y2.vertices and Y1.intervals == Y2.intervals
 
 
-class SpecIntersection:
-    def __init__(self, points: list, intervals: dict):
-        self.points = points  # isolated intersection points
-        self.intervals = intervals  # shared non-degenerate edge intervals
-
-    def more_than_one_point(self) -> bool:
-        return bool(self.intervals) or len(self.points) > 1
-
-    def single_point(self):
-        if not self.intervals and len(self.points) == 1:
-            return self.points[0]
-        return None
-
-
-def intersect_specs(Y1: SubtreeSpec, Y2: SubtreeSpec) -> SpecIntersection:
-    """Intersection of two closed subtrees of a common tree."""
+def intersect_specs(Y1: SubtreeSpec, Y2: SubtreeSpec) -> Optional[set]:
+    """The points two closed subtrees of a common tree share, or None where
+    they share an interval."""
     if Y1.tree is not Y2.tree:
         raise TreeError("subtrees of different trees")
     T = Y1.tree
     pts = {Vertex(v) for v in Y1.vertices & Y2.vertices}
-    ivals = {}
-    for k in set(Y1.intervals) & set(Y2.intervals):
+    for k in Y1.intervals.keys() & Y2.intervals.keys():
         lo = max(Y1.intervals[k][0], Y2.intervals[k][0])
         hi = min(Y1.intervals[k][1], Y2.intervals[k][1])
         if lo < hi:
-            ivals[k] = (lo, hi)
-        elif lo == hi:
+            return None
+        if lo == hi:
             pts.add(T.point(k[0], k[1], lo))
-    # drop isolated points absorbed by an interval
-    keep = []
-    for p in sorted(pts, key=repr):
-        absorbed = False
-        for (u, v), (lo, hi) in ivals.items():
-            if isinstance(p, EdgeInterior) and T._key(p.u, p.v) == (u, v) and lo <= p.offset <= hi:
-                absorbed = True
-            if isinstance(p, Vertex) and (
-                (p.id == u and lo.is_zero()) or (p.id == v and hi == T.edge_length(u, v))
-            ):
-                absorbed = True
-        if not absorbed:
-            keep.append(p)
-    return SpecIntersection(keep, ivals)
+    return pts
 
 
 class TransverseCovering:
@@ -93,7 +67,7 @@ def transverse_check(C: TransverseCovering) -> TransverseReport:
         if same_set(a, b):
             continue
         inter = intersect_specs(a, b)
-        if inter.more_than_one_point():
+        if inter is None or len(inter) > 1:
             return TransverseReport(False, "transverse-intersection", (i, j))
     # coverage: every edge fully covered by member intervals
     for k, ln in C.ambient.edges.items():
@@ -135,11 +109,8 @@ def skeleton(C: TransverseCovering) -> SkeletonGraph:
         if not any(same_set(m, C.members[r]) for r in reps):
             reps.append(i)
     points: list[TreePoint] = []
-    for i, j in itertools.combinations(reps, 2):
-        inter = intersect_specs(C.members[i], C.members[j])
-        pt = inter.single_point()
-        if pt is not None and pt not in points:
-            points.append(pt)
+    for i, j in itertools.combinations(reps, 2):  # transverse: they share at most a point
+        points += [pt for pt in intersect_specs(C.members[i], C.members[j]) if pt not in points]
     edges = []
     for pi, pt in enumerate(points):
         for r in reps:

@@ -23,8 +23,8 @@ from .lambdatree import (
     Vertex,
     distance,
     geodesic_legs,
+    median,
     point_at,
-    project_to_closed_subtree,
     _id_key,
     _Rows,
 )
@@ -364,7 +364,7 @@ def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
         cur_v, cur_p = a.vertex, a.point
         for (src, dst, phi, _i) in path:
             T = G.vertex_trees[src]
-            p = project_to_closed_subtree(T, phi.src_spec, cur_p)
+            p = median(T, *phi.src_ends, cur_p)
             d = d + distance(T, cur_p, p)
             cur_p = phi.apply(p)
             cur_v = dst
@@ -392,7 +392,7 @@ def dual_distance_bruteforce(G: GraphOfActions, a: DualPoint, b: DualPoint) -> L
                 p = inv.apply(q)
                 if p not in cands:
                     cands.append(p)
-            extra = project_to_closed_subtree(T, phi.src_spec, a.point) if src == a.vertex else None
+            extra = median(T, *phi.src_ends, a.point) if src == a.vertex else None
             if extra is not None and extra not in cands:
                 cands.append(extra)
             cand_sets.append(cands)
@@ -476,8 +476,7 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
                 links.append((i, j, ei))
     # dedupe symmetric links per underlying gluing edge
     uniq = {(min(i, j), max(i, j), e) for i, j, e in links}
-    acyclic = len(uniq) <= len(nodes) - 1 or len(nodes) == 1 and not uniq
-    return EquivClass(nodes, acyclic)
+    return EquivClass(nodes, len(uniq) <= len(nodes) - 1)
 
 
 # free-gluing criterion (period-doubling witness) ---------------------------------------
@@ -511,8 +510,6 @@ def check_free_criterion(
         # composite chi = phi2^-1 . phi1 maps part of Y_s1 to itself
         inv2 = phi2.inverse()
         for z in phi1.src_spec.grid_points():
-            if not phi1.src_spec.contains(z):
-                continue
             w = phi1.apply(z)
             if not phi2.dst_spec.contains(w):
                 continue

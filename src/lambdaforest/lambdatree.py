@@ -1,6 +1,6 @@
-"""Finite trees with lexicographic edge lengths: metric, geodesics, medians,
-closed-subtree projection, axiom validation, and the kill-infinitesimals
-base change.
+"""Finite trees with lexicographic edge lengths: metric, geodesics, medians
+(the median of x, y and z is the projection of z onto [x, y]), closed
+subtrees, axiom validation, and the kill-infinitesimals base change.
 
 A tree is a finite connected acyclic graph whose edges carry strictly
 positive LexValue lengths of a common rank.  Points are either vertices or
@@ -452,7 +452,8 @@ def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
 
 def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint:
     """The unique point on all three pairwise geodesics (2Λ = Λ over Q^n, so
-    the Gromov product is an exact point of the tree)."""
+    the Gromov product is an exact point of the tree): the projection of z
+    onto [x, y] (Chiswell, Introduction to Lambda-trees, ch. 2)."""
     dxy = distance(T, x, y)
     dxz = distance(T, x, z)
     dyz = distance(T, y, z)
@@ -666,12 +667,6 @@ class SubtreeSpec:
                     pts.append(p)
         return pts
 
-    def base_point(self) -> TreePoint:
-        """The first grid point: the least vertex, if any."""
-        if self.vertices:
-            return Vertex(min(self.vertices, key=self.tree._index.__getitem__))
-        return self.grid_points()[0]
-
     @staticmethod
     def from_points(T: MetricTree, points: list[TreePoint]) -> "SubtreeSpec":
         """Convex hull of finitely many points."""
@@ -696,35 +691,6 @@ class SubtreeSpec:
             for leg in geodesic_legs(T, p, q):
                 add_interval(leg.u, leg.v, leg.a, leg.b)
         return SubtreeSpec(T, verts, ivals)
-
-
-def project_to_closed_subtree(T: MetricTree, Y: SubtreeSpec, x: TreePoint) -> TreePoint:
-    """The unique p in Y with [y0, x] ∩ Y = [y0, p]; independent of y0.  The
-    walk from y0 goes by vertex number and stops at the first vertex outside
-    Y; only the answer is built as a point."""
-    if Y.contains(x):
-        return x
-    y0, ids, zero = Y.base_point(), T._ids, LexValue.zero(T.rank)
-
-    def cut(u, v, forward: bool, b: LexValue) -> Optional[TreePoint]:
-        # where a walk along edge {u, v} to offset b leaves Y; None off Y
-        if (u, v) in Y.intervals:
-            lo, hi = Y.intervals[(u, v)]
-            return T.point(u, v, min(b, hi) if forward else max(b, lo))
-
-    if _same_edge(T, y0, x):
-        return cut(x.u, x.v, x.offset > y0.offset, x.offset) or y0
-    ex, entry = _exit_vertex(T, y0, x), _exit_vertex(T, x, y0)
-    if isinstance(y0, EdgeInterior) and ids[ex] not in Y.vertices:
-        forward = ids[ex] != y0.u
-        return cut(y0.u, y0.v, forward, T.edge_length(y0.u, y0.v) if forward else zero) or y0
-    path = T._path(ex, entry)
-    for a, b in zip(path, path[1:]):
-        if ids[b] not in Y.vertices:
-            u, v = (ids[a], ids[b]) if a < b else (ids[b], ids[a])
-            return cut(u, v, a < b, _lex(T._row(a, b), T._D) if a < b else zero) or Vertex(ids[a])
-    # x is interior to an edge at entry, the last vertex of Y on the way
-    return cut(x.u, x.v, ids[entry] == x.u, x.offset) or Vertex(ids[entry])
 
 
 # tree surgery -------------------------------------------------------------------

@@ -127,10 +127,11 @@ def test_report_header(tmp_path, capsys, case):
     argv, rc, _modules = CASES[case]
     argv = _paths(tmp_path, argv)
     report = tmp_path / "report.json"
-    assert main(argv + ["--json", str(report)]) == rc
-    if case == "preset emit":  # it writes a document, not a report
+    if case == "preset emit":  # it writes a document, not a report: a usage error
+        assert main(argv + ["--json", str(report)]) == 64
         assert not report.exists()
         return
+    assert main(argv + ["--json", str(report)]) == rc
     body = json.loads(report.read_text())
     assert body["command"] == case and body["schema"] == "lambda-forest/1"
     assert body["status"] == {0: "pass", 2: "violation", 3: "inconclusive"}[rc]

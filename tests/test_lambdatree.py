@@ -21,7 +21,6 @@ from lambdaforest.lambdatree import (
     kill_infinitesimals,
     median,
     point_at,
-    project_to_closed_subtree,
     validate_tree_metric,
     _id_key,
     _scaled,
@@ -592,28 +591,19 @@ def test_subtree_spec_contains(tripod):
 
 
 def test_projection_is_identity_on_subtree(tripod):
-    spec = SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")])
     x = tripod.point("o", "q", L(Fraction(1, 3)))
-    assert project_to_closed_subtree(tripod, spec, x) == x
+    assert median(tripod, Vertex("p"), Vertex("q"), x) == x
 
 
 def test_projection_examples(tripod):
-    spec = SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")])
-    # r projects to the center
-    assert project_to_closed_subtree(tripod, spec, Vertex("r")) == Vertex("o")
+    # r projects onto [p, q] at the center
+    assert median(tripod, Vertex("p"), Vertex("q"), Vertex("r")) == Vertex("o")
     x = tripod.point("o", "r", L(Fraction(2, 3)))
-    assert project_to_closed_subtree(tripod, spec, x) == Vertex("o")
+    assert median(tripod, Vertex("p"), Vertex("q"), x) == Vertex("o")
     # projection onto a clipped interval lands on the interval endpoint
-    seg = SubtreeSpec.from_points(
-        tripod,
-        [tripod.point("o", "p", L(Fraction(1, 4))), tripod.point("o", "p", L(Fraction(3, 4)))],
-    )
-    assert project_to_closed_subtree(tripod, seg, Vertex("q")) == tripod.point(
-        "o", "p", L(Fraction(1, 4))
-    )
-    assert project_to_closed_subtree(tripod, seg, Vertex("p")) == tripod.point(
-        "o", "p", L(Fraction(3, 4))
-    )
+    a, b = (tripod.point("o", "p", L(Fraction(k, 4))) for k in (1, 3))
+    assert median(tripod, a, b, Vertex("q")) == a
+    assert median(tripod, a, b, Vertex("p")) == b
 
 
 def _leg_walk_projection(T, Y, x):
@@ -638,15 +628,18 @@ def _leg_walk_projection(T, Y, x):
 
 @settings(max_examples=300, deadline=None)
 @given(tree_point_pairs(), st.booleans())
-def test_projection_by_number_matches_the_leg_walk(case, hull):
-    """Onto the hull of two points (or one, maybe interior: a spec with no
-    vertex), from every vertex and from points a third along every edge."""
+def test_median_projection_matches_the_leg_walk(case, hull):
+    """median(x, y, z) is the projection of z onto [x, y]: onto the hull of
+    two points (or of one, x = y, maybe interior: a spec with no vertex),
+    from every vertex and from points a third along every edge."""
     T, x, y = case
-    Y = SubtreeSpec.from_points(T, [x, y] if hull else [x])
+    if not hull:
+        y = x
+    Y = SubtreeSpec.from_points(T, [x, y])
     targets = [Vertex(v) for v in T.vertices] + [
         T.point(u, v, ln.scale(Fraction(k, 3))) for (u, v), ln in T.edges.items() for k in (1, 2)]
     for z in targets:
-        assert project_to_closed_subtree(T, Y, z) == _leg_walk_projection(T, Y, z)
+        assert median(T, x, y, z) == _leg_walk_projection(T, Y, z)
 
 
 def test_projection_bridge_property():
@@ -658,7 +651,7 @@ def test_projection_bridge_property():
         anchors = [Vertex(v) for v in rng.sample(vs, k=min(len(vs), 2))]
         spec = SubtreeSpec.from_points(T, anchors)
         x = Vertex(rng.choice(vs))
-        p = project_to_closed_subtree(T, spec, x)
+        p = median(T, anchors[0], anchors[-1], x)
         assert spec.contains(p)
         for v in vs:
             y = Vertex(v)
@@ -723,33 +716,55 @@ def test_intersect_specs(tripod):
     pq = SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")])
     qr = SubtreeSpec.from_points(tripod, [Vertex("q"), Vertex("r")])
     # [p, q] and [q, r] share the whole leg from o to q
-    inter = intersect_specs(pq, qr)
-    assert inter.more_than_one_point()
-    assert set(inter.intervals) == {("o", "q")}
+    assert intersect_specs(pq, qr) is None
     # [p, q] and [o, r] meet only at the center
     o_r = SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("r")])
-    assert intersect_specs(pq, o_r).single_point() == Vertex("o")
+    assert intersect_specs(pq, o_r) == {Vertex("o")}
     # overlapping intervals on one edge
     a = SubtreeSpec.from_points(
         tripod,
         [tripod.point("o", "p", L(Fraction(1, 4))), tripod.point("o", "p", L(Fraction(3, 4)))],
     )
     b = SubtreeSpec.from_points(tripod, [tripod.point("o", "p", L(Fraction(1, 2))), Vertex("p")])
-    over = intersect_specs(a, b)
-    assert over.more_than_one_point()
+    assert intersect_specs(a, b) is None
     # disjoint
     x = SubtreeSpec.from_points(tripod, [tripod.point("o", "p", L(Fraction(1, 4)))])
     y = SubtreeSpec.from_points(tripod, [Vertex("r")])
-    disjoint = intersect_specs(x, y)
-    assert not disjoint.points and not disjoint.intervals
+    assert intersect_specs(x, y) == set()
 
 
 def test_intersect_single_point_on_edge(tripod):
     m = tripod.point("o", "p", L(Fraction(1, 2)))
     a = SubtreeSpec.from_points(tripod, [Vertex("o"), m])
     b = SubtreeSpec.from_points(tripod, [m, Vertex("p")])
-    inter = intersect_specs(a, b)
-    assert inter.single_point() == m
+    assert intersect_specs(a, b) == {m}
+
+
+@st.composite
+def hull_pairs(draw):
+    """A random tree of rank 1-2 and the hulls of two lists of 1-3 points,
+    vertices or points a quarter, a half or three quarters along an edge."""
+    rank = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 7))
+    verts = [f"v{i}" for i in range(n)]
+    T = MetricTree(verts, [(verts[i], verts[draw(st.integers(0, i - 1))],
+                            _positive(draw(small_values(rank)))) for i in range(1, n)], rank)
+    edges = sorted(T.edges)
+    point = st.one_of(st.sampled_from(verts).map(Vertex), *([] if not edges else [
+        st.tuples(st.sampled_from(edges), st.integers(1, 3)).map(
+            lambda e: T.point(*e[0], T.edge_length(*e[0]).scale(Fraction(e[1], 4))))]))
+    hull = st.lists(point, min_size=1, max_size=3).map(lambda pts: SubtreeSpec.from_points(T, pts))
+    return draw(hull), draw(hull)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_pairs())
+def test_intersect_specs_matches_the_grid_points(case):
+    """None exactly when two grid points of Y1 or Y2 lie in both (then the
+    two share a segment), and otherwise the set of those that do."""
+    Y1, Y2 = case
+    shared = {p for p in Y1.grid_points() + Y2.grid_points() if Y1.contains(p) and Y2.contains(p)}
+    assert intersect_specs(Y1, Y2) == (None if len(shared) > 1 else shared)
 
 
 # base change ----------------------------------------------------------------------
