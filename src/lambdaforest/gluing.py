@@ -209,9 +209,7 @@ def glue_subtree(phi: SegmentIso):
     then the two copies are merged vertex-by-vertex; the resulting path
     metric satisfies the projection formula (distance to the segment on one
     side, across it, then to the target) exactly."""
-    Y1, Y2 = phi.src_tree, phi.dst_tree
-    if Y1.rank != Y2.rank:
-        raise GluingError("rank mismatch")
+    Y1, Y2 = phi.src_tree, phi.dst_tree  # of one rank: SegmentIso compares their spans
     grid1, grid2 = phi.src_spec.grid_points(), phi.dst_spec.grid_points()
     inv = phi.inverse()
     # common cut positions, expressed in both trees
@@ -354,7 +352,8 @@ class DualPoint:
 
 def dual_distance(G: GraphOfActions, a: DualPoint, b: DualPoint) -> LexValue:
     """Distance in the dual tree, computed by folding the projection formula
-    edge-by-edge along the skeleton path."""
+    edge-by-edge along the skeleton path; a point projects onto a glued
+    segment at its median with the segment's ends."""
     paths = G.skeleton_paths(a.vertex, b.vertex)
     if not paths:
         raise GluingError("no skeleton path between carriers")
@@ -398,20 +397,13 @@ def dual_distance_bruteforce(G: GraphOfActions, a: DualPoint, b: DualPoint) -> L
             cand_sets.append(cands)
         # also: pull the projection of b back along nothing; cover it by
         # projecting every candidate forward, so just take the full product
-        for combo in itertools.product(*cand_sets):
+        for combo in itertools.product(*cand_sets):  # every candidate lies on its segment
             d = LexValue.zero(G.vertex_trees[a.vertex].rank)
             cur_v, cur_p = a.vertex, a.point
-            valid = True
             for (src, dst, phi, _i), x_i in zip(path, combo):
-                T = G.vertex_trees[src]
-                if not phi.src_spec.contains(x_i):
-                    valid = False
-                    break
-                d = d + distance(T, cur_p, x_i)
+                d = d + distance(G.vertex_trees[src], cur_p, x_i)
                 cur_p = phi.apply(x_i)
                 cur_v = dst
-            if not valid:
-                continue
             d = d + distance(G.vertex_trees[cur_v], cur_p, b.point)
             if best is None or d < best:
                 best = d

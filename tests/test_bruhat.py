@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaforest.bruhat import (
+    INFINITY,
     BiRatFunc,
     FieldError,
     Mat2,
@@ -15,8 +16,10 @@ from lambdaforest.bruhat import (
     _is_prime,
     bt_translation_length,
     certify_free_bt,
+    entry_to_json,
     matrix_group_from_json,
     matrix_group_to_json,
+    parse_entry,
     _vp,
     value_group_rank,
 )
@@ -677,3 +680,29 @@ def test_qp_context_takes_a_large_prime():
     gens = matrix_group_from_json({"field": "Qp", "p": p,
                                    "generators": {"a": [[str(p), "0"], ["0", f"1/{p}"]]}})
     assert MatrixLengthOracle(gens).length(parse_word("a")) == L(2)
+
+
+# errors and rare branches -------------------------------------------------------------
+
+
+def test_field_errors():
+    one2, zero2, one3, zero3 = (QpElement(Fraction(v), p) for p in (2, 3) for v in (1, 0))
+    with pytest.raises(FieldError, match="^mixed primes$"):
+        one2 + one3
+    with pytest.raises(FieldError, match="^mixed primes$"):
+        MatrixLengthOracle({"a": Mat2(one2, zero2, zero2, one2), "b": Mat2(one3, zero3, zero3, one3)})
+    with pytest.raises(FieldError, match="^unknown generator label 'x'$"):
+        MatrixLengthOracle(matrix_group_from_json(z2_diagonal())).product(parse_word("x"))
+    for data, field, message in [({"x": "1"}, "Qt", "bad monomial key 'x'"),
+                                 ({"1": "1"}, "Qp", "Qp entries are rational strings"),
+                                 ({"s": "1"}, "Qt", "s appears in a Qt entry")]:
+        with pytest.raises(FieldError, match=f"^{message}$"):
+            parse_entry(data, field, 2)
+    with pytest.raises(FieldError, match="^cannot serialize 1$"):
+        entry_to_json(1)
+
+
+def test_zero_over_q_s_t_has_infinite_valuation_and_a_matrix_prints_its_entries():
+    assert BiRatFunc({}).valuation() is INFINITY
+    one, zero = QpElement(Fraction(1), 2), QpElement(Fraction(0), 2)
+    assert repr(Mat2(one, zero, zero, one)) == f"[[{one!r}, {zero!r}], [{zero!r}, {one!r}]]"

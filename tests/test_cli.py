@@ -87,6 +87,69 @@ def test_marked_compare_takes_no_input(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1 and "takes no --input" in err
 
 
+# main reads --input before the handler, which refuses what the grammar lets
+# through: a line with both faults is malformed input first
+def test_an_unreadable_input_comes_before_a_handler_usage_error(tmp_path, capsys):
+    m, missing = write(tmp_path, "m.json", z2_doc()), str(tmp_path / "missing.json")
+    assert main(["marked", "compare", "--input", missing, "--a", m, "--b", m]) == 65
+    assert main(["marked", "profile", "--input", missing, "--radius", "2"]) == 65
+    assert capsys.readouterr().out == ""
+
+
+def test_preset_emit_takes_no_json(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["preset", "emit", "--name", "tripod", "--json", str(report)]) == 64
+    assert capsys.readouterr() == ("", "preset emit takes no --json: it writes a document\n")
+    assert not report.exists()
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    path = write(tmp_path, "list.json", [])
+    assert main(["validate-tree", "--input", path]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: {path}: top level must be an object\n")
+
+
+DEEP = "[" * 200_000 + "]" * 200_000  # past json.load's nesting limit
+
+
+def test_a_document_nested_too_deeply_is_malformed(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    assert main(["validate-tree", "--input", str(path)]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: {path}: nested too deeply\n")
+
+
+# an output that cannot be created exits 73 (sysexits' EX_CANTCREAT) with one
+# line that names it; a report's verdict is printed before the write
+@pytest.mark.parametrize("argv, target, out, reason", [
+    (["preset", "list", "--json"], "missing-dir/x.json", "\n".join(presets.names()) + "\n",
+     "No such file or directory"),
+    (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q", "--json"], "",
+     "distance: (2)\n", "Is a directory"),
+    (["preset", "emit", "--name", "tripod", "--out"], "missing-dir/x.json", "",
+     "No such file or directory"),
+], ids=["preset-list", "tree-distance", "preset-emit"])
+def test_an_output_that_cannot_be_written_exits_73(tmp_path, capsys, argv, target, out, reason):
+    argv = [emit(tmp_path, a[1:]) if a[:1] == "@" else a for a in argv]
+    target = str(tmp_path / target) if target else str(tmp_path)
+    assert main(argv + [target]) == 73
+    assert capsys.readouterr() == (out, f"cannot write {target}: {reason}\n")
+
+
+def test_the_process_boundary_ends_without_a_traceback(tmp_path):
+    deep, missing = tmp_path / "deep.json", str(tmp_path / "missing-dir" / "x.json")
+    deep.write_text(DEEP)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv, rc in [(["preset", "list", "--json", missing], 73),
+                     (["preset", "emit", "--name", "tripod", "--out", missing], 73),
+                     (["validate-tree", "--input", str(deep)], 65)]:
+        proc = subprocess.run([sys.executable, "-m", "lambdaforest.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == rc, proc.stderr
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 # the command-line reader ---------------------------------------------------------
 
 OPS = sorted({op for _family, ops, _options in _COMMANDS.values() for op in ops})

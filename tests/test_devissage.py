@@ -452,3 +452,36 @@ def test_principal_case_amalgam_and_recurse():
     assert principal_splitting_case(G).case == "amalgam-maximal-abelian"
     lone = GraphOfGroups([F], [])
     assert principal_splitting_case(lone).case == "recurse"
+
+
+# errors and rare branches -------------------------------------------------------------
+
+
+def test_graph_refuses_a_missing_endpoint():
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    with pytest.raises(DevissageError, match="^edge endpoint 'Z' missing$"):
+        GraphOfGroups([A], [GGEdge("A", "Z", parse_word("n"), parse_word("a"))])
+
+
+def _hung(abelian: GGVertex, image: str) -> GraphOfGroups:
+    """abelian, and a free infinitesimal vertex F = <a, b> it meets at `image` = a."""
+    F = GGVertex("F", "infinitesimal", FreeGroup(("a", "b")))
+    return GraphOfGroups([abelian, F], [GGEdge(abelian.id, "F", parse_word(image),
+                                              parse_word("a"))])
+
+
+@pytest.mark.parametrize("G, clause, detail", [
+    (_hung(GGVertex("A", "abelian", FreeAbelian(("n",))), "n"), "abelian",
+     "abelian vertex 'A' is not cyclic-by-sum"),
+    (_hung(GGVertex("A", "abelian", CyclicBySum("n", ("m",))), "m"), "abelian",
+     "edge image m at 'A' is not the marked generator"),
+    (_hung(GGVertex("S", "surface", FreeGroup(("n",))), "n"), "surface",
+     "surface vertex 'S' lacks boundary data"),
+], ids=["not-cyclic-by-sum", "not-the-marked-generator", "no-boundaries"])
+def test_structure_fails_a_vertex_that_breaks_its_clause(G, clause, detail):
+    verdict = check_structure(G).clauses[clause]
+    assert (verdict.verdict, verdict.detail) == ("Fail", detail)
+
+
+def test_free_abelian_b1_is_its_rank():
+    assert FreeAbelian(("x", "y", "z")).b1 == 3

@@ -20,8 +20,9 @@ from lambdaforest.gluing import (
     glue_subtree,
     subdivide_at,
 )
-from lambdaforest.cover import CoverError, TransverseCovering, same_set, skeleton, transverse_check
-from lambdaforest.lambdatree import MetricTree, SubtreeSpec, Vertex, distance, _id_key
+from lambdaforest.cover import (CoverError, TransverseCovering, intersect_specs, same_set, skeleton,
+                                transverse_check)
+from lambdaforest.lambdatree import MetricTree, SubtreeSpec, TreeError, Vertex, distance, _id_key
 
 from conftest import L, random_lex_positive, random_tree
 
@@ -465,3 +466,90 @@ def test_transverse_check_gap(tripod):
     assert not rep.ok and rep.kind == "coverage-gap"
     with pytest.raises(CoverError):
         skeleton(TransverseCovering(tripod, members))
+
+
+def test_transverse_check_gap_inside_an_edge(tripod):
+    """Two members reach into o-p from its ends and leave its middle bare."""
+    quarter, three = (tripod.point("o", "p", L(Fraction(k, 4))) for k in (1, 3))
+    members = [SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex(x)]) for x in "qr"] + [
+        SubtreeSpec.from_points(tripod, [Vertex("o"), quarter]),
+        SubtreeSpec.from_points(tripod, [three, Vertex("p")])]
+    rep = transverse_check(TransverseCovering(tripod, members))
+    assert (rep.ok, rep.kind, rep.witness) == (False, "coverage-gap", (("o", "p"),))
+
+
+def test_cover_refuses_another_tree_and_rank_2(tripod):
+    other = MetricTree(["o", "p"], [("o", "p", L(1))], 1)
+    mine, theirs = (SubtreeSpec.from_points(T, [Vertex("o")]) for T in (tripod, other))
+    with pytest.raises(TreeError, match="^subtrees of different trees$"):
+        intersect_specs(mine, theirs)
+    with pytest.raises(CoverError, match="^member of a different tree$"):
+        TransverseCovering(tripod, [mine, theirs])
+    with pytest.raises(CoverError, match="^transverse coverings live in rank-1 trees$"):
+        TransverseCovering(MetricTree(["o", "p"], [("o", "p", L(1, 0))], 2), [])
+
+
+# errors and rare branches ------------------------------------------------------------
+
+
+def test_subdivide_at_mapper_off_the_cuts():
+    """A point on an edge with no cut keeps its place; one past the last cut
+    of its edge lands on the piece from that cut to the far end."""
+    T = unit_path(["a", "b", "c"])
+    T2, mapper = subdivide_at(T, [T.point("a", "b", L(Fraction(1, 2)))])
+    on_bc, past = T.point("b", "c", L(Fraction(1, 3))), T.point("a", "b", L(Fraction(3, 4)))
+    assert mapper(on_bc) is on_bc
+    assert mapper(past) == T2.point(("cut", "a", "b", 0), "b", L(Fraction(1, 4)))
+    assert distance(T2, Vertex("a"), mapper(past)) == L(Fraction(3, 4))
+
+
+def test_rank_mismatch_is_refused():
+    Y, Y2 = unit_path(["a", "b"]), MetricTree(["x", "y"], [("x", "y", L(1, 0))], 2)
+    with pytest.raises(GluingError, match="^rank mismatch$"):
+        glue_point(Y, [(Y2, "a", "x")])
+    # segments of trees of two ranks never span alike, so glue_subtree never sees them
+    with pytest.raises(GluingError, match="endpoint spans differ"):
+        SegmentIso(Y, (Vertex("a"),) * 2, Y2, (Vertex("x"),) * 2)
+
+
+def test_graph_of_actions_refuses_mismatched_edges():
+    TA, TB = unit_path(["a0", "a1"]), unit_path(["b0", "b1"])
+    phi = SegmentIso(TA, (Vertex("a0"), Vertex("a1")), TB, (Vertex("b0"), Vertex("b1")))
+    copy = unit_path(["a0", "a1"])
+    for trees, edge, message in [
+        ({"A": TA, "B": TB}, GluedEdge("A", "Z", phi), "edge endpoint is not a skeleton vertex"),
+        ({"A": copy, "B": TB}, GluedEdge("A", "B", phi), "gluing map domain tree mismatch"),
+        ({"A": TA, "B": TA}, GluedEdge("A", "B", phi), "gluing map target tree mismatch"),
+    ]:
+        with pytest.raises(GluingError, match=f"^{message}$"):
+            GraphOfActions(trees, [edge])
+
+
+def test_dual_distance_and_fold_refuse_what_no_path_joins():
+    G = make_chain_goa()[0]
+    with pytest.raises(GluingError, match="^no skeleton path between carriers$"):
+        dual_distance(G, DualPoint("Z", Vertex("a0")), DualPoint("A", Vertex("a0")))
+    with pytest.raises(GluingError, match="^empty path$"):
+        fold_glued_tree(G, [])
+
+
+def test_dual_distance_from_a_point_inside_the_glued_segment():
+    """The point is its own projection, which no grid of the brute force holds."""
+    G, TA, TB, TC = make_chain_goa()
+    a = DualPoint("A", TA.point("a2", "a3", L(Fraction(1, 2))))
+    c = DualPoint("C", Vertex("c3"))
+    assert dual_distance(G, a, c) == dual_distance_bruteforce(G, a, c) == L(Fraction(9, 2))
+
+
+def test_free_criterion_fails_a_class_past_the_cap():
+    """A point glued to CLASS_CAP leaf trees: its class outgrows the cap with
+    no two parallel gluings, so no period doubling answers first."""
+    C = unit_path(["c0", "c1"])
+    leaves = {f"L{i}": unit_path([f"l{i}a", f"l{i}b"]) for i in range(CLASS_CAP)}
+    edges = [GluedEdge("C", v, SegmentIso(C, (Vertex("c0"),) * 2, T, (Vertex(T._ids[0]),) * 2))
+             for v, T in leaves.items()]
+    G = GraphOfActions({"C": C, **leaves}, edges)
+    p = DualPoint("C", Vertex("c0"))
+    rep = check_free_criterion(G, {v: "free" for v in G.vertex_trees}, [p])
+    assert (rep.verdict, rep.detail) == (
+        "Fail", f"class of {p!r} grows beyond the window: class exceeds window cap")

@@ -241,3 +241,7 @@ def test_ball_words_order_and_budget(letters, max_len, budget):
     else:
         got = list(ball_words(letters, max_len, budget))
     assert got == [w for w in words if len(w) <= fits]
+
+
+def test_parse_word_skips_spaces_and_dots():
+    assert parse_word("a b.a'") == parse_word("aba'") == (("a", 1), ("b", 1), ("a", -1))

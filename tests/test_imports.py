@@ -279,3 +279,12 @@ print(json.dumps([before, ok]))
 """
     before, ok = fresh(code)
     assert before == [] and all(ok), ok
+
+
+def test_package_names_resolve_in_process():
+    import lambdaforest
+    from lambdaforest.ordgroup import LexValue
+
+    assert lambdaforest.LexValue is LexValue and lambdaforest.ordgroup.LexValue is LexValue
+    with pytest.raises(AttributeError, match="^module 'lambdaforest' has no attribute 'nope'$"):
+        lambdaforest.nope

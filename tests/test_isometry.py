@@ -237,3 +237,26 @@ def test_window_certify_aborts_at_the_walks_first_word_outside(caterpillar):
     with pytest.raises(CertificationAborted) as info:
         certify_free_on_ball(oracle, trivial, ["a"], 7)
     assert info.value.word == first
+
+
+# errors and rare branches -------------------------------------------------------------
+
+
+def test_window_refuses_a_foreign_vertex_and_a_foreign_generator(tripod_rotation):
+    T = tripod_rotation.window
+    with pytest.raises(IsometryError, match="^domain vertex 'z' not in window$"):
+        PartialIsometry(T, {"z": Vertex("o")})
+    other = MetricTree(["o", "p"], [("o", "p", L(1))], 1)
+    with pytest.raises(IsometryError, match="^generator defined on a different window$"):
+        ActionWindow(T, {"a": PartialIsometry(other, {"o": Vertex("p"), "p": Vertex("o")})})
+
+
+def test_two_vertices_sent_to_one_image_are_refused(tripod_rotation):
+    """So a checked map is injective on vertices, and its inverse is exact."""
+    T = tripod_rotation.window
+    with pytest.raises(IsometryError, match=r"^not distance-preserving on pair \('p', 'q'\)$"):
+        PartialIsometry(T, {"p": Vertex("o"), "q": Vertex("o")})
+
+
+def test_inconclusive_is_false():
+    assert not Inconclusive("outside the window")

@@ -767,6 +767,55 @@ def test_intersect_specs_matches_the_grid_points(case):
     assert intersect_specs(Y1, Y2) == (None if len(shared) > 1 else shared)
 
 
+# errors and rare branches ------------------------------------------------------
+
+
+def test_tree_and_point_errors(tripod):
+    with pytest.raises(TreeError, match="^edge length must be a LexValue$"):
+        MetricTree(["a", "b"], [("a", "b", 1)], 1)
+    with pytest.raises(TreeError, match="^loop edge$"):
+        MetricTree(["a", "b"], [("a", "a", L(1)), ("a", "b", L(1))], 1)
+    with pytest.raises(TreeError, match="^vertex 'z' not in tree$"):
+        tripod.check_point(Vertex("z"))
+    with pytest.raises(TreeError, match=r"^interior offset \(2\) out of range$"):
+        tripod.check_point(EdgeInterior("o", "p", L(2)))
+    with pytest.raises(TreeError, match="^bad point syntax 'o:p'$"):
+        lambdatree._parse_point(tripod, "o:p")
+    legs = geodesic_legs(tripod, Vertex("p"), Vertex("q"))
+    for legs, s, message in [(legs, L(-1), "negative arclength"),
+                             ([], L(0), "cannot locate a point on an empty geodesic"),
+                             ([], L(1), "arclength beyond geodesic end")]:
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            point_at(tripod, legs, s)
+
+
+def test_subtree_spec_reads_reversed_keys_and_refuses_bad_ones(tripod):
+    """An interval keyed (v, u) is measured from v, so it is flipped onto the
+    (u, v) key; an interval on a pair that is no edge, out of its edge's
+    range, an unknown vertex and nothing at all are refused."""
+    spec = SubtreeSpec(tripod, (), {("p", "o"): (L(Fraction(1, 4)), L(Fraction(1, 2)))})
+    assert spec.intervals == {("o", "p"): (L(Fraction(1, 2)), L(Fraction(3, 4)))}
+    for vertices, intervals, message in [
+        ((), {("o", "p"): (L(0), L(2))}, "interval out of edge range"),
+        ((), {("z", "o"): (L(0), L(1))}, "edge 'o'-'z' not in tree"),
+        (["z"], None, "subtree vertex 'z' not in tree"),
+        ((), None, "empty subtree"),
+    ]:
+        with pytest.raises(TreeError, match=f"^{message}$"):
+            SubtreeSpec(tripod, vertices, intervals)
+
+
+def test_verdicts_read_as_booleans_and_the_scan_of_a_tree_finds_nothing(tripod):
+    table = FiniteLambdaMetric.from_tree(tripod)
+    assert validate_tree_metric(table) and not ValidationResult(False, "asymmetry")
+    assert lambdatree._scan([[0, 1], [1, 0]]) is None
+
+
+def test_kill_infinitesimals_needs_rank_2(tripod):
+    with pytest.raises(TreeError, match="^kill_infinitesimals needs rank >= 2$"):
+        kill_infinitesimals(tripod)
+
+
 # base change ----------------------------------------------------------------------
 
 

@@ -372,3 +372,10 @@ def test_abelian_profile_matches_substitution(data, r_max, budget):
         got = _outcome(lambda: convergence_profile(CountingFamily(family), target, r_max,
                                                    index_budget))
         assert got == want
+
+
+def test_substitute_and_the_ball_refuse_what_they_cannot_read(z2_std):
+    with pytest.raises(WordError, match="^unknown marking letter 'c'$"):
+        z2_std.substitute(parse_word("c"))
+    with pytest.raises(WordError, match="^radius must be nonnegative$"):
+        relations_up_to(z2_std, -1)
