@@ -25,7 +25,6 @@ def _usage(args):
         return "marked compare needs --a and --b, and takes no --input"
     if args.op == "profile" and args.radius is not None:
         return "marked profile takes no --radius: the document's r_max sets the radii"
-    return None
 
 
 def cmd_marked(args, doc):

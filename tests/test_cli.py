@@ -1175,6 +1175,8 @@ def test_preset_list_and_emit(tmp_path, capsys):
     assert main(["preset", "emit", "--name", "tripod", "--out", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert doc["schema"] == SCHEMA
+    assert main(["preset", "emit", "--name", "tripod"]) == 0  # without --out, to stdout
+    assert capsys.readouterr().out == target.read_text()
 
 
 def test_every_preset_carries_schema():
