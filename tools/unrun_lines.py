@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -60,7 +61,7 @@ def executable(path: str) -> set[int]:
     while todo:
         code = todo.pop()
         lines.update(line for _s, _e, line in code.co_lines() if line)
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
 
@@ -79,11 +80,15 @@ def main(argv=None) -> int:
             return 2
         pkg, out = os.path.join(root, "src", "lambdaforest"), os.path.join(tmp, "seen.json")
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
-        subprocess.run([sys.executable, "-c", CHILD, pkg + os.sep, out], cwd=root, env=env,
-                       stdin=subprocess.DEVNULL, check=False)
+        child = subprocess.run([sys.executable, "-c", CHILD, pkg + os.sep, out], cwd=root,
+                               env=env, stdin=subprocess.DEVNULL, check=False)
+        if not os.path.exists(out):
+            print(f"unrun_lines: the traced test run ended with {child.returncode} and wrote "
+                  "no lines", file=sys.stderr)
+            return 2
         with open(out, encoding="utf-8") as fh:
             result = json.load(fh)
-        seen = {(f, n) for f, n in result["seen"]}
+        seen = set(map(tuple, result["seen"]))
         total = 0
         for name in sorted(os.listdir(pkg)):
             if not name.endswith(".py"):
