@@ -594,37 +594,3 @@ def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:
             parse_entry(d, field, p),
         )
     return gens
-
-
-def entry_to_json(x) -> dict | str:
-    if isinstance(x, QpElement):
-        return str(x.value)
-    if isinstance(x, RatFunc):
-        out = {}
-        for e, v in sorted(x.coeffs.items()):
-            key = "1" if e == 0 else f"t^{e}"
-            out[key] = str(v)
-        return out or {"1": "0"}
-    if isinstance(x, BiRatFunc):
-        out = {}
-        for (et, es), v in sorted(x.coeffs.items()):
-            parts = []
-            if es:
-                parts.append(f"s^{es}")
-            if et:
-                parts.append(f"t^{et}")
-            out["".join(parts) or "1"] = str(v)
-        return out or {"1": "0"}
-    raise FieldError(f"cannot serialize {x!r}")
-
-
-def matrix_group_to_json(field: str, gens: dict[str, Mat2], p: Optional[int] = None) -> dict:
-    doc = {"field": field, "generators": {}}
-    if p:
-        doc["p"] = p
-    for label, m in sorted(gens.items()):
-        doc["generators"][label] = [
-            [entry_to_json(m.a), entry_to_json(m.b)],
-            [entry_to_json(m.c), entry_to_json(m.d)],
-        ]
-    return doc

@@ -6,7 +6,7 @@ def cmd_cover(args, doc):
     from .lambdatree import MetricTree, SubtreeSpec, _parse_points
 
     T = MetricTree.from_json(doc["tree"])
-    members = [SubtreeSpec.from_points(T, _parse_points(T, pts, "a member"))
+    members = [SubtreeSpec(T, _parse_points(T, pts, "a member"))
                for pts in doc["members"]]
     C = TransverseCovering(T, members)
     chk = transverse_check(C)

@@ -19,7 +19,7 @@ def _split(arg: str, flag: str) -> tuple[str, str]:
 
 def _graph_of_actions(doc: dict):
     from .gluing import GluedEdge, GraphOfActions, SegmentIso
-    from .lambdatree import MetricTree, _parse_point
+    from .lambdatree import MetricTree, _parse_points
 
     if not isinstance(doc["vertex_trees"], dict):
         raise Malformed("vertex_trees must be an object of vertex -> tree")
@@ -28,8 +28,8 @@ def _graph_of_actions(doc: dict):
     for ed in doc["edges"]:
         src, dst = ed["from"], ed["to"]
         T1, T2 = _tree_of(trees, src, "edge 'from'"), _tree_of(trees, dst, "edge 'to'")
-        e_from = tuple(_parse_point(T1, s) for s in ed["ends_from"])
-        e_to = tuple(_parse_point(T2, s) for s in ed["ends_to"])
+        e_from = tuple(_parse_points(T1, ed["ends_from"], "ends_from"))
+        e_to = tuple(_parse_points(T2, ed["ends_to"], "ends_to"))
         edges.append(GluedEdge(src, dst, SegmentIso(T1, e_from, T2, e_to)))
     return trees, GraphOfActions(trees, edges)
 

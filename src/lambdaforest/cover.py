@@ -46,6 +46,8 @@ class TransverseCovering:
         self.members = members
         if self.ambient.rank != 1:
             raise CoverError("transverse coverings live in rank-1 trees")
+        if not self.members:  # no point of the tree lies in a member
+            raise CoverError("a covering needs at least one member")
         for m in self.members:
             if m.tree is not self.ambient:
                 raise CoverError("member of a different tree")

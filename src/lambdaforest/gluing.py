@@ -143,16 +143,19 @@ class SegmentIso:
         self.src_ends = src_ends
         self.dst_tree = dst_tree
         self.dst_ends = dst_ends
+        if len(src_ends) != 2 or len(dst_ends) != 2:
+            raise GluingError(f"a glued segment has two ends on each side, got "
+                              f"{len(src_ends)} and {len(dst_ends)}")
         if distance(src_tree, *src_ends) != distance(dst_tree, *dst_ends):
             raise GluingError("gluing map is not an isometry: endpoint spans differ")
 
     @cached_property
     def src_spec(self) -> SubtreeSpec:
-        return SubtreeSpec.from_points(self.src_tree, list(self.src_ends))
+        return SubtreeSpec(self.src_tree, list(self.src_ends))
 
     @cached_property
     def dst_spec(self) -> SubtreeSpec:
-        return SubtreeSpec.from_points(self.dst_tree, list(self.dst_ends))
+        return SubtreeSpec(self.dst_tree, list(self.dst_ends))
 
     @cached_property
     def _dst_legs(self) -> list:
@@ -218,20 +221,13 @@ def glue_subtree(phi: SegmentIso):
     cut_pts2 = [phi.apply(p) for p in grid1] + grid2
     Y2s, map2 = subdivide_at(Y2, cut_pts2)
 
-    # ordered cut vertices along the segment, matched across phi
-    a1 = phi.src_ends[0]
-    order = sorted(set(cut_pts1), key=lambda p: distance(Y1, a1, p).coords)
-    ids1 = []
-    ids2 = []
-    for p in order:
-        q1 = map1(p)
-        q2 = map2(phi.apply(p))
+    # the cut vertices of the segment, matched across phi
+    glue_to_src = {}
+    for p in set(cut_pts1):
+        q1, q2 = map1(p), map2(phi.apply(p))
         if not isinstance(q1, Vertex) or not isinstance(q2, Vertex):
             raise GluingError("cut point did not become a vertex")
-        if q1.id not in ids1:
-            ids1.append(q1.id)
-            ids2.append(q2.id)
-    glue_to_src = dict(zip(ids2, ids1))
+        glue_to_src[q2.id] = q1.id
 
     def tag1(v):
         return ("Y1", v)
@@ -444,7 +440,7 @@ class EquivClass:
 CLASS_CAP = 64
 
 
-def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> EquivClass:
+def glue_equiv_class(G: GraphOfActions, p: DualPoint) -> EquivClass:
     nodes: list[tuple[object, TreePoint]] = [(p.vertex, p.point)]
     index = {(p.vertex, repr(p.point)): 0}
     links: list[tuple[int, int, int]] = []
@@ -458,7 +454,7 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint, cap: int = CLASS_CAP) -> E
             img = phi.apply(pt)
             key = (dst, repr(img))
             if key not in index:
-                if len(nodes) >= cap:
+                if len(nodes) >= CLASS_CAP:
                     return EquivClass(nodes, False, "class exceeds window cap")
                 index[key] = len(nodes)
                 nodes.append((dst, img))

@@ -1,6 +1,7 @@
 """Finite trees with lexicographic edge lengths: metric, geodesics, medians
 (the median of x, y and z is the projection of z onto [x, y]), closed
-subtrees, axiom validation, and the kill-infinitesimals base change.
+subtrees as the hulls of their points, axiom validation, and the
+kill-infinitesimals base change.
 
 A tree is a finite connected acyclic graph whose edges carry strictly
 positive LexValue lengths of a common rank.  Points are either vertices or
@@ -216,12 +217,9 @@ class MetricTree:
     # basic queries ----------------------------------------------------------
 
     def _key(self, u, v) -> tuple:
-        """The key of edge {u, v}: its ends in _id_key order."""
+        """The key of edge {u, v}, two vertices: its ends in _id_key order."""
         i = self._index
-        try:
-            return (u, v) if i[u] < i[v] else (v, u)
-        except KeyError:  # not two vertices, so no edge
-            return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
+        return (u, v) if i[u] < i[v] else (v, u)
 
     def _row(self, a: int, b: int) -> Optional[list]:
         """The row of edge {a, b}, by number; None if they share no edge."""
@@ -271,9 +269,6 @@ class MetricTree:
         while down[-1] != m:
             down.append(parent[down[-1]])
         return up + down[-2::-1]
-
-    def vertex_path(self, u, v) -> list:
-        return [self._ids[c] for c in self._path(self._index[u], self._index[v])]
 
     def point(self, u, v, offset: LexValue) -> TreePoint:
         """Point on edge {u, v} at given offset from u, canonicalized."""
@@ -613,40 +608,35 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
 
 
 class SubtreeSpec:
-    """Convex subset of a tree: a set of vertices plus closed clipped edge
-    intervals (offsets from the canonical anchor, endpoints included).
-    Half-open clips are unrepresentable, so every spec is a closed subtree."""
+    """The convex hull of finitely many points of a tree, a closed subtree:
+    the union of the geodesics from the first point to each of the others
+    (Chiswell, Introduction to Lambda-trees, ch. 2).  It is held as the
+    closed interval of offsets from the canonical anchor that it covers on
+    each edge it meets, and the vertices it holds: the ends of those
+    intervals, or the one point if that is a vertex."""
 
-    def __init__(self, T: MetricTree, vertices: Iterable = (), intervals: dict | None = None):
+    def __init__(self, T: MetricTree, points: list[TreePoint]):
+        if not points:
+            raise TreeError("empty subtree")
         self.tree = T
-        verts = set(vertices)
-        ivals: dict[tuple, tuple[LexValue, LexValue]] = {}
-        for (u, v), (lo, hi) in (intervals or {}).items():
-            k = T._key(u, v)
-            ln = T.edge_length(*k)
-            if (u, v) != k:
-                lo, hi = ln - hi, ln - lo
-            zero = LexValue.zero(T.rank)
-            if not (zero <= lo <= hi <= ln):
-                raise TreeError("interval out of edge range")
-            ivals[k] = (lo, hi)
-            if lo == zero:
-                verts.add(k[0])
-            if hi == ln:
-                verts.add(k[1])
-        for v in verts:
-            if v not in T.vertices:
-                raise TreeError(f"subtree vertex {v!r} not in tree")
-        # a fully contained edge is an interval over its whole length
-        ids = T._ids
-        for u in verts:
-            for b, _row in T._adj[T._index[u]]:
-                if (v := ids[b]) in verts and (k := T._key(u, v)) not in ivals:
-                    ivals[k] = (LexValue.zero(T.rank), T.edge_length(*k))
+        p0 = points[0]
+        if isinstance(p0, Vertex):
+            verts, ivals = {p0.id}, {}
+        else:
+            verts, ivals = set(), {(p0.u, p0.v): (p0.offset, p0.offset)}
+        for q in points[1:]:
+            for leg in geodesic_legs(T, p0, q):
+                lo, hi = (leg.a, leg.b) if leg.a <= leg.b else (leg.b, leg.a)
+                if (k := (leg.u, leg.v)) in ivals:
+                    lo, hi = min(lo, ivals[k][0]), max(hi, ivals[k][1])
+                ivals[k] = (lo, hi)
+        for (u, v), (lo, hi) in ivals.items():
+            if lo.is_zero():
+                verts.add(u)
+            if hi == T.edge_length(u, v):
+                verts.add(v)
         self.vertices = frozenset(verts)
         self.intervals = ivals
-        if not self.vertices and not self.intervals:
-            raise TreeError("empty subtree")
 
     def contains(self, x: TreePoint) -> bool:
         if isinstance(x, Vertex):
@@ -666,31 +656,6 @@ class SubtreeSpec:
                 if p not in pts:
                     pts.append(p)
         return pts
-
-    @staticmethod
-    def from_points(T: MetricTree, points: list[TreePoint]) -> "SubtreeSpec":
-        """Convex hull of finitely many points."""
-        if not points:
-            raise TreeError("empty subtree")
-        verts: set = set()
-        ivals: dict[tuple, tuple[LexValue, LexValue]] = {}
-
-        def add_interval(u, v, a, b):
-            lo, hi = (a, b) if a <= b else (b, a)
-            if (u, v) in ivals:
-                plo, phi = ivals[(u, v)]
-                lo, hi = min(lo, plo), max(hi, phi)
-            ivals[(u, v)] = (lo, hi)
-
-        for p in points:
-            if isinstance(p, Vertex):
-                verts.add(p.id)
-            else:
-                add_interval(p.u, p.v, p.offset, p.offset)
-        for p, q in itertools.combinations(points, 2):
-            for leg in geodesic_legs(T, p, q):
-                add_interval(leg.u, leg.v, leg.a, leg.b)
-        return SubtreeSpec(T, verts, ivals)
 
 
 # tree surgery -------------------------------------------------------------------

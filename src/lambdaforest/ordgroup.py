@@ -130,12 +130,6 @@ class LexValue:
 
     # the sign of a value is the sign of its first nonzero coordinate, and a
     # Fraction's numerator carries its sign
-    def is_positive(self) -> bool:
-        for c in self.coords:
-            if c.numerator:
-                return c.numerator > 0
-        return False
-
     def __abs__(self) -> "LexValue":
         for c in self.coords:
             if c.numerator:

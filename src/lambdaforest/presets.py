@@ -1,7 +1,8 @@
 """Shipped input documents: small, fully worked examples for every checker.
 
-Each preset emits a JSON document carrying a schema tag, the target
-subcommand, and a provenance block explaining how the data was produced.
+Every preset is a literal JSON document carrying a schema tag, the target
+subcommand, and a provenance block explaining how the data was produced;
+emitting one loads nothing beyond this module.
 """
 
 from __future__ import annotations
@@ -9,12 +10,14 @@ from __future__ import annotations
 SCHEMA = "lambda-forest/1"
 
 # exponent for the diagonal Schottky generator; locked by running the ball
-# certifier at N = 6 before release (see the certification test)
+# certifier at N = 6 before release (see the certification test), and
+# spelled out at this value in schottky_qt
 SCHOTTKY_K = 1
 
 
 def _schottky_generators(k: int = SCHOTTKY_K) -> dict:
-    """Generators a, b as bruhat.Mat2 over Q(t)."""
+    """Generators a, b as bruhat.Mat2 over Q(t): the schottky-qt preset's at
+    k = SCHOTTKY_K."""
     from .bruhat import Mat2, RatFunc
 
     one = RatFunc.const(1)
@@ -26,66 +29,54 @@ def _schottky_generators(k: int = SCHOTTKY_K) -> dict:
 
 
 def schottky_qt() -> dict:
-    from .bruhat import matrix_group_to_json
-
-    doc = matrix_group_to_json("Qt", _schottky_generators())
-    doc.update(
-        {
-            "schema": SCHEMA,
-            "kind": "matrix-group",
-            "target": "bt certify",
-            "ball": 6,
-            "provenance": {
-                "construction": f"a = diag(t^{SCHOTTKY_K}, t^-{SCHOTTKY_K}); "
-                "b = c a c^-1 with c = [[1,1],[1,2]]",
-                "note": "exponent locked by the N = 6 ball certifier",
-            },
-        }
-    )
-    return doc
+    return {
+        "schema": SCHEMA,
+        "kind": "matrix-group",
+        "target": "bt certify",
+        "field": "Qt",
+        "generators": {
+            "a": [[{"t^1": "1"}, {"1": "0"}], [{"1": "0"}, {"t^-1": "1"}]],
+            "b": [[{"t^-1": "-1", "t^1": "2"}, {"t^-1": "1", "t^1": "-1"}],
+                  [{"t^-1": "-2", "t^1": "2"}, {"t^-1": "2", "t^1": "-1"}]],
+        },
+        "ball": 6,
+        "provenance": {
+            "construction": "a = diag(t^1, t^-1); b = c a c^-1 with c = [[1,1],[1,2]]",
+            "note": "exponent locked by the N = 6 ball certifier",
+        },
+    }
 
 
 def z2_diagonal() -> dict:
-    from .bruhat import BiRatFunc, Mat2, matrix_group_to_json
-
-    zero = BiRatFunc.const(0)
-    u = Mat2(BiRatFunc.monomial(0, 1), zero, zero, BiRatFunc.monomial(0, -1))
-    v = Mat2(BiRatFunc.monomial(1, 0), zero, zero, BiRatFunc.monomial(-1, 0))
-    doc = matrix_group_to_json("Qst", {"u": u, "v": v})
-    doc.update(
-        {
-            "schema": SCHEMA,
-            "kind": "matrix-group",
-            "target": "bt length",
-            "provenance": {
-                "construction": "u = diag(s, s^-1), v = diag(t, t^-1): a Z^2 of "
-                "commuting hyperbolics with rank-2 lengths",
-            },
-        }
-    )
-    return doc
+    return {
+        "schema": SCHEMA,
+        "kind": "matrix-group",
+        "target": "bt length",
+        "field": "Qst",
+        "generators": {
+            "u": [[{"s^1": "1"}, {"1": "0"}], [{"1": "0"}, {"s^-1": "1"}]],
+            "v": [[{"t^1": "1"}, {"1": "0"}], [{"1": "0"}, {"t^-1": "1"}]],
+        },
+        "provenance": {
+            "construction": "u = diag(s, s^-1), v = diag(t, t^-1): a Z^2 of "
+            "commuting hyperbolics with rank-2 lengths",
+        },
+    }
 
 
 def unipotent_fail() -> dict:
-    from .bruhat import Mat2, RatFunc, matrix_group_to_json
-
-    one = RatFunc.const(1)
-    zero = RatFunc.const(0)
-    u = Mat2(one, one, zero, one)
-    doc = matrix_group_to_json("Qt", {"u": u})
-    doc.update(
-        {
-            "schema": SCHEMA,
-            "kind": "matrix-group",
-            "target": "bt certify",
-            "ball": 1,
-            "provenance": {
-                "construction": "single unipotent [[1,1],[0,1]]: nontrivial, "
-                "translation length 0, certification fails at N = 1",
-            },
-        }
-    )
-    return doc
+    return {
+        "schema": SCHEMA,
+        "kind": "matrix-group",
+        "target": "bt certify",
+        "field": "Qt",
+        "generators": {"u": [[{"1": "1"}, {"1": "1"}], [{"1": "0"}, {"1": "1"}]]},
+        "ball": 1,
+        "provenance": {
+            "construction": "single unipotent [[1,1],[0,1]]: nontrivial, "
+            "translation length 0, certification fails at N = 1",
+        },
+    }
 
 
 def centralizer_extension_gog() -> dict:

@@ -16,7 +16,7 @@ def random_lex_positive(rng: random.Random, rank: int) -> LexValue:
     while True:
         coords = [Fraction(rng.randint(0, 3), rng.choice([1, 2])) for _ in range(rank)]
         v = LexValue(coords)
-        if v.is_positive():
+        if v > LexValue.zero(rank):
             return v
 
 

@@ -16,9 +16,7 @@ from lambdaforest.bruhat import (
     _is_prime,
     bt_translation_length,
     certify_free_bt,
-    entry_to_json,
     matrix_group_from_json,
-    matrix_group_to_json,
     parse_entry,
     _vp,
     value_group_rank,
@@ -33,7 +31,7 @@ from lambdaforest.groups import (
 )
 from lambdaforest.isometry import _classes, certify_free_on_ball
 from lambdaforest.ordgroup import LexValue
-from lambdaforest.presets import _schottky_generators, unipotent_fail, z2_diagonal
+from lambdaforest.presets import _schottky_generators, schottky_qt, unipotent_fail, z2_diagonal
 
 from conftest import L
 
@@ -178,22 +176,45 @@ def test_schottky_conjugate_has_same_lengths():
 
 
 def test_matrix_json_roundtrip_qt():
-    gens = _schottky_generators(1)
-    doc = matrix_group_to_json("Qt", gens)
-    back = matrix_group_from_json(doc)
-    assert back == gens
+    """A Qt document parses to the matrices it spells: a string entry is a
+    constant, and "t" and "t^1" name one monomial."""
+    doc = {"field": "Qt", "generators": {"g": [[{"1": "1", "t^1": "1"}, {"t": "1"}], ["1", "1"]],
+                                         "h": [[{"t^2": "1"}, "3/2"], [{"1": "0"}, {"t^-2": "1"}]]}}
+    one, t = RatFunc.const(1), RatFunc.t()
+    assert matrix_group_from_json(doc) == {
+        "g": Mat2(one + t, t, one, one),
+        "h": Mat2(RatFunc.t(2), RatFunc.const(Fraction(3, 2)), RatFunc.const(0), RatFunc.t(-2))}
 
 
 def test_matrix_json_roundtrip_qst():
-    doc = z2_diagonal()
-    back = matrix_group_from_json(doc)
-    assert matrix_group_from_json(matrix_group_to_json("Qst", back)) == back
+    """A Qst document parses to the matrices it spells: "st" and "ts" name
+    the monomial s t."""
+    doc = {"field": "Qst", "generators": {"g": [[{"1": "1", "st": "1"}, {"s": "1"}],
+                                                [{"t^1": "1"}, "1"]],
+                                          "h": [[{"ts^-1": "2"}, "0"], ["0", {"t^-1s": "1/2"}]]}}
+    one, s, t = BiRatFunc.const(1), BiRatFunc.monomial(0, 1), BiRatFunc.monomial(1, 0)
+    assert matrix_group_from_json(doc) == {
+        "g": Mat2(one + s * t, s, t, one),
+        "h": Mat2(BiRatFunc.monomial(1, -1, 2), BiRatFunc.const(0), BiRatFunc.const(0),
+                  BiRatFunc.monomial(-1, 1, Fraction(1, 2)))}
 
 
 def test_matrix_json_roundtrip_qp():
-    gens = {"g": Mat2(Q2(2), Q2(1), Q2(0), Q2(Fraction(1, 2)))}
-    doc = matrix_group_to_json("Qp", gens, p=2)
-    assert matrix_group_from_json(doc) == gens
+    """A Qp document parses each rational string to an element of Q_p."""
+    doc = {"field": "Qp", "p": 2, "generators": {"g": [["2", "1"], ["0", "1/2"]]}}
+    assert matrix_group_from_json(doc) == {"g": Mat2(Q2(2), Q2(1), Q2(0), Q2(Fraction(1, 2)))}
+
+
+def test_matrix_presets_parse_to_their_constructions():
+    """The matrix presets are literal documents: each parses to the matrices
+    its provenance names."""
+    assert matrix_group_from_json(schottky_qt()) == _schottky_generators()
+    zero2 = BiRatFunc.const(0)
+    s, s_, t, t_ = (BiRatFunc.monomial(*e) for e in ((0, 1), (0, -1), (1, 0), (-1, 0)))
+    assert matrix_group_from_json(z2_diagonal()) == {"u": Mat2(s, zero2, zero2, s_),
+                                                      "v": Mat2(t, zero2, zero2, t_)}
+    one, zero = RatFunc.const(1), RatFunc.const(0)
+    assert matrix_group_from_json(unipotent_fail()) == {"u": Mat2(one, one, zero, one)}
 
 
 def test_matrix_json_rejects_unknown_field():
@@ -698,8 +719,6 @@ def test_field_errors():
                                  ({"s": "1"}, "Qt", "s appears in a Qt entry")]:
         with pytest.raises(FieldError, match=f"^{message}$"):
             parse_entry(data, field, 2)
-    with pytest.raises(FieldError, match="^cannot serialize 1$"):
-        entry_to_json(1)
 
 
 def test_zero_over_q_s_t_has_infinite_valuation_and_a_matrix_prints_its_entries():

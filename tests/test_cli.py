@@ -826,6 +826,37 @@ def test_glue_point(tmp_path, capsys):
     assert "3 vertices" in capsys.readouterr().out
 
 
+def _segment_doc(op, ends_a, ends_b):
+    """Trees a - b - c and x - y - z glued along ends_a and ends_b: as the
+    subtree document, or as the one edge of a graph of actions."""
+    one, two = _path_tree(["a", "b", "c"]), _path_tree(["x", "y", "z"])
+    if op == "subtree":
+        return {"schema": SCHEMA, "tree1": one, "tree2": two, "ends1": ends_a, "ends2": ends_b}
+    return {"schema": SCHEMA, "vertex_trees": {"A": one, "B": two},
+            "edges": [{"from": "A", "to": "B", "ends_from": ends_a, "ends_to": ends_b}],
+            "attestations": {"A": "free", "B": "free"}, "samples": [{"vertex": "A", "point": "a"}]}
+
+
+# a glued segment is a list of exactly two ends: a string was read as its
+# characters, and a third end once ended in distance()'s TypeError
+@pytest.mark.parametrize("op", ["subtree", "dual", "check-free"])
+@pytest.mark.parametrize("ends_a, ends_b, message", [
+    ("ab", ["x", "y"], "{a} must be a list of points, got 'ab'"),
+    (["a", "b"], "xy", "{b} must be a list of points, got 'xy'"),
+    (["a", "b", "c"], ["x", "y"], "a glued segment has two ends on each side, got 3 and 2"),
+    (["a", "b"], ["x"], "a glued segment has two ends on each side, got 2 and 1"),
+], ids=["string-from", "string-to", "three-ends", "one-end"])
+def test_glued_segment_is_a_list_of_two_ends(tmp_path, capsys, op, ends_a, ends_b, message):
+    a, b = ("ends1", "ends2") if op == "subtree" else ("ends_from", "ends_to")
+    extra = ["--a", "A/a", "--b", "B/z"] if op == "dual" else []
+    path = write(tmp_path, "seg.json", _segment_doc(op, ends_a, ends_b))
+    assert main(["glue", op, "--input", path, *extra]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"malformed input: {message.format(a=a, b=b)}\n"
+    ok = write(tmp_path, "ok.json", _segment_doc(op, ["a", "b"], ["x", "y"]))
+    assert main(["glue", op, "--input", ok, *extra]) == 0
+
+
 # cover commands ---------------------------------------------------------------------
 
 
@@ -842,6 +873,17 @@ def test_cover_check_and_skeleton(tmp_path, capsys):
     doc["members"] = [["o", "p"], ["o", "q"]]
     gap = write(tmp_path, "gap.json", doc)
     assert main(["cover", "check", "--input", gap]) == 2
+
+
+# no member covers any point, not even of a tree with one vertex: no verdict
+@pytest.mark.parametrize("tree", [presets.emit("tripod"), {"rank": 1, "vertices": ["o"], "edges": []}],
+                         ids=["tripod", "one-vertex"])
+@pytest.mark.parametrize("op", ["check", "skeleton"])
+def test_cover_with_no_member_is_malformed(tmp_path, capsys, tree, op):
+    path = write(tmp_path, "empty.json", {"schema": SCHEMA, "tree": tree, "members": []})
+    assert main(["cover", op, "--input", path]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err == "malformed input: a covering needs at least one member\n"
 
 
 # gog commands ------------------------------------------------------------------------

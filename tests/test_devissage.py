@@ -17,6 +17,7 @@ from lambdaforest.devissage import (
     MaxAbelianDeclaration,
     SurfaceWithBoundary,
     _boundary_matching,
+    _oracle,
     _turns,
     check_acylindricity,
     check_betti_bounds,
@@ -28,7 +29,9 @@ from lambdaforest.groups import (
     FinitePresentation,
     WordError,
     ball_words,
+    betti1,
     conjugator,
+    exponent_vector,
     free_reduce,
     invert,
     parse_word,
@@ -37,6 +40,8 @@ from lambdaforest.groups import (
     word_str,
 )
 from lambdaforest.presets import centralizer_extension_gog, n3_surface_gog
+
+from test_groups import brute_rank
 
 CLAUSES = {"graph", "incidence", "abelian", "abelian-pairs", "surface", "infinitesimal"}
 
@@ -380,6 +385,123 @@ def test_betti_bounds_reject_overdeclared_abelian():
     rep = check_betti_bounds(G, ambient, decl)
     assert rep.abelian_slack < 0
     assert not rep.ok
+
+
+# the paper's devissage as an oracle: pi1 of a graph of groups is presented by
+# the vertex groups, one relator per spanning-tree edge and one stable letter
+# per other edge; with cyclic edge groups, Mayer-Vietoris gives b1 at least
+# sum b1(G_v) + b1(graph) - #edges, which is gog betti's lower bound
+
+KINDS = {"free": "infinitesimal", "free-abelian": "abelian", "cyclic-by-sum": "abelian",
+         "surface-with-boundary": "surface"}
+
+
+def _closed_relator(letters, orientable):
+    """a a b b ..., or [a, b][c, d] ... on an even number of letters."""
+    if not orientable or len(letters) % 2:
+        return tuple((l, 1) for l in letters for _ in range(2))
+    return tuple((l, e) for x, y in zip(letters[::2], letters[1::2])
+                 for l, e in ((x, 1), (y, 1), (x, -1), (y, -1)))
+
+
+@st.composite
+def graphs_of_groups(draw):
+    """1-4 vertices of the four kinds, each on 1-3 of the letters a, b, c
+    (shared between vertices), joined by a random spanning tree and up to 5
+    edges in all, loops and parallel edges included, with random nontrivial
+    images."""
+    verts = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(KINDS)))
+        letters = tuple("abc"[:draw(st.integers(1, 3))])
+        if kind == "free":
+            desc = FreeGroup(letters)
+        elif kind == "free-abelian":
+            desc = FreeAbelian(letters)
+        elif kind == "cyclic-by-sum":
+            desc = CyclicBySum(letters[0], letters[1:])
+        else:
+            rel = draw(st.sampled_from([None, False, True]))
+            desc = SurfaceWithBoundary(letters, (), None if rel is None else
+                                       _closed_relator(letters, rel))
+        verts.append(GGVertex(f"V{i}", KINDS[kind], desc))
+    ends = [(f"V{draw(st.integers(0, i - 1))}", f"V{i}") for i in range(1, len(verts))]
+    ids = st.sampled_from([v.id for v in verts])
+    ends += draw(st.lists(st.tuples(ids, ids), max_size=5 - len(ends)))
+    edges = []
+    for u, v in draw(st.permutations(ends)):
+        images = []
+        for end in (u, v):
+            desc = verts[int(end[1:])].desc
+            w = free_reduce(tuple(draw(st.lists(
+                st.tuples(st.sampled_from(desc.letters), st.sampled_from([1, -1])),
+                min_size=1, max_size=4))))
+            if _oracle(desc).is_trivial(w):  # as GraphOfGroups refuses it
+                w = free_reduce(w + ((desc.letters[0], 1),))
+            images.append(w)
+        edges.append(GGEdge(u, v, *images))
+    return GraphOfGroups(verts, edges)
+
+
+def devissage_presentation(G):
+    """pi1 of G: each vertex's letters renamed apart, with the commutators of
+    an abelian vertex and the closed relator of a surface vertex; then
+    img_u img_v^-1 for each edge of a spanning tree and t img_u t^-1 img_v^-1,
+    t a new stable letter, for every other edge."""
+    fresh = iter("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    rename = {vid: {l: next(fresh) for l in v.desc.letters} for vid, v in G.vertices.items()}
+
+    def image(vid, w):
+        return tuple((rename[vid][l], e) for l, e in w)
+
+    relators = []
+    for vid, v in G.vertices.items():
+        d, r = v.desc, rename[vid]
+        if isinstance(d, (FreeAbelian, CyclicBySum)):
+            relators += [((r[x], 1), (r[y], 1), (r[x], -1), (r[y], -1))
+                         for x, y in itertools.combinations(d.letters, 2)]
+        elif isinstance(d, SurfaceWithBoundary) and d.closed_relator:
+            relators.append(image(vid, d.closed_relator))
+    seen, tree = {next(iter(G.vertices))}, set()
+    while len(seen) < len(G.vertices):
+        i = next(i for i, e in enumerate(G.edges) if (e.u in seen) != (e.v in seen))
+        tree.add(i)
+        seen |= {G.edges[i].u, G.edges[i].v}
+    stable = []
+    for i, e in enumerate(G.edges):
+        u, v = image(e.u, e.image_u), image(e.v, e.image_v)
+        if i in tree:
+            relators.append(u + invert(v))
+        else:
+            stable.append(next(fresh))
+            relators.append(((stable[-1], 1),) + u + ((stable[-1], -1),) + invert(v))
+    gens = [l for r in rename.values() for l in r.values()] + stable
+    return FinitePresentation(tuple(gens), tuple(relators))
+
+
+def test_devissage_presentation_of_the_centralizer_extension():
+    """<x, y, n, z | [n, z], x y n^-1>: the shipped ambient <x, y, z | [xy, z]>
+    with n = xy, so b1 is 3 on both."""
+    G, ambient, _ = load(centralizer_extension_gog())
+    pres = devissage_presentation(G)
+    assert pres.generators == ("A", "B", "C", "D")
+    assert [word_str(r) for r in pres.relators] == ["CDC'D'", "ABC'"]
+    assert betti1(pres) == betti1(ambient) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_groups())
+def test_betti_lower_bound_holds_on_the_devissage_presentation(G):
+    """gog betti's lower bound holds with pi1 itself as the ambient, and b1
+    is the generator count less the brute-force minor rank of the relators'
+    exponent rows (zero rows and columns dropped: the rank is the same)."""
+    pres = devissage_presentation(G)
+    rep = check_betti_bounds(G, pres, MaxAbelianDeclaration(()))
+    assert rep.lower_slack >= 0
+    rows = [row for r in pres.relators if any(row := exponent_vector(r, pres.generators))]
+    cols = [j for j in range(len(pres.generators)) if any(row[j] for row in rows)]
+    rank = brute_rank([[row[j] for j in cols] for row in rows]) if rows else 0
+    assert rep.b1_ambient == len(pres.generators) - rank
 
 
 def test_max_abelian_declaration_requires_rank_two():

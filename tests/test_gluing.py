@@ -163,12 +163,11 @@ def test_segment_iso_caches_what_a_fresh_one_builds():
             dst = dst[::-1]
         phi = SegmentIso(T1, src, T2, dst)
         assert phi.src_spec is phi.src_spec and phi.dst_spec is phi.dst_spec
-        assert same_set(phi.src_spec, SubtreeSpec.from_points(T1, list(src)))
-        assert same_set(phi.dst_spec, SubtreeSpec.from_points(T2, list(dst)))
-        path = T1.vertex_path(f"v{i}", f"v{j}")
-        points = [Vertex(v) for v in path] + [
-            T1.point(a, b, T1.edge_length(a, b).scale(Fraction(k, 3))) for a, b in zip(path, path[1:])
-            for k in (1, 2)]
+        assert same_set(phi.src_spec, SubtreeSpec(T1, list(src)))
+        assert same_set(phi.dst_spec, SubtreeSpec(T2, list(dst)))
+        points = [Vertex(v) for v in sorted(phi.src_spec.vertices)] + [
+            T1.point(a, b, T1.edge_length(a, b).scale(Fraction(k, 3)))
+            for a, b in sorted(phi.src_spec.intervals) for k in (1, 2)]
         rng.shuffle(points)
         for x in points + points[::-1]:
             assert phi.apply(x) == SegmentIso(T1, src, T2, dst).apply(x)
@@ -358,20 +357,27 @@ def test_glue_equiv_class_simple():
 
 
 def test_glue_equiv_class_cap():
-    # parallel shifted gluings generate an infinite orbit; the cap kicks in
-    G = _period_doubling_goa()
-    cls = glue_equiv_class(G, DualPoint("U", Vertex("h0")), cap=8)
-    assert cls.inconclusive
+    """Parallel gluings shifted by one: the class of h0 holds all 2n - 1
+    vertices of the two paths, so on paths of n = 33 it outgrows the cap,
+    and on n = 32 it does not."""
+    assert 2 * 32 - 1 < CLASS_CAP < 2 * 33 - 1
+    for n, capped in ((32, False), (33, True)):
+        cls = glue_equiv_class(_period_doubling_goa(n), DualPoint("U", Vertex("h0")))
+        assert bool(cls.inconclusive) == capped
+        assert len(cls.nodes) == (CLASS_CAP if capped else 2 * n - 1)
 
 
 # free criterion --------------------------------------------------------------------
 
 
-def _period_doubling_goa():
-    U = unit_path([f"h{i}" for i in range(9)])
-    V = unit_path([f"k{i}" for i in range(9)])
-    phi1 = SegmentIso(U, (Vertex("h0"), Vertex("h7")), V, (Vertex("k0"), Vertex("k7")))
-    phi2 = SegmentIso(U, (Vertex("h1"), Vertex("h8")), V, (Vertex("k0"), Vertex("k7")))
+def _period_doubling_goa(n=9):
+    """Paths h0..h(n-1) and k0..k(n-1); [h0, h(n-2)] and [h1, h(n-1)] both
+    glued onto [k0, k(n-2)]."""
+    U = unit_path([f"h{i}" for i in range(n)])
+    V = unit_path([f"k{i}" for i in range(n)])
+    ks = (Vertex("k0"), Vertex(f"k{n - 2}"))
+    phi1 = SegmentIso(U, (Vertex("h0"), Vertex(f"h{n - 2}")), V, ks)
+    phi2 = SegmentIso(U, (Vertex("h1"), Vertex(f"h{n - 1}")), V, ks)
     return GraphOfActions(
         {"U": U, "V": V}, [GluedEdge("U", "V", phi1), GluedEdge("U", "V", phi2)]
     )
@@ -430,7 +436,7 @@ def tripod():
 
 def test_transverse_check_ok(tripod):
     members = [
-        SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex(x)]) for x in "pqr"
+        SubtreeSpec(tripod, [Vertex("o"), Vertex(x)]) for x in "pqr"
     ]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert rep.ok
@@ -442,16 +448,16 @@ def test_transverse_check_ok(tripod):
 
 
 def test_transverse_check_degenerate(tripod):
-    members = [SubtreeSpec.from_points(tripod, [Vertex("o")])]
+    members = [SubtreeSpec(tripod, [Vertex("o")])]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert not rep.ok and rep.kind == "degenerate-member"
 
 
 def test_transverse_check_overlap(tripod):
     members = [
-        SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")]),
-        SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("p")]),
-        SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("r")]),
+        SubtreeSpec(tripod, [Vertex("p"), Vertex("q")]),
+        SubtreeSpec(tripod, [Vertex("o"), Vertex("p")]),
+        SubtreeSpec(tripod, [Vertex("o"), Vertex("r")]),
     ]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert not rep.ok and rep.kind == "transverse-intersection"
@@ -459,8 +465,8 @@ def test_transverse_check_overlap(tripod):
 
 def test_transverse_check_gap(tripod):
     members = [
-        SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("p")]),
-        SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("q")]),
+        SubtreeSpec(tripod, [Vertex("o"), Vertex("p")]),
+        SubtreeSpec(tripod, [Vertex("o"), Vertex("q")]),
     ]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert not rep.ok and rep.kind == "coverage-gap"
@@ -471,16 +477,16 @@ def test_transverse_check_gap(tripod):
 def test_transverse_check_gap_inside_an_edge(tripod):
     """Two members reach into o-p from its ends and leave its middle bare."""
     quarter, three = (tripod.point("o", "p", L(Fraction(k, 4))) for k in (1, 3))
-    members = [SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex(x)]) for x in "qr"] + [
-        SubtreeSpec.from_points(tripod, [Vertex("o"), quarter]),
-        SubtreeSpec.from_points(tripod, [three, Vertex("p")])]
+    members = [SubtreeSpec(tripod, [Vertex("o"), Vertex(x)]) for x in "qr"] + [
+        SubtreeSpec(tripod, [Vertex("o"), quarter]),
+        SubtreeSpec(tripod, [three, Vertex("p")])]
     rep = transverse_check(TransverseCovering(tripod, members))
     assert (rep.ok, rep.kind, rep.witness) == (False, "coverage-gap", (("o", "p"),))
 
 
 def test_cover_refuses_another_tree_and_rank_2(tripod):
     other = MetricTree(["o", "p"], [("o", "p", L(1))], 1)
-    mine, theirs = (SubtreeSpec.from_points(T, [Vertex("o")]) for T in (tripod, other))
+    mine, theirs = (SubtreeSpec(T, [Vertex("o")]) for T in (tripod, other))
     with pytest.raises(TreeError, match="^subtrees of different trees$"):
         intersect_specs(mine, theirs)
     with pytest.raises(CoverError, match="^member of a different tree$"):

@@ -270,7 +270,7 @@ def radix_values(rank):
 
 def _positive(v):
     """v if positive, else v with its top coordinate set to 1."""
-    return v if v.is_positive() else LexValue([1, *v.coords[1:]])
+    return v if v > LexValue.zero(v.rank) else LexValue([1, *v.coords[1:]])
 
 
 @st.composite
@@ -582,7 +582,7 @@ def test_geodesics_match_search_engine(case):
 
 
 def test_subtree_spec_contains(tripod):
-    spec = SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")])
+    spec = SubtreeSpec(tripod, [Vertex("p"), Vertex("q")])
     assert spec.contains(Vertex("o"))
     assert spec.contains(tripod.point("o", "p", L(Fraction(1, 2))))
     assert not spec.contains(Vertex("r"))
@@ -635,7 +635,7 @@ def test_median_projection_matches_the_leg_walk(case, hull):
     T, x, y = case
     if not hull:
         y = x
-    Y = SubtreeSpec.from_points(T, [x, y])
+    Y = SubtreeSpec(T, [x, y])
     targets = [Vertex(v) for v in T.vertices] + [
         T.point(u, v, ln.scale(Fraction(k, 3))) for (u, v), ln in T.edges.items() for k in (1, 2)]
     for z in targets:
@@ -649,7 +649,7 @@ def test_projection_bridge_property():
         T = random_tree(rng, rng.randint(2, 8), rank=2)
         vs = sorted(T.vertices)
         anchors = [Vertex(v) for v in rng.sample(vs, k=min(len(vs), 2))]
-        spec = SubtreeSpec.from_points(T, anchors)
+        spec = SubtreeSpec(T, anchors)
         x = Vertex(rng.choice(vs))
         p = median(T, anchors[0], anchors[-1], x)
         assert spec.contains(p)
@@ -657,30 +657,6 @@ def test_projection_bridge_property():
             y = Vertex(v)
             if spec.contains(y):
                 assert distance(T, x, y) == distance(T, x, p) + distance(T, p, y)
-
-
-def _row_scan(T, verts, ivals):
-    """The reference: a spec's whole edges as found by scanning every edge of T."""
-    out = dict(ivals)
-    for u, v in T.edges:
-        if u in verts and v in verts and (u, v) not in out:
-            out[(u, v)] = (LexValue.zero(T.rank), T.edge_length(u, v))
-    return out
-
-
-@given(st.randoms(use_true_random=False), st.integers(1, 30), st.integers(1, 3))
-@settings(max_examples=200, deadline=None)
-def test_spec_whole_edges_by_adjacency_match_the_row_scan(rng, n, rank):
-    T = random_tree(rng, n, rank)
-    verts = rng.sample(sorted(T.vertices), rng.randint(0, n))
-    ivals = {}  # clipped intervals on some edges, in their key order
-    for k, ln in rng.sample(sorted(T.edges.items()), rng.randint(0, n - 1)):
-        lo, hi = sorted(ln.scale(Fraction(rng.randint(0, 4), 4)) for _ in range(2))
-        ivals[k] = (lo, hi)
-    if not verts and not ivals:
-        verts = [rng.choice(sorted(T.vertices))]
-    spec = SubtreeSpec(T, verts, ivals)
-    assert spec.intervals == _row_scan(T, spec.vertices, ivals)
 
 
 @given(st.lists(st.one_of(st.integers(-50, 50), st.text(max_size=3),
@@ -713,36 +689,36 @@ def test_to_json_sorts_edges_by_repr_where_number_order_differs():
 
 
 def test_intersect_specs(tripod):
-    pq = SubtreeSpec.from_points(tripod, [Vertex("p"), Vertex("q")])
-    qr = SubtreeSpec.from_points(tripod, [Vertex("q"), Vertex("r")])
+    pq = SubtreeSpec(tripod, [Vertex("p"), Vertex("q")])
+    qr = SubtreeSpec(tripod, [Vertex("q"), Vertex("r")])
     # [p, q] and [q, r] share the whole leg from o to q
     assert intersect_specs(pq, qr) is None
     # [p, q] and [o, r] meet only at the center
-    o_r = SubtreeSpec.from_points(tripod, [Vertex("o"), Vertex("r")])
+    o_r = SubtreeSpec(tripod, [Vertex("o"), Vertex("r")])
     assert intersect_specs(pq, o_r) == {Vertex("o")}
     # overlapping intervals on one edge
-    a = SubtreeSpec.from_points(
+    a = SubtreeSpec(
         tripod,
         [tripod.point("o", "p", L(Fraction(1, 4))), tripod.point("o", "p", L(Fraction(3, 4)))],
     )
-    b = SubtreeSpec.from_points(tripod, [tripod.point("o", "p", L(Fraction(1, 2))), Vertex("p")])
+    b = SubtreeSpec(tripod, [tripod.point("o", "p", L(Fraction(1, 2))), Vertex("p")])
     assert intersect_specs(a, b) is None
     # disjoint
-    x = SubtreeSpec.from_points(tripod, [tripod.point("o", "p", L(Fraction(1, 4)))])
-    y = SubtreeSpec.from_points(tripod, [Vertex("r")])
+    x = SubtreeSpec(tripod, [tripod.point("o", "p", L(Fraction(1, 4)))])
+    y = SubtreeSpec(tripod, [Vertex("r")])
     assert intersect_specs(x, y) == set()
 
 
 def test_intersect_single_point_on_edge(tripod):
     m = tripod.point("o", "p", L(Fraction(1, 2)))
-    a = SubtreeSpec.from_points(tripod, [Vertex("o"), m])
-    b = SubtreeSpec.from_points(tripod, [m, Vertex("p")])
+    a = SubtreeSpec(tripod, [Vertex("o"), m])
+    b = SubtreeSpec(tripod, [m, Vertex("p")])
     assert intersect_specs(a, b) == {m}
 
 
 @st.composite
-def hull_pairs(draw):
-    """A random tree of rank 1-2 and the hulls of two lists of 1-3 points,
+def tree_points(draw, lists):
+    """A random tree of rank 1-2 and `lists` lists of 1-3 of its points,
     vertices or points a quarter, a half or three quarters along an edge."""
     rank = draw(st.integers(1, 2))
     n = draw(st.integers(1, 7))
@@ -753,16 +729,37 @@ def hull_pairs(draw):
     point = st.one_of(st.sampled_from(verts).map(Vertex), *([] if not edges else [
         st.tuples(st.sampled_from(edges), st.integers(1, 3)).map(
             lambda e: T.point(*e[0], T.edge_length(*e[0]).scale(Fraction(e[1], 4))))]))
-    hull = st.lists(point, min_size=1, max_size=3).map(lambda pts: SubtreeSpec.from_points(T, pts))
-    return draw(hull), draw(hull)
+    return T, [draw(st.lists(point, min_size=1, max_size=3)) for _ in range(lists)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(hull_pairs())
+@given(tree_points(1))
+def test_hull_is_the_union_of_the_geodesics_between_its_points(case):
+    """Every vertex and every point a quarter, a third, a half, two thirds or
+    three quarters along an edge lies in the hull exactly when it lies on the
+    geodesic between two of the given points (a point and itself included);
+    and every edge whose two ends lie in the hull is whole in it."""
+    T, (points,) = case
+    spec = SubtreeSpec(T, points)
+    targets = [Vertex(v) for v in T.vertices] + [
+        T.point(u, v, ln.scale(f)) for (u, v), ln in T.edges.items()
+        for f in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))]
+    for x in targets:
+        assert spec.contains(x) == any(
+            distance(T, p, x) + distance(T, x, q) == distance(T, p, q)
+            for p, q in itertools.combinations_with_replacement(points, 2))
+    for (u, v), ln in T.edges.items():
+        if u in spec.vertices and v in spec.vertices:
+            assert spec.intervals[(u, v)] == (LexValue.zero(T.rank), ln)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_points(2))
 def test_intersect_specs_matches_the_grid_points(case):
     """None exactly when two grid points of Y1 or Y2 lie in both (then the
     two share a segment), and otherwise the set of those that do."""
-    Y1, Y2 = case
+    T, (a, b) = case
+    Y1, Y2 = SubtreeSpec(T, a), SubtreeSpec(T, b)
     shared = {p for p in Y1.grid_points() + Y2.grid_points() if Y1.contains(p) and Y2.contains(p)}
     assert intersect_specs(Y1, Y2) == (None if len(shared) > 1 else shared)
 
@@ -771,6 +768,8 @@ def test_intersect_specs_matches_the_grid_points(case):
 
 
 def test_tree_and_point_errors(tripod):
+    with pytest.raises(TreeError, match="^empty subtree$"):
+        SubtreeSpec(tripod, [])
     with pytest.raises(TreeError, match="^edge length must be a LexValue$"):
         MetricTree(["a", "b"], [("a", "b", 1)], 1)
     with pytest.raises(TreeError, match="^loop edge$"):
@@ -787,22 +786,6 @@ def test_tree_and_point_errors(tripod):
                              ([], L(1), "arclength beyond geodesic end")]:
         with pytest.raises(TreeError, match=f"^{message}$"):
             point_at(tripod, legs, s)
-
-
-def test_subtree_spec_reads_reversed_keys_and_refuses_bad_ones(tripod):
-    """An interval keyed (v, u) is measured from v, so it is flipped onto the
-    (u, v) key; an interval on a pair that is no edge, out of its edge's
-    range, an unknown vertex and nothing at all are refused."""
-    spec = SubtreeSpec(tripod, (), {("p", "o"): (L(Fraction(1, 4)), L(Fraction(1, 2)))})
-    assert spec.intervals == {("o", "p"): (L(Fraction(1, 2)), L(Fraction(3, 4)))}
-    for vertices, intervals, message in [
-        ((), {("o", "p"): (L(0), L(2))}, "interval out of edge range"),
-        ((), {("z", "o"): (L(0), L(1))}, "edge 'o'-'z' not in tree"),
-        (["z"], None, "subtree vertex 'z' not in tree"),
-        ((), None, "empty subtree"),
-    ]:
-        with pytest.raises(TreeError, match=f"^{message}$"):
-            SubtreeSpec(tripod, vertices, intervals)
 
 
 def test_verdicts_read_as_booleans_and_the_scan_of_a_tree_finds_nothing(tripod):

@@ -96,10 +96,9 @@ any_rank = st.integers(1, 3).flatmap(
 
 @given(any_rank)
 def test_sign_predicates_match_the_order(a):
-    # is_positive and abs read the first nonzero coordinate; the reference is
-    # the comparison with zero they used to make
+    # abs reads the first nonzero coordinate; the reference is the comparison
+    # with zero it used to make
     zero = LexValue.zero(a.rank)
-    assert a.is_positive() == (a > zero)
     assert abs(a) == (a if a >= zero else -a)
     assert (abs(a) is a) == (a >= zero)
 

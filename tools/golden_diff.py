@@ -9,8 +9,10 @@ perfbench/jobs.py, as many batches as a 30-second benchmark run draws
 (round(30 / jobs.BATCH_SECONDS), at least one).  Each job runs as a fresh
 `python3 -c "...main()"` process twice on the same input files: once on the
 src/ of the working tree and once on the src/ of a `git archive` export of
-the --base revision.  The exit code and the sha256 of stdout, stderr and the
---json report are compared.  A fixed list of command lines that no job sends
+the --base revision.  No benchmark job runs `cover`, so for each seed
+COVER_DOCS seeded `cover` documents (cover_documents) run the same way, each
+as `cover check` and as `cover skeleton`.  The exit code and the sha256 of
+stdout, stderr and the --json report are compared.  A fixed list of command lines that no job sends
 (help, usage errors, the spellings only argparse reads and `preset emit` of
 every preset: COMMAND_LINES)
 runs the same way without --json, comparing the exit code and the sha256 of
@@ -26,11 +28,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -104,6 +108,61 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
 ] + [["preset", "emit", "--name", name] for name in presets.names()]
 
 
+COVER_DOCS = 50  # per seed
+
+
+def cover_documents(seed: int) -> list[dict]:
+    """Random rank-1 trees of 1-7 vertices, each with members that cover it:
+    every edge whole or cut at an interior point, and members that meet
+    merged.  A member lists its vertices and cut points in a random order, so
+    any of them may come first.  Five in eleven are then spoiled, where the
+    tree allows it: a member dropped, cut short, or repeated, a one-point
+    member added, or one added across two edges."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(COVER_DOCS):
+        n = rng.randint(1, 7)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(vs[i], vs[rng.randrange(i)], Fraction(rng.randint(1, 4), rng.randint(1, 2)))
+                 for i in range(1, n)]
+        members = []
+        for u, v, ln in edges:
+            if rng.random() < 0.3:
+                cut = f"{u}:{v}:{ln * Fraction(rng.randint(1, 3), 4)}"
+                members += [[u, cut], [cut, v]]
+            else:
+                members.append([u, v])
+        for _ in range(rng.randint(0, len(members))):  # members that share a point stay a covering
+            i, j = rng.sample(range(len(members)), 2) if len(members) > 1 else (0, 0)
+            if i != j and set(members[i]) & set(members[j]):
+                merged = sorted(set(members[i]) | set(members[j]))
+                members = [m for k, m in enumerate(members) if k not in (i, j)] + [merged]
+        if not members:
+            members = [[vs[0]]]
+        spoil = rng.choice(["none"] * 6 + ["drop", "short", "repeat", "point", "across"])
+        if spoil == "drop" and len(members) > 1:
+            members.pop(rng.randrange(len(members)))
+        elif spoil == "short" and edges:
+            u, v, ln = rng.choice(edges)
+            members.append([u, f"{u}:{v}:{ln / 2}"])
+            members = [m for m in members if not {u, v} <= set(m)] or members
+        elif spoil == "repeat":
+            members.append(list(rng.choice(members)))
+        elif spoil == "point":
+            members.append([rng.choice(vs)])
+        elif spoil == "across" and len(edges) > 1:
+            (u, v, _), (w, x, _) = rng.sample(edges, 2)
+            members.append([u, v, w, x])
+        for m in members:
+            rng.shuffle(m)
+        rng.shuffle(members)
+        docs.append({"schema": "lambda-forest/1",
+                     "tree": {"rank": 1, "vertices": vs,
+                              "edges": [{"u": u, "v": v, "len": [str(ln)]} for u, v, ln in edges]},
+                     "members": members})
+    return docs
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, written once."""
     out = []
@@ -145,6 +204,15 @@ def main(argv=None) -> int:
                     for job in joblib.build(workload, seed, "full", b):
                         name = f"{workload}/{seed}/{job.id}"
                         work.append((name, job.kind, materialize(job, where)))
+        for seed in args.seeds:
+            where = os.path.join(inputs, f"cover-{seed}")
+            os.makedirs(where)
+            for k, doc in enumerate(cover_documents(seed)):
+                path = os.path.join(where, f"{k}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                work += [(f"cover/{seed}/{k}", f"cover {op}", ["cover", op, "--input", path])
+                         for op in ("check", "skeleton")]
         lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
                  for line in COMMAND_LINES]
 
