@@ -311,27 +311,6 @@ def _translation_length(v: Optional[LexValue], rank: int) -> LexValue:
     return cand if cand > zero else zero
 
 
-def _rotations(core: Word, inverse: dict) -> list[Word]:
-    """Every rotation of a word and of its inverse, which is spelled with
-    the letter objects of `inverse`, a map letter -> inverse letter."""
-    inv = tuple(map(inverse.__getitem__, reversed(core)))
-    n = len(core)
-    return [d[i:i + n] for d in (core * 2, inv * 2) for i in range(n)]
-
-
-class _ConjugacyClass:
-    """A conjugacy class up to inversion: `word`, its least member among the
-    rotations of the cyclic core and of its inverse, is the one evaluated;
-    `trace` (D^|word| Tr word), `trivial` and `value` (v(Tr), length) are
-    filled in on first use."""
-
-    __slots__ = ("word", "trace", "trivial", "value")
-
-    def __init__(self, word: Word):
-        self.word = word
-        self.trace = self.trivial = self.value = None
-
-
 class MatrixLengthOracle:
     """Translation-length and triviality oracles for a labeled generator set;
     records the trace valuations encountered.
@@ -344,13 +323,11 @@ class MatrixLengthOracle:
     is then D^|w| times its value.  D is a constant: its valuation is 0 over
     Q(t) and Q(s, t), and v_p(D) over Q_p.
 
+    Each oracle evaluates the word it is given and keeps its scaled trace.
     Triviality and the trace (so the valuation and the length) are class
-    functions, and w and w^-1 have the same trace in SL2, so both are
-    computed once per conjugacy class up to inversion, on one representative
-    (Lyndon & Schupp, I.2), so `certify_free_on_ball` may evaluate one word
-    per class.  A word is looked up by its cyclic core.  A class is filed
-    under its representative and the first core met; when a second core
-    is met, under every rotation of the core and of its inverse."""
+    functions, and w and w^-1 have the same trace in SL2, so
+    `certify_free_on_ball` may ask one word per conjugacy class up to
+    inversion (Lyndon & Schupp, I.2); it decides the classes."""
 
     class_function = True
 
@@ -378,20 +355,16 @@ class MatrixLengthOracle:
                            for e in entries for q in e.values()))
         self._vp_scale = _vp(self.scale, self._p) if self._p else 0
         self._letters: dict = {}
-        self._inverse: dict = {}
         for label, entries in exact.items():
             a, b, c, d = (self._ring({k: (q * self.scale).numerator for k, q in e.items()})
                           for e in entries)
             m = Mat2(a, b, c, d, check_det=False)
             self._letters[(label, 1)] = m
             self._letters[(label, -1)] = m.inverse()
-            self._inverse[(label, 1)] = (label, -1)
-            self._inverse[(label, -1)] = (label, 1)
         self.trace_valuations: set[tuple] = set()
         self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
-        self._classes: dict[Word, _ConjugacyClass] = {}  # by least rotation and cores met
+        self._traces: dict = {}  # word -> D^|w| Tr w
         self._values: dict = {}  # int valuation (None for a zero trace) -> (v(Tr), length)
-        self._last: tuple = (None, None)  # the last word looked up, and its class
 
     def _ring(self, coeffs: dict):
         """The ring element with these int coefficients."""
@@ -415,61 +388,40 @@ class MatrixLengthOracle:
         self._cache[w] = m
         return m
 
-    def _class(self, w: Word) -> _ConjugacyClass:
-        """The class of w.  Certification asks is_trivial and then length
-        about the same word, so the last lookup is remembered."""
-        if w is self._last[0]:
-            return self._last[1]
-        core = w = tuple(w)
-        # an unknown letter has no inverse here, so it is never stripped
-        while len(core) > 1 and core[-1] == self._inverse.get(core[0]):
-            core = core[1:-1]
-        cls = self._classes.get(core)
-        if cls is None:
-            for letter in reversed(core):
-                if letter not in self._letters:
-                    raise FieldError(f"unknown generator label {letter[0]!r}")
-            rotations = _rotations(core, self._inverse) or [core]  # () is a class of its own
-            word = min(rotations)
-            cls = self._classes.get(word)
-            if cls is None:
-                cls = self._classes[word] = _ConjugacyClass(word)
-            else:
-                self._classes.update(dict.fromkeys(rotations, cls))
-            self._classes[core] = cls
-        self._last = (w, cls)
-        return cls
-
-    def _trace(self, cls: _ConjugacyClass):
-        """D^|w| Tr w for the class word w.  Unless the product of w is
-        cached, only the diagonal of its last factor is formed."""
-        if cls.trace is None:
-            m = self._cache.get(cls.word)
+    def _trace(self, w: Word):
+        """D^|w| Tr w, kept per word.  Unless the product of w is cached,
+        only the diagonal of its last factor is formed."""
+        w = tuple(w)
+        tr = self._traces.get(w)
+        if tr is None:
+            m = self._cache.get(w)
             if m is not None:
-                cls.trace = m.trace()
+                tr = m.trace()
             else:
-                p, g = self.product(cls.word[:-1]), self._letters[cls.word[-1]]
-                cls.trace = p.a * g.a + p.b * g.c + p.c * g.b + p.d * g.d
-        return cls.trace
+                g = self._letters.get(w[-1])
+                if g is None:
+                    raise FieldError(f"unknown generator label {w[-1][0]!r}")
+                p = self.product(w[:-1])
+                tr = p.a * g.a + p.b * g.c + p.c * g.b + p.d * g.d
+            self._traces[w] = tr
+        return tr
 
     def _value(self, w: Word) -> tuple:
         """(v(Tr w), l(w)); v is INFINITY when the trace is 0.  One LexValue
         pair is built per distinct valuation."""
-        cls = self._class(w)
-        if cls.value is None:
-            tr = self._trace(cls)
-            if self._p is not None:
-                n = None if tr == 0 else _vp(tr, self._p) - len(cls.word) * self._vp_scale
-            else:
-                n = min(tr.coeffs) if tr.coeffs else None  # the lexicographic least exponent
-            cls.value = self._values.get(n)
-            if cls.value is None:
-                v = INFINITY
-                if n is not None:
-                    v = LexValue([n] if self.rank == 1 else n)
-                    self.trace_valuations.add(v.coords)
-                cls.value = self._values[n] = (v, _translation_length(v, self.rank))
-        return cls.value
+        tr = self._trace(w)
+        if self._p is not None:
+            n = None if tr == 0 else _vp(tr, self._p) - len(w) * self._vp_scale
+        else:
+            n = min(tr.coeffs) if tr.coeffs else None  # the lexicographic least exponent
+        value = self._values.get(n)
+        if value is None:
+            v = INFINITY
+            if n is not None:
+                v = LexValue([n] if self.rank == 1 else n)
+                self.trace_valuations.add(v.coords)
+            value = self._values[n] = (v, _translation_length(v, self.rank))
+        return value
 
     def trace_valuation(self, w: Word) -> Optional[LexValue]:
         """v(Tr w), INFINITY when the trace is 0."""
@@ -479,12 +431,9 @@ class MatrixLengthOracle:
         return self._value(w)[1]
 
     def is_trivial(self, w: Word) -> bool:
-        cls = self._class(w)
-        if cls.trivial is None:  # a trivial word has trace 2
-            one = self.scale ** len(cls.word)
-            cls.trivial = (self._trace(cls) == self._ring({self._unit: 2 * one})
-                           and self.product(cls.word) == self._scalar(one))
-        return cls.trivial
+        one = self.scale ** len(w)  # a trivial word has trace 2
+        return (self._trace(w) == self._ring({self._unit: 2 * one})
+                and self.product(w) == self._scalar(one))
 
 
 def bt_length_oracle(generators: dict[str, Mat2]) -> MatrixLengthOracle:

@@ -56,7 +56,7 @@ def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_object)
-    except (OSError, json.JSONDecodeError, Malformed) as exc:
+    except (OSError, ValueError, Malformed) as exc:  # ValueError: JSON, UTF-8, digit limit
         raise Malformed(f"{path}: {exc}")
     except RecursionError:
         raise Malformed(f"{path}: nested too deeply")

@@ -255,6 +255,18 @@ def _classes(labels: list[str], max_len: int):
             yield tuple(map(letters.__getitem__, s))
 
 
+def _class_key(w: Word, keys: dict) -> Word:
+    """The class of w up to conjugacy and inversion: the least rotation of
+    its cyclic core or of the core's inverse, kept in `keys` under each."""
+    while len(w) > 1 and w[-1] == (w[0][0], -w[0][1]):
+        w = w[1:-1]
+    if w not in keys:
+        n = len(w)
+        rotations = [d[i:i + n] for d in (w * 2, invert(w) * 2) for i in range(n)] or [w]
+        keys.update(dict.fromkeys(rotations, min(rotations)))  # () is a class of its own
+    return keys[w]
+
+
 def certify_free_on_ball(
     length_oracle: Callable[[Word], LexValue | Inconclusive],
     triviality_oracle: Callable[[Word], bool],
@@ -275,8 +287,10 @@ def certify_free_on_ball(
     The walk prunes inverses: l(w) = l(w^-1), so only the length-lex
     smaller of each inverse pair is evaluated.  The first letter of w^-1 is
     the inverse of the last letter of w, so unless that equals the first
-    letter of w it decides the comparison without building w^-1.  A length
-    object already judged positive is not judged again."""
+    letter of w it decides the comparison without building w^-1.  The walk
+    asks the oracles once per key: the class (`_class_key`) under class
+    functions, first met on a word of least length, so cyclically reduced;
+    else the word.  A length object judged positive is not judged again."""
     labels = sorted(labels)
     min_pos: Optional[LexValue] = None
     judged: dict[int, LexValue] = {}  # by id; each kept, so no id is reused
@@ -298,16 +312,20 @@ def certify_free_on_ball(
             return Certificate(ball_radius, checked, [], min_pos)
     relations: list[str] = []
     checked = 0
+    keys, verdicts = {}, {}  # rotation -> class key; key -> (trivial, length)
     for w in ball_words(labels, ball_radius):
         checked += 1
         last = w[-1]
         first_of_inverse = (last[0], -last[1])
         if first_of_inverse < w[0] or (first_of_inverse == w[0] and invert(w) < w):
             continue
-        if triviality_oracle(w):
+        key = _class_key(w, keys) if exact else w
+        if key not in verdicts:
+            verdicts[key] = (True, None) if triviality_oracle(w) else (False, length_oracle(w))
+        trivial, l = verdicts[key]
+        if trivial:
             relations.append(word_str(w))
             continue
-        l = length_oracle(w)
         if id(l) in judged:
             continue
         if isinstance(l, Inconclusive):

@@ -29,7 +29,7 @@ from lambdaforest.groups import (
     parse_word,
     word_str,
 )
-from lambdaforest.isometry import _classes, certify_free_on_ball
+from lambdaforest.isometry import _class_key, _classes, certify_free_on_ball
 from lambdaforest.ordgroup import LexValue
 from lambdaforest.presets import _schottky_generators, schottky_qt, unipotent_fail, z2_diagonal
 
@@ -529,8 +529,8 @@ def test_class_memo_matches_per_word_certificate_on_both_exits():
 F2 = _schottky_generators(1)
 
 
-def key(oracle, w):
-    return oracle._class(w).word
+def key(w, keys=None):
+    return _class_key(w, {} if keys is None else keys)
 
 
 def rotate(w, i):
@@ -559,22 +559,21 @@ REDUCED = st.lists(LETTERS, min_size=1, max_size=12).map(
 @settings(max_examples=200, deadline=None)
 @given(REDUCED, st.integers(0, 11), LETTERS)
 def test_class_key_is_a_class_invariant(w, i, letter):
-    oracle = MatrixLengthOracle(F2)
-    k = key(oracle, w)
+    keys = {}
+    k = key(w, keys)
     core = cyclic_word(w)
-    assert key(MatrixLengthOracle(F2), rotate(core, i % len(core))) == k
-    assert key(MatrixLengthOracle(F2), invert(w)) == k
+    assert key(rotate(core, i % len(core))) == k
+    assert key(invert(w)) == k
     conj = free_reduce((letter,) + w + invert((letter,)))
-    assert key(MatrixLengthOracle(F2), conj) == k
-    assert key(oracle, conj) == k
+    assert key(conj) == k
+    assert key(conj, keys) == k
     assert conjugate_up_to_inversion(k, w)
 
 
 def test_equal_class_keys_mean_conjugate_up_to_inversion():
-    oracle = MatrixLengthOracle(F2)
-    by_key = {}
+    keys, by_key = {}, {}
     for w in ball_words(["a", "b"], 5):
-        by_key.setdefault(key(oracle, w), []).append(w)
+        by_key.setdefault(key(w, keys), []).append(w)
     for k, words in by_key.items():
         assert all(conjugate_up_to_inversion(w, words[0]) for w in words), k
     # and distinct keys are distinct classes
@@ -584,45 +583,38 @@ def test_equal_class_keys_mean_conjugate_up_to_inversion():
 
 
 def test_f2_ball_of_radius_8_has_693_classes():
-    oracle = MatrixLengthOracle(F2)
-    assert len({key(oracle, w) for w in ball_words(["a", "b"], 8)}) == 693
+    keys = {}
+    assert len({key(w, keys) for w in ball_words(["a", "b"], 8)}) == 693
 
 
 def test_empty_word_is_its_own_class():
     oracle = MatrixLengthOracle(F2)
-    assert key(oracle, ()) == () and oracle.is_trivial(())
-    assert oracle.is_trivial(parse_word("aa'")) and key(oracle, parse_word("aa'")) == ()
+    assert key(()) == () and oracle.is_trivial(())
+    assert oracle.is_trivial(parse_word("aa'")) and key(parse_word("aa'")) == ()
     assert oracle.trace_valuation(()) == L(0) and oracle.length(()) == L(0)
 
 
 # the class pass of ball certification -------------------------------------------------
 
 
-def _labelled(labels):
-    """Generators over Q_3 named by `labels`; class keys depend on the labels only."""
-    x = [QpElement(Fraction(q), 3) for q in (3, 0, 0, Fraction(1, 3))]
-    return {label: Mat2(*x) for label in labels}
-
-
-def walk_first_words(labels, radius, oracle):
+def walk_first_words(labels, radius, keys):
     """Brute force: the first word of each class that the walk evaluates
     (it skips w when invert(w) < w), in the walk's order."""
     first = {}
     for w in ball_words(labels, radius):
         if not invert(w) < w:
-            first.setdefault(key(oracle, w), w)
+            first.setdefault(key(w, keys), w)
     return list(first.values())
 
 
 @pytest.mark.parametrize("labels, radius", [("a", 8), ("ab", 8), ("abc", 5)])
 def test_class_enumerator_meets_each_class_once_in_walk_order(labels, radius):
-    labels = list(labels)
-    oracle = MatrixLengthOracle(_labelled(labels))
+    labels, keys = list(labels), {}
     words = list(_classes(labels, radius))
-    reps = [key(oracle, w) for w in words]
+    reps = [key(w, keys) for w in words]
     assert len(set(reps)) == len(reps)
-    assert set(reps) == {key(oracle, w) for w in ball_words(labels, radius)}
-    assert words == walk_first_words(labels, radius, oracle)
+    assert set(reps) == {key(w, keys) for w in ball_words(labels, radius)}
+    assert words == walk_first_words(labels, radius, keys)
     assert len(words) == {"a": 8, "ab": 693, "abc": 434}["".join(labels)]
 
 
@@ -667,6 +659,40 @@ def test_class_pass_asks_once_per_class_through_a_wrapped_oracle():
     walked = certify_free_on_ball(lambda w: oracle.length(w), trivial, ["a", "b"], 8)
     assert len(asked) == 6560
     assert walked.to_json() == cert.to_json()
+
+
+def test_walk_asks_once_per_class():
+    """z2-diagonal's generators commute, so the class pass stops at the
+    commutator and the walk runs: it asks the first word of each class
+    among the words it evaluates, and no other.  Through a plain-function
+    length oracle it asks every word it evaluates."""
+    gens = matrix_group_from_json(z2_diagonal())
+    labels = sorted(gens)
+    oracle = MatrixLengthOracle(gens)
+    asked, measured = [], []
+
+    def trivial(w):
+        asked.append(w)
+        return oracle.is_trivial(w)
+
+    def length(w):
+        measured.append(w)
+        return oracle.length(w)
+
+    cert = certify_free_on_ball(oracle.length, trivial, labels, 5)
+    passed = next(i for i, w in enumerate(_classes(labels, 5)) if oracle.is_trivial(w)) + 1
+    pruned = [w for w in ball_words(labels, 5) if not invert(w) < w]
+    firsts = []
+    for w in pruned:
+        if not any(conjugate_up_to_inversion(w, u) for u in firsts):
+            firsts.append(w)
+    assert cert.relations and passed < len(firsts) < len(pruned)
+    assert asked[passed:] == firsts
+    asked.clear()
+    plain = certify_free_on_ball(length, trivial, labels, 5)
+    assert asked == pruned
+    assert measured == [w for w in pruned if not oracle.is_trivial(w)]
+    assert plain.to_json() == cert.to_json()
 
 
 # the prime of a Q_p context -------------------------------------------------------

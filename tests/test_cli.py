@@ -150,6 +150,62 @@ def test_the_process_boundary_ends_without_a_traceback(tmp_path):
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
 
+# one command of each family that reads a document; @ is the unreadable file
+READERS = {
+    "validate-tree": ["validate-tree", "--input", "@"],
+    "tree": ["tree", "distance", "--input", "@", "--x", "p", "--y", "q"],
+    "isom": ["isom", "certify", "--input", "@"],
+    "bt": ["bt", "certify", "--input", "@"],
+    "glue": ["glue", "check-free", "--input", "@"],
+    "cover": ["cover", "check", "--input", "@"],
+    "gog": ["gog", "structure", "--input", "@"],
+    "marked-ball": ["marked", "ball", "--input", "@", "--radius", "2"],
+    "marked-compare": ["marked", "compare", "--a", "@", "--b", "@z2"],
+}
+# None: no such file; a str: a directory; bytes: the file's contents
+UNREADABLE = {
+    "missing": None,
+    "directory": "",
+    "empty": b"",
+    "not-utf-8": b'\xff{"schema": "lambda-forest/1"}',
+    "bom": b'\xef\xbb\xbf{"schema": "lambda-forest/1"}',
+    "nested": DEEP.encode(),
+    "long-integer": b'{"schema": "lambda-forest/1", "n": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("command", READERS)
+def test_every_read_error_names_its_file(tmp_path, capsys, command, kind):
+    path, contents = tmp_path / f"{kind}.json", UNREADABLE[kind]
+    if isinstance(contents, str):
+        path.mkdir()
+    elif contents is not None:
+        path.write_bytes(contents)
+    z2 = write(tmp_path, "z2.json", z2_doc())
+    assert main([{"@": str(path), "@z2": z2}.get(a, a) for a in READERS[command]]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"malformed input: {path}: ")
+
+
+# argv bytes the locale cannot decode reach main as surrogate escapes; each
+# line still ends with its documented exit code, and no traceback
+@pytest.mark.parametrize("argv, rc", [
+    ([b"tree", b"distance", b"--input", b"@", b"--x", b"\xff", b"--y", b"q"], 65),
+    ([b"tree", b"\xff", b"--input", b"@", b"--x", b"p", b"--y", b"q"], 64),
+    ([b"validate-tree", b"--input", b"\xff.json"], 65),
+    ([b"tree", b"distance", b"--input", b"@", b"--x", b"p", b"--y", b"q",
+      b"--json", b"missing-\xff/x.json"], 73),
+], ids=["x", "op", "input", "json"])
+def test_undecodable_argv_ends_without_a_traceback(tmp_path, tripod_file, argv, rc):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [os.fsencode(tripod_file) if a == b"@" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "lambdaforest.cli", *argv], cwd=tmp_path,
+                          capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr and b"Traceback" not in proc.stderr
+
+
 # the command-line reader ---------------------------------------------------------
 
 OPS = sorted({op for _family, ops, _options in _COMMANDS.values() for op in ops})

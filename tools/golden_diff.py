@@ -12,11 +12,12 @@ src/ of the working tree and once on the src/ of a `git archive` export of
 the --base revision.  No benchmark job runs `cover`, so for each seed
 COVER_DOCS seeded `cover` documents (cover_documents) run the same way, each
 as `cover check` and as `cover skeleton`.  The exit code and the sha256 of
-stdout, stderr and the --json report are compared.  A fixed list of command lines that no job sends
-(help, usage errors, the spellings only argparse reads and `preset emit` of
-every preset: COMMAND_LINES)
-runs the same way without --json, comparing the exit code and the sha256 of
-stdout and stderr.  The script prints each job or command line that differs
+stdout, stderr and the --json report are compared.  A fixed list of command
+lines that no job sends (help, usage errors, the spellings only argparse
+reads, `preset emit` of every preset, single-word `bt length` and `bt
+valuation` queries and `bt certify --ball 10`: COMMAND_LINES) runs the same
+way without --json, comparing the exit code and the sha256 of stdout and
+stderr.  The script prints each job or command line that differs
 and exits 1 if any does, 0 if none does.  It uses the standard library only and
 writes nothing inside the checkout.
 """
@@ -105,7 +106,15 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     ["isom", "certify", "--input", "@tripod", "--ball", "0"],
     ["gog", "acyl", "--input", "@centralizer-extension-gog", "--radius", "x"],
     ["marked", "ball", "--input", "@z-to-z2-sequence", "--radius", "-1"],
-] + [["preset", "emit", "--name", name] for name in presets.names()]
+] + [["preset", "emit", "--name", name] for name in presets.names()] + [
+    # one word each: a conjugate that is not cyclically reduced, a word whose
+    # core is empty, unknown letters at the end and at the start, a relation
+    ["bt", op, "--input", f"@{name}", "--word", word]
+    for name, word in (("schottky-qt", "aba'"), ("schottky-qt", "aa'"), ("schottky-qt", "az"),
+                       ("schottky-qt", "zy"), ("z2-diagonal", "uvu'v'"))
+    for op in ("length", "valuation")
+] + [["bt", "certify", "--input", f"@{name}", "--ball", "10"]
+     for name in ("schottky-qt", "z2-diagonal")]
 
 
 COVER_DOCS = 50  # per seed
