@@ -8,11 +8,11 @@ machine-readable report is written there as deterministic (sorted,
 timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
-parser only for --help, usage errors and spellings only argparse reads.  A
-command's handler `cmd_x(args, doc)` lives in a module imported for it alone
-(`cli_tree`, ...), which imports only what it runs; it gets the --input document
-(None if none) and returns (status, body, text): `_report` prints text, writes
---json and maps status to the exit code.  A handler that refuses a line the
+parser (in `cli_usage`) only for --help, usage errors and spellings only
+argparse reads.  A command's handler `cmd_x(args, doc)` lives in a module
+imported for it alone (`cli_tree`, ...), which imports only what it runs; it
+gets the --input document (None if none) and returns (status, body, text):
+`_report` prints text, writes --json and maps status to the exit code.  A handler that refuses a line the
 grammar lets through (exit 64), and `preset emit`, return an exit code.
 
 `main()` with no argv reads the process's own command line: such a process
@@ -86,9 +86,14 @@ def _digest(doc: dict) -> str:
     return sha256(json.dumps(doc, sort_keys=True, check_circular=False).encode()).hexdigest()[:16]
 
 
+class JSONText(str):
+    """A value already written in `_dumps`' layout: sorted keys, indent 2, from column 0."""
+
+
 def _dumps(x, pad: str = "\n") -> str:
     """json.dumps(x, sort_keys=True, indent=2) in the same bytes, about twice as fast:
-    with an indent json writes through its pure-Python encoder."""
+    with an indent json writes through its pure-Python encoder.  A JSONText is indented
+    to its place: a JSON string holds no raw newline, so each newline in it is layout."""
     inner = pad + "  "
     if isinstance(x, dict) and x:
         items, ends = [_quote(k if isinstance(k, str) else json.dumps(k)) + ": "
@@ -96,6 +101,8 @@ def _dumps(x, pad: str = "\n") -> str:
                        for k, v in sorted(x.items())], "{}"
     elif isinstance(x, (list, tuple)) and x:
         items, ends = [_quote(v) if v.__class__ is str else _dumps(v, inner) for v in x], "[]"
+    elif x.__class__ is JSONText:
+        return x.replace("\n", pad)
     else:  # a scalar or an empty container
         return _quote(x) if isinstance(x, str) else json.dumps(x)
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
@@ -149,22 +156,6 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    """The argparse parser of `_COMMANDS`: it words --help and every usage error."""
-    import argparse
-
-    p = argparse.ArgumentParser(prog="lambdaforest")
-    sub = p.add_subparsers(dest="command")
-    for command, (family, ops, options) in _COMMANDS.items():
-        sp = sub.add_parser(command)
-        if ops:
-            sp.add_argument("op", choices=ops)
-        for name, (convert, default, required) in options.items():
-            sp.add_argument("--" + name, type=convert, default=default, required=required)
-        sp.set_defaults(family=family)
-    return p
-
-
 def _read(argv):
     """argparse's namespace for `command [op] (--name value)*` with full names, no
     value starting '-', good values and the required options; None otherwise."""
@@ -201,7 +192,7 @@ def main(argv=None) -> int:
             gc.freeze()  # shutdown's collections then walk nothing
     args = _read(argv)
     if args is None:
-        parser = _build_parser()
+        parser = importlib.import_module("lambdaforest.cli_usage").build_parser()
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

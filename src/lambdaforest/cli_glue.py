@@ -1,6 +1,6 @@
 """Handler of the `glue` commands: point, subtree, dual and check-free."""
 
-from .cli import Malformed
+from .cli import JSONText, Malformed
 
 
 def _tree_of(trees: dict, v, what: str):
@@ -56,7 +56,8 @@ def cmd_glue(args, doc):
         e2 = _parse_points(T2, doc["ends2"], "ends2")
         glued = glue_subtree(SegmentIso(T1, tuple(e1), T2, tuple(e2)))[0]
     if args.op in ("point", "subtree"):  # both report the glued tree
-        return "pass", {"tree": glued.to_json()}, f"glued tree: {len(glued.vertices)} vertices"
+        return ("pass", {"tree": JSONText(glued.json_text())},
+                f"glued tree: {len(glued.vertices)} vertices")
     trees, G = _graph_of_actions(doc)
     if args.op == "dual":
         if not (args.a and args.b):

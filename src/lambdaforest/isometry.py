@@ -282,7 +282,8 @@ def certify_free_on_ball(
     once (see `_classes`), and if all pass, so do all (2n)(2n - 1)^(k - 1)
     words of each length k <= N.  Otherwise the walk below runs, keeping
     the minimum so far: the class pass stopped at the first failure in the
-    walk's order, so it evaluated no class that the walk does not.
+    walk's order, so it evaluated no class that the walk does not, and the
+    walk starts from its verdicts, filed by class, so asks about none again.
 
     The walk prunes inverses: l(w) = l(w^-1), so only the length-lex
     smaller of each inverse pair is evaluated.  The first letter of w^-1 is
@@ -295,11 +296,14 @@ def certify_free_on_ball(
     min_pos: Optional[LexValue] = None
     judged: dict[int, LexValue] = {}  # by id; each kept, so no id is reused
     exact = getattr(getattr(length_oracle, "__self__", None), "class_function", False)
+    keys, verdicts = {}, {}  # rotation -> class key; key -> (trivial, length)
     if exact and len(labels) <= 128:  # _classes spells words as bytes
+        asked = []  # (class word, length), handed to the walk if the pass stops
         for w in _classes(labels, ball_radius):
             if triviality_oracle(w):
                 break
             l = length_oracle(w)
+            asked.append((w, l))
             if id(l) not in judged:
                 if isinstance(l, Inconclusive) or l.is_zero():
                     break
@@ -310,9 +314,10 @@ def certify_free_on_ball(
             n = 2 * len(labels)
             checked = sum(n * (n - 1) ** (k - 1) for k in range(1, ball_radius + 1))
             return Certificate(ball_radius, checked, [], min_pos)
+        verdicts = {_class_key(u, keys): (False, l) for u, l in asked}
+        verdicts.setdefault(_class_key(w, keys), (True, None))  # the relation it stopped at, if so
     relations: list[str] = []
     checked = 0
-    keys, verdicts = {}, {}  # rotation -> class key; key -> (trivial, length)
     for w in ball_words(labels, ball_radius):
         checked += 1
         last = w[-1]

@@ -16,6 +16,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
 from .ordgroup import LexValue, _frozen, _ratio
@@ -290,9 +291,13 @@ class MetricTree:
         elif not (LexValue.zero(self.rank) < x.offset < self.edge_length(x.u, x.v)):
             raise TreeError(f"interior offset {x.offset!r} out of range")
 
-    def to_json(self) -> dict:
+    def json_text(self) -> str:
+        """The tree's document as json.dumps(sort_keys=True, indent=2) writes it: ids
+        as their str, vertices sorted, lengths as str(Fraction), edges in the repr order
+        of (u, v).  Each id is quoted once, each distinct length row written once."""
         ids, D = self._ids, self._D
         s = [str(v) for v in ids]
+        q = list(map(_quote, s))
         kinds = set(map(type, ids))
         if len(kinds) == 1 and kinds <= {str, int, tuple}:
             # reprs that no ", " reorders: number order is the edges' repr order
@@ -300,13 +305,13 @@ class MetricTree:
         else:
             r = [repr(v) for v in ids]
             edges = sorted(self._edges, key=lambda e: f"({r[e[0]]}, {r[e[1]]})")
-        return {
-            "rank": self.rank,
-            "vertices": sorted(s),
-            "edges": [{"u": s[a], "v": s[b],
-                       "len": [str(c) if D == 1 else str(Fraction(c, D)) for c in row]}
-                      for a, b, row in edges],
-        }
+        lens = {t: '",\n        "'.join(map(str, t) if D == 1 else [str(Fraction(c, D)) for c in t])
+                for t in {tuple(row) for _a, _b, row in edges}}
+        items = ['\n    {\n      "len": [\n        "%s"\n      ],\n      "u": %s,\n      "v": %s\n    }'
+                 % (lens[tuple(row)], q[a], q[b]) for a, b, row in edges]
+        return '{\n  "edges": [%s%s],\n  "rank": %d,\n  "vertices": [\n    %s\n  ]\n}' % (
+            ",".join(items), "\n  " if items else "", self.rank,
+            ",\n    ".join([q[i] for i in sorted(range(len(s)), key=s.__getitem__)]))
 
     @staticmethod
     def from_json(doc: dict) -> "MetricTree":

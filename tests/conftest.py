@@ -29,6 +29,27 @@ def random_tree(rng: random.Random, n_vertices: int, rank: int = 1, prefix: str 
     return MetricTree(verts, edges, rank)
 
 
+def tree_json(T: MetricTree) -> dict:
+    """The reference for `MetricTree.json_text`: the tree's document as a dict,
+    built edge by edge (it was `MetricTree.to_json`)."""
+    ids, D = T._ids, T._D
+    s = [str(v) for v in ids]
+    kinds = set(map(type, ids))
+    if len(kinds) == 1 and kinds <= {str, int, tuple}:
+        # reprs that no ", " reorders: number order is the edges' repr order
+        edges = sorted(T._edges)
+    else:
+        r = [repr(v) for v in ids]
+        edges = sorted(T._edges, key=lambda e: f"({r[e[0]]}, {r[e[1]]})")
+    return {
+        "rank": T.rank,
+        "vertices": sorted(s),
+        "edges": [{"u": s[a], "v": s[b],
+                   "len": [str(c) if D == 1 else str(Fraction(c, D)) for c in row]}
+                  for a, b, row in edges],
+    }
+
+
 # documents for the commands no preset serves (isom, glue, cover, marked ball and
 # compare), shared by the import-set and fuzz tests
 

@@ -664,8 +664,9 @@ def test_class_pass_asks_once_per_class_through_a_wrapped_oracle():
 def test_walk_asks_once_per_class():
     """z2-diagonal's generators commute, so the class pass stops at the
     commutator and the walk runs: it asks the first word of each class
-    among the words it evaluates, and no other.  Through a plain-function
-    length oracle it asks every word it evaluates."""
+    among the words it evaluates that the pass did not ask, and no other,
+    so the two ask each class once.  Through a plain-function length oracle
+    it asks every word it evaluates."""
     gens = matrix_group_from_json(z2_diagonal())
     labels = sorted(gens)
     oracle = MatrixLengthOracle(gens)
@@ -687,7 +688,10 @@ def test_walk_asks_once_per_class():
         if not any(conjugate_up_to_inversion(w, u) for u in firsts):
             firsts.append(w)
     assert cert.relations and passed < len(firsts) < len(pruned)
-    assert asked[passed:] == firsts
+    assert asked[:passed] == list(_classes(labels, 5))[:passed]
+    assert asked[passed:] == [w for w in firsts
+                              if not any(conjugate_up_to_inversion(w, u) for u in asked[:passed])]
+    assert len(asked) == len(firsts)  # each class once
     asked.clear()
     plain = certify_free_on_ball(length, trivial, labels, 5)
     assert asked == pruned

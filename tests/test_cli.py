@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN, F2_WINDOW
 from lambdaforest import presets
-from lambdaforest.cli import _COMMANDS, _build_parser, _digest, _dumps, _read, main
+from lambdaforest.cli import _COMMANDS, JSONText, _digest, _dumps, _read, main
+from lambdaforest.cli_usage import build_parser
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex, distance
 from lambdaforest.ordgroup import LexValue
 
@@ -250,7 +252,7 @@ def test_reader_agrees_with_argparse(line):
     argparse exits (help or a usage error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            expected = vars(_build_parser().parse_args(line))
+            expected = vars(build_parser().parse_args(line))
         except SystemExit:
             expected = None
     got = _read(line)
@@ -266,7 +268,7 @@ def test_reader_agrees_with_argparse(line):
     ["preset", "list"],
 ])
 def test_reader_reads_well_formed_lines(line):
-    assert vars(_read(line)) == vars(_build_parser().parse_args(line))
+    assert vars(_read(line)) == vars(build_parser().parse_args(line))
 
 
 # tree commands ---------------------------------------------------------------------
@@ -715,15 +717,32 @@ def _nested(depth):
     return x
 
 
-@given(JSON_VALUES)
-@example({})
-@example([[], {}, ()])
-@example({"\u00e9": [10 ** 40, -2 ** 70, True, False, None, 0.1], "": "\ud834\n\"'"})
-@example({2: "two", True: "one", -1.5: None})  # json writes these keys as strings
-@example(_nested(60))
+def _texted(x, marks: set):
+    """x with each value whose number in preorder is in marks written ahead as a JSONText."""
+    count = itertools.count()
+
+    def walk(v):
+        if next(count) in marks:
+            return JSONText(json.dumps(v, sort_keys=True, indent=2))
+        if isinstance(v, dict):
+            return {k: walk(w) for k, w in v.items()}
+        return [walk(w) for w in v] if isinstance(v, (list, tuple)) else v
+
+    return walk(x)
+
+
+@given(JSON_VALUES, st.sets(st.integers(0, 40), max_size=6))
+@example({}, {0})
+@example([[], {}, ()], {1, 3})
+@example({"\u00e9": [10 ** 40, -2 ** 70, True, False, None, 0.1], "": "\ud834\n\"'"}, {2, 9})
+@example({2: "two", True: "one", -1.5: None}, {2})  # json writes these keys as strings
+@example(_nested(60), {7, 30, 61})
 @settings(max_examples=300, deadline=None)
-def test_report_writer_matches_json_dumps(x):
-    assert _dumps(x) == json.dumps(x, sort_keys=True, indent=2)
+def test_report_writer_matches_json_dumps(x, marks):
+    """Also where values at any depth come written ahead, as JSONText."""
+    want = json.dumps(x, sort_keys=True, indent=2)
+    assert _dumps(x) == want
+    assert _dumps(_texted(x, marks)) == want
 
 
 def test_report_writer_refuses_what_json_refuses():

@@ -24,7 +24,7 @@ from lambdaforest.cover import (CoverError, TransverseCovering, intersect_specs,
                                 transverse_check)
 from lambdaforest.lambdatree import MetricTree, SubtreeSpec, TreeError, Vertex, distance, _id_key
 
-from conftest import L, random_lex_positive, random_tree
+from conftest import L, random_lex_positive, random_tree, tree_json
 
 
 def unit_path(ids):
@@ -77,7 +77,8 @@ def test_subdivide_at_no_interior_point_is_the_identity():
 
 # glued and subdivided trees take their numbering from their parts; checked
 # against the slow path they replace: sorting every id by _id_key, the repr
-# sort of the edges that to_json used, and distances summed breadth first
+# sort of the edges in the reference document (tree_json), and distances
+# summed breadth first
 
 IDS = {"str": st.text("ab'\"(), 1", min_size=1, max_size=3), "int": st.integers(-30, 30),
        "tuple": st.tuples(st.sampled_from(["x", "y'"]), st.integers(0, 12))}
@@ -94,7 +95,7 @@ def _shaped(ids, shape, rank):
 def _assert_numbered_as_sorted(T):
     assert T._ids == sorted(T.vertices, key=_id_key)
     assert T._index == {v: i for i, v in enumerate(T._ids)}
-    doc, r = T.to_json(), {v: repr(v) for v in T.vertices}
+    doc, r = tree_json(T), {v: repr(v) for v in T.vertices}
     assert doc["vertices"] == sorted(str(v) for v in T.vertices)
     want = sorted(T.edges, key=lambda k: f"({r[k[0]]}, {r[k[1]]})")
     assert [(e["u"], e["v"]) for e in doc["edges"]] == [(str(u), str(v)) for u, v in want]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from lambdaforest import lambdatree
+from lambdaforest.cli import JSONText, _dumps
 from lambdaforest.lambdatree import (
     EdgeInterior,
     FiniteLambdaMetric,
@@ -28,7 +30,7 @@ from lambdaforest.lambdatree import (
 from lambdaforest.cover import intersect_specs, is_degenerate
 from lambdaforest.ordgroup import LexValue, _rat, _ratio, project_top
 
-from conftest import L, random_tree
+from conftest import L, random_tree, tree_json
 
 
 @pytest.fixture
@@ -681,11 +683,49 @@ class _Spelled:
 
 def test_to_json_sorts_edges_by_repr_where_number_order_differs():
     """"a" sorts before "a!", yet "(a!, z)" before "(a, z)": "!" < ",".  So
-    to_json lists edges in number order only for ids of str, int or tuple."""
+    a tree's document lists edges in number order only for ids of str, int or
+    tuple."""
     a, b, z = (_Spelled(s) for s in ("a", "a!", "z"))
     T = MetricTree([a, b, z], [(a, z, L(1)), (b, z, L(1))], 1)
     assert T._ids == [a, b, z]
-    assert [e["u"] for e in T.to_json()["edges"]] == ["a!", "a"]
+    assert [e["u"] for e in tree_json(T)["edges"]] == ["a!", "a"]
+
+
+# ids of each kind the edge order tells apart; text reaches past ASCII and
+# holds quotes, backslashes and control characters, which JSON escapes
+JSON_IDS = {"str": st.text(min_size=1, max_size=3), "int": st.integers(-30, 30),
+            "tuple": st.tuples(st.sampled_from(["x", 'y"']), st.integers(0, 12)),
+            "spelled": st.text(max_size=3).map(_Spelled)}
+JSON_IDS["mixed"] = st.one_of(JSON_IDS["str"], JSON_IDS["int"], JSON_IDS["tuple"])
+
+
+@st.composite
+def json_trees(draw):
+    """A tree of 1-9 vertices of one kind of id, rank 1-3, fractional lengths."""
+    ids = draw(st.lists(JSON_IDS[draw(st.sampled_from(sorted(JSON_IDS)))], min_size=1,
+                        max_size=9, unique=True))
+    rank = draw(st.integers(1, 3))
+    coord = st.fractions(-4, 4, max_denominator=draw(st.sampled_from([1, 6])))
+    edges = []
+    for i in range(1, len(ids)):
+        row = draw(st.lists(coord, min_size=rank, max_size=rank))
+        if row < [0] * rank:
+            row = [-c for c in row]
+        if not any(row):
+            row[-1] = Fraction(1, 3)
+        edges.append((ids[i], ids[draw(st.integers(0, i - 1))], LexValue(row)))
+    return MetricTree(ids, edges, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees())
+def test_json_text_matches_the_document_built_edge_by_edge(T):
+    """json_text writes in one pass what the report writer wrote of the
+    tree's document, at any depth of a report."""
+    text, doc = JSONText(T.json_text()), tree_json(T)
+    assert json.loads(text) == doc
+    assert _dumps({"tree": text, "status": "pass", "deeper": [{"t": text}]}) == json.dumps(
+        {"tree": doc, "status": "pass", "deeper": [{"t": doc}]}, sort_keys=True, indent=2)
 
 
 def test_intersect_specs(tripod):
@@ -835,7 +875,7 @@ def test_kill_infinitesimals_all_infinitesimal():
 
 
 def test_tree_json_roundtrip(mixed):
-    T2 = MetricTree.from_json(mixed.to_json())
+    T2 = MetricTree.from_json(tree_json(mixed))
     assert T2.rank == mixed.rank
     assert set(T2.vertices) == set(mixed.vertices)
     assert distance(T2, Vertex("a"), Vertex("c")) == L(1, Fraction(3, 2))
@@ -938,7 +978,7 @@ def test_int_tree_matches_lexvalue_reference(case):
         assert list(tree.edges.items()) == list(want.items())  # input order
         for u, v, ln in edges:
             assert tree.edge_length(u, v) == ln == tree.edge_length(v, u)
-        assert tree.to_json() == {
+        assert tree_json(tree) == {
             "rank": rank, "vertices": sorted(str(v) for v in verts),
             "edges": [{"u": str(u), "v": str(v), "len": [str(c) for c in ln.coords]}
                       for (u, v), ln in sorted(want.items(), key=lambda kv: id_key(kv[0]))]}

@@ -11,8 +11,12 @@ perfbench/jobs.py, as many batches as a 30-second benchmark run draws
 src/ of the working tree and once on the src/ of a `git archive` export of
 the --base revision.  No benchmark job runs `cover`, so for each seed
 COVER_DOCS seeded `cover` documents (cover_documents) run the same way, each
-as `cover check` and as `cover skeleton`.  The exit code and the sha256 of
-stdout, stderr and the --json report are compared.  A fixed list of command
+as `cover check` and as `cover skeleton`.  Every benchmark glue input is rank
+1 with integer lengths and plain ids, so GLUE_DOCS seeded `glue point` and
+`glue subtree` documents (glue_documents) run too: ranks 1-3, fractional
+lengths, ids that JSON escapes or that mix ints and strings, one-vertex
+trees.  The exit code and the sha256 of stdout, stderr and the --json report
+are compared.  A fixed list of command
 lines that no job sends (help, usage errors, the spellings only argparse
 reads, `preset emit` of every preset, single-word `bt length` and `bt
 valuation` queries and `bt certify --ball 10`: COMMAND_LINES) runs the same
@@ -172,6 +176,84 @@ def cover_documents(seed: int) -> list[dict]:
     return docs
 
 
+GLUE_DOCS = 40  # per seed, alternately `glue point` and `glue subtree`
+# id stems: quotes and a backslash (which JSON escapes, and repr quotes its own
+# way), text past ASCII, and "" for int ids among string ones
+STEMS = ["v", 'q"', "b\\", "x'y", "\u00e9", "\u2603", ""]
+
+
+def _length(rng, rank: int) -> list:
+    """A random positive length of `rank` rationals."""
+    row = [Fraction(rng.randint(0, 3), rng.choice([1, 2, 3]))] + [
+        Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rank - 1)]
+    if not any(row):
+        row[-1] = Fraction(1, 2)
+    return row if row > [0] * rank else [-c for c in row]
+
+
+def _glue_tree(rng, rank: int, n: int, ints: bool):
+    """A random tree on n vertices: its ids, its document, and each vertex's
+    parent and distance from vertex 0, by number.  With `ints`, a stem of ""
+    makes every other id an int."""
+    stem = rng.choice(STEMS if ints else STEMS[:-1])
+    ids = [i if stem == "" and i % 2 else f"{stem}{i}" for i in range(n)]
+    parent, r, edges = [None], [[Fraction(0)] * rank], []
+    for i in range(1, n):
+        parent.append(rng.randrange(i))
+        ln = _length(rng, rank)
+        r.append([a + b for a, b in zip(r[parent[i]], ln)])
+        edges.append({"u": ids[i], "v": ids[parent[i]], "len": [str(c) for c in ln]})
+    rng.shuffle(edges)
+    return ids, {"rank": rank, "vertices": rng.sample(ids, n), "edges": edges}, parent, r
+
+
+def glue_documents(seed: int) -> list[tuple[str, dict]]:
+    """(op, document) pairs of random trees of rank 1-3 with fractional
+    lengths and ids that JSON escapes.  `glue point` wedges 1-3 trees of 1-5
+    vertices onto a base of 1-6 (a one-vertex base one time in four).
+    `glue subtree` glues a segment between two vertices of a tree of 2-7
+    vertices to one of the same span in a tree of 1-5 vertices, made by
+    hanging a path of one or two edges from it."""
+    rng = random.Random(seed)
+    docs = []
+    for k in range(GLUE_DOCS):
+        rank = rng.randint(1, 3)
+        if k % 2 == 0:
+            n = 1 if rng.random() < 0.25 else rng.randint(2, 6)
+            base = _glue_tree(rng, rank, n, True)[:2]
+            atts = []
+            for _ in range(rng.randint(1, 3)):
+                ids, tree = _glue_tree(rng, rank, rng.randint(1, 5), True)[:2]
+                atts.append({"tree": tree, "x": rng.choice(base[0]), "y": rng.choice(ids)})
+            docs.append(("point", {"schema": "lambda-forest/1", "base": base[1],
+                                   "attachments": atts}))
+            continue
+        ids1, tree1, parent, r = _glue_tree(rng, rank, rng.randint(2, 7), False)
+        a, b = rng.sample(range(len(ids1)), 2)
+        above, m = set(), a
+        while m is not None:
+            above.add(m)
+            m = parent[m]
+        m = b
+        while m not in above:
+            m = parent[m]
+        span = [x + y - 2 * z for x, y, z in zip(r[a], r[b], r[m])]
+        ids2, tree2, _p, _r = _glue_tree(rng, rank, rng.randint(1, 5), False)
+        x = rng.choice(ids2)
+        legs = [span] if rng.random() < 0.5 else [[c / 3 for c in span], [2 * c / 3 for c in span]]
+        path = [x] + [f"{x}+{j}" for j in range(len(legs))]
+        tree2["vertices"] += path[1:]
+        tree2["edges"] += [{"u": u, "v": v, "len": [str(c) for c in ln]}
+                           for u, v, ln in zip(path, path[1:], legs)]
+        ends1, ends2 = [ids1[a], ids1[b]], [x, path[-1]]
+        if rng.random() < 0.5:
+            ends1.reverse()
+            ends2.reverse()
+        docs.append(("subtree", {"schema": "lambda-forest/1", "tree1": tree1, "tree2": tree2,
+                                 "ends1": ends1, "ends2": ends2}))
+    return docs
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, written once."""
     out = []
@@ -214,14 +296,16 @@ def main(argv=None) -> int:
                         name = f"{workload}/{seed}/{job.id}"
                         work.append((name, job.kind, materialize(job, where)))
         for seed in args.seeds:
-            where = os.path.join(inputs, f"cover-{seed}")
-            os.makedirs(where)
-            for k, doc in enumerate(cover_documents(seed)):
-                path = os.path.join(where, f"{k}.json")
+            seeded = [(f"cover/{seed}/{k}", ("check", "skeleton"), doc)
+                      for k, doc in enumerate(cover_documents(seed))]
+            seeded += [(f"glue/{seed}/{k}", (op,), doc)
+                       for k, (op, doc) in enumerate(glue_documents(seed))]
+            for name, ops, doc in seeded:
+                path = os.path.join(inputs, name.replace("/", "-") + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
-                work += [(f"cover/{seed}/{k}", f"cover {op}", ["cover", op, "--input", path])
-                         for op in ("check", "skeleton")]
+                command = name.split("/")[0]
+                work += [(name, f"{command} {op}", [command, op, "--input", path]) for op in ops]
         lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
                  for line in COMMAND_LINES]
 
