@@ -110,7 +110,7 @@ def _dumps(x, pad: str = "\n") -> str:
 
 def _report(args, digest, status: str, body: dict, text: str) -> int:
     print(text)
-    if args.json:
+    if args.json is not None:
         command = f"{args.command} {args.op}" if _COMMANDS[args.command][1] else args.command
         body = {**body, "command": command, "status": status, "schema": SCHEMA,
                 **({} if digest is None else {"input_digest": digest})}

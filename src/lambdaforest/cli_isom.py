@@ -30,10 +30,14 @@ def cmd_isom(args, doc):
         classify,
         window_length_oracle,
     )
-    from .lambdatree import Vertex, _parse_point
+    from .lambdatree import Vertex, _id_key, _parse_point
 
     T, A = _action_window(doc)
-    base = _parse_point(T, args.base) if args.base else Vertex(sorted(T.vertices)[0])
+    try:  # by default the least vertex, or where ids do not compare the first in _id_key order
+        first = sorted(T.vertices)[0] if args.base is None else None
+    except TypeError:
+        first = min(T.vertices, key=_id_key)
+    base = Vertex(first) if args.base is None else _parse_point(T, args.base)
     if args.op == "classify":
         if not args.word:
             raise Malformed("classify needs --word")

@@ -12,13 +12,13 @@ def cmd_preset(args, doc):
     if args.op == "list":
         return "pass", {"names": presets.names()}, "\n".join(presets.names())
     usage = ("preset emit needs --name" if not args.name else
-             "preset emit takes no --json: it writes a document" if args.json else
+             "preset emit takes no --json: it writes a document" if args.json is not None else
              None if args.name in presets.names() else f"unknown preset {args.name!r}")
     if usage:
         print(usage, file=sys.stderr)
         return EXIT_USAGE
     text = _dumps(presets.emit(args.name))
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:

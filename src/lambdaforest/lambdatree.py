@@ -436,9 +436,8 @@ def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
     if s < zero:
         raise TreeError("negative arclength")
     if not legs:
-        if s.is_zero():
-            raise TreeError("cannot locate a point on an empty geodesic")
-        raise TreeError("arclength beyond geodesic end")
+        raise TreeError("cannot locate a point on an empty geodesic" if s.is_zero()
+                        else "arclength beyond geodesic end")
     acc = zero
     for leg in legs:
         ln = leg.length()
@@ -454,9 +453,7 @@ def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint
     """The unique point on all three pairwise geodesics (2Λ = Λ over Q^n, so
     the Gromov product is an exact point of the tree): the projection of z
     onto [x, y] (Chiswell, Introduction to Lambda-trees, ch. 2)."""
-    dxy = distance(T, x, y)
-    dxz = distance(T, x, z)
-    dyz = distance(T, y, z)
+    dxy, dxz, dyz = distance(T, x, y), distance(T, x, z), distance(T, y, z)
     dxm = (dxy + dxz - dyz).half()
     if dxm.is_zero():
         return x
@@ -558,13 +555,14 @@ def _insertion_failure(p: list) -> Optional[tuple]:
     return None
 
 
-def _scan(p: list) -> Optional[tuple]:
-    """The first triangle, then four-point, violation on packed distances."""
-    for i, j, k in itertools.combinations(range(len(p)), 3):
+def _scan(p: list, x: int) -> Optional[tuple]:
+    """The first triangle, then four-point, violation on packed distances with a point >= x."""
+    r = range(len(p))
+    for i, j, k in ((i, j, k) for i, j in itertools.combinations(r, 2) for k in r[max(j + 1, x):]):
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             if p[a][c] > p[a][b] + p[b][c]:
                 return "triangle-inequality", (a, b, c)
-    for i, j, k, l in itertools.combinations(range(len(p)), 4):
+    for i, j, k, l in ((i, j, k, l) for i, j, k in itertools.combinations(r, 3) for l in r[max(k + 1, x):]):
         sums = sorted([p[i][j] + p[k][l], p[i][k] + p[j][l], p[i][l] + p[j][k]])
         if sums[2] > sums[1]:
             return "four-point", (i, j, k, l)
@@ -575,7 +573,10 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     """Metric axioms, then whether the table embeds in a Lambda-tree, by
     inserting the points in turn (_insertion_failure, O(m^2)).  A failure's
     witness is the exhaustive scan's first violation among at most
-    _SCAN_POINTS points, or the insertion check's among more.
+    _SCAN_POINTS points, or the insertion check's among more.  The scan skips
+    the tuples of points before x, where the insertion failed: those points
+    passed every test, so they embed in a Lambda-tree and no violation lies
+    among them, and the first tuple it reads that breaks one is the first.
 
     Both read each distance times D, the lcm of every denominator, as an int
     vector c packed to P(c) = c_0 K^(n-1) + ... + c_(n-1), with K = 4B + 1
@@ -605,7 +606,7 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     failure = _insertion_failure(p)
     if failure is None:
         return ValidationResult(True)
-    kind, witness = _scan(p) if m <= _SCAN_POINTS else failure
+    kind, witness = _scan(p, max(failure[1])) if m <= _SCAN_POINTS else failure
     return ValidationResult(False, kind, tuple(M.labels[i] for i in witness))
 
 
@@ -640,8 +641,7 @@ class SubtreeSpec:
                 verts.add(u)
             if hi == T.edge_length(u, v):
                 verts.add(v)
-        self.vertices = frozenset(verts)
-        self.intervals = ivals
+        self.vertices, self.intervals = frozenset(verts), ivals
 
     def contains(self, x: TreePoint) -> bool:
         if isinstance(x, Vertex):
@@ -686,9 +686,6 @@ def kill_infinitesimals(T: MetricTree):
                 a, b = sorted((ru, rv), key=_id_key)
                 parent[b] = a
     vmap = {v: find(v) for v in T.vertices}
-    new_vertices = set(vmap.values())
-    new_edges = []
-    for (u, v), ln in T.edges.items():
-        if not ln.is_infinitesimal():
-            new_edges.append((vmap[u], vmap[v], ln.project_top(1)))
-    return MetricTree(new_vertices, new_edges, 1), vmap
+    new_edges = [(vmap[u], vmap[v], ln.project_top(1))
+                 for (u, v), ln in T.edges.items() if not ln.is_infinitesimal()]
+    return MetricTree(set(vmap.values()), new_edges, 1), vmap

@@ -105,6 +105,12 @@ def test_preset_emit_takes_no_json(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_preset_emit_takes_no_empty_json(capsys):
+    """An empty --json is still a --json."""
+    assert main(["preset", "emit", "--name", "tripod", "--json", ""]) == 64
+    assert capsys.readouterr() == ("", "preset emit takes no --json: it writes a document\n")
+
+
 def test_top_level_must_be_an_object(tmp_path, capsys):
     path = write(tmp_path, "list.json", [])
     assert main(["validate-tree", "--input", path]) == 65
@@ -136,6 +142,20 @@ def test_an_output_that_cannot_be_written_exits_73(tmp_path, capsys, argv, targe
     target = str(tmp_path / target) if target else str(tmp_path)
     assert main(argv + [target]) == 73
     assert capsys.readouterr() == (out, f"cannot write {target}: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["preset", "list", "--json", ""], "\n".join(presets.names()) + "\n"),
+    (["validate-tree", "--input", "@square-cycle", "--json", ""],
+     "validate-tree: violation (four-point) witness ('p', 'q', 'r', 's')\n"),
+    (["preset", "emit", "--name", "tripod", "--out", ""], ""),
+], ids=["preset-list", "validate-tree", "preset-emit"])
+def test_an_empty_output_path_is_a_path_that_cannot_be_written(tmp_path, capsys, argv, out):
+    """--json '' and --out '' name a file that cannot be created: exit 73,
+    where the report was skipped, or the document printed, and exit 0 or 2."""
+    argv = [emit(tmp_path, a[1:]) if a[:1] == "@" else a for a in argv]
+    assert main(argv) == 73
+    assert capsys.readouterr() == (out, "cannot write : No such file or directory\n")
 
 
 def test_the_process_boundary_ends_without_a_traceback(tmp_path):
@@ -401,6 +421,24 @@ def test_isom_classify_inconclusive(tmp_path, capsys):
     rc = main(["isom", "classify", "--input", path, "--word", "aa", "--base", "n0"])
     assert rc == 3
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_isom_empty_base_is_an_unknown_vertex(rotation_file, capsys):
+    assert main(["isom", "certify", "--input", rotation_file, "--base", ""]) == 65
+    assert capsys.readouterr() == ("", "malformed input: unknown vertex ''\n")
+
+
+def test_isom_default_base_where_ids_do_not_compare(tmp_path, capsys):
+    """Ids 0 and "a" do not sort: the default base is the first in _id_key
+    order, vertex 0, which g leaves, where g fixes the base a."""
+    tree = {"rank": 1, "vertices": [0, "a"], "edges": [{"u": 0, "v": "a", "len": ["1"]}]}
+    path = write(tmp_path, "mixed.json", {"schema": SCHEMA, "tree": tree,
+                                          "generators": {"g": {"a": "a"}}})
+    assert main(["isom", "classify", "--input", path, "--word", "g"]) == 3
+    assert capsys.readouterr() == ("inconclusive: leaves window at g\n", "")
+    assert main(["isom", "classify", "--input", path, "--word", "g", "--base", "a"]) == 0
+    assert capsys.readouterr() == ("elliptic, fixed point Vertex('a')\n", "")
+    assert main(["isom", "certify", "--input", path, "--ball", "1"]) == 3
 
 
 def test_isom_certify_counterexample(rotation_file, capsys):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -408,6 +409,87 @@ def test_validator_has_no_point_cap():
             assert genuine(P, got)
             kinds.add(got.kind)
     assert kinds == {"triangle-inequality", "four-point"}
+
+
+def full_scan(p: list):
+    """The witness scan over every tuple, as `lambdatree._scan` read packed
+    distances before it started from the insertion check's failing point."""
+    for i, j, k in itertools.combinations(range(len(p)), 3):
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if p[a][c] > p[a][b] + p[b][c]:
+                return "triangle-inequality", (a, b, c)
+    for i, j, k, l in itertools.combinations(range(len(p)), 4):
+        sums = sorted([p[i][j] + p[k][l], p[i][k] + p[j][l], p[i][l] + p[j][k]])
+        if sums[2] > sums[1]:
+            return "four-point", (i, j, k, l)
+    return None
+
+
+def _positive_row(rng, rank):
+    """A random positive length as `rank` ints: its first nonzero one positive."""
+    row = [rng.randint(0, 2)] + [rng.randint(-2, 2) for _ in range(rank - 1)]
+    return row if row > [0] * rank else [1] + row[1:]
+
+
+def violated_table(rng, m, rank):
+    """m points of a random tree in a random order, with a violation at a
+    random place: a pair perturbed, a row shifted down, or a 4-cycle c0-c3
+    hung by an edge at c0 from a random vertex, its points (numbered -1 to
+    -4) at random places among the others."""
+    T = random_tree(rng, 2 * m, rank)
+    mode = rng.choice(["pair", "row", "cycle"])
+    points = rng.sample(range(2 * m), m)
+    hang, side, stalk = rng.randrange(2 * m), _positive_row(rng, rank), _positive_row(rng, rank)
+    if mode == "cycle":
+        for k, at in enumerate(rng.sample(range(m), 4)):
+            points[at] = -1 - k
+
+    def dist(a, b):
+        if a >= 0 and b >= 0:
+            return T._drow(a, b)
+        if a < 0 and b < 0:
+            return [min(abs(a - b), 4 - abs(a - b)) * c for c in side]
+        k, v = (-1 - a, b) if a < 0 else (-1 - b, a)
+        return [min(k, 4 - k) * c + s + t for c, s, t in zip(side, stalk, T._drow(hang, v))]
+
+    d = [[dist(a, b) for b in points] for a in points]
+    i, j = rng.sample(range(m), 2)
+    if mode == "pair":
+        sign = rng.choice((-1, 1))
+        d[i][j] = d[j][i] = [c + sign * s for c, s in zip(d[i][j], side)]
+    elif mode == "row":
+        for j in range(m):
+            if j != i:
+                d[i][j] = d[j][i] = [c - s for c, s in zip(d[i][j], side)]
+    return FiniteLambdaMetric._from_rows([f"p{k}" for k in range(m)], d, rank, T._D)
+
+
+def test_witness_scan_from_the_failing_point_is_the_full_scan(monkeypatch):
+    """Tables of 9-32 points with a violation anywhere get the witness of
+    the scan over every tuple, though the scan starts at the point where the
+    insertion check failed; that point is often not the last."""
+    seen, insertion = [], lambdatree._insertion_failure
+
+    def spy(p):  # keeps the packed table and the insertion check's failure
+        seen.append((p, insertion(p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lambdatree, "_insertion_failure", spy)
+    rng, kinds, early = random.Random(30), Counter(), 0
+    for _ in range(240):
+        M, seen[:] = violated_table(rng, rng.randint(9, 32), rng.randint(1, 3)), []
+        got = validate_tree_metric(M)
+        if not seen:  # the metric axioms failed first
+            continue
+        p, failure = seen[0]
+        want = full_scan(p)
+        assert (failure is None) == (want is None)
+        if failure is not None:
+            kind, witness = want
+            assert (got.kind, got.witness) == (kind, tuple(M.labels[i] for i in witness))
+            kinds[kind] += 1
+            early += max(failure[1]) < len(p) - 1
+    assert min(kinds["triangle-inequality"], kinds["four-point"]) >= 40 and early >= 75, (kinds, early)
 
 
 def test_validator_passes_200_points_in_under_a_second():
@@ -831,7 +913,7 @@ def test_tree_and_point_errors(tripod):
 def test_verdicts_read_as_booleans_and_the_scan_of_a_tree_finds_nothing(tripod):
     table = FiniteLambdaMetric.from_tree(tripod)
     assert validate_tree_metric(table) and not ValidationResult(False, "asymmetry")
-    assert lambdatree._scan([[0, 1], [1, 0]]) is None
+    assert lambdatree._scan([[0, 1], [1, 0]], 0) is None
 
 
 def test_kill_infinitesimals_needs_rank_2(tripod):

@@ -15,13 +15,17 @@ as `cover check` and as `cover skeleton`.  Every benchmark glue input is rank
 1 with integer lengths and plain ids, so GLUE_DOCS seeded `glue point` and
 `glue subtree` documents (glue_documents) run too: ranks 1-3, fractional
 lengths, ids that JSON escapes or that mix ints and strings, one-vertex
-trees.  The exit code and the sha256 of stdout, stderr and the --json report
-are compared.  A fixed list of command
-lines that no job sends (help, usage errors, the spellings only argparse
-reads, `preset emit` of every preset, single-word `bt length` and `bt
-valuation` queries and `bt certify --ball 10`: COMMAND_LINES) runs the same
-way without --json, comparing the exit code and the sha256 of stdout and
-stderr.  The script prints each job or command line that differs
+trees.  Every benchmark `validate-tree` violation puts the point where the
+insertion check fails last, so VALIDATE_DOCS seeded tables
+(validate_documents) run too: 9-32 points, ranks 1-3, fractional lengths,
+triangle and four-point violations that the check meets at any point, and
+some passes.  The exit code and the sha256 of stdout, stderr and the --json
+report are compared.  A fixed list of command lines that no job sends (help,
+usage errors, the spellings only argparse reads, `preset emit` of every
+preset, single-word `bt length` and `bt valuation` queries, `bt certify
+--ball 10`, empty output paths and `isom`'s base: COMMAND_LINES) runs the
+same way without --json, comparing the exit code and the sha256 of stdout
+and stderr.  The script prints each job or command line that differs
 and exits 1 if any does, 0 if none does.  It uses the standard library only and
 writes nothing inside the checkout.
 """
@@ -118,7 +122,28 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
                        ("schottky-qt", "zy"), ("z2-diagonal", "uvu'v'"))
     for op in ("length", "valuation")
 ] + [["bt", "certify", "--input", f"@{name}", "--ball", "10"]
-     for name in ("schottky-qt", "z2-diagonal")]
+     for name in ("schottky-qt", "z2-diagonal")] + [
+    # an empty output path names a file that cannot be created
+    ["preset", "list", "--json", ""],
+    ["validate-tree", "--input", "@square-cycle", "--json", ""],
+    ["preset", "emit", "--name", "tripod", "--out", ""],
+    ["preset", "emit", "--name", "tripod", "--json", ""],
+    # isom's base: named empty, and by default where ids sort and where they do not
+    ["isom", "certify", "--input", "@rotation-window", "--base", ""],
+    ["isom", "classify", "--input", "@rotation-window", "--word", "r"],
+    ["isom", "classify", "--input", "@mixed-window", "--word", "g"],
+    ["isom", "certify", "--input", "@mixed-window", "--ball", "1"],
+]
+# the documents of command lines that no preset serves: the tripod turned by
+# r, and a window whose vertex ids, 0 and "a", do not compare
+LINE_DOCS = {
+    "rotation-window": {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
+                        "generators": {"r": {"o": "o", "p": "q", "q": "r", "r": "p"}}},
+    "mixed-window": {"schema": "lambda-forest/1",
+                     "tree": {"rank": 1, "vertices": [0, "a"],
+                              "edges": [{"u": 0, "v": "a", "len": ["1"]}]},
+                     "generators": {"g": {"a": "a"}}},
+}
 
 
 COVER_DOCS = 50  # per seed
@@ -207,6 +232,19 @@ def _glue_tree(rng, rank: int, n: int, ints: bool):
     return ids, {"rank": rank, "vertices": rng.sample(ids, n), "edges": edges}, parent, r
 
 
+def _distance(parent: list, r: list, a: int, b: int) -> list:
+    """The distance of vertices a and b of a tree given by each vertex's
+    parent and distance from vertex 0, by number."""
+    above, m = set(), a
+    while m is not None:
+        above.add(m)
+        m = parent[m]
+    m = b
+    while m not in above:
+        m = parent[m]
+    return [x + y - 2 * z for x, y, z in zip(r[a], r[b], r[m])]
+
+
 def glue_documents(seed: int) -> list[tuple[str, dict]]:
     """(op, document) pairs of random trees of rank 1-3 with fractional
     lengths and ids that JSON escapes.  `glue point` wedges 1-3 trees of 1-5
@@ -230,14 +268,7 @@ def glue_documents(seed: int) -> list[tuple[str, dict]]:
             continue
         ids1, tree1, parent, r = _glue_tree(rng, rank, rng.randint(2, 7), False)
         a, b = rng.sample(range(len(ids1)), 2)
-        above, m = set(), a
-        while m is not None:
-            above.add(m)
-            m = parent[m]
-        m = b
-        while m not in above:
-            m = parent[m]
-        span = [x + y - 2 * z for x, y, z in zip(r[a], r[b], r[m])]
+        span = _distance(parent, r, a, b)
         ids2, tree2, _p, _r = _glue_tree(rng, rank, rng.randint(1, 5), False)
         x = rng.choice(ids2)
         legs = [span] if rng.random() < 0.5 else [[c / 3 for c in span], [2 * c / 3 for c in span]]
@@ -254,8 +285,55 @@ def glue_documents(seed: int) -> list[tuple[str, dict]]:
     return docs
 
 
+VALIDATE_DOCS = 30  # per seed
+
+
+def validate_documents(seed: int) -> list[dict]:
+    """Distance tables of 9-32 points of random trees of rank 1-3 with
+    fractional lengths, the points in a random order.  One in six is left a
+    tree metric; the rest are spoiled at a random place, so the insertion
+    check may fail at any point: a pair stretched or shrunk, a row shifted
+    down, or a 4-cycle c0-c3 hung by an edge at c0 from a random vertex, its
+    points (numbered -1 to -4) at random places among the others."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(VALIDATE_DOCS):
+        rank, m = rng.randint(1, 3), rng.randint(9, 32)
+        _ids, _tree, parent, r = _glue_tree(rng, rank, 2 * m, False)
+        side, stalk, hang = _length(rng, rank), _length(rng, rank), rng.randrange(2 * m)
+        spoil = rng.choice(["none", "pair", "pair", "row", "cycle", "cycle"])
+        points = rng.sample(range(2 * m), m)
+        if spoil == "cycle":
+            for k, at in enumerate(rng.sample(range(m), 4)):
+                points[at] = -1 - k
+
+        def dist(a: int, b: int) -> list:
+            if a >= 0 and b >= 0:
+                return _distance(parent, r, a, b)
+            if a < 0 and b < 0:
+                return [min(abs(a - b), 4 - abs(a - b)) * c for c in side]
+            k, v = (-1 - a, b) if a < 0 else (-1 - b, a)
+            return [min(k, 4 - k) * c + s + t
+                    for c, s, t in zip(side, stalk, _distance(parent, r, hang, v))]
+
+        d = [[dist(a, b) for b in points] for a in points]
+        i, j = rng.sample(range(m), 2)
+        if spoil == "pair":
+            sign = rng.choice((-1, 1))
+            d[i][j] = d[j][i] = [c + sign * s for c, s in zip(d[i][j], side)]
+        elif spoil == "row":
+            for j in range(m):
+                if j != i:
+                    d[i][j] = d[j][i] = [c - s for c, s in zip(d[i][j], side)]
+        docs.append({"schema": "lambda-forest/1", "kind": "metric", "rank": rank,
+                     "labels": [f"p{k}" for k in rng.sample(range(m), m)],
+                     "dist": [[[str(c) for c in e] for e in row] for row in d]})
+    return docs
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
-    """line with each @name replaced by the path of that preset, written once."""
+    """line with each @name replaced by the path of that preset, or of that
+    LINE_DOCS document, written once."""
     out = []
     for a in line:
         if "@" in a:
@@ -263,7 +341,7 @@ def preset_paths(line: list[str], inputs: str) -> list[str]:
             path = os.path.join(inputs, f"preset.{name}.json")
             if not os.path.exists(path):
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(presets.emit(name), fh)
+                    json.dump(LINE_DOCS[name] if name in LINE_DOCS else presets.emit(name), fh)
             a = head + path
         out.append(a)
     return out
@@ -300,12 +378,15 @@ def main(argv=None) -> int:
                       for k, doc in enumerate(cover_documents(seed))]
             seeded += [(f"glue/{seed}/{k}", (op,), doc)
                        for k, (op, doc) in enumerate(glue_documents(seed))]
+            seeded += [(f"validate-tree/{seed}/{k}", (None,), doc)
+                       for k, doc in enumerate(validate_documents(seed))]
             for name, ops, doc in seeded:
                 path = os.path.join(inputs, name.replace("/", "-") + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                 command = name.split("/")[0]
-                work += [(name, f"{command} {op}", [command, op, "--input", path]) for op in ops]
+                work += [(name, f"{command} {op}" if op else command,
+                          [command, *([op] if op else []), "--input", path]) for op in ops]
         lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
                  for line in COMMAND_LINES]
 
