@@ -12,8 +12,8 @@ import importlib
 __all__ = ["LexValue", "lex_compare"]
 __version__ = "0.1.0"
 
-_SUBMODULES = frozenset({"bruhat", "cli", "cover", "devissage", "gluing", "groups", "isometry",
-                         "lambdatree", "markedgroups", "ordgroup", "presets"})
+_SUBMODULES = frozenset({"bruhat", "cli", "conjugacy", "cover", "devissage", "gluing", "groups",
+                         "isometry", "lambdatree", "markedgroups", "ordgroup", "presets"})
 
 
 def __getattr__(name):

@@ -440,15 +440,6 @@ def bt_length_oracle(generators: dict[str, Mat2]) -> MatrixLengthOracle:
     return MatrixLengthOracle(generators)
 
 
-def value_group_rank(valuations: set[tuple]) -> int:
-    """Q-rank of the subgroup of the value group generated by the given
-    vectors (rational row rank)."""
-    vecs = [list(v) for v in valuations if any(c != 0 for c in v)]
-    if not vecs:
-        return 0
-    return rational_rank(vecs)
-
-
 def certify_free_bt(generators: dict[str, Mat2], ball_radius: int):
     """Ball certification with the matrix oracles; the certificate records
     the finite set of trace valuations observed."""
@@ -459,7 +450,7 @@ def certify_free_bt(generators: dict[str, Mat2], ball_radius: int):
         oracle.length, oracle.is_trivial, sorted(generators), ball_radius
     )
     cert.extra["trace_valuations"] = [[str(c) for c in v] for v in sorted(oracle.trace_valuations)]
-    cert.extra["value_group_rank"] = value_group_rank(oracle.trace_valuations)
+    cert.extra["value_group_rank"] = rational_rank([list(v) for v in oracle.trace_valuations])
     return cert
 
 

@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except OSError as exc:  # the --json report, or preset emit's --out
-        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_CANTCREAT
 
 

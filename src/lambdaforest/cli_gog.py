@@ -24,8 +24,7 @@ def cmd_gog(args, doc):
                                         for k, c in rep.clauses.items())
     if args.op == "acyl":
         rep = check_acylindricity(G, radius=args.radius, window=args.window)
-        body = {"verdict": rep.verdict, "path": rep.path, "element": rep.element,
-                "inconclusive_at": []}
+        body = {"verdict": rep.verdict, "path": rep.path, "element": rep.element}
         return ("pass" if rep.verdict == "Pass" else "violation", body,
                 f"acylindricity: {rep.verdict}" + (f", fixed by {rep.element}" if rep.element else ""))
     if args.op == "betti":

@@ -11,7 +11,7 @@ def cmd_preset(args, doc):
 
     if args.op == "list":
         return "pass", {"names": presets.names()}, "\n".join(presets.names())
-    usage = ("preset emit needs --name" if not args.name else
+    usage = ("preset emit needs --name" if args.name is None else
              "preset emit takes no --json: it writes a document" if args.json is not None else
              None if args.name in presets.names() else f"unknown preset {args.name!r}")
     if usage:

@@ -19,7 +19,6 @@ from lambdaforest.bruhat import (
     matrix_group_from_json,
     parse_entry,
     _vp,
-    value_group_rank,
 )
 from lambdaforest.groups import (
     ball_words,
@@ -27,9 +26,11 @@ from lambdaforest.groups import (
     free_reduce,
     invert,
     parse_word,
+    rational_rank,
     word_str,
 )
-from lambdaforest.isometry import _class_key, _classes, certify_free_on_ball
+from lambdaforest.conjugacy import _class_key, _classes
+from lambdaforest.isometry import certify_free_on_ball
 from lambdaforest.ordgroup import LexValue
 from lambdaforest.presets import _schottky_generators, schottky_qt, unipotent_fail, z2_diagonal
 
@@ -134,7 +135,7 @@ def test_z2_preset_lengths():
     assert oracle.length(parse_word("uuuv'")) == L(2, -6)
     # commuting generators: uv and vu are the same element
     assert oracle.is_trivial(parse_word("uvu'v'"))
-    assert value_group_rank(oracle.trace_valuations) == 2
+    assert rational_rank([list(v) for v in oracle.trace_valuations]) == 2
 
 
 # certification ---------------------------------------------------------------------
@@ -427,7 +428,7 @@ def per_word_certificate(gens, radius):
             "min_positive_length": min_pos.to_json() if min_pos is not None else None,
             "status": status, "counterexample": counterexample,
             "trace_valuations": [[str(c) for c in v] for v in sorted(oracle.trace_valuations)],
-            "value_group_rank": value_group_rank(oracle.trace_valuations)}
+            "value_group_rank": rational_rank([list(v) for v in oracle.trace_valuations])}
 
 
 def _diagonal(entry, k, c):

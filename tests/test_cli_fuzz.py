@@ -11,16 +11,26 @@ one string, and `rank` raised by one.  A mutation that empties a nonempty
 list or object, repeats an item or names an unknown label never passes
 (exit 0) unless ALLOW_EMPTY, ALLOW_REPEAT or ALLOW_UNKNOWN names that path
 with the reason it is well-formed there; a wrong rank never passes, and a
-joined list passes only where UNREAD names it."""
+joined list passes only where UNREAD names it.
+
+Command lines drawn from `cli._COMMANDS` and bent the ways a user bends
+one (unknown commands, ops and flags, repeated flags, a flag with no value,
+values that start with '-', empty, 10,000 characters long or holding bytes
+that are not UTF-8) end in a documented exit code, in process and, for a
+few of them, as a process that prints no traceback."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from fnmatch import fnmatchcase
 
 import pytest
 
 from conftest import DOCUMENTS
 from lambdaforest import presets
-from lambdaforest.cli import main
+from lambdaforest.cli import _COMMANDS, main
 
 EXIT_CODES = {0, 2, 3, 64, 65}
 
@@ -253,3 +263,116 @@ def test_preset_nested_mutations_end_in_an_exit_code(tmp_path, capsys, name):
     bad = fuzz_nested(tmp_path, TARGETS[name], presets.emit(name))
     capsys.readouterr()
     assert bad == []
+
+
+# drawn command lines ------------------------------------------------------------------
+
+LINES = 1200  # about 1 s in process
+LINE_EXIT_CODES = EXIT_CODES | {73}
+NOT_UTF8 = os.fsdecode(b"p\xff\xfe")  # how Python hands a program bytes that are not UTF-8
+LONG = "ab'\u00e9/x -" * 1250  # 10,000 characters
+ODD = ["", "-1", "-x", "--json", NOT_UTF8, LONG]  # values any option may be given
+UNKNOWN = ["frobnicate", "Tree", "-x", "--nope", "--input=x", "---input", "--", "-", NOT_UTF8]
+TEXT = {"word": ["a", "ab'", "a'b'ab", "uv", "uvu'v'", "u'", "aa'", "'", "r", "g"],
+        "base": ["e", "a", "A", "p", "nope"], "x": ["p", "q", "o", "a0"], "y": ["q", "r", "p"],
+        "z": ["r", "o", "q"], "name": presets.names() + ["nope"],
+        "a": ["A/a0", "A/a2", "B/b1", "A/zz", "a0", "/"], "b": ["B/b1", "B/b0", "A/a1", "B"]}
+SMALL = ["0", "1", "2", "3", "03", " 2", "+1", "\u0663", "1.0", "x", "-1"]  # at most 3
+ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
+
+
+def fitting_documents():
+    """command -> the documents the fuzz targets above run it on"""
+    fits = {}
+    for name, argvs in [*TARGETS.items(), *((n, [a]) for n, a in DOCUMENT_TARGETS.values())]:
+        for argv in argvs:
+            fits.setdefault(argv[0], set()).add(name)
+    return {command: sorted(names) for command, names in fits.items()}
+
+
+FITS = fitting_documents()
+
+
+def drawn_value(rng, command, name, paths):
+    if rng.random() < 0.15:
+        return rng.choice(ODD)
+    if name == "input" or (command == "marked" and name in "ab"):
+        fits = FITS.get(command, [])
+        return paths[rng.choice(fits) if fits and rng.random() < 0.7 else rng.choice(list(paths))]
+    if name in ("json", "out"):
+        return rng.choice([paths["report"], paths["missing-dir"], paths["directory"], ""])
+    if name in ("ball", "radius", "window"):
+        return rng.choice(SMALL)
+    return rng.choice(TEXT[name])
+
+
+def drawn_line(rng, paths):
+    """A command line of _COMMANDS' grammar, bent at random."""
+    command = rng.choice(list(_COMMANDS)) if rng.random() < 0.9 else rng.choice(UNKNOWN)
+    _family, ops, options = _COMMANDS.get(command, (None, (), {}))
+    line = [command]
+    if ops:
+        roll = rng.random()
+        line += [rng.choice(ops)] if roll < 0.85 else [rng.choice(UNKNOWN)] if roll < 0.95 else []
+    pairs = [[f"--{name}", drawn_value(rng, command, name, paths)]
+             for name, (_c, _d, required) in options.items()
+             if rng.random() < (0.9 if required else 0.35)]
+    if pairs and rng.random() < 0.2:  # a flag given twice
+        pairs.append([pairs[-1][0], drawn_value(rng, command, pairs[-1][0][2:], paths)])
+    if rng.random() < 0.2:
+        pairs.append([rng.choice(UNKNOWN), rng.choice(ODD)])
+    rng.shuffle(pairs)
+    line += [token for pair in pairs for token in pair]
+    if len(line) > 1 and rng.random() < 0.15:  # a flag left with no value, or a value with no flag
+        del line[rng.randrange(1, len(line))]
+    return line
+
+
+@pytest.fixture
+def drawn_lines(tmp_path, monkeypatch):
+    """LINES drawn lines, run in tmp_path, which holds every path they name
+    (each document, a report, a directory) and every relative path an odd
+    value names."""
+    monkeypatch.chdir(tmp_path)
+    paths = {"report": str(tmp_path / "report.json"),
+             "missing-dir": str(tmp_path / "missing-dir" / "x.json"),
+             "directory": str(tmp_path), "not-utf8": str(tmp_path / NOT_UTF8), "empty": ""}
+    for name, doc in [*((n, presets.emit(n)) for n in presets.names()), *DOCUMENTS.items()]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    rng = random.Random(31)
+    return [drawn_line(rng, paths) for _ in range(LINES)]
+
+
+def test_drawn_command_lines_end_in_an_exit_code(drawn_lines, capfd):
+    bad, seen = [], set()
+    for line in drawn_lines:
+        try:
+            rc = main(line)
+        except (Exception, SystemExit) as exc:  # main returns its codes
+            rc = f"{type(exc).__name__}: {exc}"
+        seen.add(rc)
+        if rc not in LINE_EXIT_CODES or rc == 73 and not {"--json", "--out"} & set(line):
+            bad.append((line, rc))  # 73 is an output that cannot be written
+        capfd.readouterr()
+    assert [(line[:3], rc) for line, rc in bad] == []
+    assert seen == LINE_EXIT_CODES  # the draw reaches every outcome
+
+
+def test_drawn_command_lines_print_no_traceback(drawn_lines, tmp_path, capfd):
+    """Bytes that are not UTF-8 reach a process through its own argv: the
+    first line with such a value or a long one to reach each exit code in
+    process runs as a process too."""
+    first = {}
+    for line in drawn_lines:
+        if any(NOT_UTF8 in a or a == LONG for a in line):
+            first.setdefault(main(line), line)
+    capfd.readouterr()
+    assert len(first) >= 4, sorted(first)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for line in first.values():
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *line], capture_output=True,
+                              timeout=60, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode in LINE_EXIT_CODES, (line[:3], proc.stderr[-300:])
+        assert b"Traceback" not in proc.stderr, (line[:3], proc.stderr[-300:])

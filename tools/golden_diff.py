@@ -23,11 +23,11 @@ some passes.  The exit code and the sha256 of stdout, stderr and the --json
 report are compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
 preset, single-word `bt length` and `bt valuation` queries, `bt certify
---ball 10`, empty output paths and `isom`'s base: COMMAND_LINES) runs the
-same way without --json, comparing the exit code and the sha256 of stdout
-and stderr.  The script prints each job or command line that differs
-and exits 1 if any does, 0 if none does.  It uses the standard library only and
-writes nothing inside the checkout.
+--ball 10`, empty output paths, an empty preset name and `isom`'s base:
+COMMAND_LINES) runs the same way without --json, comparing the exit code
+and the sha256 of stdout and stderr.  The script prints each job or command
+line that differs and exits 1 if any does, 0 if none does.  It uses the
+standard library only and writes nothing inside the checkout.
 """
 
 from __future__ import annotations
@@ -123,11 +123,12 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     for op in ("length", "valuation")
 ] + [["bt", "certify", "--input", f"@{name}", "--ball", "10"]
      for name in ("schottky-qt", "z2-diagonal")] + [
-    # an empty output path names a file that cannot be created
+    # an empty output path names a file that cannot be created; an empty name is no preset
     ["preset", "list", "--json", ""],
     ["validate-tree", "--input", "@square-cycle", "--json", ""],
     ["preset", "emit", "--name", "tripod", "--out", ""],
     ["preset", "emit", "--name", "tripod", "--json", ""],
+    ["preset", "emit", "--name", ""],
     # isom's base: named empty, and by default where ids sort and where they do not
     ["isom", "certify", "--input", "@rotation-window", "--base", ""],
     ["isom", "classify", "--input", "@rotation-window", "--word", "r"],
