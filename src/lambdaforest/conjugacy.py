@@ -2,7 +2,7 @@
 class pass of `certify_free_on_ball`, which imports this module only for
 class-function oracles (`bt certify`), so the window commands compile none of it."""
 
-from .groups import Word, invert
+from . import groups  # `groups.invert` is looked up per call, so a tracer's rebinding counts it
 
 
 def _classes(labels: list[str], max_len: int):
@@ -50,13 +50,13 @@ def _classes(labels: list[str], max_len: int):
             yield tuple(map(letters.__getitem__, s))
 
 
-def _class_key(w: Word, keys: dict) -> Word:
+def _class_key(w: groups.Word, keys: dict) -> groups.Word:
     """The class of w up to conjugacy and inversion: the least rotation of
     its cyclic core or of the core's inverse, kept in `keys` under each."""
     while len(w) > 1 and w[-1] == (w[0][0], -w[0][1]):
         w = w[1:-1]
     if w not in keys:
         n = len(w)
-        rotations = [d[i:i + n] for d in (w * 2, invert(w) * 2) for i in range(n)] or [w]
+        rotations = [d[i:i + n] for d in (w * 2, groups.invert(w) * 2) for i in range(n)] or [w]
         keys.update(dict.fromkeys(rotations, min(rotations)))  # () is a class of its own
     return keys[w]

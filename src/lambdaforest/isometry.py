@@ -242,25 +242,25 @@ def certify_free_on_ball(
     keys, verdicts = {}, {}  # rotation -> class key; key -> (trivial, length)
     if exact:  # the walk keys by class whatever the number of labels
         from .conjugacy import _class_key, _classes
-    if exact and len(labels) <= 128:  # _classes spells words as bytes
-        asked = []  # (class word, length), handed to the walk if the pass stops
-        for w in _classes(labels, ball_radius):
-            if triviality_oracle(w):
-                break
-            l = length_oracle(w)
-            asked.append((w, l))
-            if id(l) not in judged:
-                if isinstance(l, Inconclusive) or l.is_zero():
+        if len(labels) <= 128:  # _classes spells words as bytes
+            asked = []  # (class word, length), handed to the walk if the pass stops
+            for w in _classes(labels, ball_radius):
+                if triviality_oracle(w):
                     break
-                judged[id(l)] = l
-                if min_pos is None or l < min_pos:
-                    min_pos = l
-        else:
-            n = 2 * len(labels)
-            checked = sum(n * (n - 1) ** (k - 1) for k in range(1, ball_radius + 1))
-            return Certificate(ball_radius, checked, [], min_pos)
-        verdicts = {_class_key(u, keys): (False, l) for u, l in asked}
-        verdicts.setdefault(_class_key(w, keys), (True, None))  # the relation it stopped at, if so
+                l = length_oracle(w)
+                asked.append((w, l))
+                if id(l) not in judged:
+                    if isinstance(l, Inconclusive) or l.is_zero():
+                        break
+                    judged[id(l)] = l
+                    if min_pos is None or l < min_pos:
+                        min_pos = l
+            else:
+                n = 2 * len(labels)
+                checked = sum(n * (n - 1) ** (k - 1) for k in range(1, ball_radius + 1))
+                return Certificate(ball_radius, checked, [], min_pos)
+            verdicts = {_class_key(u, keys): (False, l) for u, l in asked}
+            verdicts.setdefault(_class_key(w, keys), (True, None))  # a relation it stopped at
     relations: list[str] = []
     checked = 0
     for w in ball_words(labels, ball_radius):
