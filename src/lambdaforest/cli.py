@@ -15,17 +15,19 @@ gets the --input document (None if none) and returns (status, body, text):
 `_report` prints text, writes --json and maps status to the exit code.  A handler that refuses a line the
 grammar lets through (exit 64), and `preset emit`, return an exit code.
 
-`main()` with no argv reads the process's own command line: such a process
-handles one document and exits, so the cycle collector is off while it runs
-and its heap is frozen before exit, where shutdown would walk it all again.
-`main(argv)` from Python leaves the collector as it finds it.
+`main()` with no argv reads the process's own command line and never returns: the
+collector is off while the command runs, then the atexit callbacks run, stdout and
+stderr are flushed and `os._exit` skips the interpreter's teardown.  Under a profiler
+or tracer it returns the exit code.  `main(argv)` leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import importlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
@@ -114,9 +116,16 @@ def _report(args, digest, status: str, body: dict, text: str) -> int:
         command = f"{args.command} {args.op}" if _COMMANDS[args.command][1] else args.command
         body = {**body, "command": command, "status": status, "schema": SCHEMA,
                 **({} if digest is None else {"input_digest": digest})}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(body) + "\n")
+        _write(args.json, _dumps(body))
     return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "inconclusive": EXIT_INCONCLUSIVE}[status]
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:  # a failed write or close names no file, as a failed open does
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _positive(text: str) -> int:
@@ -186,10 +195,17 @@ def _read(argv):
 def main(argv=None) -> int:
     if argv is None:  # the process's own command line: one document, then exit
         gc.disable()
+        code = main(sys.argv[1:])
+        if sys.getprofile() or sys.gettrace():  # a profiler or debugger reads on after main
+            return code
+        atexit._run_exitfuncs()  # what exit runs before teardown: coverage's save, say
         try:
-            return main(sys.argv[1:])
-        finally:
-            gc.freeze()  # shutdown's collections then walk nothing
+            for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
+                stream.flush()
+        except OSError as exc:  # the report's OSError handling below, for what stays buffered
+            print(f"cannot write {sys.stdout.name!r}: {exc.strerror}", file=sys.stderr)
+            code = EXIT_CANTCREAT
+        os._exit(code)  # teardown would free the heap object by object, module by module
     args = _read(argv)
     if args is None:
         parser = importlib.import_module("lambdaforest.cli_usage").build_parser()
@@ -210,8 +226,9 @@ def main(argv=None) -> int:
     except (Malformed, ValueError, KeyError, TypeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except OSError as exc:  # the --json report, or preset emit's --out
-        print(f"cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # stdout, the --json report, or preset emit's --out
+        name = sys.stdout.name if exc.filename is None else exc.filename  # _write names its file
+        print(f"cannot write {name!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_CANTCREAT
 
 

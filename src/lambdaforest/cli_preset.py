@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import EXIT_PASS, EXIT_USAGE, _dumps
+from .cli import EXIT_PASS, EXIT_USAGE, _dumps, _write
 
 
 def cmd_preset(args, doc):
@@ -19,8 +19,7 @@ def cmd_preset(args, doc):
         return EXIT_USAGE
     text = _dumps(presets.emit(args.name))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text)
     else:
         print(text)
     return EXIT_PASS

@@ -142,10 +142,16 @@ def test_a_document_nested_too_deeply_is_malformed(tmp_path, capsys):
      "distance: (2)\n", "Is a directory"),
     (["preset", "emit", "--name", "tripod", "--out"], "missing-dir/x.json", "",
      "No such file or directory"),
-], ids=["preset-list", "tree-distance", "preset-emit"])
+    # a full device opens, and the write or the close that fails names no file
+    (["preset", "list", "--json"], "/dev/full", "\n".join(presets.names()) + "\n",
+     "No space left on device"),
+    (["preset", "emit", "--name", "tripod", "--out"], "/dev/full", "", "No space left on device"),
+], ids=["preset-list", "tree-distance", "preset-emit", "preset-list-full", "preset-emit-full"])
 def test_an_output_that_cannot_be_written_exits_73(tmp_path, capsys, argv, target, out, reason):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
     argv = [emit(tmp_path, a[1:]) if a[:1] == "@" else a for a in argv]
-    target = str(tmp_path / target) if target else str(tmp_path)
+    target = str(tmp_path / target) if target else str(tmp_path)  # an absolute target stays
     assert main(argv + [target]) == 73
     assert capsys.readouterr() == (out, f"cannot write {target!r}: {reason}\n")
 

@@ -233,30 +233,117 @@ def test_module_entry_point_reports_malformed_input(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-# the console script's path: main() reads the process's own command line; the
-# hook reports the collector's state once main has returned
+# the console script's path: main() reads the process's own command line.  The
+# prelude's atexit hook prints the collector's state; its object's __del__ prints
+# only if the interpreter tears itself down, which the entry skips
 ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
-GC_AT_EXIT = ("import atexit, gc; atexit.register(lambda: print(gc.isenabled(), "
-              "gc.get_freeze_count() > 0)); ")
+PRELUDE = """import atexit, gc, sys
+atexit.register(lambda: print("collector", gc.isenabled()))
+class Teardown:
+    def __del__(self):
+        print("teardown")
+kept = Teardown()
+"""
+# a profile or trace function whose globals are not __main__'s, which would keep
+# `kept` alive through teardown
+PROFILED = {"profile": "sys.setprofile(eval('lambda *a: None', {}))\n",
+            "trace": "sys.settrace(eval('lambda *a: None', {}))\n"}
 MAIN_ARGV = "import sys; from lambdaforest.cli import main; sys.exit(main(sys.argv[1:]))"
+ENTRY_CASES = {"pass": (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0),
+               "malformed": (["tree", "distance", "--input", "BAD", "--x", "p", "--y", "q"], 65),
+               "usage": (["tree", "distance", "--input", "@tripod"], 64)}
 
 
-@pytest.mark.parametrize("argv, rc", [
-    (["tree", "distance", "--input", "@tripod", "--x", "p", "--y", "q"], 0),
-    (["tree", "distance", "--input", "BAD", "--x", "p", "--y", "q"], 65),
-    (["tree", "distance", "--input", "@tripod"], 64),
-], ids=["pass", "malformed", "usage"])
-def test_process_entry_runs_without_collector_and_exits_frozen(tmp_path, argv, rc):
+def _entry_and_main_argv(tmp_path, case, prelude):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    argv, rc = ENTRY_CASES[case]
     argv = [str(bad) if a == "BAD" else a for a in _paths(tmp_path, argv)]
     entry, listed = [subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                     text=True, env=_env(), timeout=60)
-                     for code in (GC_AT_EXIT + ENTRY, MAIN_ARGV)]
+                     for code in (prelude + ENTRY, MAIN_ARGV)]
     assert entry.returncode == listed.returncode == rc, entry.stderr
-    *out, state = entry.stdout.splitlines(keepends=True)
-    assert state == "False True\n"  # collector off, heap frozen, at exit
-    assert "".join(out) == listed.stdout and entry.stderr == listed.stderr
+    assert entry.stderr == listed.stderr
+    return entry.stdout, listed.stdout
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_process_entry_runs_without_collector_and_ends_without_teardown(tmp_path, case):
+    out, listed = _entry_and_main_argv(tmp_path, case, PRELUDE)
+    assert out == listed + "collector False\n"  # the hook ran; no teardown line after it
+
+
+@pytest.mark.parametrize("hook", PROFILED)
+def test_process_entry_returns_to_a_profiler_and_tears_down(tmp_path, hook):
+    out, listed = _entry_and_main_argv(tmp_path, "pass", PRELUDE + PROFILED[hook])
+    assert out == listed + "collector False\nteardown\n"
+
+
+# one command of each family, and an output of 58 KiB: the entry's stdout to a
+# file, block-buffered, holds what main(argv) prints, byte for byte.  No preset's
+# document reaches 1 KiB, so the large output is the ball of Z marked by three
+# letters, 5,004 relations up to radius 6
+Z_THREE = {"schema": "lambda-forest/1", "group": {"kind": "free-abelian", "letters": ["p"]},
+           "marking": ["p", "p", "p"], "letters": ["a", "b", "c"]}
+LARGE = ["marked", "ball", "--input", "@z-three", "--radius", "6"]
+BUFFERED = {argv[0]: argv for argv, _rc, _m in reversed(CASES.values())}
+BUFFERED["large"] = LARGE
+
+
+def _block_buffered():
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("family", sorted(BUFFERED))
+def test_buffered_output_arrives_in_full(tmp_path, capsys, monkeypatch, family):
+    from lambdaforest.cli import main
+
+    monkeypatch.setitem(INLINE, "z-three", Z_THREE)
+    argv = _paths(tmp_path, BUFFERED[family])
+    main(argv)
+    printed = capsys.readouterr().out.encode()
+    assert len(printed) > 8192 if family == "large" else printed
+    with open(tmp_path / "out.txt", "wb") as out:
+        subprocess.run([sys.executable, "-c", ENTRY, *argv], stdout=out,
+                       stderr=subprocess.DEVNULL, env=_block_buffered(), timeout=60)
+    assert (tmp_path / "out.txt").read_bytes() == printed
+
+
+def _closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+# stdout that cannot be written: one line on stderr and exit 73, whether print
+# fails (unbuffered) or the flush before os._exit does; a closed stdout
+# (sys.stdout None) prints nothing and exits 0
+@pytest.mark.parametrize("buffering", ["block", "unbuffered"])
+@pytest.mark.parametrize("target, rc, reason", [
+    ("/dev/full", 73, "No space left on device"), ("pipe", 73, "Broken pipe"), ("closed", 0, None)])
+@pytest.mark.parametrize("argv", [["preset", "list"], LARGE], ids=["preset-list", "large"])
+def test_unwritable_stdout_ends_in_one_line(tmp_path, monkeypatch, argv, target, rc, reason,
+                                            buffering):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    monkeypatch.setitem(INLINE, "z-three", Z_THREE)
+    env = _block_buffered() if buffering == "block" else dict(_env(), PYTHONUNBUFFERED="1")
+    stdout = (open(target, "wb") if target == "/dev/full" else
+              _closed_pipe() if target == "pipe" else None)
+    try:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *_paths(tmp_path, argv)],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=60, preexec_fn=(lambda: os.close(1)) if stdout is None
+                              else None)
+    finally:
+        if isinstance(stdout, int):
+            os.close(stdout)
+        elif stdout is not None:
+            stdout.close()
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr == ("" if reason is None else f"cannot write '<stdout>': {reason}\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -25,9 +25,12 @@ usage errors, the spellings only argparse reads, `preset emit` of every
 preset, single-word `bt length` and `bt valuation` queries, `bt certify
 --ball 10`, empty output paths, an empty preset name and `isom`'s base:
 COMMAND_LINES) runs the same way without --json, comparing the exit code
-and the sha256 of stdout and stderr.  The script prints each job or command
-line that differs and exits 1 if any does, 0 if none does.  It uses the
-standard library only and writes nothing inside the checkout.
+and the sha256 of stdout and stderr.  Every process runs with PYTHONUNBUFFERED
+removed from its environment, so its stdout is block-buffered and output the
+program failed to flush before exit would show as a difference.  The script
+prints each job or command line that differs and exits 1 if any does, 0 if
+none does.  It uses the standard library only and writes nothing inside the
+checkout.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ def run(src: str, argv: list[str], report: str | None) -> tuple:
     if report and os.path.exists(report):
         os.remove(report)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a job's stdout to a file is
     try:
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv,
                                *(["--json", report] if report else [])],
