@@ -202,8 +202,8 @@ def main(argv=None) -> int:
         try:
             for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
                 stream.flush()
-        except OSError as exc:  # the report's OSError handling below, for what stays buffered
-            print(f"cannot write {sys.stdout.name!r}: {exc.strerror}", file=sys.stderr)
+        except OSError as exc:  # what print left in the buffer: named as the report's below
+            print(f"cannot write {stream.name!r}: {exc.strerror}", file=sys.stderr)
             code = EXIT_CANTCREAT
         os._exit(code)  # teardown would free the heap object by object, module by module
     args = _read(argv)

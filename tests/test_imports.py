@@ -322,7 +322,8 @@ def _closed_pipe():
 # (sys.stdout None) prints nothing and exits 0
 @pytest.mark.parametrize("buffering", ["block", "unbuffered"])
 @pytest.mark.parametrize("target, rc, reason", [
-    ("/dev/full", 73, "No space left on device"), ("pipe", 73, "Broken pipe"), ("closed", 0, None)])
+    ("/dev/full", 73, "No space left on device"), ("pipe", 73, "Broken pipe"), ("closed", 0, None),
+], ids=["full", "closed-pipe", "closed"])
 @pytest.mark.parametrize("argv", [["preset", "list"], LARGE], ids=["preset-list", "large"])
 def test_unwritable_stdout_ends_in_one_line(tmp_path, monkeypatch, argv, target, rc, reason,
                                             buffering):
