@@ -124,7 +124,7 @@ def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    except OSError as exc:  # a failed write or close names no file, as a failed open does
+    except OSError as exc:  # a failed write or close names no file: name it, as open does
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
