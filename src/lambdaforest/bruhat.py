@@ -52,12 +52,27 @@ def _add(c1: dict, c2: dict) -> dict:
 
 
 class _Laurent:
-    """The ring arithmetic RatFunc and BiRatFunc share: `coeffs` is a dict
-    exponent -> nonzero coefficient.  Arithmetic keeps the coefficient type of
-    its operands, so the int coefficients MatrixLengthOracle multiplies stay
-    int."""
+    """Laurent polynomials in t and s: `coeffs` is a dict (t-exp, s-exp) ->
+    nonzero coefficient, coerced to Fraction by the constructor.  Document
+    entries are Laurent polynomials, and so are sums and products of them and
+    the adjugate inverse of a determinant-1 matrix, so no denominator is ever
+    needed.  Arithmetic keeps the coefficient type of its operands, so the int
+    coefficients MatrixLengthOracle multiplies stay int.  A subclass fixes the
+    rank of the valuation."""
 
     __slots__ = ("coeffs",)
+    rank: int
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {(int(et), int(es)): q for (et, es), v in coeffs.items()
+                       if (q := Fraction(v))}
+
+    @classmethod
+    def const(cls, q):
+        return _laurent(cls, {(0, 0): q} if (q := Fraction(q)) else {})
+
+    def one_like(self):
+        return self.const(1)
 
     def __add__(self, o):
         return _laurent(self.__class__, _add(self.coeffs, o.coeffs))
@@ -68,107 +83,65 @@ class _Laurent:
     def __sub__(self, o):
         return self + (-o)
 
+    def __mul__(self, o):
+        c: dict = {}
+        for (t1, s1), v1 in self.coeffs.items():
+            for (t2, s2), v2 in o.coeffs.items():
+                k = (t1 + t2, s1 + s2)  # the pair, not a generic tuple sum: this is the hot loop
+                c[k] = c.get(k, 0) + v1 * v2
+        return _laurent(self.__class__, {k: v for k, v in c.items() if v})
+
     def __eq__(self, o) -> bool:
         return o.__class__ is self.__class__ and self.coeffs == o.coeffs
 
+    def valuation(self) -> Optional[LexValue]:
+        """The lexicographic least exponent, cut to the rank: the t-order,
+        then the s-order of the lowest-t part."""
+        if not self.coeffs:
+            return INFINITY
+        return LexValue(min(self.coeffs)[:self.rank])
+
+    def __repr__(self):
+        # a determinant error quotes entries in this form: x t^kt s^ks over
+        # 1*t^kt*s^ks, where (vt, vs) is the least exponent, kt = max(0, -vt)
+        # and ks = max(0, -vs); an s^-1 outside the lowest-t part can stay in
+        # the numerator.  Q(t) writes no s
+        vt, vs = min(self.coeffs, default=(0, 0))
+        kt, ks = max(0, -vt), max(0, -vs)
+        num = " + ".join(f"{v}*{self._monomial(et + kt, es + ks)}"
+                         for (et, es), v in sorted(self.coeffs.items()))
+        return f"({num or 0})/(1*{self._monomial(kt, ks)})"
+
+    def _monomial(self, et: int, es: int) -> str:
+        return f"t^{et}" if self.rank == 1 else f"t^{et}*s^{es}"
+
 
 class RatFunc(_Laurent):
-    """Element of Q(t) that is a Laurent polynomial in t: exponent ->
-    coefficient, coerced to Fraction.  Document entries are Laurent
-    polynomials, and so are sums and products of them and the adjugate
-    inverse of a determinant-1 matrix, so no denominator is ever needed."""
+    """Element of Q(t) that is a Laurent polynomial in t: the s-free part of
+    Q(s, t), under the t-adic valuation."""
 
     __slots__ = ()
+    rank = 1
 
     def __init__(self, coeffs: dict):
-        self.coeffs = {int(e): q for e, v in coeffs.items() if (q := Fraction(v))}
-
-    @staticmethod
-    def const(q) -> "RatFunc":
-        return RatFunc({0: q})
+        """exponent of t -> coefficient: a Q(t) element has no s."""
+        self.coeffs = {(int(e), 0): q for e, v in coeffs.items() if (q := Fraction(v))}
 
     @staticmethod
     def t(power: int = 1) -> "RatFunc":
         return RatFunc({power: 1})
 
-    def __mul__(self, o: "RatFunc") -> "RatFunc":
-        c: dict = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in o.coeffs.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return _laurent(RatFunc, {e: v for e, v in c.items() if v})
-
-    def one_like(self):
-        return RatFunc.const(1)
-
-    @property
-    def rank(self) -> int:
-        return 1
-
-    def valuation(self) -> Optional[LexValue]:
-        if not self.coeffs:
-            return INFINITY
-        return LexValue([min(self.coeffs)])
-
-    def __repr__(self):
-        # a determinant error quotes entries in this form: x t^k over 1*t^k,
-        # for the least k >= 0 that leaves no negative power of t
-        k = max(0, -min(self.coeffs, default=0))
-        num = " + ".join(f"{v}*t^{e + k}" for e, v in sorted(self.coeffs.items()))
-        return f"({num or 0})/(1*t^{k})"
-
 
 class BiRatFunc(_Laurent):
     """Element of Q(s, t) that is a Laurent polynomial in s, t, under the
-    rank-2 monomial valuation: (t-exp, s-exp) -> coefficient, coerced to
-    Fraction, as RatFunc's."""
+    rank-2 monomial valuation."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {(int(et), int(es)): q for (et, es), v in coeffs.items()
-                       if (q := Fraction(v))}
-
-    @staticmethod
-    def const(q) -> "BiRatFunc":
-        return BiRatFunc({(0, 0): q})
+    rank = 2
 
     @staticmethod
     def monomial(t_exp: int, s_exp: int, coeff=1) -> "BiRatFunc":
         return BiRatFunc({(t_exp, s_exp): coeff})
-
-    def __mul__(self, o: "BiRatFunc") -> "BiRatFunc":
-        c: dict = {}
-        for (t1, s1), v1 in self.coeffs.items():
-            for (t2, s2), v2 in o.coeffs.items():
-                k = (t1 + t2, s1 + s2)
-                c[k] = c.get(k, 0) + v1 * v2
-        return _laurent(BiRatFunc, {k: v for k, v in c.items() if v})
-
-    def one_like(self):
-        return BiRatFunc.const(1)
-
-    @property
-    def rank(self) -> int:
-        return 2
-
-    def valuation(self) -> Optional[LexValue]:
-        """(t-order, s-order of the lowest-t part): the lexicographic least
-        exponent."""
-        if not self.coeffs:
-            return INFINITY
-        return LexValue(min(self.coeffs))
-
-    def __repr__(self):
-        # as RatFunc's, x t^kt s^ks over 1*t^kt*s^ks, where (vt, vs) is the
-        # valuation, kt = max(0, -vt) and ks = max(0, -vs); an s^-1 outside
-        # the lowest-t part can stay in the numerator
-        vt, vs = min(self.coeffs, default=(0, 0))
-        kt, ks = max(0, -vt), max(0, -vs)
-        num = " + ".join(f"{v}*t^{et + kt}*s^{es + ks}"
-                         for (et, es), v in sorted(self.coeffs.items()))
-        return f"({num or 0})/(1*t^{kt}*s^{ks})"
 
 
 class QpElement:
@@ -347,9 +320,8 @@ class MatrixLengthOracle:
             self._p = primes.pop()
         else:
             self._poly = kind
-        exact = {label: [x.coeffs if self._poly else {0: x.value} for x in entries]
+        exact = {label: [x.coeffs if self._poly else {(0, 0): x.value} for x in entries]
                  for label, entries in matrices.items()}
-        self._unit = (0, 0) if kind is BiRatFunc else 0
         self.rank = next(iter(generators.values())).rank
         self.scale = lcm(*(q.denominator for entries in exact.values()
                            for e in entries for q in e.values()))
@@ -364,16 +336,16 @@ class MatrixLengthOracle:
         self.trace_valuations: set[tuple] = set()
         self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
         self._traces: dict = {}  # word -> D^|w| Tr w
-        self._values: dict = {}  # int valuation (None for a zero trace) -> (v(Tr), length)
+        self._values: dict = {}  # least exponent or (v_p,), None for a zero trace -> (v(Tr), length)
 
     def _ring(self, coeffs: dict):
         """The ring element with these int coefficients."""
         if self._poly is None:
-            return coeffs.get(0, 0)
+            return coeffs.get((0, 0), 0)
         return _laurent(self._poly, coeffs)
 
     def _scalar(self, n: int) -> Mat2:
-        zero, c = self._ring({}), self._ring({self._unit: n})
+        zero, c = self._ring({}), self._ring({(0, 0): n})
         return Mat2(c, zero, zero, c, check_det=False)
 
     def product(self, w: Word) -> Mat2:
@@ -411,14 +383,14 @@ class MatrixLengthOracle:
         pair is built per distinct valuation."""
         tr = self._trace(w)
         if self._p is not None:
-            n = None if tr == 0 else _vp(tr, self._p) - len(w) * self._vp_scale
+            n = None if tr == 0 else (_vp(tr, self._p) - len(w) * self._vp_scale,)
         else:
             n = min(tr.coeffs) if tr.coeffs else None  # the lexicographic least exponent
         value = self._values.get(n)
         if value is None:
             v = INFINITY
             if n is not None:
-                v = LexValue([n] if self.rank == 1 else n)
+                v = LexValue(n[:self.rank])
                 self.trace_valuations.add(v.coords)
             value = self._values[n] = (v, _translation_length(v, self.rank))
         return value
@@ -432,7 +404,7 @@ class MatrixLengthOracle:
 
     def is_trivial(self, w: Word) -> bool:
         one = self.scale ** len(w)  # a trivial word has trace 2
-        return (self._trace(w) == self._ring({self._unit: 2 * one})
+        return (self._trace(w) == self._ring({(0, 0): 2 * one})
                 and self.product(w) == self._scalar(one))
 
 
@@ -506,11 +478,10 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         if field == "Qt" and s_exp:
             raise FieldError("s appears in a Qt entry")
         q = _rat(str(val))
-        e = t_exp if field == "Qt" else (t_exp, s_exp)
-        if e in c:  # "t" and "t^1", or "st" and "ts"
+        if (t_exp, s_exp) in c:  # "t" and "t^1", or "st" and "ts"
             raise FieldError(f"two keys of one entry name the monomial {key!r}")
-        c[e] = q
-    return RatFunc(c) if field == "Qt" else BiRatFunc(c)
+        c[t_exp, s_exp] = q
+    return _laurent(RatFunc if field == "Qt" else BiRatFunc, {e: q for e, q in c.items() if q})
 
 
 def matrix_group_from_json(doc: dict) -> dict[str, Mat2]:

@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
-Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive,
-64 usage error, 65 malformed input (also any ValueError, KeyError or TypeError
-a handler raises, and a document nested too deeply to read), 73 an output
-that cannot be written (after the verdict is printed).  With --json PATH the
-machine-readable report is written there as deterministic (sorted,
-timestamp-free) JSON.
+Exit codes: 0 all checks pass, 2 violation or counterexample, 3 inconclusive, 64
+usage error, 65 malformed input (also any ValueError, KeyError or TypeError a
+handler raises, and a document nested too deeply to read), 73 an output that
+cannot be written (after the verdict is printed); a closed or full stderr
+changes none of them.  With --json PATH the machine-readable report is written
+there as deterministic (sorted, timestamp-free) JSON.
 
 `main` reads a well-formed line by the grammar `_COMMANDS` and builds argparse's
 parser (in `cli_usage`) only for --help, usage errors and spellings only
@@ -128,20 +128,25 @@ def _write(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
+def _fail(code: int, line: str) -> int:
+    """Write line to stderr as argparse writes usage: a None or unwritable stderr is passed over."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # AttributeError: stderr is None
+        pass
+    return code
+
+
+def _nonnegative(text: str, least: int = 0, word: str = "nonnegative") -> int:
+    n = int(text)
+    if n < least:
+        import argparse
+        raise argparse.ArgumentTypeError(f"must be a {word} integer, got {n}")
+    return n
+
+
 def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        import argparse
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
-
-
-def _nonnegative(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        import argparse
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {n}")
-    return n
+    return _nonnegative(text, 1, "positive")
 
 
 # command -> (family, ops, options in their --help order); an option maps its
@@ -199,12 +204,12 @@ def main(argv=None) -> int:
         if sys.getprofile() or sys.gettrace():  # a profiler or debugger reads on after main
             return code
         atexit._run_exitfuncs()  # what exit runs before teardown: coverage's save, say
-        try:
-            for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
+            try:
                 stream.flush()
-        except OSError as exc:  # what print left in the buffer: named as the report's below
-            print(f"cannot write {stream.name!r}: {exc.strerror}", file=sys.stderr)
-            code = EXIT_CANTCREAT
+            except OSError as exc:  # what print left in the buffer; a full stderr changes no code
+                if stream is sys.stdout:  # named as the report's below
+                    code = _fail(EXIT_CANTCREAT, f"cannot write {stream.name!r}: {exc.strerror}")
         os._exit(code)  # teardown would free the heap object by object, module by module
     args = _read(argv)
     if args is None:
@@ -224,12 +229,10 @@ def main(argv=None) -> int:
         verdict = handler(args, doc)
         return verdict if isinstance(verdict, int) else _report(args, digest, *verdict)
     except (Malformed, ValueError, KeyError, TypeError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return _fail(EXIT_MALFORMED, f"malformed input: {exc}")
     except OSError as exc:  # stdout, the --json report, or preset emit's --out
         name = sys.stdout.name if exc.filename is None else exc.filename  # _write names its file
-        print(f"cannot write {name!r}: {exc.strerror}", file=sys.stderr)
-        return EXIT_CANTCREAT
+        return _fail(EXIT_CANTCREAT, f"cannot write {name!r}: {exc.strerror}")
 
 
 if __name__ == "__main__":

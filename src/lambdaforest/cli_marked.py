@@ -1,8 +1,6 @@
 """Handler of the `marked` commands: ball, compare and profile."""
 
-import sys
-
-from .cli import EXIT_USAGE, SCHEMA, Malformed, _load, _positive_field
+from .cli import EXIT_USAGE, SCHEMA, Malformed, _fail, _load, _positive_field
 
 
 def z_marked(n: int) -> dict:
@@ -29,8 +27,7 @@ def _usage(args):
 
 def cmd_marked(args, doc):
     if usage := _usage(args):
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, usage)
     from .groups import word_str
     from .markedgroups import (
         convergence_profile,

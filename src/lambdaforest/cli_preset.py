@@ -1,8 +1,6 @@
 """Handler of the `preset` commands: list and emit."""
 
-import sys
-
-from .cli import EXIT_PASS, EXIT_USAGE, _dumps, _write
+from .cli import EXIT_PASS, EXIT_USAGE, _dumps, _fail, _write
 
 
 def cmd_preset(args, doc):
@@ -15,8 +13,7 @@ def cmd_preset(args, doc):
              "preset emit takes no --json: it writes a document" if args.json is not None else
              None if args.name in presets.names() else f"unknown preset {args.name!r}")
     if usage:
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, usage)
     text = _dumps(presets.emit(args.name))
     if args.out is not None:
         _write(args.out, text)

@@ -387,7 +387,7 @@ class PerWordOracle:
             if not tr.coeffs:
                 return None
             n = min(tr.coeffs)
-            v = L(*n) if oracle.rank == 2 else L(n)
+            v = L(*n[:oracle.rank])
         self.trace_valuations.add(v.coords)
         return v
 
@@ -756,3 +756,68 @@ def test_zero_over_q_s_t_has_infinite_valuation_and_a_matrix_prints_its_entries(
     assert BiRatFunc({}).valuation() is INFINITY
     one, zero = QpElement(Fraction(1), 2), QpElement(Fraction(0), 2)
     assert repr(Mat2(one, zero, zero, one)) == f"[[{one!r}, {zero!r}], [{zero!r}, {one!r}]]"
+
+
+# element text ---------------------------------------------------------------------------
+# RatFunc and BiRatFunc as they were before they shared one implementation, the
+# reference for the text a determinant error quotes and for the valuation: a
+# coefficient dict keyed by the t-exponent over Q(t), by (t-exp, s-exp) over Q(s, t)
+
+
+def old_qt_repr(coeffs: dict) -> str:
+    k = max(0, -min(coeffs, default=0))
+    num = " + ".join(f"{v}*t^{e + k}" for e, v in sorted(coeffs.items()))
+    return f"({num or 0})/(1*t^{k})"
+
+
+def old_qst_repr(coeffs: dict) -> str:
+    vt, vs = min(coeffs, default=(0, 0))
+    kt, ks = max(0, -vt), max(0, -vs)
+    num = " + ".join(f"{v}*t^{et + kt}*s^{es + ks}" for (et, es), v in sorted(coeffs.items()))
+    return f"({num or 0})/(1*t^{kt}*s^{ks})"
+
+
+def old_valuation(coeffs: dict):
+    if not coeffs:
+        return INFINITY
+    e = min(coeffs)
+    return L(*e) if isinstance(e, tuple) else L(e)
+
+
+def old_arithmetic(op: str, c1: dict, c2: dict) -> dict:
+    """c1 op c2 on coefficient dicts, with no zero coefficient kept."""
+    out = {} if op == "*" else dict(c1)
+    for e2, v2 in c2.items():
+        if op == "*":
+            for e1, v1 in c1.items():
+                e = e1 + e2 if isinstance(e1, int) else (e1[0] + e2[0], e1[1] + e2[1])
+                out[e] = out.get(e, 0) + v1 * v2
+        else:
+            out[e2] = out.get(e2, 0) + (v2 if op == "+" else -v2)
+    return {e: v for e, v in out.items() if v}
+
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+ELEMENTS = {"Qt": (RatFunc, st.integers(-3, 3), old_qt_repr),
+            "Qst": (BiRatFunc, st.tuples(st.integers(-3, 3), st.integers(-3, 3)), old_qst_repr)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ELEMENTS)), st.sampled_from(["one", *OPS]), st.data())
+def test_element_text_and_valuation_match_the_two_old_classes(field, op, data):
+    """Zero, negative exponents and, over Q(s, t), an s^-1 outside the
+    lowest-t part, alone and in sums, differences and products."""
+    cls, exponent, old_repr = ELEMENTS[field]
+    c1, c2 = (data.draw(st.dictionaries(exponent, COEFF, max_size=3)) for _ in "12")
+    if op == "one":
+        x, ref = cls(c1), {e: v for e, v in c1.items() if v}
+    else:
+        x, ref = OPS[op](cls(c1), cls(c2)), old_arithmetic(op, c1, c2)
+    assert repr(x) == old_repr(ref)
+    assert x.valuation() == old_valuation(ref)
+
+
+def test_an_s_inverse_outside_the_lowest_t_part_stays_in_the_numerator():
+    coeffs = {(0, 0): 1, (1, -1): 2}
+    text = "(1*t^0*s^0 + 2*t^1*s^-1)/(1*t^0*s^0)"
+    assert repr(BiRatFunc(coeffs)) == old_qst_repr(coeffs) == text

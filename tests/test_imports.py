@@ -192,9 +192,10 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 # document (isom and marked fell too, but stay above their figures: not raised);
 # and isom, bt and gog where the class pass left isometry for a module that
 # only bt certify loads, bt's value-group rank became one rational_rank call
-# and gog acyl's report lost a key that was always empty
+# and gog acyl's report lost a key that was always empty; and bt where Q(t)
+# became the s-free part of Q(s, t), one Laurent implementation for both
 FAMILY_LINES = {"validate-tree": 1144, "tree": 1148, "isom": 1759, "glue": 1736, "cover": 1296,
-                "bt": 1632, "gog": 1164, "marked": 780, "preset": 479}
+                "bt": 1623, "gog": 1164, "marked": 780, "preset": 479}
 
 
 def test_compiled_source_per_family_stays_put():
@@ -345,6 +346,33 @@ def test_unwritable_stdout_ends_in_one_line(tmp_path, monkeypatch, argv, target,
             stdout.close()
     assert proc.returncode == rc, proc.stderr
     assert proc.stderr == ("" if reason is None else f"cannot write '<stdout>': {reason}\n")
+
+
+# a stderr that is full, closed at the start or None changes no exit code: the
+# lines of malformed input, of an output that cannot be written and of a usage
+# error a handler finds are passed over, as argparse passes over its usage
+@pytest.mark.parametrize("target", ["full", "closed", "none"])
+@pytest.mark.parametrize("argv, rc", [
+    (["tree", "distance", "--input", "{tmp}/missing.json", "--x", "p", "--y", "q"], 65),
+    (["preset", "list", "--json", "{tmp}/missing/report.json"], 73),
+    (["marked", "ball"], 64)], ids=["malformed", "cannot-write", "usage"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, rc, target):
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    prelude = "import sys; sys.stderr = None\n" if target == "none" else ""
+    stderr = open("/dev/full", "wb") if target == "full" else subprocess.PIPE
+    try:
+        proc = subprocess.run([sys.executable, "-c", prelude + ENTRY, *argv],
+                              stdout=subprocess.PIPE, stderr=stderr, text=True, env=_env(),
+                              timeout=60, preexec_fn=(lambda: os.close(2)) if target == "closed"
+                              else None)
+    finally:
+        if target == "full":
+            stderr.close()
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr in (None, "")
+    assert proc.stdout == ("\n".join(presets.names()) + "\n" if rc == 73 else "")
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -19,8 +19,13 @@ trees.  Every benchmark `validate-tree` violation puts the point where the
 insertion check fails last, so VALIDATE_DOCS seeded tables
 (validate_documents) run too: 9-32 points, ranks 1-3, fractional lengths,
 triangle and four-point violations that the check meets at any point, and
-some passes.  The exit code and the sha256 of stdout, stderr and the --json
-report are compared.  A fixed list of command lines that no job sends (help,
+some passes.  Every benchmark `bt` input has integer coefficients, so
+MATRIX_DOCS seeded generator pairs over Q(t) and Q(s, t) with fractional
+coefficients (matrix_documents) run too, each as `bt valuation` and `bt
+length` of a random word and as `bt certify --ball 3`; about one in five
+has a determinant that is not 1, whose error quotes the element text.  The
+exit code and the sha256 of stdout, stderr and the --json report are
+compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
 preset, single-word `bt length` and `bt valuation` queries, `bt certify
 --ball 10`, empty output paths, an empty preset name and `isom`'s base:
@@ -336,6 +341,81 @@ def validate_documents(seed: int) -> list[dict]:
     return docs
 
 
+MATRIX_DOCS = 30  # per seed
+
+
+def _times(x: dict, y: dict) -> dict:
+    """The product of two Laurent polynomials in t and s, (t-exp, s-exp) -> coefficient."""
+    out: dict = {}
+    for (t1, s1), a in x.items():
+        for (t2, s2), b in y.items():
+            e = (t1 + t2, s1 + s2)
+            out[e] = out.get(e, 0) + a * b
+    return {e: c for e, c in out.items() if c}
+
+
+def _plus(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _monomial_key(t: int, s: int) -> str:
+    """The key of t^t s^s, as "1", "t^-2", "s" or "t^2s^-1": an exponent of 1 is left out."""
+    return "".join(v if e == 1 else f"{v}^{e}" for v, e in (("t", t), ("s", s)) if e) or "1"
+
+
+def _entry_json(x: dict):
+    """A document entry: "0", a rational string for a constant, else a map of
+    monomial keys to rational strings."""
+    if not x or set(x) == {(0, 0)}:
+        return str(x.get((0, 0), 0))
+    return {_monomial_key(t, s): str(c) for (t, s), c in sorted(x.items())}
+
+
+def matrix_documents(seed: int) -> list[tuple[str, dict]]:
+    """(word, document) pairs of two generators over Q(t) or Q(s, t) with
+    fractional coefficients: each a product of 2-3 factors [[1, f], [0, 1]],
+    [[1, 0], [f, 1]] or diag(u, 1/u), where f has 1-2 terms and u = c t^i s^j,
+    coefficients +-1..3 over 1..4 and exponents -2..2 (no s over Q(t)).  One
+    document in five then has a term added to one entry, so its determinant is
+    not 1 (unless the entry it is added to meets a zero in the determinant)
+    and the error quotes its text.  The word has 1-4 letters of the generators and their inverses."""
+    rng = random.Random(seed)
+    docs = []
+    for k in range(MATRIX_DOCS):
+        field = rng.choice(["Qt", "Qst"])
+
+        def term() -> tuple:
+            e = (rng.randint(-2, 2), rng.randint(-2, 2) if field == "Qst" else 0)
+            return e, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+        one, gens = {(0, 0): Fraction(1)}, {}
+        for label in "ab":
+            m = [[one, {}], [{}, one]]
+            for _ in range(rng.randint(2, 3)):
+                kind = rng.choice(["upper", "lower", "diag"])
+                if kind == "diag":
+                    (t, s), c = term()
+                    f = [[{(t, s): c}, {}], [{}, {(-t, -s): 1 / c}]]
+                else:
+                    poly = dict(term() for _ in range(rng.randint(1, 2)))
+                    f = [[one, poly], [{}, one]] if kind == "upper" else [[one, {}], [poly, one]]
+                m = [[_plus(_times(m[i][0], f[0][j]), _times(m[i][1], f[1][j])) for j in (0, 1)]
+                     for i in (0, 1)]
+            gens[label] = m
+        if k % 5 == 4:
+            i, j = rng.choice([(0, 0), (0, 1), (1, 0), (1, 1)])
+            m = gens[rng.choice("ab")]
+            m[i][j] = _plus(m[i][j], dict([term()]))
+        word = "".join(rng.choice(["a", "b", "a'", "b'"]) for _ in range(rng.randint(1, 4)))
+        docs.append((word, {"schema": "lambda-forest/1", "kind": "matrix-group", "field": field,
+                            "generators": {g: [[_entry_json(x) for x in row] for row in m]
+                                           for g, m in gens.items()}}))
+    return docs
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, or of that
     LINE_DOCS document, written once."""
@@ -379,19 +459,25 @@ def main(argv=None) -> int:
                         name = f"{workload}/{seed}/{job.id}"
                         work.append((name, job.kind, materialize(job, where)))
         for seed in args.seeds:
-            seeded = [(f"cover/{seed}/{k}", ("check", "skeleton"), doc)
+            # per document: name, and per run its op (none for validate-tree) and the
+            # options after --input
+            seeded = [(f"cover/{seed}/{k}", (("check",), ("skeleton",)), doc)
                       for k, doc in enumerate(cover_documents(seed))]
-            seeded += [(f"glue/{seed}/{k}", (op,), doc)
+            seeded += [(f"glue/{seed}/{k}", ((op,),), doc)
                        for k, (op, doc) in enumerate(glue_documents(seed))]
-            seeded += [(f"validate-tree/{seed}/{k}", (None,), doc)
+            seeded += [(f"validate-tree/{seed}/{k}", ((),), doc)
                        for k, doc in enumerate(validate_documents(seed))]
-            for name, ops, doc in seeded:
+            seeded += [(f"bt/{seed}/{k}", (("valuation", "--word", word),
+                                           ("length", "--word", word),
+                                           ("certify", "--ball", "3")), doc)
+                       for k, (word, doc) in enumerate(matrix_documents(seed))]
+            for name, runs, doc in seeded:
                 path = os.path.join(inputs, name.replace("/", "-") + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                 command = name.split("/")[0]
-                work += [(name, f"{command} {op}" if op else command,
-                          [command, *([op] if op else []), "--input", path]) for op in ops]
+                work += [(name, " ".join([command, *run[:1]]),
+                          [command, *run[:1], "--input", path, *run[1:]]) for run in runs]
         lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
                  for line in COMMAND_LINES]
 
