@@ -375,6 +375,14 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, rc, target):
     assert proc.stdout == ("\n".join(presets.names()) + "\n" if rc == 73 else "")
 
 
+def test_main_with_argv_passes_over_a_none_stderr(monkeypatch, capsys):
+    from lambdaforest.cli import main
+
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["marked", "ball"]) == 64
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_with_argv_leaves_the_collector_alone(tmp_path, capsys, enabled):
     from lambdaforest.cli import main
