@@ -14,6 +14,7 @@ from numerics.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -430,32 +431,17 @@ def certify_free_bt(generators: dict[str, Mat2], ball_radius: int):
 
 
 def _parse_monomial_key(key: str) -> tuple[int, int]:
-    """'1' -> (0,0); 't^-1' -> (-1,0); 's^2' -> (0,2); 's^2t^-1' -> (-1,2)."""
+    """'1' -> (0,0); 't^-1' -> (-1,0); 's^2' -> (0,2); 's^2t^-1' -> (-1,2).  In a
+    str pattern \\d matches what str.isdecimal accepts, so int() reads each exponent."""
     key = key.strip()
-    if key in ("1", ""):
+    if key == "1":
         return (0, 0)
-    t_exp = s_exp = 0
-    i = 0
-    while i < len(key):
-        var = key[i]
-        if var not in ("s", "t"):
+    exps = {"t": 0, "s": 0}
+    for var, exp, bad in re.findall(r"(?s)([st])(?:\^(-?\d+))?|(.)", key):
+        if bad:
             raise FieldError(f"bad monomial key {key!r}")
-        i += 1
-        exp = 1
-        if i < len(key) and key[i] == "^":
-            i += 1
-            first = j = i + 1 if key.startswith("-", i) else i  # the first digit
-            while j < len(key) and key[j].isdecimal():  # '²'.isdigit(), but int('²') fails
-                j += 1
-            if j == first:
-                raise FieldError(f"bad monomial key {key!r}")
-            exp = int(key[i:j])
-            i = j
-        if var == "t":
-            t_exp += exp
-        else:
-            s_exp += exp
-    return (t_exp, s_exp)
+        exps[var] += int(exp or 1)
+    return exps["t"], exps["s"]
 
 
 def parse_entry(data, field: str, p: Optional[int] = None):

@@ -38,53 +38,26 @@ class DevissageError(ValueError):
 # vertex group descriptors -----------------------------------------------------------
 
 
-class FreeGroup:
-    __slots__ = ("letters",)
-    __setattr__ = _frozen
-
-    def __init__(self, letters: tuple[str, ...]):
-        object.__setattr__(self, "letters", letters)
-
-    @property
-    def b1(self) -> int:
-        return len(self.letters)
+# a free or free-abelian vertex group is its word-problem oracle
+FreeGroup, FreeAbelian = FreeGroupOracle, FreeAbelianOracle
 
 
-class FreeAbelian:
-    __slots__ = ("letters",)
-    __setattr__ = _frozen
-
-    def __init__(self, letters: tuple[str, ...]):
-        object.__setattr__(self, "letters", letters)
-
-    @property
-    def b1(self) -> int:
-        return len(self.letters)
-
-
-class CyclicBySum:
+class CyclicBySum(FreeAbelianOracle):
     """N + Z^k with a marked cyclic summand generated by `n_letter`."""
 
     __slots__ = ("n_letter", "extra_letters")
-    __setattr__ = _frozen
 
     def __init__(self, n_letter: str, extra_letters: tuple[str, ...]):
+        super().__init__((n_letter,) + extra_letters)
         object.__setattr__(self, "n_letter", n_letter)
         object.__setattr__(self, "extra_letters", extra_letters)
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return (self.n_letter,) + self.extra_letters
-
-    @property
-    def b1(self) -> int:
-        return 1 + len(self.extra_letters)
 
 
 class SurfaceWithBoundary:
     """Surface with boundary: free fundamental group plus designated boundary
     words; an optional closed-case relator covers edgeless closed-surface
-    vertices."""
+    vertices.  Not a FreeGroupOracle: the structure clauses that ask for a
+    free vertex group must not take a surface for one."""
 
     __slots__ = ("letters", "boundaries", "closed_relator")
     __setattr__ = _frozen
@@ -106,6 +79,9 @@ class SurfaceWithBoundary:
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
 
+    def is_trivial(self, w: Word) -> bool:  # the closed relator only affects b1
+        return not free_reduce(w)
+
     @property
     def b1(self) -> int:
         if self.closed_relator is None:
@@ -114,15 +90,7 @@ class SurfaceWithBoundary:
         return betti1(pres)
 
 
-Descriptor = Union[FreeGroup, FreeAbelian, CyclicBySum, SurfaceWithBoundary]
-
-
-def _oracle(desc: Descriptor):
-    if isinstance(desc, (FreeAbelian, CyclicBySum)):
-        return FreeAbelianOracle(desc.letters)
-    # free and surface vertices: boundary words live in the free group; the
-    # closed relator only affects b1, never the nontriviality checks used here
-    return FreeGroupOracle(desc.letters)
+Descriptor = Union[FreeGroupOracle, FreeAbelianOracle, SurfaceWithBoundary]
 
 
 # the graph ---------------------------------------------------------------------------
@@ -166,8 +134,7 @@ class GraphOfGroups:
             for end, img in ((e.u, e.image_u), (e.v, e.image_v)):
                 if end not in self.vertices:
                     raise DevissageError(f"edge endpoint {end!r} missing")
-                o = _oracle(self.vertices[end].desc)
-                if o.is_trivial(img):
+                if self.vertices[end].desc.is_trivial(img):
                     raise DevissageError(
                         f"edge image {word_str(img)} trivial in vertex {end!r}"
                     )
@@ -221,9 +188,9 @@ def descriptor_from_json(doc: dict) -> Descriptor:
         raise DevissageError(f"unknown descriptor kind {kind!r}")
     letters = check_alphabet(letters, "vertex letter")
     if kind == "free":
-        return FreeGroup(letters)
+        return FreeGroupOracle(letters)
     if kind == "free-abelian":
-        return FreeAbelian(letters)
+        return FreeAbelianOracle(letters)
     if kind == "cyclic-by-sum":
         return CyclicBySum(letters[0], letters[1:])
     bnd = parse_words(doc["boundaries"], letters, "boundaries")
@@ -297,7 +264,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
                 break
             # maximal cyclic: the other end must not be a proper power there
             od = G.vertices[other_end].desc
-            if isinstance(od, (FreeGroup, SurfaceWithBoundary)):
+            if isinstance(od, (FreeGroupOracle, SurfaceWithBoundary)):
                 _, k = primitive_root(other_img)
                 if k != 1:
                     verdict = ClauseVerdict(
@@ -319,7 +286,7 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
         if G.vertices[ab].vtype == "abelian" and G.vertices[inf].vtype == "infinitesimal":
             ab_edges.setdefault(inf, []).append((ab, img))
     for inf, hung in ab_edges.items():
-        if not isinstance(G.vertices[inf].desc, FreeGroup):
+        if not isinstance(G.vertices[inf].desc, FreeGroupOracle):
             if len({a for a, _ in hung}) > 1:
                 unchecked.append(inf)
             continue
@@ -369,7 +336,8 @@ def check_structure(G: GraphOfGroups) -> StructureReport:
     for vid, v in G.vertices.items():
         if v.vtype != "infinitesimal":
             continue
-        if not (isinstance(v.desc, FreeGroup) or (isinstance(v.attestation, str) and v.attestation)):
+        if not (isinstance(v.desc, FreeGroupOracle)
+                or (isinstance(v.attestation, str) and v.attestation)):
             missing.append(vid)
     clauses["infinitesimal"] = (
         ClauseVerdict("Pass", "all infinitesimal vertices attested free")
@@ -463,7 +431,7 @@ def _turns(desc: Descriptor, a: Word, M: int, b: Word, backtrack: bool):
     stabilizer stays nontrivial: <a^M> meet h<b>h^-1 in the vertex group.  On
     a backtrack (leaving by the reverse of the arrival half-edge) the turn h
     must leave the edge group for the tree path to be reduced."""
-    if isinstance(desc, (FreeAbelian, CyclicBySum)):
+    if isinstance(desc, FreeAbelianOracle):
         letters = desc.letters
         va = exponent_vector(a, letters)
         vb = exponent_vector(b, letters)
@@ -545,7 +513,8 @@ def check_betti_bounds(
     if not G.connected():  # b1_graph = E - V + 1 counts a connected graph only
         raise DevissageError("graph of groups is not connected")
     b1g = betti1(ambient)
-    per_vertex = {vid: v.desc.b1 for vid, v in G.vertices.items()}
+    per_vertex = {vid: v.desc.b1 if isinstance(v.desc, SurfaceWithBoundary)
+                  else len(v.desc.letters) for vid, v in G.vertices.items()}
     b1_graph = len(G.edges) - len(G.vertices) + 1
     lower = sum(per_vertex.values()) + b1_graph - len(G.edges)
     ab_sum = sum(r - 1 for _t, r in decl.ranks)

@@ -147,17 +147,14 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Maximal-exponent decomposition w = root^k via cyclic reduction and
-    period detection on the cyclic core."""
+    period detection on the cyclic core, whose length is always a period."""
     w = free_reduce(w)
     if not w:
         raise WordError("primitive root of the trivial word is undefined")
     core, conj = cyclic_reduce(w)
     n = len(core)
-    for p in range(1, n + 1):
-        if n % p == 0 and core == core[:p] * (n // p):
-            root = free_reduce(conj + core[:p] + invert(conj))
-            return root, n // p
-    raise AssertionError("unreachable")
+    p = next(p for p in range(1, n + 1) if n % p == 0 and core == core[:p] * (n // p))
+    return free_reduce(conj + core[:p] + invert(conj)), n // p
 
 
 def conjugator(u: Word, w: Word) -> Optional[Word]:

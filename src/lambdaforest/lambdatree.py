@@ -517,12 +517,12 @@ class FiniteLambdaMetric:
 
 
 class ValidationResult:
-    def __init__(self, ok: bool, kind: str = "", witness: tuple = (),
-                 note: str = "2L condition vacuous over Q^n (2L = L)"):
+    note = "2L condition vacuous over Q^n (2L = L)"
+
+    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
         self.ok = ok
         self.kind = kind
         self.witness = witness
-        self.note = note
 
     def __bool__(self):
         return self.ok

@@ -14,6 +14,7 @@ from lambdaforest.bruhat import (
     QpElement,
     RatFunc,
     _is_prime,
+    _parse_monomial_key,
     bt_translation_length,
     certify_free_bt,
     matrix_group_from_json,
@@ -750,6 +751,56 @@ def test_field_errors():
                                  ({"s": "1"}, "Qt", "s appears in a Qt entry")]:
         with pytest.raises(FieldError, match=f"^{message}$"):
             parse_entry(data, field, 2)
+
+
+# the monomial-key scanner as it was before one pattern read the key: the
+# reference for the exponents a key names and for the keys refused
+
+
+def old_parse_monomial_key(key: str) -> tuple[int, int]:
+    key = key.strip()
+    if key in ("1", ""):
+        return (0, 0)
+    t_exp = s_exp = 0
+    i = 0
+    while i < len(key):
+        var = key[i]
+        if var not in ("s", "t"):
+            raise FieldError(f"bad monomial key {key!r}")
+        i += 1
+        exp = 1
+        if i < len(key) and key[i] == "^":
+            i += 1
+            first = j = i + 1 if key.startswith("-", i) else i  # the first digit
+            while j < len(key) and key[j].isdecimal():  # '²'.isdigit(), but int('²') fails
+                j += 1
+            if j == first:
+                raise FieldError(f"bad monomial key {key!r}")
+            exp = int(key[i:j])
+            i = j
+        if var == "t":
+            t_exp += exp
+        else:
+            s_exp += exp
+    return (t_exp, s_exp)
+
+
+def _key_outcome(parse, key: str):
+    try:
+        return parse(key)
+    except FieldError as exc:
+        return str(exc)
+
+
+# signs, carets, whitespace, NUL, a superscript digit (not decimal), Arabic-Indic
+# and full-width digits (decimal), and a letter outside s and t
+KEY_CHARS = st.sampled_from(list("st^-+0129 \t\n\x00") + ["\u00b2", "\u0663", "\uff11", "x"])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(KEY_CHARS, max_size=10) | st.text(max_size=6))
+def test_monomial_key_reads_as_the_old_scanner(key):
+    assert _key_outcome(_parse_monomial_key, key) == _key_outcome(old_parse_monomial_key, key)
 
 
 def test_zero_over_q_s_t_has_infinite_valuation_and_a_matrix_prints_its_entries():

@@ -23,7 +23,12 @@ some passes.  Every benchmark `bt` input has integer coefficients, so
 MATRIX_DOCS seeded generator pairs over Q(t) and Q(s, t) with fractional
 coefficients (matrix_documents) run too, each as `bt valuation` and `bt
 length` of a random word and as `bt certify --ball 3`; about one in five
-has a determinant that is not 1, whose error quotes the element text.  The
+has a determinant that is not 1, whose error quotes the element text.
+Every benchmark `gog` input is the centralizer preset's shape or an edgeless
+closed surface, so GOG_DOCS seeded graphs of groups (gog_documents) run too:
+every vertex kind and type, bounded surfaces with edges, loops, parallel
+edges, attested vertices that are not free and trivial edge images, each as
+`gog structure`, `gog acyl --radius 2-5`, `gog betti` and `gog principal`.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
@@ -416,6 +421,113 @@ def matrix_documents(seed: int) -> list[tuple[str, dict]]:
     return docs
 
 
+GOG_DOCS = 30  # per seed
+# the vertex type that suits each group kind
+GOG_TYPES = {"free": "infinitesimal", "free-abelian": "infinitesimal", "cyclic-by-sum": "abelian",
+             "surface-with-boundary": "surface"}
+VERTEX_TYPES = ["abelian", "infinitesimal", "surface"]
+# boundary words of a surface vertex, cyclically reduced and pairwise independent
+BOUNDARIES = ["a", "b", "ab'", "abc", "aab", "bc'c'"]
+
+
+def _letters(w: str) -> list:
+    """The (letter, exponent) pairs of a word's text."""
+    return [(c, -1 if w[i + 1:i + 2] == "'" else 1) for i, c in enumerate(w) if c != "'"]
+
+
+def _text(w: list) -> str:
+    return "".join(l + ("'" if e < 0 else "") for l, e in w)
+
+
+def _inverse(w: list) -> list:
+    return [(l, -e) for l, e in reversed(w)]
+
+
+def _reduced_word(rng, letters: list, n: int) -> list:
+    """A random freely reduced word of n letters."""
+    w = []
+    while len(w) < n:
+        a = (rng.choice(letters), rng.choice((1, -1)))
+        if not w or w[-1] != (a[0], -a[1]):
+            w.append(a)
+    return w
+
+
+def gog_documents(seed: int) -> list[tuple[str, dict]]:
+    """(radius, document) pairs of graphs of 1-4 vertices of the four group
+    kinds (free twice as often as each other), each on 1-3 of the letters a,
+    b, c, and of the type that suits its kind four times in five (else of any
+    type; a vertex that is infinitesimal but not free is attested one time in
+    two).  A surface vertex has 0-2 boundary words and, one time in three, a
+    closed relator.  A random spanning tree joins the vertices, nine times in
+    ten across the infinitesimal divide where it can, and up to two more
+    edges, loops and parallel edges among them, bring the edges to at most
+    five.  An image at a cyclic-by-sum vertex is its marked letter or the
+    inverse four times in five, and at a surface vertex with boundaries a
+    conjugate of a boundary word or of its inverse two times in three; the
+    rest are reduced words of 1-3 letters, or, one time in 33, the trivial
+    word x x', so some documents are refused (exit 65).  The ambient group has
+    1-5 generators and 0-2 relators, and 0-2 maximal abelian subgroups are
+    declared, of rank 1 (refused), 2 or 3; the acyl radius is 2-5."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(GOG_DOCS):
+        verts, ids = [], [f"V{i}" for i in range(rng.randint(1, 4))]
+        for vid in ids:
+            kind = rng.choice(["free", *GOG_TYPES])
+            letters = list("abc"[:rng.randint(1, 3)])
+            vtype = GOG_TYPES[kind] if rng.random() < 0.8 else rng.choice(VERTEX_TYPES)
+            if kind == "cyclic-by-sum":
+                group = {"kind": kind, "n_letter": letters[0], "extra_letters": letters[1:]}
+            else:
+                group = {"kind": kind, "letters": letters}
+            if kind == "surface-with-boundary":
+                fits = [b for b in BOUNDARIES if set(b) - {"'"} <= set(letters)]
+                group["boundaries"] = rng.sample(fits, min(len(fits), rng.randint(0, 2)))
+                if rng.random() < 1 / 3:
+                    group["closed_relator"] = _text(_reduced_word(rng, letters, rng.randint(2, 6)))
+            vert = {"id": vid, "type": vtype, "group": group}
+            if vtype == "infinitesimal" and kind != "free" and rng.random() < 0.5:
+                vert["attestation"] = "free by construction"
+            verts.append(vert)
+        groups = {v["id"]: v["group"] for v in verts}
+        inf = {v["id"] for v in verts if v["type"] == "infinitesimal"}
+
+        def partner(vid: str, choices: list) -> str:
+            across = [c for c in choices if (c in inf) != (vid in inf)]
+            return rng.choice(across if across and rng.random() < 0.9 else choices)
+
+        ends = [(partner(ids[i], ids[:i]), ids[i]) for i in range(1, len(ids))]
+        for u in rng.choices(ids, k=rng.randint(0, min(2, 5 - len(ends)))):
+            ends.append((u, partner(u, ids)))
+        rng.shuffle(ends)
+
+        def image(vid: str) -> str:
+            group = groups[vid]
+            letters = group.get("letters") or [group["n_letter"], *group["extra_letters"]]
+            if rng.random() < 0.8 and group["kind"] == "cyclic-by-sum":
+                return group["n_letter"] + rng.choice(["", "'"])
+            if rng.random() < 2 / 3 and group.get("boundaries"):
+                b = _letters(rng.choice(group["boundaries"]))
+                h = _reduced_word(rng, letters, rng.randint(0, 2))
+                return _text(h + (b if rng.random() < 0.5 else _inverse(b)) + _inverse(h))
+            if rng.random() < 0.03:
+                return rng.choice(letters) * 2 + "'"  # trivial
+            return _text(_reduced_word(rng, letters, rng.randint(1, 3)))
+
+        gens = list("abcde"[:rng.randint(1, 5)])
+        docs.append((str(rng.randint(2, 5)), {
+            "schema": "lambda-forest/1", "kind": "graph-of-groups", "vertices": verts,
+            "edges": [{"u": u, "v": v, "image_u": image(u), "image_v": image(v)} for u, v in ends],
+            "ambient": {"generators": gens,
+                        "relators": [_text(_reduced_word(rng, gens, rng.randint(1, 6)))
+                                     for _ in range(rng.randint(0, 2))]},
+            "max_abelian": [[f"M{k}", rng.choice([1, 2, 2, 2, 3, 3, 3])]
+                            for k in range(rng.randint(0, 2))],
+        }))
+    return docs
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, or of that
     LINE_DOCS document, written once."""
@@ -471,6 +583,9 @@ def main(argv=None) -> int:
                                            ("length", "--word", word),
                                            ("certify", "--ball", "3")), doc)
                        for k, (word, doc) in enumerate(matrix_documents(seed))]
+            seeded += [(f"gog/{seed}/{k}", (("structure",), ("acyl", "--radius", radius),
+                                            ("betti",), ("principal",)), doc)
+                       for k, (radius, doc) in enumerate(gog_documents(seed))]
             for name, runs, doc in seeded:
                 path = os.path.join(inputs, name.replace("/", "-") + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
