@@ -9,7 +9,7 @@ it runs, and the names below are resolved on first access.
 
 import importlib
 
-__all__ = ["LexValue", "lex_compare"]
+__all__ = ["LexValue"]
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({"bruhat", "cli", "conjugacy", "cover", "devissage", "gluing", "groups",

@@ -449,9 +449,9 @@ def parse_entry(data, field: str, p: Optional[int] = None):
     if field == "Qp":
         if isinstance(data, dict):
             raise FieldError("Qp entries are rational strings")
-        return QpElement(_rat(str(data)), p)
+        return QpElement(_rat(data), p)
     if isinstance(data, (str, int)):
-        coeffs = {"1": str(data)}
+        coeffs = {"1": data}
     elif isinstance(data, dict):
         coeffs = data
     else:
@@ -463,7 +463,7 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         t_exp, s_exp = _parse_monomial_key(key)
         if field == "Qt" and s_exp:
             raise FieldError("s appears in a Qt entry")
-        q = _rat(str(val))
+        q = _rat(val)
         if (t_exp, s_exp) in c:  # "t" and "t^1", or "st" and "ts"
             raise FieldError(f"two keys of one entry name the monomial {key!r}")
         c[t_exp, s_exp] = q

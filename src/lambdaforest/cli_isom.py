@@ -5,7 +5,7 @@ from .cli import Malformed
 
 def _action_window(doc: dict):
     from .isometry import ActionWindow, PartialIsometry
-    from .lambdatree import MetricTree, _parse_point
+    from .lambdatree import MetricTree, _named, _parse_point
 
     T = MetricTree.from_json(doc["tree"])
     if not isinstance(doc["generators"], dict):
@@ -14,7 +14,7 @@ def _action_window(doc: dict):
     for label, table in doc["generators"].items():
         if not isinstance(table, dict):
             raise Malformed(f"generator {label!r} must map vertices to points")
-        vmap = {v: _parse_point(T, img) for v, img in table.items()}
+        vmap = {_named(T, v): _parse_point(T, img) for v, img in table.items()}
         gens[label] = PartialIsometry(T, vmap)
     return T, ActionWindow(T, gens)
 
@@ -34,7 +34,7 @@ def cmd_isom(args, doc):
 
     T, A = _action_window(doc)
     try:  # by default the least vertex, or where ids do not compare the first in _id_key order
-        first = sorted(T.vertices)[0] if args.base is None else None
+        first = min(T.vertices) if args.base is None else None
     except TypeError:
         first = min(T.vertices, key=_id_key)
     base = Vertex(first) if args.base is None else _parse_point(T, args.base)

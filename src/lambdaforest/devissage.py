@@ -55,8 +55,8 @@ class CyclicBySum(FreeAbelianOracle):
 
 class SurfaceWithBoundary:
     """Surface with boundary: free fundamental group plus designated boundary
-    words; an optional closed-case relator covers edgeless closed-surface
-    vertices.  Not a FreeGroupOracle: the structure clauses that ask for a
+    words; or a closed surface, whose relator stands with no boundary word and
+    no edge.  Not a FreeGroupOracle: the structure clauses that ask for a
     free vertex group must not take a surface for one."""
 
     __slots__ = ("letters", "boundaries", "closed_relator")
@@ -67,6 +67,8 @@ class SurfaceWithBoundary:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "closed_relator", closed_relator)
+        if closed_relator is not None and boundaries:
+            raise DevissageError("a surface with a closed relator has no boundary words")
         seen = []
         for b in boundaries:
             r = free_reduce(b)
@@ -79,7 +81,7 @@ class SurfaceWithBoundary:
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
 
-    def is_trivial(self, w: Word) -> bool:  # the closed relator only affects b1
+    def is_trivial(self, w: Word) -> bool:  # a closed surface takes no edge image
         return not free_reduce(w)
 
     @property
@@ -134,7 +136,11 @@ class GraphOfGroups:
             for end, img in ((e.u, e.image_u), (e.v, e.image_v)):
                 if end not in self.vertices:
                     raise DevissageError(f"edge endpoint {end!r} missing")
-                if self.vertices[end].desc.is_trivial(img):
+                desc = self.vertices[end].desc
+                if isinstance(desc, SurfaceWithBoundary) and desc.closed_relator is not None:
+                    raise DevissageError(f"edge at closed surface vertex {end!r}: "
+                                         "its images would be read in the free group")
+                if desc.is_trivial(img):
                     raise DevissageError(
                         f"edge image {word_str(img)} trivial in vertex {end!r}"
                     )

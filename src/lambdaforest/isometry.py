@@ -29,9 +29,6 @@ class OutOfWindow:
     def __init__(self, prefix: Word):
         object.__setattr__(self, "prefix", prefix)
 
-    def __bool__(self):
-        return False
-
 
 class PartialIsometry:
     """Distance-preserving partial map given by vertex images; edge interiors
@@ -145,9 +142,6 @@ class Inconclusive:
 
     def __init__(self, reason: str):
         object.__setattr__(self, "reason", reason)
-
-    def __bool__(self):
-        return False
 
 
 def classify(A: ActionWindow, w: Word, x: TreePoint):

@@ -259,9 +259,6 @@ class MetricTree:
     def _distance(self, a: int, b: int) -> LexValue:
         return _lex(self._drow(a, b), self._D)
 
-    def vertex_distance(self, u, v) -> LexValue:
-        return self._distance(self._index[u], self._index[v])
-
     def _path(self, a: int, b: int) -> list:
         m, parent = self._meet(a, b), self._parent
         up, down = [a], [b]
@@ -327,13 +324,19 @@ class MetricTree:
                                           numbered=False), rank)
 
 
+def _named(T: MetricTree, s: str):
+    """The vertex that text s names: the one equal to s, else the first whose
+    str is s, as reports write ids; s itself if none is."""
+    return s if s in T._index else next((v for v in T._ids if str(v) == s), s)
+
+
 def _parse_point(T: MetricTree, s: str) -> TreePoint:
     """A point of T: 'v' names a vertex; 'u:v:1/2' or 'u:v:1/2,0' an
     edge-interior offset."""
     if ":" not in s:
-        if s not in T.vertices:
+        if (w := _named(T, s)) not in T._index:
             raise TreeError(f"unknown vertex {s!r}")
-        return Vertex(s)
+        return Vertex(w)
     parts = s.split(":")
     if len(parts) != 3:
         raise TreeError(f"bad point syntax {s!r}")
@@ -343,7 +346,7 @@ def _parse_point(T: MetricTree, s: str) -> TreePoint:
     except ValueError as exc:
         raise TreeError(f"bad offset in {s!r}: {exc}")
     try:
-        return T.point(u, v, val)
+        return T.point(_named(T, u), _named(T, v), val)
     except ValueError as exc:
         raise TreeError(f"bad point {s!r}: {exc}")
 
@@ -357,23 +360,6 @@ def _parse_points(T: MetricTree, points, what: str) -> list:
 
 
 # geodesics -------------------------------------------------------------------
-
-
-class Leg:
-    """Directed portion of an edge: walk edge {u, v} (canonical order) from
-    offset `a` to offset `b`, offsets measured from u."""
-
-    __slots__ = ("u", "v", "a", "b")
-    __setattr__ = _frozen
-
-    def __init__(self, u, v, a: LexValue, b: LexValue):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def length(self) -> LexValue:
-        return abs(self.b - self.a)
 
 
 def _exit_vertex(T: MetricTree, x: TreePoint, y: TreePoint) -> int:
@@ -394,24 +380,26 @@ def _same_edge(T: MetricTree, x: TreePoint, y: TreePoint) -> bool:
             and T._key(x.u, x.v) == T._key(y.u, y.v))
 
 
-def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[Leg]:
+def geodesic_legs(T: MetricTree, x: TreePoint, y: TreePoint) -> list[tuple]:
+    """Legs (u, v, a, b) from x to y, each a directed portion of an edge: walk
+    edge {u, v} (canonical order) from offset a to offset b, measured from u."""
     T.check_point(x)
     T.check_point(y)
     if x == y:
         return []
     if _same_edge(T, x, y):
-        return [Leg(x.u, x.v, x.offset, y.offset)]
+        return [(x.u, x.v, x.offset, y.offset)]
     zero = LexValue.zero(T.rank)
     ex, entry = _exit_vertex(T, x, y), _exit_vertex(T, y, x)
     ids, legs = T._ids, []
     if isinstance(x, EdgeInterior):
-        legs.append(Leg(x.u, x.v, x.offset, zero if ids[ex] == x.u else T.edge_length(x.u, x.v)))
+        legs.append((x.u, x.v, x.offset, zero if ids[ex] == x.u else T.edge_length(x.u, x.v)))
     path = T._path(ex, entry)
     for a, b in zip(path, path[1:]):
         ln = _lex(T._row(a, b), T._D)
-        legs.append(Leg(ids[a], ids[b], zero, ln) if a < b else Leg(ids[b], ids[a], ln, zero))
+        legs.append((ids[a], ids[b], zero, ln) if a < b else (ids[b], ids[a], ln, zero))
     if isinstance(y, EdgeInterior):
-        legs.append(Leg(y.u, y.v, zero if ids[entry] == y.u else T.edge_length(y.u, y.v), y.offset))
+        legs.append((y.u, y.v, zero if ids[entry] == y.u else T.edge_length(y.u, y.v), y.offset))
     return legs
 
 
@@ -419,7 +407,7 @@ def distance(T: MetricTree, x: TreePoint, y: TreePoint) -> LexValue:
     T.check_point(x)
     T.check_point(y)
     if isinstance(x, Vertex) and isinstance(y, Vertex):  # no offsets to add
-        return T.vertex_distance(x.id, y.id)
+        return T._distance(T._index[x.id], T._index[y.id])
     if _same_edge(T, x, y):
         return abs(x.offset - y.offset)
     ex, entry = _exit_vertex(T, x, y), _exit_vertex(T, y, x)
@@ -430,7 +418,7 @@ def distance(T: MetricTree, x: TreePoint, y: TreePoint) -> LexValue:
     return d
 
 
-def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
+def point_at(T: MetricTree, legs: list[tuple], s: LexValue) -> TreePoint:
     """Point at arclength s along a leg list (s from the start)."""
     zero = LexValue.zero(T.rank)
     if s < zero:
@@ -439,12 +427,11 @@ def point_at(T: MetricTree, legs: list[Leg], s: LexValue) -> TreePoint:
         raise TreeError("cannot locate a point on an empty geodesic" if s.is_zero()
                         else "arclength beyond geodesic end")
     acc = zero
-    for leg in legs:
-        ln = leg.length()
+    for u, v, a, b in legs:
+        ln = abs(b - a)
         if s <= acc + ln:
             r = s - acc
-            off = leg.a + r if leg.b > leg.a else leg.a - r
-            return T.point(leg.u, leg.v, off)
+            return T.point(u, v, a + r if b > a else a - r)
         acc = acc + ln
     raise TreeError("arclength beyond geodesic end")
 
@@ -523,9 +510,6 @@ class ValidationResult:
         self.ok = ok
         self.kind = kind
         self.witness = witness
-
-    def __bool__(self):
-        return self.ok
 
 
 _SCAN_POINTS = 32  # the most points whose witness the exhaustive scan finds
@@ -631,9 +615,9 @@ class SubtreeSpec:
         else:
             verts, ivals = set(), {(p0.u, p0.v): (p0.offset, p0.offset)}
         for q in points[1:]:
-            for leg in geodesic_legs(T, p0, q):
-                lo, hi = (leg.a, leg.b) if leg.a <= leg.b else (leg.b, leg.a)
-                if (k := (leg.u, leg.v)) in ivals:
+            for u, v, a, b in geodesic_legs(T, p0, q):
+                lo, hi = (a, b) if a <= b else (b, a)
+                if (k := (u, v)) in ivals:
                     lo, hi = min(lo, ivals[k][0]), max(hi, ivals[k][1])
                 ivals[k] = (lo, hi)
         for (u, v), (lo, hi) in ivals.items():

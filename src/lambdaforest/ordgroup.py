@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-LT, EQ, GT = -1, 0, 1
-
 
 class RankMismatchError(ValueError):
     """Two values of different rank met in one operation."""
@@ -119,12 +117,6 @@ class LexValue:
         self._check_rank(other)
         return self.coords <= other.coords
 
-    def __gt__(self, other: "LexValue") -> bool:
-        return other < self
-
-    def __ge__(self, other: "LexValue") -> bool:
-        return other <= self
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -167,16 +159,6 @@ class LexValue:
 
 
 _ZEROS: dict[int, LexValue] = {}
-
-
-def lex_compare(a: LexValue, b: LexValue) -> int:
-    """Lexicographic comparison: LT (-1), EQ (0), GT (1)."""
-    a._check_rank(b)
-    if a.coords < b.coords:
-        return LT
-    if a.coords == b.coords:
-        return EQ
-    return GT
 
 
 def magnitude(a: LexValue) -> int:

@@ -453,6 +453,32 @@ def test_isom_default_base_where_ids_do_not_compare(tmp_path, capsys):
     assert main(["isom", "certify", "--input", path, "--ball", "1"]) == 3
 
 
+INT_TREE = {"rank": 1, "vertices": [0, 1, 2, "a"], "edges": [
+    {"u": 0, "v": 1, "len": ["1"]}, {"u": 1, "v": 2, "len": ["1"]}, {"u": 1, "v": "a", "len": ["2"]}]}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["distance", "--x", "0", "--y", "a"], "distance: (3)"),
+    (["distance", "--x", "a:1:1/2", "--y", "0"], "distance: (5/2)"),
+    (["median", "--x", "0", "--y", "2", "--z", "1:a:1"], "median: Vertex(1)"),
+    (["project", "--x", "0:1:1/4", "--y", "a", "--z", "2"], "projection: Vertex(1)"),
+], ids=["vertices", "interior", "median", "project"])
+def test_tree_points_name_int_ids_by_their_str(tmp_path, capsys, argv, line):
+    path = write(tmp_path, "ints.json", {"schema": SCHEMA, **INT_TREE})
+    assert main(["tree", argv[0], "--input", path, *argv[1:]]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def test_isom_window_names_int_ids_by_their_str(tmp_path, capsys):
+    """The generator swaps 0 and 2 about 1; the default base is the least id, 0."""
+    path = write(tmp_path, "ints.json", {"schema": SCHEMA, "tree": INT_TREE,
+                                         "generators": {"g": {"0": "2", "1": "1", "2": "0"}}})
+    assert main(["isom", "classify", "--input", path, "--word", "g"]) == 0
+    assert capsys.readouterr() == ("elliptic, fixed point Vertex(1)\n", "")
+    assert main(["isom", "classify", "--input", path, "--word", "g", "--base", "1:2:1/2"]) == 0
+    assert capsys.readouterr() == ("elliptic, fixed point Vertex(1)\n", "")
+
+
 def test_isom_certify_counterexample(rotation_file, capsys):
     rc = main(["isom", "certify", "--input", rotation_file, "--base", "p", "--ball", "1"])
     assert rc == 2
@@ -569,6 +595,18 @@ def test_bt_monomial_spelled_twice_is_malformed(tmp_path, capsys, field, entry, 
     assert main(["bt", "valuation", "--word", "a", "--input", write(tmp_path, "m.json", doc)]) == 65
     out, err = capsys.readouterr()
     assert out == "" and err == f"malformed input: two keys of one entry name the monomial {key!r}\n"
+
+
+# a JSON float once read through its str, its shortest round-trip spelling and not
+# the document's digits: {"t^-1": 1.0} as 1, and 0.10000000000000001 over Q_p as 1/10
+@pytest.mark.parametrize("field, entry, bad", [
+    ("Qt", {"t^-1": 1.0}, "1.0"), ("Qst", {"s": 0.5}, "0.5"), ("Qp", 0.10000000000000001, "0.1"),
+    ("Qt", True, "True"),
+], ids=["qt-float", "qst-float", "qp-float", "qt-bool"])
+def test_bt_float_or_boolean_entry_is_malformed(tmp_path, capsys, field, entry, bad):
+    doc = _matrix_doc(field, {"a": [["1", entry], ["0", "1"]]}, **({"p": 3} if field == "Qp" else {}))
+    assert main(["bt", "valuation", "--word", "a", "--input", write(tmp_path, "m.json", doc)]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: cannot coerce {bad} to a rational\n")
 
 
 # an exponent needs a decimal digit after an optional '-': each of these once
@@ -1128,6 +1166,16 @@ def test_gog_betti_max_abelian_rank_must_be_an_int(tmp_path, capsys, rank):
     out, err = capsys.readouterr()
     assert out == "" and err == (f"malformed input: declared maximal abelian 'A' has rank "
                                  f"{rank!r}, not an integer >= 2\n")
+
+
+# each of these once exited 65 with "not enough values to unpack", which names no field
+@pytest.mark.parametrize("pairs", [[["A"]], "AB", [["A", 2, 3]], [("A", 2), "B2"], {"A": 2}])
+def test_gog_betti_max_abelian_must_be_a_list_of_pairs(tmp_path, capsys, pairs):
+    doc = {**presets.emit("centralizer-extension-gog"), "max_abelian": pairs}
+    assert main(["gog", "betti", "--input", write(tmp_path, "doc.json", doc)]) == 65
+    loaded = json.loads(json.dumps(pairs))  # as the document reads it: a tuple is a list
+    assert capsys.readouterr() == ("", "malformed input: max_abelian must be a list of [tag, rank] "
+                                       f"pairs, got {loaded!r}\n")
 
 
 def test_gog_surface_case(tmp_path, capsys):

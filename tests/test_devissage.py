@@ -408,9 +408,10 @@ def graphs_of_groups(draw):
     """1-4 vertices of the four kinds, each on 1-3 of the letters a, b, c
     (shared between vertices), joined by a random spanning tree and up to 5
     edges in all, loops and parallel edges included, with random nontrivial
-    images."""
-    verts = []
-    for i in range(draw(st.integers(1, 4))):
+    images.  A closed surface takes no edge, so only a lone vertex with no
+    loop draws a closed relator."""
+    verts, n = [], draw(st.integers(1, 4))
+    for i in range(n):
         kind = draw(st.sampled_from(sorted(KINDS)))
         letters = tuple("abc"[:draw(st.integers(1, 3))])
         if kind == "free":
@@ -420,13 +421,14 @@ def graphs_of_groups(draw):
         elif kind == "cyclic-by-sum":
             desc = CyclicBySum(letters[0], letters[1:])
         else:
-            rel = draw(st.sampled_from([None, False, True]))
+            rel = draw(st.sampled_from([None, False, True])) if n == 1 else None
             desc = SurfaceWithBoundary(letters, (), None if rel is None else
                                        _closed_relator(letters, rel))
         verts.append(GGVertex(f"V{i}", KINDS[kind], desc))
     ends = [(f"V{draw(st.integers(0, i - 1))}", f"V{i}") for i in range(1, len(verts))]
     ids = st.sampled_from([v.id for v in verts])
-    ends += draw(st.lists(st.tuples(ids, ids), max_size=5 - len(ends)))
+    if not getattr(verts[0].desc, "closed_relator", None):
+        ends += draw(st.lists(st.tuples(ids, ids), max_size=5 - len(ends)))
     edges = []
     for u, v in draw(st.permutations(ends)):
         images = []
@@ -548,6 +550,17 @@ def test_descriptor_from_json():
 def test_descriptor_letters_must_read_back(doc):
     with pytest.raises(WordError):
         descriptor_from_json(doc)
+
+
+def test_closed_surface_has_no_boundary_and_no_edge():
+    with pytest.raises(DevissageError, match="^a surface with a closed relator has no boundary words$"):
+        SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"),), parse_word("aabb"))
+    S = GGVertex("S", "surface", SurfaceWithBoundary(("a", "b", "c"), (), parse_word("aabbcc")))
+    F = GGVertex("F", "infinitesimal", FreeGroup(("x",)))
+    # aabbcc is trivial in the closed surface group, which a free reduction cannot see
+    with pytest.raises(DevissageError, match="^edge at closed surface vertex 'S': its images"):
+        GraphOfGroups([F, S], [GGEdge("F", "S", parse_word("x"), parse_word("aabbcc"))])
+    assert GraphOfGroups([S], []).connected()
 
 
 def test_surface_rejects_bad_boundary_words():

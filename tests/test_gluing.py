@@ -111,7 +111,7 @@ def _assert_numbered_as_sorted(T):
             if x not in dists:
                 dists[x] = dists[w] + ln
                 stack.append(x)
-    assert {v: T.vertex_distance(src, v) for v in T.vertices} == dists
+    assert {v: distance(T, Vertex(src), Vertex(v)) for v in T.vertices} == dists
 
 
 @given(st.sampled_from(sorted(IDS)), st.integers(1, 2), st.data())

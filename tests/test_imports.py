@@ -198,8 +198,8 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 # one pattern came to read a monomial key and primitive_root lost its
 # unreachable raise (isom and marked fell too, but stay above their figures:
 # not raised)
-FAMILY_LINES = {"validate-tree": 1144, "tree": 1148, "isom": 1759, "glue": 1736, "cover": 1296,
-                "bt": 1606, "gog": 1150, "marked": 780, "preset": 479}
+FAMILY_LINES = {"validate-tree": 1127, "tree": 1131, "isom": 1736, "glue": 1719, "cover": 1279,
+                "bt": 1582, "gog": 1150, "marked": 780, "preset": 479}
 
 
 def test_compiled_source_per_family_stays_put():
@@ -408,7 +408,6 @@ import lambdaforest
 before = sorted(m for m in sys.modules if m.startswith("lambdaforest."))
 from lambdaforest import LexValue
 ok = [lambdaforest.LexValue is LexValue, str(LexValue([1, 2])) == "(1, 2)",
-      lambdaforest.lex_compare(LexValue([1]), LexValue([2])) < 0,
       getattr(lambdaforest, "bruhat").__name__ == "lambdaforest.bruhat",
       not hasattr(lambdaforest, "nope")]
 for m in ("ordgroup", "lambdatree", "groups", "isometry", "bruhat", "gluing",

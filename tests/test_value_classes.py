@@ -23,7 +23,7 @@ from lambdaforest.devissage import (
 from lambdaforest.gluing import DualPoint
 from lambdaforest.groups import FinitePresentation, FreeAbelianOracle, FreeGroupOracle, parse_word
 from lambdaforest.isometry import Elliptic, Hyperbolic, Inconclusive, OutOfWindow
-from lambdaforest.lambdatree import EdgeInterior, Leg, Vertex
+from lambdaforest.lambdatree import EdgeInterior, Vertex
 from lambdaforest.markedgroups import MarkedGroup, RelationBall
 from lambdaforest.ordgroup import LexValue
 
@@ -42,7 +42,6 @@ CLASSES = {
                   None),
     "DualPoint-interior": (DualPoint, ("B", EdgeInterior("b0", "b1", LexValue(["1/2"]))),
                            "DualPoint(vertex='B', point=EdgeInterior('b0'-'b1' @ (1/2)))", None),
-    "Leg": (Leg, ("a", "b", LexValue([0]), LexValue([1])), None, None),
     "FreeGroupOracle": (FreeGroupOracle, (("p", "q"),), None, None),
     "FreeAbelianOracle": (FreeAbelianOracle, (("p", "q"),), None, None),
     "FreeGroup": (FreeGroup, (("x", "y"),), None, None),

@@ -15,9 +15,14 @@ as `cover check` and as `cover skeleton`.  Every benchmark glue input is rank
 1 with integer lengths and plain ids, so GLUE_DOCS seeded `glue point` and
 `glue subtree` documents (glue_documents) run too: ranks 1-3, fractional
 lengths, ids that JSON escapes or that mix ints and strings, one-vertex
-trees.  Every benchmark `validate-tree` violation puts the point where the
-insertion check fails last, so VALIDATE_DOCS seeded tables
-(validate_documents) run too: 9-32 points, ranks 1-3, fractional lengths,
+trees.  Every benchmark `tree` query names string ids and vertex points,
+apart from one interior --x, so TREE_DOCS seeded trees (tree_documents) run
+too: ranks 1-3, fractional lengths, ids of every STEMS kind (ints among
+strings included), each as `tree distance`, `tree median` and `tree
+project` on vertex points and `u:v:off` points, off a random fraction of
+the edge written from either end.  Every benchmark `validate-tree`
+violation puts the point where the insertion check fails last, so
+VALIDATE_DOCS seeded tables (validate_documents) run too: 9-32 points, ranks 1-3, fractional lengths,
 triangle and four-point violations that the check meets at any point, and
 some passes.  Every benchmark `bt` input has integer coefficients, so
 MATRIX_DOCS seeded generator pairs over Q(t) and Q(s, t) with fractional
@@ -231,11 +236,13 @@ def _length(rng, rank: int) -> list:
     return row if row > [0] * rank else [-c for c in row]
 
 
-def _glue_tree(rng, rank: int, n: int, ints: bool):
+def _glue_tree(rng, rank: int, n: int, ints: bool, stem: str | None = None):
     """A random tree on n vertices: its ids, its document, and each vertex's
-    parent and distance from vertex 0, by number.  With `ints`, a stem of ""
+    parent and distance from vertex 0, by number.  The ids are the stem (by
+    default a random one, "" only with `ints`) and a number; a stem of ""
     makes every other id an int."""
-    stem = rng.choice(STEMS if ints else STEMS[:-1])
+    if stem is None:
+        stem = rng.choice(STEMS if ints else STEMS[:-1])
     ids = [i if stem == "" and i % 2 else f"{stem}{i}" for i in range(n)]
     parent, r, edges = [None], [[Fraction(0)] * rank], []
     for i in range(1, n):
@@ -297,6 +304,35 @@ def glue_documents(seed: int) -> list[tuple[str, dict]]:
             ends2.reverse()
         docs.append(("subtree", {"schema": "lambda-forest/1", "tree1": tree1, "tree2": tree2,
                                  "ends1": ends1, "ends2": ends2}))
+    return docs
+
+
+TREE_DOCS = 28  # per seed, four of each STEMS kind
+
+
+def tree_documents(seed: int) -> list[tuple[list, dict]]:
+    """(runs, document) pairs of random trees of 1-7 vertices of rank 1-3
+    with fractional lengths, document k on the ids of STEMS[k % 7], so four
+    in 28 have ints among string ids.  A run is an op of `tree` (distance,
+    median and project) and its point options.  A point is a vertex, or one
+    time in two, where there is an edge, the `u:v:off` point a quarter, half
+    or three quarters of the way along a random edge, from either end."""
+    rng = random.Random(seed)
+    docs = []
+    for k in range(TREE_DOCS):
+        tree = _glue_tree(rng, rng.randint(1, 3), rng.randint(1, 7), True, STEMS[k % len(STEMS)])[1]
+
+        def point() -> str:
+            if not tree["edges"] or rng.random() < 0.5:
+                return str(rng.choice(tree["vertices"]))
+            e = rng.choice(tree["edges"])
+            u, v = (e["u"], e["v"]) if rng.random() < 0.5 else (e["v"], e["u"])
+            q = Fraction(rng.randint(1, 3), 4)
+            return f"{u}:{v}:" + ",".join(str(Fraction(c) * q) for c in e["len"])
+
+        runs = [("distance", "--x", point(), "--y", point())] + [
+            (op, "--x", point(), "--y", point(), "--z", point()) for op in ("median", "project")]
+        docs.append((runs, {"schema": "lambda-forest/1", **tree}))
     return docs
 
 
@@ -577,6 +613,8 @@ def main(argv=None) -> int:
                       for k, doc in enumerate(cover_documents(seed))]
             seeded += [(f"glue/{seed}/{k}", ((op,),), doc)
                        for k, (op, doc) in enumerate(glue_documents(seed))]
+            seeded += [(f"tree/{seed}/{k}", runs, doc)
+                       for k, (runs, doc) in enumerate(tree_documents(seed))]
             seeded += [(f"validate-tree/{seed}/{k}", ((),), doc)
                        for k, doc in enumerate(validate_documents(seed))]
             seeded += [(f"bt/{seed}/{k}", (("valuation", "--word", word),
