@@ -14,7 +14,7 @@ def _action_window(doc: dict):
     for label, table in doc["generators"].items():
         if not isinstance(table, dict):
             raise Malformed(f"generator {label!r} must map vertices to points")
-        vmap = {_named(T, v): _parse_point(T, img) for v, img in table.items()}
+        vmap = {_named(T, v): _parse_point(T, w, f"the image of {v!r}") for v, w in table.items()}
         gens[label] = PartialIsometry(T, vmap)
     return T, ActionWindow(T, gens)
 

@@ -7,6 +7,9 @@ A tree is a finite connected acyclic graph whose edges carry strictly
 positive LexValue lengths of a common rank.  Points are either vertices or
 edge-interior points given by an exact offset from the canonical (smaller id)
 endpoint.  Everything is immutable; operations return new trees.
+
+_arith binds LexValue, Fraction and _ratio, and so loads ordgroup, on the first
+tree or LexValue table: validate-tree checks a plain table on ints alone.
 """
 
 from __future__ import annotations
@@ -14,12 +17,22 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
-from .ordgroup import LexValue, _frozen, _ratio
+LexValue = Fraction = _ratio = None  # bound by _arith
+
+
+def _frozen(self, name, value):  # ordgroup._frozen, which validate-tree does not load
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _arith() -> None:
+    global LexValue, Fraction, _ratio
+    if _ratio is None:
+        from fractions import Fraction
+        from .ordgroup import LexValue, _ratio
 
 
 def _id_key(v):
@@ -91,6 +104,7 @@ def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
                 if D > 1:
                     flat = [n * (D // d) for n, d in zip(flat, dens)]
                 return D, [flat[k:k + rank] for k in range(0, len(flat), rank)]
+    _arith()  # _ratio reads the rest
     rows = []
     for k, row in enumerate(data):
         if not isinstance(row, list):
@@ -154,6 +168,7 @@ class MetricTree:
         """edges: (u, v, length) with length a LexValue, or a _Rows.  Vertices
         are numbered in _id_key order; adjacency, parent, depth and the row of
         each vertex's edge to its parent are lists by number."""
+        _arith()
         self.rank = rank
         self.vertices = frozenset(vertices)
         if not self.vertices:
@@ -330,9 +345,11 @@ def _named(T: MetricTree, s: str):
     return s if s in T._index else next((v for v in T._ids if str(v) == s), s)
 
 
-def _parse_point(T: MetricTree, s: str) -> TreePoint:
+def _parse_point(T: MetricTree, s: str, what: str = "a point") -> TreePoint:
     """A point of T: 'v' names a vertex; 'u:v:1/2' or 'u:v:1/2,0' an
-    edge-interior offset."""
+    edge-interior offset.  `what` names s in the error if s is no string."""
+    if not isinstance(s, str):  # an int id is named by its str, as reports write it
+        raise TreeError(f"{what} must be a string, got {s!r}")
     if ":" not in s:
         if (w := _named(T, s)) not in T._index:
             raise TreeError(f"unknown vertex {s!r}")
@@ -356,7 +373,7 @@ def _parse_points(T: MetricTree, points, what: str) -> list:
     as the list, each of its characters would name a point."""
     if not isinstance(points, list):
         raise TreeError(f"{what} must be a list of points, got {points!r}")
-    return [_parse_point(T, s) for s in points]
+    return [_parse_point(T, s, f"a point of {what}") for s in points]
 
 
 # geodesics -------------------------------------------------------------------
@@ -453,6 +470,7 @@ def median(T: MetricTree, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint
 class FiniteLambdaMetric:
     def __init__(self, labels: list, dist: list[list], rank: int):
         """dist: rows of LexValues of the given rank."""
+        _arith()
         if any(d.rank != rank for row in dist for d in row):
             raise TreeError(f"every distance must have rank {rank}")
         D, flat = _scaled([[_ratio(c) for c in d.coords] for row in dist for d in row])
@@ -467,6 +485,7 @@ class FiniteLambdaMetric:
 
     @property
     def dist(self) -> list[list[LexValue]]:
+        _arith()
         return [[_lex(d, self._D) for d in row] for row in self._rows]
 
     @staticmethod

@@ -479,6 +479,39 @@ def test_isom_window_names_int_ids_by_their_str(tmp_path, capsys):
     assert capsys.readouterr() == ("elliptic, fixed point Vertex(1)\n", "")
 
 
+# a point is text, also where the tree's ids are ints: a JSON int is refused by
+# the list (or field) that gives it, where `in` once met an int (exit 65 with
+# "argument of type 'int' is not iterable"); its str names the vertex
+@pytest.mark.parametrize("argv, doc, fixed, message", [
+    (["cover", "check"], {"tree": INT_TREE, "members": [[0, "1"], ["1", "2"], ["1", "a"]]},
+     ("members", 0, 0), "a point of a member must be a string, got 0"),
+    (["glue", "subtree"], {"tree1": INT_TREE, "tree2": INT_TREE, "ends1": ["0", 1],
+                           "ends2": ["1", "2"]},
+     ("ends1", 1), "a point of ends1 must be a string, got 1"),
+    (["glue", "check-free"], {"vertex_trees": {"A": INT_TREE, "B": INT_TREE}, "edges": [
+        {"from": "A", "to": "B", "ends_from": [0, "1"], "ends_to": ["0", "1"]}]},
+     ("edges", 0, "ends_from", 0), "a point of ends_from must be a string, got 0"),
+    (["glue", "check-free"], {"vertex_trees": {"A": INT_TREE}, "edges": [],
+                              "samples": [{"vertex": "A", "point": 2}]},
+     ("samples", 0, "point"), "a point must be a string, got 2"),
+    (["isom", "classify", "--word", "g"], {"tree": INT_TREE,
+                                           "generators": {"g": {"0": 2, "1": "1", "2": "0"}}},
+     ("generators", "g", "0"), "the image of '0' must be a string, got 2"),
+], ids=["cover-member", "glue-ends1", "glue-ends-from", "check-free-sample", "isom-image"])
+def test_a_point_given_as_an_int_is_refused_by_name(tmp_path, capsys, argv, doc, fixed,
+                                                    message):
+    path = write(tmp_path, "int.json", {"schema": SCHEMA, **doc})
+    assert main([argv[0], argv[1], "--input", path, *argv[2:]]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+    *keys, last = fixed
+    item = doc = json.loads(json.dumps(doc))
+    for k in keys:
+        item = item[k]
+    item[last] = str(item[last])  # the same point as text
+    path = write(tmp_path, "text.json", {"schema": SCHEMA, **doc})
+    assert main([argv[0], argv[1], "--input", path, *argv[2:]]) in (0, 3)
+
+
 def test_isom_certify_counterexample(rotation_file, capsys):
     rc = main(["isom", "certify", "--input", rotation_file, "--base", "p", "--ball", "1"])
     assert rc == 2

@@ -3,7 +3,9 @@ module of its own family, importing the package loads none, and no command
 loads `dataclasses` (or the `inspect` it imports), whose import alone costs a
 short job about 10 ms, nor `_hashlib`, which loads OpenSSL for the input
 digest, about 2 ms, nor `argparse` (and the `gettext` and `locale` it pulls
-in), which only --help and usage errors need.  Every case runs in a fresh interpreter, because the
+in), which only --help and usage errors need; and only the commands that
+compute with rationals load `fractions` (and the `decimal` it imports), about
+2.6 ms.  Every case runs in a fresh interpreter, because the
 test process has imported the whole library already.  Without bytecode
 caches every job compiles the source it loads, so the lines each command
 family loads are held to their figure here."""
@@ -31,9 +33,10 @@ from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
 print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect", "_hashlib", "argparse",
-                                         "gettext", "locale")
+                                         "gettext", "locale", "fractions", "decimal")
                              if m in sys.modules and m not in before]]))
 """
+RATIONAL = ["fractions", "decimal"]
 # the digest takes sha256 from hashlib, and so loads _hashlib, only where the
 # interpreter has neither built-in module: _sha2 (3.12 on) or _sha256
 BUILTIN_SHA = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
@@ -58,7 +61,7 @@ MARKED = {"schema": "lambda-forest/1", "kind": "marked-group",
 INLINE = {"marked": MARKED, **DOCUMENTS}
 
 TREE = {"cli", "lambdatree", "ordgroup"}
-VALIDATE, QUERY = TREE | {"cli_validate"}, TREE | {"cli_tree"}
+VALIDATE, QUERY = {"cli", "cli_validate", "lambdatree"}, TREE | {"cli_tree"}
 ISOM = TREE | {"cli_isom", "groups", "isometry"}
 GLUE, COVER = TREE | {"cli_glue", "gluing"}, TREE | {"cli_cover", "cover"}
 BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
@@ -103,6 +106,10 @@ CASES = {
     "preset list": (["preset", "list"], 0, PRESET),
     "preset emit": (["preset", "emit", "--name", "tripod"], 0, PRESET),
 }
+# the families that compute with no rational, so load neither fractions nor
+# decimal: validate-tree reads a plain table on int rows, and the rank behind gog
+# betti eliminates without dividing
+NO_RATIONAL = {"validate-tree", "gog", "marked", "preset"}
 HANDLERS = {"cli_validate", "cli_tree", "cli_isom", "cli_glue", "cli_cover", "cli_bt", "cli_gog",
             "cli_marked", "cli_preset"}
 
@@ -148,7 +155,8 @@ def test_command_loads_only_what_it_runs(tmp_path, case):
     argv, rc, expected = CASES[case]
     got_rc, loaded, stdlib = fresh(RUN_MAIN, *_paths(tmp_path, argv))
     assert got_rc == rc
-    assert stdlib == ([] if BUILTIN_SHA else ["_hashlib"])
+    assert stdlib == ([] if BUILTIN_SHA else ["_hashlib"]) + (
+        [] if argv[0] in NO_RATIONAL else RATIONAL)
     assert set(loaded) == expected
     assert len(HANDLERS & set(loaded)) <= 1  # never another family's handler module
 
@@ -163,15 +171,62 @@ def test_only_help_and_usage_errors_load_argparse(argv, rc):
     assert "argparse" in stdlib and set(loaded) == {"cli", "cli_usage"}
 
 
-# the rank behind gog betti eliminates without dividing, so no gog command
-# pays for importing fractions (about 2.6 ms)
-@pytest.mark.parametrize("op", ["structure", "acyl", "betti", "principal"])
-def test_gog_commands_do_not_load_fractions(tmp_path, op):
-    code = RUN_MAIN.replace('("dataclasses",', '("fractions", "dataclasses",')
-    assert code != RUN_MAIN
-    argv = ["gog", op, "--input", "@centralizer-extension-gog"]
-    got_rc, _loaded, stdlib = fresh(code, *_paths(tmp_path, argv))
-    assert got_rc == 0 and "fractions" not in stdlib
+# lambdatree binds LexValue, Fraction and _ratio on the first tree or LexValue
+# table: each of these, the first call in an interpreter that imported
+# lambdatree alone, ends without a NameError.  The LexValue cases import
+# ordgroup to make their values, which binds nothing in lambdatree
+FIRST_CALL = """
+import json
+from lambdaforest import lambdatree
+from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, _parse_point, kill_infinitesimals
+assert lambdatree.LexValue is lambdatree.Fraction is lambdatree._ratio is None
+
+
+def lex(*coords):  # imports ordgroup only where a case makes a LexValue
+    from lambdaforest.ordgroup import LexValue
+    return LexValue(coords)
+
+
+doc = {"rank": 2, "vertices": ["a", "b", "c"], "edges": [
+    {"u": "a", "v": "b", "len": ["1", "0"]}, {"u": "b", "v": "c", "len": ["0", "1/2"]}]}
+print(json.dumps(repr(%s)))
+"""
+FIRST_CALLS = {
+    "tree-of-lexvalues": ("MetricTree(['a', 'b'], [('a', 'b', lex(1, '1/2'))], 2).edges",
+                          "{('a', 'b'): (1, 1/2)}"),
+    "table-of-lexvalues": ("FiniteLambdaMetric(['x', 'y'], [[lex(0), lex(3)], [lex(3), lex(0)]],"
+                           " 1).dist", "[[(0), (3)], [(3), (0)]]"),
+    "table-read-by-ratio": ("(lambda M: (M._D, M._rows))(FiniteLambdaMetric.from_json({'rank': 1,"
+                            " 'labels': ['x', 'y'], 'dist': [[['0'], ['2/4']], [['2/4'], ['0']]]}))",
+                            "(2, [[[0], [1]], [[1], [0]]])"),
+    "table-from-tree": ("FiniteLambdaMetric.from_tree(MetricTree.from_json(doc)).to_json()['dist']",
+                        "[[['0', '0'], ['1', '0'], ['1', '1/2']], [['1', '0'], ['0', '0'], "
+                        "['0', '1/2']], [['1', '1/2'], ['0', '1/2'], ['0', '0']]]"),
+    "kill-infinitesimals": ("kill_infinitesimals(MetricTree.from_json(doc))[0].edges",
+                            "{('a', 'b'): (1)}"),
+    "interior-point": ("_parse_point(MetricTree.from_json(doc), 'c:b:0,1/4')",
+                       "EdgeInterior('b'-'c' @ (0, 1/4))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_CALLS))
+def test_lambdatree_binds_its_arithmetic_on_the_first_call(case):
+    call, expected = FIRST_CALLS[case]
+    assert fresh(FIRST_CALL % call) == expected
+
+
+def test_validating_a_plain_table_loads_no_rational_arithmetic():
+    code = """
+import json, sys
+from lambdaforest.lambdatree import FiniteLambdaMetric, validate_tree_metric
+M = FiniteLambdaMetric.from_json({"rank": 2, "labels": ["x", "y", "z"], "dist": [
+    [["0", "0"], ["1", "0"], ["1", "1/2"]], [["1", "0"], ["0", "0"], ["0", "1/2"]],
+    [["1", "1/2"], ["0", "1/2"], ["0", "0"]]]})
+ok = validate_tree_metric(M).ok
+print(json.dumps([ok, [m for m in ("lambdaforest.ordgroup", "fractions", "decimal", "numbers")
+                       if m in sys.modules]]))
+"""
+    assert fresh(code) == [True, []]
 
 
 # lines of lambdaforest source (package __init__ included) that the commands of
@@ -197,8 +252,10 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
 # bt and gog where a free or free-abelian vertex group became its groups oracle,
 # one pattern came to read a monomial key and primitive_root lost its
 # unreachable raise (isom and marked fell too, but stay above their figures:
-# not raised)
-FAMILY_LINES = {"validate-tree": 1127, "tree": 1131, "isom": 1736, "glue": 1719, "cover": 1279,
+# not raised); and validate-tree, where lambdatree came to bind ordgroup on its
+# first tree and validate-tree stopped loading it (the other tree families grew
+# by that binder: not raised)
+FAMILY_LINES = {"validate-tree": 977, "tree": 1131, "isom": 1736, "glue": 1719, "cover": 1279,
                 "bt": 1582, "gog": 1150, "marked": 780, "preset": 479}
 
 

@@ -38,8 +38,9 @@ exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
 preset, single-word `bt length` and `bt valuation` queries, `bt certify
---ball 10`, empty output paths, an empty preset name and `isom`'s base:
-COMMAND_LINES) runs the same way without --json, comparing the exit code
+--ball 10`, empty output paths, an empty preset name, `isom`'s base, and a
+`cover check` member and a `glue subtree` end that name a point by a JSON
+int: COMMAND_LINES) runs the same way without --json, comparing the exit code
 and the sha256 of stdout and stderr.  Every process runs with PYTHONUNBUFFERED
 removed from its environment, so its stdout is block-buffered and output the
 program failed to flush before exit would show as a difference.  The script
@@ -153,9 +154,15 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     ["isom", "classify", "--input", "@rotation-window", "--word", "r"],
     ["isom", "classify", "--input", "@mixed-window", "--word", "g"],
     ["isom", "certify", "--input", "@mixed-window", "--ball", "1"],
+    # a point is a string, also where the tree's ids are ints
+    ["cover", "check", "--input", "@int-member"],
+    ["glue", "subtree", "--input", "@int-ends"],
 ]
 # the documents of command lines that no preset serves: the tripod turned by
-# r, and a window whose vertex ids, 0 and "a", do not compare
+# r, a window whose vertex ids, 0 and "a", do not compare, and a cover member
+# and a glued segment's end that give a point as an int
+INT_PATH = {"rank": 1, "vertices": [0, 1, 2],
+            "edges": [{"u": 0, "v": 1, "len": ["1"]}, {"u": 1, "v": 2, "len": ["1"]}]}
 LINE_DOCS = {
     "rotation-window": {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
                         "generators": {"r": {"o": "o", "p": "q", "q": "r", "r": "p"}}},
@@ -163,6 +170,9 @@ LINE_DOCS = {
                      "tree": {"rank": 1, "vertices": [0, "a"],
                               "edges": [{"u": 0, "v": "a", "len": ["1"]}]},
                      "generators": {"g": {"a": "a"}}},
+    "int-member": {"schema": "lambda-forest/1", "tree": INT_PATH, "members": [[0, 1], ["1", "2"]]},
+    "int-ends": {"schema": "lambda-forest/1", "tree1": INT_PATH, "tree2": INT_PATH,
+                 "ends1": ["0", 1], "ends2": ["1", "2"]},
 }
 
 
