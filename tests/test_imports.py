@@ -171,6 +171,16 @@ def test_only_help_and_usage_errors_load_argparse(argv, rc):
     assert "argparse" in stdlib and set(loaded) == {"cli", "cli_usage"}
 
 
+# the rank behind gog betti eliminates without dividing, so no gog command
+# pays for importing fractions (about 2.6 ms), on a document other than the
+# load-set cases' too
+@pytest.mark.parametrize("op", ["structure", "acyl", "betti", "principal"])
+def test_gog_commands_do_not_load_fractions(tmp_path, op):
+    argv = ["gog", op, "--input", "@centralizer-extension-gog"]
+    got_rc, _loaded, stdlib = fresh(RUN_MAIN, *_paths(tmp_path, argv))
+    assert got_rc == 0 and not set(RATIONAL) & set(stdlib)
+
+
 # lambdatree binds LexValue, Fraction and _ratio on the first tree or LexValue
 # table: each of these, the first call in an interpreter that imported
 # lambdatree alone, ends without a NameError.  The LexValue cases import
