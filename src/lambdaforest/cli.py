@@ -26,10 +26,8 @@ from __future__ import annotations
 import atexit
 import gc
 import importlib
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 SCHEMA = "lambda-forest/1"
@@ -54,10 +52,41 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+# Documents are read, digested and written by json's C accelerator alone: importing
+# the json package compiles six regexes, 1-2 ms a process.  On 3.11 the C
+# scanner's error path looks json.decoder up in sys.modules without importing it, so
+# where json is not loaded a malformed text ends in SystemError; `_load` therefore
+# hands every failed scan to json.loads, which raises json's own error.
+try:
+    import _json
+
+    def _default(o):  # what json.dumps raises for a value it cannot write
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    # the scanner json.JSONDecoder(object_pairs_hook=_object) makes (float reads NaN and
+    # +-Infinity as json's table does), and the encoder json.dumps(sort_keys=True,
+    # check_circular=False) makes: a loaded document holds no cycle
+    _scan = _json.make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=_object, parse_float=float,
+        parse_int=int, parse_constant=float))
+    _quote = _json.encode_basestring_ascii
+    _encode = _json.make_encoder(None, _default, _quote, None, ": ", ", ", True, False, True)
+except ImportError:  # no accelerator: json's Python scanner and encoder, as json falls back
+    import json
+    _quote = json.encoder.encode_basestring_ascii
+    _scan = json.JSONDecoder(object_pairs_hook=_object).scan_once
+    _encode = json.JSONEncoder(sort_keys=True, check_circular=False).iterencode
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_object)
+            text = fh.read()
+        try:  # the document and the whitespace around it, as json.loads reads them
+            doc, end = _scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+        except Exception:  # SystemError too: see the codec
+            end = None
+        if end != len(text.rstrip(" \t\n\r")):  # a failure or trailing data: json words it
+            doc = importlib.import_module("json").loads(text, object_pairs_hook=_object)
     except (OSError, ValueError, Malformed) as exc:  # ValueError: JSON, UTF-8, digit limit
         raise Malformed(f"{path}: {exc}")
     except RecursionError:
@@ -78,14 +107,10 @@ def _positive_field(doc: dict, key: str, default: int) -> int:
 
 def _digest(doc: dict) -> str:
     try:  # built-in, as random's; hashlib loads OpenSSL (2 ms). A failed import is redone per call
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
+        sha = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
     except ImportError:
-        from hashlib import sha256
-    # a loaded document holds no cycle, so json need not look for one
-    return sha256(json.dumps(doc, sort_keys=True, check_circular=False).encode()).hexdigest()[:16]
+        from hashlib import sha256 as sha
+    return sha("".join(_encode(doc, 0)).encode()).hexdigest()[:16]
 
 
 class JSONText(str):
@@ -98,15 +123,15 @@ def _dumps(x, pad: str = "\n") -> str:
     to its place: a JSON string holds no raw newline, so each newline in it is layout."""
     inner = pad + "  "
     if isinstance(x, dict) and x:
-        items, ends = [_quote(k if isinstance(k, str) else json.dumps(k)) + ": "
-                       + (_quote(v) if v.__class__ is str else _dumps(v, inner))
+        items, ends = [_quote(k if isinstance(k, str) else "".join(_encode(k, 0)))
+                       + ": " + (_quote(v) if v.__class__ is str else _dumps(v, inner))
                        for k, v in sorted(x.items())], "{}"
     elif isinstance(x, (list, tuple)) and x:
         items, ends = [_quote(v) if v.__class__ is str else _dumps(v, inner) for v in x], "[]"
     elif x.__class__ is JSONText:
         return x.replace("\n", pad)
     else:  # a scalar or an empty container
-        return _quote(x) if isinstance(x, str) else json.dumps(x)
+        return _quote(x) if isinstance(x, str) else "".join(_encode(x, 0))
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
@@ -211,16 +236,9 @@ def main(argv=None) -> int:
                 if stream is sys.stdout:  # named as the report's below
                     code = _fail(EXIT_CANTCREAT, f"cannot write {stream.name!r}: {exc.strerror}")
         os._exit(code)  # teardown would free the heap object by object, module by module
-    args = _read(argv)
-    if args is None:
-        parser = importlib.import_module("lambdaforest.cli_usage").build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else 0
-        if not args.command:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
+    args = _read(argv) or importlib.import_module("lambdaforest.cli_usage").parse(argv)
+    if isinstance(args, int):  # argparse wrote --help or a usage error
+        return args
     module = importlib.import_module(f"lambdaforest.cli_{args.family}")
     handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:

@@ -2,8 +2,9 @@
 error, so only those lines, and the spellings only argparse reads, import it."""
 
 import argparse
+import sys
 
-from .cli import _COMMANDS
+from .cli import _COMMANDS, EXIT_USAGE
 
 
 def build_parser():
@@ -17,3 +18,17 @@ def build_parser():
             sp.add_argument("--" + name, type=convert, default=default, required=required)
         sp.set_defaults(family=family)
     return p
+
+
+def parse(argv):
+    """argparse's namespace for argv, or the exit code once argparse has written
+    --help (0) or a usage error (64)."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    if not args.command:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    return args

@@ -162,6 +162,10 @@ class GraphOfGroups:
     def from_json(doc: dict) -> "GraphOfGroups":
         verts = []
         for vd in doc["vertices"]:
+            if isinstance(vd["id"], bool) or not isinstance(vd["id"], (str, int)):
+                raise DevissageError(f"vertex id {vd['id']!r} must be a string or an int")
+            if vd["type"] not in ("abelian", "infinitesimal", "surface"):
+                raise DevissageError(f"vertex {vd['id']!r}: unknown type {vd['type']!r}")
             verts.append(
                 GGVertex(
                     vd["id"],

@@ -18,8 +18,9 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
+
+from .cli import _quote
 
 LexValue = Fraction = _ratio = None  # bound by _arith
 
@@ -346,17 +347,16 @@ def _named(T: MetricTree, s: str):
 
 
 def _parse_point(T: MetricTree, s: str, what: str = "a point") -> TreePoint:
-    """A point of T: 'v' names a vertex; 'u:v:1/2' or 'u:v:1/2,0' an
+    """A point of T: 'v' names a vertex; else 'u:v:1/2' or 'u:v:1/2,0' an
     edge-interior offset.  `what` names s in the error if s is no string."""
     if not isinstance(s, str):  # an int id is named by its str, as reports write it
         raise TreeError(f"{what} must be a string, got {s!r}")
-    if ":" not in s:
-        if (w := _named(T, s)) not in T._index:
-            raise TreeError(f"unknown vertex {s!r}")
+    # a vertex first, so an id may hold ':'; a JSON id whose str holds one is a string
+    if (w := s if ":" in s else _named(T, s)) in T._index:
         return Vertex(w)
     parts = s.split(":")
     if len(parts) != 3:
-        raise TreeError(f"bad point syntax {s!r}")
+        raise TreeError(f"bad point syntax {s!r}" if ":" in s else f"unknown vertex {s!r}")
     u, v, off = parts
     try:
         val = LexValue(off.split(","))

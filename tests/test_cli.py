@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN, F2_WINDOW
 from lambdaforest import presets
-from lambdaforest.cli import _COMMANDS, JSONText, _digest, _dumps, _read, main
+from lambdaforest.cli import (_COMMANDS, JSONText, Malformed, _digest, _dumps, _load, _object,
+                              _read, main)
 from lambdaforest.cli_usage import build_parser
 from lambdaforest.lambdatree import FiniteLambdaMetric, MetricTree, Vertex, distance
 from lambdaforest.ordgroup import LexValue
@@ -325,6 +326,22 @@ def test_tree_median_and_project(tripod_file, capsys):
 
 def test_tree_bad_point_is_malformed(tripod_file):
     assert main(["tree", "distance", "--input", tripod_file, "--x", "nope", "--y", "q"]) == 65
+
+
+# a point text names a vertex first, so an id may hold ':'; only a text that
+# names no vertex reads as u:v:off.  "a:b:1/2" is both a vertex and the point
+# halfway along a - b: the vertex wins
+COLON_IDS = {"schema": SCHEMA, "rank": 1, "vertices": ["a:b", "c", "a", "b", "a:b:1/2"],
+             "edges": [{"u": u, "v": v, "len": [n]} for u, v, n in (
+                 ("a:b", "c", "2"), ("c", "a", "1"), ("a", "b", "1"), ("b", "a:b:1/2", "3"))]}
+
+
+@pytest.mark.parametrize("x, out", [("a:b", "distance: (2)\n"), ("a:b:1/2", "distance: (5)\n"),
+                                    ("a:b:1/4", "distance: (5/4)\n")])
+def test_tree_point_names_a_vertex_before_an_edge_offset(tmp_path, capsys, x, out):
+    path = write(tmp_path, "colon.json", COLON_IDS)
+    assert main(["tree", "distance", "--input", path, "--x", x, "--y", "c"]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_validate_tree_pass_and_violation(tmp_path, tripod_file):
@@ -874,6 +891,78 @@ def test_report_writer_refuses_what_json_refuses():
             _dumps(bad)
 
 
+# the reader: json's C scanner, and json itself wherever that scan fails, so a
+# document reads as json.load reads it, in value and in key order at every depth
+# (repr writes a dict's items in order, and NaN as nan)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4), st.data())
+@example({"\u00e9": [float("nan"), float("-inf"), -0.0, 10 ** 40]}, None)
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_json_load(tmp_path_factory, doc, data):
+    layout = {} if data is None else {
+        "indent": data.draw(st.sampled_from([None, 0, 2, "\t"])),
+        "separators": data.draw(st.sampled_from([None, (",", ":"), (" ,\n", " :\r")])),
+        "ensure_ascii": data.draw(st.booleans())}
+    pad = ("", "") if data is None else (data.draw(st.text(" \t\n\r", max_size=3)),
+                                         data.draw(st.text(" \t\n\r", max_size=3)))
+    path = tmp_path_factory.getbasetemp() / "reader.json"
+    path.write_text(pad[0] + json.dumps({**doc, "schema": SCHEMA}, **layout) + pad[1],
+                    encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh, object_pairs_hook=_object)
+    assert repr(_load(str(path))) == repr(want)
+
+
+# texts the reader refuses, or reads only as json does: each fails with json's
+# own exception and text, which _load words after the path
+DOC = '{"schema": "lambda-forest/1"'
+READER_TEXTS = {
+    "empty": b"", "whitespace": b" \t\r\n ", "bom": b"\xef\xbb\xbf" + DOC.encode() + b"}",
+    "trailing": DOC.encode() + b"} {}", "bare-brace": b"{",
+    "unterminated": DOC.encode() + b', "a": "b}', "bad-escape": DOC.encode() + b', "a": "\\q"}',
+    "nan": DOC.encode() + b', "a": NaN}', "infinity": DOC.encode() + b', "a": [Infinity]}',
+    "minus-infinity": DOC.encode() + b', "a": {"b": -Infinity}}',
+    "digits": DOC.encode() + b', "a": ' + b"7" * 5000 + b"}",
+    "duplicate": DOC.encode() + b', "a": {"b": {"c": 1, "c": 2}}}',
+    "deep": DEEP.encode(), "bad-utf8": DOC.encode() + b', "a": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("name", READER_TEXTS)
+def test_reader_fails_as_json_loads_does(tmp_path, name):
+    raw = READER_TEXTS[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    try:
+        want = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
+    except (ValueError, Malformed, RecursionError) as exc:  # ValueError: JSON, UTF-8, digits
+        with pytest.raises(Malformed) as got:
+            _load(str(path))
+        assert type(got.value.__context__) is type(exc) and str(got.value.__context__) == str(exc)
+        assert str(got.value) == f"{path}: " + (
+            "nested too deeply" if isinstance(exc, RecursionError) else str(exc))
+    else:
+        assert name in ("nan", "infinity", "minus-infinity")
+        assert repr(_load(str(path))) == repr(want)
+
+
+# a fresh process has not imported json, whose decoder module the C scanner's
+# error path looks up on 3.11: json still words the error, with no traceback
+@pytest.mark.parametrize("name", ["bare-brace", "duplicate"])
+def test_reader_fails_as_json_does_in_a_fresh_process(tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_bytes(READER_TEXTS[name])
+    try:
+        json.loads(READER_TEXTS[name], object_pairs_hook=_object)
+    except (ValueError, Malformed) as exc:
+        message = f"malformed input: {path}: {exc}\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", "import sys; from lambdaforest.cli import main; "
+                           "sys.exit(main())", "gog", "structure", "--input", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (65, "", message)
+
+
 def _tripod_with_length(length):
     doc = presets.emit("tripod")
     doc["edges"][0]["len"] = length
@@ -1147,6 +1236,28 @@ def _gog_with(edit):
     doc = presets.emit("centralizer-extension-gog")
     edit(doc)
     return doc
+
+
+# a vertex's type is one of the three the structure check knows, and its id a
+# string or an int: type "x" once read as an incidence failure, and id true
+# (an edge's u too) as a pass on every clause
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["vertices"][0].update(type="x"), "vertex 'F': unknown type 'x'"),
+    (lambda d: (d["vertices"][0].update(id=True), d["edges"][0].update(u=True)),
+     "vertex id True must be a string or an int"),
+    (lambda d: (d["vertices"][0].update(id=1.5), d["edges"][0].update(u=1.5)),
+     "vertex id 1.5 must be a string or an int"),
+], ids=["type", "id-true", "id-float"])
+def test_gog_vertex_type_and_id_are_checked(tmp_path, capsys, edit, message):
+    path = write(tmp_path, "gog.json", _gog_with(edit))
+    assert [main(["gog", op, "--input", path]) for op in ("structure", "acyl", "principal")] == [
+        65] * 3
+    assert capsys.readouterr() == ("", f"malformed input: {message}\n" * 3)
+
+
+def test_gog_vertex_id_may_be_an_int(tmp_path, capsys):
+    doc = _gog_with(lambda d: (d["vertices"][0].update(id=7), d["edges"][0].update(u=7)))
+    assert main(["gog", "structure", "--input", write(tmp_path, "gog.json", doc)]) == 0
 
 
 def _marked_group_letters(letters):

@@ -3,7 +3,9 @@ module of its own family, importing the package loads none, and no command
 loads `dataclasses` (or the `inspect` it imports), whose import alone costs a
 short job about 10 ms, nor `_hashlib`, which loads OpenSSL for the input
 digest, about 2 ms, nor `argparse` (and the `gettext` and `locale` it pulls
-in), which only --help and usage errors need; and only the commands that
+in), which only --help and usage errors need, nor the `json` package, whose
+import compiles six regular expressions, 1-2 ms, where cli reads and
+writes through json's C accelerator alone; and only the commands that
 compute with rationals load `fractions` (and the `decimal` it imports), about
 2.6 ms.  Every case runs in a fresh interpreter, because the
 test process has imported the whole library already.  Without bytecode
@@ -25,16 +27,19 @@ from lambdaforest import presets
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # run main on argv, then print its exit code, the loaded lambdaforest modules
-# and which of the stdlib modules named here the import of cli and main loaded
+# and which of the stdlib modules named here the import of cli and main loaded;
+# it imports json to print only after reading that set
 RUN_MAIN = """
-import json, sys
+import sys
 before = set(sys.modules)
 from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
-print(json.dumps([rc, mods, [m for m in ("dataclasses", "inspect", "_hashlib", "argparse",
-                                         "gettext", "locale", "fractions", "decimal")
-                             if m in sys.modules and m not in before]]))
+new = [m for m in ("dataclasses", "inspect", "_hashlib", "argparse", "gettext", "locale",
+                   "fractions", "decimal", "json", "json.decoder")
+       if m in sys.modules and m not in before]
+import json
+print(json.dumps([rc, mods, new]))
 """
 RATIONAL = ["fractions", "decimal"]
 # the digest takes sha256 from hashlib, and so loads _hashlib, only where the
@@ -181,6 +186,34 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
     assert got_rc == 0 and not set(RATIONAL) & set(stdlib)
 
 
+# where json's C accelerator cannot be imported, cli reads and writes through the
+# json package: the same exit code, stdout and report, and json loaded on that
+# side alone (stderr says whether it was)
+NO_ACCELERATOR = """
+import sys
+if sys.argv.pop(1) == "off":
+    sys.modules["_json"] = None
+from lambdaforest.cli import main
+rc = main(sys.argv[1:])
+sys.stderr.write(str("json" in sys.modules))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("case", ["tree distance", "bt certify", "gog structure", "marked ball"])
+def test_commands_read_and_write_alike_without_the_accelerator(tmp_path, case):
+    argv, rc, _modules = CASES[case]
+    argv, report = _paths(tmp_path, argv), tmp_path / "report.json"
+    runs = {}
+    for accelerator in ("on", "off"):
+        proc = subprocess.run([sys.executable, "-c", NO_ACCELERATOR, accelerator, *argv,
+                               "--json", str(report)], capture_output=True, text=True,
+                              env=_env(), timeout=60)
+        runs[accelerator] = (proc.returncode, proc.stdout, report.read_text(), proc.stderr)
+    assert runs["on"][:3] == runs["off"][:3] and runs["on"][0] == rc
+    assert (runs["on"][3], runs["off"][3]) == ("False", "True")
+
+
 # lambdatree binds LexValue, Fraction and _ratio on the first tree or LexValue
 # table: each of these, the first call in an interpreter that imported
 # lambdatree alone, ends without a NameError.  The LexValue cases import
@@ -264,9 +297,13 @@ print(json.dumps([ok, [m for m in ("lambdaforest.ordgroup", "fractions", "decima
 # unreachable raise (isom and marked fell too, but stay above their figures:
 # not raised); and validate-tree, where lambdatree came to bind ordgroup on its
 # first tree and validate-tree stopped loading it (the other tree families grew
-# by that binder: not raised)
-FAMILY_LINES = {"validate-tree": 977, "tree": 1131, "isom": 1736, "glue": 1719, "cover": 1279,
-                "bt": 1582, "gog": 1150, "marked": 780, "preset": 479}
+# by that binder: not raised); and tree, isom, glue, cover, gog, marked and
+# preset by the 18 lines cli grew where it came to read, digest and write
+# documents through json's C accelerator, so that no command imports the json
+# package, 1-2 ms a process (validate-tree and bt grew by them too, but stay
+# within 20 of their figures: not raised)
+FAMILY_LINES = {"validate-tree": 977, "tree": 1149, "isom": 1754, "glue": 1737, "cover": 1297,
+                "bt": 1582, "gog": 1168, "marked": 798, "preset": 497}
 
 
 def test_compiled_source_per_family_stays_put():

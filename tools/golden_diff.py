@@ -40,10 +40,12 @@ usage errors, the spellings only argparse reads, `preset emit` of every
 preset, single-word `bt length` and `bt valuation` queries, `bt certify
 --ball 10`, empty output paths, an empty preset name, `isom`'s base, and a
 `cover check` member and a `glue subtree` end that name a point by a JSON
-int: COMMAND_LINES) runs the same way without --json, comparing the exit code
-and the sha256 of stdout and stderr.  Every process runs with PYTHONUNBUFFERED
-removed from its environment, so its stdout is block-buffered and output the
-program failed to flush before exit would show as a difference.  The script
+int, and each RAW_DOCS text, which json.dump cannot write, as `validate-tree`
+and `gog structure`: COMMAND_LINES) runs the same way without --json,
+comparing the exit code and the sha256 of stdout and stderr.  Every process
+runs with PYTHONUNBUFFERED removed from its environment, so its stdout is
+block-buffered and output the program failed to flush before exit would show
+as a difference.  The script
 prints each job or command line that differs and exits 1 if any does, 0 if
 none does.  It uses the standard library only and writes nothing inside the
 checkout.
@@ -174,6 +176,24 @@ LINE_DOCS = {
     "int-ends": {"schema": "lambda-forest/1", "tree1": INT_PATH, "tree2": INT_PATH,
                  "ends1": ["0", 1], "ends2": ["1", "2"]},
 }
+
+# texts as bytes, which json.dump cannot write: the reader's failures, each of
+# which json words (NaN and +-Infinity it reads), and two well-formed documents,
+# one wrapped in whitespace and one pretty-printed
+RAW_HEAD = b'{"schema": "lambda-forest/1"'
+RAW_DOCS = {
+    "empty": b"", "whitespace": b" \t\r\n ", "bom": b"\xef\xbb\xbf" + RAW_HEAD + b"}",
+    "trailing": RAW_HEAD + b"} {}", "bare-brace": b"{", "unterminated": RAW_HEAD + b', "a": "b}',
+    "bad-escape": RAW_HEAD + b', "a": "\\q"}', "nan": RAW_HEAD + b', "a": NaN}',
+    "infinity": RAW_HEAD + b', "a": [Infinity]}', "minus-infinity": RAW_HEAD + b', "a": -Infinity}',
+    "digits": RAW_HEAD + b', "a": ' + b"7" * 5000 + b"}",
+    "duplicate": RAW_HEAD + b', "a": {"b": {"c": 1, "c": 2}}}',
+    "deep": b"[" * 200_000 + b"]" * 200_000, "bad-utf8": RAW_HEAD + b', "a": "\xff\xfe"}',
+    "padded": b" \n\t" + json.dumps(presets.emit("square-cycle")).encode() + b"\r\n ",
+    "pretty": json.dumps(presets.emit("centralizer-extension-gog"), indent=4).encode(),
+}
+COMMAND_LINES += [[*command, "--input", f"@{name}"] for name in RAW_DOCS
+                  for command in (["validate-tree"], ["gog", "structure"])]
 
 
 COVER_DOCS = 50  # per seed
@@ -576,15 +596,16 @@ def gog_documents(seed: int) -> list[tuple[str, dict]]:
 
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, or of that
-    LINE_DOCS document, written once."""
+    LINE_DOCS document or RAW_DOCS text, written once."""
     out = []
     for a in line:
         if "@" in a:
             head, name = a.split("@", 1)
             path = os.path.join(inputs, f"preset.{name}.json")
             if not os.path.exists(path):
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(LINE_DOCS[name] if name in LINE_DOCS else presets.emit(name), fh)
+                with open(path, "wb") as fh:
+                    fh.write(RAW_DOCS[name] if name in RAW_DOCS else json.dumps(
+                        LINE_DOCS[name] if name in LINE_DOCS else presets.emit(name)).encode())
             a = head + path
         out.append(a)
     return out
