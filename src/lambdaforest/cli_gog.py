@@ -29,11 +29,7 @@ def cmd_gog(args, doc):
                 f"acylindricity: {rep.verdict}" + (f", fixed by {rep.element}" if rep.element else ""))
     if args.op == "betti":
         ambient = FinitePresentation.from_json(doc["ambient"])
-        pairs = doc.get("max_abelian", [])
-        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise DevissageError(f"max_abelian must be a list of [tag, rank] pairs, got {pairs!r}")
-        decl = MaxAbelianDeclaration(tuple(map(tuple, pairs)))
-        rep = check_betti_bounds(G, ambient, decl)
+        rep = check_betti_bounds(G, ambient, MaxAbelianDeclaration(doc.get("max_abelian", [])))
         body = {
             "b1": rep.b1_ambient,
             "b1_vertices": rep.b1_vertices,

@@ -7,8 +7,15 @@ import sys
 from .cli import _COMMANDS, EXIT_USAGE
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_usage(self, file=None):
+        """Usage goes to stderr, passed over when that is None: argparse's own
+        writes a None file to stdout, and error() hands it sys.stderr."""
+        self._print_message(self.format_usage(), file or sys.stderr)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="lambdaforest")
+    p = _Parser(prog="lambdaforest")
     sub = p.add_subparsers(dest="command")
     for command, (family, ops, options) in _COMMANDS.items():
         sp = sub.add_parser(command)
@@ -29,6 +36,6 @@ def parse(argv):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if not args.command:
-        parser.print_usage(sys.stderr)
+        parser.print_usage()
         return EXIT_USAGE
     return args

@@ -38,10 +38,6 @@ class DevissageError(ValueError):
 # vertex group descriptors -----------------------------------------------------------
 
 
-# a free or free-abelian vertex group is its word-problem oracle
-FreeGroup, FreeAbelian = FreeGroupOracle, FreeAbelianOracle
-
-
 class CyclicBySum(FreeAbelianOracle):
     """N + Z^k with a marked cyclic summand generated by `n_letter`."""
 
@@ -232,130 +228,90 @@ class StructureReport:
 
 
 def check_structure(G: GraphOfGroups) -> StructureReport:
-    clauses: dict[str, ClauseVerdict] = {}
+    """Each clause is a rule: its detail when it passes, and its faults, the one
+    it names first.  A clause fails with its first fault and passes with none;
+    a generator of faults stops there, so nothing after that fault is read."""
     remarks: list[str] = []
+    bad = [i for i, e in enumerate(G.edges) if e.u == e.v
+           or [G.vertices[end].vtype for end in (e.u, e.v)].count("infinitesimal") != 1]
+    shared, unchecked = _shared_roots(G)
+    missing = [vid for vid, v in G.vertices.items() if v.vtype == "infinitesimal" and not (
+        isinstance(v.desc, FreeGroupOracle) or (isinstance(v.attestation, str) and v.attestation))]
+    surfaces = any(v.vtype == "surface" for v in G.vertices.values())
+    rules = {
+        "graph": ("connected", [] if G.connected() else ["underlying graph not connected"]),
+        "incidence": ("every edge meets exactly one infinitesimal vertex",  # (i)
+                      [f"edges {bad} violate the one-infinitesimal-end rule"] if bad else []),
+        "abelian": ("abelian vertices carry a marked cyclic summand", _abelian_faults(G)),  # (ii)
+        "abelian-pairs": ("no commuting abelian pair detected", reversed(shared)),  # the last pair
+        "surface": ("boundary components matched" if surfaces else "no surface vertices",  # (iii)
+                    _surface_faults(G, remarks)),
+        "infinitesimal": ("all infinitesimal vertices attested free",  # (iv)
+                          [f"unattested infinitesimal vertices {missing}"] if missing else []),
+    }
+    clauses = {}
+    for key, (passed, faults) in rules.items():
+        fault = next(iter(faults), None)
+        clauses[key] = ClauseVerdict("Pass", passed) if fault is None else ClauseVerdict("Fail", fault)
+    if unchecked and not shared:
+        clauses["abelian-pairs"] = ClauseVerdict("Unchecked", f"non-free shared vertices {unchecked}")
+    return StructureReport(clauses, remarks)
 
-    if not G.connected():
-        clauses["graph"] = ClauseVerdict("Fail", "underlying graph not connected")
-    else:
-        clauses["graph"] = ClauseVerdict("Pass", "connected")
 
-    # (i) every edge has exactly one infinitesimal endpoint
-    bad = []
-    for i, e in enumerate(G.edges):
-        inf_ends = sum(
-            1 for end in (e.u, e.v) if G.vertices[end].vtype == "infinitesimal"
-        )
-        if e.u == e.v or inf_ends != 1:
-            bad.append(i)
-    clauses["incidence"] = (
-        ClauseVerdict("Pass", "every edge meets exactly one infinitesimal vertex")
-        if not bad
-        else ClauseVerdict("Fail", f"edges {bad} violate the one-infinitesimal-end rule")
-    )
-
-    # (ii) abelian vertices
-    verdict = ClauseVerdict("Pass", "abelian vertices carry a marked cyclic summand")
+def _abelian_faults(G: GraphOfGroups):
+    """(ii) an abelian vertex is cyclic-by-sum and meets each edge at its marked
+    generator, and the edge group is maximal cyclic at a free or surface other
+    end: the image there is no proper power."""
     for vid, v in G.vertices.items():
-        if v.vtype != "abelian":
-            continue
-        if not isinstance(v.desc, CyclicBySum):
-            verdict = ClauseVerdict("Fail", f"abelian vertex {vid!r} is not cyclic-by-sum")
-            break
-        ngen = ((v.desc.n_letter, 1),)
-        for _i, src, other_end, img, other_img in G.half_edges:
-            if src != vid:
-                continue
-            if free_reduce(img) not in (ngen, invert(ngen)):
-                verdict = ClauseVerdict(
-                    "Fail",
-                    f"edge image {word_str(img)} at {vid!r} is not the marked generator",
-                )
-                break
-            # maximal cyclic: the other end must not be a proper power there
-            od = G.vertices[other_end].desc
-            if isinstance(od, (FreeGroupOracle, SurfaceWithBoundary)):
-                _, k = primitive_root(other_img)
-                if k != 1:
-                    verdict = ClauseVerdict(
-                        "Fail",
-                        f"edge image at {other_end!r} is a proper power (exponent {k})",
-                    )
-                    break
-        if verdict.verdict == "Fail":
-            break
-    clauses["abelian"] = verdict
+        if v.vtype == "abelian" and not isinstance(v.desc, CyclicBySum):
+            yield f"abelian vertex {vid!r} is not cyclic-by-sum"
+        elif v.vtype == "abelian":
+            ngen = ((v.desc.n_letter, 1),)
+            for _i, src, other_end, img, other_img in G.half_edges:
+                if src != vid:
+                    continue
+                if free_reduce(img) not in (ngen, invert(ngen)):
+                    yield f"edge image {word_str(img)} at {vid!r} is not the marked generator"
+                if isinstance(G.vertices[other_end].desc, (FreeGroupOracle, SurfaceWithBoundary)):
+                    _, k = primitive_root(other_img)
+                    if k != 1:
+                        yield f"edge image at {other_end!r} is a proper power (exponent {k})"
 
-    # abelian vertices sharing an infinitesimal free neighbor must not have
-    # commuting conjugates; decidable fragment: compare primitive roots in
-    # the shared free vertex, else report Unchecked
-    pairs = ClauseVerdict("Pass", "no commuting abelian pair detected")
-    unchecked = []
-    ab_edges: dict[str, list[tuple[str, Word]]] = {}
+
+def _shared_roots(G: GraphOfGroups) -> tuple[list[str], list[str]]:
+    """Abelian vertices sharing an infinitesimal neighbour must not have
+    commuting conjugates.  Decidable fragment: at a free neighbour each pair
+    whose images have conjugate primitive roots is a fault, in order; a shared
+    neighbour that is not free is listed as unchecked."""
+    hung: dict[str, list[tuple[str, Word]]] = {}
     for _i, ab, inf, _a, img in G.half_edges:
         if G.vertices[ab].vtype == "abelian" and G.vertices[inf].vtype == "infinitesimal":
-            ab_edges.setdefault(inf, []).append((ab, img))
-    for inf, hung in ab_edges.items():
-        if not isinstance(G.vertices[inf].desc, FreeGroupOracle):
-            if len({a for a, _ in hung}) > 1:
-                unchecked.append(inf)
-            continue
-        for (a1, w1), (a2, w2) in itertools.combinations(hung, 2):
-            if a1 == a2:
-                continue
-            r1, _ = primitive_root(w1)
-            r2, _ = primitive_root(w2)
-            if _conjugator_pm(r1, r2) is not None:
-                pairs = ClauseVerdict(
-                    "Fail", f"abelian vertices {a1!r}, {a2!r} share a root at {inf!r}"
-                )
-    if unchecked and pairs.verdict == "Pass":
-        pairs = ClauseVerdict("Unchecked", f"non-free shared vertices {unchecked}")
-    clauses["abelian-pairs"] = pairs
+            hung.setdefault(inf, []).append((ab, img))
+    shared, unchecked = [], []
+    for inf, ends in hung.items():
+        if isinstance(G.vertices[inf].desc, FreeGroupOracle):
+            shared += [f"abelian vertices {a1!r}, {a2!r} share a root at {inf!r}"
+                       for (a1, w1), (a2, w2) in itertools.combinations(ends, 2) if a1 != a2
+                       and _conjugator_pm(primitive_root(w1)[0], primitive_root(w2)[0]) is not None]
+        elif len({a for a, _ in ends}) > 1:
+            unchecked.append(inf)
+    return shared, unchecked
 
-    # (iii) surface vertices: incident edges <-> boundary words, up to
-    # free-group conjugacy (and inversion, for the reversed orientation)
-    verdict = ClauseVerdict("Pass", "boundary components matched")
-    any_surface = False
+
+def _surface_faults(G: GraphOfGroups, remarks: list[str]):
+    """(iii) the edges at a surface vertex match its boundary words one to one,
+    up to free-group conjugacy and inversion (the reversed orientation).  A
+    surface vertex with neither is closed: a remark, not a fault."""
     for vid, v in G.vertices.items():
-        if v.vtype != "surface":
-            continue
-        any_surface = True
-        if not isinstance(v.desc, SurfaceWithBoundary):
-            verdict = ClauseVerdict("Fail", f"surface vertex {vid!r} lacks boundary data")
-            break
-        inc = [img for _i, src, _d, img, _b in G.half_edges if src == vid]
-        if not inc and not v.desc.boundaries:
-            remarks.append(
-                f"surface vertex {vid!r} has no edges: closed-surface case"
-            )
-            continue
-        if not _boundary_matching(inc, list(v.desc.boundaries)):
-            verdict = ClauseVerdict(
-                "Fail",
-                f"no edge-boundary bijection at {vid!r} "
-                f"({len(inc)} edges, {len(v.desc.boundaries)} boundaries)",
-            )
-            break
-    clauses["surface"] = verdict
-    if not any_surface:
-        clauses["surface"] = ClauseVerdict("Pass", "no surface vertices")
-
-    # (iv) infinitesimal vertices attested free
-    missing = []
-    for vid, v in G.vertices.items():
-        if v.vtype != "infinitesimal":
-            continue
-        if not (isinstance(v.desc, FreeGroupOracle)
-                or (isinstance(v.attestation, str) and v.attestation)):
-            missing.append(vid)
-    clauses["infinitesimal"] = (
-        ClauseVerdict("Pass", "all infinitesimal vertices attested free")
-        if not missing
-        else ClauseVerdict("Fail", f"unattested infinitesimal vertices {missing}")
-    )
-
-    return StructureReport(clauses, remarks)
+        if v.vtype == "surface" and not isinstance(v.desc, SurfaceWithBoundary):
+            yield f"surface vertex {vid!r} lacks boundary data"
+        elif v.vtype == "surface":
+            inc = [img for _i, src, _d, img, _b in G.half_edges if src == vid]
+            if not inc and not v.desc.boundaries:
+                remarks.append(f"surface vertex {vid!r} has no edges: closed-surface case")
+            elif not _boundary_matching(inc, list(v.desc.boundaries)):
+                yield (f"no edge-boundary bijection at {vid!r} "
+                       f"({len(inc)} edges, {len(v.desc.boundaries)} boundaries)")
 
 
 def _boundary_matching(images: list[Word], boundaries: list[Word]) -> bool:
@@ -489,9 +445,12 @@ class MaxAbelianDeclaration:
     __slots__ = ("ranks",)
     __setattr__ = _frozen
 
-    def __init__(self, ranks: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "ranks", ranks)  # (vertex or subgroup tag, rank >= 2)
-        for tag, r in ranks:
+    def __init__(self, ranks: Union[tuple[tuple[str, int], ...], list[list]]):
+        if not isinstance(ranks, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in ranks):
+            raise DevissageError(f"max_abelian must be a list of [tag, rank] pairs, got {ranks!r}")
+        object.__setattr__(self, "ranks", tuple(map(tuple, ranks)))  # (vertex or subgroup tag, rank >= 2)
+        for tag, r in self.ranks:
             if isinstance(r, bool) or not isinstance(r, int) or r < 2:
                 raise DevissageError(f"declared maximal abelian {tag!r} has rank {r!r}, "
                                      "not an integer >= 2")

@@ -510,12 +510,12 @@ class FiniteLambdaMetric:
         labels, rows = doc["labels"], doc["dist"]
         if not isinstance(labels, list) or not labels:
             raise ValueError("labels must be a non-empty list")
-        m = len(labels)
+        m, odd = len(labels), [x for x in labels if type(x) not in (str, int)]  # a bool is no int
         if not (isinstance(rows, list) and len(rows) == m
                 and all(isinstance(row, list) and len(row) == m for row in rows)):
             raise ValueError(f"dist must be {m} rows of {m} entries")
-        if len(set(map(repr, labels))) != m:
-            raise ValueError("labels must be distinct")
+        if odd or len(set(map(repr, labels))) != m:
+            raise ValueError(f"label {odd[0]!r} must be a string or an int" if odd else "labels must be distinct")
         D, flat = _json_rows([d for row in rows for d in row], rank,
                              lambda k: f"dist[{k // m}][{k % m}]")
         return FiniteLambdaMetric._from_rows(labels, [flat[k:k + m] for k in range(0, m * m, m)],

@@ -367,6 +367,21 @@ def test_validate_tree_refuses_repeated_labels(tmp_path, capsys):
     assert out == "" and err == "malformed input: labels must be distinct\n"
 
 
+# a label is written into the witness as it reads: one that is neither a
+# string nor an int (a bool is no int) once passed, or named a point in
+# Python's repr
+@pytest.mark.parametrize("labels, bad", [([{}, "b", "c"], {}), ([True, 1.5, None], True),
+                                         (["a", 1.5, None], 1.5), (["a", "b", None], None),
+                                         ([0, "b", [2]], [2])])
+def test_validate_tree_refuses_a_label_that_is_no_string_or_int(tmp_path, capsys, labels, bad):
+    ints = write(tmp_path, "ints.json", _rank1_metric(labels=[0, "b", 1]))
+    assert main(["validate-tree", "--input", ints]) == 0
+    odd = write(tmp_path, "odd.json", _rank1_metric(labels=labels))
+    assert main(["validate-tree", "--input", odd]) == 65
+    assert capsys.readouterr() == ("validate-tree: pass\n",
+                                   f"malformed input: label {bad!r} must be a string or an int\n")
+
+
 def _rank1_metric(**edits):
     doc = {"schema": SCHEMA, "rank": 1, "labels": ["a", "b", "c"],
            "dist": [[["0"], ["1"], ["2"]], [["1"], ["0"], ["1"]], [["2"], ["1"], ["0"]]]}

@@ -9,8 +9,6 @@ from lambdaforest.devissage import (
     AcylReport,
     CyclicBySum,
     DevissageError,
-    FreeAbelian,
-    FreeGroup,
     GGEdge,
     GGVertex,
     GraphOfGroups,
@@ -26,6 +24,8 @@ from lambdaforest.devissage import (
 )
 from lambdaforest.groups import (
     FinitePresentation,
+    FreeAbelianOracle,
+    FreeGroupOracle,
     WordError,
     ball_words,
     betti1,
@@ -106,7 +106,7 @@ def test_surface_structure_and_case():
 def test_surface_boundary_matching():
     # one-holed torus hanging on an infinitesimal free vertex
     torus = SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"),))
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
     S = GGVertex("S", "surface", torus)
     edge = GGEdge("F", "S", parse_word("xy"), parse_word("b'a'ba"))
     G = GraphOfGroups([F, S], [edge])
@@ -181,7 +181,7 @@ def test_principal_refuses_broken_structure():
 
 
 def _pair_graph(w1: str, w2: str, free=True):
-    desc = FreeGroup(("x", "y")) if free else FreeAbelian(("x", "y"))
+    desc = FreeGroupOracle(("x", "y")) if free else FreeAbelianOracle(("x", "y"))
     F = GGVertex("F", "infinitesimal", desc, attestation="window-certified")
     A1 = GGVertex("A1", "abelian", CyclicBySum("n", ()))
     A2 = GGVertex("A2", "abelian", CyclicBySum("m", ()))
@@ -219,7 +219,7 @@ def test_abelian_pair_nonfree_shared_vertex_unchecked():
 def test_acylindricity_fails_on_global_stabilizer():
     # two parallel edges gluing <x> to the cyclic summand: <x> fixes an
     # unbounded line in the Bass-Serre tree
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
     e = GGEdge("F", "A", parse_word("x"), parse_word("n"))
     G = GraphOfGroups([F, A], [e, GGEdge("F", "A", parse_word("x"), parse_word("n"))])
@@ -246,8 +246,8 @@ def _loop(desc, image_u, image_v):
 # a loop is an HNN extension, and its two ends are two half-edges: going round
 # it twice the same way is a reduced path, however the turn is chosen
 @pytest.mark.parametrize("desc, image_u, image_v, element", [
-    (FreeGroup(("x", "y")), "x", "x", "x"),  # t commutes with x: x fixes a line
-    (FreeAbelian(("a",)), "a", "aa", "a"),  # BS(1, 2): a, read at the far end
+    (FreeGroupOracle(("x", "y")), "x", "x", "x"),  # t commutes with x: x fixes a line
+    (FreeAbelianOracle(("a",)), "a", "aa", "a"),  # BS(1, 2): a, read at the far end
 ])
 def test_acylindricity_fails_on_hnn_loops(desc, image_u, image_v, element):
     rep = check_acylindricity(_loop(desc, image_u, image_v), radius=5, window=4)
@@ -259,7 +259,7 @@ def test_acylindricity_fails_on_hnn_loops(desc, image_u, image_v, element):
 
 def test_acylindricity_passes_free_hnn_loop():
     # t x t^-1 = y: the group is free on x and t
-    rep = check_acylindricity(_loop(FreeGroup(("x", "y")), "x", "y"), radius=5, window=4)
+    rep = check_acylindricity(_loop(FreeGroupOracle(("x", "y")), "x", "y"), radius=5, window=4)
     assert rep.verdict == "Pass"
 
 
@@ -269,7 +269,7 @@ def test_acylindricity_passes_free_hnn_loop():
 def test_acylindricity_fails_when_a_proper_power_is_glued(k):
     # <n, m | n^k = m^2>: the central n^k fixes the whole tree
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
-    B = GGVertex("B", "abelian", FreeAbelian(("m",)))
+    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)))
     G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n" * k), parse_word("mm"))])
     rep = check_acylindricity(G, radius=5, window=4)
     assert rep.verdict == "Fail"
@@ -279,7 +279,7 @@ def test_acylindricity_fails_when_a_proper_power_is_glued(k):
 def test_acylindricity_passes_when_the_letter_itself_is_glued():
     # <n> *_{n = m} <m> is Z: its tree has no reduced path of two edges
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
-    B = GGVertex("B", "abelian", FreeAbelian(("m",)))
+    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)))
     G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n"), parse_word("m'"))])
     assert check_acylindricity(G, radius=2, window=4).verdict == "Pass"
 
@@ -287,7 +287,7 @@ def test_acylindricity_passes_when_the_letter_itself_is_glued():
 # a turn at a free vertex is computed, not searched for within --window
 def test_acylindricity_finds_a_turn_longer_than_the_window():
     # t x t^-1 = y^5 x y^-5: y^-5 t commutes with x, so x fixes a line
-    G = _loop(FreeGroup(("x", "y")), "x", "yyyyyxy'y'y'y'y'")
+    G = _loop(FreeGroupOracle(("x", "y")), "x", "yyyyyxy'y'y'y'y'")
     rep = check_acylindricity(G, radius=5, window=4)
     assert rep.verdict == "Fail"
     assert rep.element == "yyyyyxy'y'y'y'y'"
@@ -297,7 +297,7 @@ def test_acylindricity_finds_a_turn_longer_than_the_window():
 def test_acylindricity_finds_a_root_turn_longer_than_the_window():
     # (xyxyy)^2 glued to n: the root xyxyy commutes with n's image and lies
     # outside the edge group, so n fixes a reduced path of two edges
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
     G = GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xyxyy" * 2), parse_word("n"))])
     rep = check_acylindricity(G, radius=2, window=4)
@@ -341,15 +341,15 @@ def test_turns_agree_with_the_window_walk(root, g1, g2, ea, eb, M, how, other, w
          "other": other, "backtrack": a}[how]
     assume(b)
     backtrack = how == "backtrack"
-    got = list(_turns(FreeGroup(("x", "y")), a, M, b, backtrack))
+    got = list(_turns(FreeGroupOracle(("x", "y")), a, M, b, backtrack))
     want = _walk_turns(("x", "y"), a, M, b, backtrack, window)
     assert len(got) <= 1
     if want or (got and len(got[0][1]) <= window):
         assert got == want, (word_str(a), word_str(b))
 
 
-DESCRIPTORS = [FreeGroup(("x",)), FreeGroup(("x", "y")), FreeAbelian(("a",)),
-               FreeAbelian(("a", "b")), CyclicBySum("n", ()), CyclicBySum("n", ("z",))]
+DESCRIPTORS = [FreeGroupOracle(("x",)), FreeGroupOracle(("x", "y")), FreeAbelianOracle(("a",)),
+               FreeAbelianOracle(("a", "b")), CyclicBySum("n", ()), CyclicBySum("n", ("z",))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,9 +415,9 @@ def graphs_of_groups(draw):
         kind = draw(st.sampled_from(sorted(KINDS)))
         letters = tuple("abc"[:draw(st.integers(1, 3))])
         if kind == "free":
-            desc = FreeGroup(letters)
+            desc = FreeGroupOracle(letters)
         elif kind == "free-abelian":
-            desc = FreeAbelian(letters)
+            desc = FreeAbelianOracle(letters)
         elif kind == "cyclic-by-sum":
             desc = CyclicBySum(letters[0], letters[1:])
         else:
@@ -458,7 +458,7 @@ def devissage_presentation(G):
     relators = []
     for vid, v in G.vertices.items():
         d, r = v.desc, rename[vid]
-        if isinstance(d, (FreeAbelian, CyclicBySum)):
+        if isinstance(d, (FreeAbelianOracle, CyclicBySum)):
             relators += [((r[x], 1), (r[y], 1), (r[x], -1), (r[y], -1))
                          for x, y in itertools.combinations(d.letters, 2)]
         elif isinstance(d, SurfaceWithBoundary) and d.closed_relator:
@@ -514,7 +514,7 @@ def test_max_abelian_declaration_requires_rank_two():
 
 
 def test_trivial_edge_image_rejected():
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x",)))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)))
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
     with pytest.raises(DevissageError):
         GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xx'"), parse_word("n"))])
@@ -522,8 +522,8 @@ def test_trivial_edge_image_rejected():
 
 def test_descriptor_from_json():
     docs = [
-        ({"kind": "free", "letters": ["x", "y"]}, FreeGroup(("x", "y"))),
-        ({"kind": "free-abelian", "letters": ["a"]}, FreeAbelian(("a",))),
+        ({"kind": "free", "letters": ["x", "y"]}, FreeGroupOracle(("x", "y"))),
+        ({"kind": "free-abelian", "letters": ["a"]}, FreeAbelianOracle(("a",))),
         ({"kind": "cyclic-by-sum", "n_letter": "n", "extra_letters": ["z"]},
          CyclicBySum("n", ("z",))),
         ({"kind": "surface-with-boundary", "letters": ["a", "b"], "boundaries": ["aba'b'"]},
@@ -556,7 +556,7 @@ def test_closed_surface_has_no_boundary_and_no_edge():
     with pytest.raises(DevissageError, match="^a surface with a closed relator has no boundary words$"):
         SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"),), parse_word("aabb"))
     S = GGVertex("S", "surface", SurfaceWithBoundary(("a", "b", "c"), (), parse_word("aabbcc")))
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x",)))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)))
     # aabbcc is trivial in the closed surface group, which a free reduction cannot see
     with pytest.raises(DevissageError, match="^edge at closed surface vertex 'S': its images"):
         GraphOfGroups([F, S], [GGEdge("F", "S", parse_word("x"), parse_word("aabbcc"))])
@@ -580,7 +580,7 @@ def test_surface_rejects_conjugate_boundaries(second):
 
 
 def test_principal_case_amalgam_and_recurse():
-    F = GGVertex("F", "infinitesimal", FreeGroup(("x", "y")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
     A = GGVertex("A", "abelian", CyclicBySum("n", ()))
     G = GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xy"), parse_word("n"))])
     assert principal_splitting_case(G).case == "amalgam-maximal-abelian"
@@ -599,25 +599,113 @@ def test_graph_refuses_a_missing_endpoint():
 
 def _hung(abelian: GGVertex, image: str) -> GraphOfGroups:
     """abelian, and a free infinitesimal vertex F = <a, b> it meets at `image` = a."""
-    F = GGVertex("F", "infinitesimal", FreeGroup(("a", "b")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
     return GraphOfGroups([abelian, F], [GGEdge(abelian.id, "F", parse_word(image),
                                               parse_word("a"))])
 
 
+def _star(*leaves) -> GraphOfGroups:
+    """A free infinitesimal F = <a, b>, then the vertex of each leaf (vertex,
+    image there, image at F), hung from F by one edge per leaf, in order."""
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
+    verts = {v.id: v for v, _i, _f in leaves}
+    return GraphOfGroups([F, *verts.values()],
+                         [GGEdge(v.id, "F", parse_word(i), parse_word(f)) for v, i, f in leaves])
+
+
+MARKED = GGVertex("A", "abelian", CyclicBySum("n", ("m",)))
+NOT_CYCLIC = GGVertex("B", "abelian", FreeAbelianOracle(("n",)))
+SHARING = [GGVertex(f"A{k}", "abelian", CyclicBySum("n", ())) for k in range(4)]
+UNBOUNDED = GGVertex("S", "surface", FreeGroupOracle(("c",)))
+BOUNDED = GGVertex("T", "surface", SurfaceWithBoundary(("c", "d"), (parse_word("cd"),)))
+
+
+# a clause names its first fault, in vertex order and then half-edge order;
+# abelian-pairs compares every pair and names the last that shares a root
 @pytest.mark.parametrize("G, clause, detail", [
-    (_hung(GGVertex("A", "abelian", FreeAbelian(("n",))), "n"), "abelian",
+    (_hung(GGVertex("A", "abelian", FreeAbelianOracle(("n",))), "n"), "abelian",
      "abelian vertex 'A' is not cyclic-by-sum"),
     (_hung(GGVertex("A", "abelian", CyclicBySum("n", ("m",))), "m"), "abelian",
      "edge image m at 'A' is not the marked generator"),
-    (_hung(GGVertex("S", "surface", FreeGroup(("n",))), "n"), "surface",
+    (_hung(GGVertex("S", "surface", FreeGroupOracle(("n",))), "n"), "surface",
      "surface vertex 'S' lacks boundary data"),
-], ids=["not-cyclic-by-sum", "not-the-marked-generator", "no-boundaries"])
+    (_star((MARKED, "m", "a"), (NOT_CYCLIC, "n", "b")), "abelian",
+     "edge image m at 'A' is not the marked generator"),
+    (_star((NOT_CYCLIC, "n", "b"), (MARKED, "m", "a")), "abelian",
+     "abelian vertex 'B' is not cyclic-by-sum"),
+    (_star((MARKED, "n", "aa"), (MARKED, "m", "b")), "abelian",
+     "edge image at 'F' is a proper power (exponent 2)"),
+    (_star((MARKED, "m", "abab"), (MARKED, "n", "b")), "abelian",
+     "edge image m at 'A' is not the marked generator"),
+    (_star(*zip(SHARING, "nnnn", ["a", "bab'", "ab", "b'a'"])), "abelian-pairs",
+     "abelian vertices 'A2', 'A3' share a root at 'F'"),
+    (_star(*zip(SHARING, "nnnn", ["ab", "a", "b'a'", "a'"])), "abelian-pairs",
+     "abelian vertices 'A1', 'A3' share a root at 'F'"),
+    (_star((BOUNDED, "c", "a"), (UNBOUNDED, "c", "b")), "surface",
+     "no edge-boundary bijection at 'T' (1 edges, 1 boundaries)"),
+    (_star((UNBOUNDED, "c", "b"), (BOUNDED, "c", "a")), "surface",
+     "surface vertex 'S' lacks boundary data"),
+], ids=["not-cyclic-by-sum", "not-the-marked-generator", "no-boundaries", "first-vertex",
+        "first-vertex-not-cyclic", "first-half-edge", "letter-before-power", "last-pair",
+        "last-pair-of-two-roots", "first-surface", "first-surface-not-bounded"])
 def test_structure_fails_a_vertex_that_breaks_its_clause(G, clause, detail):
     verdict = check_structure(G).clauses[clause]
     assert (verdict.verdict, verdict.detail) == ("Fail", detail)
 
 
+def test_structure_passes_a_clause_with_no_fault():
+    rep = check_structure(_star((SHARING[0], "n", "a"), (SHARING[1], "n'", "b")))
+    assert {k: (c.verdict, c.detail) for k, c in rep.clauses.items()} == {
+        "graph": ("Pass", "connected"),
+        "incidence": ("Pass", "every edge meets exactly one infinitesimal vertex"),
+        "abelian": ("Pass", "abelian vertices carry a marked cyclic summand"),
+        "abelian-pairs": ("Pass", "no commuting abelian pair detected"),
+        "surface": ("Pass", "no surface vertices"),
+        "infinitesimal": ("Pass", "all infinitesimal vertices attested free"),
+    }
+    assert rep.remarks == []
+
+
+def _closed(vid: str) -> GGVertex:
+    return GGVertex(vid, "surface", SurfaceWithBoundary(("c", "d"), ()))
+
+
+@pytest.mark.parametrize("order, verdict, remarked", [
+    ("C0 C1", "Pass", ["C0", "C1"]),
+    ("C0 S C1", "Fail", ["C0"]),
+    ("S C0 C1", "Fail", []),
+])
+def test_structure_remarks_closed_surfaces_up_to_the_first_fault(order, verdict, remarked):
+    """A closed surface met before the surface clause's first fault is
+    remarked on; one after it is not read."""
+    verts = [UNBOUNDED if vid == "S" else _closed(vid) for vid in order.split()]
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a",)))
+    edges = [GGEdge("F", "S", parse_word("a"), parse_word("c"))] if "S" in order else []
+    rep = check_structure(GraphOfGroups([F, *verts], edges))
+    assert rep.clauses["surface"].verdict == verdict
+    assert rep.clauses["surface"].detail == ("boundary components matched" if verdict == "Pass"
+                                             else "surface vertex 'S' lacks boundary data")
+    assert rep.remarks == [f"surface vertex {vid!r} has no edges: closed-surface case"
+                           for vid in remarked]
+
+
+@pytest.mark.parametrize("at_f, verdict, detail", [
+    (["a", "b"], "Unchecked", "non-free shared vertices ['N']"),
+    (["a", "a'"], "Fail", "abelian vertices 'A0', 'A1' share a root at 'F'"),
+])
+def test_structure_is_unchecked_only_where_no_pair_fails(at_f, verdict, detail):
+    """A0 and A1 hang from the free F at at_f and also meet at N, which is
+    free abelian, so their pair there is not decided: Unchecked, unless
+    their pair at F shares a root."""
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
+    N = GGVertex("N", "infinitesimal", FreeAbelianOracle(("p", "q")), attestation="given")
+    edges = [GGEdge(a.id, "F", parse_word("n"), parse_word(w)) for a, w in zip(SHARING, at_f)]
+    edges += [GGEdge("N", a.id, parse_word(w), parse_word("n")) for a, w in zip(SHARING, "pq")]
+    pairs = check_structure(GraphOfGroups([F, *SHARING[:2], N], edges)).clauses["abelian-pairs"]
+    assert (pairs.verdict, pairs.detail) == (verdict, detail)
+
+
 def test_free_abelian_b1_is_its_rank():
-    G = GraphOfGroups([GGVertex("A", "abelian", FreeAbelian(("x", "y", "z")))], [])
+    G = GraphOfGroups([GGVertex("A", "abelian", FreeAbelianOracle(("x", "y", "z")))], [])
     rep = check_betti_bounds(G, FinitePresentation(("x",), ()), MaxAbelianDeclaration(()))
     assert rep.b1_vertices == {"A": 3}

@@ -13,8 +13,6 @@ import pytest
 from lambdaforest.bruhat import QpElement
 from lambdaforest.devissage import (
     CyclicBySum,
-    FreeAbelian,
-    FreeGroup,
     GGEdge,
     GGVertex,
     MaxAbelianDeclaration,
@@ -44,8 +42,6 @@ CLASSES = {
                            "DualPoint(vertex='B', point=EdgeInterior('b0'-'b1' @ (1/2)))", None),
     "FreeGroupOracle": (FreeGroupOracle, (("p", "q"),), None, None),
     "FreeAbelianOracle": (FreeAbelianOracle, (("p", "q"),), None, None),
-    "FreeGroup": (FreeGroup, (("x", "y"),), None, None),
-    "FreeAbelian": (FreeAbelian, (("x", "y"),), None, None),
     "CyclicBySum": (CyclicBySum, ("n", ("x",)), None, None),
     "SurfaceWithBoundary": (SurfaceWithBoundary, (("a", "b"), (parse_word("aba'b'"),), None),
                             None, None),

@@ -32,7 +32,11 @@ has a determinant that is not 1, whose error quotes the element text.
 Every benchmark `gog` input is the centralizer preset's shape or an edgeless
 closed surface, so GOG_DOCS seeded graphs of groups (gog_documents) run too:
 every vertex kind and type, bounded surfaces with edges, loops, parallel
-edges, attested vertices that are not free and trivial edge images, each as
+edges, attested vertices that are not free and trivial edge images, and
+GOG_FAULT_ROUNDS times a disconnected graph and three graphs where one clause
+fails in several places (abelian vertices, pairs that share a root, a faulty
+surface vertex among closed ones), so the fault a clause names and the remarks
+it makes are compared too; each runs as
 `gog structure`, `gog acyl --radius 2-5`, `gog betti` and `gog principal`.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
@@ -159,12 +163,20 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     # a point is a string, also where the tree's ids are ints
     ["cover", "check", "--input", "@int-member"],
     ["glue", "subtree", "--input", "@int-ends"],
+    # a label is a string or an int: the first table passes with labels of both
+    # kinds, and the other two carry labels of neither
+    ["validate-tree", "--input", "@int-labels"],
+    ["validate-tree", "--input", "@odd-labels"],
+    ["validate-tree", "--input", "@object-label"],
 ]
 # the documents of command lines that no preset serves: the tripod turned by
-# r, a window whose vertex ids, 0 and "a", do not compare, and a cover member
-# and a glued segment's end that give a point as an int
+# r, a window whose vertex ids, 0 and "a", do not compare, a cover member and
+# a glued segment's end that give a point as an int, and the distances of a
+# star's centre q and three leaves as a table, and with r and s stretched apart
 INT_PATH = {"rank": 1, "vertices": [0, 1, 2],
             "edges": [{"u": 0, "v": 1, "len": ["1"]}, {"u": 1, "v": 2, "len": ["1"]}]}
+STAR = [[[str(d)] for d in row] for row in ([0, 1, 2, 2], [1, 0, 1, 1], [2, 1, 0, 2], [2, 1, 2, 0])]
+STRETCHED = STAR[:2] + [[["2"], ["1"], ["0"], ["3"]], [["2"], ["1"], ["3"], ["0"]]]
 LINE_DOCS = {
     "rotation-window": {"schema": "lambda-forest/1", "tree": presets.emit("tripod"),
                         "generators": {"r": {"o": "o", "p": "q", "q": "r", "r": "p"}}},
@@ -175,6 +187,11 @@ LINE_DOCS = {
     "int-member": {"schema": "lambda-forest/1", "tree": INT_PATH, "members": [[0, 1], ["1", "2"]]},
     "int-ends": {"schema": "lambda-forest/1", "tree1": INT_PATH, "tree2": INT_PATH,
                  "ends1": ["0", 1], "ends2": ["1", "2"]},
+    "int-labels": {"schema": "lambda-forest/1", "rank": 1, "labels": ["p", 0, "r", 1], "dist": STAR},
+    "odd-labels": {"schema": "lambda-forest/1", "rank": 1, "labels": [True, 1.5, None, "s"],
+                   "dist": STAR},
+    "object-label": {"schema": "lambda-forest/1", "rank": 1, "labels": [{}, "q", "r", "s"],
+                     "dist": STRETCHED},
 }
 
 # texts as bytes, which json.dump cannot write: the reader's failures, each of
@@ -591,6 +608,94 @@ def gog_documents(seed: int) -> list[tuple[str, dict]]:
             "max_abelian": [[f"M{k}", rng.choice([1, 2, 2, 2, 3, 3, 3])]
                             for k in range(rng.randint(0, 2))],
         }))
+    return docs + _gog_fault_graphs(rng)
+
+
+GOG_FAULT_ROUNDS = 4  # per seed, one graph of each shape a round
+PRIMITIVE = ["a", "b", "ab", "ab'", "aab"]  # over a and b: no proper powers
+
+
+def _gog_fault_graphs(rng) -> list[tuple[str, dict]]:
+    """(radius, document) pairs of the graphs that gog_documents seldom or
+    never draws, GOG_FAULT_ROUNDS of each shape:
+    - disconnected: 2-3 components, each a free infinitesimal vertex on a and b
+      with 0-2 cyclic-by-sum neighbours hung at their marked letter;
+    - abelian: 2-4 abelian vertices hung from a free F by 1-2 edges each, the
+      first two faulty: not cyclic-by-sum, or an edge glued at a letter that
+      is not the marked one, or to a proper power at F, or both;
+    - pairs: 2-4 cyclic-by-sum vertices hung from a free F at conjugates of a
+      or ab (or of their inverses), so several pairs may share a root, and
+      0-3 edges from some of them to an attested free-abelian N;
+    - surface: a faulty surface vertex (its boundary word does not match its
+      edge, or it is not a surface group), a closed surface with no edge, and
+      0-2 more of either kind or of surfaces that match, hung from a free F.
+    Vertices, edges and the two ends of each edge come in random order."""
+    docs = []
+    for shape in ["disconnected", "abelian", "pairs", "surface"] * GOG_FAULT_ROUNDS:
+        verts, edges = [], []
+
+        def vertex(vid: str, vtype: str, kind: str, letters: list, **group) -> None:
+            group = {"kind": kind, **({"n_letter": letters[0], "extra_letters": letters[1:]}
+                                      if kind == "cyclic-by-sum" else {"letters": letters}), **group}
+            verts.append({"id": vid, "type": vtype, "group": group})
+
+        def edge(u: str, v: str, image_u: str, image_v: str) -> None:
+            if rng.random() < 0.5:
+                u, v, image_u, image_v = v, u, image_v, image_u
+            edges.append({"u": u, "v": v, "image_u": image_u, "image_v": image_v})
+
+        def conjugate(w: str) -> str:
+            h, w = _reduced_word(rng, ["a", "b"], rng.randint(0, 2)), _letters(w)
+            return _text(h + (w if rng.random() < 0.5 else _inverse(w)) + _inverse(h))
+
+        if shape == "disconnected":
+            for c in range(rng.randint(2, 3)):
+                vertex(f"F{c}", "infinitesimal", "free", ["a", "b"])
+                for k in range(rng.randint(0, 2)):
+                    vertex(f"A{c}{k}", "abelian", "cyclic-by-sum", ["n"])
+                    edge(f"F{c}", f"A{c}{k}", rng.choice(PRIMITIVE), "n")
+        elif shape == "abelian":
+            vertex("F", "infinitesimal", "free", ["a", "b"])
+            for k in range(rng.randint(2, 4)):
+                how = rng.choice(["cyclic", "letter", "power", "both"] + ["none"] * (k >= 2))
+                vertex(f"A{k}", "abelian", "free-abelian" if how == "cyclic" else "cyclic-by-sum",
+                       ["n", "m"])
+                faults = [how] + rng.choices(["letter", "power", "none"], k=rng.randint(0, 1))
+                for fault in rng.sample(faults, len(faults)):
+                    edge("F", f"A{k}", rng.choice(["aa", "abab", "b'b'"]) if fault in ("power", "both")
+                         else rng.choice(PRIMITIVE), "m" if fault in ("letter", "both") else "n")
+        elif shape == "pairs":
+            vertex("F", "infinitesimal", "free", ["a", "b"])
+            hung = [f"A{k}" for k in range(rng.randint(2, 4))]
+            for vid in hung:
+                vertex(vid, "abelian", "cyclic-by-sum", ["n"])
+                edge("F", vid, conjugate(rng.choice(["a", "ab"])), "n")
+            if n := rng.randint(0, 3):
+                verts.append({"id": "N", "type": "infinitesimal", "attestation": "free by construction",
+                              "group": {"kind": "free-abelian", "letters": ["a", "b"]}})
+                for vid in rng.sample(hung, min(n, len(hung))):
+                    edge("N", vid, rng.choice(["a", "b", "ab"]), "n")
+        else:
+            vertex("F", "infinitesimal", "free", ["a", "b"])
+            kinds = [rng.choice(["mismatch", "lacks"]), "closed"]
+            kinds += rng.choices(["closed", "match", "mismatch", "lacks"], k=rng.randint(0, 2))
+            for k, how in enumerate(rng.sample(kinds, len(kinds))):
+                if how == "lacks":
+                    vertex(f"S{k}", "surface", "free", ["a", "b"])
+                    edge("F", f"S{k}", rng.choice(PRIMITIVE), rng.choice(PRIMITIVE))
+                elif how == "closed":
+                    vertex(f"S{k}", "surface", "surface-with-boundary", ["a", "b"], boundaries=[],
+                           **({"closed_relator": "aba'b'"} if rng.random() < 0.5 else {}))
+                else:
+                    b, other = rng.sample(PRIMITIVE, 2)
+                    vertex(f"S{k}", "surface", "surface-with-boundary", ["a", "b"], boundaries=[b])
+                    edge("F", f"S{k}", rng.choice(PRIMITIVE), conjugate(b if how == "match" else other))
+        rng.shuffle(verts)
+        rng.shuffle(edges)
+        docs.append((str(rng.randint(2, 5)), {
+            "schema": "lambda-forest/1", "kind": "graph-of-groups", "vertices": verts, "edges": edges,
+            "ambient": {"generators": ["a", "b", "c"][:rng.randint(1, 3)], "relators": []},
+            "max_abelian": [["M0", 2]] if rng.random() < 0.5 else []}))
     return docs
 
 
