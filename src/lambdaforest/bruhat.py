@@ -15,11 +15,10 @@ from numerics.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .ordgroup import LexValue, _frozen, _rat
+from .ordgroup import LexValue, _frozen, _num, _rat
 from .groups import Word, check_alphabet, rational_rank
 
 
@@ -54,23 +53,23 @@ def _add(c1: dict, c2: dict) -> dict:
 
 class _Laurent:
     """Laurent polynomials in t and s: `coeffs` is a dict (t-exp, s-exp) ->
-    nonzero coefficient, coerced to Fraction by the constructor.  Document
-    entries are Laurent polynomials, and so are sums and products of them and
-    the adjugate inverse of a determinant-1 matrix, so no denominator is ever
-    needed.  Arithmetic keeps the coefficient type of its operands, so the int
-    coefficients MatrixLengthOracle multiplies stay int.  A subclass fixes the
+    nonzero coefficient, read by ordgroup._num, so an int stays an int and an
+    integer document loads no fractions.  Document entries are Laurent
+    polynomials, and so are sums and products of them and the adjugate inverse
+    of a determinant-1 matrix, so no denominator is ever needed.  Arithmetic
+    keeps the coefficient type of its operands, so the determinant check and
+    the products MatrixLengthOracle forms run on ints.  A subclass fixes the
     rank of the valuation."""
 
     __slots__ = ("coeffs",)
     rank: int
 
     def __init__(self, coeffs: dict):
-        self.coeffs = {(int(et), int(es)): q for (et, es), v in coeffs.items()
-                       if (q := Fraction(v))}
+        self.coeffs = {(int(et), int(es)): q for (et, es), v in coeffs.items() if (q := _num(v))}
 
     @classmethod
     def const(cls, q):
-        return _laurent(cls, {(0, 0): q} if (q := Fraction(q)) else {})
+        return _laurent(cls, {(0, 0): q} if (q := _num(q)) else {})
 
     def one_like(self):
         return self.const(1)
@@ -126,7 +125,7 @@ class RatFunc(_Laurent):
 
     def __init__(self, coeffs: dict):
         """exponent of t -> coefficient: a Q(t) element has no s."""
-        self.coeffs = {(int(e), 0): q for e, v in coeffs.items() if (q := Fraction(v))}
+        self.coeffs = {(int(e), 0): q for e, v in coeffs.items() if (q := _num(v))}
 
     @staticmethod
     def t(power: int = 1) -> "RatFunc":
@@ -150,8 +149,9 @@ class QpElement:
 
     __slots__ = ("value", "p")
     __setattr__ = _frozen
+    rank = 1
 
-    def __init__(self, value: Fraction, p: int):
+    def __init__(self, value, p: int):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "p", p)
 
@@ -173,8 +173,7 @@ class QpElement:
         return QpElement(self.value + o.value, self.p)
 
     def __sub__(self, o):
-        self._check(o)
-        return QpElement(self.value - o.value, self.p)
+        return self + (-o)
 
     def __mul__(self, o):
         self._check(o)
@@ -183,12 +182,8 @@ class QpElement:
     def __neg__(self):
         return QpElement(-self.value, self.p)
 
-    @property
-    def rank(self) -> int:
-        return 1
-
     def one_like(self):
-        return QpElement(Fraction(1), self.p)
+        return QpElement(1, self.p)
 
     def valuation(self) -> Optional[LexValue]:
         if self.value == 0:
@@ -256,13 +251,7 @@ class Mat2:
         return self.a + self.d
 
     def __eq__(self, o) -> bool:
-        return (
-            isinstance(o, Mat2)
-            and self.a == o.a
-            and self.b == o.b
-            and self.c == o.c
-            and self.d == o.d
-        )
+        return isinstance(o, Mat2) and (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
@@ -450,11 +439,8 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         if isinstance(data, dict):
             raise FieldError("Qp entries are rational strings")
         return QpElement(_rat(data), p)
-    if isinstance(data, (str, int)):
-        coeffs = {"1": data}
-    elif isinstance(data, dict):
-        coeffs = data
-    else:
+    coeffs = {"1": data} if isinstance(data, (str, int)) else data
+    if not isinstance(coeffs, dict):
         raise FieldError(f"entry must be a rational string or a coefficient map, got {data!r}")
     if field not in ("Qt", "Qst"):
         raise FieldError(f"unknown field context {field!r}")
@@ -463,7 +449,7 @@ def parse_entry(data, field: str, p: Optional[int] = None):
         t_exp, s_exp = _parse_monomial_key(key)
         if field == "Qt" and s_exp:
             raise FieldError("s appears in a Qt entry")
-        q = _rat(val)
+        q = _num(val)
         if (t_exp, s_exp) in c:  # "t" and "t^1", or "st" and "ts"
             raise FieldError(f"two keys of one entry name the monomial {key!r}")
         c[t_exp, s_exp] = q

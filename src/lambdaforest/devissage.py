@@ -361,6 +361,8 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
     current edge group, and each turn is computed exactly, so `window` bounds
     nothing: it is kept because `gog acyl --window` and the acceptance tests
     still pass it."""
+    if not G.connected():  # as in check_betti_bounds: no Bass-Serre tree to search
+        raise DevissageError("graph of groups is not connected")
     # state: (half-edge j, multiplier M) meaning the stabilizer so far is the
     # M-th powers of the edge group, read at the half-edge's dst vertex
     hes = G.half_edges

@@ -1,15 +1,18 @@
 """Exact arithmetic in Q^n with the lexicographic (leftmost-dominant) order.
 
-Values are tuples of `fractions.Fraction`, so equality is structural and all
-operations are pure.  The rank n is fixed per value and mixing ranks in a
-binary operation is an error: silent mixed-rank comparisons are a classic
-source of wrong verdicts in the downstream tree checkers.
+Coordinates are ints where given as ints or plain integer strings, else
+`fractions.Fraction`s, imported on first need; an int and the equal Fraction
+agree in ==, hash, order and str, so equality is structural and all operations
+are pure.  The rank n is fixed per value and mixing ranks in a binary operation
+is an error: silent mixed-rank comparisons are a classic source of wrong
+verdicts in the downstream tree checkers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
+
+Fraction = None  # bound by _ratio on first need: integer values load no fractions
 
 
 class RankMismatchError(ValueError):
@@ -20,6 +23,9 @@ def _ratio(x) -> tuple[int, int]:
     """A Fraction, an int (no bool) or a string as (numerator, denominator).
     `Fraction` reads every string and reports its errors; documents of trees
     and tables read their plain coordinates faster (lambdatree._json_rows)."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
     if isinstance(x, str):
         try:
             x = Fraction(x)
@@ -31,7 +37,17 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
+    n, d = _ratio(x)  # which binds Fraction
+    return x if isinstance(x, Fraction) else Fraction(n, d)
+
+
+def _num(x):
+    """_rat(x), or an equal int where x is an int or a -?digits ASCII string that
+    int reads at its default limit of 4,300 digits: the same value or error."""
+    if x.__class__ is int or x.__class__ is str and len(x) <= 4300 and x.isascii() \
+            and x.removeprefix("-").isdigit():
+        return int(x)
+    return _rat(x)
 
 
 def _frozen(self, name, value):
@@ -47,14 +63,14 @@ class LexValue:
     __setattr__ = _frozen
 
     def __init__(self, coords: Iterable) -> None:
-        object.__setattr__(self, "coords", tuple(_rat(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(map(_num, coords)))
         if not self.coords:
             raise ValueError("rank must be positive")
 
     @classmethod
     def _of(cls, coords: tuple) -> "LexValue":
-        """Wrap a nonempty tuple that already holds only Fractions, without
-        coercion; Fraction arithmetic yields Fractions, so the operations
+        """Wrap a nonempty tuple that already holds only ints and Fractions,
+        without coercion; their arithmetic yields them, so the operations
         below build their results here."""
         v = object.__new__(cls)
         object.__setattr__(v, "coords", coords)
@@ -101,11 +117,11 @@ class LexValue:
     def scale(self, q) -> "LexValue":
         """Coordinatewise multiplication by a rational; scale(1/2) is the
         exact half used by midpoints."""
-        q = _rat(q)
+        q = _num(q)
         return LexValue._of(tuple(a * q for a in self.coords))
 
     def half(self) -> "LexValue":
-        return self.scale(Fraction(1, 2))
+        return self.scale(_rat(1) / 2)  # Fraction(1, 2), once _rat has bound Fraction
 
     # order ----------------------------------------------------------------
 
@@ -120,8 +136,8 @@ class LexValue:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    # the sign of a value is the sign of its first nonzero coordinate, and a
-    # Fraction's numerator carries its sign
+    # the sign of a value is the sign of its first nonzero coordinate, and the
+    # numerator of an int or a Fraction carries its sign
     def __abs__(self) -> "LexValue":
         for c in self.coords:
             if c.numerator:

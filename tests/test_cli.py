@@ -1253,6 +1253,17 @@ def _gog_with(edit):
     return doc
 
 
+# with its edges emptied the centralizer graph falls apart into its two
+# vertices: gog acyl once printed "acylindricity: Pass" for it and exited 0;
+# it refuses the graph as gog betti does, and gog structure fails its clause
+def test_gog_refuses_a_disconnected_graph(tmp_path, capsys):
+    path = write(tmp_path, "gog.json", _gog_with(lambda d: d.update(edges=[])))
+    assert [main(["gog", op, "--input", path]) for op in ("acyl", "betti")] == [65, 65]
+    assert capsys.readouterr() == ("", "malformed input: graph of groups is not connected\n" * 2)
+    assert main(["gog", "structure", "--input", path]) == 2
+    assert "graph: Fail (underlying graph not connected)" in capsys.readouterr().out
+
+
 # a vertex's type is one of the three the structure check knows, and its id a
 # string or an int: type "x" once read as an incidence failure, and id true
 # (an edge's u too) as a pass on every clause

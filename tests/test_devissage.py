@@ -371,11 +371,28 @@ def test_acylindricity_verdict_ignores_edge_orientation(data):
     except DevissageError:  # a trivial edge image
         assume(False)
     R = GraphOfGroups(verts, [GGEdge(v, u, iv, iu) for (u, iu), (v, iv) in ends])
-    verdict = check_acylindricity(G, radius=3, window=2).verdict
-    assert check_acylindricity(R, radius=3, window=2).verdict == verdict
+
+    def verdict(H):  # a disconnected graph is refused whichever way its edges point
+        try:
+            return check_acylindricity(H, radius=3, window=2).verdict
+        except DevissageError as exc:
+            return str(exc)
+
+    assert verdict(R) == verdict(G)
 
 
 # Betti bounds -------------------------------------------------------------------------
+
+
+def test_acylindricity_and_betti_refuse_a_disconnected_graph():
+    """Two components have no one Bass-Serre tree: acylindricity once passed
+    such a graph, where the Betti bounds refused it."""
+    G, ambient, decl = load(centralizer_extension_gog())
+    H = GraphOfGroups(list(G.vertices.values()), [])
+    assert not H.connected()
+    for check in (lambda: check_acylindricity(H), lambda: check_betti_bounds(H, ambient, decl)):
+        with pytest.raises(DevissageError, match="^graph of groups is not connected$"):
+            check()
 
 
 def test_betti_bounds_reject_overdeclared_abelian():

@@ -6,9 +6,10 @@ digest, about 2 ms, nor `argparse` (and the `gettext` and `locale` it pulls
 in), which only --help and usage errors need, nor the `json` package, whose
 import compiles six regular expressions, 1-2 ms, where cli reads and
 writes through json's C accelerator alone; and only the commands that
-compute with rationals load `fractions` (and the `decimal` it imports), about
-2.6 ms.  Every case runs in a fresh interpreter, because the
-test process has imported the whole library already.  Without bytecode
+compute with rationals load `fractions` (and the `decimal` and `numbers` it
+imports), about 2 ms: `bt` on a document of integer coefficients does not.
+Every case runs in a fresh interpreter, because the test process has
+imported the whole library already.  Without bytecode
 caches every job compiles the source it loads, so the lines each command
 family loads are held to their figure here."""
 
@@ -36,12 +37,12 @@ from lambdaforest.cli import main
 rc = main(sys.argv[1:])
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("lambdaforest."))
 new = [m for m in ("dataclasses", "inspect", "_hashlib", "argparse", "gettext", "locale",
-                   "fractions", "decimal", "json", "json.decoder")
+                   "fractions", "decimal", "numbers", "json", "json.decoder")
        if m in sys.modules and m not in before]
 import json
 print(json.dumps([rc, mods, new]))
 """
-RATIONAL = ["fractions", "decimal"]
+RATIONAL = ["fractions", "decimal", "numbers"]
 # the digest takes sha256 from hashlib, and so loads _hashlib, only where the
 # interpreter has neither built-in module: _sha2 (3.12 on) or _sha256
 BUILTIN_SHA = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
@@ -112,9 +113,10 @@ CASES = {
     "preset emit": (["preset", "emit", "--name", "tripod"], 0, PRESET),
 }
 # the families that compute with no rational, so load neither fractions nor
-# decimal: validate-tree reads a plain table on int rows, and the rank behind gog
-# betti eliminates without dividing
-NO_RATIONAL = {"validate-tree", "gog", "marked", "preset"}
+# decimal: validate-tree reads a plain table on int rows, the rank behind gog
+# betti eliminates without dividing, and bt keeps the integer entries of its
+# cases' documents as ints
+NO_RATIONAL = {"validate-tree", "gog", "marked", "preset", "bt"}
 HANDLERS = {"cli_validate", "cli_tree", "cli_isom", "cli_glue", "cli_cover", "cli_bt", "cli_gog",
             "cli_marked", "cli_preset"}
 
@@ -184,6 +186,56 @@ def test_gog_commands_do_not_load_fractions(tmp_path, op):
     argv = ["gog", op, "--input", "@centralizer-extension-gog"]
     got_rc, _loaded, stdlib = fresh(RUN_MAIN, *_paths(tmp_path, argv))
     assert got_rc == 0 and not set(RATIONAL) & set(stdlib)
+
+
+def _bench_documents():
+    """One bt-ball benchmark document of each kind, by kind."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import jobs
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    return {job.kind: job.files["in"] for job in jobs.build("bt-ball", 1)}
+
+
+# bt certify on the benchmark's integer documents (3 of its 4 kinds) loads no
+# rational arithmetic; a Q_p document, whose entries include 1/p, does
+@pytest.mark.parametrize("kind, rational", [("qt-schottky", False), ("qt-shared-end", False),
+                                            ("qst-torus", False), ("qp-schottky", True)])
+def test_bt_certify_loads_fractions_only_for_a_fraction(tmp_path, kind, rational):
+    path = tmp_path / "bt.json"
+    path.write_text(json.dumps(_bench_documents()[kind]))
+    got_rc, loaded, stdlib = fresh(RUN_MAIN, "bt", "certify", "--input", str(path), "--ball", "2")
+    assert got_rc in (0, 2) and set(loaded) == BT | {"isometry", "conjugacy"}
+    assert [m for m in stdlib if m in RATIONAL] == (RATIONAL if rational else [])
+
+
+# ordgroup and bruhat bind Fraction on its first need: each of these, the first
+# call in an interpreter that imported ordgroup or bruhat alone, ends without a
+# NameError, and loads fractions exactly where its value holds a Fraction
+ARITH_FIRST_CALL = """
+import json, sys
+from lambdaforest import ordgroup
+from lambdaforest.%s import %s
+assert ordgroup.Fraction is None and "fractions" not in sys.modules
+print(json.dumps([repr(%s), "fractions" in sys.modules]))
+"""
+QP = "{'field': 'Qp', 'p': 3, 'generators': {'a': [['3', '0'], ['0', '1/3']]}}"
+ARITH_FIRST_CALLS = {
+    "lexvalue-of-a-fraction": ("ordgroup", "LexValue", "LexValue(['1/2'])", "(1/2)", True),
+    "half": ("ordgroup", "LexValue", "LexValue([1]).half()", "(1/2)", True),
+    "ratfunc-t": ("bruhat", "RatFunc", "RatFunc.t(1)", "(1*t^1)/(1*t^0)", False),
+    "qp-group": ("bruhat", "matrix_group_from_json", f"matrix_group_from_json({QP})['a']",
+                 "[[QpElement(value=Fraction(3, 1), p=3), QpElement(value=Fraction(0, 1), p=3)], "
+                 "[QpElement(value=Fraction(0, 1), p=3), QpElement(value=Fraction(1, 3), p=3)]]",
+                 True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARITH_FIRST_CALLS))
+def test_ordgroup_and_bruhat_bind_fraction_on_the_first_call(case):
+    module, name, call, text, rational = ARITH_FIRST_CALLS[case]
+    assert fresh(ARITH_FIRST_CALL % (module, name, call)) == [text, rational]
 
 
 # where json's C accelerator cannot be imported, cli reads and writes through the
@@ -301,8 +353,16 @@ print(json.dumps([ok, [m for m in ("lambdaforest.ordgroup", "fractions", "decima
 # preset by the 18 lines cli grew where it came to read, digest and write
 # documents through json's C accelerator, so that no command imports the json
 # package, 1-2 ms a process (validate-tree and bt grew by them too, but stay
-# within 20 of their figures: not raised)
-FAMILY_LINES = {"validate-tree": 977, "tree": 1149, "isom": 1754, "glue": 1737, "cover": 1297,
+# within 20 of their figures: not raised); and tree, isom, glue and cover by
+# the 16 lines ordgroup grew where integral values came to stay ints and
+# Fraction to be imported on first need, so that bt on a Q(t) or Q(s, t)
+# document of integer coefficients loads no fractions, decimal or numbers
+# (1.9 ms of -X importtime; a Q(t) or Q(s, t) benchmark job fell 2.2-2.9 ms of
+# 53-57 raw, medians of 21 interleaved fresh processes; a Q_p one, whose
+# entries hold 1/p, did not move).  bt grew by them too, but bruhat shed 14
+# lines and the family stays within 20 of its figure: not raised; nor gog, 2
+# lines more where gog acyl came to refuse a disconnected graph
+FAMILY_LINES = {"validate-tree": 977, "tree": 1165, "isom": 1770, "glue": 1753, "cover": 1313,
                 "bt": 1582, "gog": 1136, "marked": 798, "preset": 497}
 
 

@@ -1,15 +1,20 @@
 import operator
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lambdaforest.ordgroup import (
     LexValue,
     RankMismatchError,
+    _num,
+    _rat,
     magnitude,
     project_top,
 )
+
+from test_lambdatree import NON_STRICT, READER_SPELLINGS, outcome
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -125,3 +130,64 @@ def test_zero_is_shared_per_rank():
     assert LexValue.zero(2) == LexValue([0, 0]) and LexValue.zero(1) != LexValue.zero(2)
     with pytest.raises(ValueError):
         LexValue.zero(0)
+
+
+# int coordinates ---------------------------------------------------------------------
+
+
+def assert_reads_as_rat(x):
+    """_num(x) is _rat(x)'s value, an int only where that value is integral and
+    always an int for an int or a plain spelling; or _rat(x)'s error, word for word."""
+    want_type, want = outcome(_rat, x)
+    got_type, got = outcome(_num, x)
+    if want_type is not Fraction:
+        assert (got_type, got) == (want_type, want)
+        return
+    assert got == want and got_type in (int, Fraction)
+    assert got_type is Fraction or want.denominator == 1
+    plain = isinstance(x, str) and len(x) <= 4300 and re.fullmatch(r"-?[0-9]+", x)
+    assert (got_type is int) == (x.__class__ is int or bool(plain))
+
+
+@pytest.mark.parametrize("x", NON_STRICT + READER_SPELLINGS,
+                         ids=[repr(x)[:12] for x in NON_STRICT + READER_SPELLINGS])
+def test_integer_reader_matches_rat(x):
+    assert_reads_as_rat(x)
+
+
+# \d is Unicode's decimal digit, so the first strategy draws non-ASCII digits too;
+# the last spells integers on either side of int's default limit of 4,300 digits
+spellings = st.one_of(
+    st.from_regex(r"[-+]?\d+(/\d+)?", fullmatch=True),
+    st.from_regex(r"[-+]?0*[0-9]{1,3}(/0*[0-9])?", fullmatch=True),
+    st.builds(lambda sign, n, den: sign + "7" * n + den, st.sampled_from(["", "-", "+"]),
+              st.integers(4298, 4302), st.sampled_from(["", "/3"])),
+)
+
+
+@given(spellings)
+@example("-0")
+@example("-" + "7" * 4300)
+@example("7" * 4300)
+def test_integer_reader_matches_rat_on_drawn_spellings(x):
+    assert_reads_as_rat(x)
+
+
+mixed = st.lists(st.one_of(st.integers(-50, 50), rationals), min_size=3, max_size=3)
+
+
+@given(mixed, mixed, st.one_of(st.integers(-4, 4), rationals))
+def test_int_coordinates_act_as_their_fractions(xs, ys, q):
+    """A value that keeps int coordinates is, in every operation and every
+    text, the value of the equal Fractions."""
+    a, b = LexValue(xs), LexValue(ys)
+    A, B = (LexValue._of(tuple(map(Fraction, v))) for v in (xs, ys))
+    assert [type(c) for c in a.coords] == [type(c) for c in xs]
+    for v, V in ((a, A), (a + b, A + B), (a - b, A - B), (-a, -A), (abs(a), abs(A)),
+                 (a.scale(q), A.scale(q)), (a.half(), A.half()), (a.project_top(2), A.project_top(2))):
+        assert v == V and hash(v) == hash(V) and repr(v) == repr(V) and v.to_json() == V.to_json()
+        W = B.project_top(V.rank)
+        assert (v < W, v <= W, v.magnitude(), v.is_zero()) == (V < W, V <= W, V.magnitude(),
+                                                                V.is_zero())
+    assert all(type(c) is int for c in (a + b).coords) == all(type(c) is int for c in xs + ys)
+    assert all(type(c) is int for c in LexValue.zero(3).coords)

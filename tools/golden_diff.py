@@ -28,7 +28,12 @@ some passes.  Every benchmark `bt` input has integer coefficients, so
 MATRIX_DOCS seeded generator pairs over Q(t) and Q(s, t) with fractional
 coefficients (matrix_documents) run too, each as `bt valuation` and `bt
 length` of a random word and as `bt certify --ball 3`; about one in five
-has a determinant that is not 1, whose error quotes the element text.
+has a determinant that is not 1, whose error quotes the element text.  bt
+reads a plain integer as an int and every other spelling through Fraction,
+so the documents of spelled_documents, the same at every seed, run the same
+three ways: integer coefficients spelled each way of SPELLINGS, as
+entries and in coefficient maps, over Q(t) and Q(s, t), and one document per
+field (Q_p with integer entries too) whose determinant is not 1.
 Every benchmark `gog` input is the centralizer preset's shape or an edgeless
 closed surface, so GOG_DOCS seeded graphs of groups (gog_documents) run too:
 every vertex kind and type, bounded surfaces with edges, loops, parallel
@@ -504,6 +509,37 @@ def matrix_documents(seed: int) -> list[tuple[str, dict]]:
     return docs
 
 
+# spellings of an integer that Fraction reads and a plain int reader might not,
+# and one past int's default limit of 4,300 digits, which both refuse
+SPELLINGS = ["007", "-0", "+3", " 3", "1_0", "6/3", "1.5", "1e2", "9" * 4301]
+# a generator per field whose determinant is 2, not 1
+BAD_DETERMINANTS = [("Qt", None, [[{"t": "2"}, "0"], ["0", {"t^-1": "1"}]]),
+                    ("Qst", None, [[{"ts": "1"}, "1"], ["0", {"t^-1s^-1": "2"}]]),
+                    ("Qp", 5, [["2", "0"], ["0", "1"]])]
+
+
+def bt_runs(word: str) -> tuple:
+    """The runs of a matrix document: bt valuation and length of word, and bt certify."""
+    return ("valuation", "--word", word), ("length", "--word", word), ("certify", "--ball", "3")
+
+
+def spelled_documents() -> list[tuple[str, dict]]:
+    """(word, document) pairs: for each of SPELLINGS x, over Q(t) and Q(s, t),
+    the generators a = [[1/m + x, 1], [-1, 0]] and b = [[1/m, x], [0, m]],
+    with m = t (st over Q(s, t)), both of determinant 1 whatever x is; then
+    the documents of BAD_DETERMINANTS."""
+    docs = []
+    for x in SPELLINGS:
+        for field, m, inv in (("Qt", "t", "t^-1"), ("Qst", "st", "s^-1t^-1")):
+            docs.append(("ab'a", {"schema": "lambda-forest/1", "kind": "matrix-group", "field": field,
+                                  "generators": {"a": [[{inv: "1", "1": x}, "1"], ["-1", "0"]],
+                                                 "b": [[{inv: "1"}, x], ["0", {m: "1"}]]}}))
+    for field, p, rows in BAD_DETERMINANTS:
+        docs.append(("a", {"schema": "lambda-forest/1", "kind": "matrix-group", "field": field,
+                           **({"p": p} if p else {}), "generators": {"a": rows}}))
+    return docs
+
+
 GOG_DOCS = 30  # per seed
 # the vertex type that suits each group kind
 GOG_TYPES = {"free": "infinitesimal", "free-abelian": "infinitesimal", "cyclic-by-sum": "abelian",
@@ -742,31 +778,31 @@ def main(argv=None) -> int:
                     for job in joblib.build(workload, seed, "full", b):
                         name = f"{workload}/{seed}/{job.id}"
                         work.append((name, job.kind, materialize(job, where)))
+        # per document: name, and per run its op (none for validate-tree) and the
+        # options after --input
+        seeded = [(f"bt/spelled/{k}", bt_runs(word), doc)
+                  for k, (word, doc) in enumerate(spelled_documents())]
         for seed in args.seeds:
-            # per document: name, and per run its op (none for validate-tree) and the
-            # options after --input
-            seeded = [(f"cover/{seed}/{k}", (("check",), ("skeleton",)), doc)
-                      for k, doc in enumerate(cover_documents(seed))]
+            seeded += [(f"cover/{seed}/{k}", (("check",), ("skeleton",)), doc)
+                       for k, doc in enumerate(cover_documents(seed))]
             seeded += [(f"glue/{seed}/{k}", ((op,),), doc)
                        for k, (op, doc) in enumerate(glue_documents(seed))]
             seeded += [(f"tree/{seed}/{k}", runs, doc)
                        for k, (runs, doc) in enumerate(tree_documents(seed))]
             seeded += [(f"validate-tree/{seed}/{k}", ((),), doc)
                        for k, doc in enumerate(validate_documents(seed))]
-            seeded += [(f"bt/{seed}/{k}", (("valuation", "--word", word),
-                                           ("length", "--word", word),
-                                           ("certify", "--ball", "3")), doc)
+            seeded += [(f"bt/{seed}/{k}", bt_runs(word), doc)
                        for k, (word, doc) in enumerate(matrix_documents(seed))]
             seeded += [(f"gog/{seed}/{k}", (("structure",), ("acyl", "--radius", radius),
                                             ("betti",), ("principal",)), doc)
                        for k, (radius, doc) in enumerate(gog_documents(seed))]
-            for name, runs, doc in seeded:
-                path = os.path.join(inputs, name.replace("/", "-") + ".json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh)
-                command = name.split("/")[0]
-                work += [(name, " ".join([command, *run[:1]]),
-                          [command, *run[:1], "--input", path, *run[1:]]) for run in runs]
+        for name, runs, doc in seeded:
+            path = os.path.join(inputs, name.replace("/", "-") + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            command = name.split("/")[0]
+            work += [(name, " ".join([command, *run[:1]]),
+                      [command, *run[:1], "--input", path, *run[1:]]) for run in runs]
         lines = [(" ".join(line) or "(no arguments)", "command line", preset_paths(line, inputs))
                  for line in COMMAND_LINES]
 
