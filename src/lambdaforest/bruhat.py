@@ -18,7 +18,8 @@ import re
 from math import lcm
 from typing import Optional
 
-from .ordgroup import LexValue, _frozen, _num, _rat
+from .frozen import Frozen
+from .ordgroup import LexValue, _num
 from .groups import Word, check_alphabet, rational_rank
 
 
@@ -144,16 +145,11 @@ class BiRatFunc(_Laurent):
         return BiRatFunc({(t_exp, s_exp): coeff})
 
 
-class QpElement:
-    """Rational number under the p-adic valuation."""
+class QpElement(Frozen):
+    """Rational number, `value` (an int or a Fraction), under the p-adic valuation."""
 
     __slots__ = ("value", "p")
-    __setattr__ = _frozen
     rank = 1
-
-    def __init__(self, value, p: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "p", p)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -161,8 +157,9 @@ class QpElement:
         return NotImplemented
 
     def __repr__(self):
-        # a determinant error quotes entries in this form
-        return f"QpElement(value={self.value!r}, p={self.p!r})"
+        # a determinant error quotes entries in this form, an int value as a Fraction
+        v = self.value
+        return f"QpElement(value=Fraction({v.numerator}, {v.denominator}), p={self.p!r})"
 
     def _check(self, o: "QpElement"):
         if self.p != o.p:
@@ -438,7 +435,7 @@ def parse_entry(data, field: str, p: Optional[int] = None):
     if field == "Qp":
         if isinstance(data, dict):
             raise FieldError("Qp entries are rational strings")
-        return QpElement(_rat(data), p)
+        return QpElement(_num(data), p)
     coeffs = {"1": data} if isinstance(data, (str, int)) else data
     if not isinstance(coeffs, dict):
         raise FieldError(f"entry must be a rational string or a coefficient map, got {data!r}")

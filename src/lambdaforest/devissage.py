@@ -10,12 +10,12 @@ import itertools
 from math import gcd
 from typing import Optional, Union
 
+from .frozen import Frozen
 from .groups import (
     FinitePresentation,
     FreeAbelianOracle,
     FreeGroupOracle,
     Word,
-    _frozen,
     betti1,
     check_alphabet,
     conjugator,
@@ -44,25 +44,19 @@ class CyclicBySum(FreeAbelianOracle):
     __slots__ = ("n_letter", "extra_letters")
 
     def __init__(self, n_letter: str, extra_letters: tuple[str, ...]):
-        super().__init__((n_letter,) + extra_letters)
-        object.__setattr__(self, "n_letter", n_letter)
-        object.__setattr__(self, "extra_letters", extra_letters)
+        super().__init__((n_letter,) + extra_letters, n_letter, extra_letters)
 
 
-class SurfaceWithBoundary:
+class SurfaceWithBoundary(Frozen):
     """Surface with boundary: free fundamental group plus designated boundary
     words; or a closed surface, whose relator stands with no boundary word and
     no edge.  Not a FreeGroupOracle: the structure clauses that ask for a
     free vertex group must not take a surface for one."""
 
     __slots__ = ("letters", "boundaries", "closed_relator")
-    __setattr__ = _frozen
 
     def __init__(self, letters: tuple[str, ...], boundaries: tuple[Word, ...],
                  closed_relator: Optional[Word] = None):
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "closed_relator", closed_relator)
         if closed_relator is not None and boundaries:
             raise DevissageError("a surface with a closed relator has no boundary words")
         seen = []
@@ -76,6 +70,7 @@ class SurfaceWithBoundary:
             if any(_conjugator_pm(r, s) is not None for s in seen):
                 raise DevissageError("boundary words must be independent as listed")
             seen.append(r)
+        super().__init__(letters, boundaries, closed_relator)
 
     def is_trivial(self, w: Word) -> bool:  # a closed surface takes no edge image
         return not free_reduce(w)
@@ -94,26 +89,15 @@ Descriptor = Union[FreeGroupOracle, FreeAbelianOracle, SurfaceWithBoundary]
 # the graph ---------------------------------------------------------------------------
 
 
-class GGVertex:
-    __slots__ = ("id", "vtype", "desc", "attestation")
-    __setattr__ = _frozen
+class GGVertex(Frozen):
+    __slots__ = ("id", "vtype", "desc", "attestation")  # vtype: abelian | surface | infinitesimal
 
     def __init__(self, id: str, vtype: str, desc: Descriptor, attestation: Optional[str] = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "vtype", vtype)  # abelian | surface | infinitesimal
-        object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "attestation", attestation)
+        super().__init__(id, vtype, desc, attestation)
 
 
-class GGEdge:
+class GGEdge(Frozen):
     __slots__ = ("u", "v", "image_u", "image_v")
-    __setattr__ = _frozen
-
-    def __init__(self, u: str, v: str, image_u: Word, image_v: Word):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "image_u", image_u)
-        object.__setattr__(self, "image_v", image_v)
 
 
 class GraphOfGroups:
@@ -171,16 +155,14 @@ class GraphOfGroups:
                 )
             )
         by_id = {v.id: v for v in verts}
-        edges = []
-        for ed in doc["edges"]:
-            edges.append(
-                GGEdge(
-                    ed["u"],
-                    ed["v"],
-                    parse_word(ed["image_u"], by_id[ed["u"]].desc.letters),
-                    parse_word(ed["image_v"], by_id[ed["v"]].desc.letters),
-                )
-            )
+
+        def letters(end) -> tuple[str, ...]:
+            if end not in by_id:
+                raise DevissageError(f"edge endpoint {end!r} missing")
+            return by_id[end].desc.letters
+
+        edges = [GGEdge(ed["u"], ed["v"], parse_word(ed["image_u"], letters(ed["u"])),
+                        parse_word(ed["image_v"], letters(ed["v"]))) for ed in doc["edges"]]
         return GraphOfGroups(verts, edges)
 
 
@@ -443,19 +425,19 @@ def _nonmember_turn(letters, vb, required: bool):
 # Betti bounds -------------------------------------------------------------------------
 
 
-class MaxAbelianDeclaration:
+class MaxAbelianDeclaration(Frozen):
     __slots__ = ("ranks",)
-    __setattr__ = _frozen
 
     def __init__(self, ranks: Union[tuple[tuple[str, int], ...], list[list]]):
         if not isinstance(ranks, (list, tuple)) or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 for p in ranks):
             raise DevissageError(f"max_abelian must be a list of [tag, rank] pairs, got {ranks!r}")
-        object.__setattr__(self, "ranks", tuple(map(tuple, ranks)))  # (vertex or subgroup tag, rank >= 2)
-        for tag, r in self.ranks:
+        ranks = tuple(map(tuple, ranks))  # (vertex or subgroup tag, rank >= 2)
+        for tag, r in ranks:
             if isinstance(r, bool) or not isinstance(r, int) or r < 2:
                 raise DevissageError(f"declared maximal abelian {tag!r} has rank {r!r}, "
                                      "not an integer >= 2")
+        super().__init__(ranks)
 
 
 class BettiReport:

@@ -15,6 +15,7 @@ import math
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
+from .frozen import Frozen
 from .lambdatree import (
     EdgeInterior,
     MetricTree,
@@ -28,7 +29,7 @@ from .lambdatree import (
     _id_key,
     _Rows,
 )
-from .ordgroup import LexValue, _frozen
+from .ordgroup import LexValue
 
 
 class GluingError(ValueError):
@@ -333,13 +334,8 @@ class GraphOfActions:
         return paths
 
 
-class DualPoint:
+class DualPoint(Frozen):
     __slots__ = ("vertex", "point")
-    __setattr__ = _frozen
-
-    def __init__(self, vertex, point: TreePoint):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "point", point)
 
     def __repr__(self):
         # free-criterion reports quote sample points in this form

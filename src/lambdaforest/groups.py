@@ -10,15 +10,10 @@ from __future__ import annotations
 from operator import add
 from typing import Optional, Sequence
 
+from .frozen import Frozen
+
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
-
-
-def _frozen(self, name, value):
-    """__setattr__ of the frozen classes, whose constructors set their
-    fields through object.__setattr__.  The same as ordgroup._frozen, which
-    the word-only commands do not load."""
-    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class WordError(ValueError):
@@ -173,14 +168,10 @@ def conjugator(u: Word, w: Word) -> Optional[Word]:
 # word-problem oracles --------------------------------------------------------------
 
 
-class FreeGroupOracle:
+class FreeGroupOracle(Frozen):
     """Images are reduced words."""
 
     __slots__ = ("letters",)
-    __setattr__ = _frozen
-
-    def __init__(self, letters: tuple[str, ...]):
-        object.__setattr__(self, "letters", letters)
 
     def is_trivial(self, w: Word) -> bool:
         return not free_reduce(w)
@@ -197,14 +188,10 @@ class FreeGroupOracle:
         return not u
 
 
-class FreeAbelianOracle:
+class FreeAbelianOracle(Frozen):
     """Images are exponent vectors over `letters`."""
 
     __slots__ = ("letters",)
-    __setattr__ = _frozen
-
-    def __init__(self, letters: tuple[str, ...]):
-        object.__setattr__(self, "letters", letters)
 
     def is_trivial(self, w: Word) -> bool:
         return all(c == 0 for c in exponent_vector(w, self.letters))
@@ -222,13 +209,8 @@ class FreeAbelianOracle:
 # abelianization -----------------------------------------------------------------
 
 
-class FinitePresentation:
-    __slots__ = ("generators", "relators")
-    __setattr__ = _frozen
-
-    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+class FinitePresentation(Frozen):
+    __slots__ = ("generators", "relators")  # tuple[str, ...], tuple[Word, ...]
 
     @staticmethod
     def from_json(doc: dict) -> "FinitePresentation":

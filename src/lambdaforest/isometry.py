@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional
 
-from .ordgroup import LexValue, _frozen
+from .frozen import Frozen
+from .ordgroup import LexValue
 from .groups import Word, ball_words, invert, word_str
 
 
@@ -22,12 +23,8 @@ class IsometryError(ValueError):
     pass
 
 
-class OutOfWindow:
+class OutOfWindow(Frozen):
     __slots__ = ("prefix",)
-    __setattr__ = _frozen
-
-    def __init__(self, prefix: Word):
-        object.__setattr__(self, "prefix", prefix)
 
 
 class PartialIsometry:
@@ -120,28 +117,16 @@ class ActionWindow:
         return cur
 
 
-class Elliptic:
+class Elliptic(Frozen):
     __slots__ = ("fixed_point",)
-    __setattr__ = _frozen
-
-    def __init__(self, fixed_point: TreePoint):
-        object.__setattr__(self, "fixed_point", fixed_point)
 
 
-class Hyperbolic:
+class Hyperbolic(Frozen):
     __slots__ = ("length",)
-    __setattr__ = _frozen
-
-    def __init__(self, length: LexValue):
-        object.__setattr__(self, "length", length)
 
 
-class Inconclusive:
+class Inconclusive(Frozen):
     __slots__ = ("reason",)
-    __setattr__ = _frozen
-
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
 
 
 def classify(A: ActionWindow, w: Word, x: TreePoint):

@@ -21,12 +21,9 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .cli import _quote
+from .frozen import Frozen
 
 LexValue = Fraction = _ratio = None  # bound by _arith
-
-
-def _frozen(self, name, value):  # ordgroup._frozen, which validate-tree does not load
-    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _arith() -> None:
@@ -118,12 +115,8 @@ def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
     return D, list(scaled)
 
 
-class Vertex:
+class Vertex(Frozen):
     __slots__ = ("id",)
-    __setattr__ = _frozen
-
-    def __init__(self, id):
-        object.__setattr__(self, "id", id)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -137,17 +130,11 @@ class Vertex:
         return f"Vertex({self.id!r})"
 
 
-class EdgeInterior:
-    """Interior point of edge {u, v}; offset measured from u, the canonical
-    (smaller id) anchor, with 0 < offset < length."""
+class EdgeInterior(Frozen):
+    """Interior point of edge {u, v}; offset, a LexValue, measured from u, the
+    canonical (smaller id) anchor, with 0 < offset < length."""
 
     __slots__ = ("u", "v", "offset")
-    __setattr__ = _frozen
-
-    def __init__(self, u, v, offset: LexValue):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "offset", offset)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -13,13 +13,13 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional
 
+from .frozen import Frozen
 from .groups import (
     BudgetExceeded,
     FreeAbelianOracle,
     FreeGroupOracle,
     Word,
     WordError,
-    _frozen,
     ball_words,
     check_alphabet,
     free_reduce,
@@ -32,25 +32,22 @@ from .groups import (
 MAX_WORDS = 300_000
 
 
-class MarkedGroup:
+class MarkedGroup(Frozen):
     __slots__ = ("oracle", "marking", "letters", "images")
-    __setattr__ = _frozen
 
     def __init__(self, oracle, marking: tuple[Word, ...], letters: tuple[str, ...]):
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "marking", marking)
         # abstract marking letters, one per marking word
-        object.__setattr__(self, "letters", check_alphabet(letters, "abstract marking letter"))
-        if len(self.marking) != len(self.letters):
+        letters = check_alphabet(letters, "abstract marking letter")
+        if len(marking) != len(letters):
             raise WordError("one abstract letter per marking word")
-        for w in self.marking:
+        for w in marking:
             for l, _e in w:
-                if l not in self.oracle.letters:
+                if l not in oracle.letters:
                     raise WordError(f"marking word uses {l!r} outside the oracle alphabet")
         # oracle image of each abstract letter and its inverse
-        object.__setattr__(self, "images", {(l, e): self.oracle.image(w if e == 1 else invert(w))
-                                            for l, w in zip(self.letters, self.marking)
-                                            for e in (1, -1)})
+        super().__init__(oracle, marking, letters, {(l, e): oracle.image(w if e == 1 else invert(w))
+                                                    for l, w in zip(letters, marking)
+                                                    for e in (1, -1)})
 
     @property
     def n(self) -> int:
@@ -83,13 +80,8 @@ def _walk(M: MarkedGroup, R: int):
                       M.oracle.image(()))
 
 
-class RelationBall:
-    __slots__ = ("radius", "words")
-    __setattr__ = _frozen
-
-    def __init__(self, radius: int, words: tuple[Word, ...]):
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "words", words)  # sorted length-lexicographically
+class RelationBall(Frozen):
+    __slots__ = ("radius", "words")  # words sorted length-lexicographically
 
 
 def relations_up_to(M: MarkedGroup, R: int) -> RelationBall:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .frozen import Frozen
+
 Fraction = None  # bound by _ratio on first need: integer values load no fractions
 
 
@@ -50,17 +52,10 @@ def _num(x):
     return _rat(x)
 
 
-def _frozen(self, name, value):
-    """__setattr__ of the frozen classes, whose constructors set their
-    fields through object.__setattr__."""
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-class LexValue:
+class LexValue(Frozen):
     """Element of Q^n, leftmost coordinate dominant."""
 
     __slots__ = ("coords",)
-    __setattr__ = _frozen
 
     def __init__(self, coords: Iterable) -> None:
         object.__setattr__(self, "coords", tuple(map(_num, coords)))

@@ -1264,16 +1264,18 @@ def test_gog_refuses_a_disconnected_graph(tmp_path, capsys):
     assert "graph: Fail (underlying graph not connected)" in capsys.readouterr().out
 
 
-# a vertex's type is one of the three the structure check knows, and its id a
-# string or an int: type "x" once read as an incidence failure, and id true
-# (an edge's u too) as a pass on every clause
+# a vertex's type is one of the three the structure check knows, its id a
+# string or an int, and an edge's ends are vertex ids: type "x" once read as an
+# incidence failure, id true (an edge's u too) as a pass on every clause, and
+# an end that is no vertex as a bare KeyError ("malformed input: 'Z'")
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["vertices"][0].update(type="x"), "vertex 'F': unknown type 'x'"),
     (lambda d: (d["vertices"][0].update(id=True), d["edges"][0].update(u=True)),
      "vertex id True must be a string or an int"),
     (lambda d: (d["vertices"][0].update(id=1.5), d["edges"][0].update(u=1.5)),
      "vertex id 1.5 must be a string or an int"),
-], ids=["type", "id-true", "id-float"])
+    (lambda d: d["edges"][0].update(v="Z"), "edge endpoint 'Z' missing"),
+], ids=["type", "id-true", "id-float", "endpoint"])
 def test_gog_vertex_type_and_id_are_checked(tmp_path, capsys, edit, message):
     path = write(tmp_path, "gog.json", _gog_with(edit))
     assert [main(["gog", op, "--input", path]) for op in ("structure", "acyl", "principal")] == [

@@ -66,13 +66,14 @@ MARKED = {"schema": "lambda-forest/1", "kind": "marked-group",
 
 INLINE = {"marked": MARKED, **DOCUMENTS}
 
-TREE = {"cli", "lambdatree", "ordgroup"}
-VALIDATE, QUERY = {"cli", "cli_validate", "lambdatree"}, TREE | {"cli_tree"}
+# every command but preset builds records, so loads frozen, their base
+TREE = {"cli", "frozen", "lambdatree", "ordgroup"}
+VALIDATE, QUERY = {"cli", "cli_validate", "frozen", "lambdatree"}, TREE | {"cli_tree"}
 ISOM = TREE | {"cli_isom", "groups", "isometry"}
 GLUE, COVER = TREE | {"cli_glue", "gluing"}, TREE | {"cli_cover", "cover"}
-BT = {"cli", "cli_bt", "bruhat", "groups", "ordgroup"}
-GOG = {"cli", "cli_gog", "devissage", "groups"}
-MARKED_BALL = {"cli", "cli_marked", "groups", "markedgroups"}
+BT = {"cli", "cli_bt", "bruhat", "frozen", "groups", "ordgroup"}
+GOG = {"cli", "cli_gog", "devissage", "frozen", "groups"}
+MARKED_BALL = {"cli", "cli_marked", "frozen", "groups", "markedgroups"}
 PRESET = {"cli", "cli_preset", "presets"}
 
 # argv (an @name is replaced by the path of that preset, or of that INLINE
@@ -198,13 +199,20 @@ def _bench_documents():
     return {job.kind: job.files["in"] for job in jobs.build("bt-ball", 1)}
 
 
-# bt certify on the benchmark's integer documents (3 of its 4 kinds) loads no
-# rational arithmetic; a Q_p document, whose entries include 1/p, does
+# a Q_p document of integer entries
+QP_INTEGRAL = {"schema": "lambda-forest/1", "kind": "matrix-group", "field": "Qp", "p": 3,
+               "generators": {"a": [["3", "1"], ["2", "1"]], "b": [["1", "3"], ["0", "1"]]}}
+
+
+# bt certify on the benchmark's integer documents (3 of its 4 kinds) and on a
+# Q_p document of integer entries loads no rational arithmetic; a Q_p document
+# whose entries include 1/p does
 @pytest.mark.parametrize("kind, rational", [("qt-schottky", False), ("qt-shared-end", False),
-                                            ("qst-torus", False), ("qp-schottky", True)])
+                                            ("qst-torus", False), ("qp-schottky", True),
+                                            ("qp-integral", False)])
 def test_bt_certify_loads_fractions_only_for_a_fraction(tmp_path, kind, rational):
     path = tmp_path / "bt.json"
-    path.write_text(json.dumps(_bench_documents()[kind]))
+    path.write_text(json.dumps(QP_INTEGRAL if kind == "qp-integral" else _bench_documents()[kind]))
     got_rc, loaded, stdlib = fresh(RUN_MAIN, "bt", "certify", "--input", str(path), "--ball", "2")
     assert got_rc in (0, 2) and set(loaded) == BT | {"isometry", "conjugacy"}
     assert [m for m in stdlib if m in RATIONAL] == (RATIONAL if rational else [])
@@ -361,9 +369,13 @@ print(json.dumps([ok, [m for m in ("lambdaforest.ordgroup", "fractions", "decima
 # 53-57 raw, medians of 21 interleaved fresh processes; a Q_p one, whose
 # entries hold 1/p, did not move).  bt grew by them too, but bruhat shed 14
 # lines and the family stays within 20 of its figure: not raised; nor gog, 2
-# lines more where gog acyl came to refuse a disconnected graph
-FAMILY_LINES = {"validate-tree": 977, "tree": 1165, "isom": 1770, "glue": 1753, "cover": 1313,
-                "bt": 1582, "gog": 1136, "marked": 798, "preset": 497}
+# lines more where gog acyl came to refuse a disconnected graph; and isom, bt and
+# gog where the immutable records came to derive from one frozen base, which
+# every command but preset loads, and to declare only their fields (tree, glue,
+# cover and marked fell too, and validate-tree grew by 2, but each stays within
+# 20 of its figure: not raised)
+FAMILY_LINES = {"validate-tree": 977, "tree": 1165, "isom": 1753, "glue": 1753, "cover": 1313,
+                "bt": 1576, "gog": 1117, "marked": 798, "preset": 497}
 
 
 def test_compiled_source_per_family_stays_put():

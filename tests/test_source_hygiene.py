@@ -1,6 +1,7 @@
 """Every name a library module imports at module level is used in that
 module.  A name whose last caller was deleted shows up here, so a deletion
-takes its imports with it."""
+takes its imports with it.  And the rule that a record is frozen is written
+once, in the `frozen` base."""
 
 import ast
 import pathlib
@@ -38,3 +39,33 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _functions(tree: ast.Module, prefix: str = ""):
+    """(qualified name, node) of each function and class, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def test_only_the_frozen_base_sets_fields_past_setattr():
+    setters, frozen = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, node in _functions(tree, path.stem + "."):
+            if name.endswith("._frozen"):
+                frozen.append(name)
+            if name.endswith(".__setattr__") and name != "frozen.Frozen.__setattr__":
+                setters.add(name)
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(t, ast.Name) and t.id == "__setattr__"
+                    for stmt in node.body if isinstance(stmt, ast.Assign) for t in stmt.targets):
+                setters.add(name + ".__setattr__ =")
+            if isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(call.func) == "object.__setattr__"
+                    for call in ast.walk(node) if isinstance(call, ast.Call)):
+                setters.add(name)
+    assert frozen == []
+    assert setters == {"frozen.Frozen.__init__", "ordgroup.LexValue.__init__",
+                       "ordgroup.LexValue._of"}

@@ -18,6 +18,7 @@ from lambdaforest.devissage import (
     MaxAbelianDeclaration,
     SurfaceWithBoundary,
 )
+from lambdaforest.frozen import Frozen
 from lambdaforest.gluing import DualPoint
 from lambdaforest.groups import FinitePresentation, FreeAbelianOracle, FreeGroupOracle, parse_word
 from lambdaforest.isometry import Elliptic, Hyperbolic, Inconclusive, OutOfWindow
@@ -89,3 +90,25 @@ def test_frozen_record_rejects_assignment(name):
         setattr(x, first, fields[0])
     if text is not None:
         assert repr(x) == text
+
+
+# every class above is a Frozen record: the base alone refuses assignment, and
+# its constructor sets one value per field, in order
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_record_derives_from_the_frozen_base(name):
+    cls = CLASSES[name][0]
+    assert issubclass(cls, Frozen) and "__setattr__" not in vars(cls)
+    assert cls.__setattr__ is Frozen.__setattr__
+
+
+@pytest.mark.parametrize("values", [(), ("a", "b")], ids=["too-few", "too-many"])
+def test_a_wrong_number_of_fields_raises(values):
+    with pytest.raises(ValueError, match="^zip"):
+        Vertex(*values)
+
+
+def test_fields_run_from_the_base_class_down():
+    assert FreeAbelianOracle._fields == ("letters",)
+    assert CyclicBySum._fields == FreeAbelianOracle._fields + ("n_letter", "extra_letters")
+    x = CyclicBySum("n", ("x", "y"))
+    assert tuple(getattr(x, f) for f in CyclicBySum._fields) == (("n", "x", "y"), "n", ("x", "y"))

@@ -38,10 +38,11 @@ Every benchmark `gog` input is the centralizer preset's shape or an edgeless
 closed surface, so GOG_DOCS seeded graphs of groups (gog_documents) run too:
 every vertex kind and type, bounded surfaces with edges, loops, parallel
 edges, attested vertices that are not free and trivial edge images, and
-GOG_FAULT_ROUNDS times a disconnected graph and three graphs where one clause
+GOG_FAULT_ROUNDS times a disconnected graph and four graphs where one clause
 fails in several places (abelian vertices, pairs that share a root, a faulty
-surface vertex among closed ones), so the fault a clause names and the remarks
-it makes are compared too; each runs as
+surface vertex among closed ones, and one with no closed surface, which is
+connected), so the fault a clause names and the remarks it makes are compared
+too; each runs as
 `gog structure`, `gog acyl --radius 2-5`, `gog betti` and `gog principal`.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
@@ -664,10 +665,14 @@ def _gog_fault_graphs(rng) -> list[tuple[str, dict]]:
       0-3 edges from some of them to an attested free-abelian N;
     - surface: a faulty surface vertex (its boundary word does not match its
       edge, or it is not a surface group), a closed surface with no edge, and
-      0-2 more of either kind or of surfaces that match, hung from a free F.
+      0-2 more of either kind or of surfaces that match, hung from a free F;
+    - open-surface: the same without a closed surface, so the graph is
+      connected and gog acyl searches it; drawn after the other shapes, so
+      that theirs stay the documents they were.
     Vertices, edges and the two ends of each edge come in random order."""
     docs = []
-    for shape in ["disconnected", "abelian", "pairs", "surface"] * GOG_FAULT_ROUNDS:
+    shapes = ["disconnected", "abelian", "pairs", "surface"] * GOG_FAULT_ROUNDS
+    for shape in shapes + ["open-surface"] * GOG_FAULT_ROUNDS:
         verts, edges = [], []
 
         def vertex(vid: str, vtype: str, kind: str, letters: list, **group) -> None:
@@ -712,9 +717,10 @@ def _gog_fault_graphs(rng) -> list[tuple[str, dict]]:
                 for vid in rng.sample(hung, min(n, len(hung))):
                     edge("N", vid, rng.choice(["a", "b", "ab"]), "n")
         else:
+            closed = ["closed"] if shape == "surface" else []
             vertex("F", "infinitesimal", "free", ["a", "b"])
-            kinds = [rng.choice(["mismatch", "lacks"]), "closed"]
-            kinds += rng.choices(["closed", "match", "mismatch", "lacks"], k=rng.randint(0, 2))
+            kinds = [rng.choice(["mismatch", "lacks"])] + closed
+            kinds += rng.choices(closed + ["match", "mismatch", "lacks"], k=rng.randint(0, 2))
             for k, how in enumerate(rng.sample(kinds, len(kinds))):
                 if how == "lacks":
                     vertex(f"S{k}", "surface", "free", ["a", "b"])
