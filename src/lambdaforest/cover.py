@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from .frozen import Frozen
 from .lambdatree import MetricTree, SubtreeSpec, TreeError, TreePoint, Vertex
 from .ordgroup import LexValue
 
@@ -53,11 +54,8 @@ class TransverseCovering:
                 raise CoverError("member of a different tree")
 
 
-class TransverseReport:
-    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
-        self.ok = ok
-        self.kind = kind
-        self.witness = witness
+class TransverseReport(Frozen):
+    __slots__ = ("ok", "kind", "witness")
 
 
 def transverse_check(C: TransverseCovering) -> TransverseReport:
@@ -84,19 +82,14 @@ def transverse_check(C: TransverseCovering) -> TransverseReport:
             reach = max(reach, hi)
         if reach < ln:
             return TransverseReport(False, "coverage-gap", (k,))
-    return TransverseReport(True)
+    return TransverseReport(True, "", ())
 
 
-class SkeletonGraph:
-    def __init__(self, member_vertices: list[int], point_vertices: list[TreePoint],
-                 edges: list[tuple[object, object]], connected: bool, acyclic: bool,
-                 terminal_members: list[int]):
-        self.member_vertices = member_vertices  # indices into members (V1)
-        self.point_vertices = point_vertices  # V0
-        self.edges = edges  # ("pt", i) -- ("mem", j)
-        self.connected = connected
-        self.acyclic = acyclic
-        self.terminal_members = terminal_members
+class SkeletonGraph(Frozen):
+    # member_vertices index the members (V1), point_vertices are V0, and each
+    # edge joins ("pt", i) to ("mem", j)
+    __slots__ = ("member_vertices", "point_vertices", "edges", "connected", "acyclic",
+                 "terminal_members")
 
 
 def skeleton(C: TransverseCovering) -> SkeletonGraph:

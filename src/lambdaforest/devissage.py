@@ -189,16 +189,12 @@ def descriptor_from_json(doc: dict) -> Descriptor:
 # structure check ----------------------------------------------------------------------
 
 
-class ClauseVerdict:
-    def __init__(self, verdict: str, detail: str = ""):
-        self.verdict = verdict  # Pass | Fail | Unchecked
-        self.detail = detail
+class ClauseVerdict(Frozen):
+    __slots__ = ("verdict", "detail")  # verdict: Pass | Fail | Unchecked
 
 
-class StructureReport:
-    def __init__(self, clauses: dict[str, ClauseVerdict], remarks: Optional[list[str]] = None):
-        self.clauses = clauses
-        self.remarks = [] if remarks is None else remarks
+class StructureReport(Frozen):
+    __slots__ = ("clauses", "remarks")  # clauses: name -> ClauseVerdict
 
     @property
     def ok(self) -> bool:
@@ -318,11 +314,8 @@ def _conjugator_pm(u: Word, w: Word) -> Optional[Word]:
 # acylindricity ------------------------------------------------------------------------
 
 
-class AcylReport:
-    def __init__(self, verdict: str, path: Optional[list] = None, element: Optional[str] = None):
-        self.verdict = verdict  # Pass | Fail
-        self.path = [] if path is None else path
-        self.element = element
+class AcylReport(Frozen):
+    __slots__ = ("verdict", "path", "element")  # verdict: Pass | Fail
 
 
 def _primitive_vector(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -366,7 +359,7 @@ def check_acylindricity(G: GraphOfGroups, radius: int = 5, window: int = 4) -> A
         depth += 1
 
     if not states:
-        return AcylReport("Pass")
+        return AcylReport("Pass", [], None)
     # the least state by repr((edge, src, dst, M)); a tie goes to the earlier half-edge
     j, M = min(states, key=lambda s: (repr(hes[s[0]][:3] + (s[1],)), s[0]))
     desc_path = [
@@ -440,18 +433,9 @@ class MaxAbelianDeclaration(Frozen):
         super().__init__(ranks)
 
 
-class BettiReport:
-    def __init__(self, b1_ambient: int, b1_vertices: dict[str, int], b1_graph: int,
-                 lower_bound: int, lower_slack: int, abelian_sum: int, abelian_slack: int,
-                 noncyclic_floor_ok: bool):
-        self.b1_ambient = b1_ambient
-        self.b1_vertices = b1_vertices
-        self.b1_graph = b1_graph
-        self.lower_bound = lower_bound
-        self.lower_slack = lower_slack
-        self.abelian_sum = abelian_sum
-        self.abelian_slack = abelian_slack
-        self.noncyclic_floor_ok = noncyclic_floor_ok
+class BettiReport(Frozen):
+    __slots__ = ("b1_ambient", "b1_vertices", "b1_graph", "lower_bound", "lower_slack",
+                 "abelian_sum", "abelian_slack", "noncyclic_floor_ok")
 
     @property
     def ok(self) -> bool:
@@ -471,25 +455,15 @@ def check_betti_bounds(
     b1_graph = len(G.edges) - len(G.vertices) + 1
     lower = sum(per_vertex.values()) + b1_graph - len(G.edges)
     ab_sum = sum(r - 1 for _t, r in decl.ranks)
-    return BettiReport(
-        b1_ambient=b1g,
-        b1_vertices=per_vertex,
-        b1_graph=b1_graph,
-        lower_bound=lower,
-        lower_slack=b1g - lower,
-        abelian_sum=ab_sum,
-        abelian_slack=(b1g - 1) - ab_sum,
-        noncyclic_floor_ok=b1g >= 2,
-    )
+    return BettiReport(b1g, per_vertex, b1_graph, lower, b1g - lower,
+                       ab_sum, (b1g - 1) - ab_sum, b1g >= 2)
 
 
 # principal splitting ------------------------------------------------------------------
 
 
-class SplittingCase:
-    def __init__(self, case: str, detail: str):
-        self.case = case
-        self.detail = detail
+class SplittingCase(Frozen):
+    __slots__ = ("case", "detail")
 
 
 def principal_splitting_case(G: GraphOfGroups) -> SplittingCase:

@@ -13,3 +13,6 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

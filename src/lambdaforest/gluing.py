@@ -13,7 +13,7 @@ import bisect
 import itertools
 import math
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .frozen import Frozen
 from .lambdatree import (
@@ -270,13 +270,10 @@ def glue_subtree(phi: SegmentIso):
 # graphs of actions ---------------------------------------------------------------------
 
 
-class GluedEdge:
+class GluedEdge(Frozen):
     """Directed gluing datum: lam on the `src` side maps to the `dst` side."""
 
-    def __init__(self, src, dst, phi: SegmentIso):
-        self.src = src
-        self.dst = dst
-        self.phi = phi
+    __slots__ = ("src", "dst", "phi")
 
 
 class GraphOfActions:
@@ -425,12 +422,8 @@ def fold_glued_tree(G: GraphOfActions, path: list[tuple]):
 # equivalence classes of the glue relation ----------------------------------------------
 
 
-class EquivClass:
-    def __init__(self, nodes: list[tuple[object, TreePoint]], acyclic: bool,
-                 inconclusive: Optional[str] = None):
-        self.nodes = nodes
-        self.acyclic = acyclic
-        self.inconclusive = inconclusive
+class EquivClass(Frozen):
+    __slots__ = ("nodes", "acyclic", "inconclusive")  # nodes: (vertex, point) pairs
 
 
 CLASS_CAP = 64
@@ -460,16 +453,14 @@ def glue_equiv_class(G: GraphOfActions, p: DualPoint) -> EquivClass:
                 links.append((i, j, ei))
     # dedupe symmetric links per underlying gluing edge
     uniq = {(min(i, j), max(i, j), e) for i, j, e in links}
-    return EquivClass(nodes, len(uniq) <= len(nodes) - 1)
+    return EquivClass(nodes, len(uniq) <= len(nodes) - 1, None)
 
 
 # free-gluing criterion (period-doubling witness) ---------------------------------------
 
 
-class FreeCriterionReport:
-    def __init__(self, verdict: str, detail: str = ""):
-        self.verdict = verdict  # Pass | Fail | Inconclusive
-        self.detail = detail
+class FreeCriterionReport(Frozen):
+    __slots__ = ("verdict", "detail")  # verdict: Pass | Fail | Inconclusive
 
 
 def check_free_criterion(

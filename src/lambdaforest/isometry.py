@@ -155,17 +155,15 @@ def classify(A: ActionWindow, w: Word, x: TreePoint):
 # ball certification -------------------------------------------------------------
 
 
-class Certificate:
+class Certificate(Frozen):
+    # the given fields, then the two derived ones
+    __slots__ = ("ball_radius", "words_checked", "relations", "min_positive_length",
+                 "counterexample", "status", "extra")
+
     def __init__(self, ball_radius: int, words_checked: int, relations: list[str],
-                 min_positive_length: Optional[LexValue], status: str = "free-on-ball",
-                 counterexample: Optional[str] = None, extra: Optional[dict] = None):
-        self.ball_radius = ball_radius
-        self.words_checked = words_checked
-        self.relations = relations
-        self.min_positive_length = min_positive_length
-        self.status = status
-        self.counterexample = counterexample
-        self.extra = {} if extra is None else extra
+                 min_positive_length: Optional[LexValue], counterexample: Optional[str]):
+        super().__init__(ball_radius, words_checked, relations, min_positive_length, counterexample,
+                         "free-on-ball" if counterexample is None else "counterexample", {})
 
     def to_json(self) -> dict:
         doc = {
@@ -237,7 +235,7 @@ def certify_free_on_ball(
             else:
                 n = 2 * len(labels)
                 checked = sum(n * (n - 1) ** (k - 1) for k in range(1, ball_radius + 1))
-                return Certificate(ball_radius, checked, [], min_pos)
+                return Certificate(ball_radius, checked, [], min_pos, None)
             verdicts = {_class_key(u, keys): (False, l) for u, l in asked}
             verdicts.setdefault(_class_key(w, keys), (True, None))  # a relation it stopped at
     relations: list[str] = []
@@ -260,12 +258,11 @@ def certify_free_on_ball(
         if isinstance(l, Inconclusive):
             raise CertificationAborted(w, l.reason)
         if l.is_zero():
-            return Certificate(ball_radius, checked, relations, min_pos,
-                               status="counterexample", counterexample=word_str(w))
+            return Certificate(ball_radius, checked, relations, min_pos, word_str(w))
         judged[id(l)] = l
         if min_pos is None or l < min_pos:
             min_pos = l
-    return Certificate(ball_radius, checked, relations, min_pos)
+    return Certificate(ball_radius, checked, relations, min_pos, None)
 
 
 def window_length_oracle(A: ActionWindow, basepoint: TreePoint):

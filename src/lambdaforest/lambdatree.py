@@ -509,13 +509,9 @@ class FiniteLambdaMetric:
                                              rank, D)
 
 
-class ValidationResult:
+class ValidationResult(Frozen):
+    __slots__ = ("ok", "kind", "witness")
     note = "2L condition vacuous over Q^n (2L = L)"
-
-    def __init__(self, ok: bool, kind: str = "", witness: tuple = ()):
-        self.ok = ok
-        self.kind = kind
-        self.witness = witness
 
 
 _SCAN_POINTS = 32  # the most points whose witness the exhaustive scan finds
@@ -595,7 +591,7 @@ def validate_tree_metric(M: FiniteLambdaMetric) -> ValidationResult:
     p = [[sum(map(operator.mul, cs, powers)) for cs in row] for row in d]
     failure = _insertion_failure(p)
     if failure is None:
-        return ValidationResult(True)
+        return ValidationResult(True, "", ())
     kind, witness = _scan(p, max(failure[1])) if m <= _SCAN_POINTS else failure
     return ValidationResult(False, kind, tuple(M.labels[i] for i in witness))
 

@@ -241,7 +241,7 @@ def exhaustive_scan(M: FiniteLambdaMetric) -> ValidationResult:
             return ValidationResult(
                 False, "four-point", (M.labels[i], M.labels[j], M.labels[k], M.labels[l])
             )
-    return ValidationResult(True)
+    return ValidationResult(True, "", ())
 
 
 def assert_same_verdict(M):
@@ -910,7 +910,7 @@ def test_tree_and_point_errors(tripod):
 
 def test_verdicts_read_as_booleans_and_the_scan_of_a_tree_finds_nothing(tripod):
     table = FiniteLambdaMetric.from_tree(tripod)
-    assert validate_tree_metric(table).ok and not ValidationResult(False, "asymmetry").ok
+    assert validate_tree_metric(table).ok and not ValidationResult(False, "asymmetry", ("a", "b")).ok
     assert lambdatree._scan([[0, 1], [1, 0]], 0) is None
 
 

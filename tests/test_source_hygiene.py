@@ -1,7 +1,7 @@
 """Every name a library module imports at module level is used in that
 module.  A name whose last caller was deleted shows up here, so a deletion
 takes its imports with it.  And the rule that a record is frozen is written
-once, in the `frozen` base."""
+once, in the `frozen` base, which every record derives from."""
 
 import ast
 import pathlib
@@ -69,3 +69,44 @@ def test_only_the_frozen_base_sets_fields_past_setattr():
     assert frozen == []
     assert setters == {"frozen.Frozen.__init__", "ordgroup.LexValue.__init__",
                        "ordgroup.LexValue._of"}
+
+
+def _plain_constructors(source: str, stem: str) -> list[str]:
+    """Each class whose __init__ only stores its arguments: every statement is
+    `self.<name> = ...` of a value that calls nothing.  Such a record declares
+    its __slots__ on the frozen base instead.  A constructor that coerces its
+    values (a call on the right) or checks them is not plain."""
+    plain = []
+    for name, node in _functions(ast.parse(source), stem + "."):
+        if isinstance(node, ast.FunctionDef) and name.endswith(".__init__") and all(
+                isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Attribute)
+                and ast.unparse(stmt.targets[0].value) == "self"
+                and not any(isinstance(n, ast.Call) for n in ast.walk(stmt.value))
+                for stmt in node.body):
+            plain.append(name)
+    return plain
+
+
+def test_scanner_finds_plain_constructors():
+    src = (
+        "class Plain:\n"
+        "    def __init__(self, a, b=None):\n"
+        "        self.a = a\n"
+        "        self.b = [] if b is None else b\n"
+        "class Checked:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = a\n"
+        "        if a < 0:\n"
+        "            raise ValueError(a)\n"
+        "class Coerced:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = int(a)\n"
+    )
+    assert _plain_constructors(src, "m") == ["m.Plain.__init__"]
+
+
+def test_no_class_is_a_plain_record_outside_the_frozen_base():
+    plain = [name for path in MODULES
+             for name in _plain_constructors(path.read_text(encoding="utf-8"), path.stem)]
+    assert plain == []

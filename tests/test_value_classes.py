@@ -1,6 +1,7 @@
 """The library's classes keep the frozen fields and the repr of the
-dataclasses they replace: assignment raises AttributeError, and every repr
-that a report, message or stdout line can show is unchanged.  The value
+dataclasses they replace: assignment and deletion raise AttributeError, and
+every repr that a report, message or stdout line can show is unchanged.  The
+verdict records that the checks return are frozen records too.  The value
 classes that the code compares compare by fields, only against an instance of
 exactly the same class; those that it hashes hash as the field tuple (so set
 and dict iteration order stays the same).  A class that nothing compares
@@ -11,20 +12,30 @@ from fractions import Fraction
 import pytest
 
 from lambdaforest.bruhat import QpElement
+from lambdaforest.cover import SkeletonGraph, TransverseReport
 from lambdaforest.devissage import (
+    AcylReport,
+    BettiReport,
+    ClauseVerdict,
     CyclicBySum,
     GGEdge,
     GGVertex,
     MaxAbelianDeclaration,
+    SplittingCase,
+    StructureReport,
     SurfaceWithBoundary,
 )
 from lambdaforest.frozen import Frozen
-from lambdaforest.gluing import DualPoint
+from lambdaforest.gluing import DualPoint, EquivClass, FreeCriterionReport, GluedEdge, SegmentIso
 from lambdaforest.groups import FinitePresentation, FreeAbelianOracle, FreeGroupOracle, parse_word
-from lambdaforest.isometry import Elliptic, Hyperbolic, Inconclusive, OutOfWindow
-from lambdaforest.lambdatree import EdgeInterior, Vertex
+from lambdaforest.isometry import Certificate, Elliptic, Hyperbolic, Inconclusive, OutOfWindow
+from lambdaforest.lambdatree import EdgeInterior, MetricTree, ValidationResult, Vertex
 from lambdaforest.markedgroups import MarkedGroup, RelationBall
 from lambdaforest.ordgroup import LexValue
+
+# a one-edge tree, whose segment a GluedEdge glues to itself
+SEGMENT = MetricTree(["a", "b"], [("a", "b", LexValue([1]))], 1)
+ENDS = (Vertex("a"), Vertex("b"))
 
 # class, field values, the repr a report, message or stdout line can show
 # (None: the class keeps no repr), and its equality: "hash" compares and
@@ -57,6 +68,23 @@ CLASSES = {
     "Elliptic": (Elliptic, (Vertex("a"),), None, None),
     "Hyperbolic": (Hyperbolic, (LexValue([1]),), None, None),
     "Inconclusive": (Inconclusive, ("midpoint leaves the window",), None, None),
+    # the verdict records: Certificate is given its first five fields and
+    # derives status and extra
+    "ValidationResult": (ValidationResult, (False, "asymmetry", ("a", "b")), None, None),
+    "TransverseReport": (TransverseReport, (False, "coverage-gap", (0,)), None, None),
+    "SkeletonGraph": (SkeletonGraph, ([0, 1], [Vertex("b")], [(("pt", 0), ("mem", 0))], True,
+                                      True, []), None, None),
+    "GluedEdge": (GluedEdge, ("A", "B", SegmentIso(SEGMENT, ENDS, SEGMENT, ENDS)), None, None),
+    "EquivClass": (EquivClass, ([("A", Vertex("a"))], True, None), None, None),
+    "FreeCriterionReport": (FreeCriterionReport, ("Inconclusive", "no sample point given"),
+                            None, None),
+    "ClauseVerdict": (ClauseVerdict, ("Pass", "connected"), None, None),
+    "StructureReport": (StructureReport, ({"graph": ClauseVerdict("Pass", "connected")}, []),
+                        None, None),
+    "AcylReport": (AcylReport, ("Pass", [], None), None, None),
+    "BettiReport": (BettiReport, (2, {"A": 2}, 0, 2, 0, 1, 0, True), None, None),
+    "SplittingCase": (SplittingCase, ("recurse", "single infinitesimal piece"), None, None),
+    "Certificate": (Certificate, (1, 4, [], LexValue([1]), None), None, None),
 }
 
 
@@ -90,6 +118,16 @@ def test_frozen_record_rejects_assignment(name):
         setattr(x, first, fields[0])
     if text is not None:
         assert repr(x) == text
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_frozen_record_rejects_deletion(name):
+    cls, fields, _text, _equality = CLASSES[name]
+    x = cls(*fields)
+    before = tuple(getattr(x, f) for f in cls._fields), repr(x)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{cls._fields[0]}'$"):
+        delattr(x, cls._fields[0])
+    assert (tuple(getattr(x, f) for f in cls._fields), repr(x)) == before
 
 
 # every class above is a Frozen record: the base alone refuses assignment, and

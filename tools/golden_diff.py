@@ -43,7 +43,13 @@ fails in several places (abelian vertices, pairs that share a root, a faulty
 surface vertex among closed ones, and one with no closed surface, which is
 connected), so the fault a clause names and the remarks it makes are compared
 too; each runs as
-`gog structure`, `gog acyl --radius 2-5`, `gog betti` and `gog principal`.  The
+`gog structure`, `gog acyl --radius 2-5`, `gog betti` and `gog principal`.
+Every benchmark `glue check-free` passes and no `isom certify` finds a
+counterexample, so the fixed documents of verdict_documents run too: `glue
+check-free` Inconclusive (a vertex not attested free, no sample) and Fail (a
+translating composite of parallel gluings, a class that is not a tree, a
+class that outgrows CLASS_CAP), and a reflection's elliptic word as `isom
+certify` and `isom classify`.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
@@ -83,6 +89,7 @@ sys.dont_write_bytecode = True
 import jobs as joblib  # noqa: E402
 from lambdaforest import presets  # noqa: E402
 from lambdaforest.cli import _COMMANDS  # noqa: E402
+from lambdaforest.gluing import CLASS_CAP  # noqa: E402
 
 ENTRY = "import sys; from lambdaforest.cli import main; sys.exit(main())"
 JOB_TIMEOUT_S = 120
@@ -175,12 +182,19 @@ COMMAND_LINES = [[], ["--help"]] + [[c, "--help"] for c in _COMMANDS] + [
     ["validate-tree", "--input", "@odd-labels"],
     ["validate-tree", "--input", "@object-label"],
 ]
+
+
+def _path_tree(ids: list) -> dict:
+    """A rank-1 path through ids, in order, with unit edges."""
+    return {"rank": 1, "vertices": ids,
+            "edges": [{"u": u, "v": v, "len": ["1"]} for u, v in zip(ids, ids[1:])]}
+
+
 # the documents of command lines that no preset serves: the tripod turned by
 # r, a window whose vertex ids, 0 and "a", do not compare, a cover member and
 # a glued segment's end that give a point as an int, and the distances of a
 # star's centre q and three leaves as a table, and with r and s stretched apart
-INT_PATH = {"rank": 1, "vertices": [0, 1, 2],
-            "edges": [{"u": 0, "v": 1, "len": ["1"]}, {"u": 1, "v": 2, "len": ["1"]}]}
+INT_PATH = _path_tree([0, 1, 2])
 STAR = [[[str(d)] for d in row] for row in ([0, 1, 2, 2], [1, 0, 1, 1], [2, 1, 0, 2], [2, 1, 2, 0])]
 STRETCHED = STAR[:2] + [[["2"], ["1"], ["0"], ["3"]], [["2"], ["1"], ["3"], ["0"]]]
 LINE_DOCS = {
@@ -741,6 +755,43 @@ def _gog_fault_graphs(rng) -> list[tuple[str, dict]]:
     return docs
 
 
+def verdict_documents() -> list[tuple[str, tuple, dict]]:
+    """(name, runs, document) of the verdicts no benchmark job and no seeded
+    document reaches, the same at every seed.  `glue check-free` on gluings of
+    two 5-vertex paths U and V: a vertex not attested free and no sample
+    (Inconclusive), two parallel gluings whose composite translates (Fail),
+    the same gluing twice (a class that is not a tree: Fail); and a chain of
+    CLASS_CAP + 2 one-vertex trees glued at their point, whose class outgrows
+    the cap (Fail).  `isom certify` and `classify` of g, the reflection of the
+    path a-b-c about b: g is elliptic, so certify finds a counterexample."""
+    trees = {"U": _path_tree([0, 1, 2, 3, 4]), "V": _path_tree([0, 1, 2, 3, 4])}
+    free = {"U": "free", "V": "free"}
+
+    def glue(*ends_from: list) -> list:
+        return [{"from": "U", "to": "V", "ends_from": e, "ends_to": ["0", "2"]} for e in ends_from]
+
+    chain = [f"C{i}" for i in range(CLASS_CAP + 2)]
+    check_free = [
+        {"vertex_trees": trees, "edges": glue(["0", "2"]), "attestations": {"U": "free"},
+         "samples": [{"vertex": "U", "point": "1"}]},
+        {"vertex_trees": trees, "edges": glue(["0", "2"]), "attestations": free},
+        {"vertex_trees": trees, "edges": glue(["0", "2"], ["1", "3"]), "attestations": free,
+         "samples": [{"vertex": "U", "point": "0"}]},
+        {"vertex_trees": trees, "edges": glue(["0", "2"], ["0", "2"]), "attestations": free,
+         "samples": [{"vertex": "U", "point": "1"}]},
+        {"vertex_trees": {c: _path_tree(["p"]) for c in chain},
+         "edges": [{"from": a, "to": b, "ends_from": ["p", "p"], "ends_to": ["p", "p"]}
+                   for a, b in zip(chain, chain[1:])],
+         "attestations": {c: "free" for c in chain}, "samples": [{"vertex": "C0", "point": "p"}]},
+    ]
+    reflection = {"tree": _path_tree(["a", "b", "c"]),
+                  "generators": {"g": {"a": "c", "b": "b", "c": "a"}}}
+    return [(f"glue/verdicts/{k}", (("check-free",),), {"schema": "lambda-forest/1", **doc})
+            for k, doc in enumerate(check_free)] + [
+        ("isom/verdicts/reflection", (("certify", "--ball", "2"), ("classify", "--word", "g")),
+         {"schema": "lambda-forest/1", **reflection})]
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, or of that
     LINE_DOCS document or RAW_DOCS text, written once."""
@@ -802,6 +853,7 @@ def main(argv=None) -> int:
             seeded += [(f"gog/{seed}/{k}", (("structure",), ("acyl", "--radius", radius),
                                             ("betti",), ("principal",)), doc)
                        for k, (radius, doc) in enumerate(gog_documents(seed))]
+        seeded += verdict_documents()
         for name, runs, doc in seeded:
             path = os.path.join(inputs, name.replace("/", "-") + ".json")
             with open(path, "w", encoding="utf-8") as fh:
