@@ -18,7 +18,7 @@ import re
 from math import lcm
 from typing import Optional
 
-from .frozen import Frozen
+from .frozen import Value
 from .ordgroup import LexValue, _num
 from .groups import Word, check_alphabet, rational_rank
 
@@ -145,16 +145,11 @@ class BiRatFunc(_Laurent):
         return BiRatFunc({(t_exp, s_exp): coeff})
 
 
-class QpElement(Frozen):
+class QpElement(Value):
     """Rational number, `value` (an int or a Fraction), under the p-adic valuation."""
 
     __slots__ = ("value", "p")
     rank = 1
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.p) == (other.value, other.p)
-        return NotImplemented
 
     def __repr__(self):
         # a determinant error quotes entries in this form, an int value as a Fraction

@@ -92,9 +92,6 @@ Descriptor = Union[FreeGroupOracle, FreeAbelianOracle, SurfaceWithBoundary]
 class GGVertex(Frozen):
     __slots__ = ("id", "vtype", "desc", "attestation")  # vtype: abelian | surface | infinitesimal
 
-    def __init__(self, id: str, vtype: str, desc: Descriptor, attestation: Optional[str] = None):
-        super().__init__(id, vtype, desc, attestation)
-
 
 class GGEdge(Frozen):
     __slots__ = ("u", "v", "image_u", "image_v")
@@ -146,14 +143,8 @@ class GraphOfGroups:
                 raise DevissageError(f"vertex id {vd['id']!r} must be a string or an int")
             if vd["type"] not in ("abelian", "infinitesimal", "surface"):
                 raise DevissageError(f"vertex {vd['id']!r}: unknown type {vd['type']!r}")
-            verts.append(
-                GGVertex(
-                    vd["id"],
-                    vd["type"],
-                    descriptor_from_json(vd["group"]),
-                    vd.get("attestation"),
-                )
-            )
+            verts.append(GGVertex(vd["id"], vd["type"], descriptor_from_json(vd["group"]),
+                                  vd.get("attestation")))
         by_id = {v.id: v for v in verts}
 
         def letters(end) -> tuple[str, ...]:

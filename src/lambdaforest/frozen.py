@@ -16,3 +16,15 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Value(Frozen):  # equal only to exactly its class with equal fields; hashed as their tuple
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._fields]))

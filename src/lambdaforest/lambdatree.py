@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .cli import _quote
-from .frozen import Frozen
+from .frozen import Frozen, Value
 
 LexValue = Fraction = _ratio = None  # bound by _arith
 
@@ -42,8 +42,10 @@ class TreeError(ValueError):
     pass
 
 
-def _json_rank(doc: dict) -> int:
-    rank = doc["rank"]
+def _json_rank(doc: dict, what: str) -> int:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    rank = doc.get("rank")
     if type(rank) is not int or rank < 1:
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     return rank
@@ -115,34 +117,18 @@ def _json_rows(data: list, rank: int, name) -> tuple[int, list]:
     return D, list(scaled)
 
 
-class Vertex(Frozen):
+class Vertex(Value):
     __slots__ = ("id",)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id,) == (other.id,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id,))
 
     def __repr__(self):
         return f"Vertex({self.id!r})"
 
 
-class EdgeInterior(Frozen):
+class EdgeInterior(Value):
     """Interior point of edge {u, v}; offset, a LexValue, measured from u, the
     canonical (smaller id) anchor, with 0 < offset < length."""
 
     __slots__ = ("u", "v", "offset")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.u, self.v, self.offset) == (other.u, other.v, other.offset)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.offset))
 
     def __repr__(self):
         return f"EdgeInterior({self.u!r}-{self.v!r} @ {self.offset!r})"
@@ -315,8 +301,8 @@ class MetricTree:
 
     @staticmethod
     def from_json(doc: dict) -> "MetricTree":
-        rank = _json_rank(doc)
-        vertices = doc["vertices"]
+        rank = _json_rank(doc, "a tree")
+        vertices = doc.get("vertices")
         if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be a list of distinct ids")
         edges = doc["edges"]
@@ -493,8 +479,8 @@ class FiniteLambdaMetric:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteLambdaMetric":
-        rank = _json_rank(doc)
-        labels, rows = doc["labels"], doc["dist"]
+        rank = _json_rank(doc, "a metric table")
+        labels, rows = doc.get("labels"), doc.get("dist")
         if not isinstance(labels, list) or not labels:
             raise ValueError("labels must be a non-empty list")
         m, odd = len(labels), [x for x in labels if type(x) not in (str, int)]  # a bool is no int

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .frozen import Frozen
+from .frozen import Value
 
 Fraction = None  # bound by _ratio on first need: integer values load no fractions
 
@@ -52,7 +52,7 @@ def _num(x):
     return _rat(x)
 
 
-class LexValue(Frozen):
+class LexValue(Value):
     """Element of Q^n, leftmost coordinate dominant."""
 
     __slots__ = ("coords",)
@@ -70,15 +70,6 @@ class LexValue(Frozen):
         v = object.__new__(cls)
         object.__setattr__(v, "coords", coords)
         return v
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        # the frozen dataclass's hash, so set and dict order stay as they were
-        return hash((self.coords,))
 
     @property
     def rank(self) -> int:

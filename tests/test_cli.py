@@ -422,6 +422,41 @@ def test_tree_rank_must_be_a_positive_int(tmp_path, capsys, rank):
     assert "edge length rank" not in err
 
 
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+TREE_DISTANCE = ["tree", "distance", "--x", "p", "--y", "q"]
+EDGELESS = {"vertices": ["a"], "edges": []}
+
+
+# a tree or metric table that is no object, or that lacks a field, is refused by
+# name: a nested list once gave "list indices must be integers or slices, not
+# str" and a missing field its bare key, such as 'rank'
+@pytest.mark.parametrize("argv, doc, message", [
+    (["glue", "check-free"], {"vertex_trees": {"A": [1]}, "edges": []},
+     "a tree must be an object, got [1]"),
+    (["glue", "check-free"], {"vertex_trees": {"A": {"rank": 1, **EDGELESS}, "B": "x"}, "edges": []},
+     "a tree must be an object, got 'x'"),
+    (["glue", "check-free"], {"vertex_trees": {"A": 5}, "edges": []},
+     "a tree must be an object, got 5"),
+    (["glue", "check-free"], {"vertex_trees": {"A": EDGELESS}, "edges": []},
+     "rank must be a positive integer, got None"),
+    (TREE_DISTANCE, _without(presets.emit("tripod"), "rank"),
+     "rank must be a positive integer, got None"),
+    (TREE_DISTANCE, _without(presets.emit("tripod"), "vertices"),
+     "vertices must be a list of distinct ids"),
+    (["validate-tree"], _without(_rank1_metric(), "rank"), "rank must be a positive integer, got None"),
+    (["validate-tree"], _without(_rank1_metric(), "labels"), "labels must be a non-empty list"),
+    (["validate-tree"], _without(_rank1_metric(), "dist"), "dist must be 3 rows of 3 entries"),
+], ids=["tree-list", "tree-string", "tree-int", "glued-tree-no-rank", "tree-no-rank",
+        "tree-no-vertices", "table-no-rank", "table-no-labels", "table-no-dist"])
+def test_a_malformed_tree_or_table_is_refused_by_field(tmp_path, capsys, argv, doc, message):
+    path = write(tmp_path, "bad.json", {"schema": SCHEMA, **doc})
+    assert main([*argv[:2], "--input", path, *argv[2:]]) == 65
+    assert capsys.readouterr() == ("", f"malformed input: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["tree", "distance", "--x", "p", "--y", "o:q:1/2,0"],  # a rank-2 offset on a rank-1 tree
     ["marked", "ball", "--radius", "2"],  # not a marked-group document

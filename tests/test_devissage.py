@@ -106,8 +106,8 @@ def test_surface_structure_and_case():
 def test_surface_boundary_matching():
     # one-holed torus hanging on an infinitesimal free vertex
     torus = SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"),))
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
-    S = GGVertex("S", "surface", torus)
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")), None)
+    S = GGVertex("S", "surface", torus, None)
     edge = GGEdge("F", "S", parse_word("xy"), parse_word("b'a'ba"))
     G = GraphOfGroups([F, S], [edge])
     rep = check_structure(G)
@@ -182,9 +182,9 @@ def test_principal_refuses_broken_structure():
 
 def _pair_graph(w1: str, w2: str, free=True):
     desc = FreeGroupOracle(("x", "y")) if free else FreeAbelianOracle(("x", "y"))
-    F = GGVertex("F", "infinitesimal", desc, attestation="window-certified")
-    A1 = GGVertex("A1", "abelian", CyclicBySum("n", ()))
-    A2 = GGVertex("A2", "abelian", CyclicBySum("m", ()))
+    F = GGVertex("F", "infinitesimal", desc, "window-certified")
+    A1 = GGVertex("A1", "abelian", CyclicBySum("n", ()), None)
+    A2 = GGVertex("A2", "abelian", CyclicBySum("m", ()), None)
     return GraphOfGroups(
         [F, A1, A2],
         [
@@ -219,8 +219,8 @@ def test_abelian_pair_nonfree_shared_vertex_unchecked():
 def test_acylindricity_fails_on_global_stabilizer():
     # two parallel edges gluing <x> to the cyclic summand: <x> fixes an
     # unbounded line in the Bass-Serre tree
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")), None)
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
     e = GGEdge("F", "A", parse_word("x"), parse_word("n"))
     G = GraphOfGroups([F, A], [e, GGEdge("F", "A", parse_word("x"), parse_word("n"))])
     rep = check_acylindricity(G, radius=5)
@@ -230,8 +230,8 @@ def test_acylindricity_fails_on_global_stabilizer():
 
 
 def test_acylindricity_fails_on_two_abelian_vertices():
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
-    B = GGVertex("B", "abelian", CyclicBySum("m", ()))
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
+    B = GGVertex("B", "abelian", CyclicBySum("m", ()), None)
     e = GGEdge("A", "B", parse_word("n"), parse_word("m"))
     G = GraphOfGroups([A, B], [e, GGEdge("A", "B", parse_word("n"), parse_word("m"))])
     rep = check_acylindricity(G, radius=5)
@@ -239,7 +239,7 @@ def test_acylindricity_fails_on_two_abelian_vertices():
 
 
 def _loop(desc, image_u, image_v):
-    V = GGVertex("V", "infinitesimal", desc)
+    V = GGVertex("V", "infinitesimal", desc, None)
     return GraphOfGroups([V], [GGEdge("V", "V", parse_word(image_u), parse_word(image_v))])
 
 
@@ -268,8 +268,8 @@ def test_acylindricity_passes_free_hnn_loop():
 @pytest.mark.parametrize("k", [2, 3])
 def test_acylindricity_fails_when_a_proper_power_is_glued(k):
     # <n, m | n^k = m^2>: the central n^k fixes the whole tree
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
-    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)))
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
+    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)), None)
     G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n" * k), parse_word("mm"))])
     rep = check_acylindricity(G, radius=5, window=4)
     assert rep.verdict == "Fail"
@@ -278,8 +278,8 @@ def test_acylindricity_fails_when_a_proper_power_is_glued(k):
 
 def test_acylindricity_passes_when_the_letter_itself_is_glued():
     # <n> *_{n = m} <m> is Z: its tree has no reduced path of two edges
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
-    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)))
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
+    B = GGVertex("B", "abelian", FreeAbelianOracle(("m",)), None)
     G = GraphOfGroups([A, B], [GGEdge("A", "B", parse_word("n"), parse_word("m'"))])
     assert check_acylindricity(G, radius=2, window=4).verdict == "Pass"
 
@@ -297,8 +297,8 @@ def test_acylindricity_finds_a_turn_longer_than_the_window():
 def test_acylindricity_finds_a_root_turn_longer_than_the_window():
     # (xyxyy)^2 glued to n: the root xyxyy commutes with n's image and lies
     # outside the edge group, so n fixes a reduced path of two edges
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")), None)
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
     G = GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xyxyy" * 2), parse_word("n"))])
     rep = check_acylindricity(G, radius=2, window=4)
     assert rep.verdict == "Fail"
@@ -358,7 +358,7 @@ def test_acylindricity_verdict_ignores_edge_orientation(data):
     """Reversing every edge (swapping its ends and their images) names the
     same graph of groups, so the verdict stays."""
     descs = data.draw(st.lists(st.sampled_from(DESCRIPTORS), min_size=1, max_size=3))
-    verts = [GGVertex(f"V{k}", "infinitesimal", d) for k, d in enumerate(descs)]
+    verts = [GGVertex(f"V{k}", "infinitesimal", d, None) for k, d in enumerate(descs)]
 
     def end():
         k = data.draw(st.integers(0, len(verts) - 1))
@@ -441,7 +441,7 @@ def graphs_of_groups(draw):
             rel = draw(st.sampled_from([None, False, True])) if n == 1 else None
             desc = SurfaceWithBoundary(letters, (), None if rel is None else
                                        _closed_relator(letters, rel))
-        verts.append(GGVertex(f"V{i}", KINDS[kind], desc))
+        verts.append(GGVertex(f"V{i}", KINDS[kind], desc, None))
     ends = [(f"V{draw(st.integers(0, i - 1))}", f"V{i}") for i in range(1, len(verts))]
     ids = st.sampled_from([v.id for v in verts])
     if not getattr(verts[0].desc, "closed_relator", None):
@@ -531,8 +531,8 @@ def test_max_abelian_declaration_requires_rank_two():
 
 
 def test_trivial_edge_image_rejected():
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)))
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)), None)
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
     with pytest.raises(DevissageError):
         GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xx'"), parse_word("n"))])
 
@@ -572,8 +572,9 @@ def test_descriptor_letters_must_read_back(doc):
 def test_closed_surface_has_no_boundary_and_no_edge():
     with pytest.raises(DevissageError, match="^a surface with a closed relator has no boundary words$"):
         SurfaceWithBoundary(("a", "b"), (parse_word("aba'b'"),), parse_word("aabb"))
-    S = GGVertex("S", "surface", SurfaceWithBoundary(("a", "b", "c"), (), parse_word("aabbcc")))
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)))
+    S = GGVertex("S", "surface", SurfaceWithBoundary(("a", "b", "c"), (), parse_word("aabbcc")),
+                 None)
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x",)), None)
     # aabbcc is trivial in the closed surface group, which a free reduction cannot see
     with pytest.raises(DevissageError, match="^edge at closed surface vertex 'S': its images"):
         GraphOfGroups([F, S], [GGEdge("F", "S", parse_word("x"), parse_word("aabbcc"))])
@@ -597,8 +598,8 @@ def test_surface_rejects_conjugate_boundaries(second):
 
 
 def test_principal_case_amalgam_and_recurse():
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")))
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("x", "y")), None)
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
     G = GraphOfGroups([F, A], [GGEdge("F", "A", parse_word("xy"), parse_word("n"))])
     assert principal_splitting_case(G).case == "amalgam-maximal-abelian"
     lone = GraphOfGroups([F], [])
@@ -609,14 +610,14 @@ def test_principal_case_amalgam_and_recurse():
 
 
 def test_graph_refuses_a_missing_endpoint():
-    A = GGVertex("A", "abelian", CyclicBySum("n", ()))
+    A = GGVertex("A", "abelian", CyclicBySum("n", ()), None)
     with pytest.raises(DevissageError, match="^edge endpoint 'Z' missing$"):
         GraphOfGroups([A], [GGEdge("A", "Z", parse_word("n"), parse_word("a"))])
 
 
 def _hung(abelian: GGVertex, image: str) -> GraphOfGroups:
     """abelian, and a free infinitesimal vertex F = <a, b> it meets at `image` = a."""
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")), None)
     return GraphOfGroups([abelian, F], [GGEdge(abelian.id, "F", parse_word(image),
                                               parse_word("a"))])
 
@@ -624,27 +625,27 @@ def _hung(abelian: GGVertex, image: str) -> GraphOfGroups:
 def _star(*leaves) -> GraphOfGroups:
     """A free infinitesimal F = <a, b>, then the vertex of each leaf (vertex,
     image there, image at F), hung from F by one edge per leaf, in order."""
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")), None)
     verts = {v.id: v for v, _i, _f in leaves}
     return GraphOfGroups([F, *verts.values()],
                          [GGEdge(v.id, "F", parse_word(i), parse_word(f)) for v, i, f in leaves])
 
 
-MARKED = GGVertex("A", "abelian", CyclicBySum("n", ("m",)))
-NOT_CYCLIC = GGVertex("B", "abelian", FreeAbelianOracle(("n",)))
-SHARING = [GGVertex(f"A{k}", "abelian", CyclicBySum("n", ())) for k in range(4)]
-UNBOUNDED = GGVertex("S", "surface", FreeGroupOracle(("c",)))
-BOUNDED = GGVertex("T", "surface", SurfaceWithBoundary(("c", "d"), (parse_word("cd"),)))
+MARKED = GGVertex("A", "abelian", CyclicBySum("n", ("m",)), None)
+NOT_CYCLIC = GGVertex("B", "abelian", FreeAbelianOracle(("n",)), None)
+SHARING = [GGVertex(f"A{k}", "abelian", CyclicBySum("n", ()), None) for k in range(4)]
+UNBOUNDED = GGVertex("S", "surface", FreeGroupOracle(("c",)), None)
+BOUNDED = GGVertex("T", "surface", SurfaceWithBoundary(("c", "d"), (parse_word("cd"),)), None)
 
 
 # a clause names its first fault, in vertex order and then half-edge order;
 # abelian-pairs compares every pair and names the last that shares a root
 @pytest.mark.parametrize("G, clause, detail", [
-    (_hung(GGVertex("A", "abelian", FreeAbelianOracle(("n",))), "n"), "abelian",
+    (_hung(GGVertex("A", "abelian", FreeAbelianOracle(("n",)), None), "n"), "abelian",
      "abelian vertex 'A' is not cyclic-by-sum"),
-    (_hung(GGVertex("A", "abelian", CyclicBySum("n", ("m",))), "m"), "abelian",
+    (_hung(GGVertex("A", "abelian", CyclicBySum("n", ("m",)), None), "m"), "abelian",
      "edge image m at 'A' is not the marked generator"),
-    (_hung(GGVertex("S", "surface", FreeGroupOracle(("n",))), "n"), "surface",
+    (_hung(GGVertex("S", "surface", FreeGroupOracle(("n",)), None), "n"), "surface",
      "surface vertex 'S' lacks boundary data"),
     (_star((MARKED, "m", "a"), (NOT_CYCLIC, "n", "b")), "abelian",
      "edge image m at 'A' is not the marked generator"),
@@ -684,7 +685,7 @@ def test_structure_passes_a_clause_with_no_fault():
 
 
 def _closed(vid: str) -> GGVertex:
-    return GGVertex(vid, "surface", SurfaceWithBoundary(("c", "d"), ()))
+    return GGVertex(vid, "surface", SurfaceWithBoundary(("c", "d"), ()), None)
 
 
 @pytest.mark.parametrize("order, verdict, remarked", [
@@ -696,7 +697,7 @@ def test_structure_remarks_closed_surfaces_up_to_the_first_fault(order, verdict,
     """A closed surface met before the surface clause's first fault is
     remarked on; one after it is not read."""
     verts = [UNBOUNDED if vid == "S" else _closed(vid) for vid in order.split()]
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a",)))
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a",)), None)
     edges = [GGEdge("F", "S", parse_word("a"), parse_word("c"))] if "S" in order else []
     rep = check_structure(GraphOfGroups([F, *verts], edges))
     assert rep.clauses["surface"].verdict == verdict
@@ -714,8 +715,8 @@ def test_structure_is_unchecked_only_where_no_pair_fails(at_f, verdict, detail):
     """A0 and A1 hang from the free F at at_f and also meet at N, which is
     free abelian, so their pair there is not decided: Unchecked, unless
     their pair at F shares a root."""
-    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")))
-    N = GGVertex("N", "infinitesimal", FreeAbelianOracle(("p", "q")), attestation="given")
+    F = GGVertex("F", "infinitesimal", FreeGroupOracle(("a", "b")), None)
+    N = GGVertex("N", "infinitesimal", FreeAbelianOracle(("p", "q")), "given")
     edges = [GGEdge(a.id, "F", parse_word("n"), parse_word(w)) for a, w in zip(SHARING, at_f)]
     edges += [GGEdge("N", a.id, parse_word(w), parse_word("n")) for a, w in zip(SHARING, "pq")]
     pairs = check_structure(GraphOfGroups([F, *SHARING[:2], N], edges)).clauses["abelian-pairs"]
@@ -723,6 +724,6 @@ def test_structure_is_unchecked_only_where_no_pair_fails(at_f, verdict, detail):
 
 
 def test_free_abelian_b1_is_its_rank():
-    G = GraphOfGroups([GGVertex("A", "abelian", FreeAbelianOracle(("x", "y", "z")))], [])
+    G = GraphOfGroups([GGVertex("A", "abelian", FreeAbelianOracle(("x", "y", "z")), None)], [])
     rep = check_betti_bounds(G, FinitePresentation(("x",), ()), MaxAbelianDeclaration(()))
     assert rep.b1_vertices == {"A": 3}

@@ -1,7 +1,8 @@
 """Every name a library module imports at module level is used in that
 module.  A name whose last caller was deleted shows up here, so a deletion
 takes its imports with it.  And the rule that a record is frozen is written
-once, in the `frozen` base, which every record derives from."""
+once, in the `frozen` base, which every record derives from; so is the rule
+that a value record compares and hashes by its fields, in `frozen.Value`."""
 
 import ast
 import pathlib
@@ -110,3 +111,25 @@ def test_no_class_is_a_plain_record_outside_the_frozen_base():
     plain = [name for path in MODULES
              for name in _plain_constructors(path.read_text(encoding="utf-8"), path.stem)]
     assert plain == []
+
+
+# the classes outside the Value base that compare by their fields, each a
+# mutable record that `bt certify` builds per product, where the base's field
+# loop would cost time
+OWN_EQUALITY = {
+    "bruhat._Laurent.__eq__": "a polynomial: one per entry of each product; its term dict is unhashable",
+    "bruhat.Mat2.__eq__": "a matrix: one per product, compared to any Mat2 subclass by its entries",
+}
+
+
+def test_only_the_value_base_defines_equality_and_hashing():
+    """A method or a class-level assignment (`__hash__ = None`) counts."""
+    defined = set()
+    for path in MODULES:
+        for name, node in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem + "."):
+            defined.add(name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{name}.{t.id}" for stmt in node.body if isinstance(stmt, ast.Assign)
+                               for t in stmt.targets if isinstance(t, ast.Name))
+    assert {n for n in defined if n.endswith((".__eq__", ".__hash__"))} == \
+        {"frozen.Value.__eq__", "frozen.Value.__hash__"} | OWN_EQUALITY.keys()

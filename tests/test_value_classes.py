@@ -3,9 +3,10 @@ dataclasses they replace: assignment and deletion raise AttributeError, and
 every repr that a report, message or stdout line can show is unchanged.  The
 verdict records that the checks return are frozen records too.  The value
 classes that the code compares compare by fields, only against an instance of
-exactly the same class; those that it hashes hash as the field tuple (so set
-and dict iteration order stays the same).  A class that nothing compares
-keeps object's identity equality and hash."""
+exactly the same class, and hash as the field tuple (so set and dict
+iteration order stays the same): they take both from the frozen `Value`
+base.  A class that nothing compares keeps object's identity equality and
+hash."""
 
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from lambdaforest.devissage import (
     StructureReport,
     SurfaceWithBoundary,
 )
-from lambdaforest.frozen import Frozen
+from lambdaforest.frozen import Frozen, Value
 from lambdaforest.gluing import DualPoint, EquivClass, FreeCriterionReport, GluedEdge, SegmentIso
 from lambdaforest.groups import FinitePresentation, FreeAbelianOracle, FreeGroupOracle, parse_word
 from lambdaforest.isometry import Certificate, Elliptic, Hyperbolic, Inconclusive, OutOfWindow
@@ -39,15 +40,15 @@ ENDS = (Vertex("a"), Vertex("b"))
 
 # class, field values, the repr a report, message or stdout line can show
 # (None: the class keeps no repr), and its equality: "hash" compares and
-# hashes by fields, "eq" compares by fields and is unhashable, None is
-# object's identity, since nothing compares the class
+# hashes by fields, as the Value base does, None is object's identity, since
+# nothing compares the class
 CLASSES = {
     "LexValue": (LexValue, ((Fraction(1), Fraction(-1, 2)),), "(1, -1/2)", "hash"),
     "Vertex": (Vertex, ("a",), "Vertex('a')", "hash"),
     "Vertex-tuple-id": (Vertex, (("x", 1),), "Vertex(('x', 1))", "hash"),
     "EdgeInterior": (EdgeInterior, ("a", "b", LexValue([Fraction(1, 3), 2])),
                      "EdgeInterior('a'-'b' @ (1/3, 2))", "hash"),
-    "QpElement": (QpElement, (Fraction(2, 9), 3), "QpElement(value=Fraction(2, 9), p=3)", "eq"),
+    "QpElement": (QpElement, (Fraction(2, 9), 3), "QpElement(value=Fraction(2, 9), p=3)", "hash"),
     "DualPoint": (DualPoint, ("A", Vertex("a0")), "DualPoint(vertex='A', point=Vertex('a0'))",
                   None),
     "DualPoint-interior": (DualPoint, ("B", EdgeInterior("b0", "b1", LexValue(["1/2"]))),
@@ -96,12 +97,9 @@ def test_value_class_contract(name):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
         assert x == x and x != y
         return
+    assert issubclass(cls, Value) and not {"__eq__", "__hash__"} & vars(cls).keys()
     assert x == y and not x != y
-    if equality == "hash":
-        assert hash(x) == hash(y) == hash(fields)
-    else:
-        with pytest.raises(TypeError):
-            hash(x)
+    assert hash(x) == hash(y) == hash(fields)
     twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
     assert x != twin and twin != x and x != fields
 

@@ -49,7 +49,11 @@ counterexample, so the fixed documents of verdict_documents run too: `glue
 check-free` Inconclusive (a vertex not attested free, no sample) and Fail (a
 translating composite of parallel gluings, a class that is not a tree, a
 class that outgrows CLASS_CAP), and a reflection's elliptic word as `isom
-certify` and `isom classify`.  The
+certify` and `isom classify`.  No job sends a malformed tree or metric table,
+so the fixed documents of malformed_documents run too: `glue check-free` of a
+tree that is a list, a string or an int or has no rank, `tree distance`
+without a rank or vertices, and `validate-tree` without a rank, labels or
+dist.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
@@ -792,6 +796,25 @@ def verdict_documents() -> list[tuple[str, tuple, dict]]:
          {"schema": "lambda-forest/1", **reflection})]
 
 
+def malformed_documents() -> list[tuple[str, tuple, dict]]:
+    """(name, runs, document) of the malformed trees and metric tables that no
+    job sends, the same at every seed: `glue check-free` whose tree is a list,
+    a string or an int, or lacks its rank; `tree distance` on the tripod
+    without its rank or its vertices; and `validate-tree` on a table without
+    its rank, labels or dist."""
+    tripod = presets.emit("tripod")
+    table = {"schema": "lambda-forest/1", "rank": 1, "labels": ["a", "b"],
+             "dist": [[["0"], ["1"]], [["1"], ["0"]]]}
+    trees = [[1], "x", 5, {"vertices": ["a"], "edges": []}]
+    return [(f"glue/malformed/{k}", (("check-free",),),
+             {"schema": "lambda-forest/1", "vertex_trees": {"A": tree}, "edges": []})
+            for k, tree in enumerate(trees)] + [
+        (f"tree/malformed/{key}", (("distance", "--x", "p", "--y", "q"),),
+         {k: v for k, v in tripod.items() if k != key}) for key in ("rank", "vertices")] + [
+        (f"validate-tree/malformed/{key}", ((),), {k: v for k, v in table.items() if k != key})
+        for key in ("rank", "labels", "dist")]
+
+
 def preset_paths(line: list[str], inputs: str) -> list[str]:
     """line with each @name replaced by the path of that preset, or of that
     LINE_DOCS document or RAW_DOCS text, written once."""
@@ -854,6 +877,7 @@ def main(argv=None) -> int:
                                             ("betti",), ("principal",)), doc)
                        for k, (radius, doc) in enumerate(gog_documents(seed))]
         seeded += verdict_documents()
+        seeded += malformed_documents()
         for name, runs, doc in seeded:
             path = os.path.join(inputs, name.replace("/", "-") + ".json")
             with open(path, "w", encoding="utf-8") as fh:
