@@ -278,7 +278,8 @@ class MatrixLengthOracle:
     is then D^|w| times its value.  D is a constant: its valuation is 0 over
     Q(t) and Q(s, t), and v_p(D) over Q_p.
 
-    Each oracle evaluates the word it is given and keeps its scaled trace.
+    The oracle keeps no memo per word, only the path of the last word asked:
+    each prefix's product, by length, and the word's scaled trace.
     Triviality and the trace (so the valuation and the length) are class
     functions, and w and w^-1 have the same trace in SL2, so
     `certify_free_on_ball` may ask one word per conjugacy class up to
@@ -316,8 +317,8 @@ class MatrixLengthOracle:
             self._letters[(label, 1)] = m
             self._letters[(label, -1)] = m.inverse()
         self.trace_valuations: set[tuple] = set()
-        self._cache: dict[Word, Mat2] = {(): self._scalar(1)}
-        self._traces: dict = {}  # word -> D^|w| Tr w
+        self._path: list = [((), self._scalar(1))]  # (prefix, its product) by length
+        self._last: tuple = (None, None)  # (word, D^|w| Tr w) of the last trace formed
         self._values: dict = {}  # least exponent or (v_p,), None for a zero trace -> (v(Tr), length)
 
     def _ring(self, coeffs: dict):
@@ -330,35 +331,33 @@ class MatrixLengthOracle:
         zero, c = self._ring({}), self._ring({(0, 0): n})
         return Mat2(c, zero, zero, c, check_det=False)
 
-    def product(self, w: Word) -> Mat2:
-        """D^|w| times the value of w, over the ring."""
-        w = tuple(w)
-        if w in self._cache:
-            return self._cache[w]
-        g = self._letters.get(w[-1])
+    def _letter(self, x):
+        g = self._letters.get(x)
         if g is None:
-            raise FieldError(f"unknown generator label {w[-1][0]!r}")
+            raise FieldError(f"unknown generator label {x[0]!r}")
+        return g
+
+    def product(self, w: Word) -> Mat2:
+        """D^|w| times the value of w, over the ring; the path now runs through w."""
+        w = tuple(w)
+        n, path = len(w), self._path
+        if n < len(path) and path[n][0] == w:
+            return path[n][1]
+        g = self._letter(w[-1])  # before the prefix, so the rightmost unknown label is named
         m = self.product(w[:-1]) * g
-        self._cache[w] = m
+        del path[n:]
+        path.append((w, m))
         return m
 
     def _trace(self, w: Word):
-        """D^|w| Tr w, kept per word.  Unless the product of w is cached,
-        only the diagonal of its last factor is formed."""
+        """D^|w| Tr w from the diagonal of its last factor only.  The last
+        word's is kept: certification asks is_trivial, then length, of a word."""
         w = tuple(w)
-        tr = self._traces.get(w)
-        if tr is None:
-            m = self._cache.get(w)
-            if m is not None:
-                tr = m.trace()
-            else:
-                g = self._letters.get(w[-1])
-                if g is None:
-                    raise FieldError(f"unknown generator label {w[-1][0]!r}")
-                p = self.product(w[:-1])
-                tr = p.a * g.a + p.b * g.c + p.c * g.b + p.d * g.d
-            self._traces[w] = tr
-        return tr
+        if self._last[0] != w:
+            g = self._letter(w[-1]) if w else self._path[0][1]
+            p = self.product(w[:-1])
+            self._last = (w, p.a * g.a + p.b * g.c + p.c * g.b + p.d * g.d)
+        return self._last[1]
 
     def _value(self, w: Word) -> tuple:
         """(v(Tr w), l(w)); v is INFINITY when the trace is 0.  One LexValue

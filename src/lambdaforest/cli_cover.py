@@ -5,7 +5,7 @@ def cmd_cover(args, doc):
     from .cover import TransverseCovering, skeleton, transverse_check
     from .lambdatree import MetricTree, SubtreeSpec, _parse_points
 
-    T = MetricTree.from_json(doc["tree"])
+    T = MetricTree.from_json(doc.get("tree"))
     members = [SubtreeSpec(T, _parse_points(T, pts, "a member"))
                for pts in doc["members"]]
     C = TransverseCovering(T, members)

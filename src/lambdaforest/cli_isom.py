@@ -7,7 +7,7 @@ def _action_window(doc: dict):
     from .isometry import ActionWindow, PartialIsometry
     from .lambdatree import MetricTree, _named, _parse_point
 
-    T = MetricTree.from_json(doc["tree"])
+    T = MetricTree.from_json(doc.get("tree"))
     if not isinstance(doc["generators"], dict):
         raise Malformed("generators must be an object of label -> vertex map")
     gens = {}

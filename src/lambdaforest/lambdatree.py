@@ -305,10 +305,13 @@ class MetricTree:
         vertices = doc.get("vertices")
         if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be a list of distinct ids")
-        edges = doc["edges"]
-        ends = [(e["u"], e["v"]) for e in edges]
-        D, rows = _json_rows([e["len"] for e in edges], rank,
-                             lambda k: "edge {}-{}".format(*ends[k]))
+        try:  # no edges, an edge that is no object, or one without u, v or len
+            ends = [(e["u"], e["v"]) for e in doc["edges"]]
+            lens = [e["len"] for e in doc["edges"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError("edges must be a list of objects with u, v and len"
+                             + (f": {exc} is missing" if isinstance(exc, KeyError) else ""))
+        D, rows = _json_rows(lens, rank, lambda k: "edge {}-{}".format(*ends[k]))
         return MetricTree(vertices, _Rows(D, [(u, v, row) for (u, v), row in zip(ends, rows)],
                                           numbered=False), rank)
 

@@ -365,6 +365,108 @@ def test_ring_oracle_rejects_mixed_field_contexts():
                             "h": Mat2(Q2(1), Q2(1), Q2(0), Q2(1))})
 
 
+# the oracle keeps only the path of the last word asked ---------------------------------
+
+
+ORDER_SETS = {"schottky-qt": lambda: matrix_group_from_json(schottky_qt()),
+              "z2-diagonal": lambda: matrix_group_from_json(z2_diagonal()),
+              "qp-rational-2": lambda: matrix_group_from_json(
+                  {"field": "Qp", "p": 2, "generators": QP_RATIONAL})}
+UNKNOWN = st.sampled_from([("x", 1), ("y", -1)])
+QUESTIONS = ["product", "trace_valuation", "length", "is_trivial"]
+
+
+def held(oracle):
+    """The Mat2 products and the loose Laurent elements (traces) that the
+    oracle's attributes hold, its letters aside."""
+    letters = {id(m) for m in oracle._letters.values()}
+    products, traces, seen = [], [], set()
+    stack = list(vars(oracle).values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or id(x) in letters:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Mat2):
+            products.append(x)
+        elif isinstance(x, (RatFunc, BiRatFunc)):
+            traces.append(x)
+        elif isinstance(x, dict):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple, set)):
+            stack += x
+    return products, traces
+
+
+@st.composite
+def question_sequences(draw, labels):
+    """(question, word) pairs: fresh words, the empty word, repeats, an
+    earlier word's prefix extended, an earlier word with an inverse pair or
+    an unknown letter put in."""
+    letters = st.sampled_from([(label, e) for label in labels for e in (1, -1)])
+    words, asked = [()], []
+    for _ in range(draw(st.integers(1, 12))):
+        base = draw(st.sampled_from(words))
+        at = draw(st.integers(0, len(base)))
+        kind = draw(st.sampled_from(["fresh", "empty", "repeat", "extend", "cancel", "unknown"]))
+        if kind == "fresh":
+            w = tuple(draw(st.lists(letters, max_size=7)))
+        elif kind == "empty":
+            w = ()
+        elif kind == "repeat":
+            w = base
+        elif kind == "extend":
+            w = base[:at] + tuple(draw(st.lists(letters, max_size=4)))
+        elif kind == "cancel":
+            a = draw(letters)
+            w = base[:at] + (a, (a[0], -a[1])) + base[at:]
+        else:
+            w = base[:at] + (draw(UNKNOWN),) + base[at:]
+        words.append(w)
+        asked += [(q, w) for q in draw(st.lists(st.sampled_from(QUESTIONS), min_size=1, max_size=3))]
+    return asked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORDER_SETS)), st.data())
+def test_answers_do_not_depend_on_the_order_of_the_questions(name, data):
+    """Each answer is the one a fresh oracle gives for that word alone, and a
+    product is the left fold of the scaled letter matrices; a word with an
+    unknown label is refused naming its rightmost one.  Afterwards the
+    oracle holds one product per length up to the longest word asked."""
+    gens = ORDER_SETS[name]()
+    oracle = MatrixLengthOracle(gens)
+    asked = data.draw(question_sequences(sorted(gens)))
+    for question, w in asked:
+        fresh = MatrixLengthOracle(gens)
+        unknown = [x for x, _ in w if x not in gens]
+        if unknown:
+            with pytest.raises(FieldError, match=f"^unknown generator label {unknown[-1]!r}$"):
+                getattr(oracle, question)(w)
+        elif question == "product":
+            fold = fresh._scalar(1)
+            for x in w:
+                fold = fold * fresh._letters[x]
+            assert oracle.product(w) == fold, w
+        else:
+            assert getattr(oracle, question)(w) == getattr(fresh, question)(w), (question, w)
+    products, traces = held(oracle)
+    assert len(products) <= max(len(w) for _, w in asked) + 1 and len(traces) <= 1
+
+
+def test_oracle_state_stays_bounded_by_the_radius():
+    """Every word of the radius-8 ball in ball order, then every class of the
+    class pass: the oracle holds the 9 products of one path and one trace."""
+    gens = matrix_group_from_json(schottky_qt())
+    oracle = MatrixLengthOracle(gens)
+    labels = sorted(gens)
+    for w in [*ball_words(labels, 8), *_classes(labels, 8)]:
+        oracle.is_trivial(w)
+        oracle.length(w)
+    products, traces = held(oracle)
+    assert len(products) <= 9 and len(traces) == 1
+
+
 # one evaluation per conjugacy class against per-word evaluation -------------------------
 
 

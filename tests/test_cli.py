@@ -430,9 +430,16 @@ TREE_DISTANCE = ["tree", "distance", "--x", "p", "--y", "q"]
 EDGELESS = {"vertices": ["a"], "edges": []}
 
 
+def _tripod_edges(*edges) -> dict:
+    return {**presets.emit("tripod"), "edges": list(edges)}
+
+
+EDGE_FIELDS = "edges must be a list of objects with u, v and len"
+
+
 # a tree or metric table that is no object, or that lacks a field, is refused by
 # name: a nested list once gave "list indices must be integers or slices, not
-# str" and a missing field its bare key, such as 'rank'
+# str" and a missing field its bare key, such as 'rank', 'edges' or 'tree'
 @pytest.mark.parametrize("argv, doc, message", [
     (["glue", "check-free"], {"vertex_trees": {"A": [1]}, "edges": []},
      "a tree must be an object, got [1]"),
@@ -449,8 +456,15 @@ EDGELESS = {"vertices": ["a"], "edges": []}
     (["validate-tree"], _without(_rank1_metric(), "rank"), "rank must be a positive integer, got None"),
     (["validate-tree"], _without(_rank1_metric(), "labels"), "labels must be a non-empty list"),
     (["validate-tree"], _without(_rank1_metric(), "dist"), "dist must be 3 rows of 3 entries"),
+    (TREE_DISTANCE, _without(presets.emit("tripod"), "edges"), f"{EDGE_FIELDS}: 'edges' is missing"),
+    (TREE_DISTANCE, _tripod_edges(["o", "p", ["1"]]), EDGE_FIELDS),
+    (TREE_DISTANCE, _tripod_edges({"u": "o", "v": "p", "len": ["1"]}, {"u": "o", "v": "q"}),
+     f"{EDGE_FIELDS}: 'len' is missing"),
+    (["cover", "check"], {"members": []}, "a tree must be an object, got None"),
+    (["isom", "classify", "--word", "r"], {"generators": {}}, "a tree must be an object, got None"),
 ], ids=["tree-list", "tree-string", "tree-int", "glued-tree-no-rank", "tree-no-rank",
-        "tree-no-vertices", "table-no-rank", "table-no-labels", "table-no-dist"])
+        "tree-no-vertices", "table-no-rank", "table-no-labels", "table-no-dist", "tree-no-edges",
+        "tree-edge-list", "tree-edge-no-len", "cover-no-tree", "isom-no-tree"])
 def test_a_malformed_tree_or_table_is_refused_by_field(tmp_path, capsys, argv, doc, message):
     path = write(tmp_path, "bad.json", {"schema": SCHEMA, **doc})
     assert main([*argv[:2], "--input", path, *argv[2:]]) == 65

@@ -28,7 +28,9 @@ some passes.  Every benchmark `bt` input has integer coefficients, so
 MATRIX_DOCS seeded generator pairs over Q(t) and Q(s, t) with fractional
 coefficients (matrix_documents) run too, each as `bt valuation` and `bt
 length` of a random word and as `bt certify --ball 3`; about one in five
-has a determinant that is not 1, whose error quotes the element text.  bt
+has a determinant that is not 1, whose error quotes the element text.  The
+first DEEP_DOCS of them whose determinant is 1 (deep_matrix_documents) also
+run as `bt certify --ball 7`, after every other run.  bt
 reads a plain integer as an int and every other spelling through Fraction,
 so the documents of spelled_documents, the same at every seed, run the same
 three ways: integer coefficients spelled each way of SPELLINGS, as
@@ -52,8 +54,9 @@ class that outgrows CLASS_CAP), and a reflection's elliptic word as `isom
 certify` and `isom classify`.  No job sends a malformed tree or metric table,
 so the fixed documents of malformed_documents run too: `glue check-free` of a
 tree that is a list, a string or an int or has no rank, `tree distance`
-without a rank or vertices, and `validate-tree` without a rank, labels or
-dist.  The
+without a rank or vertices, `validate-tree` without a rank, labels or
+dist, `tree distance` without edges or with an edge that is a list or has
+no len, and `cover check` and `isom classify` without a tree.  The
 exit code and the sha256 of stdout, stderr and the --json report are
 compared.  A fixed list of command lines that no job sends (help,
 usage errors, the spellings only argparse reads, `preset emit` of every
@@ -92,6 +95,7 @@ sys.dont_write_bytecode = True
 
 import jobs as joblib  # noqa: E402
 from lambdaforest import presets  # noqa: E402
+from lambdaforest.bruhat import FieldError, matrix_group_from_json  # noqa: E402
 from lambdaforest.cli import _COMMANDS  # noqa: E402
 from lambdaforest.gluing import CLASS_CAP  # noqa: E402
 
@@ -528,6 +532,24 @@ def matrix_documents(seed: int) -> list[tuple[str, dict]]:
     return docs
 
 
+DEEP_DOCS, DEEP_BALL = 5, "7"  # per seed
+
+
+def deep_matrix_documents(seed: int) -> list[dict]:
+    """The first DEEP_DOCS documents of matrix_documents(seed) whose
+    generators have determinant 1, to run as `bt certify --ball DEEP_BALL`:
+    every benchmark job and `bt certify --ball 10` command line has integer
+    coefficients, so only these compare a scale D > 1 at depth."""
+    deep = []
+    for _word, doc in matrix_documents(seed):
+        try:
+            matrix_group_from_json(doc)  # refuses a determinant that is not 1
+        except FieldError:
+            continue
+        deep.append(doc)
+    return deep[:DEEP_DOCS]
+
+
 # spellings of an integer that Fraction reads and a plain int reader might not,
 # and one past int's default limit of 4,300 digits, which both refuse
 SPELLINGS = ["007", "-0", "+3", " 3", "1_0", "6/3", "1.5", "1e2", "9" * 4301]
@@ -800,19 +822,29 @@ def malformed_documents() -> list[tuple[str, tuple, dict]]:
     """(name, runs, document) of the malformed trees and metric tables that no
     job sends, the same at every seed: `glue check-free` whose tree is a list,
     a string or an int, or lacks its rank; `tree distance` on the tripod
-    without its rank or its vertices; and `validate-tree` on a table without
-    its rank, labels or dist."""
+    without its rank or its vertices; `validate-tree` on a table without
+    its rank, labels or dist; `tree distance` on the tripod without its
+    edges, with an edge given as a list and with an edge without its len;
+    and `cover check` and `isom classify` on a document without a tree."""
     tripod = presets.emit("tripod")
     table = {"schema": "lambda-forest/1", "rank": 1, "labels": ["a", "b"],
              "dist": [[["0"], ["1"]], [["1"], ["0"]]]}
     trees = [[1], "x", 5, {"vertices": ["a"], "edges": []}]
+    distance = (("distance", "--x", "p", "--y", "q"),)
+    bad_edges = {"edge-list": [["o", "p", ["1"]]],
+                 "edge-no-len": [{"u": "o", "v": "p", "len": ["1"]}, {"u": "o", "v": "q"}]}
     return [(f"glue/malformed/{k}", (("check-free",),),
              {"schema": "lambda-forest/1", "vertex_trees": {"A": tree}, "edges": []})
             for k, tree in enumerate(trees)] + [
-        (f"tree/malformed/{key}", (("distance", "--x", "p", "--y", "q"),),
+        (f"tree/malformed/{key}", distance,
          {k: v for k, v in tripod.items() if k != key}) for key in ("rank", "vertices")] + [
         (f"validate-tree/malformed/{key}", ((),), {k: v for k, v in table.items() if k != key})
-        for key in ("rank", "labels", "dist")]
+        for key in ("rank", "labels", "dist")] + [
+        ("tree/malformed/no-edges", distance, {k: v for k, v in tripod.items() if k != "edges"})] + [
+        (f"tree/malformed/{name}", distance, {**tripod, "edges": e}) for name, e in bad_edges.items()] + [
+        ("cover/malformed/no-tree", (("check",),), {"schema": "lambda-forest/1", "members": []}),
+        ("isom/malformed/no-tree", (("classify", "--word", "r"),),
+         {"schema": "lambda-forest/1", "generators": {}})]
 
 
 def preset_paths(line: list[str], inputs: str) -> list[str]:
@@ -878,6 +910,9 @@ def main(argv=None) -> int:
                        for k, (radius, doc) in enumerate(gog_documents(seed))]
         seeded += verdict_documents()
         seeded += malformed_documents()
+        for seed in args.seeds:  # after every other run, which keeps its place
+            seeded += [(f"bt/{seed}/deep/{k}", (("certify", "--ball", DEEP_BALL),), doc)
+                       for k, doc in enumerate(deep_matrix_documents(seed))]
         for name, runs, doc in seeded:
             path = os.path.join(inputs, name.replace("/", "-") + ".json")
             with open(path, "w", encoding="utf-8") as fh:
